@@ -67,8 +67,14 @@ class Scheme:
         state: dict,
         amp: float,
         tol: Tolerances,
-    ) -> complex:
+    ) -> complex | np.ndarray:
         """Scalar sent from ``antenna`` at ``slot``.
+
+        ``msgs`` has shape ``(num_symbols, *B)``; with a batch axis ``B`` the
+        result is the ``(*B,)`` array of scalars of the batch's blocks, or
+        one scalar that holds for all of them.  ``msgs[i]`` indexing keeps
+        the unbatched case on numpy scalars.  View reads carry the batch
+        axis through and are logged once whatever ``B`` is.
 
         ``state`` is a per-block scratch dict for caching constants computed
         from the view (it starts empty each block).  ``amp`` is the square
@@ -87,7 +93,12 @@ class Scheme:
         raise NotImplementedError
 
     def decode(self, rx: int, y_row: np.ndarray, ctx: Any) -> np.ndarray:
-        """Estimates of ``symbols_for_rx(rx)`` from that receiver's observations."""
+        """Estimates of ``symbols_for_rx(rx)`` from that receiver's observations.
+
+        ``y_row`` has shape ``(num_slots, *B)`` and the result
+        ``(len(symbols_for_rx(rx)), *B)``.  ``y_row`` may be a view of the
+        received block, so it must not be written to.
+        """
         raise NotImplementedError
 
     def certificates(self, ctx: Any) -> dict[str, float]:

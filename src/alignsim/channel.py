@@ -182,9 +182,13 @@ def apply_channel(
     ``y_noisy`` adds either the explicitly supplied ``noise`` vector or a
     fresh CN(0, noise_variance) draw from ``rng``.  With zero noise the two
     outputs are equal.
+
+    ``x_slot`` has shape ``(num_tx,)`` or ``(num_tx, B)``, a batch of ``B``
+    independent blocks on the same channel; both outputs and ``noise`` then
+    have shape ``(num_rx,)`` or ``(num_rx, B)``.
     """
     x_slot = np.asarray(x_slot, dtype=np.complex128)
-    if x_slot.shape != (tensor.num_tx,):
+    if x_slot.ndim not in (1, 2) or x_slot.shape[0] != tensor.num_tx:
         raise ValueError(f"expected {tensor.num_tx} transmit scalars, got shape {x_slot.shape}")
     y_clean = tensor.h[:, :, slot] @ x_slot
     if noise is not None:
@@ -192,8 +196,8 @@ def apply_channel(
     elif noise_variance > 0.0:
         if rng is None:
             raise ValueError("noise_variance > 0 requires an rng")
-        z = sample_complex_gaussian(rng, tensor.num_rx) * np.sqrt(noise_variance)
-        y_noisy = y_clean + z
+        z = sample_complex_gaussian(rng, y_clean.size).reshape(y_clean.shape)
+        y_noisy = y_clean + z * np.sqrt(noise_variance)
     else:
         y_noisy = y_clean.copy()
     return y_clean, y_noisy
@@ -206,6 +210,7 @@ class SignalRecord:
     ``x[j, n]`` is what antenna ``j`` sent at slot ``n``; ``y_clean`` is the
     noise-free superposition at each receiver and ``y_noisy`` what the
     receivers actually observed (equal to ``y_clean`` in noiseless runs).
+    A batched block run appends its batch axis to all three arrays.
     """
 
     x: np.ndarray
@@ -313,8 +318,12 @@ class TxInformationView:
                     out[k, j, idx] = self.channel_coeff(k, j, m)
         return out
 
-    def output(self, rx: int, item_slot: int) -> complex:
-        """Read the value receiver ``rx`` observed at ``item_slot``."""
+    def output(self, rx: int, item_slot: int) -> complex | np.ndarray:
+        """Read the value receiver ``rx`` observed at ``item_slot``.
+
+        In a batched block run this is the ``(B,)`` column of that value
+        across the batch; it is still checked and logged as one read.
+        """
         if not self.model.provides_output:
             raise CausalityViolation(
                 f"feedback kind {self.model.kind.value} carries no receiver outputs"
@@ -328,7 +337,7 @@ class TxInformationView:
             self._log.append(
                 AccessRecord(self.tx, self.slot, "output", rx, None, item_slot)
             )
-        return complex(self._outputs[rx, item_slot])
+        return self._outputs[rx, item_slot]
 
 
 def make_tx_view(

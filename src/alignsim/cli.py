@@ -159,11 +159,18 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"unknown format {config.format!r}")
     if config.trials < 1:
         raise UsageError("trials must be at least 1")
+    if config.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {config.seed}")
     if config.mode == "dof_sweep":
-        if not config.snr_grid_db:
+        grid = config.snr_grid_db
+        if not grid:
             raise UsageError("dof_sweep mode requires an SNR grid (--snr-grid)")
-        if len(config.snr_grid_db) < 2:
+        if len(grid) < 2:
             raise UsageError("the SNR grid needs at least two points")
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in grid):
+            raise UsageError(f"SNR grid points must be finite numbers, got {grid}")
+        if len(set(grid)) != len(grid):
+            raise UsageError(f"SNR grid points must be distinct, got {grid}")
     elif config.snr_grid_db:
         raise UsageError(f"mode {config.mode!r} does not take an SNR grid")
     if config.format == "csv" and config.mode != "dof_sweep":

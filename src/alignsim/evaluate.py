@@ -13,10 +13,11 @@ is complex-linear in the received block, and every signal-path coefficient
 carries exactly one factor of the amplitude ``sqrt(power)`` while injected
 noise carries none, so the per-symbol estimation error at power ``P`` is
 exactly ``1/sqrt(P)`` times a fixed linear image of the unit noise block.
-The per-symbol noise weight (the squared norm of that image, measured once
-per trial by injecting a unit impulse at each receiver/slot position) turns
-into an exact per-symbol SINR ``P / weight`` at every operating point, which
-makes rate curves deterministic and smooth enough for slope fitting.
+The per-symbol noise weight (the squared norm of that image, read off one
+batched block run whose batch columns are the unit impulses at every
+receiver/slot position) turns into an exact per-symbol SINR ``P / weight``
+at every operating point, which makes rate curves deterministic and smooth
+enough for slope fitting.
 
 Seeding: trial ``t``, attempt ``a`` of a run with ``base_seed`` uses
 ``numpy.random.SeedSequence((base_seed, t, a))`` split into independent
@@ -65,7 +66,6 @@ __all__ = [
     "sum_rate_bits",
     "estimate_dof",
     "dof_by_counting",
-    "encode_transmissions",
     "future_perturbation_invariant",
 ]
 
@@ -168,16 +168,21 @@ def simulate_block(
 ) -> SignalRecord:
     """Run one block slot by slot and return every signal involved.
 
-    ``noise`` is an optional ``(num_rx, num_slots)`` array added at the
-    receivers; transmitters doing output feedback see the noisy values, as
-    they would on a real feedback link.  ``state`` carries cached
+    ``msgs`` has shape ``(num_symbols, *B)``, where ``B`` is empty or one
+    batch size: a batch runs ``B`` blocks on the same channel at once, one
+    per trailing column.  ``noise`` is an optional ``(num_rx, num_slots, *B)``
+    array added at the receivers; transmitters doing output feedback see the
+    noisy values, as they would on a real feedback link.  Every array of the
+    returned record ends in ``*B``.  The views, and so the access log, see
+    one read per scalar whatever ``B`` is.  ``state`` carries cached
     channel-dependent constants between repeated blocks on the same
     (tensor, offline) pair.
     """
     num_tx, num_rx, num_slots = scheme.num_tx, scheme.num_rx, scheme.num_slots
-    x = np.zeros((num_tx, num_slots), dtype=np.complex128)
-    y_clean = np.zeros((num_rx, num_slots), dtype=np.complex128)
-    y_noisy = np.zeros((num_rx, num_slots), dtype=np.complex128)
+    batch = np.shape(msgs)[1:]
+    x = np.zeros((num_tx, num_slots, *batch), dtype=np.complex128)
+    y_clean = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
+    y_noisy = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
     if state is None:
         state = {}
     for n in range(num_slots):
@@ -194,7 +199,7 @@ def simulate_block(
 
 
 def _decode_block(scheme: Scheme, record: SignalRecord, ctx) -> np.ndarray:
-    decoded = np.empty(scheme.num_symbols, dtype=np.complex128)
+    decoded = np.empty((scheme.num_symbols, *record.y_noisy.shape[2:]), dtype=np.complex128)
     for rx in range(scheme.num_rx):
         decoded[scheme.symbols_for_rx(rx)] = scheme.decode(rx, record.y_noisy[rx], ctx)
     return decoded
@@ -210,27 +215,22 @@ def noise_transfer_weights(
 ) -> np.ndarray:
     """Per-symbol squared norm of the decoder's unit-power noise image.
 
-    Runs the block once per (receiver, slot) with zero messages and a unit
-    noise impulse in that position, at unit amplitude; the decoded values are
-    exactly one column of the linear noise-to-error map, so accumulating
-    their squared magnitudes gives the variance of each symbol estimate
-    under unit-variance noise.  At transmit power ``P`` the per-symbol SINR
+    Runs one batched block at unit amplitude with zero messages and, as
+    noise, the ``num_rx * num_slots`` unit impulses, one per batch column.
+    Decoded column ``c`` is exactly column ``c`` of the linear noise-to-error
+    map, so the sum of squared magnitudes over the batch axis gives the
+    variance of each symbol estimate under unit-variance noise: an array of
+    shape ``(num_symbols,)``.  At transmit power ``P`` the per-symbol SINR
     is then ``P / weight``.
     """
-    zero_msgs = np.zeros(scheme.num_symbols, dtype=np.complex128)
-    weights = np.zeros(scheme.num_symbols, dtype=np.float64)
-    if state is None:
-        state = {}
-    for k0 in range(scheme.num_rx):
-        for n0 in range(scheme.num_slots):
-            noise = np.zeros((scheme.num_rx, scheme.num_slots), dtype=np.complex128)
-            noise[k0, n0] = 1.0
-            record = simulate_block(
-                scheme, tensor, offline, zero_msgs, 1.0, tol, noise=noise, state=state
-            )
-            column = _decode_block(scheme, record, ctx)
-            weights += np.abs(column) ** 2
-    return weights
+    size = scheme.num_rx * scheme.num_slots
+    zero_msgs = np.zeros((scheme.num_symbols, size), dtype=np.complex128)
+    impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size)
+    record = simulate_block(
+        scheme, tensor, offline, zero_msgs, 1.0, tol, noise=impulses, state=state
+    )
+    columns = _decode_block(scheme, record, ctx)
+    return np.sum(np.abs(columns) ** 2, axis=1)
 
 
 def sum_rate_bits(weights: np.ndarray, power: float, num_slots: int) -> float:
@@ -437,17 +437,6 @@ def estimate_dof(
     )
 
 
-def encode_transmissions(
-    scheme: Scheme,
-    tensor: ChannelTensor,
-    offline,
-    msgs: np.ndarray,
-    tol: Tolerances,
-) -> np.ndarray:
-    """Noiseless encode only; returns the (num_tx, num_slots) transmit block."""
-    return simulate_block(scheme, tensor, offline, msgs, 1.0, tol).x
-
-
 def future_perturbation_invariant(
     scheme: Scheme,
     base_seed: int,
@@ -465,10 +454,10 @@ def future_perturbation_invariant(
     tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
     offline = scheme.draw_offline(rng_offline)
     msgs = scheme.draw_messages(rng_msgs)
-    x_ref = encode_transmissions(scheme, tensor, offline, msgs, tol)
+    x_ref = simulate_block(scheme, tensor, offline, msgs, 1.0, tol).x
     h2 = tensor.h.copy()
     h2[:, :, perturb_from:] *= np.exp(0.7j)
     perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
-    x_alt = encode_transmissions(scheme, perturbed, offline, msgs, tol)
+    x_alt = simulate_block(scheme, perturbed, offline, msgs, 1.0, tol).x
     upto = perturb_from + 1
     return bool(np.array_equal(x_ref[:, :upto], x_alt[:, :upto]))

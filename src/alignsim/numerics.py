@@ -161,6 +161,10 @@ def numerical_rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
 def solve_square(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve ``a @ x = b`` for square ``a``, guarding against ill-conditioning.
 
+    ``b`` is a vector of shape ``(rows,)`` or a stack of ``k`` right-hand
+    sides of shape ``(rows, k)``; ``x`` has the shape of ``b``.  The guard
+    costs one SVD of ``a`` whatever ``k`` is.
+
     Raises :class:`Singular` when the condition number of ``a`` exceeds
     ``1 / tol.rank_rel`` (equivalently, when the smallest singular value falls
     below ``tol.rank_rel`` times the largest).
@@ -170,7 +174,7 @@ def solve_square(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if rows != cols:
         raise ValueError(f"solve_square expects a square matrix, got shape {a.shape}")
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (rows,):
+    if b.ndim not in (1, 2) or b.shape[0] != rows:
         raise ValueError(f"right-hand side shape {b.shape} does not match matrix {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:

@@ -135,7 +135,7 @@ class ScheduledScheme(Scheme):
         if payload is None:
             return 0j
         if isinstance(payload, SymbolPayload):
-            return amp * complex(msgs[payload.symbol])
+            return amp * msgs[payload.symbol]
         if isinstance(payload, OutputPayload):
             return view.output(payload.rx, payload.slot)
         if isinstance(payload, ComboPayload):
@@ -194,10 +194,8 @@ class ScheduledScheme(Scheme):
 
     def decode(self, rx, y_row, ctx):
         h, amp, tol = ctx
-        store: dict[tuple[int, int], complex] = {
-            (rx, m): complex(y_row[m]) for m in range(self.num_slots)
-        }
-        recovered: dict[int, complex] = {}
+        store = {(rx, m): y_row[m] for m in range(self.num_slots)}
+        recovered = {}
         for step in self.plans[rx]:
             if isinstance(step, Peel):
                 coeffs = self._replay_coefficients(h, step.observe_slot, rx, amp)
@@ -207,7 +205,7 @@ class ScheduledScheme(Scheme):
                 scale = max(abs(c) for c in coeffs.values())
                 if abs(pivot) <= tol.rank_rel * scale:
                     raise Singular("replay coefficient too small to peel against")
-                acc = complex(y_row[step.observe_slot])
+                acc = y_row[step.observe_slot]
                 for ref, c in coeffs.items():
                     if ref == step.target:
                         continue
@@ -216,7 +214,8 @@ class ScheduledScheme(Scheme):
                             f"peel at slot {step.observe_slot} needs {ref} "
                             "before it was recovered"
                         )
-                    acc -= c * store[ref]
+                    # not in place: batched, acc starts as a view of y_row
+                    acc = acc - c * store[ref]
                 store[step.target] = acc / pivot
             elif isinstance(step, Solve2):
                 unknowns = list(step.unknowns)

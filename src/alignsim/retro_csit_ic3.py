@@ -191,10 +191,10 @@ class IC3RetroCsitScheme(Scheme):
     # -- encoding ---------------------------------------------------------
 
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
-        u = msgs.reshape(3, 3)
+        u = msgs.reshape(3, 3, *msgs.shape[1:])
         k = antenna
         if slot < PHASE1_SLOTS:
-            return amp * complex(np.dot(offline.phase1[k, :, slot], u[k]))
+            return amp * np.dot(offline.phase1[k, :, slot], u[k])
         key = ("coeff", view.tx)
         if key not in state:
             # Transmitter k only needs the annihilators of the two receivers
@@ -216,7 +216,7 @@ class IC3RetroCsitScheme(Scheme):
                 )
             state[key] = c / norm
         # The same scalar is repeated in every phase-2 slot.
-        return amp * complex(np.dot(state[key], u[k]))
+        return amp * np.dot(state[key], u[k])
 
     # -- decoding ---------------------------------------------------------
 

@@ -125,8 +125,11 @@ def alignment_constants(
 
 
 def layer2_vars(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``."""
-    s = np.empty((2, 2), dtype=np.complex128)
+    """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``.
+
+    ``u`` has shape ``(2, 2, 2, *B)`` and the result ``(2, 2, *B)``.
+    """
+    s = np.empty((2, 2, *u.shape[3:]), dtype=np.complex128)
     for j in range(2):
         for k in range(2):
             s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]
@@ -187,11 +190,12 @@ class XRetroCsitScheme(Scheme):
     # -- encoding ---------------------------------------------------------
 
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
-        u = msgs.reshape(2, 2, 2)
+        u = msgs.reshape(2, 2, 2, *msgs.shape[1:])
         j = antenna
         if slot < PHASE1_SLOTS:
             coeff = offline.phase1[:, j, :, slot]
-            return amp * complex(np.sum(coeff * u[:, j, :]))
+            # transposed, the batch axis leads and the (i, k) pair broadcasts
+            return amp * np.sum(coeff.T * u[:, j, :].T, axis=(-2, -1))
         key = ("constants", view.tx)
         if key not in state:
             # First phase-2 slot: the delay has made slots 0..2 visible.
@@ -277,7 +281,7 @@ class XRetroCsitScheme(Scheme):
         d = y_row[:PHASE1_SLOTS] - ctx.strip_mats[rx] @ s
         sol = solve_square(ctx.final_mats[rx], d, tol)
         gamma = ctx.constants.gamma
-        out = np.empty(4, dtype=np.complex128)
+        out = np.empty((4, *y_row.shape[1:]), dtype=np.complex128)
         for j in range(2):
             second = sol[j]
             first = s[2 * j + rx] + gamma[j, rx] * second

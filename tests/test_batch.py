@@ -1,0 +1,98 @@
+"""The trailing batch axis of the block engine.
+
+A batched block run must compute, column by column, what unbatched runs
+compute, and must read through the transmitter views exactly as an
+unbatched run does.  The noise-transfer weights, which come from one
+batched run, are checked against the per-impulse loop they replace.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from alignsim.channel import AccessLog, generate_channel
+from alignsim.evaluate import DISCARDABLE, _decode_block, noise_transfer_weights, simulate_block
+from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
+from alignsim.registry import SCHEMES, get_scheme
+
+ALL_SCHEME_IDS = sorted(SCHEMES)
+
+
+def per_impulse_weights(scheme, tensor, offline, ctx, tol):
+    """Reference weights: one unbatched block run per (receiver, slot) impulse."""
+    zero_msgs = np.zeros(scheme.num_symbols, dtype=np.complex128)
+    weights = np.zeros(scheme.num_symbols, dtype=np.float64)
+    state: dict = {}
+    for k0 in range(scheme.num_rx):
+        for n0 in range(scheme.num_slots):
+            noise = np.zeros((scheme.num_rx, scheme.num_slots), dtype=np.complex128)
+            noise[k0, n0] = 1.0
+            record = simulate_block(
+                scheme, tensor, offline, zero_msgs, 1.0, tol, noise=noise, state=state
+            )
+            weights += np.abs(_decode_block(scheme, record, ctx)) ** 2
+    return weights
+
+
+def _draw(scheme, rng):
+    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
+    return tensor, scheme.draw_offline(rng)
+
+
+def _assert_close(batched, column):
+    scale = max(float(np.max(np.abs(column))), 1e-300)
+    assert float(np.max(np.abs(batched - column))) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    scheme_id=st.sampled_from(ALL_SCHEME_IDS),
+    batch=st.integers(1, 6),
+    amp=st.sampled_from([1.0, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_block_matches_unbatched_columns(scheme_id, batch, amp, seed):
+    scheme = get_scheme(scheme_id)
+    rng = np.random.default_rng(seed)
+    tensor, offline = _draw(scheme, rng)
+    msgs = sample_complex_gaussian(rng, scheme.num_symbols * batch).reshape(-1, batch)
+    noise = sample_complex_gaussian(rng, scheme.num_rx * scheme.num_slots * batch).reshape(
+        scheme.num_rx, scheme.num_slots, batch
+    )
+    try:
+        ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, amp)
+        log = AccessLog()
+        record = simulate_block(
+            scheme, tensor, offline, msgs, amp, DEFAULT_TOL, noise=noise, log=log
+        )
+        decoded = _decode_block(scheme, record, ctx)
+    except DISCARDABLE:
+        assume(False)
+    assert record.x.shape == (scheme.num_tx, scheme.num_slots, batch)
+    assert record.y_noisy.shape == (scheme.num_rx, scheme.num_slots, batch)
+    assert decoded.shape == (scheme.num_symbols, batch)
+    for b in range(batch):
+        column_log = AccessLog()
+        column = simulate_block(
+            scheme, tensor, offline, msgs[:, b], amp, DEFAULT_TOL, noise=noise[..., b],
+            log=column_log,
+        )
+        # one record per scalar read, not one per batch column
+        assert log.records == column_log.records
+        for name in ("x", "y_clean", "y_noisy"):
+            _assert_close(getattr(record, name)[..., b], getattr(column, name))
+        _assert_close(decoded[:, b], _decode_block(scheme, column, ctx))
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_noise_weights_match_per_impulse_reference(scheme_id):
+    scheme = get_scheme(scheme_id)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        tensor, offline = _draw(scheme, rng)
+        ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+        weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        assert weights.shape == (scheme.num_symbols,)
+        np.testing.assert_allclose(weights, reference, rtol=1e-12)

@@ -243,6 +243,45 @@ class TestFailurePaths:
         assert out == ""
         assert "unknown scheme" in err
 
+    @pytest.mark.parametrize(
+        "argv, file_values",
+        [
+            (["--seed", "-1"], {}),
+            ([], {"seed": -1}),
+        ],
+    )
+    def test_negative_seed_exits_2(self, capsys, tmp_path, argv, file_values):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheme": "bc_mat", "trials": 1, **file_values}))
+        code, out, err = _run_main(capsys, ["--config", str(path), *argv])
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [("nan,50", "finite"), ("inf,50", "finite"), ("50,50", "distinct")],
+    )
+    def test_bad_snr_grid_points_exit_2(self, capsys, grid, reason):
+        code, out, err = _run_main(
+            capsys,
+            ["--scheme", "bc_mat", "--mode", "dof_sweep", "--snr-grid", grid, "--trials", "2"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
+
+    def test_duplicate_snr_grid_in_config_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(
+            json.dumps({"scheme": "bc_mat", "mode": "dof_sweep", "snr_grid_db": [50, 50.0]})
+        )
+        code, out, err = _run_main(capsys, ["--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "distinct" in err
+
     def test_bad_flag_choice_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--scheme", "nope"])
