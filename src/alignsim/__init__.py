@@ -33,6 +33,7 @@ from .evaluate import (
     run_trials,
 )
 from .numerics import (
+    Degenerate,
     RankDeficient,
     Singular,
     Tolerances,
@@ -50,6 +51,7 @@ __all__ = [
     "AccessLog",
     "CausalityViolation",
     "ChannelTensor",
+    "Degenerate",
     "DofEstimate",
     "FeedbackKind",
     "FeedbackModel",

@@ -70,11 +70,13 @@ class Scheme:
     ) -> complex | np.ndarray:
         """Scalar sent from ``antenna`` at ``slot``.
 
-        ``msgs`` has shape ``(num_symbols, *B)``; with a batch axis ``B`` the
-        result is the ``(*B,)`` array of scalars of the batch's blocks, or
-        one scalar that holds for all of them.  ``msgs[i]`` indexing keeps
-        the unbatched case on numpy scalars.  View reads carry the batch
-        axis through and are logged once whatever ``B`` is.
+        ``msgs`` has shape ``(num_symbols, *B, *T)``: ``B`` is empty or one
+        axis of blocks on the same channel, and ``T`` is empty or the trial
+        axis of a stack of trials, which the view's channel and ``offline``
+        carry last as well.  The result is the ``(*B, *T)`` array of scalars,
+        or one scalar that holds for all of them.  ``msgs[i]`` indexing keeps
+        the unbatched case on numpy scalars.  View reads carry both axes
+        through and are logged once per trial whatever ``B`` is.
 
         ``state`` is a per-block scratch dict for caching constants computed
         from the view (it starts empty each block).  ``amp`` is the square
@@ -86,23 +88,29 @@ class Scheme:
     def decode_context(self, tensor, offline: Any, tol: Tolerances, amp: float) -> Any:
         """Receiver-side constants shared by all decoders of one block.
 
-        May raise a discardable degeneracy error for measure-zero draws, or a
-        fatal certificate error when a structural property of the
-        construction fails to hold.
+        ``tensor`` and ``offline`` may carry a trailing trial axis; the
+        context then holds one set of constants per trial.  May raise a
+        :class:`~alignsim.numerics.Degenerate` error for measure-zero draws,
+        or a :class:`~alignsim.numerics.NumericsError` when a structural
+        property of the construction fails to hold.
         """
         raise NotImplementedError
 
     def decode(self, rx: int, y_row: np.ndarray, ctx: Any) -> np.ndarray:
         """Estimates of ``symbols_for_rx(rx)`` from that receiver's observations.
 
-        ``y_row`` has shape ``(num_slots, *B)`` and the result
-        ``(len(symbols_for_rx(rx)), *B)``.  ``y_row`` may be a view of the
+        ``y_row`` has shape ``(num_slots, *B, *T)`` and the result
+        ``(len(symbols_for_rx(rx)), *B, *T)``.  ``y_row`` may be a view of the
         received block, so it must not be written to.
         """
         raise NotImplementedError
 
     def certificates(self, ctx: Any) -> dict[str, float]:
-        """Scalar per-block health figures (ranks, determinants, residuals)."""
+        """Per-block health figures (ranks, determinants, residuals).
+
+        With a trial axis each value is a ``(T,)`` array, or one float that
+        holds for every trial.
+        """
         return {}
 
     def check_certificates(self, certs: dict[str, float], tol: Tolerances) -> list[str]:

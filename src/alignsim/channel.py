@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .numerics import sample_complex_gaussian
+from .numerics import matvec, sample_complex_gaussian
 
 __all__ = [
     "CausalityViolation",
@@ -96,7 +96,8 @@ class ChannelTensor:
 
     Every coefficient satisfies ``mag_bounds[0] <= |h| <= mag_bounds[1]``;
     draws outside the band were rejected and resampled during generation,
-    and ``num_rejections`` records how many.
+    and ``num_rejections`` records how many.  A stack of independent trials'
+    channels carries a trailing trial axis: ``h[rx, tx, slot, t]``.
     """
 
     h: np.ndarray
@@ -104,8 +105,8 @@ class ChannelTensor:
     num_rejections: int = 0
 
     def __post_init__(self) -> None:
-        if self.h.ndim != 3:
-            raise ValueError(f"channel tensor must be 3-D, got shape {self.h.shape}")
+        if self.h.ndim not in (3, 4):
+            raise ValueError(f"channel tensor must be 3-D or 4-D, got shape {self.h.shape}")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("channel coefficients must be finite")
         lo, hi = self.mag_bounds
@@ -124,6 +125,11 @@ class ChannelTensor:
     @property
     def num_slots(self) -> int:
         return self.h.shape[2]
+
+    @property
+    def num_trials(self) -> int:
+        """Channels in the stack (1 for a single 3-D tensor)."""
+        return self.h.shape[3] if self.h.ndim == 4 else 1
 
 
 def generate_channel(
@@ -183,14 +189,16 @@ def apply_channel(
     fresh CN(0, noise_variance) draw from ``rng``.  With zero noise the two
     outputs are equal.
 
-    ``x_slot`` has shape ``(num_tx,)`` or ``(num_tx, B)``, a batch of ``B``
-    independent blocks on the same channel; both outputs and ``noise`` then
-    have shape ``(num_rx,)`` or ``(num_rx, B)``.
+    ``x_slot`` has shape ``(num_tx, *B)``, where ``B`` is empty or one axis
+    of independent blocks on the same channel; a stacked tensor appends its
+    trial axis, ``(num_tx, *B, T)``.  Both outputs and ``noise`` have the
+    shape of ``x_slot`` with ``num_rx`` leading.
     """
     x_slot = np.asarray(x_slot, dtype=np.complex128)
-    if x_slot.ndim not in (1, 2) or x_slot.shape[0] != tensor.num_tx:
+    batch_axes = x_slot.ndim - 1 - (tensor.h.ndim - 3)
+    if batch_axes not in (0, 1) or x_slot.shape[0] != tensor.num_tx:
         raise ValueError(f"expected {tensor.num_tx} transmit scalars, got shape {x_slot.shape}")
-    y_clean = tensor.h[:, :, slot] @ x_slot
+    y_clean = matvec(tensor.h[:, :, slot], x_slot)
     if noise is not None:
         y_noisy = y_clean + np.asarray(noise, dtype=np.complex128)
     elif noise_variance > 0.0:
@@ -210,7 +218,8 @@ class SignalRecord:
     ``x[j, n]`` is what antenna ``j`` sent at slot ``n``; ``y_clean`` is the
     noise-free superposition at each receiver and ``y_noisy`` what the
     receivers actually observed (equal to ``y_clean`` in noiseless runs).
-    A batched block run appends its batch axis to all three arrays.
+    A batched block run appends its batch axis to all three arrays, and a
+    run on a stack of trials' channels appends the trial axis after that.
     """
 
     x: np.ndarray
@@ -238,12 +247,17 @@ class AccessRecord:
 
 @dataclass
 class AccessLog:
-    """Append-only record of every transmitter-side information read."""
+    """Append-only record of every transmitter-side information read.
+
+    A block run on a stack of ``T`` trials' channels makes each read once
+    for every trial, so it appends each record ``T`` times in a row; trial
+    ``t``'s own log is ``records[t::T]``.
+    """
 
     records: list[AccessRecord] = field(default_factory=list)
 
-    def append(self, record: AccessRecord) -> None:
-        self.records.append(record)
+    def append(self, record: AccessRecord, copies: int = 1) -> None:
+        self.records.extend([record] * copies)
 
     def csi_slots(self) -> frozenset[int]:
         return frozenset(r.item_slot for r in self.records if r.kind == "csi")
@@ -263,7 +277,9 @@ class TxInformationView:
     kind, received outputs only under an output-carrying kind and only for
     receivers associated with this transmitter; both only for slots at least
     ``delay_slots`` in the past.  Each successful read is appended to the log
-    (one record per scalar), so the log doubles as a usage certificate.
+    (one record per scalar and trial), so the log doubles as a usage
+    certificate.  On a stack of trials' channels a read returns the trial
+    axis of values.
     """
 
     def __init__(
@@ -299,19 +315,22 @@ class TxInformationView:
         self._check_item_slot(item_slot, "channel state")
         if self._log is not None:
             self._log.append(
-                AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot)
+                AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot),
+                self._tensor.num_trials,
             )
-        return complex(self._tensor.h[rx, tx_col, item_slot])
+        coeff = self._tensor.h[rx, tx_col, item_slot]
+        return coeff if coeff.ndim else complex(coeff)
 
     def channel_states(self, slots: Iterable[int]) -> np.ndarray:
         """Read the full coefficient matrix for each given past slot.
 
-        Returns an array of shape ``(num_rx, num_tx, len(slots))``.  Every
-        scalar goes through :meth:`channel_coeff`, so all reads are checked
-        and logged individually.
+        Returns an array of shape ``(num_rx, num_tx, len(slots), *T)``.
+        Every scalar goes through :meth:`channel_coeff`, so all reads are
+        checked and logged individually.
         """
         slots = list(slots)
-        out = np.empty((self._tensor.num_rx, self._tensor.num_tx, len(slots)), dtype=np.complex128)
+        h = self._tensor.h
+        out = np.empty((h.shape[0], h.shape[1], len(slots), *h.shape[3:]), dtype=np.complex128)
         for idx, m in enumerate(slots):
             for k in range(self._tensor.num_rx):
                 for j in range(self._tensor.num_tx):
@@ -321,8 +340,9 @@ class TxInformationView:
     def output(self, rx: int, item_slot: int) -> complex | np.ndarray:
         """Read the value receiver ``rx`` observed at ``item_slot``.
 
-        In a batched block run this is the ``(B,)`` column of that value
-        across the batch; it is still checked and logged as one read.
+        In a batched block run this is the ``(*B, *T)`` array of that value
+        across the batch; it is still checked and logged as one read per
+        trial.
         """
         if not self.model.provides_output:
             raise CausalityViolation(
@@ -335,7 +355,8 @@ class TxInformationView:
         self._check_item_slot(item_slot, f"output of receiver {rx}")
         if self._log is not None:
             self._log.append(
-                AccessRecord(self.tx, self.slot, "output", rx, None, item_slot)
+                AccessRecord(self.tx, self.slot, "output", rx, None, item_slot),
+                self._tensor.num_trials,
             )
         return self._outputs[rx, item_slot]
 

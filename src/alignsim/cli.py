@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import CausalityViolation
@@ -41,6 +41,10 @@ FORMATS = ("json", "csv")
 #: Acceptance bands for dof_sweep mode.
 DOF_SLOPE_TOL = 0.05
 DOF_R2_MIN = 0.999
+
+#: Largest accepted SNR grid magnitude in dB, far past any physical SNR; near
+#: 3000 dB the transmit power overflows a float.
+SNR_DB_MAX = 1000.0
 
 
 class UsageError(Exception):
@@ -72,8 +76,25 @@ class RunConfig:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
+_NUMBER = (int, float)
+
+#: Accepted JSON types of each config-file key (``bool`` is never a number).
+_CONFIG_TYPES = {
+    "scheme": (str,), "mode": (str,), "format": (str,), "out": (str, type(None)),
+    "trials": (int,), "seed": (int,), "threads": (int,), "snr_grid_db": (list, type(None)),
+    "tol_rank": _NUMBER, "tol_residual": _NUMBER,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one line on stderr, still exiting with code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alignsim",
         description="Simulate and verify delayed-feedback interference alignment schemes.",
     )
@@ -89,7 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-residual", type=float, help="relative residual acceptance cutoff")
     parser.add_argument("--out", help="output file path (default: stdout)")
     parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
-    parser.add_argument("--threads", type=int, help="parallel workers (default: all cores)")
+    parser.add_argument(
+        "--threads", type=int, help="parallel workers, at most one per core (default: all cores)"
+    )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     return parser
 
@@ -119,10 +142,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        for key in file_values:
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r}")
+        for key, value in file_values.items():
+            _check_config_type(key, value)
         values.update(file_values)
     flag_map = {
         "scheme": args.scheme,
@@ -149,6 +170,19 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     return config
 
 
+def _check_config_type(key: str, value) -> None:
+    if key not in _CONFIG_TYPES:
+        raise UsageError(f"unknown config key {key!r}")
+    allowed = _CONFIG_TYPES[key]
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise UsageError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
+    if key == "snr_grid_db" and value is not None:
+        for point in value:
+            if isinstance(point, bool) or not isinstance(point, _NUMBER):
+                raise UsageError(f"SNR grid points must be numbers, got {json.dumps(point)}")
+
+
 def _validate(config: RunConfig) -> None:
     if config.scheme not in SCHEMES:
         known = ", ".join(sorted(SCHEMES))
@@ -161,6 +195,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("trials must be at least 1")
     if config.seed < 0:
         raise UsageError(f"seed must be non-negative, got {config.seed}")
+    if config.threads < 0:
+        raise UsageError(f"threads must be non-negative, got {config.threads}")
     if config.mode == "dof_sweep":
         grid = config.snr_grid_db
         if not grid:
@@ -169,6 +205,8 @@ def _validate(config: RunConfig) -> None:
             raise UsageError("the SNR grid needs at least two points")
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in grid):
             raise UsageError(f"SNR grid points must be finite numbers, got {grid}")
+        if any(abs(v) > SNR_DB_MAX for v in grid):
+            raise UsageError(f"SNR grid points must lie within +-{SNR_DB_MAX:g} dB, got {grid}")
         if len(set(grid)) != len(grid):
             raise UsageError(f"SNR grid points must be distinct, got {grid}")
     elif config.snr_grid_db:
@@ -293,7 +331,8 @@ def _mode_audit(config: RunConfig) -> tuple[dict, bool]:
         "discards": len(report.discards),
     }
     passed = fraction <= scheme.csi_slot_budget
-    if config.scheme == "ic3_output_fb":
+    if scheme.feedback.output_association is not None:
+        # restricted output feedback: replays must stay with the own receiver
         passed = passed and own_only
     return results, passed
 
@@ -355,8 +394,11 @@ def _emit(config: RunConfig, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}") from None
 
 
 def run(config: RunConfig) -> int:
@@ -390,11 +432,10 @@ def run(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -23,11 +23,22 @@ Seeding: trial ``t``, attempt ``a`` of a run with ``base_seed`` uses
 ``numpy.random.SeedSequence((base_seed, t, a))`` split into independent
 channel / offline / message streams, so runs are reproducible trial by
 trial, independent of execution order and worker count.
+
+Trials run in batches of ``TRIAL_BATCH``: each trial is drawn on its own,
+then the batch's channels, offline coefficients and messages are stacked on
+a trailing trial axis and go through one block run, one decode, one
+certificate pass and, for rates, one noise-weight run.  Every reduction on
+that axis is a stacked LAPACK call or a left-to-right sum, so a trial's
+numbers are bit for bit the same whichever trials share its batch.  A batch
+that meets a degenerate draw or a structural failure is rerun one trial at
+a time, which keeps discards, retries and failure messages per trial.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,15 +56,13 @@ from .channel import (
     make_tx_view,
     outputs_own_receiver_only,
 )
-from .numerics import RankDeficient, Singular, Tolerances
+from .numerics import Degenerate, NumericsError, Tolerances, ordered_sum
 from .output_feedback import ScheduledScheme  # noqa: F401  (re-exported for tests)
 from .registry import get_scheme
-from .retro_csit_ic3 import DegenerateCoefficients
-from .retro_csit_x import DegenerateNormalization
 
 __all__ = [
     "SchemeFailure",
-    "DISCARDABLE",
+    "TRIAL_BATCH",
     "MAX_ATTEMPTS",
     "DECODE_REL_TOL",
     "TrialResult",
@@ -69,8 +78,8 @@ __all__ = [
     "future_perturbation_invariant",
 ]
 
-#: Degenerate-draw exceptions that trigger discard-and-resample.
-DISCARDABLE = (RankDeficient, Singular, DegenerateNormalization, DegenerateCoefficients)
+#: Trials stacked into one block run.
+TRIAL_BATCH = 64
 
 #: Retry cap per trial index before the run is declared broken.
 MAX_ATTEMPTS = 10
@@ -78,6 +87,12 @@ MAX_ATTEMPTS = 10
 #: A noiseless decode counts as exact when the worst relative symbol error
 #: stays below this.
 DECODE_REL_TOL = 1e-6
+
+#: Smallest noise weight a rate divides by, so an exact zero gives a finite SINR.
+WEIGHT_FLOOR = 1e-300
+
+#: Smallest message magnitude a relative decode error divides by.
+SCALE_FLOOR = 1e-300
 
 
 class SchemeFailure(Exception):
@@ -155,6 +170,19 @@ def _trial_rngs(base_seed: int, trial: int, attempt: int):
     return [np.random.default_rng(child) for child in seq.spawn(3)]
 
 
+def _stack(items):
+    """Stack per-trial arrays, or dataclasses of arrays, on a new trailing trial axis."""
+    first = items[0]
+    if first is None:
+        return None
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{
+            f.name: _stack([getattr(item, f.name) for item in items])
+            for f in dataclasses.fields(first)
+        })
+    return np.stack(items, axis=-1)
+
+
 def simulate_block(
     scheme: Scheme,
     tensor: ChannelTensor,
@@ -170,13 +198,15 @@ def simulate_block(
 
     ``msgs`` has shape ``(num_symbols, *B)``, where ``B`` is empty or one
     batch size: a batch runs ``B`` blocks on the same channel at once, one
-    per trailing column.  ``noise`` is an optional ``(num_rx, num_slots, *B)``
-    array added at the receivers; transmitters doing output feedback see the
-    noisy values, as they would on a real feedback link.  Every array of the
-    returned record ends in ``*B``.  The views, and so the access log, see
-    one read per scalar whatever ``B`` is.  ``state`` carries cached
-    channel-dependent constants between repeated blocks on the same
-    (tensor, offline) pair.
+    per trailing column.  On a stack of ``T`` trials' channels (a 4-D
+    tensor, with offline coefficients stacked the same way) ``msgs`` is
+    ``(num_symbols, *B, T)``.  ``noise`` is an optional ``(num_rx,
+    num_slots, *B, *T)`` array added at the receivers; transmitters doing
+    output feedback see the noisy values, as they would on a real feedback
+    link.  Every array of the returned record ends in ``(*B, *T)``.  The
+    views log one read per scalar and trial, whatever ``B`` is.  ``state``
+    carries cached channel-dependent constants between repeated blocks on
+    the same (tensor, offline) pair.
     """
     num_tx, num_rx, num_slots = scheme.num_tx, scheme.num_rx, scheme.num_slots
     batch = np.shape(msgs)[1:]
@@ -220,23 +250,112 @@ def noise_transfer_weights(
     Decoded column ``c`` is exactly column ``c`` of the linear noise-to-error
     map, so the sum of squared magnitudes over the batch axis gives the
     variance of each symbol estimate under unit-variance noise: an array of
-    shape ``(num_symbols,)``.  At transmit power ``P`` the per-symbol SINR
-    is then ``P / weight``.
+    shape ``(num_symbols, *T)``.  At transmit power ``P`` the per-symbol
+    SINR is then ``P / weight``.
     """
     size = scheme.num_rx * scheme.num_slots
-    zero_msgs = np.zeros((scheme.num_symbols, size), dtype=np.complex128)
-    impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size)
+    trials = tensor.h.shape[3:]
+    zero_msgs = np.zeros((scheme.num_symbols, size, *trials), dtype=np.complex128)
+    impulses = np.eye(size, dtype=np.complex128).reshape(
+        scheme.num_rx, scheme.num_slots, size, *(1,) * len(trials)
+    )
+    impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, *trials))
     record = simulate_block(
         scheme, tensor, offline, zero_msgs, 1.0, tol, noise=impulses, state=state
     )
     columns = _decode_block(scheme, record, ctx)
-    return np.sum(np.abs(columns) ** 2, axis=1)
+    return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
 
 def sum_rate_bits(weights: np.ndarray, power: float, num_slots: int) -> float:
     """Sum rate in bits per channel use from per-symbol noise weights."""
-    sinr = power / np.maximum(weights, 1e-300)
+    sinr = power / np.maximum(weights, WEIGHT_FLOOR)
     return float(np.sum(np.log2(1.0 + sinr)) / num_slots)
+
+
+def _run_batch(
+    scheme: Scheme,
+    base_seed: int,
+    draws: list[tuple[int, int]],
+    tol: Tolerances,
+    snr_db: float | None,
+    collect_weights: bool,
+) -> list[TrialResult]:
+    """Run the ``(trial, attempt)`` draws as one stacked block; one result per draw.
+
+    Raises what the block raises (a :class:`Degenerate` draw, a structural
+    :class:`NumericsError`) and :class:`SchemeFailure` for the first trial
+    whose certificates or CSI usage fail.
+    """
+    tensors, offlines, messages = [], [], []
+    for trial, attempt in draws:
+        rng_channel, rng_offline, rng_msgs = _trial_rngs(base_seed, trial, attempt)
+        tensors.append(
+            generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
+        )
+        offlines.append(scheme.draw_offline(rng_offline))
+        messages.append(scheme.draw_messages(rng_msgs))
+    tensor = ChannelTensor(
+        h=np.stack([t.h for t in tensors], axis=-1),
+        mag_bounds=tensors[0].mag_bounds,
+        num_rejections=sum(t.num_rejections for t in tensors),
+    )
+    offline = _stack(offlines)
+    msgs = np.stack(messages, axis=-1)
+    log = AccessLog()
+    state: dict = {}
+    record = simulate_block(scheme, tensor, offline, msgs, 1.0, tol, log=log, state=state)
+    ctx = scheme.decode_context(tensor, offline, tol, 1.0)
+    decoded = _decode_block(scheme, record, ctx)
+    certs = {
+        key: np.broadcast_to(value, (len(draws),))
+        for key, value in scheme.certificates(ctx).items()
+    }
+    weights = None
+    if snr_db is not None or collect_weights:
+        weights = noise_transfer_weights(scheme, tensor, offline, ctx, tol, state=state)
+    # Every trial of the batch made the same reads, so one audit serves all.
+    csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
+    over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
+    own_only = outputs_own_receiver_only(log)
+    errors = np.max(np.abs(decoded - msgs), axis=0)
+    scales = np.max(np.abs(msgs), axis=0)
+    rank_keys = getattr(scheme, "interference_rank_keys", [])
+    results = []
+    for t, (trial, attempt) in enumerate(draws):
+        trial_certs = {key: float(value[t]) for key, value in certs.items()}
+        failures = scheme.check_certificates(trial_certs, tol)
+        if failures:
+            raise SchemeFailure(
+                f"{scheme.scheme_id} trial {trial}: certificate checks failed: {failures}"
+            )
+        if over_budget:
+            raise SchemeFailure(
+                f"{scheme.scheme_id} trial {trial}: transmitters read channel states "
+                f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
+            )
+        max_rel = float(errors[t]) / max(float(scales[t]), SCALE_FLOOR)
+        result = TrialResult(
+            scheme_id=scheme.scheme_id,
+            trial=trial,
+            attempt=attempt,
+            decode_ok=bool(max_rel <= DECODE_REL_TOL),
+            max_rel_symbol_error=max_rel,
+            interference_ranks=[int(trial_certs[key]) for key in rank_keys],
+            certificates=trial_certs,
+            csi_slots=list(csi_slots),
+            outputs_own_receiver_only=own_only,
+        )
+        if weights is not None:
+            row = [float(w) for w in weights[:, t]]
+            if collect_weights:
+                result.noise_weights = row
+            if snr_db is not None:
+                power = 10.0 ** (snr_db / 10.0)
+                result.per_symbol_sinr = [power / max(w, WEIGHT_FLOOR) for w in row]
+                result.sum_rate_bits = sum_rate_bits(np.array(row), power, scheme.num_slots)
+        results.append(result)
+    return results
 
 
 def run_single_trial(
@@ -247,24 +366,19 @@ def run_single_trial(
     snr_db: float | None = None,
     collect_weights: bool = False,
 ) -> tuple[TrialResult, list[TrialResult]]:
-    """Run one trial, resampling discarded attempts; returns (result, discards)."""
+    """Run one trial, resampling discarded attempts; returns (result, discards).
+
+    A numerical failure that is not a degenerate draw (an interference rank
+    or a residual off its guarantee) becomes a :class:`SchemeFailure` that
+    names the trial.
+    """
     discards: list[TrialResult] = []
     for attempt in range(MAX_ATTEMPTS):
-        rng_channel, rng_offline, rng_msgs = _trial_rngs(base_seed, trial, attempt)
-        tensor = generate_channel(
-            scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel
-        )
-        offline = scheme.draw_offline(rng_offline)
-        msgs = scheme.draw_messages(rng_msgs)
-        log = AccessLog()
-        state: dict = {}
         try:
-            record = simulate_block(
-                scheme, tensor, offline, msgs, 1.0, tol, log=log, state=state
+            [result] = _run_batch(
+                scheme, base_seed, [(trial, attempt)], tol, snr_db, collect_weights
             )
-            ctx = scheme.decode_context(tensor, offline, tol, 1.0)
-            decoded = _decode_block(scheme, record, ctx)
-        except DISCARDABLE as exc:
+        except Degenerate as exc:
             discards.append(
                 TrialResult(
                     scheme_id=scheme.scheme_id,
@@ -281,43 +395,10 @@ def run_single_trial(
                 )
             )
             continue
-        certs = scheme.certificates(ctx)
-        failures = scheme.check_certificates(certs, tol)
-        if failures:
+        except NumericsError as exc:
             raise SchemeFailure(
-                f"{scheme.scheme_id} trial {trial}: certificate checks failed: {failures}"
-            )
-        csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
-        if Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
-            raise SchemeFailure(
-                f"{scheme.scheme_id} trial {trial}: transmitters read channel states "
-                f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
-            )
-        scale = max(float(np.max(np.abs(msgs))), 1e-300)
-        max_rel = float(np.max(np.abs(decoded - msgs))) / scale
-        ranks = [
-            int(certs[key])
-            for key in getattr(scheme, "interference_rank_keys", [])
-        ]
-        result = TrialResult(
-            scheme_id=scheme.scheme_id,
-            trial=trial,
-            attempt=attempt,
-            decode_ok=bool(max_rel <= DECODE_REL_TOL),
-            max_rel_symbol_error=max_rel,
-            interference_ranks=ranks,
-            certificates=certs,
-            csi_slots=csi_slots,
-            outputs_own_receiver_only=outputs_own_receiver_only(log),
-        )
-        if snr_db is not None or collect_weights:
-            weights = noise_transfer_weights(scheme, tensor, offline, ctx, tol, state=state)
-            if collect_weights:
-                result.noise_weights = [float(w) for w in weights]
-            if snr_db is not None:
-                power = 10.0 ** (snr_db / 10.0)
-                result.per_symbol_sinr = [float(power / max(w, 1e-300)) for w in weights]
-                result.sum_rate_bits = sum_rate_bits(weights, power, scheme.num_slots)
+                f"{scheme.scheme_id} trial {trial}: {type(exc).__name__}: {exc}"
+            ) from exc
         return result, discards
     raise SchemeFailure(
         f"{scheme.scheme_id} trial {trial}: exceeded {MAX_ATTEMPTS} attempts; "
@@ -331,12 +412,21 @@ def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
     tol = Tolerances(*tol_pair)
     results: list[TrialResult] = []
     discards: list[TrialResult] = []
-    for trial in range(lo, hi):
-        result, trial_discards = run_single_trial(
-            scheme, base_seed, trial, tol, snr_db=snr_db, collect_weights=collect_weights
-        )
-        results.append(result)
-        discards.extend(trial_discards)
+    for start in range(lo, hi, TRIAL_BATCH):
+        trials = range(start, min(start + TRIAL_BATCH, hi))
+        try:
+            results += _run_batch(
+                scheme, base_seed, [(t, 0) for t in trials], tol, snr_db, collect_weights
+            )
+            continue
+        except (Degenerate, NumericsError):
+            pass
+        for trial in trials:
+            result, trial_discards = run_single_trial(
+                scheme, base_seed, trial, tol, snr_db=snr_db, collect_weights=collect_weights
+            )
+            results.append(result)
+            discards.extend(trial_discards)
     return results, discards
 
 
@@ -352,20 +442,21 @@ def run_trials(
     """Run ``num_trials`` deterministic trials of a scheme.
 
     The outcome is identical for any ``threads`` value; parallel workers
-    just split the trial index range.
+    just split the trial index range.  At most ``os.cpu_count()`` worker
+    processes start.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     report = RunReport(scheme_id=scheme_id, base_seed=base_seed, num_trials=num_trials)
     tol_pair = (tol.rank_rel, tol.residual_rel)
-    if threads <= 1 or num_trials == 1:
+    workers = min(threads, num_trials, os.cpu_count() or 1)
+    if workers <= 1:
         results, discards = _run_trial_range(
             (scheme_id, base_seed, 0, num_trials, tol_pair, snr_db, collect_weights)
         )
         report.results = results
         report.discards = discards
         return report
-    workers = min(threads, num_trials)
     bounds = np.linspace(0, num_trials, workers + 1, dtype=int)
     chunks = [
         (scheme_id, base_seed, int(lo), int(hi), tol_pair, snr_db, collect_weights)

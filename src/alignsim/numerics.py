@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Degenerate",
     "NumericsError",
     "RankDeficient",
     "Singular",
@@ -25,23 +26,35 @@ __all__ = [
     "numerical_rank",
     "solve_square",
     "left_null_basis",
+    "ordered_sum",
+    "matvec",
+    "dot",
+    "singular_values",
+    "det",
+    "vector_norm",
+    "frobenius_norm",
     "sample_complex_gaussian",
 ]
+
+
+class Degenerate(Exception):
+    """A measure-zero draw the construction cannot use.
+
+    Rank-deficient alignment systems, vanishing pivots and the like.  The
+    trial runner discards the draw and resamples the trial; a degenerate
+    draw is never a bug.
+    """
 
 
 class NumericsError(Exception):
     """Base class for numerical contract failures."""
 
 
-class RankDeficient(NumericsError):
-    """A matrix fell short of the rank the construction requires.
-
-    Raised on degenerate channel/precoder draws; callers treat it as a
-    discard-and-resample event, not as a bug.
-    """
+class RankDeficient(NumericsError, Degenerate):
+    """A matrix fell short of the rank the construction requires."""
 
 
-class Singular(NumericsError):
+class Singular(NumericsError, Degenerate):
     """A square system is too ill-conditioned to solve reliably."""
 
 
@@ -73,13 +86,91 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+# Shape convention: a matrix argument is ``(m, n, *T)`` and a vector ``(n,
+# *T)``, where ``T`` is empty or one axis of independent trials.  Results
+# keep the trailing ``*T``.  With a trial axis every reduction runs either
+# in a stacked LAPACK call, one matrix per trial, or as a left-to-right sum
+# of elementwise products, so a trial's result does not depend on how many
+# trials share the call or where it sits among them.
+
+
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or min(a.shape) < 1:
-        raise ValueError(f"expected a nonempty 2-D array, got shape {np.shape(a)}")
+    if a.ndim not in (2, 3) or min(a.shape[:2]) < 1:
+        raise ValueError(f"expected a nonempty (m, n) or (m, n, T) array, got shape {np.shape(a)}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _stacked(a: np.ndarray) -> np.ndarray:
+    """``(m, n, *T)`` as the ``(*T, m, n)`` stack that ``numpy.linalg`` expects."""
+    return a if a.ndim == 2 else a.transpose(2, 0, 1)
+
+
+def _unstacked(a: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_stacked` for ``(*T, m, n)`` results."""
+    return a if a.ndim == 2 else a.transpose(1, 2, 0)
+
+
+def _ranks(s: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Numerical ranks from descending singular values ``(*T, k)`` (0 for a zero matrix)."""
+    return np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1)
+
+
+def ordered_sum(terms) -> np.ndarray:
+    """Sum of the items of ``terms`` (an iterable or the first axis of an array), left to right."""
+    it = iter(terms)
+    acc = next(it)
+    for term in it:
+        acc = acc + term
+    return acc
+
+
+def matvec(a, v) -> np.ndarray:
+    """``a @ v`` for ``a`` of shape ``(m, k, *T)`` and ``v`` of shape ``(k, *B, *T)``.
+
+    Without a trial axis this is plain ``a @ v``.  With one, the sum over
+    ``k`` runs left to right on elementwise products, which keeps each
+    trial's bits independent of the batch it runs in.
+    """
+    if a.ndim == 2:
+        return a @ v
+    batch_axes = v.ndim - 1 - (a.ndim - 2)
+    a = a.reshape(a.shape[:2] + (1,) * batch_axes + a.shape[2:])
+    # v[i : i + 1] keeps both operands at one ndim: for a lone trial numpy
+    # multiplies operands of different ndim on a scalar path, whose last bit
+    # can differ from its vector loop
+    return ordered_sum(a[:, i] * v[i : i + 1] for i in range(a.shape[1]))
+
+
+def dot(c, v) -> np.ndarray:
+    """``sum_i c[i] * v[i]`` for ``c`` of shape ``(k, *T)`` and ``v`` of shape ``(k, *B, *T)``."""
+    return matvec(c[None], v)[0]
+
+
+def singular_values(a) -> np.ndarray:
+    """Descending singular values of ``a`` ``(m, n, *T)``, shape ``(min(m, n), *T)``."""
+    return np.linalg.svd(_stacked(_as_matrix(a)), compute_uv=False).T
+
+
+def det(a) -> np.ndarray:
+    """Determinant of a square ``(n, n, *T)`` matrix, one per trial."""
+    return np.linalg.det(_stacked(_as_matrix(a)))
+
+
+def vector_norm(v) -> np.ndarray:
+    """Euclidean norm over the first axis."""
+    v = np.asarray(v)
+    if v.shape[0] == 0:
+        return np.zeros(v.shape[1:])
+    return np.sqrt(ordered_sum(v.real**2 + v.imag**2))
+
+
+def frobenius_norm(a) -> np.ndarray:
+    """Frobenius norm over the two leading axes."""
+    a = np.asarray(a)
+    return vector_norm(a.reshape(-1, *a.shape[2:]))
 
 
 def phase_normalize(v: np.ndarray, rel_cut: float = 1e-9) -> np.ndarray:
@@ -88,16 +179,16 @@ def phase_normalize(v: np.ndarray, rel_cut: float = 1e-9) -> np.ndarray:
     The pivot is the first entry whose magnitude exceeds ``rel_cut`` times the
     largest magnitude in the vector, which makes the convention stable against
     entries that are zero only up to roundoff.  The rotation leaves the norm
-    unchanged.  A zero vector is returned as a copy.
+    unchanged.  A zero vector is returned as a copy.  ``v`` may carry a
+    trailing trial axis; each trial's vector is normalized on its own.
     """
     v = np.asarray(v, dtype=np.complex128)
     mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
-        return v.copy()
-    pivot_index = int(np.argmax(mags > rel_cut * top))
-    pivot = v[pivot_index]
-    return v * (pivot.conjugate() / abs(pivot))
+    top = mags.max(axis=0)
+    first = np.argmax(mags > rel_cut * top, axis=0)
+    pivot = v.reshape(len(v), -1)[first.ravel(), np.arange(first.size)].reshape(first.shape)
+    pivot = np.where(top > 0.0, pivot, 1.0)
+    return v * (pivot.conjugate() / np.abs(pivot))
 
 
 def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -111,97 +202,114 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Parameters
     ----------
-    a : array_like, shape (m, n) with m < n
+    a : array_like, shape (m, n, *T) with m < n
     tol : Tolerances
 
     Returns
     -------
-    v : ndarray, shape (n,)
+    v : ndarray, shape (n, *T)
         Unit norm, with ``norm(a @ v) <= tol.residual_rel * norm(a, 'fro')``.
     """
     a = _as_matrix(a)
-    rows, cols = a.shape
+    rows, cols = a.shape[:2]
     if rows >= cols:
         raise ValueError(f"null_vector expects rows < cols, got shape {a.shape}")
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
     if cols - rows != 1:
         # Wider matrices have a larger null space; the caller asked for a
         # single vector, which is only well defined for a one-dimensional
         # null space, i.e. cols == rows + 1 at full row rank.
         raise ValueError("null space is not one-dimensional for this shape")
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0.0 else 0
+    _, s, vh = np.linalg.svd(_stacked(a), full_matrices=True)
+    rank = _ranks(s, tol).min()
     if rank < rows:
         raise RankDeficient(
-            f"matrix of shape {a.shape} has numerical rank {rank} < {rows}"
+            f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
         )
-    v = phase_normalize(vh[-1].conj())
-    v /= np.linalg.norm(v)
-    residual = np.linalg.norm(a @ v)
-    scale = np.linalg.norm(a)
-    if residual > tol.residual_rel * scale:
+    v = phase_normalize(vh[..., -1, :].conj().T)
+    v /= vector_norm(v)
+    residual = vector_norm(matvec(a, v))
+    scale = frobenius_norm(a)
+    excess = residual / (tol.residual_rel * scale)
+    if (excess > 1.0).any():
+        worst = excess.argmax()
         raise NumericsError(
-            f"null vector residual {residual:.3e} exceeds {tol.residual_rel:.1e} * {scale:.3e}"
+            f"null vector residual {residual.flat[worst]:.3e} exceeds "
+            f"{tol.residual_rel:.1e} * {scale.flat[worst]:.3e}"
         )
     return v
 
 
-def numerical_rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
+def numerical_rank(a, tol: Tolerances = DEFAULT_TOL):
     """Number of singular values above ``tol.rank_rel`` times the largest one.
 
     Invariant under multiplication of ``a`` by any nonzero scalar.  The zero
-    matrix has rank 0.
+    matrix has rank 0.  With a trial axis the result is an integer array.
     """
     a = _as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    ranks = _ranks(np.linalg.svd(_stacked(a), compute_uv=False), tol)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def solve_square(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve ``a @ x = b`` for square ``a``, guarding against ill-conditioning.
 
-    ``b`` is a vector of shape ``(rows,)`` or a stack of ``k`` right-hand
-    sides of shape ``(rows, k)``; ``x`` has the shape of ``b``.  The guard
-    costs one SVD of ``a`` whatever ``k`` is.
+    ``a`` is ``(rows, rows, *T)``.  ``b`` is a vector of shape ``(rows,
+    *T)`` or a stack of ``k`` right-hand sides of shape ``(rows, k, *T)``;
+    ``x`` has the shape of ``b``.  The guard costs one SVD of ``a`` whatever
+    ``k`` is.
 
     Raises :class:`Singular` when the condition number of ``a`` exceeds
     ``1 / tol.rank_rel`` (equivalently, when the smallest singular value falls
     below ``tol.rank_rel`` times the largest).
     """
     a = _as_matrix(a)
-    rows, cols = a.shape
+    rows, cols = a.shape[:2]
     if rows != cols:
         raise ValueError(f"solve_square expects a square matrix, got shape {a.shape}")
+    trials = a.shape[2:]
     b = np.asarray(b, dtype=np.complex128)
-    if b.ndim not in (1, 2) or b.shape[0] != rows:
+    rhs_axes = b.ndim - 1 - len(trials)
+    if rhs_axes not in (0, 1) or b.shape[0] != rows or b.shape[b.ndim - len(trials):] != trials:
         raise ValueError(f"right-hand side shape {b.shape} does not match matrix {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:
-        cond = np.inf if s[-1] == 0.0 else s[0] / s[-1]
+    stack = _stacked(a)
+    s = np.linalg.svd(stack, compute_uv=False)
+    bad = (s[..., 0] == 0.0) | (s[..., -1] <= tol.rank_rel * s[..., 0])
+    if bad.any():
+        lo, hi = s.reshape(-1, rows)[bad.argmax()][[-1, 0]]
+        cond = np.inf if lo == 0.0 else hi / lo
         raise Singular(f"condition number {cond:.3e} exceeds {1.0 / tol.rank_rel:.1e}")
-    return np.linalg.solve(a, b)
+    if not trials:
+        return np.linalg.solve(a, b)
+    # (rows, [k,] T) -> (T, rows, k) and back
+    rhs = b[:, None] if rhs_axes == 0 else b
+    x = _unstacked(np.linalg.solve(stack, rhs.transpose(2, 0, 1)))
+    return x[:, 0] if rhs_axes == 0 else x
 
 
 def left_null_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the left null space of ``a``.
 
-    Returns an ``(m, m - r)`` matrix ``n`` with orthonormal columns satisfying
-    ``n.conj().T @ a ~ 0``, where ``r`` is the numerical rank of ``a``.  The
-    columns are the left singular vectors belonging to the discarded singular
-    values, each phase-normalized for reproducibility.
+    Returns an ``(m, m - r, *T)`` matrix ``n`` with orthonormal columns
+    satisfying ``n.conj().T @ a ~ 0``, where ``r`` is the numerical rank of
+    ``a``; with a trial axis every trial must have the same rank.  The
+    columns are the left singular vectors belonging to the discarded
+    singular values, each phase-normalized for reproducibility.
     """
     a = _as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s[0] > 0.0 else 0
-    basis = u[:, rank:]
-    basis = np.column_stack([phase_normalize(basis[:, i]) for i in range(basis.shape[1])]) \
-        if basis.shape[1] else basis
-    residual = np.linalg.norm(basis.conj().T @ a)
-    scale = np.linalg.norm(a)
-    if scale > 0.0 and residual > tol.residual_rel * scale:
+    u, s, _ = np.linalg.svd(_stacked(a), full_matrices=True)
+    ranks = _ranks(s, tol)
+    rank = ranks.min()
+    if (ranks != rank).any():
+        raise NumericsError(f"the trials' matrices have different ranks {sorted(set(ranks.flat))}")
+    basis = _unstacked(u[..., rank:])
+    if basis.shape[1]:
+        basis = np.stack([phase_normalize(basis[:, i]) for i in range(basis.shape[1])], axis=1)
+    residual = frobenius_norm(matvec(np.swapaxes(basis, 0, 1).conj(), a))
+    scale = frobenius_norm(a)
+    if ((scale > 0.0) & (residual > tol.residual_rel * scale)).any():
         raise NumericsError(
-            f"left null basis residual {residual:.3e} exceeds {tol.residual_rel:.1e} * {scale:.3e}"
+            f"left null basis residual {np.max(residual):.3e} exceeds "
+            f"{tol.residual_rel:.1e} * {np.max(scale):.3e}"
         )
     return basis
 

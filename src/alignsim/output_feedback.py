@@ -29,6 +29,7 @@ values the receiver observed itself or recovered in an earlier step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,14 +122,14 @@ class ScheduledScheme(Scheme):
 
     # -- encoding ---------------------------------------------------------
 
-    def _combo_norm(self, view, refs) -> float:
+    def _combo_norm(self, view, refs):
         """Norm of the symbol-basis coefficient vector of the rebuilt sum, per unit amp."""
         total = 0.0
         for r, m in refs:
             for j, payload in enumerate(self.schedule[m]):
                 if isinstance(payload, SymbolPayload):
                     total += abs(view.channel_coeff(r, j, m)) ** 2
-        return float(np.sqrt(total))
+        return np.sqrt(total)
 
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         payload = self.schedule[slot][antenna]
@@ -170,18 +171,18 @@ class ScheduledScheme(Scheme):
                     coeffs[ref] = coeffs.get(ref, 0j) + h[rx, j, slot] / norm
         return coeffs
 
-    def _combo_norm_from_h(self, h, refs) -> float:
+    def _combo_norm_from_h(self, h, refs):
         total = 0.0
         for r, m in refs:
             for j, payload in enumerate(self.schedule[m]):
                 if isinstance(payload, SymbolPayload):
                     total += abs(h[r, j, m]) ** 2
-        return float(np.sqrt(total))
+        return np.sqrt(total)
 
     def _equation_row(self, h, ref, unknowns, amp):
         """Coefficients of ``unknowns`` in the stored equation ``ref``."""
         r, m = ref
-        row = np.zeros(len(unknowns), dtype=np.complex128)
+        row = np.zeros((len(unknowns), *h.shape[3:]), dtype=np.complex128)
         for j, payload in enumerate(self.schedule[m]):
             if isinstance(payload, SymbolPayload):
                 if payload.symbol not in unknowns:
@@ -202,8 +203,8 @@ class ScheduledScheme(Scheme):
                 if step.target not in coeffs:
                     raise LookupError(f"slot {step.observe_slot} does not carry {step.target}")
                 pivot = coeffs[step.target]
-                scale = max(abs(c) for c in coeffs.values())
-                if abs(pivot) <= tol.rank_rel * scale:
+                scale = functools.reduce(np.maximum, (abs(c) for c in coeffs.values()))
+                if np.any(abs(pivot) <= tol.rank_rel * scale):
                     raise Singular("replay coefficient too small to peel against")
                 acc = y_row[step.observe_slot]
                 for ref, c in coeffs.items():

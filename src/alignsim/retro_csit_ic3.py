@@ -32,15 +32,24 @@ import numpy as np
 from .base import Scheme
 from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
+    Degenerate,
+    NumericsError,
     Tolerances,
+    det,
+    dot,
+    frobenius_norm,
     left_null_basis,
+    matvec,
     null_vector,
     numerical_rank,
     sample_complex_gaussian,
     solve_square,
+    vector_norm,
 )
 
 __all__ = [
+    "COEFF_NORM_FLOOR",
+    "CONSTRAINT_RESIDUAL_MAX",
     "DegenerateCoefficients",
     "InterferenceRankUnexpected",
     "ICOffline",
@@ -56,12 +65,19 @@ NUM_SLOTS = 8
 PHASE1_SLOTS = 5
 EXPECTED_INTERFERENCE_RANK = 5
 
+#: A phase-2 cross product of unit-norm alpha sub-triples shorter than this
+#: is treated as vanished: the two constraints are parallel.
+COEFF_NORM_FLOOR = 1e-12
 
-class DegenerateCoefficients(Exception):
+#: Largest accepted |c[tx] . alpha_sub(rx, tx)| for the phase-2 triples.
+CONSTRAINT_RESIDUAL_MAX = 1e-12
+
+
+class DegenerateCoefficients(Degenerate):
     """A phase-2 coefficient cross product vanished (discardable draw)."""
 
 
-class InterferenceRankUnexpected(Exception):
+class InterferenceRankUnexpected(NumericsError):
     """Interference occupied a different number of dimensions than the design guarantees.
 
     This is a structural failure of the construction, never a resampling
@@ -84,8 +100,9 @@ def interferers(rx: int) -> tuple[int, int]:
 def alpha_system(h5: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     """5x6 matrix of phase-1 interfering receive directions at ``rx``.
 
-    ``h5`` is the slot-0..4 channel block ``(3, 3, 5)``.  Columns 0-2 belong
-    to the lower-indexed interferer, columns 3-5 to the higher-indexed one.
+    ``h5`` is the slot-0..4 channel block ``(3, 3, 5, *T)``.  Columns 0-2
+    belong to the lower-indexed interferer, columns 3-5 to the higher-indexed
+    one.
     """
     a, b = interferers(rx)
     cols = [h5[rx, j, :] * phase1[j, i, :] for j in (a, b) for i in range(3)]
@@ -121,17 +138,20 @@ def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
     constraints at once.  Raises :class:`DegenerateCoefficients` when the
     sub-triples are parallel and the cross product vanishes.
     """
-    coeffs = np.empty((3, 3), dtype=np.complex128)
+    coeffs = np.empty((3, 3, *alphas.shape[2:]), dtype=np.complex128)
     for tx in range(3):
         lo, hi = interferers(tx)  # the receivers that see tx as interference
-        c = np.cross(_alpha_sub(alphas, lo, tx), _alpha_sub(alphas, hi, tx))
-        norm = np.linalg.norm(c)
-        if norm < 1e-12:
-            raise DegenerateCoefficients(
-                f"phase-2 coefficient triple of transmitter {tx} vanished"
-            )
-        coeffs[tx] = c / norm
+        coeffs[tx] = _unit_cross(_alpha_sub(alphas, lo, tx), _alpha_sub(alphas, hi, tx), tx)
     return coeffs
+
+
+def _unit_cross(a: np.ndarray, b: np.ndarray, tx: int) -> np.ndarray:
+    """Unit-norm cross product of two ``(3, *T)`` triples; raises when it vanishes."""
+    c = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+    norm = vector_norm(c)
+    if np.any(norm < COEFF_NORM_FLOOR):
+        raise DegenerateCoefficients(f"phase-2 coefficient triple of transmitter {tx} vanished")
+    return c / norm
 
 
 def effective_precoders(
@@ -145,7 +165,7 @@ def effective_precoders(
     """
     alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1, tol)
     coeffs = phase2_coefficients(alphas)
-    precoders = np.empty((3, 3, NUM_SLOTS), dtype=np.complex128)
+    precoders = np.empty((3, 3, NUM_SLOTS, *h.shape[3:]), dtype=np.complex128)
     precoders[:, :, :PHASE1_SLOTS] = phase1
     for n in range(PHASE1_SLOTS, NUM_SLOTS):
         precoders[:, :, n] = coeffs
@@ -154,12 +174,12 @@ def effective_precoders(
 
 @dataclass(frozen=True)
 class _ICDecodeContext:
-    null_bases: tuple[np.ndarray, ...]      # 8x3 per receiver
-    projected: tuple[np.ndarray, ...]       # 3x3 per receiver
-    ranks: tuple[int, ...]
-    full_dets: tuple[float, ...]
-    alpha_residuals: tuple[float, ...]
-    constraint_residual: float
+    null_bases: tuple[np.ndarray, ...]      # 8x3 (x T) per receiver
+    projected: tuple[np.ndarray, ...]       # 3x3 (x T) per receiver
+    ranks: tuple
+    full_dets: tuple
+    alpha_residuals: tuple
+    constraint_residual: np.ndarray
     tol: Tolerances
 
 
@@ -194,7 +214,7 @@ class IC3RetroCsitScheme(Scheme):
         u = msgs.reshape(3, 3, *msgs.shape[1:])
         k = antenna
         if slot < PHASE1_SLOTS:
-            return amp * np.dot(offline.phase1[k, :, slot], u[k])
+            return amp * dot(offline.phase1[k, :, slot], u[k])
         key = ("coeff", view.tx)
         if key not in state:
             # Transmitter k only needs the annihilators of the two receivers
@@ -202,21 +222,16 @@ class IC3RetroCsitScheme(Scheme):
             subs = []
             for rx in interferers(k):
                 a, b = interferers(rx)
-                h5 = np.zeros((3, 3, PHASE1_SLOTS), dtype=np.complex128)
-                for j in (a, b):
-                    for n in range(PHASE1_SLOTS):
-                        h5[rx, j, n] = view.channel_coeff(rx, j, n)
+                reads = np.array(
+                    [[view.channel_coeff(rx, j, n) for n in range(PHASE1_SLOTS)] for j in (a, b)]
+                )
+                h5 = np.zeros((3, 3, *reads.shape[1:]), dtype=np.complex128)
+                h5[rx, [a, b]] = reads
                 alpha = null_vector(alpha_system(h5, offline.phase1, rx), tol)
                 subs.append(alpha[0:3] if k == a else alpha[3:6])
-            c = np.cross(subs[0], subs[1])
-            norm = np.linalg.norm(c)
-            if norm < 1e-12:
-                raise DegenerateCoefficients(
-                    f"phase-2 coefficient triple of transmitter {k} vanished"
-                )
-            state[key] = c / norm
+            state[key] = _unit_cross(subs[0], subs[1], k)
         # The same scalar is repeated in every phase-2 slot.
-        return amp * np.dot(state[key], u[k])
+        return amp * dot(state[key], u[k])
 
     # -- decoding ---------------------------------------------------------
 
@@ -226,14 +241,14 @@ class IC3RetroCsitScheme(Scheme):
         residuals = []
         for rx in range(3):
             a = alpha_system(h[:, :, :PHASE1_SLOTS], offline.phase1, rx)
-            residuals.append(float(np.linalg.norm(a @ alphas[rx]) / np.linalg.norm(a)))
+            residuals.append(vector_norm(matvec(a, alphas[rx])) / frobenius_norm(a))
         # The defining orthogonality of the coefficient triples, checked in
         # exact arithmetic terms: c[tx] . alpha_sub(rx, tx) = 0.
         constraint = 0.0
         for tx in range(3):
             for rx in interferers(tx):
-                constraint = max(
-                    constraint, float(abs(np.dot(coeffs[tx], _alpha_sub(alphas, rx, tx))))
+                constraint = np.maximum(
+                    constraint, abs(dot(coeffs[tx], _alpha_sub(alphas, rx, tx)))
                 )
         null_bases = []
         projected = []
@@ -248,21 +263,23 @@ class IC3RetroCsitScheme(Scheme):
                 ],
                 axis=1,
             )
-            rank = numerical_rank(interference, tol)
-            if rank != EXPECTED_INTERFERENCE_RANK:
+            rank = np.asarray(numerical_rank(interference, tol))
+            wrong = rank[rank != EXPECTED_INTERFERENCE_RANK]
+            if wrong.size:
                 raise InterferenceRankUnexpected(
-                    f"interference at receiver {rx} has rank {rank}, "
+                    f"interference at receiver {rx} has rank {wrong.flat[0]}, "
                     f"expected {EXPECTED_INTERFERENCE_RANK}"
                 )
-            ranks.append(rank)
+            ranks.append(rank.astype(np.float64)[()])
             desired = np.stack(
                 [h[rx, rx, :] * amp * precoders[rx, i, :] for i in range(3)], axis=1
             )
             basis = left_null_basis(interference, tol)
             null_bases.append(basis)
-            projected.append(basis.conj().T @ desired)
-            u_int = np.linalg.svd(interference, full_matrices=False)[0][:, :rank]
-            full_dets.append(float(abs(np.linalg.det(np.concatenate([desired, u_int], axis=1)))))
+            projected.append(matvec(np.swapaxes(basis, 0, 1).conj(), desired))
+            # The null basis completes an orthonormal interference basis to a
+            # unitary matrix, so this is |det([desired, interference basis])|.
+            full_dets.append(abs(det(projected[-1])))
         return _ICDecodeContext(
             null_bases=tuple(null_bases),
             projected=tuple(projected),
@@ -274,11 +291,11 @@ class IC3RetroCsitScheme(Scheme):
         )
 
     def decode(self, rx, y_row, ctx):
-        rhs = ctx.null_bases[rx].conj().T @ y_row
+        rhs = matvec(np.swapaxes(ctx.null_bases[rx], 0, 1).conj(), y_row)
         return solve_square(ctx.projected[rx], rhs, ctx.tol)
 
     def certificates(self, ctx):
-        certs = {f"interference_rank_rx{rx}": float(ctx.ranks[rx]) for rx in range(3)}
+        certs = {f"interference_rank_rx{rx}": ctx.ranks[rx] for rx in range(3)}
         for rx in range(3):
             certs[f"alpha_residual_rx{rx}"] = ctx.alpha_residuals[rx]
             certs[f"full_det_rx{rx}"] = ctx.full_dets[rx]
@@ -294,7 +311,7 @@ class IC3RetroCsitScheme(Scheme):
                 failures.append(f"alpha_residual_rx{rx}")
             if not certs[f"full_det_rx{rx}"] > 0.0:
                 failures.append(f"full_det_rx{rx}")
-        if certs["constraint_residual"] > 1e-12:
+        if certs["constraint_residual"] > CONSTRAINT_RESIDUAL_MAX:
             failures.append("constraint_residual")
         return failures
 

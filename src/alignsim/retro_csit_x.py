@@ -33,7 +33,19 @@ import numpy as np
 
 from .base import Scheme
 from .channel import FeedbackKind, FeedbackModel
-from .numerics import Tolerances, null_vector, sample_complex_gaussian, solve_square
+from .numerics import (
+    Degenerate,
+    Tolerances,
+    det,
+    frobenius_norm,
+    matvec,
+    null_vector,
+    ordered_sum,
+    sample_complex_gaussian,
+    singular_values,
+    solve_square,
+    vector_norm,
+)
 
 __all__ = [
     "DegenerateNormalization",
@@ -50,7 +62,7 @@ PHASE1_SLOTS = 3
 PHASE2_SLOTS = 4
 
 
-class DegenerateNormalization(Exception):
+class DegenerateNormalization(Degenerate):
     """A pinned null-vector entry was too small to divide by (discardable draw)."""
 
 
@@ -84,7 +96,7 @@ class XAlignmentConstants:
 def interference_system(h3: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     """3x4 matrix of phase-1 receive directions, at ``rx``, of the other receiver's symbols.
 
-    ``h3`` is the slot-0..2 channel block ``(2, 2, 3)``.  Column order:
+    ``h3`` is the slot-0..2 channel block ``(2, 2, 3, *T)``.  Column order:
     (tx 0, sym 0), (tx 0, sym 1), (tx 1, sym 0), (tx 1, sym 1).
     """
     other = 1 - rx
@@ -110,9 +122,9 @@ def alignment_constants(
     v = null_vector(interference_system(h3, phase1, 0), tol)
     w = null_vector(interference_system(h3, phase1, 1), tol)
     for vec in (v, w):
-        if min(abs(vec[1]), abs(vec[3])) < tol.rank_rel * np.linalg.norm(vec):
+        if np.any(np.minimum(abs(vec[1]), abs(vec[3])) < tol.rank_rel * vector_norm(vec)):
             raise DegenerateNormalization("null vector entry too small to pin to unity")
-    gamma = np.empty((2, 2), dtype=np.complex128)
+    gamma = np.empty((2, 2, *v.shape[1:]), dtype=np.complex128)
     # Null vector at receiver 0 is (gamma[0,1], 1, -beta*gamma[1,1], -beta)
     # up to scale; receiver 1 gives (gamma[0,0], 1, -delta*gamma[1,0], -delta).
     gamma[0, 1] = v[0] / v[1]
@@ -127,7 +139,8 @@ def alignment_constants(
 def layer2_vars(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``.
 
-    ``u`` has shape ``(2, 2, 2, *B)`` and the result ``(2, 2, *B)``.
+    ``u`` has shape ``(2, 2, 2, *B, *T)``, ``gamma`` ``(2, 2, *T)`` and the
+    result ``(2, 2, *B, *T)``.
     """
     s = np.empty((2, 2, *u.shape[3:]), dtype=np.complex128)
     for j in range(2):
@@ -136,24 +149,22 @@ def layer2_vars(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return s
 
 
-def _phase2_norm(c: np.ndarray, gamma_j: np.ndarray) -> float:
+def _phase2_norm(c: np.ndarray, gamma_j: np.ndarray):
     """Power normalizer for a phase-2 scalar expressed in the unit-power symbol basis."""
-    return float(
-        np.sqrt(
-            abs(c[0]) ** 2 * (1.0 + abs(gamma_j[0]) ** 2)
-            + abs(c[1]) ** 2 * (1.0 + abs(gamma_j[1]) ** 2)
-        )
+    return np.sqrt(
+        abs(c[0]) ** 2 * (1.0 + abs(gamma_j[0]) ** 2)
+        + abs(c[1]) ** 2 * (1.0 + abs(gamma_j[1]) ** 2)
     )
 
 
 @dataclass(frozen=True)
 class _XDecodeContext:
     constants: XAlignmentConstants
-    phase2_mats: tuple[np.ndarray, np.ndarray]   # 4x4 per receiver
-    strip_mats: tuple[np.ndarray, np.ndarray]    # 3x4 per receiver
-    final_mats: tuple[np.ndarray, np.ndarray]    # 3x3 per receiver
-    colinearity: tuple[float, float]
-    align_residuals: tuple[float, float]
+    phase2_mats: tuple[np.ndarray, np.ndarray]   # 4x4 (x T) per receiver
+    strip_mats: tuple[np.ndarray, np.ndarray]    # 3x4 (x T) per receiver
+    final_mats: tuple[np.ndarray, np.ndarray]    # 3x3 (x T) per receiver
+    colinearity: tuple
+    align_residuals: tuple
     tol: Tolerances
 
 
@@ -194,8 +205,9 @@ class XRetroCsitScheme(Scheme):
         j = antenna
         if slot < PHASE1_SLOTS:
             coeff = offline.phase1[:, j, :, slot]
-            # transposed, the batch axis leads and the (i, k) pair broadcasts
-            return amp * np.sum(coeff.T * u[:, j, :].T, axis=(-2, -1))
+            return amp * ordered_sum(
+                coeff[k, i] * u[k, j, i] for k in range(2) for i in range(2)
+            )
         key = ("constants", view.tx)
         if key not in state:
             # First phase-2 slot: the delay has made slots 0..2 visible.
@@ -211,28 +223,24 @@ class XRetroCsitScheme(Scheme):
 
     def _directions(self, h, phase1, constants, amp, rx, sym_rx, j):
         """Phase-1 receive direction, at ``rx``, of ``u[sym_rx, j, 1]`` after substitution."""
-        v = phase1[sym_rx, j, :, :]  # (2 syms, 3 slots)
-        comb = v[0, :] * constants.gamma[j, sym_rx] + v[1, :]
+        v = phase1[sym_rx, j]  # (2 syms, 3 slots, *T)
+        comb = v[0] * constants.gamma[j, sym_rx] + v[1]
         return h[rx, j, :PHASE1_SLOTS] * amp * comb
 
     def decode_context(self, tensor, offline, tol, amp):
         h = tensor.h
+        trials = h.shape[3:]
         constants = alignment_constants(h[:, :, :PHASE1_SLOTS], offline.phase1, tol)
         gamma = constants.gamma
         residuals = []
         for rx in range(2):
             a = interference_system(h[:, :, :PHASE1_SLOTS], offline.phase1, rx)
-            vec = np.array(
-                [
-                    gamma[0, 1 - rx],
-                    1.0,
-                    -(constants.beta if rx == 0 else constants.delta) * gamma[1, 1 - rx],
-                    -(constants.beta if rx == 0 else constants.delta),
-                ],
-                dtype=np.complex128,
+            factor = constants.beta if rx == 0 else constants.delta
+            vec = np.stack(
+                [gamma[0, 1 - rx], np.ones_like(factor), -factor * gamma[1, 1 - rx], -factor]
             )
             residuals.append(
-                float(np.linalg.norm(a @ vec) / (np.linalg.norm(a) * np.linalg.norm(vec)))
+                vector_norm(matvec(a, vec)) / (frobenius_norm(a) * vector_norm(vec))
             )
         phase2_mats = []
         strip_mats = []
@@ -240,7 +248,7 @@ class XRetroCsitScheme(Scheme):
         colinearity = []
         for rx in range(2):
             other = 1 - rx
-            g = np.empty((PHASE2_SLOTS, 4), dtype=np.complex128)
+            g = np.empty((PHASE2_SLOTS, 4, *trials), dtype=np.complex128)
             for p in range(PHASE2_SLOTS):
                 for j in range(2):
                     c = offline.phase2[j, :, p]
@@ -248,7 +256,7 @@ class XRetroCsitScheme(Scheme):
                     for m in range(2):
                         g[p, 2 * j + m] = h[rx, j, PHASE1_SLOTS + p] * amp * c[m] / norm
             phase2_mats.append(g)
-            w = np.empty((PHASE1_SLOTS, 4), dtype=np.complex128)
+            w = np.empty((PHASE1_SLOTS, 4, *trials), dtype=np.complex128)
             for n in range(PHASE1_SLOTS):
                 for j in range(2):
                     for m in range(2):
@@ -259,8 +267,8 @@ class XRetroCsitScheme(Scheme):
             cross0 = self._directions(h, offline.phase1, constants, amp, rx, other, 0)
             cross1 = self._directions(h, offline.phase1, constants, amp, rx, other, 1)
             final_mats.append(np.stack([own0, own1, cross0], axis=1))
-            sv = np.linalg.svd(np.stack([cross0, cross1], axis=1), compute_uv=False)
-            colinearity.append(float(sv[1] / sv[0]))
+            sv = singular_values(np.stack([cross0, cross1], axis=1))
+            colinearity.append(sv[1] / sv[0])
         return _XDecodeContext(
             constants=constants,
             phase2_mats=(phase2_mats[0], phase2_mats[1]),
@@ -278,7 +286,7 @@ class XRetroCsitScheme(Scheme):
         s = solve_square(ctx.phase2_mats[rx], y_row[PHASE1_SLOTS:], tol)
         # Strip their phase-1 contribution; what remains lives on the two
         # desired second symbols plus one aligned interference coordinate.
-        d = y_row[:PHASE1_SLOTS] - ctx.strip_mats[rx] @ s
+        d = y_row[:PHASE1_SLOTS] - matvec(ctx.strip_mats[rx], s)
         sol = solve_square(ctx.final_mats[rx], d, tol)
         gamma = ctx.constants.gamma
         out = np.empty((4, *y_row.shape[1:]), dtype=np.complex128)
@@ -290,9 +298,7 @@ class XRetroCsitScheme(Scheme):
         return out
 
     def certificates(self, ctx):
-        det_product = abs(np.linalg.det(ctx.final_mats[0])) * abs(
-            np.linalg.det(ctx.final_mats[1])
-        )
+        det_product = abs(det(ctx.final_mats[0])) * abs(det(ctx.final_mats[1]))
         return {
             "colinearity_rx0": ctx.colinearity[0],
             "colinearity_rx1": ctx.colinearity[1],

@@ -1,19 +1,31 @@
-"""The trailing batch axis of the block engine.
+"""The trailing batch axes of the block engine.
 
 A batched block run must compute, column by column, what unbatched runs
 compute, and must read through the transmitter views exactly as an
 unbatched run does.  The noise-transfer weights, which come from one
-batched run, are checked against the per-impulse loop they replace.
+batched run, are checked against the per-impulse loop they replace.  A
+trial's results must not depend, to the bit, on the trials that share its
+batch.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, generate_channel
-from alignsim.evaluate import DISCARDABLE, _decode_block, noise_transfer_weights, simulate_block
-from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
+from alignsim.channel import AccessLog, ChannelTensor, generate_channel
+from alignsim.evaluate import (
+    TRIAL_BATCH,
+    _decode_block,
+    _run_batch,
+    _stack,
+    noise_transfer_weights,
+    run_trials,
+    simulate_block,
+)
+from alignsim.numerics import DEFAULT_TOL, Degenerate, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
@@ -67,7 +79,7 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, amp, seed):
             scheme, tensor, offline, msgs, amp, DEFAULT_TOL, noise=noise, log=log
         )
         decoded = _decode_block(scheme, record, ctx)
-    except DISCARDABLE:
+    except Degenerate:
         assume(False)
     assert record.x.shape == (scheme.num_tx, scheme.num_slots, batch)
     assert record.y_noisy.shape == (scheme.num_rx, scheme.num_slots, batch)
@@ -96,3 +108,72 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
         reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
         assert weights.shape == (scheme.num_symbols,)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
+
+
+# -- trials on the batch axis -------------------------------------------------
+
+_FULL_RUNS: dict = {}
+
+
+def _full_batch(scheme_id):
+    """Results of the first TRIAL_BATCH trials of seed 41, run as one full batch."""
+    if scheme_id not in _FULL_RUNS:
+        report = run_trials(scheme_id, TRIAL_BATCH, 41, snr_db=35.0, collect_weights=True)
+        assert not report.discards
+        _FULL_RUNS[scheme_id] = report.results
+    return _FULL_RUNS[scheme_id]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    scheme_id=st.sampled_from(ALL_SCHEME_IDS),
+    trial=st.integers(0, TRIAL_BATCH - 1),
+    partner=st.integers(0, TRIAL_BATCH - 1),
+    first=st.booleans(),
+)
+def test_trial_result_independent_of_batch(scheme_id, trial, partner, first):
+    scheme = get_scheme(scheme_id)
+    reference = dataclasses.astuple(_full_batch(scheme_id)[trial])
+    alone = _run_batch(scheme, 41, [(trial, 0)], DEFAULT_TOL, 35.0, True)
+    pair = [(trial, 0), (partner, 0)] if first else [(partner, 0), (trial, 0)]
+    paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, 35.0, True)
+    # every float, noise weights included, must match to the bit
+    assert dataclasses.astuple(alone[0]) == reference
+    assert dataclasses.astuple(paired[0 if first else 1]) == reference
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_trial_stack_matches_unbatched_trials(scheme_id):
+    scheme = get_scheme(scheme_id)
+    rng = np.random.default_rng(43)
+    trials = 5
+    draws = [_draw(scheme, rng) + (scheme.draw_messages(rng),) for _ in range(trials)]
+    tensor = ChannelTensor(h=np.stack([d[0].h for d in draws], axis=-1))
+    offline = _stack([d[1] for d in draws])
+    msgs = np.stack([d[2] for d in draws], axis=-1)
+    log = AccessLog()
+    state: dict = {}
+    record = simulate_block(scheme, tensor, offline, msgs, 1.0, DEFAULT_TOL, log=log, state=state)
+    ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+    decoded = _decode_block(scheme, record, ctx)
+    weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL, state=state)
+    certs = scheme.certificates(ctx)
+    assert weights.shape == (scheme.num_symbols, trials)
+    for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
+        one_log = AccessLog()
+        one = simulate_block(
+            scheme, one_tensor, one_offline, one_msgs, 1.0, DEFAULT_TOL, log=one_log
+        )
+        one_ctx = scheme.decode_context(one_tensor, one_offline, DEFAULT_TOL, 1.0)
+        # each trial reads what an unbatched run reads, record for record
+        assert log.records[t::trials] == one_log.records
+        _assert_close(record.x[..., t], one.x)
+        _assert_close(decoded[:, t], _decode_block(scheme, one, one_ctx))
+        np.testing.assert_allclose(
+            weights[:, t],
+            noise_transfer_weights(scheme, one_tensor, one_offline, one_ctx, DEFAULT_TOL),
+            rtol=1e-12,
+        )
+        for key, value in scheme.certificates(one_ctx).items():
+            batch_value = np.broadcast_to(certs[key], (trials,))[t]
+            np.testing.assert_allclose(batch_value, value, rtol=1e-6, atol=1e-13)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alignsim.cli as cli
 from alignsim.cli import RunConfig, UsageError, _render_json, main, parse_config, run
@@ -312,3 +316,207 @@ class TestFailurePaths:
             "scheme", "mode", "trials", "seed", "snr_grid_db",
             "tol_rank", "tol_residual", "out", "format", "threads",
         }
+
+
+class TestStructuralFailures:
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                ["--scheme", "ic3_retro_csit", "--trials", "50", "--tol-rank", "0.05"],
+                "InterferenceRankUnexpected",
+            ),
+            (["--scheme", "x_retro_csit", "--trials", "5", "--tol-residual", "1e-17"], "residual"),
+            (["--scheme", "ic3_retro_csit", "--trials", "5", "--tol-residual", "1e-17"], "residual"),
+        ],
+    )
+    def test_structural_failure_exits_3_naming_the_trial(self, capsys, argv, reason):
+        code, out, err = _run_main(capsys, [*argv, "--threads", "1"])
+        assert code == 3
+        assert err == ""
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert doc["error"]["type"] == "SchemeFailure"
+        message = doc["error"]["message"]
+        assert message.startswith(f"{argv[1]} trial ")
+        assert reason in message
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "file_values",
+        [
+            {"seed": "x"},
+            {"trials": "5"},
+            {"threads": "2"},
+            {"tol_rank": "1e-3"},
+            {"trials": 2.0},
+            {"seed": True},
+            {"scheme": 3},
+            {"mode": "dof_sweep", "snr_grid_db": [40, "50"]},
+            {"mode": "dof_sweep", "snr_grid_db": "40,50"},
+        ],
+    )
+    def test_wrong_type_exits_2_with_one_line(self, capsys, tmp_path, file_values):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheme": "bc_mat", "trials": 1, **file_values}))
+        code, out, err = _run_main(capsys, ["--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_numbers_of_either_json_type_are_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheme": "bc_mat", "tol_rank": 1e-8, "tol_residual": 0.5}))
+        assert parse_config(["--config", str(path)]).tol_residual == 0.5
+
+
+class TestThreads:
+    @pytest.mark.parametrize("argv, file_values", [(["--threads", "-1"], {}), ([], {"threads": -3})])
+    def test_negative_threads_exit_2(self, capsys, tmp_path, argv, file_values):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheme": "bc_mat", "trials": 1, **file_values}))
+        code, out, err = _run_main(capsys, ["--config", str(path), *argv])
+        assert code == 2
+        assert out == ""
+        assert "threads must be non-negative" in err and err.count("\n") == 1
+
+    def test_workers_clamped_to_core_count(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
+        report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
+        assert started == [3]
+        assert [r.trial for r in report.results] == list(range(8))
+        evaluate.run_trials("bc_mat", 2, base_seed=0, threads=500)
+        assert started == [3, 2]
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scheme", "nope"],
+            ["--scheme", "bc_mat", "--trials", "abc"],
+            ["--scheme", "bc_mat", "--no-such-flag"],
+        ],
+    )
+    def test_bad_flag_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_snr_grid_out_of_range_exits_2(self, capsys):
+        code, out, err = _run_main(
+            capsys,
+            ["--scheme", "bc_mat", "--mode", "dof_sweep", "--snr-grid", "40,5000", "--trials", "2"],
+        )
+        assert code == 2
+        assert out == "" and "within" in err
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = _run_main(
+            capsys, ["--scheme", "bc_mat", "--trials", "1", "--threads", "1", "--out", str(target)]
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["verify", "dof_sweep"])
+@pytest.mark.parametrize("trials", [65, 130])
+def test_reports_identical_across_thread_counts(capsys, mode, trials):
+    # 65 and 130 trials leave partial trial batches, and the two workers
+    # split them differently from the single process
+    for scheme in sorted(cli.SCHEMES):
+        argv = ["--scheme", scheme, "--mode", mode, "--trials", str(trials), "--seed", "7"]
+        if mode == "dof_sweep":
+            argv += ["--snr-grid", "40,55,70"]
+        outs = {}
+        for threads in ("1", "2"):
+            code, out, _ = _run_main(capsys, [*argv, "--threads", threads])
+            assert code == 0
+            outs[threads] = out
+        assert outs["1"].replace('"threads":1,', '"threads":2,') == outs["2"]
+
+
+_SCHEME_IDS = sorted(cli.SCHEMES)
+
+_FLAG_VALUES = {
+    "--mode": st.sampled_from([*cli.MODES, "dof_sweep", "bogus"]),
+    "--trials": st.sampled_from(["1", "2", "3", "0", "-2", "x"]),
+    "--seed": st.sampled_from(["0", "7", "12345678901234567890", "-1", "seed"]),
+    "--snr-grid": st.sampled_from(
+        ["40,55,70", "40,55,70", "30,50", "40", "40,40", "nan,50", "1e999,2", "0,20", "a,b"]
+    ),
+    "--tol-rank": st.sampled_from(["1e-8", "0.05", "0.5", "1e-300", "0", "nan", "x"]),
+    "--tol-residual": st.sampled_from(["1e-8", "1e-17", "0.9", "-1", "inf"]),
+    "--format": st.sampled_from(["json", "json", "csv", "xml"]),
+    "--threads": st.sampled_from(["1", "1", "0x", "-1"]),
+}
+
+_CONFIG_VALUES = {
+    "mode": st.sampled_from([*cli.MODES, 1.5]),
+    "trials": st.sampled_from([1, 3, 0, "2", 2.0, True, None]),
+    "seed": st.sampled_from([0, 5, -1, "x", 1.5, [1]]),
+    "snr_grid_db": st.sampled_from([[40, 55, 70], [40], None, "40,50", [40, "x"], [1e308, 1]]),
+    "tol_rank": st.sampled_from([1e-8, 0.05, 2.0, "1e-3", None]),
+    "tol_residual": st.sampled_from([1e-8, 1e-17, 0, "x"]),
+    "format": st.sampled_from(["json", "csv", 7]),
+    "threads": st.sampled_from([1, -1, "2", 1.0]),
+    "trails": st.just(1),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    flags=st.fixed_dictionaries(
+        {"--scheme": st.sampled_from([*_SCHEME_IDS, *_SCHEME_IDS, "nope"])},
+        optional=_FLAG_VALUES,
+    ),
+    config=st.one_of(
+        st.none(),
+        st.none(),
+        st.sampled_from(["[1, 2]", "{not json"]),
+        st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
+    ),
+)
+def test_fuzzed_inputs_exit_cleanly(flags, config, tmp_path_factory):
+    argv = [part for flag, value in flags.items() for part in (flag, value)]
+    if config is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "run.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(path)]
+    # keep every run small and in-process: at most 3 trials, one worker
+    for flag, default in (("--trials", "3"), ("--threads", "1")):
+        if flag not in flags:
+            argv += [flag, default]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1

@@ -228,3 +228,53 @@ class TestDofEstimation:
     def test_rates_increase_with_snr(self):
         estimate = estimate_dof("ic3_output_fb", [30.0, 40.0, 50.0], 10, base_seed=5)
         assert estimate.sum_rates == sorted(estimate.sum_rates)
+
+
+class _DiscardSomeTrials(BcMatScheme):
+    """Discards a draw whenever the first channel coefficient leans positive."""
+
+    def decode_context(self, tensor, offline, tol, amp):
+        if np.any(tensor.h[0, 0, 0].real > 0.0):
+            raise RankDeficient("synthetic degenerate draw")
+        return super().decode_context(tensor, offline, tol, amp)
+
+
+class _FailStrongTrials(BcMatScheme):
+    """Fails a certificate in every trial whose first channel coefficient is strong."""
+
+    def certificates(self, ctx):
+        return {"first_gain": np.abs(ctx[0][0, 0, 0])}
+
+    def check_certificates(self, certs, tol):
+        return ["first_gain"] if certs["first_gain"] > 1.5 else []
+
+
+class TestTrialBatches:
+    def test_degenerate_batch_reruns_trial_by_trial(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        scheme = _DiscardSomeTrials()
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        report = run_trials("bc_mat", 70, base_seed=21)
+        expected_results, expected_discards = [], []
+        for trial in range(70):
+            result, discards = run_single_trial(scheme, 21, trial, DEFAULT_TOL)
+            expected_results.append(result)
+            expected_discards += discards
+        assert report.results == expected_results
+        assert report.discards == expected_discards
+        assert report.discards
+
+    def test_failure_names_the_failing_trial_of_a_batch(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        scheme = _FailStrongTrials()
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        gains = [
+            abs(generate_channel(2, 2, 3, evaluate._trial_rngs(22, trial, 0)[0]).h[0, 0, 0])
+            for trial in range(100)
+        ]
+        first_bad = next(trial for trial, gain in enumerate(gains) if gain > 1.5)
+        assert first_bad > 0
+        with pytest.raises(SchemeFailure, match=f"bc_mat trial {first_bad}: certificate"):
+            run_trials("bc_mat", 100, base_seed=22)
