@@ -21,7 +21,6 @@ from .channel import (
     apply_channel,
     audit_feedback_usage,
     generate_channel,
-    make_tx_view,
 )
 from .evaluate import (
     DofEstimate,
@@ -71,7 +70,6 @@ __all__ = [
     "generate_channel",
     "get_scheme",
     "left_null_basis",
-    "make_tx_view",
     "null_vector",
     "numerical_rank",
     "run_trials",

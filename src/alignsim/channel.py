@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "AccessRecord",
     "AccessLog",
     "TxInformationView",
-    "make_tx_view",
     "audit_feedback_usage",
     "outputs_own_receiver_only",
     "MAG_BOUNDS_DEFAULT",
@@ -136,7 +135,7 @@ def generate_channel(
     num_rx: int,
     num_tx: int,
     num_slots: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     mag_bounds: tuple[float, float] = MAG_BOUNDS_DEFAULT,
     max_rejections: int = 1000,
 ) -> ChannelTensor:
@@ -147,12 +146,36 @@ def generate_channel(
     the cap aborts with a diagnostic, since for the default band the
     per-draw rejection probability is about 1e-6 and the cap is unreachable
     for any healthy generator.
+
+    Given a sequence of ``T`` generators instead of one, draws one channel
+    from each and returns their stack ``h[rx, tx, slot, t]``; channel ``t``
+    is bit for bit the one ``rng[t]`` alone would give.
     """
     lo, hi = mag_bounds
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid magnitude bounds {mag_bounds}")
+    single = not isinstance(rng, Sequence)
+    rngs = [rng] if single else list(rng)
     shape = (num_rx, num_tx, num_slots)
-    h = sample_complex_gaussian(rng, int(np.prod(shape))).reshape(shape)
+    count = num_rx * num_tx * num_slots
+    # sample_complex_gaussian of every generator, drawn as one (count, T) stack
+    z = np.stack([r.standard_normal(2 * count) for r in rngs], axis=-1)
+    h = ((z[:count] + 1j * z[count:]) / np.sqrt(2.0)).reshape(*shape, len(rngs))
+    mags = np.abs(h)
+    outside = ((mags < lo) | (mags > hi)).reshape(count, -1).any(axis=0)
+    rejections = sum(
+        _reject_outside_band(h[..., t], rngs[t], lo, hi, max_rejections)
+        for t in np.flatnonzero(outside)
+    )
+    return ChannelTensor(
+        h=h[..., 0] if single else h, mag_bounds=mag_bounds, num_rejections=rejections
+    )
+
+
+def _reject_outside_band(
+    h: np.ndarray, rng: np.random.Generator, lo: float, hi: float, max_rejections: int
+) -> int:
+    """Redraw, in place, the coefficients of ``h`` outside ``[lo, hi]``; returns the redraws."""
     rejections = 0
     mags = np.abs(h)
     bad = (mags < lo) | (mags > hi)
@@ -170,7 +193,7 @@ def generate_channel(
         h[bad] = redraw
         mags = np.abs(h)
         bad = (mags < lo) | (mags > hi)
-    return ChannelTensor(h=h, mag_bounds=mag_bounds, num_rejections=rejections)
+    return rejections
 
 
 def apply_channel(
@@ -359,18 +382,6 @@ class TxInformationView:
                 self._tensor.num_trials,
             )
         return self._outputs[rx, item_slot]
-
-
-def make_tx_view(
-    tx: int,
-    slot: int,
-    tensor: ChannelTensor,
-    outputs: np.ndarray,
-    model: FeedbackModel,
-    log: AccessLog | None = None,
-) -> TxInformationView:
-    """Build the information view of transmitter entity ``tx`` for slot ``slot``."""
-    return TxInformationView(tx, slot, tensor, outputs, model, log)
 
 
 def audit_feedback_usage(log: AccessLog, num_slots: int) -> frozenset[int]:

@@ -41,6 +41,8 @@ FORMATS = ("json", "csv")
 #: Acceptance bands for dof_sweep mode.
 DOF_SLOPE_TOL = 0.05
 DOF_R2_MIN = 0.999
+#: Largest accepted leaked-to-desired power ratio of the noiseless decodes.
+LEAKAGE_RATIO_MAX = 1e-12
 
 #: Largest accepted SNR grid magnitude in dB, far past any physical SNR; near
 #: 3000 dB the transmit power overflows a float.
@@ -367,7 +369,7 @@ def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
         and estimate.r_squared >= DOF_R2_MIN
         # leaked power relative to desired is amplitude-invariant, so one
         # noiseless figure bounds it across the whole grid
-        and leakage_ratio < 1e-12
+        and leakage_ratio < LEAKAGE_RATIO_MAX
     )
     return results, passed
 

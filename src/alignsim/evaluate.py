@@ -22,12 +22,15 @@ enough for slope fitting.
 Seeding: trial ``t``, attempt ``a`` of a run with ``base_seed`` uses
 ``numpy.random.SeedSequence((base_seed, t, a))`` split into independent
 channel / offline / message streams, so runs are reproducible trial by
-trial, independent of execution order and worker count.
+trial, independent of execution order and worker count.  A batch derives
+all its trials' generators in one vectorized pass of the SeedSequence hash,
+bit for bit those of that contract.
 
-Trials run in batches of ``TRIAL_BATCH``: each trial is drawn on its own,
-then the batch's channels, offline coefficients and messages are stacked on
-a trailing trial axis and go through one block run, one decode, one
-certificate pass and, for rates, one noise-weight run.  Every reduction on
+Trials run in batches of ``TRIAL_BATCH``: the batch's channels are drawn as
+one stack, each trial from its own channel stream, and its offline
+coefficients and messages are stacked on the same trailing trial axis; the
+batch then goes through one block run, one decode, one certificate pass
+and, for rates, one noise-weight run.  Every reduction on
 that axis is a stacked LAPACK call or a left-to-right sum, so a trial's
 numbers are bit for bit the same whichever trials share its batch.  A batch
 that meets a degenerate draw or a structural failure is rerun one trial at
@@ -50,14 +53,13 @@ from .channel import (
     AccessLog,
     ChannelTensor,
     SignalRecord,
+    TxInformationView,
     apply_channel,
     audit_feedback_usage,
     generate_channel,
-    make_tx_view,
     outputs_own_receiver_only,
 )
-from .numerics import Degenerate, NumericsError, Tolerances, ordered_sum
-from .output_feedback import ScheduledScheme  # noqa: F401  (re-exported for tests)
+from .numerics import Degenerate, NumericsError, Tolerances, ordered_sum, spawn_generators
 from .registry import get_scheme
 
 __all__ = [
@@ -166,8 +168,8 @@ class DofEstimate:
 
 
 def _trial_rngs(base_seed: int, trial: int, attempt: int):
-    seq = np.random.SeedSequence((base_seed, trial, attempt))
-    return [np.random.default_rng(child) for child in seq.spawn(3)]
+    """Channel, offline and message generators of one draw (see :func:`_draw_batch`)."""
+    return spawn_generators([(base_seed, trial, attempt)], 3)[0]
 
 
 def _stack(items):
@@ -181,6 +183,22 @@ def _stack(items):
             for f in dataclasses.fields(first)
         })
     return np.stack(items, axis=-1)
+
+
+def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
+    """Channel, offline coefficients and messages of the draws, stacked on a trailing trial axis.
+
+    Draw ``(trial, attempt)`` takes its channel, offline and message streams
+    from the three children of ``SeedSequence((base_seed, trial, attempt))``;
+    the generators of the whole batch come from one pass of the seed hash.
+    """
+    rng_channel, rng_offline, rng_msgs = zip(
+        *spawn_generators([(base_seed, trial, attempt) for trial, attempt in draws], 3)
+    )
+    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
+    offline = _stack([scheme.draw_offline(rng) for rng in rng_offline])
+    msgs = np.stack([scheme.draw_messages(rng) for rng in rng_msgs], axis=-1)
+    return tensor, offline, msgs
 
 
 def simulate_block(
@@ -217,7 +235,7 @@ def simulate_block(
         state = {}
     for n in range(num_slots):
         views = {
-            entity: make_tx_view(entity, n, tensor, y_noisy, scheme.feedback, log)
+            entity: TxInformationView(entity, n, tensor, y_noisy, scheme.feedback, log)
             for entity in range(scheme.num_entities)
         }
         for j in range(num_tx):
@@ -287,21 +305,7 @@ def _run_batch(
     :class:`NumericsError`) and :class:`SchemeFailure` for the first trial
     whose certificates or CSI usage fail.
     """
-    tensors, offlines, messages = [], [], []
-    for trial, attempt in draws:
-        rng_channel, rng_offline, rng_msgs = _trial_rngs(base_seed, trial, attempt)
-        tensors.append(
-            generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
-        )
-        offlines.append(scheme.draw_offline(rng_offline))
-        messages.append(scheme.draw_messages(rng_msgs))
-    tensor = ChannelTensor(
-        h=np.stack([t.h for t in tensors], axis=-1),
-        mag_bounds=tensors[0].mag_bounds,
-        num_rejections=sum(t.num_rejections for t in tensors),
-    )
-    offline = _stack(offlines)
-    msgs = np.stack(messages, axis=-1)
+    tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
     state: dict = {}
     record = simulate_block(scheme, tensor, offline, msgs, 1.0, tol, log=log, state=state)

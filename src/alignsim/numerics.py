@@ -1,7 +1,8 @@
 """Complex dense linear algebra kernel shared by the scheme implementations.
 
-Null vectors, numerical rank decisions, guarded linear solves and seeded
-circularly symmetric Gaussian sampling.  Every matrix handled here is small
+Null vectors, numerical rank decisions, guarded linear solves, seeded
+circularly symmetric Gaussian sampling and the batched derivation of the
+trials' seeded generators.  Every matrix handled here is small
 (at most 8x8) and dense, so the routines lean on LAPACK through
 ``numpy.linalg`` and add the contract checks the alignment constructions
 rely on: explicit rank guards, residual verification and a canonical phase
@@ -34,6 +35,7 @@ __all__ = [
     "vector_norm",
     "frobenius_norm",
     "sample_complex_gaussian",
+    "spawn_generators",
 ]
 
 
@@ -320,6 +322,108 @@ def sample_complex_gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
     Real and imaginary parts are independent ``N(0, 1/2)`` so that
     ``E|z|^2 = 1``.  Deterministic given the generator state.
     """
-    re = rng.standard_normal(count)
-    im = rng.standard_normal(count)
-    return (re + 1j * im) / np.sqrt(2.0)
+    # one draw of 2 * count normals is the two draws of count, back to back
+    z = rng.standard_normal(2 * count)
+    return (z[:count] + 1j * z[count:]) / np.sqrt(2.0)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose streams
+# numpy keeps stable: the entropy words are mixed into a pool of four uint32
+# words, and the pool is hashed out into the generator state.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    count = max(1, -(-value.bit_length() // 32))
+    return [(value >> (32 * i)) & _MASK32 for i in range(count)]
+
+
+def _const_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` modulo 2**32 for ``k < count``."""
+    chain = [init]
+    for _ in range(count - 1):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """PCG64 seed words ``(n, 4)`` uint64 of the SeedSequences of the rows of ``entropy``.
+
+    ``entropy`` is ``(n, L)`` uint32, each row a SeedSequence's assembled
+    entropy, with ``L >= 4`` as for any spawned child; row ``i`` of the
+    result is that SeedSequence's ``generate_state(4, uint64)``.
+    """
+    length = entropy.shape[1]
+    calls = _POOL_SIZE * length
+    consts = _const_chain(_INIT_A, _MULT_A, calls + 1)
+    used = 0
+
+    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
+        # ``count`` successive hashmix calls, one per column
+        nonlocal used
+        values = (values ^ consts[used : used + count]) * consts[used + 1 : used + count + 1]
+        used += count
+        return values ^ (values >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> 16)
+
+    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src : src + 1], len(dst)))
+    for src in range(_POOL_SIZE, length):
+        pool = mix(pool, hashmix(entropy[:, src : src + 1], _POOL_SIZE))
+    consts = _const_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+    words = (np.tile(pool, 2) ^ consts[:-1]) * consts[1:]
+    words = (words ^ (words >> 16)).astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence reduced to the four uint64 words PCG64 seeds itself from."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
+        return self._state
+
+
+def spawn_generators(entropies, children: int) -> list[list[np.random.Generator]]:
+    """``default_rng`` of each child of ``SeedSequence(entropy).spawn(children)``.
+
+    One list of ``children`` generators per tuple of non-negative integers
+    in ``entropies``, bit for bit the generators numpy's own SeedSequence
+    would give, but from one vectorized pass of its hash over every
+    (entropy, child) pair instead of one SeedSequence object per pair.
+    """
+    runs = [[w for value in entropy for w in _uint32_words(value)] for entropy in entropies]
+    states = np.empty((len(runs), children, 4), dtype=np.uint64)
+    by_length: dict[int, list[int]] = {}
+    for i, run in enumerate(runs):
+        by_length.setdefault(len(run), []).append(i)
+    child_keys = np.arange(children, dtype=np.uint32)
+    for length, rows in by_length.items():
+        # a spawned child pads its parent's entropy to the pool size, then
+        # appends its spawn key
+        entropy = np.zeros((len(rows), children, max(length, _POOL_SIZE) + 1), dtype=np.uint32)
+        entropy[:, :, :length] = np.array([runs[i] for i in rows], dtype=np.uint32)[:, None]
+        entropy[:, :, -1] = child_keys
+        states[rows] = _seed_states(entropy.reshape(len(rows) * children, -1)).reshape(
+            len(rows), children, 4
+        )
+    return [
+        [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in row]
+        for row in states
+    ]

@@ -9,10 +9,10 @@ from alignsim.channel import (
     ChannelTensor,
     FeedbackKind,
     FeedbackModel,
+    TxInformationView,
     apply_channel,
     audit_feedback_usage,
     generate_channel,
-    make_tx_view,
     outputs_own_receiver_only,
 )
 
@@ -125,7 +125,7 @@ class TestDelayedCsitView:
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
         log = AccessLog()
-        view = make_tx_view(0, 3, tensor, outputs, model, log)
+        view = TxInformationView(0, 3, tensor, outputs, model, log)
         states = view.channel_states(range(3))
         assert np.array_equal(states, tensor.h[:, :, :3])
         with pytest.raises(CausalityViolation):
@@ -138,21 +138,21 @@ class TestDelayedCsitView:
     def test_slot_zero_sees_nothing(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
-        view = make_tx_view(0, 0, tensor, outputs, model)
+        view = TxInformationView(0, 0, tensor, outputs, model)
         with pytest.raises(CausalityViolation):
             view.channel_coeff(0, 0, 0)
 
     def test_no_outputs_under_csit(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
-        view = make_tx_view(0, 3, tensor, outputs, model)
+        view = TxInformationView(0, 3, tensor, outputs, model)
         with pytest.raises(CausalityViolation):
             view.output(0, 1)
 
     def test_longer_delay(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT, delay_slots=2)
-        view = make_tx_view(0, 3, tensor, outputs, model)
+        view = TxInformationView(0, 3, tensor, outputs, model)
         view.channel_coeff(0, 0, 1)
         with pytest.raises(CausalityViolation):
             view.channel_coeff(0, 0, 2)
@@ -165,7 +165,7 @@ class TestDelayedOutputView:
             kind=FeedbackKind.DELAYED_OUTPUT,
             output_association={0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})},
         )
-        view = make_tx_view(1, 4, tensor, outputs, model)
+        view = TxInformationView(1, 4, tensor, outputs, model)
         assert view.output(1, 2) == outputs[1, 2]
         with pytest.raises(CausalityViolation):
             view.output(0, 2)  # not this transmitter's receiver
@@ -175,14 +175,14 @@ class TestDelayedOutputView:
     def test_full_association_by_default(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
-        view = make_tx_view(0, 2, tensor, outputs, model)
+        view = TxInformationView(0, 2, tensor, outputs, model)
         assert view.output(0, 1) == outputs[0, 1]
         assert view.output(1, 0) == outputs[1, 0]
 
     def test_no_csi_under_output_feedback(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
-        view = make_tx_view(0, 2, tensor, outputs, model)
+        view = TxInformationView(0, 2, tensor, outputs, model)
         with pytest.raises(CausalityViolation):
             view.channel_coeff(0, 0, 0)
 
@@ -191,14 +191,14 @@ class TestOtherKinds:
     def test_shannon_feedback_carries_both(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_SHANNON)
-        view = make_tx_view(0, 2, tensor, outputs, model)
+        view = TxInformationView(0, 2, tensor, outputs, model)
         view.channel_coeff(1, 1, 1)
         view.output(1, 1)
 
     def test_none_carries_nothing(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.NONE)
-        view = make_tx_view(0, 2, tensor, outputs, model)
+        view = TxInformationView(0, 2, tensor, outputs, model)
         with pytest.raises(CausalityViolation):
             view.channel_coeff(0, 0, 0)
         with pytest.raises(CausalityViolation):
@@ -214,7 +214,7 @@ class TestAccessLog:
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_SHANNON)
         log = AccessLog()
-        view = make_tx_view(1, 3, tensor, outputs, model, log)
+        view = TxInformationView(1, 3, tensor, outputs, model, log)
         view.channel_coeff(0, 1, 2)
         view.output(1, 0)
         assert len(log.records) == 2
@@ -243,7 +243,7 @@ class TestAccessLog:
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
         log = AccessLog()
-        view = make_tx_view(0, 2, tensor, outputs, model, log)
+        view = TxInformationView(0, 2, tensor, outputs, model, log)
         with pytest.raises(CausalityViolation):
             view.channel_coeff(0, 0, 2)
         assert log.records == []

@@ -1,0 +1,190 @@
+"""Per-trial draws: seeds, channels, offline coefficients and messages.
+
+A batch derives its generators from one vectorized pass of numpy's
+SeedSequence hash and draws its channels as one stack.  Every trial must
+still get exactly the numbers of the per-trial reference: numpy's own
+``SeedSequence((base_seed, trial, attempt)).spawn(3)`` children, one
+channel per generator with a rejection loop of its own, and complex
+Gaussians from separate real and imaginary draws.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import alignsim.base
+import alignsim.retro_csit_ic3
+import alignsim.retro_csit_x
+from alignsim.channel import MAG_BOUNDS_DEFAULT, generate_channel
+from alignsim.evaluate import TRIAL_BATCH, _draw_batch, _trial_rngs
+from alignsim.numerics import sample_complex_gaussian, spawn_generators
+from alignsim.registry import SCHEMES, get_scheme
+
+ALL_SCHEME_IDS = sorted(SCHEMES)
+
+#: Every module that draws complex Gaussians for a trial.
+_SAMPLING_MODULES = (alignsim.base, alignsim.retro_csit_x, alignsim.retro_csit_ic3)
+
+
+def reference_rngs(base_seed, trial, attempt):
+    seq = np.random.SeedSequence((base_seed, trial, attempt))
+    return [np.random.default_rng(child) for child in seq.spawn(3)]
+
+
+def reference_gaussian(rng, count):
+    re = rng.standard_normal(count)
+    im = rng.standard_normal(count)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def reference_channel(num_rx, num_tx, num_slots, rng, mag_bounds=MAG_BOUNDS_DEFAULT):
+    """One channel, each coefficient redrawn while it lies outside the band."""
+    lo, hi = mag_bounds
+    shape = (num_rx, num_tx, num_slots)
+    h = reference_gaussian(rng, int(np.prod(shape))).reshape(shape)
+    rejections = 0
+    bad = (np.abs(h) < lo) | (np.abs(h) > hi)
+    while np.any(bad):
+        rejections += int(bad.sum())
+        h[bad] = reference_gaussian(rng, int(bad.sum()))
+        bad = (np.abs(h) < lo) | (np.abs(h) > hi)
+    return h, rejections
+
+
+def _pcg_states(generators):
+    return [
+        (g.bit_generator.state["state"]["state"], g.bit_generator.state["state"]["inc"])
+        for g in generators
+    ]
+
+
+def _reference_states(base_seed, trial, attempt):
+    seq = np.random.SeedSequence((base_seed, trial, attempt))
+    return [
+        (state["state"]["state"], state["state"]["inc"])
+        for state in (np.random.PCG64(child).state for child in seq.spawn(3))
+    ]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# -- seeds --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("attempt", [0, 1, 9])
+@pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 10**30])
+def test_batched_seeds_match_seed_sequence(base_seed, attempt):
+    # trials 2**32 - 1 and 2**32 split into one and two words, so this batch
+    # mixes entropy lengths
+    trials = list(range(201)) + [2**32 - 1, 2**32]
+    generators = spawn_generators([(base_seed, t, attempt) for t in trials], 3)
+    assert len(generators) == len(trials)
+    for trial, children in zip(trials, generators):
+        assert _pcg_states(children) == _reference_states(base_seed, trial, attempt)
+
+
+@pytest.mark.parametrize("entropy", [(), (5,), (1, 2), (7, 8, 9, 10), (2**200, 3, 4, 5, 6)])
+@pytest.mark.parametrize("children", [1, 3, 5])
+def test_spawn_generators_on_any_entropy_length(entropy, children):
+    [generators] = spawn_generators([entropy], children)
+    reference = [np.random.PCG64(c) for c in np.random.SeedSequence(entropy).spawn(children)]
+    assert _pcg_states(generators) == [
+        (r.state["state"]["state"], r.state["state"]["inc"]) for r in reference
+    ]
+
+
+def test_single_trial_rngs_draw_like_the_reference():
+    for got, want in zip(_trial_rngs(17, 42, 3), reference_rngs(17, 42, 3)):
+        assert _same_bits(got.standard_normal(9), want.standard_normal(9))
+
+
+def test_negative_entropy_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_generators([(0, -1, 0)], 3)
+
+
+# -- complex Gaussians ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 12, 27, 64, 1000])
+def test_complex_gaussian_matches_two_draws(count):
+    got = sample_complex_gaussian(np.random.default_rng(count), count)
+    assert _same_bits(got, reference_gaussian(np.random.default_rng(count), count))
+
+
+# -- channels -------------------------------------------------------------------
+
+
+def test_single_generator_gives_one_channel():
+    tensor = generate_channel(3, 3, 8, np.random.default_rng(5))
+    h, rejections = reference_channel(3, 3, 8, np.random.default_rng(5))
+    assert _same_bits(tensor.h, h)
+    assert tensor.num_rejections == rejections
+
+
+@pytest.mark.parametrize("mag_bounds", [MAG_BOUNDS_DEFAULT, (0.05, 3.0), (0.5, 2.0)])
+def test_channel_stack_matches_per_trial_channels(mag_bounds):
+    rngs = [rng for rng, _, _ in spawn_generators([(8, t, 0) for t in range(40)], 3)]
+    tensor = generate_channel(2, 2, 7, rngs, mag_bounds=mag_bounds)
+    assert tensor.h.shape == (2, 2, 7, 40)
+    per_trial = [
+        reference_channel(2, 2, 7, rng, mag_bounds)
+        for rng, _, _ in (reference_rngs(8, t, 0) for t in range(40))
+    ]
+    for t, (h, _) in enumerate(per_trial):
+        assert _same_bits(tensor.h[..., t], h)
+    rejections = [r for _, r in per_trial]
+    assert tensor.num_rejections == sum(rejections)
+    if mag_bounds == (0.5, 2.0):
+        # narrow band: nearly every trial runs its own rejection loop
+        assert sum(r > 0 for r in rejections) > 30
+    if mag_bounds == (0.05, 3.0):
+        # some trials reject and some do not
+        assert 0 < sum(r > 0 for r in rejections) < 40
+
+
+def test_rejection_cap_applies_to_a_stack():
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+        generate_channel(2, 2, 3, rngs, mag_bounds=(10.0, 20.0), max_rejections=5)
+
+
+# -- whole batches ----------------------------------------------------------------
+
+
+def _reference_draw(scheme, base_seed, trial, attempt, monkeypatch):
+    rng_channel, rng_offline, rng_msgs = reference_rngs(base_seed, trial, attempt)
+    h, rejections = reference_channel(
+        scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel
+    )
+    with monkeypatch.context() as patch:
+        for module in _SAMPLING_MODULES:
+            patch.setattr(module, "sample_complex_gaussian", reference_gaussian)
+        return h, rejections, scheme.draw_offline(rng_offline), scheme.draw_messages(rng_msgs)
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_batch_draw_matches_per_trial_reference(scheme_id, monkeypatch):
+    scheme = get_scheme(scheme_id)
+    draws = [(t, 0) for t in range(TRIAL_BATCH)] + [(3, 1), (70, 9)]
+    tensor, offline, msgs = _draw_batch(scheme, 3, draws)
+    assert tensor.h.shape == (scheme.num_rx, scheme.num_tx, scheme.num_slots, len(draws))
+    assert msgs.shape == (scheme.num_symbols, len(draws))
+    total_rejections = 0
+    for t, (trial, attempt) in enumerate(draws):
+        h, rejections, ref_offline, ref_msgs = _reference_draw(
+            scheme, 3, trial, attempt, monkeypatch
+        )
+        total_rejections += rejections
+        assert _same_bits(tensor.h[..., t], h)
+        assert _same_bits(msgs[:, t], ref_msgs)
+        if ref_offline is None:
+            assert offline is None
+        else:
+            for f in dataclasses.fields(ref_offline):
+                assert _same_bits(getattr(offline, f.name)[..., t], getattr(ref_offline, f.name))
+    assert tensor.num_rejections == total_rejections

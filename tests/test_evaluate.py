@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from alignsim.channel import generate_channel
+from alignsim.channel import SignalRecord, generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
     MAX_ATTEMPTS,
     DofEstimate,
     SchemeFailure,
+    _decode_block,
     dof_by_counting,
     estimate_dof,
     noise_transfer_weights,
@@ -17,7 +20,7 @@ from alignsim.evaluate import (
     simulate_block,
     sum_rate_bits,
 )
-from alignsim.numerics import DEFAULT_TOL, RankDeficient, sample_complex_gaussian
+from alignsim.numerics import DEFAULT_TOL, Degenerate, RankDeficient, sample_complex_gaussian
 from alignsim.output_feedback import BcMatScheme
 from alignsim.registry import SCHEMES, get_scheme
 
@@ -278,3 +281,35 @@ class TestTrialBatches:
         assert first_bad > 0
         with pytest.raises(SchemeFailure, match=f"bc_mat trial {first_bad}: certificate"):
             run_trials("bc_mat", 100, base_seed=22)
+
+
+_COEFFS = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    scheme_id=st.sampled_from(ALL_SCHEME_IDS),
+    seed=st.integers(0, 2**32 - 1),
+    amp=st.sampled_from([1.0, 8.0]),
+    a=_COEFFS,
+    b=_COEFFS,
+)
+def test_decode_is_linear_in_the_received_block(scheme_id, seed, amp, a, b):
+    scheme = get_scheme(scheme_id)
+    rng = np.random.default_rng(seed)
+    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
+    offline = scheme.draw_offline(rng)
+    try:
+        ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, amp)
+    except Degenerate:
+        assume(False)
+    size = scheme.num_rx * scheme.num_slots
+    y1, y2 = sample_complex_gaussian(rng, 2 * size).reshape(2, scheme.num_rx, scheme.num_slots)
+
+    def decode(y):
+        return _decode_block(scheme, SignalRecord(x=None, y_clean=y, y_noisy=y), ctx)
+
+    d1, d2 = decode(y1), decode(y2)
+    combined = decode(a * y1 + b * y2)
+    scale = max(abs(a) * float(np.max(np.abs(d1))) + abs(b) * float(np.max(np.abs(d2))), 1e-300)
+    assert float(np.max(np.abs(combined - (a * d1 + b * d2)))) <= 1e-12 * scale

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, generate_channel, make_tx_view
+from alignsim.channel import AccessLog, generate_channel
 from alignsim.evaluate import (
     future_perturbation_invariant,
     run_trials,
