@@ -36,11 +36,9 @@ from .numerics import (
     RankDeficient,
     Singular,
     Tolerances,
-    left_null_basis,
     null_vector,
-    numerical_rank,
     sample_complex_gaussian,
-    solve_square,
+    zero_forcing_rows,
 )
 from .registry import SCHEMES, get_scheme
 
@@ -69,11 +67,9 @@ __all__ = [
     "estimate_dof",
     "generate_channel",
     "get_scheme",
-    "left_null_basis",
     "null_vector",
-    "numerical_rank",
     "run_trials",
     "sample_complex_gaussian",
-    "solve_square",
+    "zero_forcing_rows",
     "__version__",
 ]

@@ -1,8 +1,8 @@
-"""Common contract shared by every transmission scheme.
+"""Common contract shared by every transmission scheme, and its one decoder.
 
 A scheme is a stateless description of one block: how many slots, antennas,
 receivers and information symbols it uses, which feedback model it assumes,
-and how to encode, decode and certify a single block.  All per-trial data
+and how to encode and certify a single block.  All per-trial data
 (channel, offline coefficients, messages, cached alignment constants) is
 passed in explicitly, so one scheme instance can be shared freely across
 trials and worker processes.
@@ -10,26 +10,65 @@ trials and worker processes.
 Encoding happens one scalar at a time through ``transmit``; the only window
 into the channel or the past outputs is the :class:`~alignsim.channel.\
 TxInformationView` handed in by the block driver, which makes the feedback
-causality of every scheme mechanically checkable.  Decoding gets the full
-channel tensor (receivers have global CSI) via a per-trial context object
-prepared by ``decode_context``.
+causality of every scheme mechanically checkable.
+
+Every scheme is complex-linear in its symbols, so decoding is the same for
+all of them and is defined here once.  The encoder's impulse response at
+receiver ``rx`` (what the receiver observes when one symbol is 1 and the
+rest are 0) is a ``num_slots x num_symbols`` receive matrix ``G``.  The
+receiver zero-forces with the rows of ``G⁺`` that belong to its own
+symbols.  This recovers them exactly when ``G`` has full row rank and the
+interference fills only the ``num_slots - len(symbols_for_rx(rx))``
+dimensions that the desired symbols leave free.  This is the alignment
+each scheme is built for, and the decoder certifies it for every scheme.
+A scheme adds only the certificates of its own encoder.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
-from .channel import FeedbackModel, TxInformationView
-from .numerics import Tolerances, sample_complex_gaussian
+from .channel import ChannelTensor, FeedbackModel, TxInformationView
+from .numerics import NumericsError, Tolerances, matvec, sample_complex_gaussian, zero_forcing_rows
 
-__all__ = ["Scheme"]
+__all__ = ["InterferenceRankUnexpected", "DecodeContext", "Scheme"]
+
+
+class InterferenceRankUnexpected(NumericsError):
+    """Interference at a receiver spans more dimensions than the design leaves it.
+
+    A zero-forcing residual above ``Tolerances.residual_rel`` means some
+    interference cannot be told apart from the desired symbols.  This is a
+    structural failure of the construction, never a resampling event.
+    """
+
+
+@dataclass(frozen=True)
+class DecodeContext:
+    """The zero-forcing decoders of one block and what the certificates read.
+
+    ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, *T)``
+    matrix that maps receiver ``rx``'s observations to its symbols;
+    ``receive_cond[rx]`` and ``zf_residual[rx]`` are its guards (see
+    :func:`~alignsim.numerics.zero_forcing_rows`), ``(*T)`` each.  ``state``
+    is the encoder's scratch dict of the block run the decoders were read
+    from, where the schemes cached their alignment constants.
+    """
+
+    decoders: tuple[np.ndarray, ...]
+    receive_cond: tuple[np.ndarray, ...]
+    zf_residual: tuple[np.ndarray, ...]
+    tensor: ChannelTensor
+    offline: Any
+    state: dict
 
 
 class Scheme:
-    """Base class; subclasses fill in the class attributes and the four hooks."""
+    """Base class; subclasses fill in the class attributes, ``transmit`` and their certificates."""
 
     scheme_id: str
     num_slots: int
@@ -57,6 +96,10 @@ class Scheme:
         """Indices into the message vector that receiver ``rx`` must recover."""
         raise NotImplementedError
 
+    def interference_rank(self, rx: int) -> int:
+        """Receive dimensions the design leaves to interference at ``rx``."""
+        return self.num_slots - len(self.symbols_for_rx(rx))
+
     def transmit(
         self,
         antenna: int,
@@ -81,38 +124,86 @@ class Scheme:
         ``state`` is a per-block scratch dict for caching constants computed
         from the view (it starts empty each block).  ``amp`` is the square
         root of the transmit power; information-bearing slots are scaled so
-        their average power is exactly ``amp**2``.
+        their average power is exactly ``amp**2``.  The scalar must be
+        complex-linear in ``msgs`` and in the outputs it replays.
         """
         raise NotImplementedError
 
-    def decode_context(self, tensor, offline: Any, tol: Tolerances, amp: float) -> Any:
-        """Receiver-side constants shared by all decoders of one block.
+    def decode_context(
+        self, tensor, offline: Any, tol: Tolerances, amp: float, response=None, state=None
+    ) -> DecodeContext:
+        """Zero-forcing decoders of every receiver for one block.
 
-        ``tensor`` and ``offline`` may carry a trailing trial axis; the
-        context then holds one set of constants per trial.  May raise a
-        :class:`~alignsim.numerics.Degenerate` error for measure-zero draws,
-        or a :class:`~alignsim.numerics.NumericsError` when a structural
-        property of the construction fails to hold.
+        ``response`` is the encoder's impulse response ``(num_rx, num_slots,
+        num_symbols, *T)``: the clean outputs of a block run at amplitude
+        ``amp`` whose message columns are the identity, and ``state`` is the
+        ``state`` of that run.  Without them this makes that run itself.
+
+        Raises :class:`~alignsim.numerics.Singular`, a degenerate draw, when
+        a receive matrix falls short of full row rank, and
+        :class:`InterferenceRankUnexpected` when its zero-forcing residual
+        exceeds ``tol.residual_rel``.
         """
-        raise NotImplementedError
+        if response is None:
+            from .evaluate import simulate_block  # the block engine builds on this module
 
-    def decode(self, rx: int, y_row: np.ndarray, ctx: Any) -> np.ndarray:
+            size, trials = self.num_symbols, tensor.h.shape[3:]
+            eye = np.eye(size, dtype=np.complex128).reshape(size, size, *(1,) * len(trials))
+            state = {}
+            response = simulate_block(
+                self, tensor, offline, np.broadcast_to(eye, (size, size, *trials)), amp, tol,
+                state=state,
+            ).y_clean
+        decoders, conds, residuals = [], [], []
+        for rx in range(self.num_rx):
+            d, cond, residual = zero_forcing_rows(response[rx], self.symbols_for_rx(rx), tol)
+            if np.any(residual > tol.residual_rel):
+                raise InterferenceRankUnexpected(
+                    f"zero-forcing residual {np.max(residual):.3e} at receiver {rx} exceeds "
+                    f"{tol.residual_rel:.1e} (interference may fill only "
+                    f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
+                )
+            decoders.append(d)
+            conds.append(cond)
+            residuals.append(residual)
+        return DecodeContext(
+            tuple(decoders), tuple(conds), tuple(residuals), tensor, offline, state
+        )
+
+    def decode(self, rx: int, y_row: np.ndarray, ctx: DecodeContext) -> np.ndarray:
         """Estimates of ``symbols_for_rx(rx)`` from that receiver's observations.
 
         ``y_row`` has shape ``(num_slots, *B, *T)`` and the result
-        ``(len(symbols_for_rx(rx)), *B, *T)``.  ``y_row`` may be a view of the
-        received block, so it must not be written to.
+        ``(len(symbols_for_rx(rx)), *B, *T)``.
         """
-        raise NotImplementedError
+        return matvec(ctx.decoders[rx], y_row)
 
-    def certificates(self, ctx: Any) -> dict[str, float]:
-        """Per-block health figures (ranks, determinants, residuals).
+    def certificates(self, ctx: DecodeContext) -> dict[str, float]:
+        """Per-block health figures of the decoder; schemes add their encoder's.
 
-        With a trial axis each value is a ``(T,)`` array, or one float that
-        holds for every trial.
+        ``interference_rank_rx*`` is the number of receive dimensions the
+        decoder certified the interference to fill.  With a trial axis each
+        value is a ``(T,)`` array, or one float that holds for every trial.
         """
-        return {}
+        certs = {}
+        for rx in range(self.num_rx):
+            certs[f"interference_rank_rx{rx}"] = float(self.interference_rank(rx))
+            certs[f"receive_cond_rx{rx}"] = ctx.receive_cond[rx]
+            certs[f"zf_residual_rx{rx}"] = ctx.zf_residual[rx]
+        return certs
 
     def check_certificates(self, certs: dict[str, float], tol: Tolerances) -> list[str]:
-        """Names of certificate checks that failed (empty means all passed)."""
-        return []
+        """Names of certificate checks that failed (empty means all passed).
+
+        The values may be floats or ``(T,)`` arrays; a check fails when it
+        fails for any trial.
+        """
+        failures = []
+        for rx in range(self.num_rx):
+            if np.any(certs[f"interference_rank_rx{rx}"] != self.interference_rank(rx)):
+                failures.append(f"interference_rank_rx{rx}")
+            if not np.all(certs[f"receive_cond_rx{rx}"] > tol.rank_rel):
+                failures.append(f"receive_cond_rx{rx}")
+            if not np.all(certs[f"zf_residual_rx{rx}"] <= tol.residual_rel):
+                failures.append(f"zf_residual_rx{rx}")
+        return failures

@@ -51,8 +51,6 @@ class FeedbackKind(enum.Enum):
 
     DELAYED_CSIT = "delayed_csit"
     DELAYED_OUTPUT = "delayed_output"
-    DELAYED_SHANNON = "delayed_shannon"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class FeedbackModel:
     ``output_association`` maps a receiver index to the set of transmitter
     entities that are fed that receiver's output.  ``None`` means full
     association (every transmitter sees every output).  It is only consulted
-    for the output-carrying kinds.
+    under output feedback.
     """
 
     kind: FeedbackKind
@@ -75,11 +73,11 @@ class FeedbackModel:
 
     @property
     def provides_csi(self) -> bool:
-        return self.kind in (FeedbackKind.DELAYED_CSIT, FeedbackKind.DELAYED_SHANNON)
+        return self.kind is FeedbackKind.DELAYED_CSIT
 
     @property
     def provides_output(self) -> bool:
-        return self.kind in (FeedbackKind.DELAYED_OUTPUT, FeedbackKind.DELAYED_SHANNON)
+        return self.kind is FeedbackKind.DELAYED_OUTPUT
 
     def output_allowed(self, rx: int, tx: int) -> bool:
         if not self.provides_output:
@@ -288,16 +286,12 @@ class AccessLog:
     def output_reads(self) -> list[AccessRecord]:
         return [r for r in self.records if r.kind == "output"]
 
-    def max_lag_violations(self, delay_slots: int) -> int:
-        """Count records that broke the delay rule (always 0 unless views are bypassed)."""
-        return sum(1 for r in self.records if r.item_slot > r.slot - delay_slots)
-
 
 class TxInformationView:
     """Everything transmitter entity ``tx`` may legally read while encoding slot ``slot``.
 
-    Channel coefficients are available only under a CSI-carrying feedback
-    kind, received outputs only under an output-carrying kind and only for
+    Channel coefficients are available only under delayed CSIT feedback,
+    received outputs only under output feedback and only for
     receivers associated with this transmitter; both only for slots at least
     ``delay_slots`` in the past.  Each successful read is appended to the log
     (one record per scalar and trial), so the log doubles as a usage

@@ -268,15 +268,13 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _certificate_extrema(results) -> dict[str, list[float]]:
-    extrema: dict[str, list[float]] = {}
+    keys: dict = {}
     for result in results:
-        for key, value in result.certificates.items():
-            value = float(value)
-            if key not in extrema:
-                extrema[key] = [value, value]
-            else:
-                extrema[key][0] = min(extrema[key][0], value)
-                extrema[key][1] = max(extrema[key][1], value)
+        keys.update(result.certificates)
+    extrema: dict[str, list[float]] = {}
+    for key in keys:
+        values = [r.certificates[key] for r in results if key in r.certificates]
+        extrema[key] = [float(min(values)), float(max(values))]
     return extrema
 
 

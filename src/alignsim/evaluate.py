@@ -8,15 +8,20 @@ they are discarded and the trial is resampled with a fresh deterministic
 seed, up to a fixed retry cap.  A causality violation or a failed
 certificate is never resampled: it aborts the run as a scheme failure.
 
-Rates use the zero-forcing SINR of the linear decoders.  Every decode here
-is complex-linear in the received block, and every signal-path coefficient
-carries exactly one factor of the amplitude ``sqrt(power)`` while injected
-noise carries none, so the per-symbol estimation error at power ``P`` is
-exactly ``1/sqrt(P)`` times a fixed linear image of the unit noise block.
-The per-symbol noise weight (the squared norm of that image, read off one
-batched block run whose batch columns are the unit impulses at every
-receiver/slot position) turns into an exact per-symbol SINR ``P / weight``
-at every operating point, which makes rate curves deterministic and smooth
+Every scheme decodes with one zero-forcing decoder (see
+:mod:`alignsim.base`).  Its receive matrices are read off the trial's own
+block run: next to the message column, the run carries one identity
+message column per symbol, whose clean outputs are the encoder's impulse
+response.  Rates use the zero-forcing SINR of that decoder.  The decode
+``D y`` is complex-linear in the received block, and every signal-path
+coefficient carries exactly one factor of the amplitude ``sqrt(power)``
+while injected noise carries none, so the per-symbol estimation error at
+power ``P`` is exactly ``1/sqrt(P)`` times a fixed linear image of the unit
+noise block.  The per-symbol noise weight (the squared norm of that image,
+read off one batched block run whose batch columns are the unit impulses at
+every receiver/slot position, so that output feedback carries the noise
+forward as it would) turns into an exact per-symbol SINR ``P / weight`` at
+every operating point, which makes rate curves deterministic and smooth
 enough for slope fitting.
 
 Seeding: trial ``t``, attempt ``a`` of a run with ``base_seed`` uses
@@ -59,7 +64,15 @@ from .channel import (
     generate_channel,
     outputs_own_receiver_only,
 )
-from .numerics import Degenerate, NumericsError, Tolerances, ordered_sum, spawn_generators
+from .numerics import (
+    Degenerate,
+    NumericsError,
+    Tolerances,
+    ordered_sum,
+    seeded_generator,
+    spawn_generators,
+    spawn_states,
+)
 from .registry import get_scheme
 
 __all__ = [
@@ -190,14 +203,18 @@ def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
 
     Draw ``(trial, attempt)`` takes its channel, offline and message streams
     from the three children of ``SeedSequence((base_seed, trial, attempt))``;
-    the generators of the whole batch come from one pass of the seed hash.
+    the seeds of the whole batch come from one pass of the seed hash.  A
+    scheme that keeps the base ``draw_offline`` draws nothing offline, so
+    its offline generators are never built.
     """
-    rng_channel, rng_offline, rng_msgs = zip(
-        *spawn_generators([(base_seed, trial, attempt) for trial, attempt in draws], 3)
+    states = spawn_states([(base_seed, trial, attempt) for trial, attempt in draws], 3)
+    tensor = generate_channel(
+        scheme.num_rx, scheme.num_tx, scheme.num_slots, [seeded_generator(s) for s in states[:, 0]]
     )
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
-    offline = _stack([scheme.draw_offline(rng) for rng in rng_offline])
-    msgs = np.stack([scheme.draw_messages(rng) for rng in rng_msgs], axis=-1)
+    offline = None
+    if type(scheme).draw_offline is not Scheme.draw_offline:
+        offline = _stack([scheme.draw_offline(seeded_generator(s)) for s in states[:, 1]])
+    msgs = np.stack([scheme.draw_messages(seeded_generator(s)) for s in states[:, 2]], axis=-1)
     return tensor, offline, msgs
 
 
@@ -246,10 +263,11 @@ def simulate_block(
     return SignalRecord(x=x, y_clean=y_clean, y_noisy=y_noisy)
 
 
-def _decode_block(scheme: Scheme, record: SignalRecord, ctx) -> np.ndarray:
-    decoded = np.empty((scheme.num_symbols, *record.y_noisy.shape[2:]), dtype=np.complex128)
+def _decode_block(scheme: Scheme, y: np.ndarray, ctx) -> np.ndarray:
+    """All symbols decoded from the received block ``y`` ``(num_rx, num_slots, *B, *T)``."""
+    decoded = np.empty((scheme.num_symbols, *y.shape[2:]), dtype=np.complex128)
     for rx in range(scheme.num_rx):
-        decoded[scheme.symbols_for_rx(rx)] = scheme.decode(rx, record.y_noisy[rx], ctx)
+        decoded[scheme.symbols_for_rx(rx)] = scheme.decode(rx, y[rx], ctx)
     return decoded
 
 
@@ -281,7 +299,7 @@ def noise_transfer_weights(
     record = simulate_block(
         scheme, tensor, offline, zero_msgs, 1.0, tol, noise=impulses, state=state
     )
-    columns = _decode_block(scheme, record, ctx)
+    columns = _decode_block(scheme, record.y_noisy, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
 
@@ -308,13 +326,24 @@ def _run_batch(
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
     state: dict = {}
-    record = simulate_block(scheme, tensor, offline, msgs, 1.0, tol, log=log, state=state)
-    ctx = scheme.decode_context(tensor, offline, tol, 1.0)
-    decoded = _decode_block(scheme, record, ctx)
+    # the message column, then one identity column per symbol: their clean
+    # outputs are the impulse response the decoder is read from
+    size = scheme.num_symbols
+    identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, len(draws)))
+    columns = np.concatenate([msgs[:, None], identity], axis=1)
+    record = simulate_block(scheme, tensor, offline, columns, 1.0, tol, log=log, state=state)
+    ctx = scheme.decode_context(
+        tensor, offline, tol, 1.0, response=record.y_clean[:, :, 1:], state=state
+    )
+    decoded = _decode_block(scheme, record.y_noisy[:, :, 0], ctx)
     certs = {
         key: np.broadcast_to(value, (len(draws),))
         for key, value in scheme.certificates(ctx).items()
     }
+    # one check for the whole batch; trial by trial only to name a failure
+    certs_failed = bool(scheme.check_certificates(certs, tol))
+    cert_rows = np.array(list(certs.values()), dtype=np.float64).T.tolist()
+    rank_keys = [f"interference_rank_rx{rx}" for rx in range(scheme.num_rx)]
     weights = None
     if snr_db is not None or collect_weights:
         weights = noise_transfer_weights(scheme, tensor, offline, ctx, tol, state=state)
@@ -322,13 +351,12 @@ def _run_batch(
     csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
     over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
     own_only = outputs_own_receiver_only(log)
-    errors = np.max(np.abs(decoded - msgs), axis=0)
-    scales = np.max(np.abs(msgs), axis=0)
-    rank_keys = getattr(scheme, "interference_rank_keys", [])
+    errors = np.max(np.abs(decoded - msgs), axis=0).tolist()
+    scales = np.max(np.abs(msgs), axis=0).tolist()
     results = []
     for t, (trial, attempt) in enumerate(draws):
-        trial_certs = {key: float(value[t]) for key, value in certs.items()}
-        failures = scheme.check_certificates(trial_certs, tol)
+        trial_certs = dict(zip(certs, cert_rows[t]))
+        failures = scheme.check_certificates(trial_certs, tol) if certs_failed else []
         if failures:
             raise SchemeFailure(
                 f"{scheme.scheme_id} trial {trial}: certificate checks failed: {failures}"
@@ -338,7 +366,7 @@ def _run_batch(
                 f"{scheme.scheme_id} trial {trial}: transmitters read channel states "
                 f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
             )
-        max_rel = float(errors[t]) / max(float(scales[t]), SCALE_FLOOR)
+        max_rel = errors[t] / max(scales[t], SCALE_FLOOR)
         result = TrialResult(
             scheme_id=scheme.scheme_id,
             trial=trial,

@@ -1,9 +1,9 @@
 """Complex dense linear algebra kernel shared by the scheme implementations.
 
-Null vectors, numerical rank decisions, guarded linear solves, seeded
+Null vectors, guarded zero-forcing (pseudo-inverse) rows, seeded
 circularly symmetric Gaussian sampling and the batched derivation of the
 trials' seeded generators.  Every matrix handled here is small
-(at most 8x8) and dense, so the routines lean on LAPACK through
+(at most 8x9) and dense, so the routines lean on LAPACK through
 ``numpy.linalg`` and add the contract checks the alignment constructions
 rely on: explicit rank guards, residual verification and a canonical phase
 convention that makes repeated computations reproducible to the bit.
@@ -24,17 +24,16 @@ __all__ = [
     "DEFAULT_TOL",
     "phase_normalize",
     "null_vector",
-    "numerical_rank",
-    "solve_square",
-    "left_null_basis",
+    "zero_forcing_rows",
     "ordered_sum",
     "matvec",
     "dot",
     "singular_values",
-    "det",
     "vector_norm",
     "frobenius_norm",
     "sample_complex_gaussian",
+    "spawn_states",
+    "seeded_generator",
     "spawn_generators",
 ]
 
@@ -57,7 +56,7 @@ class RankDeficient(NumericsError, Degenerate):
 
 
 class Singular(NumericsError, Degenerate):
-    """A square system is too ill-conditioned to solve reliably."""
+    """A system is too ill-conditioned to invert reliably."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,10 @@ class Tolerances:
     rank_rel : float
         Singular values below ``rank_rel`` times the largest singular value
         are treated as zero.  Also bounds the acceptable condition number of
-        square solves at ``1 / rank_rel``.
+        a zero-forcing receive matrix at ``1 / rank_rel``.
     residual_rel : float
         Acceptance threshold for null-space residuals, relative to the
-        Frobenius norm of the matrix.
+        Frobenius norm of the matrix, and for zero-forcing residuals.
     """
 
     rank_rel: float = 1e-8
@@ -156,11 +155,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(_stacked(_as_matrix(a)), compute_uv=False).T
 
 
-def det(a) -> np.ndarray:
-    """Determinant of a square ``(n, n, *T)`` matrix, one per trial."""
-    return np.linalg.det(_stacked(_as_matrix(a)))
-
-
 def vector_norm(v) -> np.ndarray:
     """Euclidean norm over the first axis."""
     v = np.asarray(v)
@@ -241,79 +235,37 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def numerical_rank(a, tol: Tolerances = DEFAULT_TOL):
-    """Number of singular values above ``tol.rank_rel`` times the largest one.
+def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
+    """Rows ``rows`` of the pseudo-inverse of a wide receive matrix, with its guards.
 
-    Invariant under multiplication of ``a`` by any nonzero scalar.  The zero
-    matrix has rank 0.  With a trial axis the result is an integer array.
+    ``g`` is ``(n, k, *T)`` with ``n <= k``: ``n`` observations of ``k``
+    unknowns.  Its SVD ``g = U S Vᴴ`` gives ``d = V[rows] S⁻¹ Uᴴ``, the
+    ``(len(rows), n, *T)`` rows of ``g⁺``.  When ``g`` has full row rank,
+    ``d @ g`` is the identity on the unknowns ``rows`` exactly when no
+    combination of the other unknowns can mimic them, so ``d`` recovers
+    them and zero-forces the rest.
+
+    Returns ``(d, cond, residual)``: ``cond = s_min / s_max`` and
+    ``residual = ||d @ g - I[rows]||_F``, both of shape ``(*T)``.  Raises
+    :class:`Singular` when ``cond`` is at or below ``tol.rank_rel`` (``g``
+    falls short of full row rank).
     """
-    a = _as_matrix(a)
-    ranks = _ranks(np.linalg.svd(_stacked(a), compute_uv=False), tol)
-    return int(ranks) if a.ndim == 2 else ranks
-
-
-def solve_square(a, b, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve ``a @ x = b`` for square ``a``, guarding against ill-conditioning.
-
-    ``a`` is ``(rows, rows, *T)``.  ``b`` is a vector of shape ``(rows,
-    *T)`` or a stack of ``k`` right-hand sides of shape ``(rows, k, *T)``;
-    ``x`` has the shape of ``b``.  The guard costs one SVD of ``a`` whatever
-    ``k`` is.
-
-    Raises :class:`Singular` when the condition number of ``a`` exceeds
-    ``1 / tol.rank_rel`` (equivalently, when the smallest singular value falls
-    below ``tol.rank_rel`` times the largest).
-    """
-    a = _as_matrix(a)
-    rows, cols = a.shape[:2]
-    if rows != cols:
-        raise ValueError(f"solve_square expects a square matrix, got shape {a.shape}")
-    trials = a.shape[2:]
-    b = np.asarray(b, dtype=np.complex128)
-    rhs_axes = b.ndim - 1 - len(trials)
-    if rhs_axes not in (0, 1) or b.shape[0] != rows or b.shape[b.ndim - len(trials):] != trials:
-        raise ValueError(f"right-hand side shape {b.shape} does not match matrix {a.shape}")
-    stack = _stacked(a)
-    s = np.linalg.svd(stack, compute_uv=False)
+    g = _as_matrix(g)
+    n, k = g.shape[:2]
+    if n > k:
+        raise ValueError(f"zero_forcing_rows expects rows <= cols, got shape {g.shape}")
+    u, s, vh = np.linalg.svd(_stacked(g), full_matrices=False)
     bad = (s[..., 0] == 0.0) | (s[..., -1] <= tol.rank_rel * s[..., 0])
     if bad.any():
-        lo, hi = s.reshape(-1, rows)[bad.argmax()][[-1, 0]]
+        lo, hi = s.reshape(-1, n)[bad.argmax()][[-1, 0]]
         cond = np.inf if lo == 0.0 else hi / lo
         raise Singular(f"condition number {cond:.3e} exceeds {1.0 / tol.rank_rel:.1e}")
-    if not trials:
-        return np.linalg.solve(a, b)
-    # (rows, [k,] T) -> (T, rows, k) and back
-    rhs = b[:, None] if rhs_axes == 0 else b
-    x = _unstacked(np.linalg.solve(stack, rhs.transpose(2, 0, 1)))
-    return x[:, 0] if rhs_axes == 0 else x
-
-
-def left_null_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the left null space of ``a``.
-
-    Returns an ``(m, m - r, *T)`` matrix ``n`` with orthonormal columns
-    satisfying ``n.conj().T @ a ~ 0``, where ``r`` is the numerical rank of
-    ``a``; with a trial axis every trial must have the same rank.  The
-    columns are the left singular vectors belonging to the discarded
-    singular values, each phase-normalized for reproducibility.
-    """
-    a = _as_matrix(a)
-    u, s, _ = np.linalg.svd(_stacked(a), full_matrices=True)
-    ranks = _ranks(s, tol)
-    rank = ranks.min()
-    if (ranks != rank).any():
-        raise NumericsError(f"the trials' matrices have different ranks {sorted(set(ranks.flat))}")
-    basis = _unstacked(u[..., rank:])
-    if basis.shape[1]:
-        basis = np.stack([phase_normalize(basis[:, i]) for i in range(basis.shape[1])], axis=1)
-    residual = frobenius_norm(matvec(np.swapaxes(basis, 0, 1).conj(), a))
-    scale = frobenius_norm(a)
-    if ((scale > 0.0) & (residual > tol.residual_rel * scale)).any():
-        raise NumericsError(
-            f"left null basis residual {np.max(residual):.3e} exceeds "
-            f"{tol.residual_rel:.1e} * {np.max(scale):.3e}"
-        )
-    return basis
+    # d[i, m] = sum_j conj(vh[j, rows[i]]) / s[j] * conj(u[m, j])
+    v_rows = _unstacked(vh[..., rows].conj() / s[..., None])
+    d = matvec(np.swapaxes(v_rows, 0, 1), _unstacked(np.swapaxes(u, -1, -2).conj()))
+    eye = np.eye(k)[rows].reshape(len(rows), k, *(1,) * (g.ndim - 2))
+    residual = frobenius_norm(matvec(d, g) - eye)
+    return d, s[..., -1] / s[..., 0], residual
 
 
 def sample_complex_gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -341,8 +293,11 @@ def _uint32_words(value: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative integer, as SeedSequence splits it."""
     if value < 0:
         raise ValueError(f"seed entropy must be non-negative, got {value}")
-    count = max(1, -(-value.bit_length() // 32))
-    return [(value >> (32 * i)) & _MASK32 for i in range(count)]
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
 
 
 def _const_chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -400,13 +355,15 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self._state
 
 
-def spawn_generators(entropies, children: int) -> list[list[np.random.Generator]]:
-    """``default_rng`` of each child of ``SeedSequence(entropy).spawn(children)``.
+def spawn_states(entropies, children: int) -> np.ndarray:
+    """PCG64 seed words of each child of ``SeedSequence(entropy).spawn(children)``.
 
-    One list of ``children`` generators per tuple of non-negative integers
-    in ``entropies``, bit for bit the generators numpy's own SeedSequence
-    would give, but from one vectorized pass of its hash over every
-    (entropy, child) pair instead of one SeedSequence object per pair.
+    One ``(children, 4)`` uint64 block per tuple of non-negative integers in
+    ``entropies``, stacked to ``(len(entropies), children, 4)``: bit for bit
+    what numpy's own SeedSequence would give, but from one vectorized pass
+    of its hash over every (entropy, child) pair instead of one
+    SeedSequence object per pair.  :func:`seeded_generator` turns one
+    child's words into its generator.
     """
     runs = [[w for value in entropy for w in _uint32_words(value)] for entropy in entropies]
     states = np.empty((len(runs), children, 4), dtype=np.uint64)
@@ -423,7 +380,20 @@ def spawn_generators(entropies, children: int) -> list[list[np.random.Generator]
         states[rows] = _seed_states(entropy.reshape(len(rows) * children, -1)).reshape(
             len(rows), children, 4
         )
+    return states
+
+
+def seeded_generator(state: np.ndarray) -> np.random.Generator:
+    """``default_rng`` of the SeedSequence whose PCG64 seed words are ``state``."""
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def spawn_generators(entropies, children: int) -> list[list[np.random.Generator]]:
+    """``default_rng`` of each child of ``SeedSequence(entropy).spawn(children)``.
+
+    One list of ``children`` generators per tuple in ``entropies``; see
+    :func:`spawn_states`.
+    """
     return [
-        [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in row]
-        for row in states
+        [seeded_generator(state) for state in row] for row in spawn_states(entropies, children)
     ]

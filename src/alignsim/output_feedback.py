@@ -15,21 +15,21 @@ Three constructions share one execution engine:
 * ``ic3_output_fb``: 3-user interference channel where each transmitter is
   fed back only its own receiver's outputs, 6 symbols over 5 slots.  Three
   symbol slots are followed by two slots replaying overheard outputs, wired
-  so every receiver can peel the replays it already knows and be left with
-  two equations in its own two symbols.
+  so that at every receiver the replays add no interference the receiver
+  has not already seen and complete two equations in its own two symbols.
 
 A schedule assigns each (slot, antenna) a payload: an information symbol, a
 stored received output, or a superposition of clean combinations rebuilt
-from delayed CSIT.  Decoding follows a per-receiver cancellation plan: peel
-steps recover one unknown replayed quantity per observation by subtracting
-quantities the receiver already holds, and solve steps invert the 2x2
-systems the recovered equations form.  Every plan only ever references
-values the receiver observed itself or recovered in an earlier step.
+from delayed CSIT.  That is all a scheme here defines.  Every payload is
+linear in the symbols and in the replayed outputs, so the receivers decode
+with the zero-forcing decoder every scheme shares (:mod:`alignsim.base`).
+It certifies what the schedules are built for: at each receiver the
+interference fills the slots its two symbols leave free, one slot of three
+in the 3-slot schemes and three slots of five in ``ic3_output_fb``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,14 +37,11 @@ import numpy as np
 
 from .base import Scheme
 from .channel import FeedbackKind, FeedbackModel
-from .numerics import Singular, solve_square
 
 __all__ = [
     "SymbolPayload",
     "OutputPayload",
     "ComboPayload",
-    "Peel",
-    "Solve2",
     "ScheduledScheme",
     "BcMatScheme",
     "XOutputFeedbackScheme",
@@ -86,41 +83,18 @@ class ComboPayload:
     refs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Peel:
-    """Recover one replayed quantity from the observation at ``observe_slot``.
-
-    All other quantities carried by that observation must already be in the
-    receiver's store; ``target`` is the one being solved for.
-    """
-
-    observe_slot: int
-    target: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Solve2:
-    """Solve two stored equations ``equations`` for the two ``unknowns``."""
-
-    equations: tuple[tuple[int, int], tuple[int, int]]
-    unknowns: tuple[int, int]
-
-
 class ScheduledScheme(Scheme):
-    """Execution engine for schedule plus cancellation-plan schemes.
+    """Execution engine for schedule-driven schemes.
 
-    Subclasses provide ``schedule`` (per slot, per antenna payloads, ``None``
-    for silence) and ``plans`` (per receiver step tuples).
+    Subclasses provide ``schedule``: per slot, per antenna payloads, ``None``
+    for silence.
     """
 
     schedule: tuple[tuple[object, ...], ...]
-    plans: tuple[tuple[object, ...], ...]
 
     def symbols_for_rx(self, rx: int) -> list[int]:
         per_rx = self.num_symbols // self.num_rx
         return [per_rx * rx + i for i in range(per_rx)]
-
-    # -- encoding ---------------------------------------------------------
 
     def _combo_norm(self, view, refs):
         """Norm of the symbol-basis coefficient vector of the rebuilt sum, per unit amp."""
@@ -151,84 +125,6 @@ class ScheduledScheme(Scheme):
             return total / state[key]
         raise TypeError(f"unknown payload {payload!r}")
 
-    # -- decoding ---------------------------------------------------------
-
-    def decode_context(self, tensor, offline, tol, amp):
-        return (tensor.h, amp, tol)
-
-    def _replay_coefficients(self, h, slot, rx, amp):
-        """Map ref -> coefficient with which it reaches ``rx`` at a replay slot."""
-        coeffs: dict[tuple[int, int], complex] = {}
-        for j, payload in enumerate(self.schedule[slot]):
-            if payload is None or isinstance(payload, SymbolPayload):
-                continue
-            if isinstance(payload, OutputPayload):
-                ref = (payload.rx, payload.slot)
-                coeffs[ref] = coeffs.get(ref, 0j) + h[rx, j, slot]
-            elif isinstance(payload, ComboPayload):
-                norm = self._combo_norm_from_h(h, payload.refs)
-                for ref in payload.refs:
-                    coeffs[ref] = coeffs.get(ref, 0j) + h[rx, j, slot] / norm
-        return coeffs
-
-    def _combo_norm_from_h(self, h, refs):
-        total = 0.0
-        for r, m in refs:
-            for j, payload in enumerate(self.schedule[m]):
-                if isinstance(payload, SymbolPayload):
-                    total += abs(h[r, j, m]) ** 2
-        return np.sqrt(total)
-
-    def _equation_row(self, h, ref, unknowns, amp):
-        """Coefficients of ``unknowns`` in the stored equation ``ref``."""
-        r, m = ref
-        row = np.zeros((len(unknowns), *h.shape[3:]), dtype=np.complex128)
-        for j, payload in enumerate(self.schedule[m]):
-            if isinstance(payload, SymbolPayload):
-                if payload.symbol not in unknowns:
-                    raise LookupError(
-                        f"equation ({r}, {m}) involves symbol {payload.symbol} "
-                        f"outside the unknowns {unknowns}"
-                    )
-                row[unknowns.index(payload.symbol)] += h[r, j, m] * amp
-        return row
-
-    def decode(self, rx, y_row, ctx):
-        h, amp, tol = ctx
-        store = {(rx, m): y_row[m] for m in range(self.num_slots)}
-        recovered = {}
-        for step in self.plans[rx]:
-            if isinstance(step, Peel):
-                coeffs = self._replay_coefficients(h, step.observe_slot, rx, amp)
-                if step.target not in coeffs:
-                    raise LookupError(f"slot {step.observe_slot} does not carry {step.target}")
-                pivot = coeffs[step.target]
-                scale = functools.reduce(np.maximum, (abs(c) for c in coeffs.values()))
-                if np.any(abs(pivot) <= tol.rank_rel * scale):
-                    raise Singular("replay coefficient too small to peel against")
-                acc = y_row[step.observe_slot]
-                for ref, c in coeffs.items():
-                    if ref == step.target:
-                        continue
-                    if ref not in store:
-                        raise LookupError(
-                            f"peel at slot {step.observe_slot} needs {ref} "
-                            "before it was recovered"
-                        )
-                    # not in place: batched, acc starts as a view of y_row
-                    acc = acc - c * store[ref]
-                store[step.target] = acc / pivot
-            elif isinstance(step, Solve2):
-                unknowns = list(step.unknowns)
-                rows = [self._equation_row(h, ref, unknowns, amp) for ref in step.equations]
-                rhs = np.array([store[ref] for ref in step.equations], dtype=np.complex128)
-                sol = solve_square(np.stack(rows), rhs, tol)
-                for sym, val in zip(unknowns, sol):
-                    recovered[sym] = val
-            else:
-                raise TypeError(f"unknown plan step {step!r}")
-        return np.array([recovered[s] for s in self.symbols_for_rx(rx)], dtype=np.complex128)
-
 
 class BcMatScheme(ScheduledScheme):
     """Two-antenna broadcast channel, delayed CSIT, 4 symbols over 3 slots.
@@ -251,16 +147,6 @@ class BcMatScheme(ScheduledScheme):
         (SymbolPayload(0), SymbolPayload(1)),
         (SymbolPayload(2), SymbolPayload(3)),
         (ComboPayload(refs=((1, 0), (0, 1))), None),
-    )
-    plans = (
-        (
-            Peel(observe_slot=2, target=(1, 0)),
-            Solve2(equations=((0, 0), (1, 0)), unknowns=(0, 1)),
-        ),
-        (
-            Peel(observe_slot=2, target=(0, 1)),
-            Solve2(equations=((1, 1), (0, 1)), unknowns=(2, 3)),
-        ),
     )
 
     def entity_of(self, antenna: int) -> int:
@@ -291,26 +177,15 @@ class XOutputFeedbackScheme(ScheduledScheme):
         (SymbolPayload(2), SymbolPayload(3)),
         (OutputPayload(rx=1, slot=0), OutputPayload(rx=0, slot=1)),
     )
-    plans = (
-        (
-            Peel(observe_slot=2, target=(1, 0)),
-            Solve2(equations=((0, 0), (1, 0)), unknowns=(0, 1)),
-        ),
-        (
-            Peel(observe_slot=2, target=(0, 1)),
-            Solve2(equations=((1, 1), (0, 1)), unknowns=(2, 3)),
-        ),
-    )
 
 
 class IC3OutputFeedbackScheme(ScheduledScheme):
     """3-user interference channel, own-receiver output feedback, 6 symbols over 5 slots.
 
     Symbol ``2k + i`` is the i-th symbol for receiver ``k``.  Slots 0-2
-    schedule two active transmitters each; slots 3-4 replay outputs that
-    every receiver can either cancel directly or unlock with one earlier
-    peel, after which each receiver holds two independent equations in its
-    own symbol pair.
+    schedule two active transmitters each; slots 3-4 replay overheard
+    outputs so that at every receiver the four interfering symbols fill
+    only three of the five dimensions, leaving two for its own pair.
     """
 
     scheme_id = "ic3_output_fb"
@@ -336,24 +211,4 @@ class IC3OutputFeedbackScheme(ScheduledScheme):
         (None, SymbolPayload(3), SymbolPayload(5)),
         (None, OutputPayload(rx=1, slot=1), OutputPayload(rx=2, slot=0)),
         (OutputPayload(rx=0, slot=2), None, OutputPayload(rx=2, slot=0)),
-    )
-    plans = (
-        (
-            Peel(observe_slot=4, target=(2, 0)),
-            Solve2(equations=((0, 0), (2, 0)), unknowns=(0, 2)),
-            Peel(observe_slot=3, target=(1, 1)),
-            Solve2(equations=((0, 1), (1, 1)), unknowns=(1, 4)),
-        ),
-        (
-            Peel(observe_slot=3, target=(2, 0)),
-            Solve2(equations=((1, 0), (2, 0)), unknowns=(0, 2)),
-            Peel(observe_slot=4, target=(0, 2)),
-            Solve2(equations=((1, 2), (0, 2)), unknowns=(3, 5)),
-        ),
-        (
-            Peel(observe_slot=3, target=(1, 1)),
-            Solve2(equations=((2, 1), (1, 1)), unknowns=(1, 4)),
-            Peel(observe_slot=4, target=(0, 2)),
-            Solve2(equations=((2, 2), (0, 2)), unknowns=(3, 5)),
-        ),
     )

@@ -18,10 +18,12 @@ For receiver 0 the constants come from the unique null vector
 ``(gamma[0, 1], 1, -beta * gamma[1, 1], -beta)`` of the 3x4 matrix whose
 columns are the slot-0..2 receive directions of the four symbols intended
 for receiver 1, and symmetrically for receiver 1 (constants ``gamma[., 0]``
-and ``delta``).  After the block, each receiver solves the four phase-2
-slots for all four layer variables, strips them from its phase-1
-observations, and is left with a 3x3 system in its two remaining desired
-symbols plus one aligned interference coordinate.
+and ``delta``).  At each receiver the four interfering symbols then fill
+only 3 of the 7 receive dimensions: two for their layer variables and one
+for the direction along which, once those are substituted, both cross
+second symbols arrive in phase 1.  That leaves 4 for the receiver's own
+four symbols; the zero-forcing decoder every scheme shares
+(:mod:`alignsim.base`) certifies this and decodes.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
     Degenerate,
     Tolerances,
-    det,
     frobenius_norm,
     matvec,
     null_vector,
     ordered_sum,
     sample_complex_gaussian,
     singular_values,
-    solve_square,
     vector_norm,
 )
 
@@ -157,17 +157,6 @@ def _phase2_norm(c: np.ndarray, gamma_j: np.ndarray):
     )
 
 
-@dataclass(frozen=True)
-class _XDecodeContext:
-    constants: XAlignmentConstants
-    phase2_mats: tuple[np.ndarray, np.ndarray]   # 4x4 (x T) per receiver
-    strip_mats: tuple[np.ndarray, np.ndarray]    # 3x4 (x T) per receiver
-    final_mats: tuple[np.ndarray, np.ndarray]    # 3x3 (x T) per receiver
-    colinearity: tuple
-    align_residuals: tuple
-    tol: Tolerances
-
-
 class XRetroCsitScheme(Scheme):
     """X channel, delayed CSIT, 8 symbols over 7 slots."""
 
@@ -198,8 +187,6 @@ class XRetroCsitScheme(Scheme):
         )
         return XOffline(phase1=phase1, phase2=phase2)
 
-    # -- encoding ---------------------------------------------------------
-
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         u = msgs.reshape(2, 2, 2, *msgs.shape[1:])
         j = antenna
@@ -219,101 +206,41 @@ class XRetroCsitScheme(Scheme):
         raw = c[0] * s[j, 0] + c[1] * s[j, 1]
         return amp * raw / _phase2_norm(c, constants.gamma[j])
 
-    # -- decoding ---------------------------------------------------------
-
-    def _directions(self, h, phase1, constants, amp, rx, sym_rx, j):
-        """Phase-1 receive direction, at ``rx``, of ``u[sym_rx, j, 1]`` after substitution."""
-        v = phase1[sym_rx, j]  # (2 syms, 3 slots, *T)
-        comb = v[0] * constants.gamma[j, sym_rx] + v[1]
-        return h[rx, j, :PHASE1_SLOTS] * amp * comb
-
-    def decode_context(self, tensor, offline, tol, amp):
-        h = tensor.h
-        trials = h.shape[3:]
-        constants = alignment_constants(h[:, :, :PHASE1_SLOTS], offline.phase1, tol)
+    def certificates(self, ctx):
+        """Decoder certificates plus the alignment of the encoder's cached constants."""
+        certs = super().certificates(ctx)
+        h3 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
+        phase1 = ctx.offline.phase1
+        constants = ctx.state[("constants", 0)]
         gamma = constants.gamma
-        residuals = []
-        for rx in range(2):
-            a = interference_system(h[:, :, :PHASE1_SLOTS], offline.phase1, rx)
-            factor = constants.beta if rx == 0 else constants.delta
-            vec = np.stack(
-                [gamma[0, 1 - rx], np.ones_like(factor), -factor * gamma[1, 1 - rx], -factor]
-            )
-            residuals.append(
-                vector_norm(matvec(a, vec)) / (frobenius_norm(a) * vector_norm(vec))
-            )
-        phase2_mats = []
-        strip_mats = []
-        final_mats = []
-        colinearity = []
         for rx in range(2):
             other = 1 - rx
-            g = np.empty((PHASE2_SLOTS, 4, *trials), dtype=np.complex128)
-            for p in range(PHASE2_SLOTS):
-                for j in range(2):
-                    c = offline.phase2[j, :, p]
-                    norm = _phase2_norm(c, gamma[j])
-                    for m in range(2):
-                        g[p, 2 * j + m] = h[rx, j, PHASE1_SLOTS + p] * amp * c[m] / norm
-            phase2_mats.append(g)
-            w = np.empty((PHASE1_SLOTS, 4, *trials), dtype=np.complex128)
-            for n in range(PHASE1_SLOTS):
-                for j in range(2):
-                    for m in range(2):
-                        w[n, 2 * j + m] = h[rx, j, n] * amp * offline.phase1[m, j, 0, n]
-            strip_mats.append(w)
-            own0 = self._directions(h, offline.phase1, constants, amp, rx, rx, 0)
-            own1 = self._directions(h, offline.phase1, constants, amp, rx, rx, 1)
-            cross0 = self._directions(h, offline.phase1, constants, amp, rx, other, 0)
-            cross1 = self._directions(h, offline.phase1, constants, amp, rx, other, 1)
-            final_mats.append(np.stack([own0, own1, cross0], axis=1))
-            sv = singular_values(np.stack([cross0, cross1], axis=1))
-            colinearity.append(sv[1] / sv[0])
-        return _XDecodeContext(
-            constants=constants,
-            phase2_mats=(phase2_mats[0], phase2_mats[1]),
-            strip_mats=(strip_mats[0], strip_mats[1]),
-            final_mats=(final_mats[0], final_mats[1]),
-            colinearity=(colinearity[0], colinearity[1]),
-            align_residuals=(residuals[0], residuals[1]),
-            tol=tol,
-        )
-
-    def decode(self, rx, y_row, ctx):
-        tol = ctx.tol
-        # Layer variables from the four phase-2 slots, ordered
-        # (s[0,0], s[0,1], s[1,0], s[1,1]).
-        s = solve_square(ctx.phase2_mats[rx], y_row[PHASE1_SLOTS:], tol)
-        # Strip their phase-1 contribution; what remains lives on the two
-        # desired second symbols plus one aligned interference coordinate.
-        d = y_row[:PHASE1_SLOTS] - matvec(ctx.strip_mats[rx], s)
-        sol = solve_square(ctx.final_mats[rx], d, tol)
-        gamma = ctx.constants.gamma
-        out = np.empty((4, *y_row.shape[1:]), dtype=np.complex128)
-        for j in range(2):
-            second = sol[j]
-            first = s[2 * j + rx] + gamma[j, rx] * second
-            out[2 * j + 0] = first
-            out[2 * j + 1] = second
-        return out
-
-    def certificates(self, ctx):
-        det_product = abs(det(ctx.final_mats[0])) * abs(det(ctx.final_mats[1]))
-        return {
-            "colinearity_rx0": ctx.colinearity[0],
-            "colinearity_rx1": ctx.colinearity[1],
-            "align_residual_rx0": ctx.align_residuals[0],
-            "align_residual_rx1": ctx.align_residuals[1],
-            "det_product": det_product,
-        }
+            a = interference_system(h3, phase1, rx)
+            factor = constants.beta if rx == 0 else constants.delta
+            vec = np.stack(
+                [gamma[0, other], np.ones_like(factor), -factor * gamma[1, other], -factor]
+            )
+            certs[f"align_residual_rx{rx}"] = vector_norm(matvec(a, vec)) / (
+                frobenius_norm(a) * vector_norm(vec)
+            )
+            # phase-1 receive directions of the cross second symbols
+            # u[other, j, 1] once the layer variables are substituted
+            cross = np.stack(
+                [
+                    h3[rx, j] * (phase1[other, j, 0] * gamma[j, other] + phase1[other, j, 1])
+                    for j in range(2)
+                ],
+                axis=1,
+            )
+            sv = singular_values(cross)
+            certs[f"colinearity_rx{rx}"] = sv[1] / sv[0]
+        return certs
 
     def check_certificates(self, certs, tol):
-        failures = []
+        failures = super().check_certificates(certs, tol)
         for rx in range(2):
-            if certs[f"colinearity_rx{rx}"] > tol.rank_rel:
+            if np.any(certs[f"colinearity_rx{rx}"] > tol.rank_rel):
                 failures.append(f"colinearity_rx{rx}")
-            if certs[f"align_residual_rx{rx}"] > tol.residual_rel:
+            if np.any(certs[f"align_residual_rx{rx}"] > tol.residual_rel):
                 failures.append(f"align_residual_rx{rx}")
-        if not certs["det_product"] > 0.0:
-            failures.append("det_product")
         return failures

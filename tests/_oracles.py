@@ -94,8 +94,33 @@ def jacobi_left_null_basis(a: np.ndarray, rel_tol: float) -> np.ndarray:
     return w[:, s <= rel_tol * top]
 
 
-def projector(basis: np.ndarray) -> np.ndarray:
-    return basis @ basis.conj().T
+def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a⁻¹ b`` for square ``a`` by Gauss-Jordan elimination with partial pivoting."""
+    a = np.array(a, dtype=np.complex128)
+    b = np.array(b, dtype=np.complex128)
+    n = a.shape[0]
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        a[[col, pivot]] = a[[pivot, col]]
+        b[[col, pivot]] = b[[pivot, col]]
+        for row in range(n):
+            if row != col:
+                factor = a[row, col] / a[col, col]
+                a[row] -= factor * a[col]
+                b[row] -= factor * b[col]
+    return b / np.diag(a)[:, None]
+
+
+def zero_forcing_oracle(g: np.ndarray, rows: list[int], rel_tol: float = 1e-8) -> np.ndarray:
+    """Zero-forcing decoder of the unknowns ``rows`` of the receive matrix ``g``.
+
+    Projects the observations onto the left null space of the other
+    unknowns' columns (Jacobi), then inverts what is left of the wanted
+    columns there.
+    """
+    others = [k for k in range(g.shape[1]) if k not in rows]
+    basis = jacobi_left_null_basis(g[:, others], rel_tol)
+    return gauss_solve(basis.conj().T @ g[:, rows], basis.conj().T)
 
 
 def random_complex_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

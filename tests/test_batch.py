@@ -43,7 +43,7 @@ def per_impulse_weights(scheme, tensor, offline, ctx, tol):
             record = simulate_block(
                 scheme, tensor, offline, zero_msgs, 1.0, tol, noise=noise, state=state
             )
-            weights += np.abs(_decode_block(scheme, record, ctx)) ** 2
+            weights += np.abs(_decode_block(scheme, record.y_noisy, ctx)) ** 2
     return weights
 
 
@@ -78,7 +78,7 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, amp, seed):
         record = simulate_block(
             scheme, tensor, offline, msgs, amp, DEFAULT_TOL, noise=noise, log=log
         )
-        decoded = _decode_block(scheme, record, ctx)
+        decoded = _decode_block(scheme, record.y_noisy, ctx)
     except Degenerate:
         assume(False)
     assert record.x.shape == (scheme.num_tx, scheme.num_slots, batch)
@@ -94,7 +94,7 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, amp, seed):
         assert log.records == column_log.records
         for name in ("x", "y_clean", "y_noisy"):
             _assert_close(getattr(record, name)[..., b], getattr(column, name))
-        _assert_close(decoded[:, b], _decode_block(scheme, column, ctx))
+        _assert_close(decoded[:, b], _decode_block(scheme, column.y_noisy, ctx))
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
@@ -155,7 +155,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     state: dict = {}
     record = simulate_block(scheme, tensor, offline, msgs, 1.0, DEFAULT_TOL, log=log, state=state)
     ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
-    decoded = _decode_block(scheme, record, ctx)
+    decoded = _decode_block(scheme, record.y_noisy, ctx)
     weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL, state=state)
     certs = scheme.certificates(ctx)
     assert weights.shape == (scheme.num_symbols, trials)
@@ -168,7 +168,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         # each trial reads what an unbatched run reads, record for record
         assert log.records[t::trials] == one_log.records
         _assert_close(record.x[..., t], one.x)
-        _assert_close(decoded[:, t], _decode_block(scheme, one, one_ctx))
+        _assert_close(decoded[:, t], _decode_block(scheme, one.y_noisy, one_ctx))
         np.testing.assert_allclose(
             weights[:, t],
             noise_transfer_weights(scheme, one_tensor, one_offline, one_ctx, DEFAULT_TOL),

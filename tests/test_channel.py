@@ -188,22 +188,6 @@ class TestDelayedOutputView:
 
 
 class TestOtherKinds:
-    def test_shannon_feedback_carries_both(self, rng):
-        tensor, outputs = _tensor_and_outputs(rng)
-        model = FeedbackModel(kind=FeedbackKind.DELAYED_SHANNON)
-        view = TxInformationView(0, 2, tensor, outputs, model)
-        view.channel_coeff(1, 1, 1)
-        view.output(1, 1)
-
-    def test_none_carries_nothing(self, rng):
-        tensor, outputs = _tensor_and_outputs(rng)
-        model = FeedbackModel(kind=FeedbackKind.NONE)
-        view = TxInformationView(0, 2, tensor, outputs, model)
-        with pytest.raises(CausalityViolation):
-            view.channel_coeff(0, 0, 0)
-        with pytest.raises(CausalityViolation):
-            view.output(0, 0)
-
     def test_delay_must_be_positive(self):
         with pytest.raises(ValueError):
             FeedbackModel(kind=FeedbackKind.DELAYED_CSIT, delay_slots=0)
@@ -212,11 +196,15 @@ class TestOtherKinds:
 class TestAccessLog:
     def test_records_reads(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)
-        model = FeedbackModel(kind=FeedbackKind.DELAYED_SHANNON)
         log = AccessLog()
-        view = TxInformationView(1, 3, tensor, outputs, model, log)
-        view.channel_coeff(0, 1, 2)
-        view.output(1, 0)
+        csi_view = TxInformationView(
+            1, 3, tensor, outputs, FeedbackModel(kind=FeedbackKind.DELAYED_CSIT), log
+        )
+        output_view = TxInformationView(
+            1, 3, tensor, outputs, FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT), log
+        )
+        csi_view.channel_coeff(0, 1, 2)
+        output_view.output(1, 0)
         assert len(log.records) == 2
         csi, out = log.records
         assert (csi.kind, csi.tx, csi.slot, csi.item_rx, csi.item_tx, csi.item_slot) == (
@@ -224,7 +212,8 @@ class TestAccessLog:
         )
         assert (out.kind, out.item_rx, out.item_slot) == ("output", 1, 0)
         assert log.csi_slots() == frozenset({2})
-        assert log.max_lag_violations(model.delay_slots) == 0
+        # no record breaks the one-slot delay
+        assert all(r.item_slot <= r.slot - 1 for r in log.records)
 
     def test_audit_rejects_out_of_range(self):
         log = AccessLog()

@@ -7,10 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+
 import alignsim.cli as cli
+import alignsim.retro_csit_ic3 as retro_csit_ic3
+import alignsim.retro_csit_x as retro_csit_x
 from alignsim.cli import RunConfig, UsageError, _render_json, main, parse_config, run
 from alignsim.evaluate import SchemeFailure
-from fractions import Fraction
+from alignsim.output_feedback import (
+    BcMatScheme,
+    ComboPayload,
+    IC3OutputFeedbackScheme,
+    OutputPayload,
+    XOutputFeedbackScheme,
+)
+from alignsim.registry import SCHEMES
 
 
 class TestParseConfig:
@@ -147,7 +161,25 @@ class TestVerifyMode:
         assert code == 0
         extrema = json.loads(out)["results"]["certificate_extrema"]
         assert extrema["colinearity_rx0"][1] <= 1e-8
-        assert extrema["det_product"][0] > 0.0
+        assert extrema["receive_cond_rx0"][0] > 1e-8
+        assert extrema["zf_residual_rx1"][1] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "scheme_id, ranks",
+        [
+            ("bc_mat", [1]),
+            ("x_output_fb", [1]),
+            ("ic3_output_fb", [3]),
+            ("x_retro_csit", [3]),
+            ("ic3_retro_csit", [5]),
+        ],
+    )
+    def test_interference_ranks_observed(self, capsys, scheme_id, ranks):
+        code, out, _ = _run_main(
+            capsys, ["--scheme", scheme_id, "--trials", "3", "--seed", "0", "--threads", "1"]
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["interference_ranks_observed"] == ranks
 
 
 class TestAuditMode:
@@ -324,7 +356,7 @@ class TestStructuralFailures:
         [
             (
                 ["--scheme", "ic3_retro_csit", "--trials", "50", "--tol-rank", "0.05"],
-                "InterferenceRankUnexpected",
+                "Singular",
             ),
             (["--scheme", "x_retro_csit", "--trials", "5", "--tol-residual", "1e-17"], "residual"),
             (["--scheme", "ic3_retro_csit", "--trials", "5", "--tol-residual", "1e-17"], "residual"),
@@ -341,6 +373,82 @@ class TestStructuralFailures:
         message = doc["error"]["message"]
         assert message.startswith(f"{argv[1]} trial ")
         assert reason in message
+
+
+def _misalign_bc_mat(monkeypatch):
+    # slot 2 resends receiver 0's own slot-0 equation instead of receiver 1's
+    class Misaligned(BcMatScheme):
+        schedule = (*BcMatScheme.schedule[:2], (ComboPayload(refs=((1, 0), (0, 0))), None))
+
+    monkeypatch.setitem(SCHEMES, "bc_mat", Misaligned())
+
+
+def _misalign_x_output_fb(monkeypatch):
+    # transmitter 1 replays receiver 1's slot-1 output, a second view of
+    # the symbols that interfere at receiver 0
+    class Misaligned(XOutputFeedbackScheme):
+        schedule = (
+            *XOutputFeedbackScheme.schedule[:2],
+            (OutputPayload(rx=1, slot=0), OutputPayload(rx=1, slot=1)),
+        )
+
+    monkeypatch.setitem(SCHEMES, "x_output_fb", Misaligned())
+
+
+def _misalign_ic3_output_fb(monkeypatch):
+    # transmitter 2 replays its receiver's slot-2 output in slot 4
+    class Misaligned(IC3OutputFeedbackScheme):
+        schedule = (
+            *IC3OutputFeedbackScheme.schedule[:4],
+            (OutputPayload(rx=0, slot=2), None, OutputPayload(rx=2, slot=2)),
+        )
+
+    monkeypatch.setitem(SCHEMES, "ic3_output_fb", Misaligned())
+
+
+def _misalign_x_retro_csit(monkeypatch):
+    # the layer variables use a coupling constant off the aligning one
+    aligned = retro_csit_x.alignment_constants
+
+    def off_by_a_tenth(h3, phase1, tol):
+        constants = aligned(h3, phase1, tol)
+        return dataclasses.replace(constants, gamma=1.1 * constants.gamma)
+
+    monkeypatch.setattr(retro_csit_x, "alignment_constants", off_by_a_tenth)
+
+
+def _misalign_ic3_retro_csit(monkeypatch):
+    # every transmitter repeats a fixed generic triple instead of the aligned one
+    def generic_triple(a, b, tx):
+        c = np.array([1.0, 0.5j, -0.75 + 0.25j]) / np.sqrt(1.0 + 0.25 + 0.625)
+        return np.broadcast_to(c.reshape(3, *(1,) * (a.ndim - 1)), a.shape)
+
+    monkeypatch.setattr(retro_csit_ic3, "_unit_cross", generic_triple)
+
+
+@pytest.mark.parametrize(
+    "scheme_id, misalign",
+    [
+        ("bc_mat", _misalign_bc_mat),
+        ("x_output_fb", _misalign_x_output_fb),
+        ("ic3_output_fb", _misalign_ic3_output_fb),
+        ("x_retro_csit", _misalign_x_retro_csit),
+        ("ic3_retro_csit", _misalign_ic3_retro_csit),
+    ],
+)
+def test_misaligned_encoder_exits_3_naming_the_trial(capsys, monkeypatch, scheme_id, misalign):
+    # interference leaking into one more dimension is a structural failure
+    misalign(monkeypatch)
+    code, out, err = _run_main(
+        capsys, ["--scheme", scheme_id, "--trials", "3", "--seed", "0", "--threads", "1"]
+    )
+    assert code == 3
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "SchemeFailure"
+    message = doc["error"]["message"]
+    assert message.startswith(f"{scheme_id} trial 0: InterferenceRankUnexpected")
+    assert "zero-forcing residual" in message
 
 
 class TestConfigTypes:

@@ -4,26 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.numerics import (
-    DEFAULT_TOL,
-    NumericsError,
     RankDeficient,
     Singular,
     Tolerances,
-    left_null_basis,
     null_vector,
-    numerical_rank,
     phase_normalize,
     sample_complex_gaussian,
-    solve_square,
+    zero_forcing_rows,
 )
 
 from _oracles import (
-    jacobi_left_null_basis,
     jacobi_null_vector,
-    jacobi_rank,
-    projector,
     random_complex_matrix,
     random_rank_matrix,
+    zero_forcing_oracle,
 )
 
 
@@ -107,18 +101,51 @@ class TestNullVector:
             null_vector(a)
 
 
-class TestNumericalRank:
-    def test_known_ranks(self, rng):
-        for _ in range(100):
-            rows = int(rng.integers(2, 8))
-            cols = int(rng.integers(2, 8))
-            rank = int(rng.integers(1, min(rows, cols) + 1))
-            a = random_rank_matrix(rng, rows, cols, rank)
-            assert numerical_rank(a) == rank
-            assert jacobi_rank(a, DEFAULT_TOL.rank_rel) == rank
+def _receive_matrix(rng, rows, wanted, extra):
+    """``rows x (rows + extra)`` matrix: ``wanted`` generic columns, then
+    ``rows - wanted + extra`` interference columns of rank ``rows - wanted``."""
+    interference = random_rank_matrix(rng, rows, rows - wanted + extra, rows - wanted)
+    return np.hstack([random_complex_matrix(rng, rows, wanted), interference])
 
-    def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 4), dtype=complex)) == 0
+
+class TestZeroForcingRows:
+    def test_round_trip_batch(self, rng):
+        worst = 0.0
+        for _ in range(1000):
+            rows = int(rng.integers(2, 9))
+            wanted = int(rng.integers(1, rows + 1))
+            g = _receive_matrix(rng, rows, wanted, int(rng.integers(1, 4)))
+            try:
+                d, _, residual = zero_forcing_rows(g, list(range(wanted)))
+            except Singular:
+                continue
+            eye = np.eye(g.shape[1])[:wanted]
+            worst = max(worst, np.linalg.norm(d @ g - eye), float(residual))
+        assert worst <= 1e-9
+
+    def test_matches_jacobi_oracle(self, rng):
+        for _ in range(100):
+            rows = int(rng.integers(2, 9))
+            wanted = int(rng.integers(1, rows + 1))
+            g = _receive_matrix(rng, rows, wanted, int(rng.integers(1, 4)))
+            d, _, _ = zero_forcing_rows(g, list(range(wanted)))
+            oracle = zero_forcing_oracle(g, list(range(wanted)))
+            assert np.linalg.norm(d - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_leaking_interference_leaves_a_residual(self, rng):
+        # generic interference fills every dimension: nothing can be zero-forced
+        g = random_complex_matrix(rng, 4, 6)
+        _, cond, residual = zero_forcing_rows(g, [0, 1])
+        assert cond > 1e-3
+        assert residual > 0.1
+
+    def test_trial_axis_is_bit_identical(self, rng):
+        stack = np.stack([_receive_matrix(rng, 5, 2, 2) for _ in range(4)], axis=-1)
+        d, cond, residual = zero_forcing_rows(stack, [0, 1])
+        for t in range(4):
+            one = zero_forcing_rows(stack[..., t : t + 1], [0, 1])
+            assert np.array_equal(d[..., t], one[0][..., 0])
+            assert cond[t] == one[1][0] and residual[t] == one[2][0]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -127,81 +154,43 @@ class TestNumericalRank:
         phase=st.floats(0.0, 6.28),
     )
     def test_scale_invariance(self, seed, scale_log, phase):
+        # scaling the receive matrix scales the decoder inversely and leaves
+        # both guards where they were
         gen = np.random.default_rng(seed)
-        rows = int(gen.integers(2, 7))
-        cols = int(gen.integers(2, 7))
-        rank = int(gen.integers(1, min(rows, cols) + 1))
-        a = random_rank_matrix(gen, rows, cols, rank)
+        g = _receive_matrix(gen, 4, 2, 1)
         scalar = 10.0**scale_log * np.exp(1j * phase)
-        assert numerical_rank(scalar * a) == numerical_rank(a)
+        d, cond, residual = zero_forcing_rows(g, [0, 1])
+        d_scaled, cond_scaled, residual_scaled = zero_forcing_rows(scalar * g, [0, 1])
+        np.testing.assert_allclose(d_scaled * scalar, d, rtol=1e-9)
+        assert abs(cond_scaled - cond) <= 1e-9 * cond
+        assert residual_scaled <= 1e-9
 
-
-class TestSolveSquare:
-    def test_round_trip_batch(self, rng):
-        worst = 0.0
-        for _ in range(1000):
-            n = int(rng.integers(2, 9))
-            a = random_complex_matrix(rng, n, n)
-            b = random_complex_matrix(rng, n, 1)[:, 0]
-            try:
-                x = solve_square(a, b)
-            except Singular:
-                continue
-            worst = max(worst, np.linalg.norm(a @ x - b) / np.linalg.norm(b))
-        assert worst <= 1e-9
+    def test_zero_matrix(self):
+        with pytest.raises(Singular, match="inf"):
+            zero_forcing_rows(np.zeros((3, 4), dtype=complex), [0])
 
     def test_singular_raises(self, rng):
-        col = random_complex_matrix(rng, 3, 1)
-        a = np.hstack([col, 2.0 * col, 3.0 * col])
+        g = random_complex_matrix(rng, 3, 4)
+        g[2] = g[0] + 2.0 * g[1]
         with pytest.raises(Singular):
-            solve_square(a, np.ones(3, dtype=complex))
+            zero_forcing_rows(g, [0])
 
     def test_condition_guard(self):
         ok = np.diag([1.0, 1e-7]).astype(complex)
         bad = np.diag([1.0, 1e-9]).astype(complex)
-        b = np.ones(2, dtype=complex)
-        solve_square(ok, b)
+        d, cond, _ = zero_forcing_rows(ok, [0, 1])
+        assert abs(cond - 1e-7) <= 1e-20
+        np.testing.assert_allclose(d, np.diag([1.0, 1e7]), rtol=1e-12)
         with pytest.raises(Singular):
-            solve_square(bad, b)
+            zero_forcing_rows(bad, [0, 1])
 
     def test_shape_checks(self, rng):
         with pytest.raises(ValueError):
-            solve_square(random_complex_matrix(rng, 2, 3), np.ones(2, dtype=complex))
+            zero_forcing_rows(random_complex_matrix(rng, 3, 2), [0])
+        g = random_complex_matrix(rng, 2, 3)
+        g[0, 0] = np.inf
         with pytest.raises(ValueError):
-            solve_square(random_complex_matrix(rng, 3, 3), np.ones(2, dtype=complex))
-
-
-class TestLeftNullBasis:
-    def test_dimensions_and_residual(self, rng):
-        for _ in range(100):
-            rows = int(rng.integers(3, 9))
-            cols = int(rng.integers(1, rows))
-            rank = int(rng.integers(1, cols + 1))
-            a = random_rank_matrix(rng, rows, cols, rank)
-            basis = left_null_basis(a)
-            assert basis.shape == (rows, rows - rank)
-            np.testing.assert_allclose(
-                basis.conj().T @ basis,
-                np.eye(rows - rank),
-                atol=1e-12,
-            )
-            assert np.linalg.norm(basis.conj().T @ a) <= 1e-10 * np.linalg.norm(a)
-
-    def test_matches_jacobi_oracle_subspace(self, rng):
-        for _ in range(100):
-            rows = int(rng.integers(3, 9))
-            cols = int(rng.integers(1, rows))
-            rank = int(rng.integers(1, cols + 1))
-            a = random_rank_matrix(rng, rows, cols, rank)
-            basis = left_null_basis(a)
-            oracle = jacobi_left_null_basis(a, DEFAULT_TOL.rank_rel)
-            assert oracle.shape == basis.shape
-            assert np.linalg.norm(projector(basis) - projector(oracle), 2) <= 1e-10
-
-    def test_full_rank_square_has_empty_basis(self, rng):
-        a = random_complex_matrix(rng, 4, 4)
-        basis = left_null_basis(a)
-        assert basis.shape == (4, 0)
+            zero_forcing_rows(g, [0])
 
 
 class TestPhaseNormalize:
@@ -251,13 +240,13 @@ def test_null_vector_invariants_property(seed):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_solve_round_trip_property(seed):
+def test_zero_forcing_round_trip_property(seed):
     gen = np.random.default_rng(seed)
-    n = int(gen.integers(2, 9))
-    a = random_complex_matrix(gen, n, n)
-    b = random_complex_matrix(gen, n, 1)[:, 0]
+    rows = int(gen.integers(2, 9))
+    wanted = int(gen.integers(1, rows + 1))
+    g = _receive_matrix(gen, rows, wanted, int(gen.integers(1, 4)))
     try:
-        x = solve_square(a, b)
+        d, _, _ = zero_forcing_rows(g, list(range(wanted)))
     except Singular:
         return
-    assert np.linalg.norm(a @ x - b) <= 1e-9 * max(np.linalg.norm(b), 1e-300)
+    assert np.linalg.norm(d @ g - np.eye(g.shape[1])[:wanted]) <= 1e-9

@@ -12,9 +12,6 @@ from alignsim.output_feedback import (
     BcMatScheme,
     IC3OutputFeedbackScheme,
     OutputPayload,
-    Peel,
-    Solve2,
-    SymbolPayload,
     XOutputFeedbackScheme,
 )
 
@@ -124,16 +121,6 @@ class TestXOutputFeedback:
         reads = {(r.tx, r.item_rx, r.item_slot) for r in log.output_reads()}
         assert reads == {(0, 1, 0), (1, 0, 1)}
 
-    def test_peel_recovers_the_replayed_observation(self):
-        tensor, msgs = _trial_data(XFB, 44)
-        record = simulate_block(XFB, tensor, None, msgs, 1.0, DEFAULT_TOL)
-        ctx = XFB.decode_context(tensor, None, DEFAULT_TOL, 1.0)
-        h, amp, tol = ctx
-        coeffs = XFB._replay_coefficients(h, 2, 0, amp)
-        acc = record.y_clean[0, 2] - coeffs[(0, 1)] * record.y_clean[0, 1]
-        peeled = acc / coeffs[(1, 0)]
-        np.testing.assert_allclose(peeled, record.y_clean[1, 0], rtol=1e-10)
-
     @pytest.mark.parametrize("perturb_from", range(3))
     def test_future_states_never_leak(self, perturb_from):
         assert future_perturbation_invariant(XFB, 32, 0, perturb_from, DEFAULT_TOL)
@@ -194,44 +181,3 @@ class TestInterpreterGuards:
         tensor, msgs = _trial_data(XFB, 61)
         with pytest.raises(CausalityViolation):
             simulate_block(TooEager(), tensor, None, msgs, 1.0, DEFAULT_TOL)
-
-    def test_plan_must_recover_references_in_order(self):
-        # A Solve2 that consumes a replayed equation before any Peel put it
-        # in the store is a malformed plan and must fail loudly.
-        class OutOfOrder(XOutputFeedbackScheme):
-            plans = (
-                (
-                    Solve2(equations=((0, 0), (1, 0)), unknowns=(0, 1)),
-                    Peel(observe_slot=2, target=(1, 0)),
-                ),
-                XFB.plans[1],
-            )
-
-        tensor, msgs = _trial_data(XFB, 62)
-        scheme = OutOfOrder()
-        record = simulate_block(scheme, tensor, None, msgs, 1.0, DEFAULT_TOL)
-        ctx = scheme.decode_context(tensor, None, DEFAULT_TOL, 1.0)
-        with pytest.raises(LookupError):
-            scheme.decode(0, record.y_noisy[0], ctx)
-
-    def test_peel_target_must_be_carried_by_the_slot(self):
-        class WrongTarget(XOutputFeedbackScheme):
-            plans = (
-                (
-                    Peel(observe_slot=2, target=(0, 0)),
-                    Solve2(equations=((0, 0), (1, 0)), unknowns=(0, 1)),
-                ),
-                XFB.plans[1],
-            )
-
-        tensor, msgs = _trial_data(XFB, 63)
-        scheme = WrongTarget()
-        record = simulate_block(scheme, tensor, None, msgs, 1.0, DEFAULT_TOL)
-        ctx = scheme.decode_context(tensor, None, DEFAULT_TOL, 1.0)
-        with pytest.raises(LookupError):
-            scheme.decode(0, record.y_noisy[0], ctx)
-
-    def test_equation_row_rejects_foreign_symbols(self):
-        tensor, _ = _trial_data(XFB, 64)
-        with pytest.raises(LookupError):
-            XFB._equation_row(tensor.h, (0, 0), [2, 3], 1.0)

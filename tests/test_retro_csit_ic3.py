@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, generate_channel
+from alignsim.base import InterferenceRankUnexpected
 from alignsim.evaluate import future_perturbation_invariant, run_trials, simulate_block
 from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
 from alignsim.registry import get_scheme
 import alignsim.retro_csit_ic3 as ic3
 from alignsim.retro_csit_ic3 import (
-    EXPECTED_INTERFERENCE_RANK,
     NUM_SLOTS,
     PHASE1_SLOTS,
     DegenerateCoefficients,
     IC3RetroCsitScheme,
-    InterferenceRankUnexpected,
     alpha_system,
     compute_alphas,
     effective_precoders,
@@ -194,7 +193,8 @@ class TestDecoding:
             assert r.interference_ranks == [5, 5, 5]
             assert r.certificates["constraint_residual"] <= 1e-12
             for rx in range(3):
-                assert r.certificates[f"full_det_rx{rx}"] > 0.0
+                assert r.certificates[f"receive_cond_rx{rx}"] > 1e-8
+                assert r.certificates[f"zf_residual_rx{rx}"] <= 1e-8
                 assert r.certificates[f"alpha_residual_rx{rx}"] <= 1e-8
 
     def test_csi_budget_met_every_trial(self, ic3_report):
@@ -215,7 +215,7 @@ class TestDecoding:
                         )
                     )
             interference = np.stack(cols, axis=1)
-            assert jacobi_rank(interference, 1e-8) == EXPECTED_INTERFERENCE_RANK
+            assert jacobi_rank(interference, 1e-8) == 5
 
     def test_wrong_coefficients_break_the_rank_guarantee(self, monkeypatch):
         # With a generic (non-aligned) repetition triple the phase-2 slots
@@ -224,18 +224,19 @@ class TestDecoding:
         tensor, offline, _ = _trial_data(17)
         gen = np.random.default_rng(0)
 
-        def wrong_coeffs(alphas):
-            c = sample_complex_gaussian(gen, 9).reshape(3, 3)
-            return c / np.linalg.norm(c, axis=1, keepdims=True)
+        def wrong_triple(a, b, tx):
+            c = sample_complex_gaussian(gen, 3)
+            return c / np.linalg.norm(c)
 
-        monkeypatch.setattr(ic3, "phase2_coefficients", wrong_coeffs)
-        with pytest.raises(InterferenceRankUnexpected):
+        monkeypatch.setattr(ic3, "_unit_cross", wrong_triple)
+        with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):
             SCHEME.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
 
     def test_check_certificates_flags_wrong_rank(self):
         certs = {f"interference_rank_rx{rx}": 5.0 for rx in range(3)}
         certs.update({f"alpha_residual_rx{rx}": 0.0 for rx in range(3)})
-        certs.update({f"full_det_rx{rx}": 1.0 for rx in range(3)})
+        certs.update({f"receive_cond_rx{rx}": 0.1 for rx in range(3)})
+        certs.update({f"zf_residual_rx{rx}": 0.0 for rx in range(3)})
         certs["constraint_residual"] = 0.0
         assert SCHEME.check_certificates(certs, DEFAULT_TOL) == []
         certs["interference_rank_rx1"] = 6.0

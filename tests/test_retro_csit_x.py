@@ -221,7 +221,9 @@ class TestDecoding:
             assert r.certificates["colinearity_rx1"] <= 1e-8
             assert r.certificates["align_residual_rx0"] <= 1e-8
             assert r.certificates["align_residual_rx1"] <= 1e-8
-            assert r.certificates["det_product"] > 0.0
+            for rx in range(2):
+                assert r.certificates[f"receive_cond_rx{rx}"] > 1e-8
+                assert r.certificates[f"zf_residual_rx{rx}"] <= 1e-8
 
     def test_csi_budget_met_every_trial(self, x_report):
         for r in x_report.results:
