@@ -33,7 +33,9 @@ from typing import Any
 import numpy as np
 
 from .channel import ChannelTensor, FeedbackModel, TxInformationView
-from .numerics import NumericsError, Tolerances, matvec, sample_complex_gaussian, zero_forcing_rows
+from .numerics import (
+    NumericsError, Singular, Tolerances, matvec, sample_complex_gaussian, zero_forcing_rows,
+)
 
 __all__ = ["InterferenceRankUnexpected", "DecodeContext", "Scheme"]
 
@@ -84,12 +86,16 @@ class Scheme:
         """Transmitter entity that drives the given antenna (identity by default)."""
         return antenna
 
-    def draw_offline(self, rng: np.random.Generator) -> Any:
-        """Channel-independent coefficients shared by all nodes before the block."""
+    def draw_offline(self, rng) -> Any:
+        """Channel-independent coefficients shared by all nodes before the block.
+
+        ``rng`` is a generator, or a sequence of ``T`` whose draws are stacked
+        on a trailing trial axis, each bit for bit what it gives alone.
+        """
         return None
 
-    def draw_messages(self, rng: np.random.Generator) -> np.ndarray:
-        """Unit-power information symbols, one per message slot in the block."""
+    def draw_messages(self, rng) -> np.ndarray:
+        """Unit-power information symbols, one per message slot (``rng`` as above)."""
         return sample_complex_gaussian(rng, self.num_symbols)
 
     def symbols_for_rx(self, rx: int) -> list[int]:
@@ -139,9 +145,15 @@ class Scheme:
         ``amp`` whose message columns are the identity, and ``state`` is the
         ``state`` of that run.  Without them this makes that run itself.
 
+        All receivers' matrices share one shape and want as many symbols, so
+        one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
+        each bit for bit as a call on its matrix alone would.
+
         Raises :class:`~alignsim.numerics.Singular`, a degenerate draw, when
-        a receive matrix falls short of full row rank, and
-        :class:`InterferenceRankUnexpected` when its zero-forcing residual
+        a receive matrix falls short of full row rank; the message names the
+        receiver, its ``receive_cond_rx*`` certificate and the cutoff, which
+        ``Tolerances.rank_rel`` (``--tol-rank``) sets.  Raises
+        :class:`InterferenceRankUnexpected` when a zero-forcing residual
         exceeds ``tol.residual_rel``.
         """
         if response is None:
@@ -154,21 +166,37 @@ class Scheme:
                 self, tensor, offline, np.broadcast_to(eye, (size, size, *trials)), amp, tol,
                 state=state,
             ).y_clean
-        decoders, conds, residuals = [], [], []
-        for rx in range(self.num_rx):
-            d, cond, residual = zero_forcing_rows(response[rx], self.symbols_for_rx(rx), tol)
-            if np.any(residual > tol.residual_rel):
-                raise InterferenceRankUnexpected(
-                    f"zero-forcing residual {np.max(residual):.3e} at receiver {rx} exceeds "
-                    f"{tol.residual_rel:.1e} (interference may fill only "
-                    f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
-                )
-            decoders.append(d)
-            conds.append(cond)
-            residuals.append(residual)
+        # every receiver's receive matrix has one shape: one SVD call for all
+        g = np.moveaxis(response, 0, 2)
+        rows = np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
+        try:
+            d, cond, residual = zero_forcing_rows(g, rows, tol)
+        except Singular as exc:
+            rx = exc.system[0]
+            if rx:
+                # receivers are checked in order, so a leak before rx comes first
+                self._check_leaks(zero_forcing_rows(g[:, :, :rx], rows[:rx], tol)[2], tol)
+            raise Singular(
+                f"receiver {rx}: {exc}; receive_cond_rx{rx} is at or below the "
+                f"--tol-rank cutoff {tol.rank_rel:.1e}",
+                exc.system,
+            ) from exc
+        self._check_leaks(residual, tol)
         return DecodeContext(
-            tuple(decoders), tuple(conds), tuple(residuals), tensor, offline, state
+            tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0))), tuple(cond), tuple(residual),
+            tensor, offline, state,
         )
+
+    def _check_leaks(self, residual: np.ndarray, tol: Tolerances) -> None:
+        """Raise for the first receiver whose zero-forcing residuals ``(R, *T)`` leak."""
+        leaks = (residual > tol.residual_rel).reshape(len(residual), -1).any(axis=1)
+        if leaks.any():
+            rx = int(leaks.argmax())
+            raise InterferenceRankUnexpected(
+                f"zero-forcing residual {np.max(residual[rx]):.3e} at receiver {rx} exceeds "
+                f"{tol.residual_rel:.1e} (interference may fill only "
+                f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
+            )
 
     def decode(self, rx: int, y_row: np.ndarray, ctx: DecodeContext) -> np.ndarray:
         """Estimates of ``symbols_for_rx(rx)`` from that receiver's observations.

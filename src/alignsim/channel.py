@@ -156,9 +156,7 @@ def generate_channel(
     rngs = [rng] if single else list(rng)
     shape = (num_rx, num_tx, num_slots)
     count = num_rx * num_tx * num_slots
-    # sample_complex_gaussian of every generator, drawn as one (count, T) stack
-    z = np.stack([r.standard_normal(2 * count) for r in rngs], axis=-1)
-    h = ((z[:count] + 1j * z[count:]) / np.sqrt(2.0)).reshape(*shape, len(rngs))
+    h = sample_complex_gaussian(rngs, count).reshape(*shape, len(rngs))
     mags = np.abs(h)
     outside = ((mags < lo) | (mags > hi)).reshape(count, -1).any(axis=0)
     rejections = sum(

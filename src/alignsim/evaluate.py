@@ -31,11 +31,12 @@ trial, independent of execution order and worker count.  A batch derives
 all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
-Trials run in batches of ``TRIAL_BATCH``: the batch's channels are drawn as
-one stack, each trial from its own channel stream, and its offline
-coefficients and messages are stacked on the same trailing trial axis; the
-batch then goes through one block run, one decode, one certificate pass
-and, for rates, one noise-weight run.  Every reduction on
+Trials run in batches of ``TRIAL_BATCH``.  A batch draws with one
+``generate_channel``, one ``draw_offline`` and one ``draw_messages`` call,
+each handed the batch's generators of that stream: each generator makes its
+trial's normal draws, and the complex build and normalization run once on
+the stack.  The batch then goes through one block run, one decode, one
+certificate pass and, for rates, one noise-weight run.  Every reduction on
 that axis is a stacked LAPACK call or a left-to-right sum, so a trial's
 numbers are bit for bit the same whichever trials share its batch.  A batch
 that meets a degenerate draw or a structural failure is rerun one trial at
@@ -44,7 +45,6 @@ a time, which keeps discards, retries and failure messages per trial.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -70,7 +70,6 @@ from .numerics import (
     Tolerances,
     ordered_sum,
     seeded_generator,
-    spawn_generators,
     spawn_states,
 )
 from .registry import get_scheme
@@ -180,24 +179,6 @@ class DofEstimate:
     max_rel_symbol_error: float
 
 
-def _trial_rngs(base_seed: int, trial: int, attempt: int):
-    """Channel, offline and message generators of one draw (see :func:`_draw_batch`)."""
-    return spawn_generators([(base_seed, trial, attempt)], 3)[0]
-
-
-def _stack(items):
-    """Stack per-trial arrays, or dataclasses of arrays, on a new trailing trial axis."""
-    first = items[0]
-    if first is None:
-        return None
-    if dataclasses.is_dataclass(first):
-        return type(first)(**{
-            f.name: _stack([getattr(item, f.name) for item in items])
-            for f in dataclasses.fields(first)
-        })
-    return np.stack(items, axis=-1)
-
-
 def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
     """Channel, offline coefficients and messages of the draws, stacked on a trailing trial axis.
 
@@ -213,8 +194,8 @@ def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
     )
     offline = None
     if type(scheme).draw_offline is not Scheme.draw_offline:
-        offline = _stack([scheme.draw_offline(seeded_generator(s)) for s in states[:, 1]])
-    msgs = np.stack([scheme.draw_messages(seeded_generator(s)) for s in states[:, 2]], axis=-1)
+        offline = scheme.draw_offline([seeded_generator(s) for s in states[:, 1]])
+    msgs = scheme.draw_messages([seeded_generator(s) for s in states[:, 2]])
     return tensor, offline, msgs
 
 
@@ -573,10 +554,7 @@ def future_perturbation_invariant(
     The perturbation is a pure phase rotation, which keeps the tensor inside
     its magnitude band while changing every affected coefficient.
     """
-    rng_channel, rng_offline, rng_msgs = _trial_rngs(base_seed, trial, 0)
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
-    offline = scheme.draw_offline(rng_offline)
-    msgs = scheme.draw_messages(rng_msgs)
+    tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0)])
     x_ref = simulate_block(scheme, tensor, offline, msgs, 1.0, tol).x
     h2 = tensor.h.copy()
     h2[:, :, perturb_from:] *= np.exp(0.7j)

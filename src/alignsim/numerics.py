@@ -2,7 +2,7 @@
 
 Null vectors, guarded zero-forcing (pseudo-inverse) rows, seeded
 circularly symmetric Gaussian sampling and the batched derivation of the
-trials' seeded generators.  Every matrix handled here is small
+trials' generator seeds.  Every matrix handled here is small
 (at most 8x9) and dense, so the routines lean on LAPACK through
 ``numpy.linalg`` and add the contract checks the alignment constructions
 rely on: explicit rank guards, residual verification and a canonical phase
@@ -12,6 +12,7 @@ convention that makes repeated computations reproducible to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "sample_complex_gaussian",
     "spawn_states",
     "seeded_generator",
-    "spawn_generators",
 ]
 
 
@@ -56,7 +56,11 @@ class RankDeficient(NumericsError, Degenerate):
 
 
 class Singular(NumericsError, Degenerate):
-    """A system is too ill-conditioned to invert reliably."""
+    """A system is too ill-conditioned to invert reliably; ``system`` is its stack index."""
+
+    def __init__(self, message: str, system: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.system = system
 
 
 @dataclass(frozen=True)
@@ -87,35 +91,36 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-# Shape convention: a matrix argument is ``(m, n, *T)`` and a vector ``(n,
-# *T)``, where ``T`` is empty or one axis of independent trials.  Results
-# keep the trailing ``*T``.  With a trial axis every reduction runs either
-# in a stacked LAPACK call, one matrix per trial, or as a left-to-right sum
-# of elementwise products, so a trial's result does not depend on how many
-# trials share the call or where it sits among them.
+# Shape convention: a matrix argument is ``(m, n, *S)`` and a vector ``(n,
+# *S)``, where ``S`` is empty or any number of stack axes: a trial axis, and
+# before it, where one call handles several systems of a trial, an axis of
+# systems.  Results keep the trailing ``*S``.  Every reduction over a stack
+# runs either in a stacked LAPACK call, one matrix at a time, or as a
+# left-to-right sum of elementwise products, so a system's result does not
+# depend on how many systems share the call or where it sits among them.
 
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim not in (2, 3) or min(a.shape[:2]) < 1:
-        raise ValueError(f"expected a nonempty (m, n) or (m, n, T) array, got shape {np.shape(a)}")
+    if a.ndim < 2 or min(a.shape[:2]) < 1:
+        raise ValueError(f"expected a nonempty (m, n, *S) array, got shape {np.shape(a)}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def _stacked(a: np.ndarray) -> np.ndarray:
-    """``(m, n, *T)`` as the ``(*T, m, n)`` stack that ``numpy.linalg`` expects."""
-    return a if a.ndim == 2 else a.transpose(2, 0, 1)
+    """``(m, n, *S)`` as the ``(*S, m, n)`` stack that ``numpy.linalg`` expects."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
 
 
 def _unstacked(a: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_stacked` for ``(*T, m, n)`` results."""
-    return a if a.ndim == 2 else a.transpose(1, 2, 0)
+    """Inverse of :func:`_stacked` for ``(*S, m, n)`` results."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
 
 
 def _ranks(s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Numerical ranks from descending singular values ``(*T, k)`` (0 for a zero matrix)."""
+    """Numerical ranks from descending singular values ``(*S, k)`` (0 for a zero matrix)."""
     return np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1)
 
 
@@ -129,11 +134,11 @@ def ordered_sum(terms) -> np.ndarray:
 
 
 def matvec(a, v) -> np.ndarray:
-    """``a @ v`` for ``a`` of shape ``(m, k, *T)`` and ``v`` of shape ``(k, *B, *T)``.
+    """``a @ v`` for ``a`` of shape ``(m, k, *S)`` and ``v`` of shape ``(k, *B, *S)``.
 
-    Without a trial axis this is plain ``a @ v``.  With one, the sum over
+    Without stack axes this is plain ``a @ v``.  With them, the sum over
     ``k`` runs left to right on elementwise products, which keeps each
-    trial's bits independent of the batch it runs in.
+    system's bits independent of the stack it runs in.
     """
     if a.ndim == 2:
         return a @ v
@@ -146,13 +151,13 @@ def matvec(a, v) -> np.ndarray:
 
 
 def dot(c, v) -> np.ndarray:
-    """``sum_i c[i] * v[i]`` for ``c`` of shape ``(k, *T)`` and ``v`` of shape ``(k, *B, *T)``."""
+    """``sum_i c[i] * v[i]`` for ``c`` of shape ``(k, *S)`` and ``v`` of shape ``(k, *B, *S)``."""
     return matvec(c[None], v)[0]
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values of ``a`` ``(m, n, *T)``, shape ``(min(m, n), *T)``."""
-    return np.linalg.svd(_stacked(_as_matrix(a)), compute_uv=False).T
+    """Descending singular values of ``a`` ``(m, n, *S)``, shape ``(min(m, n), *S)``."""
+    return np.moveaxis(np.linalg.svd(_stacked(_as_matrix(a)), compute_uv=False), -1, 0)
 
 
 def vector_norm(v) -> np.ndarray:
@@ -169,19 +174,27 @@ def frobenius_norm(a) -> np.ndarray:
     return vector_norm(a.reshape(-1, *a.shape[2:]))
 
 
-def phase_normalize(v: np.ndarray, rel_cut: float = 1e-9) -> np.ndarray:
+#: ``phase_normalize`` pivots on the first entry whose magnitude exceeds this
+#: fraction of the vector's largest: an entry that is zero up to roundoff
+#: (about 1e-16 relative) never becomes the pivot, while any entry a generic
+#: draw makes is far above it.
+PHASE_PIVOT_REL = 1e-9
+
+
+def phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate ``v`` by a unit phase so its first significant entry is real positive.
 
-    The pivot is the first entry whose magnitude exceeds ``rel_cut`` times the
-    largest magnitude in the vector, which makes the convention stable against
-    entries that are zero only up to roundoff.  The rotation leaves the norm
-    unchanged.  A zero vector is returned as a copy.  ``v`` may carry a
-    trailing trial axis; each trial's vector is normalized on its own.
+    The pivot is the first entry whose magnitude exceeds
+    :data:`PHASE_PIVOT_REL` times the largest magnitude in the vector, which
+    makes the convention stable against entries that are zero only up to
+    roundoff.  The rotation leaves the norm unchanged.  A zero vector is
+    returned as a copy.  ``v`` may carry trailing stack axes; each vector is
+    normalized on its own.
     """
     v = np.asarray(v, dtype=np.complex128)
     mags = np.abs(v)
     top = mags.max(axis=0)
-    first = np.argmax(mags > rel_cut * top, axis=0)
+    first = np.argmax(mags > PHASE_PIVOT_REL * top, axis=0)
     pivot = v.reshape(len(v), -1)[first.ravel(), np.arange(first.size)].reshape(first.shape)
     pivot = np.where(top > 0.0, pivot, 1.0)
     return v * (pivot.conjugate() / np.abs(pivot))
@@ -196,14 +209,18 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     singular value, phase-normalized so repeated calls on the same input give
     an identical result.
 
+    A stack of systems goes through one SVD call.  LAPACK factors each
+    matrix on its own and the rest is elementwise, so each vector is bit for
+    bit what a call on its system alone returns; one bad system raises.
+
     Parameters
     ----------
-    a : array_like, shape (m, n, *T) with m < n
+    a : array_like, shape (m, n, *S) with m < n
     tol : Tolerances
 
     Returns
     -------
-    v : ndarray, shape (n, *T)
+    v : ndarray, shape (n, *S)
         Unit norm, with ``norm(a @ v) <= tol.residual_rel * norm(a, 'fro')``.
     """
     a = _as_matrix(a)
@@ -221,7 +238,7 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise RankDeficient(
             f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
         )
-    v = phase_normalize(vh[..., -1, :].conj().T)
+    v = phase_normalize(np.moveaxis(vh[..., -1, :].conj(), -1, 0))
     v /= vector_norm(v)
     residual = vector_norm(matvec(a, v))
     scale = frobenius_norm(a)
@@ -238,17 +255,22 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
     """Rows ``rows`` of the pseudo-inverse of a wide receive matrix, with its guards.
 
-    ``g`` is ``(n, k, *T)`` with ``n <= k``: ``n`` observations of ``k``
+    ``g`` is ``(n, k, *S)`` with ``n <= k``: ``n`` observations of ``k``
     unknowns.  Its SVD ``g = U S Vᴴ`` gives ``d = V[rows] S⁻¹ Uᴴ``, the
-    ``(len(rows), n, *T)`` rows of ``g⁺``.  When ``g`` has full row rank,
+    ``(len(rows), n, *S)`` rows of ``g⁺``.  When ``g`` has full row rank,
     ``d @ g`` is the identity on the unknowns ``rows`` exactly when no
     combination of the other unknowns can mimic them, so ``d`` recovers
     them and zero-forces the rest.
 
+    ``rows`` holds ``w`` indices for every system, or is ``(R, w)``: one
+    row per system along the first stack axis (``R`` receivers, say).  As
+    for :func:`null_vector`, one SVD call serves the stack, bit for bit.
+
     Returns ``(d, cond, residual)``: ``cond = s_min / s_max`` and
-    ``residual = ||d @ g - I[rows]||_F``, both of shape ``(*T)``.  Raises
+    ``residual = ||d @ g - I[rows]||_F``, both of shape ``(*S)``.  Raises
     :class:`Singular` when ``cond`` is at or below ``tol.rank_rel`` (``g``
-    falls short of full row rank).
+    falls short of full row rank); its ``system`` is the stack index of the
+    first such system.
     """
     g = _as_matrix(g)
     n, k = g.shape[:2]
@@ -257,25 +279,47 @@ def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
     u, s, vh = np.linalg.svd(_stacked(g), full_matrices=False)
     bad = (s[..., 0] == 0.0) | (s[..., -1] <= tol.rank_rel * s[..., 0])
     if bad.any():
-        lo, hi = s.reshape(-1, n)[bad.argmax()][[-1, 0]]
+        system = np.unravel_index(bad.argmax(), bad.shape)
+        lo, hi = s[system][[-1, 0]]
         cond = np.inf if lo == 0.0 else hi / lo
-        raise Singular(f"condition number {cond:.3e} exceeds {1.0 / tol.rank_rel:.1e}")
-    # d[i, m] = sum_j conj(vh[j, rows[i]]) / s[j] * conj(u[m, j])
-    v_rows = _unstacked(vh[..., rows].conj() / s[..., None])
-    d = matvec(np.swapaxes(v_rows, 0, 1), _unstacked(np.swapaxes(u, -1, -2).conj()))
-    eye = np.eye(k)[rows].reshape(len(rows), k, *(1,) * (g.ndim - 2))
+        raise Singular(
+            f"condition number {cond:.3e} exceeds {1.0 / tol.rank_rel:.1e}",
+            tuple(int(i) for i in system),
+        )
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        want = vh[..., rows]
+    elif g.shape[2:3] == rows.shape[:1]:
+        # want[r, ..., j, i] = vh[r, ..., j, rows[r, i]]
+        want = np.moveaxis(vh[np.arange(len(rows))[:, None], ..., rows], 1, -1)
+    else:
+        raise ValueError(f"{len(rows)} row sets for a stack of shape {g.shape[2:]}")
+    # d[i, m] = sum_j conj(vh[j, rows[i]]) / s[j] * conj(u[m, j]), summed over
+    # contiguous copies: the stack axes then run as long inner loops
+    v_rows = np.ascontiguousarray(np.moveaxis(want.conj() / s[..., None], (-1, -2), (0, 1)))
+    d = matvec(v_rows, np.ascontiguousarray(_unstacked(np.swapaxes(u, -1, -2).conj())))
+    eye = _unstacked(np.eye(k)[rows])
+    eye = eye.reshape(eye.shape + (1,) * (g.ndim - 1 - rows.ndim))
     residual = frobenius_norm(matvec(d, g) - eye)
     return d, s[..., -1] / s[..., 0], residual
 
 
-def sample_complex_gaussian(rng: np.random.Generator, count: int) -> np.ndarray:
+def sample_complex_gaussian(
+    rng: np.random.Generator | Sequence[np.random.Generator], count: int
+) -> np.ndarray:
     """Draw ``count`` i.i.d. circularly symmetric complex Gaussians, unit variance.
 
     Real and imaginary parts are independent ``N(0, 1/2)`` so that
-    ``E|z|^2 = 1``.  Deterministic given the generator state.
+    ``E|z|^2 = 1``.  Deterministic given the generator state.  Given a
+    sequence of ``T`` generators instead of one, each makes its own draw and
+    the result is their ``(count, T)`` stack; column ``t`` is bit for bit
+    what ``rng[t]`` alone gives.
     """
     # one draw of 2 * count normals is the two draws of count, back to back
-    z = rng.standard_normal(2 * count)
+    if isinstance(rng, Sequence):
+        z = np.stack([r.standard_normal(2 * count) for r in rng], axis=-1)
+    else:
+        z = rng.standard_normal(2 * count)
     return (z[:count] + 1j * z[count:]) / np.sqrt(2.0)
 
 
@@ -386,14 +430,3 @@ def spawn_states(entropies, children: int) -> np.ndarray:
 def seeded_generator(state: np.ndarray) -> np.random.Generator:
     """``default_rng`` of the SeedSequence whose PCG64 seed words are ``state``."""
     return np.random.Generator(np.random.PCG64(_SeedState(state)))
-
-
-def spawn_generators(entropies, children: int) -> list[list[np.random.Generator]]:
-    """``default_rng`` of each child of ``SeedSequence(entropy).spawn(children)``.
-
-    One list of ``children`` generators per tuple in ``entropies``; see
-    :func:`spawn_states`.
-    """
-    return [
-        [seeded_generator(state) for state in row] for row in spawn_states(entropies, children)
-    ]

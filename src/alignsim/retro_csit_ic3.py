@@ -33,7 +33,6 @@ from .base import Scheme
 from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
     Degenerate,
-    Tolerances,
     dot,
     frobenius_norm,
     matvec,
@@ -49,9 +48,6 @@ __all__ = [
     "ICOffline",
     "interferers",
     "alpha_system",
-    "compute_alphas",
-    "phase2_coefficients",
-    "effective_precoders",
     "IC3RetroCsitScheme",
 ]
 
@@ -94,16 +90,6 @@ def alpha_system(h5: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def compute_alphas(h5: np.ndarray, phase1: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Unit-norm annihilator vectors ``alpha[k]`` of the three interference systems.
-
-    Each row ``alpha[k]`` has its first significant entry real positive, so
-    every node computing it from the same channel states gets the same
-    vector bit for bit.
-    """
-    return np.stack([null_vector(alpha_system(h5, phase1, rx), tol) for rx in range(3)])
-
-
 def _alpha_sub(alpha: np.ndarray, rx: int, tx: int) -> np.ndarray:
     """Sub-triple of receiver ``rx``'s annihilator ``alpha`` that weights transmitter ``tx``."""
     a, b = interferers(rx)
@@ -114,24 +100,6 @@ def _alpha_sub(alpha: np.ndarray, rx: int, tx: int) -> np.ndarray:
     raise ValueError(f"transmitter {tx} does not interfere at receiver {rx}")
 
 
-def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
-    """Unit-norm combination triples ``c[k]`` for the phase-2 repetitions.
-
-    ``c[k]`` must be orthogonal to the two alpha sub-triples that constrain
-    transmitter ``k`` at the receivers it interferes with; the cross product
-    of those sub-triples (taken in ascending receiver order) satisfies both
-    constraints at once.  Raises :class:`DegenerateCoefficients` when the
-    sub-triples are parallel and the cross product vanishes.
-    """
-    coeffs = np.empty((3, 3, *alphas.shape[2:]), dtype=np.complex128)
-    for tx in range(3):
-        lo, hi = interferers(tx)  # the receivers that see tx as interference
-        coeffs[tx] = _unit_cross(
-            _alpha_sub(alphas[lo], lo, tx), _alpha_sub(alphas[hi], hi, tx), tx
-        )
-    return coeffs
-
-
 def _unit_cross(a: np.ndarray, b: np.ndarray, tx: int) -> np.ndarray:
     """Unit-norm cross product of two ``(3, *T)`` triples; raises when it vanishes."""
     c = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
@@ -139,24 +107,6 @@ def _unit_cross(a: np.ndarray, b: np.ndarray, tx: int) -> np.ndarray:
     if np.any(norm < COEFF_NORM_FLOOR):
         raise DegenerateCoefficients(f"phase-2 coefficient triple of transmitter {tx} vanished")
     return c / norm
-
-
-def effective_precoders(
-    h: np.ndarray, phase1: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alphas, coeffs, precoders) where ``precoders[k, i, n]`` spans all 8 slots.
-
-    ``precoders`` stacks the phase-1 coefficients with the repeated phase-2
-    triple, so column ``i`` of transmitter ``k``'s effective 8x3 precoding
-    matrix is ``precoders[k, i, :]``.
-    """
-    alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1, tol)
-    coeffs = phase2_coefficients(alphas)
-    precoders = np.empty((3, 3, NUM_SLOTS, *h.shape[3:]), dtype=np.complex128)
-    precoders[:, :, :PHASE1_SLOTS] = phase1
-    for n in range(PHASE1_SLOTS, NUM_SLOTS):
-        precoders[:, :, n] = coeffs
-    return alphas, coeffs, precoders
 
 
 class IC3RetroCsitScheme(Scheme):
@@ -175,14 +125,11 @@ class IC3RetroCsitScheme(Scheme):
     def symbols_for_rx(self, rx: int) -> list[int]:
         return [3 * rx + i for i in range(3)]
 
-    def draw_offline(self, rng: np.random.Generator) -> ICOffline:
-        phase1 = sample_complex_gaussian(rng, 3 * 3 * PHASE1_SLOTS).reshape(
-            3, 3, PHASE1_SLOTS
-        )
-        for k in range(3):
-            for n in range(PHASE1_SLOTS):
-                phase1[k, :, n] /= np.linalg.norm(phase1[k, :, n])
-        return ICOffline(phase1=phase1)
+    def draw_offline(self, rng) -> ICOffline:
+        phase1 = sample_complex_gaussian(rng, 3 * 3 * PHASE1_SLOTS)
+        phase1 = phase1.reshape(3, 3, PHASE1_SLOTS, *phase1.shape[1:])
+        # unit power per (transmitter, slot): normalize over the symbol axis
+        return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         u = msgs.reshape(3, 3, *msgs.shape[1:])
@@ -193,17 +140,20 @@ class IC3RetroCsitScheme(Scheme):
         if key not in state:
             # Transmitter k only needs the annihilators of the two receivers
             # it interferes with, and reads only their cross channels.
+            victims = interferers(k)
+            h5 = np.zeros((3, 3, *offline.phase1.shape[2:]), dtype=np.complex128)
+            for rx in victims:
+                for j in interferers(rx):
+                    for n in range(PHASE1_SLOTS):
+                        h5[rx, j, n] = view.channel_coeff(rx, j, n)
+            # both victims' systems in one SVD call, stacked after the columns
+            alphas = null_vector(
+                np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2), tol
+            )
             subs = []
-            for rx in interferers(k):
-                a, b = interferers(rx)
-                reads = np.array(
-                    [[view.channel_coeff(rx, j, n) for n in range(PHASE1_SLOTS)] for j in (a, b)]
-                )
-                h5 = np.zeros((3, 3, *reads.shape[1:]), dtype=np.complex128)
-                h5[rx, [a, b]] = reads
-                alpha = null_vector(alpha_system(h5, offline.phase1, rx), tol)
-                state[("alpha", k, rx)] = alpha
-                subs.append(_alpha_sub(alpha, rx, k))
+            for idx, rx in enumerate(victims):
+                state[("alpha", k, rx)] = alphas[:, idx]
+                subs.append(_alpha_sub(alphas[:, idx], rx, k))
             state[key] = _unit_cross(subs[0], subs[1], k)
         # The same scalar is repeated in every phase-2 slot.
         return amp * dot(state[key], u[k])

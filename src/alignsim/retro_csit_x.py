@@ -119,8 +119,9 @@ def alignment_constants(
     is numerically zero, and propagates :class:`~alignsim.numerics.\
     RankDeficient` for rank-deficient draws; both are discard events.
     """
-    v = null_vector(interference_system(h3, phase1, 0), tol)
-    w = null_vector(interference_system(h3, phase1, 1), tol)
+    # both receivers' systems in one SVD call, stacked after the columns
+    systems = np.stack([interference_system(h3, phase1, rx) for rx in range(2)], axis=2)
+    v, w = np.moveaxis(null_vector(systems, tol), 1, 0)
     for vec in (v, w):
         if np.any(np.minimum(abs(vec[1]), abs(vec[3])) < tol.rank_rel * vector_norm(vec)):
             raise DegenerateNormalization("null vector entry too small to pin to unity")
@@ -173,19 +174,18 @@ class XRetroCsitScheme(Scheme):
     def symbols_for_rx(self, rx: int) -> list[int]:
         return [4 * rx + 2 * j + i for j in range(2) for i in range(2)]
 
-    def draw_offline(self, rng: np.random.Generator) -> XOffline:
-        phase1 = sample_complex_gaussian(rng, 2 * 2 * 2 * PHASE1_SLOTS).reshape(
-            2, 2, 2, PHASE1_SLOTS
-        )
+    def draw_offline(self, rng) -> XOffline:
+        phase1 = sample_complex_gaussian(rng, 2 * 2 * 2 * PHASE1_SLOTS)
+        trials = phase1.shape[1:]
+        phase1 = phase1.reshape(2, 2, 2, PHASE1_SLOTS, *trials)
         # Unit transmit power per (transmitter, slot): the scalar sent is
         # amp * sum of coefficient * unit-power symbol.
-        for j in range(2):
-            for n in range(PHASE1_SLOTS):
-                phase1[:, j, :, n] /= np.linalg.norm(phase1[:, j, :, n])
-        phase2 = sample_complex_gaussian(rng, 2 * 2 * PHASE2_SLOTS).reshape(
-            2, 2, PHASE2_SLOTS
+        norm = vector_norm(phase1.swapaxes(1, 2).reshape(4, 2, PHASE1_SLOTS, *trials))
+        phase2 = sample_complex_gaussian(rng, 2 * 2 * PHASE2_SLOTS)
+        return XOffline(
+            phase1=phase1 / norm[None, :, None],
+            phase2=phase2.reshape(2, 2, PHASE2_SLOTS, *trials),
         )
-        return XOffline(phase1=phase1, phase2=phase2)
 
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         u = msgs.reshape(2, 2, 2, *msgs.shape[1:])
@@ -213,6 +213,7 @@ class XRetroCsitScheme(Scheme):
         phase1 = ctx.offline.phase1
         constants = ctx.state[("constants", 0)]
         gamma = constants.gamma
+        crosses = []
         for rx in range(2):
             other = 1 - rx
             a = interference_system(h3, phase1, rx)
@@ -225,15 +226,17 @@ class XRetroCsitScheme(Scheme):
             )
             # phase-1 receive directions of the cross second symbols
             # u[other, j, 1] once the layer variables are substituted
-            cross = np.stack(
+            crosses.append(np.stack(
                 [
                     h3[rx, j] * (phase1[other, j, 0] * gamma[j, other] + phase1[other, j, 1])
                     for j in range(2)
                 ],
                 axis=1,
-            )
-            sv = singular_values(cross)
-            certs[f"colinearity_rx{rx}"] = sv[1] / sv[0]
+            ))
+        # both receivers' direction pairs in one SVD call
+        sv = singular_values(np.stack(crosses, axis=2))
+        for rx in range(2):
+            certs[f"colinearity_rx{rx}"] = sv[1, rx] / sv[0, rx]
         return certs
 
     def check_certificates(self, certs, tol):

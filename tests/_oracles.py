@@ -5,11 +5,28 @@ written out in elementary numpy arithmetic (no ``np.linalg`` calls at all),
 so agreement with the package is a meaningful cross-check rather than a
 tautology.  Jacobi is slow but achieves high relative accuracy on the small
 matrices these tests use, which lets the comparisons run at 1e-10 and below.
+
+The 3-user IC helpers at the end re-derive the retrospective scheme's
+annihilators and phase-2 triples from the full channel tensor, one
+system at a time, the way a receiver would.  They share the library's
+``null_vector`` so their triples match the encoder's bit for bit: what they
+check is the encoder's wiring (which systems, which sub-triples, in which
+order), not the SVD.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from alignsim.numerics import Tolerances, null_vector
+from alignsim.retro_csit_ic3 import (
+    NUM_SLOTS,
+    PHASE1_SLOTS,
+    _alpha_sub,
+    _unit_cross,
+    alpha_system,
+    interferers,
+)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -133,3 +150,44 @@ def random_rank_matrix(
     left = random_complex_matrix(rng, rows, rank)
     right = random_complex_matrix(rng, rank, cols)
     return left @ right
+
+
+# -- 3-user IC retrospective scheme ------------------------------------------------
+
+
+def compute_alphas(h5: np.ndarray, phase1: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Unit-norm annihilators ``alpha[k]`` of the three interference systems, one call each."""
+    return np.stack([null_vector(alpha_system(h5, phase1, rx), tol) for rx in range(3)])
+
+
+def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
+    """Unit-norm triples ``c[k]``: the cross product of the two sub-triples constraining ``k``.
+
+    The sub-triples are taken in ascending receiver order; raises
+    ``DegenerateCoefficients`` when they are parallel.
+    """
+    coeffs = np.empty((3, 3, *alphas.shape[2:]), dtype=np.complex128)
+    for tx in range(3):
+        lo, hi = interferers(tx)  # the receivers that see tx as interference
+        coeffs[tx] = _unit_cross(
+            _alpha_sub(alphas[lo], lo, tx), _alpha_sub(alphas[hi], hi, tx), tx
+        )
+    return coeffs
+
+
+def effective_precoders(
+    h: np.ndarray, phase1: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alphas, coeffs, precoders) where ``precoders[k, i, n]`` spans all 8 slots.
+
+    Column ``i`` of transmitter ``k``'s effective 8x3 precoding matrix is
+    ``precoders[k, i, :]``: the phase-1 coefficients, then the repeated
+    phase-2 triple.
+    """
+    alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1, tol)
+    coeffs = phase2_coefficients(alphas)
+    precoders = np.empty((3, 3, NUM_SLOTS, *h.shape[3:]), dtype=np.complex128)
+    precoders[:, :, :PHASE1_SLOTS] = phase1
+    for n in range(PHASE1_SLOTS, NUM_SLOTS):
+        precoders[:, :, n] = coeffs
+    return alphas, coeffs, precoders

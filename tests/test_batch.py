@@ -20,7 +20,6 @@ from alignsim.evaluate import (
     TRIAL_BATCH,
     _decode_block,
     _run_batch,
-    _stack,
     noise_transfer_weights,
     run_trials,
     simulate_block,
@@ -140,6 +139,19 @@ def test_trial_result_independent_of_batch(scheme_id, trial, partner, first):
     # every float, noise weights included, must match to the bit
     assert dataclasses.astuple(alone[0]) == reference
     assert dataclasses.astuple(paired[0 if first else 1]) == reference
+
+
+def _stack(items):
+    """Stack per-trial arrays, or dataclasses of arrays, on a new trailing trial axis."""
+    first = items[0]
+    if first is None:
+        return None
+    if dataclasses.is_dataclass(first):
+        return type(first)(**{
+            f.name: _stack([getattr(item, f.name) for item in items])
+            for f in dataclasses.fields(first)
+        })
+    return np.stack(items, axis=-1)
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -373,6 +374,18 @@ class TestStructuralFailures:
         message = doc["error"]["message"]
         assert message.startswith(f"{argv[1]} trial ")
         assert reason in message
+
+
+    def test_singular_discard_names_receiver_certificate_and_flag(self, capsys):
+        code, out, _ = _run_main(
+            capsys,
+            ["--scheme", "ic3_retro_csit", "--trials", "5", "--tol-rank", "0.05",
+             "--threads", "1"],
+        )
+        assert code == 3
+        message = json.loads(out)["error"]["message"]
+        assert re.search(r"Singular: receiver \d: .*receive_cond_rx\d", message)
+        assert "--tol-rank" in message
 
 
 def _misalign_bc_mat(monkeypatch):

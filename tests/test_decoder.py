@@ -10,8 +10,8 @@ import pytest
 
 from alignsim.base import Scheme
 from alignsim.channel import generate_channel
-from alignsim.evaluate import simulate_block
-from alignsim.numerics import DEFAULT_TOL
+from alignsim.evaluate import _draw_batch, simulate_block
+from alignsim.numerics import DEFAULT_TOL, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
 from _oracles import zero_forcing_oracle
@@ -45,3 +45,20 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
             decoder = ctx.decoders[rx]
             assert np.linalg.norm(decoder - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_one_factorization_equals_one_call_per_receiver(scheme_id):
+    scheme = get_scheme(scheme_id)
+    tensor, offline, _ = _draw_batch(scheme, 61, [(t, 0) for t in range(8)])
+    size = scheme.num_symbols
+    eye = np.broadcast_to(np.eye(size)[:, :, None], (size, size, 8))
+    state: dict = {}
+    response = simulate_block(scheme, tensor, offline, eye, 1.0, DEFAULT_TOL, state=state).y_clean
+    ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0, response=response, state=state)
+    for rx in range(scheme.num_rx):
+        d, cond, residual = zero_forcing_rows(response[rx], scheme.symbols_for_rx(rx), DEFAULT_TOL)
+        assert ctx.decoders[rx].tobytes() == np.ascontiguousarray(d).tobytes()
+        assert ctx.decoders[rx].shape == d.shape
+        assert ctx.receive_cond[rx].tobytes() == cond.tobytes()
+        assert ctx.zf_residual[rx].tobytes() == residual.tobytes()

@@ -17,8 +17,8 @@ import alignsim.base
 import alignsim.retro_csit_ic3
 import alignsim.retro_csit_x
 from alignsim.channel import MAG_BOUNDS_DEFAULT, generate_channel
-from alignsim.evaluate import TRIAL_BATCH, _draw_batch, _trial_rngs
-from alignsim.numerics import sample_complex_gaussian, spawn_generators
+from alignsim.evaluate import TRIAL_BATCH, _draw_batch
+from alignsim.numerics import sample_complex_gaussian, seeded_generator, spawn_states
 from alignsim.registry import SCHEMES, get_scheme
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
@@ -52,6 +52,11 @@ def reference_channel(num_rx, num_tx, num_slots, rng, mag_bounds=MAG_BOUNDS_DEFA
     return h, rejections
 
 
+def _spawned_generators(entropies, children):
+    """The generators of :func:`spawn_states`, one list of ``children`` per entropy."""
+    return [[seeded_generator(s) for s in row] for row in spawn_states(entropies, children)]
+
+
 def _pcg_states(generators):
     return [
         (g.bit_generator.state["state"]["state"], g.bit_generator.state["state"]["inc"])
@@ -81,7 +86,7 @@ def test_batched_seeds_match_seed_sequence(base_seed, attempt):
     # trials 2**32 - 1 and 2**32 split into one and two words, so this batch
     # mixes entropy lengths
     trials = list(range(201)) + [2**32 - 1, 2**32]
-    generators = spawn_generators([(base_seed, t, attempt) for t in trials], 3)
+    generators = _spawned_generators([(base_seed, t, attempt) for t in trials], 3)
     assert len(generators) == len(trials)
     for trial, children in zip(trials, generators):
         assert _pcg_states(children) == _reference_states(base_seed, trial, attempt)
@@ -90,7 +95,7 @@ def test_batched_seeds_match_seed_sequence(base_seed, attempt):
 @pytest.mark.parametrize("entropy", [(), (5,), (1, 2), (7, 8, 9, 10), (2**200, 3, 4, 5, 6)])
 @pytest.mark.parametrize("children", [1, 3, 5])
 def test_spawn_generators_on_any_entropy_length(entropy, children):
-    [generators] = spawn_generators([entropy], children)
+    [generators] = _spawned_generators([entropy], children)
     reference = [np.random.PCG64(c) for c in np.random.SeedSequence(entropy).spawn(children)]
     assert _pcg_states(generators) == [
         (r.state["state"]["state"], r.state["state"]["inc"]) for r in reference
@@ -98,13 +103,14 @@ def test_spawn_generators_on_any_entropy_length(entropy, children):
 
 
 def test_single_trial_rngs_draw_like_the_reference():
-    for got, want in zip(_trial_rngs(17, 42, 3), reference_rngs(17, 42, 3)):
+    [got_rngs] = _spawned_generators([(17, 42, 3)], 3)
+    for got, want in zip(got_rngs, reference_rngs(17, 42, 3)):
         assert _same_bits(got.standard_normal(9), want.standard_normal(9))
 
 
 def test_negative_entropy_is_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        spawn_generators([(0, -1, 0)], 3)
+        spawn_states([(0, -1, 0)], 3)
 
 
 # -- complex Gaussians ----------------------------------------------------------
@@ -128,7 +134,7 @@ def test_single_generator_gives_one_channel():
 
 @pytest.mark.parametrize("mag_bounds", [MAG_BOUNDS_DEFAULT, (0.05, 3.0), (0.5, 2.0)])
 def test_channel_stack_matches_per_trial_channels(mag_bounds):
-    rngs = [rng for rng, _, _ in spawn_generators([(8, t, 0) for t in range(40)], 3)]
+    rngs = [rng for rng, _, _ in _spawned_generators([(8, t, 0) for t in range(40)], 3)]
     tensor = generate_channel(2, 2, 7, rngs, mag_bounds=mag_bounds)
     assert tensor.h.shape == (2, 2, 7, 40)
     per_trial = [
@@ -188,3 +194,35 @@ def test_batch_draw_matches_per_trial_reference(scheme_id, monkeypatch):
             for f in dataclasses.fields(ref_offline):
                 assert _same_bits(getattr(offline, f.name)[..., t], getattr(ref_offline, f.name))
     assert tensor.num_rejections == total_rejections
+
+
+# -- stacked scheme draws ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_stacked_scheme_draws_equal_one_generator_draws(scheme_id):
+    scheme = get_scheme(scheme_id)
+    seeds = range(6)
+    offline = scheme.draw_offline([np.random.default_rng(s) for s in seeds])
+    msgs = scheme.draw_messages([np.random.default_rng(s) for s in seeds])
+    assert msgs.shape == (scheme.num_symbols, len(seeds))
+    for t, seed in enumerate(seeds):
+        assert _same_bits(msgs[:, t], scheme.draw_messages(np.random.default_rng(seed)))
+        one = scheme.draw_offline(np.random.default_rng(seed))
+        if one is None:
+            assert offline is None
+            continue
+        for f in dataclasses.fields(one):
+            assert _same_bits(getattr(offline, f.name)[..., t], getattr(one, f.name))
+
+
+def test_phase1_coefficients_have_unit_norm_per_transmitter_and_slot():
+    rngs = [np.random.default_rng(s) for s in range(200)]
+    # IC3 phase1[k, i, n, t]: transmitter k, symbol i, slot n
+    ic3 = get_scheme("ic3_retro_csit").draw_offline(rngs).phase1
+    norms = np.sqrt(np.sum(np.abs(ic3) ** 2, axis=1))
+    assert np.max(np.abs(norms - 1.0)) <= 4e-16
+    # X phase1[k, j, i, n, t]: transmitter j, slot n, over (receiver k, symbol i)
+    x = get_scheme("x_retro_csit").draw_offline(rngs).phase1
+    norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=(0, 2)))
+    assert np.max(np.abs(norms - 1.0)) <= 4e-16

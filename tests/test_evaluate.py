@@ -20,7 +20,14 @@ from alignsim.evaluate import (
     simulate_block,
     sum_rate_bits,
 )
-from alignsim.numerics import DEFAULT_TOL, Degenerate, RankDeficient, sample_complex_gaussian
+from alignsim.numerics import (
+    DEFAULT_TOL,
+    Degenerate,
+    RankDeficient,
+    sample_complex_gaussian,
+    seeded_generator,
+    spawn_states,
+)
 from alignsim.output_feedback import BcMatScheme
 from alignsim.registry import SCHEMES, get_scheme
 
@@ -274,8 +281,8 @@ class TestTrialBatches:
         scheme = _FailStrongTrials()
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         gains = [
-            abs(generate_channel(2, 2, 3, evaluate._trial_rngs(22, trial, 0)[0]).h[0, 0, 0])
-            for trial in range(100)
+            abs(generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0])
+            for states in spawn_states([(22, trial, 0) for trial in range(100)], 3)
         ]
         first_bad = next(trial for trial, gain in enumerate(gains) if gain > 1.5)
         assert first_bad > 0

@@ -212,6 +212,60 @@ class TestPhaseNormalize:
         assert np.array_equal(phase_normalize(v), v)
 
 
+class TestStackedSystems:
+    """Several systems per trial in one call give each system's own bits."""
+
+    def test_null_vector_stack_equals_separate_calls(self, rng):
+        # (m, n, systems, trials), as a transmitter stacks its victims' systems
+        a = np.stack(
+            [
+                np.stack([random_complex_matrix(rng, 5, 6) for _ in range(7)], axis=-1)
+                for _ in range(2)
+            ],
+            axis=2,
+        )
+        v = null_vector(a)
+        assert v.shape == (6, 2, 7)
+        for r in range(2):
+            assert np.array_equal(v[:, r], null_vector(a[:, :, r]))
+            for t in range(7):
+                assert np.array_equal(v[:, r, t], null_vector(a[:, :, r, t : t + 1])[:, 0])
+
+    def test_null_vector_stack_guard_covers_every_system(self, rng):
+        a = np.stack([random_complex_matrix(rng, 3, 4) for _ in range(2)], axis=2)
+        a[2, :, 1] = a[0, :, 1] + a[1, :, 1]
+        with pytest.raises(RankDeficient):
+            null_vector(a)
+
+    def test_zero_forcing_per_system_rows_equal_separate_calls(self, rng):
+        rows = np.array([[0, 1], [2, 3], [4, 5]])
+        g = np.stack(
+            [np.stack([_receive_matrix(rng, 5, 2, 2) for _ in range(4)], axis=-1) for _ in rows],
+            axis=2,
+        )
+        d, cond, residual = zero_forcing_rows(g, rows)
+        assert d.shape == (2, 5, 3, 4) and cond.shape == residual.shape == (3, 4)
+        for r, want in enumerate(rows):
+            one = zero_forcing_rows(g[:, :, r], list(want))
+            assert np.array_equal(d[:, :, r], one[0])
+            assert np.array_equal(cond[r], one[1])
+            assert np.array_equal(residual[r], one[2])
+
+    def test_row_sets_must_match_the_first_stack_axis(self, rng):
+        g = np.stack([random_complex_matrix(rng, 3, 4) for _ in range(2)], axis=-1)
+        with pytest.raises(ValueError, match="row sets"):
+            zero_forcing_rows(g, np.array([[0], [1], [2]]))
+
+    def test_singular_names_the_first_bad_system(self, rng):
+        g = np.stack([random_complex_matrix(rng, 3, 4) for _ in range(6)], axis=-1)
+        g = g.reshape(3, 4, 2, 3)
+        g[2, :, 1, 2] = 0.0
+        g[1, :, 1, 2] = 0.0
+        with pytest.raises(Singular) as info:
+            zero_forcing_rows(g, [0])
+        assert info.value.system == (1, 2)
+
+
 class TestSampleComplexGaussian:
     def test_moments(self):
         rng = np.random.default_rng(99)
@@ -225,6 +279,14 @@ class TestSampleComplexGaussian:
         z1 = sample_complex_gaussian(np.random.default_rng(5), 64)
         z2 = sample_complex_gaussian(np.random.default_rng(5), 64)
         assert np.array_equal(z1, z2)
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 45])
+    def test_generator_stack_columns_equal_single_draws(self, count):
+        z = sample_complex_gaussian([np.random.default_rng(s) for s in range(5)], count)
+        assert z.shape == (count, 5)
+        for s in range(5):
+            one = sample_complex_gaussian(np.random.default_rng(s), count)
+            assert z[:, s].tobytes() == one.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, generate_channel
 from alignsim.base import InterferenceRankUnexpected
-from alignsim.evaluate import future_perturbation_invariant, run_trials, simulate_block
-from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
+from alignsim.evaluate import _draw_batch, future_perturbation_invariant, run_trials, simulate_block
+from alignsim.numerics import DEFAULT_TOL, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 import alignsim.retro_csit_ic3 as ic3
 from alignsim.retro_csit_ic3 import (
@@ -15,13 +15,10 @@ from alignsim.retro_csit_ic3 import (
     DegenerateCoefficients,
     IC3RetroCsitScheme,
     alpha_system,
-    compute_alphas,
-    effective_precoders,
     interferers,
-    phase2_coefficients,
 )
 
-from _oracles import jacobi_rank
+from _oracles import compute_alphas, effective_precoders, jacobi_rank, phase2_coefficients
 
 SCHEME = IC3RetroCsitScheme()
 
@@ -175,6 +172,28 @@ class TestEncoding:
     @pytest.mark.parametrize("perturb_from", range(NUM_SLOTS))
     def test_future_states_never_leak(self, perturb_from):
         assert future_perturbation_invariant(SCHEME, 77, 0, perturb_from, DEFAULT_TOL)
+
+
+class TestTransmitCache:
+    def test_cached_alphas_and_triples_match_the_oracle(self):
+        tensor, offline, msgs = _trial_data(18)
+        state: dict = {}
+        simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL, state=state)
+        alphas, coeffs, _ = effective_precoders(tensor.h, offline.phase1, DEFAULT_TOL)
+        for k in range(3):
+            for rx in interferers(k):
+                np.testing.assert_allclose(state[("alpha", k, rx)], alphas[rx], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state[("coeff", k)], coeffs[k], rtol=0, atol=1e-12)
+
+    def test_stacked_victim_systems_equal_one_call_each(self):
+        tensor, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
+        state: dict = {}
+        simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL, state=state)
+        h5 = tensor.h[:, :, :PHASE1_SLOTS]
+        for k in range(3):
+            for rx in interferers(k):
+                alone = null_vector(alpha_system(h5, offline.phase1, rx), DEFAULT_TOL)
+                assert state[("alpha", k, rx)].tobytes() == alone.tobytes()
 
 
 @pytest.fixture(scope="module")

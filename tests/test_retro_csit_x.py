@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, generate_channel
 from alignsim.evaluate import (
+    _draw_batch,
     future_perturbation_invariant,
     run_trials,
     simulate_block,
 )
-from alignsim.numerics import DEFAULT_TOL, RankDeficient, sample_complex_gaussian
+from alignsim.numerics import DEFAULT_TOL, RankDeficient, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 from alignsim.retro_csit_x import (
     NUM_SLOTS,
@@ -107,6 +108,39 @@ class TestAlignmentConstants:
             [consts.gamma[0, 1], 1.0, -consts.beta * consts.gamma[1, 1], -consts.beta]
         )
         assert np.linalg.norm(a @ vec) <= 1e-9 * np.linalg.norm(a) * np.linalg.norm(vec)
+
+
+class TestStackedSystems:
+    def test_constants_equal_one_null_vector_call_per_receiver(self):
+        tensor, offline, _ = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
+        h3 = tensor.h[:, :, :PHASE1_SLOTS]
+        constants = alignment_constants(h3, offline.phase1, DEFAULT_TOL)
+        v = null_vector(interference_system(h3, offline.phase1, 0), DEFAULT_TOL)
+        w = null_vector(interference_system(h3, offline.phase1, 1), DEFAULT_TOL)
+        assert constants.gamma[0, 1].tobytes() == (v[0] / v[1]).tobytes()
+        assert constants.gamma[1, 1].tobytes() == (v[2] / v[3]).tobytes()
+        assert constants.beta.tobytes() == (-v[3] / v[1]).tobytes()
+        assert constants.gamma[0, 0].tobytes() == (w[0] / w[1]).tobytes()
+        assert constants.gamma[1, 0].tobytes() == (w[2] / w[3]).tobytes()
+        assert constants.delta.tobytes() == (-w[3] / w[1]).tobytes()
+
+    def test_colinearity_equals_one_svd_per_receiver(self):
+        tensor, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
+        ctx = SCHEME.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+        certs = SCHEME.certificates(ctx)
+        h3, phase1 = tensor.h[:, :, :PHASE1_SLOTS], offline.phase1
+        gamma = ctx.state[("constants", 0)].gamma
+        for rx in range(2):
+            other = 1 - rx
+            cross = np.stack(
+                [
+                    h3[rx, j] * (phase1[other, j, 0] * gamma[j, other] + phase1[other, j, 1])
+                    for j in range(2)
+                ],
+                axis=1,
+            )
+            sv = np.linalg.svd(np.moveaxis(cross, -1, 0), compute_uv=False)
+            assert certs[f"colinearity_rx{rx}"].tobytes() == (sv[:, 1] / sv[:, 0]).tobytes()
 
 
 class TestLayer2Vars:
