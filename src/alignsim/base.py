@@ -78,7 +78,6 @@ class Scheme:
     num_tx: int          # channel inputs (antennas)
     num_entities: int    # independent transmitter entities doing the reading
     num_symbols: int
-    dof: Fraction
     feedback: FeedbackModel
     csi_slot_budget: Fraction  # largest legal fraction of slots with CSI read back
 
@@ -136,14 +135,14 @@ class Scheme:
         raise NotImplementedError
 
     def decode_context(
-        self, tensor, offline: Any, tol: Tolerances, amp: float, response=None, state=None
+        self, tensor, offline: Any, tol: Tolerances, response: np.ndarray, state: dict
     ) -> DecodeContext:
         """Zero-forcing decoders of every receiver for one block.
 
         ``response`` is the encoder's impulse response ``(num_rx, num_slots,
-        num_symbols, *T)``: the clean outputs of a block run at amplitude
-        ``amp`` whose message columns are the identity, and ``state`` is the
-        ``state`` of that run.  Without them this makes that run itself.
+        num_symbols, *T)``: the received block of a run whose message columns
+        are the identity, and ``state`` is the ``state`` of that run, which
+        the certificates read.
 
         All receivers' matrices share one shape and want as many symbols, so
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
@@ -156,16 +155,6 @@ class Scheme:
         :class:`InterferenceRankUnexpected` when a zero-forcing residual
         exceeds ``tol.residual_rel``.
         """
-        if response is None:
-            from .evaluate import simulate_block  # the block engine builds on this module
-
-            size, trials = self.num_symbols, tensor.h.shape[3:]
-            eye = np.eye(size, dtype=np.complex128).reshape(size, size, *(1,) * len(trials))
-            state = {}
-            response = simulate_block(
-                self, tensor, offline, np.broadcast_to(eye, (size, size, *trials)), amp, tol,
-                state=state,
-            ).y_clean
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
         rows = np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
@@ -198,13 +187,17 @@ class Scheme:
                 f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
             )
 
-    def decode(self, rx: int, y_row: np.ndarray, ctx: DecodeContext) -> np.ndarray:
-        """Estimates of ``symbols_for_rx(rx)`` from that receiver's observations.
+    def decode(self, y: np.ndarray, ctx: DecodeContext) -> np.ndarray:
+        """Estimates of every symbol from the received block ``y``.
 
-        ``y_row`` has shape ``(num_slots, *B, *T)`` and the result
-        ``(len(symbols_for_rx(rx)), *B, *T)``.
+        ``y`` has shape ``(num_rx, num_slots, *B, *T)`` and the result
+        ``(num_symbols, *B, *T)``; each receiver decodes its own symbols
+        from its own row.
         """
-        return matvec(ctx.decoders[rx], y_row)
+        decoded = np.empty((self.num_symbols, *y.shape[2:]), dtype=np.complex128)
+        for rx in range(self.num_rx):
+            decoded[self.symbols_for_rx(rx)] = matvec(ctx.decoders[rx], y[rx])
+        return decoded
 
     def certificates(self, ctx: DecodeContext) -> dict[str, float]:
         """Per-block health figures of the decoder; schemes add their encoder's.

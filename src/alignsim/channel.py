@@ -196,54 +196,40 @@ def apply_channel(
     x_slot: np.ndarray,
     tensor: ChannelTensor,
     slot: int,
-    noise_variance: float = 0.0,
-    rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Propagate one slot of transmit scalars through the channel.
 
-    Returns ``(y_clean, y_noisy)`` where ``y_clean[k] = sum_j h[k, j, slot] *
-    x_slot[j]`` evaluated through a single fixed arithmetic path, and
-    ``y_noisy`` adds either the explicitly supplied ``noise`` vector or a
-    fresh CN(0, noise_variance) draw from ``rng``.  With zero noise the two
-    outputs are equal.
+    Returns ``y[k] = sum_j h[k, j, slot] * x_slot[j]``, evaluated through a
+    single fixed arithmetic path, plus ``noise`` when it is given.
 
     ``x_slot`` has shape ``(num_tx, *B)``, where ``B`` is empty or one axis
     of independent blocks on the same channel; a stacked tensor appends its
-    trial axis, ``(num_tx, *B, T)``.  Both outputs and ``noise`` have the
+    trial axis, ``(num_tx, *B, T)``.  The output and ``noise`` have the
     shape of ``x_slot`` with ``num_rx`` leading.
     """
     x_slot = np.asarray(x_slot, dtype=np.complex128)
     batch_axes = x_slot.ndim - 1 - (tensor.h.ndim - 3)
     if batch_axes not in (0, 1) or x_slot.shape[0] != tensor.num_tx:
         raise ValueError(f"expected {tensor.num_tx} transmit scalars, got shape {x_slot.shape}")
-    y_clean = matvec(tensor.h[:, :, slot], x_slot)
+    y = matvec(tensor.h[:, :, slot], x_slot)
     if noise is not None:
-        y_noisy = y_clean + np.asarray(noise, dtype=np.complex128)
-    elif noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("noise_variance > 0 requires an rng")
-        z = sample_complex_gaussian(rng, y_clean.size).reshape(y_clean.shape)
-        y_noisy = y_clean + z * np.sqrt(noise_variance)
-    else:
-        y_noisy = y_clean.copy()
-    return y_clean, y_noisy
+        y = y + np.asarray(noise, dtype=np.complex128)
+    return y
 
 
 @dataclass(frozen=True)
 class SignalRecord:
     """All scalars of one simulated block.
 
-    ``x[j, n]`` is what antenna ``j`` sent at slot ``n``; ``y_clean`` is the
-    noise-free superposition at each receiver and ``y_noisy`` what the
-    receivers actually observed (equal to ``y_clean`` in noiseless runs).
-    A batched block run appends its batch axis to all three arrays, and a
-    run on a stack of trials' channels appends the trial axis after that.
+    ``x[j, n]`` is what antenna ``j`` sent at slot ``n`` and ``y[k, n]``
+    what receiver ``k`` observed, noise included when the run added any.
+    A batched block run appends its batch axis to both arrays, and a run on
+    a stack of trials' channels appends the trial axis after that.
     """
 
     x: np.ndarray
-    y_clean: np.ndarray
-    y_noisy: np.ndarray
+    y: np.ndarray
 
 
 @dataclass(frozen=True)

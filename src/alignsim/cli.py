@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .channel import CausalityViolation
@@ -249,21 +249,6 @@ def _render_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return {
-        "scheme": config.scheme,
-        "mode": config.mode,
-        "trials": config.trials,
-        "seed": config.seed,
-        "snr_grid_db": config.snr_grid_db,
-        "tol_rank": config.tol_rank,
-        "tol_residual": config.tol_residual,
-        "out": config.out,
-        "format": config.format,
-        "threads": config.threads,
-    }
-
-
 # -- modes -------------------------------------------------------------------
 
 
@@ -278,7 +263,8 @@ def _certificate_extrema(results) -> dict[str, list[float]]:
     return extrema
 
 
-def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
+def _run_report(config: RunConfig):
+    """Run the configured trials; returns ``(scheme, report, fields verify and audit share)``."""
     scheme = get_scheme(config.scheme)
     report = run_trials(
         config.scheme,
@@ -287,53 +273,45 @@ def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
         tol=config.tolerances(),
         threads=config.resolved_threads(),
     )
+    csi_slots = report.csi_slots_union()
+    shared = {
+        "trials": config.trials,
+        "discards": len(report.discards),
+        "csi_slot_indices": csi_slots,
+        "csi_slot_fraction": Fraction(len(csi_slots), scheme.num_slots),
+        "outputs_own_receiver_only": all(r.outputs_own_receiver_only for r in report.results),
+    }
+    return scheme, report, shared
+
+
+def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
+    _, report, shared = _run_report(config)
     decode_ok = sum(1 for r in report.results if r.decode_ok)
     ranks_observed = sorted({rank for r in report.results for rank in r.interference_ranks})
-    csi_slots = report.csi_slots_union()
-    fraction = Fraction(len(csi_slots), scheme.num_slots)
     results = {
-        "trials": config.trials,
+        **shared,
         "decode_ok": decode_ok,
-        "discards": len(report.discards),
         "max_rel_symbol_error": report.max_rel_symbol_error,
         "interference_ranks_observed": ranks_observed,
         "certificate_extrema": _certificate_extrema(report.results),
-        "csi_slot_indices": csi_slots,
-        "csi_slot_fraction": fraction,
-        "outputs_own_receiver_only": all(
-            r.outputs_own_receiver_only for r in report.results
-        ),
     }
     passed = decode_ok == config.trials
     return results, passed
 
 
 def _mode_audit(config: RunConfig) -> tuple[dict, bool]:
-    scheme = get_scheme(config.scheme)
-    report = run_trials(
-        config.scheme,
-        config.trials,
-        config.seed,
-        tol=config.tolerances(),
-        threads=config.resolved_threads(),
-    )
-    csi_slots = report.csi_slots_union()
-    fraction = Fraction(len(csi_slots), scheme.num_slots)
-    own_only = all(r.outputs_own_receiver_only for r in report.results)
+    scheme, _, shared = _run_report(config)
+    fraction = shared["csi_slot_fraction"]
     results = {
-        "trials": config.trials,
+        **shared,
         "feedback_kind": scheme.feedback.kind.value,
-        "csi_slot_indices": csi_slots,
-        "csi_slot_fraction": fraction,
         "csi_slot_fraction_float": float(fraction),
         "csi_slot_budget": scheme.csi_slot_budget,
-        "outputs_own_receiver_only": own_only,
-        "discards": len(report.discards),
     }
     passed = fraction <= scheme.csi_slot_budget
     if scheme.feedback.output_association is not None:
         # restricted output feedback: replays must stay with the own receiver
-        passed = passed and own_only
+        passed = passed and shared["outputs_own_receiver_only"]
     return results, passed
 
 
@@ -376,10 +354,10 @@ def _render_csv(config: RunConfig, results: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["snr_db", "sum_rate", "trials", "discards"])
-    for snr_db, rate in zip(results["snr_grid_db"], results["sum_rates"]):
+    for point, rate in zip(results["snr_grid_db"], results["sum_rates"]):
         writer.writerow(
             [
-                "%.17g" % snr_db,
+                "%.17g" % point,
                 "%.17g" % rate,
                 results["trials_per_point"],
                 results["discards"],
@@ -412,7 +390,7 @@ def run(config: RunConfig) -> int:
         results, passed = mode_fn(config)
     except (SchemeFailure, CausalityViolation) as exc:
         error_doc = {
-            "config": _config_echo(config),
+            "config": asdict(config),
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "pass": False,
         }
@@ -422,7 +400,7 @@ def run(config: RunConfig) -> int:
         _emit(config, _render_csv(config, results))
     else:
         document = {
-            "config": _config_echo(config),
+            "config": asdict(config),
             "results": results,
             "pass": passed,
         }

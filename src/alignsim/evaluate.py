@@ -11,8 +11,8 @@ certificate is never resampled: it aborts the run as a scheme failure.
 Every scheme decodes with one zero-forcing decoder (see
 :mod:`alignsim.base`).  Its receive matrices are read off the trial's own
 block run: next to the message column, the run carries one identity
-message column per symbol, whose clean outputs are the encoder's impulse
-response.  Rates use the zero-forcing SINR of that decoder.  The decode
+message column per symbol, whose received blocks are the encoder's
+impulse response.  Rates use the zero-forcing SINR of that decoder.  The decode
 ``D y`` is complex-linear in the received block, and every signal-path
 coefficient carries exactly one factor of the amplitude ``sqrt(power)``
 while injected noise carries none, so the per-symbol estimation error at
@@ -128,8 +128,6 @@ class TrialResult:
     outputs_own_receiver_only: bool
     discarded: bool = False
     discard_reason: str | None = None
-    per_symbol_sinr: list[float] | None = None
-    sum_rate_bits: float | None = None
     noise_weights: list[float] | None = None
 
 
@@ -227,29 +225,20 @@ def simulate_block(
     num_tx, num_rx, num_slots = scheme.num_tx, scheme.num_rx, scheme.num_slots
     batch = np.shape(msgs)[1:]
     x = np.zeros((num_tx, num_slots, *batch), dtype=np.complex128)
-    y_clean = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
-    y_noisy = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
+    y = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
     if state is None:
         state = {}
     for n in range(num_slots):
         views = {
-            entity: TxInformationView(entity, n, tensor, y_noisy, scheme.feedback, log)
+            entity: TxInformationView(entity, n, tensor, y, scheme.feedback, log)
             for entity in range(scheme.num_entities)
         }
         for j in range(num_tx):
             view = views[scheme.entity_of(j)]
             x[j, n] = scheme.transmit(j, n, view, msgs, offline, state, amp, tol)
         noise_slot = None if noise is None else noise[:, n]
-        y_clean[:, n], y_noisy[:, n] = apply_channel(x[:, n], tensor, n, noise=noise_slot)
-    return SignalRecord(x=x, y_clean=y_clean, y_noisy=y_noisy)
-
-
-def _decode_block(scheme: Scheme, y: np.ndarray, ctx) -> np.ndarray:
-    """All symbols decoded from the received block ``y`` ``(num_rx, num_slots, *B, *T)``."""
-    decoded = np.empty((scheme.num_symbols, *y.shape[2:]), dtype=np.complex128)
-    for rx in range(scheme.num_rx):
-        decoded[scheme.symbols_for_rx(rx)] = scheme.decode(rx, y[rx], ctx)
-    return decoded
+        y[:, n] = apply_channel(x[:, n], tensor, n, noise=noise_slot)
+    return SignalRecord(x=x, y=y)
 
 
 def noise_transfer_weights(
@@ -280,7 +269,7 @@ def noise_transfer_weights(
     record = simulate_block(
         scheme, tensor, offline, zero_msgs, 1.0, tol, noise=impulses, state=state
     )
-    columns = _decode_block(scheme, record.y_noisy, ctx)
+    columns = scheme.decode(record.y, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
 
@@ -295,7 +284,6 @@ def _run_batch(
     base_seed: int,
     draws: list[tuple[int, int]],
     tol: Tolerances,
-    snr_db: float | None,
     collect_weights: bool,
 ) -> list[TrialResult]:
     """Run the ``(trial, attempt)`` draws as one stacked block; one result per draw.
@@ -307,16 +295,14 @@ def _run_batch(
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
     state: dict = {}
-    # the message column, then one identity column per symbol: their clean
-    # outputs are the impulse response the decoder is read from
+    # the message column, then one identity column per symbol: their
+    # received blocks are the impulse response the decoder is read from
     size = scheme.num_symbols
     identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, len(draws)))
     columns = np.concatenate([msgs[:, None], identity], axis=1)
     record = simulate_block(scheme, tensor, offline, columns, 1.0, tol, log=log, state=state)
-    ctx = scheme.decode_context(
-        tensor, offline, tol, 1.0, response=record.y_clean[:, :, 1:], state=state
-    )
-    decoded = _decode_block(scheme, record.y_noisy[:, :, 0], ctx)
+    ctx = scheme.decode_context(tensor, offline, tol, record.y[:, :, 1:], state)
+    decoded = scheme.decode(record.y[:, :, 0], ctx)
     certs = {
         key: np.broadcast_to(value, (len(draws),))
         for key, value in scheme.certificates(ctx).items()
@@ -326,7 +312,7 @@ def _run_batch(
     cert_rows = np.array(list(certs.values()), dtype=np.float64).T.tolist()
     rank_keys = [f"interference_rank_rx{rx}" for rx in range(scheme.num_rx)]
     weights = None
-    if snr_db is not None or collect_weights:
+    if collect_weights:
         weights = noise_transfer_weights(scheme, tensor, offline, ctx, tol, state=state)
     # Every trial of the batch made the same reads, so one audit serves all.
     csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
@@ -360,13 +346,7 @@ def _run_batch(
             outputs_own_receiver_only=own_only,
         )
         if weights is not None:
-            row = [float(w) for w in weights[:, t]]
-            if collect_weights:
-                result.noise_weights = row
-            if snr_db is not None:
-                power = 10.0 ** (snr_db / 10.0)
-                result.per_symbol_sinr = [power / max(w, WEIGHT_FLOOR) for w in row]
-                result.sum_rate_bits = sum_rate_bits(np.array(row), power, scheme.num_slots)
+            result.noise_weights = [float(w) for w in weights[:, t]]
         results.append(result)
     return results
 
@@ -376,7 +356,6 @@ def run_single_trial(
     base_seed: int,
     trial: int,
     tol: Tolerances,
-    snr_db: float | None = None,
     collect_weights: bool = False,
 ) -> tuple[TrialResult, list[TrialResult]]:
     """Run one trial, resampling discarded attempts; returns (result, discards).
@@ -388,9 +367,7 @@ def run_single_trial(
     discards: list[TrialResult] = []
     for attempt in range(MAX_ATTEMPTS):
         try:
-            [result] = _run_batch(
-                scheme, base_seed, [(trial, attempt)], tol, snr_db, collect_weights
-            )
+            [result] = _run_batch(scheme, base_seed, [(trial, attempt)], tol, collect_weights)
         except Degenerate as exc:
             discards.append(
                 TrialResult(
@@ -420,24 +397,19 @@ def run_single_trial(
 
 
 def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
-    scheme_id, base_seed, lo, hi, tol_pair, snr_db, collect_weights = args
+    scheme_id, base_seed, lo, hi, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
-    tol = Tolerances(*tol_pair)
     results: list[TrialResult] = []
     discards: list[TrialResult] = []
     for start in range(lo, hi, TRIAL_BATCH):
         trials = range(start, min(start + TRIAL_BATCH, hi))
         try:
-            results += _run_batch(
-                scheme, base_seed, [(t, 0) for t in trials], tol, snr_db, collect_weights
-            )
+            results += _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
             continue
         except (Degenerate, NumericsError):
             pass
         for trial in trials:
-            result, trial_discards = run_single_trial(
-                scheme, base_seed, trial, tol, snr_db=snr_db, collect_weights=collect_weights
-            )
+            result, trial_discards = run_single_trial(scheme, base_seed, trial, tol, collect_weights)
             results.append(result)
             discards.extend(trial_discards)
     return results, discards
@@ -448,7 +420,6 @@ def run_trials(
     num_trials: int,
     base_seed: int,
     tol: Tolerances = Tolerances(),
-    snr_db: float | None = None,
     collect_weights: bool = False,
     threads: int = 1,
 ) -> RunReport:
@@ -461,18 +432,17 @@ def run_trials(
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     report = RunReport(scheme_id=scheme_id, base_seed=base_seed, num_trials=num_trials)
-    tol_pair = (tol.rank_rel, tol.residual_rel)
     workers = min(threads, num_trials, os.cpu_count() or 1)
     if workers <= 1:
         results, discards = _run_trial_range(
-            (scheme_id, base_seed, 0, num_trials, tol_pair, snr_db, collect_weights)
+            (scheme_id, base_seed, 0, num_trials, tol, collect_weights)
         )
         report.results = results
         report.discards = discards
         return report
     bounds = np.linspace(0, num_trials, workers + 1, dtype=int)
     chunks = [
-        (scheme_id, base_seed, int(lo), int(hi), tol_pair, snr_db, collect_weights)
+        (scheme_id, base_seed, int(lo), int(hi), tol, collect_weights)
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
@@ -515,13 +485,13 @@ def estimate_dof(
     )
     weight_rows = np.array([r.noise_weights for r in report.results], dtype=np.float64)
     sum_rates = []
-    for snr_db in snr_grid_db:
-        power = 10.0 ** (snr_db / 10.0)
+    for point in snr_grid_db:
+        power = 10.0 ** (point / 10.0)
         rates = [
             sum_rate_bits(row, power, scheme.num_slots) for row in weight_rows
         ]
         sum_rates.append(float(np.mean(rates)))
-    log2_power = np.array([snr_db / 10.0 * math.log2(10.0) for snr_db in snr_grid_db])
+    log2_power = np.array([point / 10.0 * math.log2(10.0) for point in snr_grid_db])
     rates_arr = np.array(sum_rates)
     slope, intercept = np.polyfit(log2_power, rates_arr, 1)
     fitted = slope * log2_power + intercept

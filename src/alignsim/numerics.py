@@ -119,9 +119,9 @@ def _unstacked(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, (-2, -1), (0, 1))
 
 
-def _ranks(s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Numerical ranks from descending singular values ``(*S, k)`` (0 for a zero matrix)."""
-    return np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1)
+def _rank_short(s: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Where descending singular values ``(*S, k)`` fall short of rank ``k`` (a zero matrix does)."""
+    return s[..., -1] <= tol.rank_rel * s[..., 0]
 
 
 def ordered_sum(terms) -> np.ndarray:
@@ -233,8 +233,8 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         # null space, i.e. cols == rows + 1 at full row rank.
         raise ValueError("null space is not one-dimensional for this shape")
     _, s, vh = np.linalg.svd(_stacked(a), full_matrices=True)
-    rank = _ranks(s, tol).min()
-    if rank < rows:
+    if _rank_short(s, tol).any():
+        rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1).min()
         raise RankDeficient(
             f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
         )
@@ -277,7 +277,7 @@ def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
     if n > k:
         raise ValueError(f"zero_forcing_rows expects rows <= cols, got shape {g.shape}")
     u, s, vh = np.linalg.svd(_stacked(g), full_matrices=False)
-    bad = (s[..., 0] == 0.0) | (s[..., -1] <= tol.rank_rel * s[..., 0])
+    bad = _rank_short(s, tol)
     if bad.any():
         system = np.unravel_index(bad.argmax(), bad.shape)
         lo, hi = s[system][[-1, 0]]

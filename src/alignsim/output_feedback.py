@@ -139,7 +139,6 @@ class BcMatScheme(ScheduledScheme):
     num_tx = 2
     num_entities = 1
     num_symbols = 4
-    dof = Fraction(4, 3)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(2, 3)
 
@@ -168,7 +167,6 @@ class XOutputFeedbackScheme(ScheduledScheme):
     num_tx = 2
     num_entities = 2
     num_symbols = 4
-    dof = Fraction(4, 3)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
     csi_slot_budget = Fraction(0, 1)
 
@@ -194,7 +192,6 @@ class IC3OutputFeedbackScheme(ScheduledScheme):
     num_tx = 3
     num_entities = 3
     num_symbols = 6
-    dof = Fraction(6, 5)
     feedback = FeedbackModel(
         kind=FeedbackKind.DELAYED_OUTPUT,
         output_association={

@@ -118,7 +118,6 @@ class IC3RetroCsitScheme(Scheme):
     num_tx = 3
     num_entities = 3
     num_symbols = 9
-    dof = Fraction(9, 8)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
 

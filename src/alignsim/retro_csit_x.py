@@ -167,7 +167,6 @@ class XRetroCsitScheme(Scheme):
     num_tx = 2
     num_entities = 2
     num_symbols = 8
-    dof = Fraction(8, 7)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
 

@@ -1,0 +1,28 @@
+"""Decode contexts for tests that draw their own blocks.
+
+The trial runner reads a block's decoders off the identity message columns
+of its own block run; this builds them the same way, from a separate run.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from alignsim.evaluate import simulate_block
+from alignsim.numerics import DEFAULT_TOL
+
+
+def impulse_response(scheme, tensor, offline, amp=1.0, tol=DEFAULT_TOL):
+    """``(response, state)`` of a block run whose message columns are the identity."""
+    size, trials = scheme.num_symbols, tensor.h.shape[3:]
+    eye = np.eye(size, dtype=np.complex128).reshape(size, size, *(1,) * len(trials))
+    state: dict = {}
+    msgs = np.broadcast_to(eye, (size, size, *trials))
+    record = simulate_block(scheme, tensor, offline, msgs, amp, tol, state=state)
+    return record.y, state
+
+
+def decode_context(scheme, tensor, offline, amp=1.0, tol=DEFAULT_TOL):
+    """The scheme's decoders for the block, read off :func:`impulse_response`."""
+    response, state = impulse_response(scheme, tensor, offline, amp, tol)
+    return scheme.decode_context(tensor, offline, tol, response, state)

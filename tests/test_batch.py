@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from alignsim.channel import AccessLog, ChannelTensor, generate_channel
 from alignsim.evaluate import (
     TRIAL_BATCH,
-    _decode_block,
     _run_batch,
     noise_transfer_weights,
     run_trials,
@@ -26,6 +25,8 @@ from alignsim.evaluate import (
 )
 from alignsim.numerics import DEFAULT_TOL, Degenerate, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
+
+from _decode import decode_context
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
@@ -42,7 +43,7 @@ def per_impulse_weights(scheme, tensor, offline, ctx, tol):
             record = simulate_block(
                 scheme, tensor, offline, zero_msgs, 1.0, tol, noise=noise, state=state
             )
-            weights += np.abs(_decode_block(scheme, record.y_noisy, ctx)) ** 2
+            weights += np.abs(scheme.decode(record.y, ctx)) ** 2
     return weights
 
 
@@ -72,16 +73,16 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, amp, seed):
         scheme.num_rx, scheme.num_slots, batch
     )
     try:
-        ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, amp)
+        ctx = decode_context(scheme, tensor, offline, amp)
         log = AccessLog()
         record = simulate_block(
             scheme, tensor, offline, msgs, amp, DEFAULT_TOL, noise=noise, log=log
         )
-        decoded = _decode_block(scheme, record.y_noisy, ctx)
+        decoded = scheme.decode(record.y, ctx)
     except Degenerate:
         assume(False)
     assert record.x.shape == (scheme.num_tx, scheme.num_slots, batch)
-    assert record.y_noisy.shape == (scheme.num_rx, scheme.num_slots, batch)
+    assert record.y.shape == (scheme.num_rx, scheme.num_slots, batch)
     assert decoded.shape == (scheme.num_symbols, batch)
     for b in range(batch):
         column_log = AccessLog()
@@ -91,9 +92,9 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, amp, seed):
         )
         # one record per scalar read, not one per batch column
         assert log.records == column_log.records
-        for name in ("x", "y_clean", "y_noisy"):
+        for name in ("x", "y"):
             _assert_close(getattr(record, name)[..., b], getattr(column, name))
-        _assert_close(decoded[:, b], _decode_block(scheme, column.y_noisy, ctx))
+        _assert_close(decoded[:, b], scheme.decode(column.y, ctx))
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
@@ -102,7 +103,7 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
     rng = np.random.default_rng(31)
     for _ in range(3):
         tensor, offline = _draw(scheme, rng)
-        ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+        ctx = decode_context(scheme, tensor, offline)
         weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
         reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
         assert weights.shape == (scheme.num_symbols,)
@@ -117,7 +118,7 @@ _FULL_RUNS: dict = {}
 def _full_batch(scheme_id):
     """Results of the first TRIAL_BATCH trials of seed 41, run as one full batch."""
     if scheme_id not in _FULL_RUNS:
-        report = run_trials(scheme_id, TRIAL_BATCH, 41, snr_db=35.0, collect_weights=True)
+        report = run_trials(scheme_id, TRIAL_BATCH, 41, collect_weights=True)
         assert not report.discards
         _FULL_RUNS[scheme_id] = report.results
     return _FULL_RUNS[scheme_id]
@@ -133,9 +134,9 @@ def _full_batch(scheme_id):
 def test_trial_result_independent_of_batch(scheme_id, trial, partner, first):
     scheme = get_scheme(scheme_id)
     reference = dataclasses.astuple(_full_batch(scheme_id)[trial])
-    alone = _run_batch(scheme, 41, [(trial, 0)], DEFAULT_TOL, 35.0, True)
+    alone = _run_batch(scheme, 41, [(trial, 0)], DEFAULT_TOL, True)
     pair = [(trial, 0), (partner, 0)] if first else [(partner, 0), (trial, 0)]
-    paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, 35.0, True)
+    paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, True)
     # every float, noise weights included, must match to the bit
     assert dataclasses.astuple(alone[0]) == reference
     assert dataclasses.astuple(paired[0 if first else 1]) == reference
@@ -166,8 +167,8 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     log = AccessLog()
     state: dict = {}
     record = simulate_block(scheme, tensor, offline, msgs, 1.0, DEFAULT_TOL, log=log, state=state)
-    ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
-    decoded = _decode_block(scheme, record.y_noisy, ctx)
+    ctx = decode_context(scheme, tensor, offline)
+    decoded = scheme.decode(record.y, ctx)
     weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL, state=state)
     certs = scheme.certificates(ctx)
     assert weights.shape == (scheme.num_symbols, trials)
@@ -176,11 +177,11 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         one = simulate_block(
             scheme, one_tensor, one_offline, one_msgs, 1.0, DEFAULT_TOL, log=one_log
         )
-        one_ctx = scheme.decode_context(one_tensor, one_offline, DEFAULT_TOL, 1.0)
+        one_ctx = decode_context(scheme, one_tensor, one_offline)
         # each trial reads what an unbatched run reads, record for record
         assert log.records[t::trials] == one_log.records
         _assert_close(record.x[..., t], one.x)
-        _assert_close(decoded[:, t], _decode_block(scheme, one.y_noisy, one_ctx))
+        _assert_close(decoded[:, t], scheme.decode(one.y, one_ctx))
         np.testing.assert_allclose(
             weights[:, t],
             noise_transfer_weights(scheme, one_tensor, one_offline, one_ctx, DEFAULT_TOL),

@@ -14,6 +14,7 @@ from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import DEFAULT_TOL, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
+from _decode import decode_context, impulse_response
 from _oracles import zero_forcing_oracle
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
@@ -32,10 +33,10 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
     for _ in range(5):
         tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
         offline = scheme.draw_offline(rng)
-        ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+        ctx = decode_context(scheme, tensor, offline)
         response = np.stack(
             [
-                simulate_block(scheme, tensor, offline, unit, 1.0, DEFAULT_TOL).y_clean
+                simulate_block(scheme, tensor, offline, unit, 1.0, DEFAULT_TOL).y
                 for unit in np.eye(scheme.num_symbols, dtype=np.complex128)
             ],
             axis=-1,
@@ -51,11 +52,8 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
 def test_one_factorization_equals_one_call_per_receiver(scheme_id):
     scheme = get_scheme(scheme_id)
     tensor, offline, _ = _draw_batch(scheme, 61, [(t, 0) for t in range(8)])
-    size = scheme.num_symbols
-    eye = np.broadcast_to(np.eye(size)[:, :, None], (size, size, 8))
-    state: dict = {}
-    response = simulate_block(scheme, tensor, offline, eye, 1.0, DEFAULT_TOL, state=state).y_clean
-    ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, 1.0, response=response, state=state)
+    response, state = impulse_response(scheme, tensor, offline)
+    ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, response, state)
     for rx in range(scheme.num_rx):
         d, cond, residual = zero_forcing_rows(response[rx], scheme.symbols_for_rx(rx), DEFAULT_TOL)
         assert ctx.decoders[rx].tobytes() == np.ascontiguousarray(d).tobytes()

@@ -265,6 +265,28 @@ class TestStackedSystems:
             zero_forcing_rows(g, [0])
         assert info.value.system == (1, 2)
 
+    def test_rank_guard_messages(self, rng):
+        # both routines call a matrix rank-short when s[-1] <= rank_rel * s[0];
+        # null_vector's message still counts the rank of the worst system
+        rank_short = "matrix of shape (2, 3) has numerical rank {} < 2"
+        singular = "condition number inf exceeds 1.0e+08"
+        with pytest.raises(RankDeficient) as info:
+            null_vector(np.zeros((2, 3)))
+        assert str(info.value) == rank_short.format(0)
+        with pytest.raises(Singular) as info:
+            zero_forcing_rows(np.zeros((2, 3)), [0])
+        assert str(info.value) == singular and info.value.system == ()
+        a = np.stack([random_complex_matrix(rng, 2, 3) for _ in range(4)], axis=-1)
+        a[1, :, 2] = 0.0
+        with pytest.raises(RankDeficient) as info:
+            null_vector(a)
+        assert str(info.value) == rank_short.format(1)
+        g = np.stack([random_complex_matrix(rng, 2, 3) for _ in range(4)], axis=-1)
+        g[1, :, 2] = 0.0
+        with pytest.raises(Singular) as info:
+            zero_forcing_rows(g, [0])
+        assert str(info.value) == singular and info.value.system == (2,)
+
 
 class TestSampleComplexGaussian:
     def test_moments(self):

@@ -75,7 +75,7 @@ class TestBcMat:
             sum(abs(h[1, j, 0]) ** 2 for j in range(2))
             + sum(abs(h[0, j, 1]) ** 2 for j in range(2))
         )
-        target = record.y_clean[1, 0] + record.y_clean[0, 1]
+        target = record.y[1, 0] + record.y[0, 1]
         np.testing.assert_allclose(record.x[0, 2] * rho, target, rtol=1e-12)
 
     def test_slot_powers(self):
@@ -110,8 +110,8 @@ class TestXOutputFeedback:
         tensor, msgs = _trial_data(XFB, 41)
         noise = _noise(XFB, 42)
         record = simulate_block(XFB, tensor, None, msgs, 1.0, DEFAULT_TOL, noise=noise)
-        assert record.x[0, 2] == record.y_noisy[1, 0]
-        assert record.x[1, 2] == record.y_noisy[0, 1]
+        assert record.x[0, 2] == record.y[1, 0]
+        assert record.x[1, 2] == record.y[0, 1]
 
     def test_no_csi_and_full_association_reads(self):
         tensor, msgs = _trial_data(XFB, 43)

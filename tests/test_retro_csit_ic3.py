@@ -18,6 +18,7 @@ from alignsim.retro_csit_ic3 import (
     interferers,
 )
 
+from _decode import decode_context
 from _oracles import compute_alphas, effective_precoders, jacobi_rank, phase2_coefficients
 
 SCHEME = IC3RetroCsitScheme()
@@ -249,7 +250,7 @@ class TestDecoding:
 
         monkeypatch.setattr(ic3, "_unit_cross", wrong_triple)
         with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):
-            SCHEME.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+            decode_context(SCHEME, tensor, offline)
 
     def test_check_certificates_flags_wrong_rank(self):
         certs = {f"interference_rank_rx{rx}": 5.0 for rx in range(3)}

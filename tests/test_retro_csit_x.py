@@ -22,6 +22,8 @@ from alignsim.retro_csit_x import (
     layer2_vars,
 )
 
+from _decode import decode_context
+
 SCHEME = XRetroCsitScheme()
 
 
@@ -126,7 +128,7 @@ class TestStackedSystems:
 
     def test_colinearity_equals_one_svd_per_receiver(self):
         tensor, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
-        ctx = SCHEME.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
+        ctx = decode_context(SCHEME, tensor, offline)
         certs = SCHEME.certificates(ctx)
         h3, phase1 = tensor.h[:, :, :PHASE1_SLOTS], offline.phase1
         gamma = ctx.state[("constants", 0)].gamma
@@ -167,7 +169,7 @@ class TestEncoding:
         msgs = np.zeros(8, dtype=np.complex128)
         record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
         assert np.all(record.x == 0.0)
-        assert np.all(record.y_clean == 0.0)
+        assert np.all(record.y == 0.0)
 
     def test_single_symbol_readout(self):
         tensor, offline, _ = _trial_data(3)
@@ -266,16 +268,15 @@ class TestDecoding:
     def test_decode_is_linear_in_observations(self):
         tensor, offline, msgs = _trial_data(8)
         record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
-        ctx = SCHEME.decode_context(tensor, offline, DEFAULT_TOL, 1.0)
-        for rx in range(2):
-            y = record.y_clean[rx]
-            base = SCHEME.decode(rx, y, ctx)
-            scaled = SCHEME.decode(rx, (2.0 - 1.0j) * y, ctx)
-            np.testing.assert_allclose(scaled, (2.0 - 1.0j) * base, rtol=1e-10)
-            z = sample_complex_gaussian(np.random.default_rng(rx), NUM_SLOTS)
-            lhs = SCHEME.decode(rx, y + z, ctx)
-            rhs = base + SCHEME.decode(rx, z, ctx)
-            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+        ctx = decode_context(SCHEME, tensor, offline)
+        y = record.y
+        base = SCHEME.decode(y, ctx)
+        scaled = SCHEME.decode((2.0 - 1.0j) * y, ctx)
+        np.testing.assert_allclose(scaled, (2.0 - 1.0j) * base, rtol=1e-10)
+        z = sample_complex_gaussian(np.random.default_rng(0), 2 * NUM_SLOTS).reshape(2, NUM_SLOTS)
+        lhs = SCHEME.decode(y + z, ctx)
+        rhs = base + SCHEME.decode(z, ctx)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
     def test_registry_exposes_scheme(self):
         scheme = get_scheme("x_retro_csit")
