@@ -113,7 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file path (default: stdout)")
     parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
     parser.add_argument(
-        "--threads", type=int, help="parallel workers, at most one per core (default: all cores)"
+        "--threads",
+        type=int,
+        help="parallel workers, capped at one per core and one per trial batch "
+        "(default: 0, as many as those caps allow)",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     return parser

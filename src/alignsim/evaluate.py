@@ -31,16 +31,20 @@ trial, independent of execution order and worker count.  A batch derives
 all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
-Trials run in batches of ``TRIAL_BATCH``.  A batch draws with one
-``generate_channel``, one ``draw_offline`` and one ``draw_messages`` call,
-each handed the batch's generators of that stream: each generator makes its
-trial's normal draws, and the complex build and normalization run once on
-the stack.  The batch then goes through one block run, one decode, one
-certificate pass and, for rates, one noise-weight run.  Every reduction on
-that axis is a stacked LAPACK call or a left-to-right sum, so a trial's
-numbers are bit for bit the same whichever trials share its batch.  A batch
-that meets a degenerate draw or a structural failure is rerun one trial at
-a time, which keeps discards, retries and failure messages per trial.
+A run of ``n`` trials splits into ``ceil(n / TRIAL_BATCH)`` contiguous
+batches whose sizes differ by at most one, and each worker process takes a
+contiguous run of whole batches; no more workers start than there are cores
+or batches.  A batch draws with one ``generate_channel``, one
+``draw_offline`` and one ``draw_messages`` call, each handed the batch's
+generators of that stream: each generator makes its trial's normal draws,
+and the complex build and normalization run once on the stack.  The batch
+then goes through one block run, one decode, one certificate pass and, for
+rates, one noise-weight run.  Every reduction on that axis is a stacked
+LAPACK call or a left-to-right sum, so a trial's numbers are bit for bit the
+same whichever trials share its batch.  A batch that meets a degenerate
+draw or a structural failure is split into halves, run in trial order, down
+to single trials, which keeps discards, retries and failure messages per
+trial.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ __all__ = [
     "future_perturbation_invariant",
 ]
 
-#: Trials stacked into one block run.
-TRIAL_BATCH = 64
+#: Most trials stacked into one block run.
+TRIAL_BATCH = 128
 
 #: Retry cap per trial index before the run is declared broken.
 MAX_ATTEMPTS = 10
@@ -396,22 +400,52 @@ def run_single_trial(
     )
 
 
+def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
+    """Each worker's trial batches: a contiguous run of whole batches per worker.
+
+    The ``num_trials`` trials split into ``ceil(num_trials / TRIAL_BATCH)``
+    contiguous batches whose sizes differ by at most one, so a run of up to
+    ``TRIAL_BATCH`` trials is one batch.  ``min(threads, os.cpu_count(),
+    number of batches)`` workers, at least one, get the batches in order,
+    the earlier workers one more when they do not share evenly.
+    """
+    num_batches = -(-num_trials // TRIAL_BATCH)
+    batches = [
+        range(b * num_trials // num_batches, (b + 1) * num_trials // num_batches)
+        for b in range(num_batches)
+    ]
+    workers = max(1, min(threads, os.cpu_count() or 1, num_batches))
+    starts = [-(-w * num_batches // workers) for w in range(workers + 1)]
+    return [batches[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
+
+
 def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
-    scheme_id, base_seed, lo, hi, tol, collect_weights = args
+    """Run one worker's batches in order; returns (results, discards).
+
+    A batch that raises a degenerate draw or a structural failure is split
+    into halves, run in trial order, down to :func:`run_single_trial` for a
+    single trial, which keeps discards, retries and failure messages per
+    trial while the trials around the bad one stay batched.
+    """
+    scheme_id, base_seed, batches, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
     results: list[TrialResult] = []
     discards: list[TrialResult] = []
-    for start in range(lo, hi, TRIAL_BATCH):
-        trials = range(start, min(start + TRIAL_BATCH, hi))
-        try:
-            results += _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
-            continue
-        except (Degenerate, NumericsError):
-            pass
-        for trial in trials:
-            result, trial_discards = run_single_trial(scheme, base_seed, trial, tol, collect_weights)
+    pending = list(reversed(batches))
+    while pending:
+        trials = pending.pop()
+        if len(trials) == 1:
+            result, trial_discards = run_single_trial(
+                scheme, base_seed, trials[0], tol, collect_weights
+            )
             results.append(result)
             discards.extend(trial_discards)
+            continue
+        try:
+            results += _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
+        except (Degenerate, NumericsError):
+            half = len(trials) // 2
+            pending += [trials[half:], trials[:half]]
     return results, discards
 
 
@@ -425,28 +459,22 @@ def run_trials(
 ) -> RunReport:
     """Run ``num_trials`` deterministic trials of a scheme.
 
-    The outcome is identical for any ``threads`` value; parallel workers
-    just split the trial index range.  At most ``os.cpu_count()`` worker
-    processes start.
+    The outcome is identical for any ``threads`` value.  The trials run in
+    near-equal batches of at most ``TRIAL_BATCH``; parallel workers each
+    take a contiguous run of whole batches, and at most one worker process
+    starts per core and per batch, so a one-batch run starts no pool.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     report = RunReport(scheme_id=scheme_id, base_seed=base_seed, num_trials=num_trials)
-    workers = min(threads, num_trials, os.cpu_count() or 1)
-    if workers <= 1:
-        results, discards = _run_trial_range(
-            (scheme_id, base_seed, 0, num_trials, tol, collect_weights)
-        )
-        report.results = results
-        report.discards = discards
-        return report
-    bounds = np.linspace(0, num_trials, workers + 1, dtype=int)
     chunks = [
-        (scheme_id, base_seed, int(lo), int(hi), tol, collect_weights)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
+        (scheme_id, base_seed, batches, tol, collect_weights)
+        for batches in _batch_plan(num_trials, threads)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    if len(chunks) == 1:
+        report.results, report.discards = _run_trial_range(chunks[0])
+        return report
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         for results, discards in pool.map(_run_trial_range, chunks):
             report.results.extend(results)
             report.discards.extend(discards)

@@ -295,9 +295,16 @@ def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
     else:
         raise ValueError(f"{len(rows)} row sets for a stack of shape {g.shape[2:]}")
     # d[i, m] = sum_j conj(vh[j, rows[i]]) / s[j] * conj(u[m, j]), summed over
-    # contiguous copies: the stack axes then run as long inner loops
+    # contiguous copies: the stack axes then run as long inner loops.  Each
+    # factor is freed as soon as its copy exists, which keeps the peak memory
+    # of a large stack down.
+    del vh
     v_rows = np.ascontiguousarray(np.moveaxis(want.conj() / s[..., None], (-1, -2), (0, 1)))
-    d = matvec(v_rows, np.ascontiguousarray(_unstacked(np.swapaxes(u, -1, -2).conj())))
+    del want
+    u_h = np.ascontiguousarray(_unstacked(np.swapaxes(u, -1, -2).conj()))
+    del u
+    d = matvec(v_rows, u_h)
+    del v_rows, u_h
     eye = _unstacked(np.eye(k)[rows])
     eye = eye.reshape(eye.shape + (1,) * (g.ndim - 1 - rows.ndim))
     residual = frobenius_norm(matvec(d, g) - eye)

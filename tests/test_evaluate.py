@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from alignsim.channel import generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
     MAX_ATTEMPTS,
+    TRIAL_BATCH,
     DofEstimate,
     SchemeFailure,
     dof_by_counting,
@@ -242,6 +245,18 @@ class _DiscardSomeTrials(BcMatScheme):
         return super().decode_context(tensor, *args, **kwargs)
 
 
+class _DiscardOneDraw(BcMatScheme):
+    """Discards the one draw whose first channel coefficient is ``coefficient``."""
+
+    def __init__(self, coefficient):
+        self.coefficient = coefficient
+
+    def decode_context(self, tensor, *args, **kwargs):
+        if np.any(tensor.h[0, 0, 0] == self.coefficient):
+            raise RankDeficient("synthetic degenerate draw")
+        return super().decode_context(tensor, *args, **kwargs)
+
+
 class _FailStrongTrials(BcMatScheme):
     """Fails a certificate in every trial whose first channel coefficient is strong."""
 
@@ -268,6 +283,36 @@ class TestTrialBatches:
         assert report.discards == expected_discards
         assert report.discards
 
+    @pytest.mark.parametrize("bad", [0, 77, TRIAL_BATCH - 1])
+    def test_degenerate_trial_is_found_by_bisection(self, monkeypatch, bad):
+        import alignsim.evaluate as evaluate
+
+        [states] = spawn_states([(23, bad, 0)], 3)
+        first = generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0]
+        scheme = _DiscardOneDraw(first)
+        expected_results, expected_discards = [], []
+        for trial in range(TRIAL_BATCH):
+            result, discards = run_single_trial(scheme, 23, trial, DEFAULT_TOL)
+            expected_results.append(result)
+            expected_discards += discards
+        assert [(d.trial, d.attempt) for d in expected_discards] == [(bad, 0)]
+
+        batch_sizes = []
+
+        def counting_run_batch(scheme, base_seed, draws, *args):
+            batch_sizes.append(len(draws))
+            return run_batch(scheme, base_seed, draws, *args)
+
+        run_batch = evaluate._run_batch
+        monkeypatch.setattr(evaluate, "_run_batch", counting_run_batch)
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        report = run_trials("bc_mat", TRIAL_BATCH, base_seed=23)
+        assert report.results == expected_results
+        assert report.discards == expected_discards
+        # halving from one full batch down to the bad trial, whose retry
+        # makes one more call; a rerun of every trial would make 129
+        assert len(batch_sizes) <= 2 * math.log2(TRIAL_BATCH) + 2
+
     def test_failure_names_the_failing_trial_of_a_batch(self, monkeypatch):
         import alignsim.evaluate as evaluate
 
@@ -281,6 +326,25 @@ class TestTrialBatches:
         assert first_bad > 0
         with pytest.raises(SchemeFailure, match=f"bc_mat trial {first_bad}: certificate"):
             run_trials("bc_mat", 100, base_seed=22)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num_trials=st.integers(1, 1000), threads=st.integers(1, 4), cores=st.integers(1, 4))
+def test_batch_plan(num_trials, threads, cores):
+    import alignsim.evaluate as evaluate
+
+    with mock.patch.object(evaluate.os, "cpu_count", lambda: cores):
+        plan = evaluate._batch_plan(num_trials, threads)
+    batches = [batch for worker in plan for batch in worker]
+    sizes = [len(batch) for batch in batches]
+    # read worker by worker, the batches hold every trial once, in order, so
+    # each batch and each worker's run of whole batches is contiguous
+    assert [trial for batch in batches for trial in batch] == list(range(num_trials))
+    assert max(sizes) <= TRIAL_BATCH
+    assert max(sizes) - min(sizes) <= 1
+    assert len(batches) == math.ceil(num_trials / TRIAL_BATCH)
+    assert len(plan) == min(threads, cores, len(batches))
+    assert all(plan)
 
 
 _COEFFS = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
