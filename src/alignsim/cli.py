@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .channel import CausalityViolation
-from .evaluate import SchemeFailure, dof_by_counting, estimate_dof, run_trials
+from .evaluate import TRIAL_BATCH, SchemeFailure, dof_by_counting, estimate_dof, run_trials
 from .numerics import Tolerances
 from .registry import SCHEMES, get_scheme
 
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        help="parallel workers, capped at one per core and one per trial batch "
+        help=f"parallel workers, capped at one per core and one per {TRIAL_BATCH} trials "
         "(default: 0, as many as those caps allow)",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")

@@ -31,20 +31,20 @@ trial, independent of execution order and worker count.  A batch derives
 all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
-A run of ``n`` trials splits into ``ceil(n / TRIAL_BATCH)`` contiguous
-batches whose sizes differ by at most one, and each worker process takes a
-contiguous run of whole batches; no more workers start than there are cores
-or batches.  A batch draws with one ``generate_channel``, one
-``draw_offline`` and one ``draw_messages`` call, each handed the batch's
-generators of that stream: each generator makes its trial's normal draws,
-and the complex build and normalization run once on the stack.  The batch
-then goes through one block run, one decode, one certificate pass and, for
-rates, one noise-weight run.  Every reduction on that axis is a stacked
-LAPACK call or a left-to-right sum, so a trial's numbers are bit for bit the
-same whichever trials share its batch.  A batch that meets a degenerate
-draw or a structural failure is split into halves, run in trial order, down
-to single trials, which keeps discards, retries and failure messages per
-trial.
+A run of ``n`` trials starts at most one worker process per core and per
+``TRIAL_BATCH`` trials, and each worker takes an equal contiguous share of
+the trials.  A share splits into as few contiguous batches of at most
+``TRIAL_BATCH`` trials as it can, whose sizes differ by at most one.  A
+batch draws with one ``generate_channel``, one ``draw_offline`` and one
+``draw_messages`` call, each handed the batch's generators of that stream:
+each generator makes its trial's normal draws, and the complex build and
+normalization run once on the stack.  The batch then goes through one block
+run, one decode, one certificate pass and, for rates, one noise-weight run.
+Every reduction on that axis is a stacked LAPACK call or a left-to-right
+sum, so a trial's numbers are bit for bit the same whichever trials share
+its batch.  A batch that meets a degenerate draw or a structural failure is
+bisected down to the failing trials, which rerun one at a time; that keeps
+discards, retries and failure messages per trial.
 """
 
 from __future__ import annotations
@@ -400,52 +400,88 @@ def run_single_trial(
     )
 
 
-def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
-    """Each worker's trial batches: a contiguous run of whole batches per worker.
+def _split(trials: range, parts: int) -> list[range]:
+    """``trials`` cut into ``parts`` contiguous ranges whose lengths differ by at most one."""
+    n = len(trials)
+    return [trials[p * n // parts : (p + 1) * n // parts] for p in range(parts)]
 
-    The ``num_trials`` trials split into ``ceil(num_trials / TRIAL_BATCH)``
-    contiguous batches whose sizes differ by at most one, so a run of up to
-    ``TRIAL_BATCH`` trials is one batch.  ``min(threads, os.cpu_count(),
-    number of batches)`` workers, at least one, get the batches in order,
-    the earlier workers one more when they do not share evenly.
+
+def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
+    """Each worker's trial batches.
+
+    ``min(threads, os.cpu_count(), ceil(num_trials / TRIAL_BATCH))``
+    workers, at least one, take equal contiguous shares of the trials, so a
+    run of up to ``TRIAL_BATCH`` trials has one worker.  Each share of ``m``
+    trials splits into ``ceil(m / TRIAL_BATCH)`` contiguous batches whose
+    sizes differ by at most one.
     """
-    num_batches = -(-num_trials // TRIAL_BATCH)
-    batches = [
-        range(b * num_trials // num_batches, (b + 1) * num_trials // num_batches)
-        for b in range(num_batches)
+    workers = max(1, min(threads, os.cpu_count() or 1, -(-num_trials // TRIAL_BATCH)))
+    return [
+        _split(share, -(-len(share) // TRIAL_BATCH))
+        for share in _split(range(num_trials), workers)
     ]
-    workers = max(1, min(threads, os.cpu_count() or 1, num_batches))
-    starts = [-(-w * num_batches // workers) for w in range(workers + 1)]
-    return [batches[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
     """Run one worker's batches in order; returns (results, discards).
 
-    A batch that raises a degenerate draw or a structural failure is split
-    into halves, run in trial order, down to :func:`run_single_trial` for a
-    single trial, which keeps discards, retries and failure messages per
-    trial while the trials around the bad one stay batched.
+    A batch that raises a degenerate draw or a structural failure is
+    bisected: its halves run as batches, and the one that raises is split
+    again, down to pieces of fewer than four trials, which run one trial at
+    a time through :func:`run_single_trial`.  A first half that succeeds
+    leaves the failure in the second, which splits without a run.  When
+    both halves raise, failures are dense, and both rerun one trial at a
+    time as a whole, which costs two half-batch runs over a rerun of every
+    trial.  Results, discards and the first failure raised come in trial
+    order, as a trial-by-trial run gives them.
     """
     scheme_id, base_seed, batches, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
     results: list[TrialResult] = []
     discards: list[TrialResult] = []
-    pending = list(reversed(batches))
-    while pending:
-        trials = pending.pop()
-        if len(trials) == 1:
+
+    def batch(trials: range) -> list[TrialResult] | None:
+        try:
+            return _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
+        except (Degenerate, NumericsError):
+            return None
+
+    def one_by_one(trials: range) -> None:
+        for trial in trials:
             result, trial_discards = run_single_trial(
-                scheme, base_seed, trials[0], tol, collect_weights
+                scheme, base_seed, trial, tol, collect_weights
             )
             results.append(result)
             discards.extend(trial_discards)
-            continue
+
+    def bisect(trials: range) -> None:
+        if len(trials) < 4:
+            one_by_one(trials)
+            return
+        left, right = _split(trials, 2)
+        left_results = batch(left)
+        if left_results is not None:
+            results.extend(left_results)
+            bisect(right)
+            return
         try:
-            results += _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
-        except (Degenerate, NumericsError):
-            half = len(trials) // 2
-            pending += [trials[half:], trials[:half]]
+            right_results = batch(right)
+        except SchemeFailure:
+            # a failure in the left half comes first
+            bisect(left)
+            raise
+        if right_results is None:
+            one_by_one(trials)
+            return
+        bisect(left)
+        results.extend(right_results)
+
+    for trials in batches:
+        batch_results = batch(trials)
+        if batch_results is None:
+            bisect(trials)
+        else:
+            results.extend(batch_results)
     return results, discards
 
 
@@ -459,10 +495,11 @@ def run_trials(
 ) -> RunReport:
     """Run ``num_trials`` deterministic trials of a scheme.
 
-    The outcome is identical for any ``threads`` value.  The trials run in
-    near-equal batches of at most ``TRIAL_BATCH``; parallel workers each
-    take a contiguous run of whole batches, and at most one worker process
-    starts per core and per batch, so a one-batch run starts no pool.
+    The outcome is identical for any ``threads`` value.  At most one worker
+    process starts per core and per ``TRIAL_BATCH`` trials, so a run of up
+    to ``TRIAL_BATCH`` trials starts no pool; each worker runs an equal
+    contiguous share of the trials in near-equal batches of at most
+    ``TRIAL_BATCH``.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")

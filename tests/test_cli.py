@@ -525,16 +525,16 @@ class TestThreads:
 
         monkeypatch.setattr(evaluate, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
-        # one batch of 8 trials: a pool would have nothing to share out
+        # 8 trials are one batch: a pool would have nothing to share out
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert started == []
         assert [r.trial for r in report.results] == list(range(8))
-        # batches of at most 2: four batches, three cores
+        # at most one worker per 2 trials: four, capped at three cores
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 2)
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert started == [3]
         assert [r.trial for r in report.results] == list(range(8))
-        # two batches, three cores
+        # 4 trials: two workers, below the three cores
         evaluate.run_trials("bc_mat", 4, base_seed=0, threads=500)
         assert started == [3, 2]
 
@@ -575,9 +575,9 @@ class TestOneLineErrors:
 @pytest.mark.parametrize("mode", ["verify", "dof_sweep"])
 @pytest.mark.parametrize("trials", [65, 130, 257])
 def test_reports_identical_across_thread_counts(capsys, mode, trials):
-    # at two workers, 65 trials are one batch and start no pool, 130 are two
-    # batches of 65, one per worker, and 257 are three batches of 85 or 86,
-    # dealt two to the first worker and one to the second
+    # at one worker, 257 trials are three batches of 85 or 86; at two, 65
+    # trials are one batch and start no pool, 130 are one batch of 65 per
+    # worker, and 257 are a batch of 128 and batches of 65 and 64
     for scheme in sorted(cli.SCHEMES):
         argv = ["--scheme", scheme, "--mode", mode, "--trials", str(trials), "--seed", "7"]
         if mode == "dof_sweep":

@@ -25,6 +25,7 @@ from alignsim.evaluate import (
 from alignsim.numerics import (
     DEFAULT_TOL,
     Degenerate,
+    NumericsError,
     RankDeficient,
     sample_complex_gaussian,
     seeded_generator,
@@ -267,6 +268,26 @@ class _FailStrongTrials(BcMatScheme):
         return ["first_gain"] if np.any(certs["first_gain"] > 1.5) else []
 
 
+class _StructuralAndCertificateFailures(BcMatScheme):
+    """A structural failure on one draw and a failed certificate on another."""
+
+    def __init__(self, structural, failing_certificate):
+        self.structural = structural
+        self.failing_certificate = failing_certificate
+
+    def decode_context(self, tensor, *args, **kwargs):
+        if np.any(tensor.h[0, 0, 0] == self.structural):
+            raise NumericsError("synthetic structural failure")
+        return super().decode_context(tensor, *args, **kwargs)
+
+    def certificates(self, ctx):
+        flag = (ctx.tensor.h[0, 0, 0] == self.failing_certificate).astype(float)
+        return {**super().certificates(ctx), "flag": flag}
+
+    def check_certificates(self, certs, tol):
+        return ["flag"] if np.any(certs["flag"] > 0.5) else []
+
+
 class TestTrialBatches:
     def test_degenerate_batch_reruns_trial_by_trial(self, monkeypatch):
         import alignsim.evaluate as evaluate
@@ -313,6 +334,49 @@ class TestTrialBatches:
         # makes one more call; a rerun of every trial would make 129
         assert len(batch_sizes) <= 2 * math.log2(TRIAL_BATCH) + 2
 
+    def test_dense_failures_rerun_trial_by_trial(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        scheme = _DiscardSomeTrials()
+        expected_results, expected_discards = [], []
+        for trial in range(TRIAL_BATCH):
+            result, discards = run_single_trial(scheme, 21, trial, DEFAULT_TOL)
+            expected_results.append(result)
+            expected_discards += discards
+        batch_sizes = []
+
+        def counting_run_batch(scheme, base_seed, draws, *args):
+            batch_sizes.append(len(draws))
+            return run_batch(scheme, base_seed, draws, *args)
+
+        run_batch = evaluate._run_batch
+        monkeypatch.setattr(evaluate, "_run_batch", counting_run_batch)
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        report = run_trials("bc_mat", TRIAL_BATCH, base_seed=21)
+        assert report.results == expected_results
+        assert report.discards == expected_discards
+        # both halves of the batch fail, so every trial reruns on its own:
+        # the batch and its two halves are the only runs above that
+        half = TRIAL_BATCH // 2
+        per_trial = [1] * (TRIAL_BATCH + len(expected_discards))
+        assert batch_sizes == [TRIAL_BATCH, half, half] + per_trial
+
+    def test_failure_in_left_half_is_raised_before_right_half(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        firsts = [
+            generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0]
+            for states in spawn_states([(24, trial, 0) for trial in (10, 100)], 3)
+        ]
+        scheme = _StructuralAndCertificateFailures(*firsts)
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        with pytest.raises(SchemeFailure, match="bc_mat trial 100: certificate"):
+            run_single_trial(scheme, 24, 100, DEFAULT_TOL)
+        # the right half's batch fails its certificates first, but a
+        # trial-by-trial run meets trial 10's structural failure before it
+        with pytest.raises(SchemeFailure, match="bc_mat trial 10: NumericsError"):
+            run_trials("bc_mat", TRIAL_BATCH, base_seed=24)
+
     def test_failure_names_the_failing_trial_of_a_batch(self, monkeypatch):
         import alignsim.evaluate as evaluate
 
@@ -336,14 +400,17 @@ def test_batch_plan(num_trials, threads, cores):
     with mock.patch.object(evaluate.os, "cpu_count", lambda: cores):
         plan = evaluate._batch_plan(num_trials, threads)
     batches = [batch for worker in plan for batch in worker]
-    sizes = [len(batch) for batch in batches]
     # read worker by worker, the batches hold every trial once, in order, so
-    # each batch and each worker's run of whole batches is contiguous
+    # each batch and each worker's share is contiguous
     assert [trial for batch in batches for trial in batch] == list(range(num_trials))
-    assert max(sizes) <= TRIAL_BATCH
-    assert max(sizes) - min(sizes) <= 1
-    assert len(batches) == math.ceil(num_trials / TRIAL_BATCH)
-    assert len(plan) == min(threads, cores, len(batches))
+    assert len(plan) == min(threads, cores, math.ceil(num_trials / TRIAL_BATCH))
+    shares = [sum(len(batch) for batch in worker) for worker in plan]
+    assert max(shares) - min(shares) <= 1
+    for share, worker in zip(shares, plan):
+        sizes = [len(batch) for batch in worker]
+        assert len(worker) == math.ceil(share / TRIAL_BATCH)
+        assert max(sizes) <= TRIAL_BATCH
+        assert max(sizes) - min(sizes) <= 1
     assert all(plan)
 
 
