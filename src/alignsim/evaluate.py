@@ -17,12 +17,14 @@ impulse response.  Rates use the zero-forcing SINR of that decoder.  The decode
 coefficient carries exactly one factor of the amplitude ``sqrt(power)``
 while injected noise carries none, so the per-symbol estimation error at
 power ``P`` is exactly ``1/sqrt(P)`` times a fixed linear image of the unit
-noise block.  The per-symbol noise weight (the squared norm of that image,
-read off one batched block run whose batch columns are the unit impulses at
-every receiver/slot position, so that output feedback carries the noise
-forward as it would) turns into an exact per-symbol SINR ``P / weight`` at
-every operating point, which makes rate curves deterministic and smooth
-enough for slope fitting.
+noise block.  The per-symbol noise weight is the squared norm of that
+image.  Where no transmitter hears an output, the noise never reaches a
+transmit signal, and the weights are the squared row norms of the
+decoders.  Under output feedback they are read off one batched block run
+whose batch columns are the unit impulses at every receiver/slot position,
+so that the replays carry the noise forward as they would.  A weight turns
+into an exact per-symbol SINR ``P / weight`` at every operating point,
+which makes rate curves deterministic and smooth enough for slope fitting.
 
 Seeding: trial ``t``, attempt ``a`` of a run with ``base_seed`` uses
 ``numpy.random.SeedSequence((base_seed, t, a))`` split into independent
@@ -39,7 +41,8 @@ batch draws with one ``generate_channel``, one ``draw_offline`` and one
 ``draw_messages`` call, each handed the batch's generators of that stream:
 each generator makes its trial's normal draws, and the complex build and
 normalization run once on the stack.  The batch then goes through one block
-run, one decode, one certificate pass and, for rates, one noise-weight run.
+run, one decode, one certificate pass and, for rates, the noise weights:
+one more block run under output feedback, none otherwise.
 Every reduction on that axis is a stacked LAPACK call or a left-to-right
 sum, so a trial's numbers are bit for bit the same whichever trials share
 its batch.  A batch that meets a degenerate draw or a structural failure is
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -255,16 +259,31 @@ def noise_transfer_weights(
 ) -> np.ndarray:
     """Per-symbol squared norm of the decoder's unit-power noise image.
 
-    Runs one batched block at unit amplitude with zero messages and, as
-    noise, the ``num_rx * num_slots`` unit impulses, one per batch column.
-    Decoded column ``c`` is exactly column ``c`` of the linear noise-to-error
-    map, so the sum of squared magnitudes over the batch axis gives the
-    variance of each symbol estimate under unit-variance noise: an array of
-    shape ``(num_symbols, *T)``.  At transmit power ``P`` the per-symbol
-    SINR is then ``P / weight``.
+    The image of the unit impulse at receiver ``rx``, slot ``n`` is column
+    ``(rx, n)`` of the linear noise-to-error map, so the sum of its squared
+    magnitudes over the ``num_rx * num_slots`` impulses gives the variance
+    of each symbol estimate under unit-variance noise: an array of shape
+    ``(num_symbols, *T)``.  At transmit power ``P`` the per-symbol SINR is
+    then ``P / weight``.
+
+    When no transmitter hears an output (``scheme.feedback.provides_output``
+    is false), the transmit signal does not depend on the noise: the image
+    of impulse ``(rx, n)`` is column ``n`` of ``ctx.decoders[rx]`` on the
+    symbols of ``rx`` and zero on the rest, so the weights are the
+    decoders' squared row norms, summed over slots left to right.
+    Otherwise the replays carry the noise forward, and one batched block
+    run at unit amplitude with zero messages takes the impulses as noise,
+    one per batch column.  Both sums run in impulse order, so the two ways
+    give the same bits where both apply.
     """
-    size = scheme.num_rx * scheme.num_slots
     trials = tensor.h.shape[3:]
+    if not scheme.feedback.provides_output:
+        weights = np.empty((scheme.num_symbols, *trials), dtype=np.float64)
+        for rx, decoder in enumerate(ctx.decoders):
+            rows = ordered_sum(np.moveaxis(np.abs(decoder) ** 2, 1, 0))
+            weights[scheme.symbols_for_rx(rx)] = rows
+        return weights
+    size = scheme.num_rx * scheme.num_slots
     zero_msgs = np.zeros((scheme.num_symbols, size, *trials), dtype=np.complex128)
     impulses = np.eye(size, dtype=np.complex128).reshape(
         scheme.num_rx, scheme.num_slots, size, *(1,) * len(trials)
@@ -277,10 +296,17 @@ def noise_transfer_weights(
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
 
-def sum_rate_bits(weights: np.ndarray, power: float, num_slots: int) -> float:
-    """Sum rate in bits per channel use from per-symbol noise weights."""
+def sum_rate_bits(weights: np.ndarray, power, num_slots: int) -> float | np.ndarray:
+    """Sum rate in bits per channel use from per-symbol noise weights.
+
+    ``weights`` is ``(*A, num_symbols)``, with the symbols on the last axis,
+    and ``power`` a float or an array that broadcasts against ``weights``.
+    The result has the broadcast leading shape: a float for one weight
+    vector and one power.  With C-ordered weights each vector sums along
+    its own contiguous row, bit for bit as it would alone.
+    """
     sinr = power / np.maximum(weights, WEIGHT_FLOOR)
-    return float(np.sum(np.log2(1.0 + sinr)) / num_slots)
+    return np.sum(np.log2(1.0 + sinr), axis=-1) / num_slots
 
 
 def _run_batch(
@@ -535,7 +561,9 @@ def estimate_dof(
 
     The same seeded trials supply every grid point (their per-symbol noise
     weights are power-independent), so the grid points share randomness and
-    the fit measures the slope, not the Monte Carlo noise.
+    the fit measures the slope, not the Monte Carlo noise.  One
+    :func:`sum_rate_bits` call rates every trial at every point, and the
+    average over trials is one mean per point.
     """
     if len(snr_grid_db) < 2:
         raise ValueError("the SNR grid needs at least two points to fit a slope")
@@ -549,15 +577,12 @@ def estimate_dof(
         threads=threads,
     )
     weight_rows = np.array([r.noise_weights for r in report.results], dtype=np.float64)
-    sum_rates = []
-    for point in snr_grid_db:
-        power = 10.0 ** (point / 10.0)
-        rates = [
-            sum_rate_bits(row, power, scheme.num_slots) for row in weight_rows
-        ]
-        sum_rates.append(float(np.mean(rates)))
+    powers = np.array([10.0 ** (point / 10.0) for point in snr_grid_db])
+    # (points, trials) rates from one (points, trials, symbols) pass
+    rates = sum_rate_bits(weight_rows, powers[:, None, None], scheme.num_slots)
+    rates_arr = np.mean(rates, axis=1)
+    sum_rates = rates_arr.tolist()
     log2_power = np.array([point / 10.0 * math.log2(10.0) for point in snr_grid_db])
-    rates_arr = np.array(sum_rates)
     slope, intercept = np.polyfit(log2_power, rates_arr, 1)
     fitted = slope * log2_power + intercept
     ss_res = float(np.sum((rates_arr - fitted) ** 2))
@@ -579,17 +604,20 @@ def estimate_dof(
 def future_perturbation_invariant(
     scheme: Scheme,
     base_seed: int,
-    trial: int,
+    trials: Sequence[int],
     perturb_from: int,
     tol: Tolerances,
 ) -> bool:
     """True when perturbing channel states of slots >= ``perturb_from`` leaves
-    every transmit scalar of slots <= ``perturb_from`` bit-identical.
+    every transmit scalar of slots <= ``perturb_from`` bit-identical, for
+    every trial in ``trials``.
 
-    The perturbation is a pure phase rotation, which keeps the tensor inside
-    its magnitude band while changing every affected coefficient.
+    The trials are drawn as one stack and run as one block each way, which
+    gives every trial the bits it has alone.  The perturbation is a pure
+    phase rotation, which keeps the tensor inside its magnitude band while
+    changing every affected coefficient.
     """
-    tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0)])
+    tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
     x_ref = simulate_block(scheme, tensor, offline, msgs, 1.0, tol).x
     h2 = tensor.h.copy()
     h2[:, :, perturb_from:] *= np.exp(0.7j)

@@ -3,9 +3,9 @@
 A batched block run must compute, column by column, what unbatched runs
 compute, and must read through the transmitter views exactly as an
 unbatched run does.  The noise-transfer weights, which come from one
-batched run, are checked against the per-impulse loop they replace.  A
-trial's results must not depend, to the bit, on the trials that share its
-batch.
+batched run under output feedback and from the decoder rows otherwise, are
+checked against the per-impulse loop they replace.  A trial's results must
+not depend, to the bit, on the trials that share its batch.
 """
 
 import dataclasses
@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from alignsim.channel import AccessLog, ChannelTensor, generate_channel
 from alignsim.evaluate import (
     TRIAL_BATCH,
+    _draw_batch,
     _run_batch,
     noise_transfer_weights,
     run_trials,
     simulate_block,
 )
-from alignsim.numerics import DEFAULT_TOL, Degenerate, sample_complex_gaussian
+from alignsim.numerics import DEFAULT_TOL, Degenerate, ordered_sum, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context
@@ -32,13 +33,17 @@ ALL_SCHEME_IDS = sorted(SCHEMES)
 
 
 def per_impulse_weights(scheme, tensor, offline, ctx, tol):
-    """Reference weights: one unbatched block run per (receiver, slot) impulse."""
-    zero_msgs = np.zeros(scheme.num_symbols, dtype=np.complex128)
-    weights = np.zeros(scheme.num_symbols, dtype=np.float64)
+    """Reference weights: one block run per (receiver, slot) impulse.
+
+    On a stack of trials, every trial takes the impulse in the same run.
+    """
+    trials = tensor.h.shape[3:]
+    zero_msgs = np.zeros((scheme.num_symbols, *trials), dtype=np.complex128)
+    weights = np.zeros((scheme.num_symbols, *trials), dtype=np.float64)
     state: dict = {}
     for k0 in range(scheme.num_rx):
         for n0 in range(scheme.num_slots):
-            noise = np.zeros((scheme.num_rx, scheme.num_slots), dtype=np.complex128)
+            noise = np.zeros((scheme.num_rx, scheme.num_slots, *trials), dtype=np.complex128)
             noise[k0, n0] = 1.0
             record = simulate_block(
                 scheme, tensor, offline, zero_msgs, 1.0, tol, noise=noise, state=state
@@ -108,6 +113,56 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
         reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
         assert weights.shape == (scheme.num_symbols,)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
+
+
+DELAYED_CSIT_IDS = ["bc_mat", "ic3_retro_csit", "x_retro_csit"]
+OUTPUT_FEEDBACK_IDS = ["ic3_output_fb", "x_output_fb"]
+
+
+def _one_and_stacked(scheme):
+    """(tensor, offline) of one unstacked draw, then of a 40-trial stack."""
+    one = _draw(scheme, np.random.default_rng(37))
+    tensor, offline, _ = _draw_batch(scheme, 37, [(t, 0) for t in range(40)])
+    return [one, (tensor, offline)]
+
+
+def _decoder_row_norms(scheme, ctx):
+    """Each symbol's squared decoder row norm, summed over slots left to right."""
+    trials = ctx.decoders[0].shape[2:]
+    norms = np.empty((scheme.num_symbols, *trials), dtype=np.float64)
+    for rx, decoder in enumerate(ctx.decoders):
+        norms[scheme.symbols_for_rx(rx)] = ordered_sum(np.moveaxis(np.abs(decoder) ** 2, 1, 0))
+    return norms
+
+
+@pytest.mark.parametrize("scheme_id", DELAYED_CSIT_IDS)
+def test_weights_without_output_feedback_are_exact(scheme_id):
+    # no transmitter hears an output, so the weights skip the impulse run
+    # and must still carry the impulse run's bits
+    scheme = get_scheme(scheme_id)
+    assert not scheme.feedback.provides_output
+    for tensor, offline in _one_and_stacked(scheme):
+        ctx = decode_context(scheme, tensor, offline)
+        reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        assert weights.shape == reference.shape
+        assert np.array_equal(weights, reference)
+
+
+@pytest.mark.parametrize("scheme_id", OUTPUT_FEEDBACK_IDS)
+def test_output_feedback_weights_are_not_decoder_row_norms(scheme_id):
+    # replayed outputs carry the noise forward, so the row norms miss part of it
+    scheme = get_scheme(scheme_id)
+    assert scheme.feedback.provides_output
+    for tensor, offline in _one_and_stacked(scheme):
+        ctx = decode_context(scheme, tensor, offline)
+        reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        np.testing.assert_allclose(
+            noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL),
+            reference,
+            rtol=1e-12,
+        )
+        assert not np.allclose(_decoder_row_norms(scheme, ctx), reference, rtol=1e-3)
 
 
 # -- trials on the batch axis -------------------------------------------------

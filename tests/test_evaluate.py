@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import generate_channel
@@ -12,8 +12,11 @@ from alignsim.evaluate import (
     DECODE_REL_TOL,
     MAX_ATTEMPTS,
     TRIAL_BATCH,
+    WEIGHT_FLOOR,
     DofEstimate,
+    RunReport,
     SchemeFailure,
+    TrialResult,
     dof_by_counting,
     estimate_dof,
     noise_transfer_weights,
@@ -235,6 +238,75 @@ class TestDofEstimation:
     def test_rates_increase_with_snr(self):
         estimate = estimate_dof("ic3_output_fb", [30.0, 40.0, 50.0], 10, base_seed=5)
         assert estimate.sum_rates == sorted(estimate.sum_rates)
+
+
+# per dof_sweep batch: the message run, plus the impulse run where a replay
+# carries the noise forward
+SWEEP_BLOCK_RUNS = {
+    "bc_mat": 1,
+    "ic3_output_fb": 2,
+    "ic3_retro_csit": 1,
+    "x_output_fb": 2,
+    "x_retro_csit": 1,
+}
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_sweep_batch_block_runs(scheme_id):
+    import alignsim.evaluate as evaluate
+
+    with mock.patch.object(evaluate, "simulate_block", wraps=simulate_block) as spy:
+        estimate = estimate_dof(scheme_id, [40.0, 70.0], 40, base_seed=8)
+    assert estimate.discards == 0
+    assert spy.call_count == SWEEP_BLOCK_RUNS[scheme_id]
+
+
+@st.composite
+def _sweep_inputs(draw):
+    scheme = get_scheme(draw(st.sampled_from(ALL_SCHEME_IDS)))
+    trials = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = 10.0 ** rng.uniform(-12.0, 12.0, (trials, scheme.num_symbols))
+    # some weights at the floor, some below it
+    rows[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = WEIGHT_FLOOR
+    rows[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    # points 0.1 dB apart or more, so the slope fit stays well posed
+    point = st.one_of(st.sampled_from([-10000, 10000]), st.integers(-2000, 2000))
+    grid = [k / 10.0 for k in draw(st.lists(point, min_size=2, max_size=6, unique=True))]
+    return scheme, rows.tolist(), grid
+
+
+def _weights_report(scheme, rows):
+    """A run report whose trials carry the given noise weights."""
+    results = [
+        TrialResult(
+            scheme_id=scheme.scheme_id, trial=t, attempt=0, decode_ok=True,
+            max_rel_symbol_error=0.0, interference_ranks=[], certificates={}, csi_slots=[],
+            outputs_own_receiver_only=True, noise_weights=row,
+        )
+        for t, row in enumerate(rows)
+    ]
+    return RunReport(scheme.scheme_id, 0, len(rows), results)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(inputs=_sweep_inputs())
+@example(inputs=(get_scheme("ic3_retro_csit"), [[WEIGHT_FLOOR] * 9] * 3, [-1000.0, 0.0, 1000.0]))
+def test_sweep_rates_equal_the_per_trial_loop(inputs):
+    import alignsim.evaluate as evaluate
+
+    scheme, rows, grid = inputs
+    with np.errstate(all="ignore"), mock.patch.object(
+        evaluate, "run_trials", return_value=_weights_report(scheme, rows)
+    ):
+        estimate = estimate_dof(scheme.scheme_id, grid, len(rows), base_seed=0)
+        expected = []
+        for point in grid:
+            power = 10.0 ** (point / 10.0)
+            rates = [sum_rate_bits(np.array(row), power, scheme.num_slots) for row in rows]
+            expected.append(float(np.mean(rates)))
+    assert all(type(rate) is float for rate in estimate.sum_rates)
+    assert np.array(estimate.sum_rates).tobytes() == np.array(expected).tobytes()
 
 
 class _DiscardSomeTrials(BcMatScheme):

@@ -102,7 +102,7 @@ class TestBcMat:
 
     @pytest.mark.parametrize("perturb_from", range(3))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(BC, 31, 0, perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(BC, 31, [0], perturb_from, DEFAULT_TOL)
 
 
 class TestXOutputFeedback:
@@ -123,7 +123,7 @@ class TestXOutputFeedback:
 
     @pytest.mark.parametrize("perturb_from", range(3))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(XFB, 32, 0, perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(XFB, 32, [0], perturb_from, DEFAULT_TOL)
 
 
 class TestIC3OutputFeedback:
@@ -166,7 +166,7 @@ class TestIC3OutputFeedback:
 
     @pytest.mark.parametrize("perturb_from", range(5))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(ICFB, 33, 0, perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(ICFB, 33, [0], perturb_from, DEFAULT_TOL)
 
 
 class TestInterpreterGuards:

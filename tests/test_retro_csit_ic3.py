@@ -172,7 +172,7 @@ class TestEncoding:
 
     @pytest.mark.parametrize("perturb_from", range(NUM_SLOTS))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(SCHEME, 77, 0, perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(SCHEME, 77, [0], perturb_from, DEFAULT_TOL)
 
 
 class TestTransmitCache:
