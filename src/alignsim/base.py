@@ -21,7 +21,9 @@ symbols.  This recovers them exactly when ``G`` has full row rank and the
 interference fills only the ``num_slots - len(symbols_for_rx(rx))``
 dimensions that the desired symbols leave free.  This is the alignment
 each scheme is built for, and the decoder certifies it for every scheme.
-A scheme adds only the certificates of its own encoder.
+A scheme adds only the certificates of its own encoder and their rows of
+the cutoff table (:meth:`Scheme.certificate_cutoffs`); one method checks
+every trial's certificates against that table.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .numerics import (
 )
 
 __all__ = ["InterferenceRankUnexpected", "DecodeContext", "Scheme"]
+
+#: The comparison a certificate value must pass, by direction of its check.
+_PASSES = {"<=": np.less_equal, ">": np.greater, "==": np.equal}
 
 
 class InterferenceRankUnexpected(NumericsError):
@@ -213,18 +218,24 @@ class Scheme:
             certs[f"zf_residual_rx{rx}"] = ctx.zf_residual[rx]
         return certs
 
-    def check_certificates(self, certs: dict[str, float], tol: Tolerances) -> list[str]:
-        """Names of certificate checks that failed (empty means all passed).
+    def certificate_cutoffs(self, tol: Tolerances) -> list[tuple[str, str, float]]:
+        """The cutoff table: each certificate check as ``(key, direction, cutoff)``.
 
-        The values may be floats or ``(T,)`` arrays; a check fails when it
-        fails for any trial.
+        A check passes when ``value <direction> cutoff`` holds.  Failures are named in
+        table order: the decoder's checks by receiver, then those a scheme appends.
         """
-        failures = []
+        cutoffs = []
         for rx in range(self.num_rx):
-            if np.any(certs[f"interference_rank_rx{rx}"] != self.interference_rank(rx)):
-                failures.append(f"interference_rank_rx{rx}")
-            if not np.all(certs[f"receive_cond_rx{rx}"] > tol.rank_rel):
-                failures.append(f"receive_cond_rx{rx}")
-            if not np.all(certs[f"zf_residual_rx{rx}"] <= tol.residual_rel):
-                failures.append(f"zf_residual_rx{rx}")
-        return failures
+            cutoffs += [
+                (f"interference_rank_rx{rx}", "==", self.interference_rank(rx)),
+                (f"receive_cond_rx{rx}", ">", tol.rank_rel),
+                (f"zf_residual_rx{rx}", "<=", tol.residual_rel),
+            ]
+        return cutoffs
+
+    def certificate_failures(self, certs: dict, tol: Tolerances) -> dict[str, np.ndarray]:
+        """Per check of the cutoff table, the mask of ``certs`` values that fail it (NaN fails)."""
+        return {
+            key: ~_PASSES[direction](certs[key], cutoff)
+            for key, direction, cutoff in self.certificate_cutoffs(tol)
+        }

@@ -28,6 +28,8 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .channel import CausalityViolation
 from .evaluate import TRIAL_BATCH, SchemeFailure, dof_by_counting, estimate_dof, run_trials
 from .numerics import Tolerances
@@ -47,6 +49,11 @@ LEAKAGE_RATIO_MAX = 1e-12
 #: Largest accepted SNR grid magnitude in dB, far past any physical SNR; near
 #: 3000 dB the transmit power overflows a float.
 SNR_DB_MAX = 1000.0
+
+#: Smallest accepted gap between SNR grid points in dB.  Rounding in the sum
+#: rates then moves a two-point slope by under 1e-6, even at SNR_DB_MAX, where
+#: a 1e-12 dB gap halves it; near 1e-200 dB the least-squares fit raises.
+SNR_GRID_MIN_GAP_DB = 1e-6
 
 
 class UsageError(Exception):
@@ -212,8 +219,9 @@ def _validate(config: RunConfig) -> None:
             raise UsageError(f"SNR grid points must be finite numbers, got {grid}")
         if any(abs(v) > SNR_DB_MAX for v in grid):
             raise UsageError(f"SNR grid points must lie within +-{SNR_DB_MAX:g} dB, got {grid}")
-        if len(set(grid)) != len(grid):
-            raise UsageError(f"SNR grid points must be distinct, got {grid}")
+        if np.min(np.diff(sorted(grid))) < SNR_GRID_MIN_GAP_DB:
+            gap = f"{SNR_GRID_MIN_GAP_DB:g} dB"
+            raise UsageError(f"SNR grid points must be distinct, {gap} apart or more, got {grid}")
     elif config.snr_grid_db:
         raise UsageError(f"mode {config.mode!r} does not take an SNR grid")
     if config.format == "csv" and config.mode != "dof_sweep":
@@ -255,17 +263,6 @@ def _render_json(obj) -> str:
 # -- modes -------------------------------------------------------------------
 
 
-def _certificate_extrema(results) -> dict[str, list[float]]:
-    keys: dict = {}
-    for result in results:
-        keys.update(result.certificates)
-    extrema: dict[str, list[float]] = {}
-    for key in keys:
-        values = [r.certificates[key] for r in results if key in r.certificates]
-        extrema[key] = [float(min(values)), float(max(values))]
-    return extrema
-
-
 def _run_report(config: RunConfig):
     """Run the configured trials; returns ``(scheme, report, fields verify and audit share)``."""
     scheme = get_scheme(config.scheme)
@@ -276,27 +273,32 @@ def _run_report(config: RunConfig):
         tol=config.tolerances(),
         threads=config.resolved_threads(),
     )
-    csi_slots = report.csi_slots_union()
+    outcomes = report.outcomes
     shared = {
         "trials": config.trials,
         "discards": len(report.discards),
-        "csi_slot_indices": csi_slots,
-        "csi_slot_fraction": Fraction(len(csi_slots), scheme.num_slots),
-        "outputs_own_receiver_only": all(r.outputs_own_receiver_only for r in report.results),
+        "csi_slot_indices": outcomes.csi_slots,
+        "csi_slot_fraction": Fraction(len(outcomes.csi_slots), scheme.num_slots),
+        "outputs_own_receiver_only": outcomes.outputs_own_receiver_only,
     }
     return scheme, report, shared
 
 
 def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
-    _, report, shared = _run_report(config)
-    decode_ok = sum(1 for r in report.results if r.decode_ok)
-    ranks_observed = sorted({rank for r in report.results for rank in r.interference_ranks})
+    scheme, report, shared = _run_report(config)
+    certificates = report.outcomes.certificates
+    decode_ok = int(np.count_nonzero(report.outcomes.decode_ok))
+    ranks = [certificates[f"interference_rank_rx{rx}"] for rx in range(scheme.num_rx)]
     results = {
         **shared,
         "decode_ok": decode_ok,
         "max_rel_symbol_error": report.max_rel_symbol_error,
-        "interference_ranks_observed": ranks_observed,
-        "certificate_extrema": _certificate_extrema(report.results),
+        # np.unique would import numpy.ma, 20 ms on a cold start
+        "interference_ranks_observed": sorted(set(np.concatenate(ranks).astype(int).tolist())),
+        "certificate_extrema": {
+            key: [float(np.min(values)), float(np.max(values))]
+            for key, values in certificates.items()
+        },
     }
     passed = decode_ok == config.trials
     return results, passed

@@ -33,21 +33,20 @@ trial, independent of execution order and worker count.  A batch derives
 all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
-A run of ``n`` trials starts at most one worker process per core and per
-``TRIAL_BATCH`` trials, and each worker takes an equal contiguous share of
-the trials.  A share splits into as few contiguous batches of at most
-``TRIAL_BATCH`` trials as it can, whose sizes differ by at most one.  A
-batch draws with one ``generate_channel``, one ``draw_offline`` and one
-``draw_messages`` call, each handed the batch's generators of that stream:
-each generator makes its trial's normal draws, and the complex build and
-normalization run once on the stack.  The batch then goes through one block
-run, one decode, one certificate pass and, for rates, the noise weights:
-one more block run under output feedback, none otherwise.
-Every reduction on that axis is a stacked LAPACK call or a left-to-right
-sum, so a trial's numbers are bit for bit the same whichever trials share
-its batch.  A batch that meets a degenerate draw or a structural failure is
-bisected down to the failing trials, which rerun one at a time; that keeps
-discards, retries and failure messages per trial.
+A run's workers take contiguous batches of at most ``TRIAL_BATCH`` trials
+(see :func:`run_trials`).  A batch draws with one ``generate_channel``, one
+``draw_offline`` and one ``draw_messages`` call, each handed the batch's
+generators of that stream: each generator makes its trial's normal draws,
+and the complex build and normalization run once on the stack.  The batch
+then goes through one block run, one decode, one certificate pass and, for
+rates, the noise weights: one more block run under output feedback, none
+otherwise.  Every reduction on that axis is a stacked LAPACK call or a
+left-to-right sum, so a trial's numbers are bit for bit the same whichever
+trials share its batch.  A batch that meets a degenerate draw or a
+structural failure is bisected down to the failing trials, which rerun one
+at a time; that keeps discards, retries and failure messages per trial.
+Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
+batch to the run's report, joined in trial order.
 """
 
 from __future__ import annotations
@@ -56,8 +55,9 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +87,8 @@ __all__ = [
     "TRIAL_BATCH",
     "MAX_ATTEMPTS",
     "DECODE_REL_TOL",
-    "TrialResult",
+    "Discard",
+    "TrialOutcomes",
     "RunReport",
     "DofEstimate",
     "simulate_block",
@@ -121,47 +122,68 @@ class SchemeFailure(Exception):
     """A structural guarantee of a scheme failed; resampling would hide a bug."""
 
 
-@dataclass
-class TrialResult:
-    """Outcome of one attempt of one trial."""
+class Discard(NamedTuple):
+    """A degenerate draw, resampled with the trial's next attempt."""
 
-    scheme_id: str
     trial: int
     attempt: int
-    decode_ok: bool
-    max_rel_symbol_error: float | None
-    interference_ranks: list[int]
-    certificates: dict[str, float]
+    reason: str
+
+
+@dataclass
+class TrialOutcomes:
+    """Outcomes of ``n`` trials in trial order, each array ``(n,)`` or ``(n, num_symbols)``.
+
+    ``noise_weights`` is present when rates were asked for.  A batch audits its
+    trials' reads at once: ``csi_slots`` and ``outputs_own_receiver_only`` hold for all.
+    """
+
+    trial: np.ndarray
+    attempt: np.ndarray
+    max_rel_symbol_error: np.ndarray
+    certificates: dict[str, np.ndarray]
+    noise_weights: np.ndarray | None
     csi_slots: list[int]
     outputs_own_receiver_only: bool
-    discarded: bool = False
-    discard_reason: str | None = None
-    noise_weights: list[float] | None = None
+
+    @property
+    def decode_ok(self) -> np.ndarray:
+        """Per trial, whether the noiseless decode was exact."""
+        return self.max_rel_symbol_error <= DECODE_REL_TOL
+
+
+def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
+    """The outcomes of ``parts``, one after the other."""
+    first = parts[0]
+    return TrialOutcomes(
+        trial=np.concatenate([p.trial for p in parts]),
+        attempt=np.concatenate([p.attempt for p in parts]),
+        max_rel_symbol_error=np.concatenate([p.max_rel_symbol_error for p in parts]),
+        certificates={
+            key: np.concatenate([p.certificates[key] for p in parts]) for key in first.certificates
+        },
+        noise_weights=None if first.noise_weights is None else np.concatenate(
+            [p.noise_weights for p in parts]
+        ),
+        csi_slots=sorted(set().union(*(p.csi_slots for p in parts))),
+        outputs_own_receiver_only=all(p.outputs_own_receiver_only for p in parts),
+    )
 
 
 @dataclass
 class RunReport:
-    """All results of a deterministic multi-trial run."""
+    """All outcomes of a deterministic multi-trial run."""
 
-    scheme_id: str
-    base_seed: int
-    num_trials: int
-    results: list[TrialResult] = field(default_factory=list)
-    discards: list[TrialResult] = field(default_factory=list)
+    outcomes: TrialOutcomes
+    discards: list[Discard]
 
     @property
     def all_decode_ok(self) -> bool:
-        return all(r.decode_ok for r in self.results)
+        return bool(np.all(self.outcomes.decode_ok))
 
     @property
     def max_rel_symbol_error(self) -> float:
-        return max((r.max_rel_symbol_error for r in self.results), default=0.0)
-
-    def csi_slots_union(self) -> list[int]:
-        slots: set[int] = set()
-        for r in self.results:
-            slots.update(r.csi_slots)
-        return sorted(slots)
+        return float(np.max(self.outcomes.max_rel_symbol_error))
 
 
 @dataclass
@@ -315,70 +337,61 @@ def _run_batch(
     draws: list[tuple[int, int]],
     tol: Tolerances,
     collect_weights: bool,
-) -> list[TrialResult]:
-    """Run the ``(trial, attempt)`` draws as one stacked block; one result per draw.
+) -> TrialOutcomes:
+    """Run the ``(trial, attempt)`` draws as one stacked block; their outcomes in draw order.
 
     Raises what the block raises (a :class:`Degenerate` draw, a structural
     :class:`NumericsError`) and :class:`SchemeFailure` for the first trial
     whose certificates or CSI usage fail.
     """
+    n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
     state: dict = {}
     # the message column, then one identity column per symbol: their
     # received blocks are the impulse response the decoder is read from
     size = scheme.num_symbols
-    identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, len(draws)))
+    identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, n))
     columns = np.concatenate([msgs[:, None], identity], axis=1)
     record = simulate_block(scheme, tensor, offline, columns, 1.0, tol, log=log, state=state)
     ctx = scheme.decode_context(tensor, offline, tol, record.y[:, :, 1:], state)
     decoded = scheme.decode(record.y[:, :, 0], ctx)
     certs = {
-        key: np.broadcast_to(value, (len(draws),))
+        key: np.array(np.broadcast_to(value, (n,)), dtype=np.float64)
         for key, value in scheme.certificates(ctx).items()
     }
-    # one check for the whole batch; trial by trial only to name a failure
-    certs_failed = bool(scheme.check_certificates(certs, tol))
-    cert_rows = np.array(list(certs.values()), dtype=np.float64).T.tolist()
-    rank_keys = [f"interference_rank_rx{rx}" for rx in range(scheme.num_rx)]
+    failed = scheme.certificate_failures(certs, tol)
     weights = None
     if collect_weights:
         weights = noise_transfer_weights(scheme, tensor, offline, ctx, tol, state=state)
     # Every trial of the batch made the same reads, so one audit serves all.
     csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
     over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
-    own_only = outputs_own_receiver_only(log)
-    errors = np.max(np.abs(decoded - msgs), axis=0).tolist()
-    scales = np.max(np.abs(msgs), axis=0).tolist()
-    results = []
-    for t, (trial, attempt) in enumerate(draws):
-        trial_certs = dict(zip(certs, cert_rows[t]))
-        failures = scheme.check_certificates(trial_certs, tol) if certs_failed else []
-        if failures:
-            raise SchemeFailure(
-                f"{scheme.scheme_id} trial {trial}: certificate checks failed: {failures}"
-            )
-        if over_budget:
-            raise SchemeFailure(
-                f"{scheme.scheme_id} trial {trial}: transmitters read channel states "
-                f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
-            )
-        max_rel = errors[t] / max(scales[t], SCALE_FLOOR)
-        result = TrialResult(
-            scheme_id=scheme.scheme_id,
-            trial=trial,
-            attempt=attempt,
-            decode_ok=bool(max_rel <= DECODE_REL_TOL),
-            max_rel_symbol_error=max_rel,
-            interference_ranks=[int(trial_certs[key]) for key in rank_keys],
-            certificates=trial_certs,
-            csi_slots=list(csi_slots),
-            outputs_own_receiver_only=own_only,
+    # name the first failing trial; within a trial, certificates come first
+    failing = np.any(list(failed.values()), axis=0)
+    first = int((failing | over_budget).argmax())
+    if failing[first]:
+        raise SchemeFailure(
+            f"{scheme.scheme_id} trial {draws[first][0]}: certificate checks failed: "
+            f"{[key for key, mask in failed.items() if mask[first]]}"
         )
-        if weights is not None:
-            result.noise_weights = [float(w) for w in weights[:, t]]
-        results.append(result)
-    return results
+    if over_budget:
+        raise SchemeFailure(
+            f"{scheme.scheme_id} trial {draws[first][0]}: transmitters read channel states "
+            f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
+        )
+    trial, attempt = np.array(draws).T
+    errors = np.max(np.abs(decoded - msgs), axis=0)
+    scales = np.maximum(np.max(np.abs(msgs), axis=0), SCALE_FLOOR)
+    return TrialOutcomes(
+        trial=trial,
+        attempt=attempt,
+        max_rel_symbol_error=errors / scales,
+        certificates=certs,
+        noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
+        csi_slots=csi_slots,
+        outputs_own_receiver_only=outputs_own_receiver_only(log),
+    )
 
 
 def run_single_trial(
@@ -387,42 +400,26 @@ def run_single_trial(
     trial: int,
     tol: Tolerances,
     collect_weights: bool = False,
-) -> tuple[TrialResult, list[TrialResult]]:
-    """Run one trial, resampling discarded attempts; returns (result, discards).
+) -> tuple[TrialOutcomes, list[Discard]]:
+    """Run one trial, resampling discarded attempts; returns (outcome, discards).
 
     A numerical failure that is not a degenerate draw (an interference rank
     or a residual off its guarantee) becomes a :class:`SchemeFailure` that
     names the trial.
     """
-    discards: list[TrialResult] = []
+    discards: list[Discard] = []
     for attempt in range(MAX_ATTEMPTS):
         try:
-            [result] = _run_batch(scheme, base_seed, [(trial, attempt)], tol, collect_weights)
+            return _run_batch(scheme, base_seed, [(trial, attempt)], tol, collect_weights), discards
         except Degenerate as exc:
-            discards.append(
-                TrialResult(
-                    scheme_id=scheme.scheme_id,
-                    trial=trial,
-                    attempt=attempt,
-                    decode_ok=False,
-                    max_rel_symbol_error=None,
-                    interference_ranks=[],
-                    certificates={},
-                    csi_slots=[],
-                    outputs_own_receiver_only=True,
-                    discarded=True,
-                    discard_reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
+            discards.append(Discard(trial, attempt, f"{type(exc).__name__}: {exc}"))
         except NumericsError as exc:
             raise SchemeFailure(
                 f"{scheme.scheme_id} trial {trial}: {type(exc).__name__}: {exc}"
             ) from exc
-        return result, discards
     raise SchemeFailure(
         f"{scheme.scheme_id} trial {trial}: exceeded {MAX_ATTEMPTS} attempts; "
-        f"last discard: {discards[-1].discard_reason}"
+        f"last discard: {discards[-1].reason}"
     )
 
 
@@ -448,8 +445,8 @@ def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
     ]
 
 
-def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
-    """Run one worker's batches in order; returns (results, discards).
+def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
+    """Run one worker's batches in order; returns (outcomes, discards).
 
     A batch that raises a degenerate draw or a structural failure is
     bisected: its halves run as batches, and the one that raises is split
@@ -458,15 +455,15 @@ def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
     leaves the failure in the second, which splits without a run.  When
     both halves raise, failures are dense, and both rerun one trial at a
     time as a whole, which costs two half-batch runs over a rerun of every
-    trial.  Results, discards and the first failure raised come in trial
+    trial.  Outcomes, discards and the first failure raised come in trial
     order, as a trial-by-trial run gives them.
     """
     scheme_id, base_seed, batches, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
-    results: list[TrialResult] = []
-    discards: list[TrialResult] = []
+    parts: list[TrialOutcomes] = []
+    discards: list[Discard] = []
 
-    def batch(trials: range) -> list[TrialResult] | None:
+    def batch(trials: range) -> TrialOutcomes | None:
         try:
             return _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
         except (Degenerate, NumericsError):
@@ -474,41 +471,39 @@ def _run_trial_range(args) -> tuple[list[TrialResult], list[TrialResult]]:
 
     def one_by_one(trials: range) -> None:
         for trial in trials:
-            result, trial_discards = run_single_trial(
-                scheme, base_seed, trial, tol, collect_weights
-            )
-            results.append(result)
-            discards.extend(trial_discards)
+            outcome, resampled = run_single_trial(scheme, base_seed, trial, tol, collect_weights)
+            parts.append(outcome)
+            discards.extend(resampled)
 
     def bisect(trials: range) -> None:
         if len(trials) < 4:
             one_by_one(trials)
             return
         left, right = _split(trials, 2)
-        left_results = batch(left)
-        if left_results is not None:
-            results.extend(left_results)
+        left_outcomes = batch(left)
+        if left_outcomes is not None:
+            parts.append(left_outcomes)
             bisect(right)
             return
         try:
-            right_results = batch(right)
+            right_outcomes = batch(right)
         except SchemeFailure:
             # a failure in the left half comes first
             bisect(left)
             raise
-        if right_results is None:
+        if right_outcomes is None:
             one_by_one(trials)
             return
         bisect(left)
-        results.extend(right_results)
+        parts.append(right_outcomes)
 
     for trials in batches:
-        batch_results = batch(trials)
-        if batch_results is None:
+        outcomes = batch(trials)
+        if outcomes is None:
             bisect(trials)
         else:
-            results.extend(batch_results)
-    return results, discards
+            parts.append(outcomes)
+    return _concat(parts), discards
 
 
 def run_trials(
@@ -529,19 +524,16 @@ def run_trials(
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
-    report = RunReport(scheme_id=scheme_id, base_seed=base_seed, num_trials=num_trials)
     chunks = [
         (scheme_id, base_seed, batches, tol, collect_weights)
         for batches in _batch_plan(num_trials, threads)
     ]
     if len(chunks) == 1:
-        report.results, report.discards = _run_trial_range(chunks[0])
-        return report
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        for results, discards in pool.map(_run_trial_range, chunks):
-            report.results.extend(results)
-            report.discards.extend(discards)
-    return report
+        ranges = [_run_trial_range(chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            ranges = list(pool.map(_run_trial_range, chunks))
+    return RunReport(_concat([o for o, _ in ranges]), [d for _, ds in ranges for d in ds])
 
 
 def dof_by_counting(scheme: Scheme) -> Fraction:
@@ -576,10 +568,9 @@ def estimate_dof(
         collect_weights=True,
         threads=threads,
     )
-    weight_rows = np.array([r.noise_weights for r in report.results], dtype=np.float64)
     powers = np.array([10.0 ** (point / 10.0) for point in snr_grid_db])
     # (points, trials) rates from one (points, trials, symbols) pass
-    rates = sum_rate_bits(weight_rows, powers[:, None, None], scheme.num_slots)
+    rates = sum_rate_bits(report.outcomes.noise_weights, powers[:, None, None], scheme.num_slots)
     rates_arr = np.mean(rates, axis=1)
     sum_rates = rates_arr.tolist()
     log2_power = np.array([point / 10.0 * math.log2(10.0) for point in snr_grid_db])

@@ -175,11 +175,7 @@ class IC3RetroCsitScheme(Scheme):
         certs["constraint_residual"] = constraint
         return certs
 
-    def check_certificates(self, certs, tol):
-        failures = super().check_certificates(certs, tol)
-        for rx in range(3):
-            if np.any(certs[f"alpha_residual_rx{rx}"] > tol.residual_rel):
-                failures.append(f"alpha_residual_rx{rx}")
-        if np.any(certs["constraint_residual"] > CONSTRAINT_RESIDUAL_MAX):
-            failures.append("constraint_residual")
-        return failures
+    def certificate_cutoffs(self, tol):
+        cutoffs = super().certificate_cutoffs(tol)
+        cutoffs += [(f"alpha_residual_rx{rx}", "<=", tol.residual_rel) for rx in range(3)]
+        return cutoffs + [("constraint_residual", "<=", CONSTRAINT_RESIDUAL_MAX)]

@@ -238,11 +238,9 @@ class XRetroCsitScheme(Scheme):
             certs[f"colinearity_rx{rx}"] = sv[1, rx] / sv[0, rx]
         return certs
 
-    def check_certificates(self, certs, tol):
-        failures = super().check_certificates(certs, tol)
+    def certificate_cutoffs(self, tol):
+        cutoffs = super().certificate_cutoffs(tol)
         for rx in range(2):
-            if np.any(certs[f"colinearity_rx{rx}"] > tol.rank_rel):
-                failures.append(f"colinearity_rx{rx}")
-            if np.any(certs[f"align_residual_rx{rx}"] > tol.residual_rel):
-                failures.append(f"align_residual_rx{rx}")
-        return failures
+            cutoffs.append((f"colinearity_rx{rx}", "<=", tol.rank_rel))
+            cutoffs.append((f"align_residual_rx{rx}", "<=", tol.residual_rel))
+        return cutoffs

@@ -39,16 +39,12 @@ def test_x_retro_csit_thousand_exact_decodes():
     start = time.perf_counter()
     report = run_trials("x_retro_csit", 1000, base_seed=101, threads=1)
     elapsed = time.perf_counter() - start
-    exact = sum(1 for r in report.results if r.max_rel_symbol_error <= 1e-6)
-    colinear = all(
-        r.certificates["colinearity_rx0"] <= 1e-8
-        and r.certificates["colinearity_rx1"] <= 1e-8
-        for r in report.results
-    )
+    certs = report.outcomes.certificates
+    exact = int(np.count_nonzero(report.outcomes.max_rel_symbol_error <= 1e-6))
+    colinear = all(np.all(certs[f"colinearity_rx{rx}"] <= 1e-8) for rx in range(2))
     dets = all(
-        r.certificates[f"receive_cond_rx{rx}"] > 1e-8
-        and r.certificates[f"zf_residual_rx{rx}"] <= 1e-8
-        for r in report.results
+        np.all(certs[f"receive_cond_rx{rx}"] > 1e-8)
+        and np.all(certs[f"zf_residual_rx{rx}"] <= 1e-8)
         for rx in range(2)
     )
     ok = exact == 1000 and colinear and dets and elapsed < 30.0
@@ -64,12 +60,12 @@ def test_ic3_retro_csit_thousand_exact_decodes():
     start = time.perf_counter()
     report = run_trials("ic3_retro_csit", 1000, base_seed=202, threads=1)
     elapsed = time.perf_counter() - start
-    exact = sum(1 for r in report.results if r.max_rel_symbol_error <= 1e-6)
-    ranks_ok = all(r.interference_ranks == [5, 5, 5] for r in report.results)
+    certs = report.outcomes.certificates
+    exact = int(np.count_nonzero(report.outcomes.max_rel_symbol_error <= 1e-6))
+    ranks_ok = all(np.all(certs[f"interference_rank_rx{rx}"] == 5) for rx in range(3))
     dets_ok = all(
-        r.certificates[f"receive_cond_rx{rx}"] > 1e-8
-        and r.certificates[f"zf_residual_rx{rx}"] <= 1e-8
-        for r in report.results
+        np.all(certs[f"receive_cond_rx{rx}"] > 1e-8)
+        and np.all(certs[f"zf_residual_rx{rx}"] <= 1e-8)
         for rx in range(3)
     )
     ok = exact == 1000 and ranks_ok and dets_ok and elapsed < 60.0
@@ -86,12 +82,12 @@ def test_output_feedback_schemes_exact_and_blind():
     ok = True
     for scheme_id in ("x_output_fb", "ic3_output_fb"):
         report = run_trials(scheme_id, 1000, base_seed=303, threads=1)
-        exact = sum(1 for r in report.results if r.max_rel_symbol_error <= 1e-6)
-        no_csi = all(r.csi_slots == [] for r in report.results)
+        exact = int(np.count_nonzero(report.outcomes.max_rel_symbol_error <= 1e-6))
+        no_csi = report.outcomes.csi_slots == []
         ok = ok and exact == 1000 and no_csi
         details.append(f"{scheme_id}: {exact}/1000 exact, csi reads 0")
         if scheme_id == "ic3_output_fb":
-            own = all(r.outputs_own_receiver_only for r in report.results)
+            own = report.outcomes.outputs_own_receiver_only
             ok = ok and own
             details.append(f"own-receiver outputs only: {own}")
     _report(
@@ -130,8 +126,8 @@ def test_dof_slopes_across_all_schemes():
 def test_csi_usage_fractions():
     x_report = run_trials("x_retro_csit", 100, base_seed=505, threads=1)
     ic_report = run_trials("ic3_retro_csit", 100, base_seed=505, threads=1)
-    x_fraction = Fraction(len(x_report.csi_slots_union()), 7)
-    ic_fraction = Fraction(len(ic_report.csi_slots_union()), 8)
+    x_fraction = Fraction(len(x_report.outcomes.csi_slots), 7)
+    ic_fraction = Fraction(len(ic_report.outcomes.csi_slots), 8)
     ok = x_fraction == Fraction(3, 7) and ic_fraction <= Fraction(5, 8)
     _report(
         "transmitters read CSI of 3/7 slots (X) and at most 5/8 (IC)",

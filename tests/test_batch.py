@@ -28,6 +28,7 @@ from alignsim.numerics import DEFAULT_TOL, Degenerate, ordered_sum, sample_compl
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context
+from _outcomes import outcome_fields
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
@@ -171,11 +172,11 @@ _FULL_RUNS: dict = {}
 
 
 def _full_batch(scheme_id):
-    """Results of the first TRIAL_BATCH trials of seed 41, run as one full batch."""
+    """Outcomes of the first TRIAL_BATCH trials of seed 41, run as one full batch."""
     if scheme_id not in _FULL_RUNS:
         report = run_trials(scheme_id, TRIAL_BATCH, 41, collect_weights=True)
         assert not report.discards
-        _FULL_RUNS[scheme_id] = report.results
+        _FULL_RUNS[scheme_id] = report.outcomes
     return _FULL_RUNS[scheme_id]
 
 
@@ -188,13 +189,13 @@ def _full_batch(scheme_id):
 )
 def test_trial_result_independent_of_batch(scheme_id, trial, partner, first):
     scheme = get_scheme(scheme_id)
-    reference = dataclasses.astuple(_full_batch(scheme_id)[trial])
+    reference = outcome_fields(_full_batch(scheme_id), trial)
     alone = _run_batch(scheme, 41, [(trial, 0)], DEFAULT_TOL, True)
     pair = [(trial, 0), (partner, 0)] if first else [(partner, 0), (trial, 0)]
     paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, True)
-    # every float, noise weights included, must match to the bit
-    assert dataclasses.astuple(alone[0]) == reference
-    assert dataclasses.astuple(paired[0 if first else 1]) == reference
+    # every field, noise weights included, must match to the bit
+    assert outcome_fields(alone, 0) == reference
+    assert outcome_fields(paired, 0 if first else 1) == reference
 
 
 def _stack(items):

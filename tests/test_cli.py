@@ -297,17 +297,24 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize(
         "grid, reason",
-        [("nan,50", "finite"), ("inf,50", "finite"), ("50,50", "distinct")],
+        [
+            ("nan,50", "finite"),
+            ("inf,50", "finite"),
+            ("50,50", "distinct"),
+            # distinct, but too close for the slope fit, which would raise
+            ("0,1e-270", "1e-06 dB apart or more"),
+            ("40,40.0000005,70", "1e-06 dB apart or more"),
+        ],
     )
     def test_bad_snr_grid_points_exit_2(self, capsys, grid, reason):
         code, out, err = _run_main(
             capsys,
-            ["--scheme", "bc_mat", "--mode", "dof_sweep", "--snr-grid", grid, "--trials", "2"],
+            ["--scheme", "bc_mat", "--mode", "dof_sweep", f"--snr-grid={grid}", "--trials", "2"],
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert reason in err
+        assert reason in err and "Traceback" not in err
 
     def test_duplicate_snr_grid_in_config_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -528,12 +535,12 @@ class TestThreads:
         # 8 trials are one batch: a pool would have nothing to share out
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert started == []
-        assert [r.trial for r in report.results] == list(range(8))
+        assert report.outcomes.trial.tolist() == list(range(8))
         # at most one worker per 2 trials: four, capped at three cores
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 2)
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert started == [3]
-        assert [r.trial for r in report.results] == list(range(8))
+        assert report.outcomes.trial.tolist() == list(range(8))
         # 4 trials: two workers, below the three cores
         evaluate.run_trials("bc_mat", 4, base_seed=0, threads=500)
         assert started == [3, 2]
@@ -572,14 +579,25 @@ class TestOneLineErrors:
         assert out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("mode", ["verify", "dof_sweep"])
-@pytest.mark.parametrize("trials", [65, 130, 257])
-def test_reports_identical_across_thread_counts(capsys, mode, trials):
+# a loose --tol-rank discards draws: 25 of them at seed 7, in three schemes
+_LOOSE_RANK = ["--tol-rank", "0.003"]
+
+
+@pytest.mark.parametrize(
+    "mode, trials, extra",
+    [
+        pytest.param(mode, trials, [], id=f"{trials}-{mode}")
+        for mode in ("verify", "dof_sweep")
+        for trials in (65, 130, 257)
+    ] + [pytest.param("verify", 130, _LOOSE_RANK, id="130-verify-discards")],
+)
+def test_reports_identical_across_thread_counts(capsys, mode, trials, extra):
     # at one worker, 257 trials are three batches of 85 or 86; at two, 65
     # trials are one batch and start no pool, 130 are one batch of 65 per
     # worker, and 257 are a batch of 128 and batches of 65 and 64
+    discards = 0
     for scheme in sorted(cli.SCHEMES):
-        argv = ["--scheme", scheme, "--mode", mode, "--trials", str(trials), "--seed", "7"]
+        argv = ["--scheme", scheme, "--mode", mode, "--trials", str(trials), "--seed", "7", *extra]
         if mode == "dof_sweep":
             argv += ["--snr-grid", "40,55,70"]
         outs = {}
@@ -588,6 +606,8 @@ def test_reports_identical_across_thread_counts(capsys, mode, trials):
             assert code == 0
             outs[threads] = out
         assert outs["1"].replace('"threads":1,', '"threads":2,') == outs["2"]
+        discards += json.loads(outs["1"])["results"]["discards"]
+    assert discards == (25 if extra else 0)
 
 
 _SCHEME_IDS = sorted(cli.SCHEMES)

@@ -13,10 +13,13 @@ from alignsim.evaluate import (
     MAX_ATTEMPTS,
     TRIAL_BATCH,
     WEIGHT_FLOOR,
+    Discard,
     DofEstimate,
     RunReport,
     SchemeFailure,
-    TrialResult,
+    TrialOutcomes,
+    _concat,
+    _run_batch,
     dof_by_counting,
     estimate_dof,
     noise_transfer_weights,
@@ -38,6 +41,7 @@ from alignsim.output_feedback import BcMatScheme
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context
+from _outcomes import outcome_fields
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
@@ -123,18 +127,14 @@ class TestRunTrials:
         a = run_trials("bc_mat", 8, base_seed=5, threads=1)
         b = run_trials("bc_mat", 8, base_seed=5, threads=1)
         c = run_trials("bc_mat", 8, base_seed=5, threads=2)
+        assert a.outcomes.trial.tolist() == list(range(8))
         for other in (b, c):
-            assert len(other.results) == 8
-            for r1, r2 in zip(a.results, sorted(other.results, key=lambda r: r.trial)):
-                assert r1.trial == r2.trial
-                assert r1.max_rel_symbol_error == r2.max_rel_symbol_error
-                assert r1.certificates == r2.certificates
+            assert outcome_fields(other.outcomes) == outcome_fields(a.outcomes)
 
     def test_trial_results_independent_of_run_length(self):
         long = run_trials("x_retro_csit", 6, base_seed=3)
         short = run_trials("x_retro_csit", 3, base_seed=3)
-        for r1, r2 in zip(short.results, long.results[:3]):
-            assert r1.max_rel_symbol_error == r2.max_rel_symbol_error
+        assert outcome_fields(short.outcomes) == outcome_fields(long.outcomes, slice(3))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -143,11 +143,11 @@ class TestRunTrials:
     def test_sinr_and_rate_population(self):
         report = run_trials("bc_mat", 2, base_seed=6, collect_weights=True)
         power, slots = 10.0**3.0, get_scheme("bc_mat").num_slots
-        for r in report.results:
-            assert r.noise_weights is not None and len(r.noise_weights) == 4
-            rate = sum_rate_bits(np.array(r.noise_weights), power, slots)
+        assert report.outcomes.noise_weights.shape == (2, 4)
+        for row in report.outcomes.noise_weights:
+            rate = sum_rate_bits(row, power, slots)
             assert rate > 0.0
-            expected = sum(np.log2(1.0 + power / w) for w in r.noise_weights) / slots
+            expected = sum(np.log2(1.0 + power / w) for w in row) / slots
             assert abs(rate - expected) <= 1e-12 * expected
 
 
@@ -169,8 +169,8 @@ class _BadCertificates(BcMatScheme):
     def certificates(self, ctx):
         return {"made_up": 1.0}
 
-    def check_certificates(self, certs, tol):
-        return ["made_up"]
+    def certificate_cutoffs(self, tol):
+        return [("made_up", "<=", 0.0)]
 
 
 class _BudgetBreaker(BcMatScheme):
@@ -183,11 +183,12 @@ class TestDiscardAndFailurePaths:
         seen_discard = False
         for trial in range(12):
             result, discards = run_single_trial(scheme, 17, trial, DEFAULT_TOL)
-            assert result.decode_ok
-            assert result.attempt == len(discards)
-            for d in discards:
-                assert d.discarded
-                assert "RankDeficient" in d.discard_reason
+            assert result.decode_ok.tolist() == [True]
+            assert result.trial.tolist() == [trial]
+            assert result.attempt.tolist() == [len(discards)]
+            for attempt, d in enumerate(discards):
+                assert d == Discard(trial, attempt, d.reason)
+                assert "RankDeficient" in d.reason
             seen_discard = seen_discard or bool(discards)
         assert seen_discard
 
@@ -278,15 +279,13 @@ def _sweep_inputs(draw):
 
 def _weights_report(scheme, rows):
     """A run report whose trials carry the given noise weights."""
-    results = [
-        TrialResult(
-            scheme_id=scheme.scheme_id, trial=t, attempt=0, decode_ok=True,
-            max_rel_symbol_error=0.0, interference_ranks=[], certificates={}, csi_slots=[],
-            outputs_own_receiver_only=True, noise_weights=row,
-        )
-        for t, row in enumerate(rows)
-    ]
-    return RunReport(scheme.scheme_id, 0, len(rows), results)
+    n = len(rows)
+    outcomes = TrialOutcomes(
+        trial=np.arange(n), attempt=np.zeros(n, dtype=int), max_rel_symbol_error=np.zeros(n),
+        certificates={}, noise_weights=np.array(rows), csi_slots=[],
+        outputs_own_receiver_only=True,
+    )
+    return RunReport(outcomes, [])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -336,8 +335,8 @@ class _FailStrongTrials(BcMatScheme):
     def certificates(self, ctx):
         return {**super().certificates(ctx), "first_gain": np.abs(ctx.tensor.h[0, 0, 0])}
 
-    def check_certificates(self, certs, tol):
-        return ["first_gain"] if np.any(certs["first_gain"] > 1.5) else []
+    def certificate_cutoffs(self, tol):
+        return [*super().certificate_cutoffs(tol), ("first_gain", "<=", 1.5)]
 
 
 class _StructuralAndCertificateFailures(BcMatScheme):
@@ -356,8 +355,18 @@ class _StructuralAndCertificateFailures(BcMatScheme):
         flag = (ctx.tensor.h[0, 0, 0] == self.failing_certificate).astype(float)
         return {**super().certificates(ctx), "flag": flag}
 
-    def check_certificates(self, certs, tol):
-        return ["flag"] if np.any(certs["flag"] > 0.5) else []
+    def certificate_cutoffs(self, tol):
+        return [*super().certificate_cutoffs(tol), ("flag", "<=", 0.5)]
+
+
+def _trial_by_trial(scheme, base_seed, num_trials):
+    """Outcomes and discards of the trials run one at a time."""
+    parts, discards = [], []
+    for trial in range(num_trials):
+        outcome, trial_discards = run_single_trial(scheme, base_seed, trial, DEFAULT_TOL)
+        parts.append(outcome)
+        discards += trial_discards
+    return _concat(parts), discards
 
 
 class TestTrialBatches:
@@ -367,12 +376,8 @@ class TestTrialBatches:
         scheme = _DiscardSomeTrials()
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         report = run_trials("bc_mat", 70, base_seed=21)
-        expected_results, expected_discards = [], []
-        for trial in range(70):
-            result, discards = run_single_trial(scheme, 21, trial, DEFAULT_TOL)
-            expected_results.append(result)
-            expected_discards += discards
-        assert report.results == expected_results
+        expected_outcomes, expected_discards = _trial_by_trial(scheme, 21, 70)
+        assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
         assert report.discards
 
@@ -383,11 +388,7 @@ class TestTrialBatches:
         [states] = spawn_states([(23, bad, 0)], 3)
         first = generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0]
         scheme = _DiscardOneDraw(first)
-        expected_results, expected_discards = [], []
-        for trial in range(TRIAL_BATCH):
-            result, discards = run_single_trial(scheme, 23, trial, DEFAULT_TOL)
-            expected_results.append(result)
-            expected_discards += discards
+        expected_outcomes, expected_discards = _trial_by_trial(scheme, 23, TRIAL_BATCH)
         assert [(d.trial, d.attempt) for d in expected_discards] == [(bad, 0)]
 
         batch_sizes = []
@@ -400,7 +401,7 @@ class TestTrialBatches:
         monkeypatch.setattr(evaluate, "_run_batch", counting_run_batch)
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=23)
-        assert report.results == expected_results
+        assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
         # halving from one full batch down to the bad trial, whose retry
         # makes one more call; a rerun of every trial would make 129
@@ -410,11 +411,7 @@ class TestTrialBatches:
         import alignsim.evaluate as evaluate
 
         scheme = _DiscardSomeTrials()
-        expected_results, expected_discards = [], []
-        for trial in range(TRIAL_BATCH):
-            result, discards = run_single_trial(scheme, 21, trial, DEFAULT_TOL)
-            expected_results.append(result)
-            expected_discards += discards
+        expected_outcomes, expected_discards = _trial_by_trial(scheme, 21, TRIAL_BATCH)
         batch_sizes = []
 
         def counting_run_batch(scheme, base_seed, draws, *args):
@@ -425,7 +422,7 @@ class TestTrialBatches:
         monkeypatch.setattr(evaluate, "_run_batch", counting_run_batch)
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=21)
-        assert report.results == expected_results
+        assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
         # both halves of the batch fail, so every trial reruns on its own:
         # the batch and its two halves are the only runs above that
@@ -448,6 +445,20 @@ class TestTrialBatches:
         # trial-by-trial run meets trial 10's structural failure before it
         with pytest.raises(SchemeFailure, match="bc_mat trial 10: NumericsError"):
             run_trials("bc_mat", TRIAL_BATCH, base_seed=24)
+
+    def test_budget_failure_of_the_first_trial_comes_before_later_certificates(
+        self, monkeypatch
+    ):
+        import alignsim.evaluate as evaluate
+
+        class OverBudget(_FailStrongTrials):
+            csi_slot_budget = Fraction(1, 3)
+
+        scheme = OverBudget()
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        # every trial reads over budget; trial 0 passes its certificates at seed 22
+        with pytest.raises(SchemeFailure, match="bc_mat trial 0: transmitters read"):
+            run_trials("bc_mat", 100, base_seed=22)
 
     def test_failure_names_the_failing_trial_of_a_batch(self, monkeypatch):
         import alignsim.evaluate as evaluate
@@ -513,3 +524,72 @@ def test_decode_is_linear_in_the_received_block(scheme_id, seed, amp, a, b):
     combined = scheme.decode(a * y1 + b * y2, ctx)
     scale = max(abs(a) * float(np.max(np.abs(d1))) + abs(b) * float(np.max(np.abs(d2))), 1e-300)
     assert float(np.max(np.abs(combined - (a * d1 + b * d2)))) <= 1e-12 * scale
+
+
+def _rx_keys(names, num_rx):
+    return [f"{name}_rx{rx}" for rx in range(num_rx) for name in names]
+
+
+_DECODER_CHECKS = ["interference_rank", "receive_cond", "zf_residual"]
+
+# every certificate check of each scheme, in the order a failure lists them
+_CHECK_ORDER = {
+    "bc_mat": _rx_keys(_DECODER_CHECKS, 2),
+    "x_output_fb": _rx_keys(_DECODER_CHECKS, 2),
+    "ic3_output_fb": _rx_keys(_DECODER_CHECKS, 3),
+    "x_retro_csit": _rx_keys(_DECODER_CHECKS, 2) + _rx_keys(["colinearity", "align_residual"], 2),
+    "ic3_retro_csit": (
+        _rx_keys(_DECODER_CHECKS, 3)
+        + [f"alpha_residual_rx{rx}" for rx in range(3)]
+        + ["constraint_residual"]
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_failure_list_keeps_check_order(scheme_id):
+    # trial 1 of the batch fails every check: a wrong rank, a receive
+    # condition of 0 and residuals of 1; trial 0 keeps its own values
+    scheme = type(get_scheme(scheme_id))()
+    certificates = scheme.certificates
+
+    def failing(ctx):
+        certs = {}
+        for key, value in certificates(ctx).items():
+            bad = 0.0 if key.startswith("receive_cond") else -1.0 if key.startswith(
+                "interference_rank") else 1.0
+            certs[key] = np.array([np.broadcast_to(value, (2,))[0], bad])
+        return certs
+
+    scheme.certificates = failing
+    expected = f"{scheme_id} trial 1: certificate checks failed: {_CHECK_ORDER[scheme_id]}"
+    with pytest.raises(SchemeFailure) as info:
+        _run_batch(scheme, 25, [(0, 0), (1, 0)], DEFAULT_TOL, False)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_nan_certificate_fails_every_check(scheme_id):
+    scheme = get_scheme(scheme_id)
+    certs = {key: np.array([np.nan]) for key, _, _ in scheme.certificate_cutoffs(DEFAULT_TOL)}
+    failed = scheme.certificate_failures(certs, DEFAULT_TOL)
+    assert list(failed) == _CHECK_ORDER[scheme_id]
+    assert all(mask.tolist() == [True] for mask in failed.values())
+
+
+def test_concat_joins_the_arrays_and_merges_the_audits():
+    def outcomes(trials, csi_slots, own):
+        trials = np.array(trials)
+        return TrialOutcomes(
+            trial=trials, attempt=0 * trials, max_rel_symbol_error=trials / 10.0,
+            certificates={"c": 2.0 * trials}, noise_weights=np.outer(trials, [1.0, 1.0]),
+            csi_slots=csi_slots, outputs_own_receiver_only=own,
+        )
+
+    joined = _concat([outcomes([0, 1], [2], True), outcomes([2], [0, 2], False)])
+    assert joined.trial.tolist() == [0, 1, 2]
+    assert joined.max_rel_symbol_error.tolist() == [0.0, 0.1, 0.2]
+    assert joined.certificates["c"].tolist() == [0.0, 2.0, 4.0]
+    assert joined.noise_weights.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    assert joined.csi_slots == [0, 2]
+    assert joined.outputs_own_receiver_only is False

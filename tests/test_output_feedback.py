@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from alignsim.channel import AccessLog, CausalityViolation, generate_channel
-from alignsim.evaluate import (
-    future_perturbation_invariant,
-    run_trials,
-    simulate_block,
-)
+from alignsim.evaluate import future_perturbation_invariant, simulate_block
 from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
 from alignsim.output_feedback import (
     BcMatScheme,
@@ -14,6 +10,8 @@ from alignsim.output_feedback import (
     OutputPayload,
     XOutputFeedbackScheme,
 )
+
+from _outcomes import run_with_batches
 
 BC = BcMatScheme()
 XFB = XOutputFeedbackScheme()
@@ -36,27 +34,30 @@ def _noise(scheme, seed):
 
 @pytest.fixture(scope="module", params=["bc_mat", "x_output_fb", "ic3_output_fb"])
 def fb_report(request):
-    return request.param, run_trials(request.param, 200, base_seed=77)
+    return request.param, *run_with_batches(request.param, 200, base_seed=77)
 
 
 class TestAllSchemes:
     def test_exact_recovery_over_trials(self, fb_report):
-        _, report = fb_report
-        assert len(report.results) == 200
+        _, report, _ = fb_report
+        assert report.outcomes.trial.tolist() == list(range(200))
         assert report.all_decode_ok
         assert report.max_rel_symbol_error <= 1e-9
         assert report.discards == []
 
     def test_csi_usage(self, fb_report):
-        scheme_id, report = fb_report
+        # a batch audits the reads of all its trials at once
+        scheme_id, report, batches = fb_report
         expected = [0, 1] if scheme_id == "bc_mat" else []
-        for r in report.results:
-            assert r.csi_slots == expected
+        assert len(batches) == 2
+        for batch in batches:
+            assert batch.csi_slots == expected
+        assert report.outcomes.csi_slots == expected
 
     def test_own_receiver_outputs_only_where_required(self, fb_report):
-        scheme_id, report = fb_report
+        scheme_id, report, _ = fb_report
         if scheme_id == "ic3_output_fb":
-            assert all(r.outputs_own_receiver_only for r in report.results)
+            assert report.outcomes.outputs_own_receiver_only
 
 
 class TestBcMat:

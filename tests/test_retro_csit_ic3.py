@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, generate_channel
 from alignsim.base import InterferenceRankUnexpected
-from alignsim.evaluate import _draw_batch, future_perturbation_invariant, run_trials, simulate_block
+from alignsim.evaluate import _draw_batch, future_perturbation_invariant, simulate_block
 from alignsim.numerics import DEFAULT_TOL, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 import alignsim.retro_csit_ic3 as ic3
@@ -20,6 +20,7 @@ from alignsim.retro_csit_ic3 import (
 
 from _decode import decode_context
 from _oracles import compute_alphas, effective_precoders, jacobi_rank, phase2_coefficients
+from _outcomes import run_with_batches
 
 SCHEME = IC3RetroCsitScheme()
 
@@ -198,28 +199,37 @@ class TestTransmitCache:
 
 
 @pytest.fixture(scope="module")
-def ic3_report():
-    return run_trials("ic3_retro_csit", 200, base_seed=4321)
+def ic3_run():
+    return run_with_batches("ic3_retro_csit", 200, base_seed=4321)
+
+
+@pytest.fixture(scope="module")
+def ic3_report(ic3_run):
+    return ic3_run[0]
 
 
 class TestDecoding:
     def test_exact_recovery_over_trials(self, ic3_report):
-        assert len(ic3_report.results) == 200
+        assert ic3_report.outcomes.trial.tolist() == list(range(200))
         assert ic3_report.all_decode_ok
         assert ic3_report.max_rel_symbol_error <= 1e-9
 
     def test_interference_rank_five_every_trial(self, ic3_report):
-        for r in ic3_report.results:
-            assert r.interference_ranks == [5, 5, 5]
-            assert r.certificates["constraint_residual"] <= 1e-12
-            for rx in range(3):
-                assert r.certificates[f"receive_cond_rx{rx}"] > 1e-8
-                assert r.certificates[f"zf_residual_rx{rx}"] <= 1e-8
-                assert r.certificates[f"alpha_residual_rx{rx}"] <= 1e-8
+        certs = ic3_report.outcomes.certificates
+        assert np.all(certs["constraint_residual"] <= 1e-12)
+        for rx in range(3):
+            assert np.all(certs[f"interference_rank_rx{rx}"] == 5)
+            assert np.all(certs[f"receive_cond_rx{rx}"] > 1e-8)
+            assert np.all(certs[f"zf_residual_rx{rx}"] <= 1e-8)
+            assert np.all(certs[f"alpha_residual_rx{rx}"] <= 1e-8)
 
-    def test_csi_budget_met_every_trial(self, ic3_report):
-        for r in ic3_report.results:
-            assert r.csi_slots == [0, 1, 2, 3, 4]
+    def test_csi_budget_met_every_trial(self, ic3_run):
+        # a batch audits the reads of all its trials at once
+        report, batches = ic3_run
+        assert len(batches) == 2
+        for batch in batches:
+            assert batch.csi_slots == [0, 1, 2, 3, 4]
+        assert report.outcomes.csi_slots == [0, 1, 2, 3, 4]
 
     def test_rank_five_confirmed_by_independent_oracle(self):
         tensor, offline, _ = _trial_data(16)
@@ -258,9 +268,14 @@ class TestDecoding:
         certs.update({f"receive_cond_rx{rx}": 0.1 for rx in range(3)})
         certs.update({f"zf_residual_rx{rx}": 0.0 for rx in range(3)})
         certs["constraint_residual"] = 0.0
-        assert SCHEME.check_certificates(certs, DEFAULT_TOL) == []
+
+        def failing():
+            failed = SCHEME.certificate_failures(certs, DEFAULT_TOL)
+            return [key for key, mask in failed.items() if mask]
+
+        assert failing() == []
         certs["interference_rank_rx1"] = 6.0
-        assert SCHEME.check_certificates(certs, DEFAULT_TOL) == ["interference_rank_rx1"]
+        assert failing() == ["interference_rank_rx1"]
 
     def test_registry_exposes_scheme(self):
         scheme = get_scheme("ic3_retro_csit")

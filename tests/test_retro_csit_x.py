@@ -7,7 +7,6 @@ from alignsim.channel import AccessLog, generate_channel
 from alignsim.evaluate import (
     _draw_batch,
     future_perturbation_invariant,
-    run_trials,
     simulate_block,
 )
 from alignsim.numerics import DEFAULT_TOL, RankDeficient, null_vector, sample_complex_gaussian
@@ -23,6 +22,7 @@ from alignsim.retro_csit_x import (
 )
 
 from _decode import decode_context
+from _outcomes import run_with_batches
 
 SCHEME = XRetroCsitScheme()
 
@@ -241,29 +241,36 @@ class TestEncoding:
 
 
 @pytest.fixture(scope="module")
-def x_report():
-    return run_trials("x_retro_csit", 200, base_seed=1234)
+def x_run():
+    return run_with_batches("x_retro_csit", 200, base_seed=1234)
+
+
+@pytest.fixture(scope="module")
+def x_report(x_run):
+    return x_run[0]
 
 
 class TestDecoding:
     def test_exact_recovery_over_trials(self, x_report):
-        assert len(x_report.results) == 200
+        assert x_report.outcomes.trial.tolist() == list(range(200))
         assert x_report.all_decode_ok
         assert x_report.max_rel_symbol_error <= 1e-9
 
     def test_certificates_over_trials(self, x_report):
-        for r in x_report.results:
-            assert r.certificates["colinearity_rx0"] <= 1e-8
-            assert r.certificates["colinearity_rx1"] <= 1e-8
-            assert r.certificates["align_residual_rx0"] <= 1e-8
-            assert r.certificates["align_residual_rx1"] <= 1e-8
-            for rx in range(2):
-                assert r.certificates[f"receive_cond_rx{rx}"] > 1e-8
-                assert r.certificates[f"zf_residual_rx{rx}"] <= 1e-8
+        certs = x_report.outcomes.certificates
+        for rx in range(2):
+            assert np.all(certs[f"colinearity_rx{rx}"] <= 1e-8)
+            assert np.all(certs[f"align_residual_rx{rx}"] <= 1e-8)
+            assert np.all(certs[f"receive_cond_rx{rx}"] > 1e-8)
+            assert np.all(certs[f"zf_residual_rx{rx}"] <= 1e-8)
 
-    def test_csi_budget_met_every_trial(self, x_report):
-        for r in x_report.results:
-            assert r.csi_slots == [0, 1, 2]
+    def test_csi_budget_met_every_trial(self, x_run):
+        # a batch audits the reads of all its trials at once
+        report, batches = x_run
+        assert len(batches) == 2
+        for batch in batches:
+            assert batch.csi_slots == [0, 1, 2]
+        assert report.outcomes.csi_slots == [0, 1, 2]
 
     def test_decode_is_linear_in_observations(self):
         tensor, offline, msgs = _trial_data(8)
