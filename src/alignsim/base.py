@@ -129,7 +129,7 @@ class Scheme:
         carry last as well.  The result is the ``(*B, *T)`` array of scalars,
         or one scalar that holds for all of them.  ``msgs[i]`` indexing keeps
         the unbatched case on numpy scalars.  View reads carry both axes
-        through and are logged once per trial whatever ``B`` is.
+        through and are logged once per read whatever ``B`` and ``T`` are.
 
         ``state`` is a per-block scratch dict for caching constants computed
         from the view (it starts empty each block).  ``amp`` is the square

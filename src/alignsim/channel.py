@@ -9,7 +9,7 @@ delay and association rules and records every read in an :class:`AccessLog`.
 A read that the model does not permit raises :class:`CausalityViolation`,
 which is always a bug in a scheme, never a recoverable event.
 
-Slot indices are 0-based throughout.  With the default one-slot delay, a view
+Slot indices are 0-based throughout.  Feedback arrives one slot late: a view
 for slot ``n`` exposes information of slots ``0 .. n-1`` only.
 """
 
@@ -55,21 +55,17 @@ class FeedbackKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FeedbackModel:
-    """Feedback kind, delay, and which transmitters see which receiver outputs.
+    """Feedback kind, and which transmitters see which receiver outputs.
 
-    ``output_association`` maps a receiver index to the set of transmitter
-    entities that are fed that receiver's output.  ``None`` means full
-    association (every transmitter sees every output).  It is only consulted
-    under output feedback.
+    Either kind arrives one slot late, the delay the retrospective schemes
+    are built on.  ``output_association`` maps a receiver index to the set
+    of transmitter entities that are fed that receiver's output.  ``None``
+    means full association (every transmitter sees every output).  It is
+    only consulted under output feedback.
     """
 
     kind: FeedbackKind
-    delay_slots: int = 1
     output_association: Mapping[int, frozenset[int]] | None = None
-
-    def __post_init__(self) -> None:
-        if self.delay_slots < 1:
-            raise ValueError("delay_slots must be a positive integer")
 
     @property
     def provides_csi(self) -> bool:
@@ -234,7 +230,7 @@ class SignalRecord:
 
 @dataclass(frozen=True)
 class AccessRecord:
-    """One read through a transmitter view.
+    """One read through a transmitter view, for every trial of the block at once.
 
     ``kind`` is ``"csi"`` for a channel coefficient ``h[item_rx, item_tx,
     item_slot]`` and ``"output"`` for a received value ``y[item_rx,
@@ -254,15 +250,15 @@ class AccessRecord:
 class AccessLog:
     """Append-only record of every transmitter-side information read.
 
-    A block run on a stack of ``T`` trials' channels makes each read once
-    for every trial, so it appends each record ``T`` times in a row; trial
-    ``t``'s own log is ``records[t::T]``.
+    A view call holds one record however many trials' channels the block
+    runs on: every trial of a stack makes the same reads, so the log is
+    each trial's own.
     """
 
     records: list[AccessRecord] = field(default_factory=list)
 
-    def append(self, record: AccessRecord, copies: int = 1) -> None:
-        self.records.extend([record] * copies)
+    def append(self, record: AccessRecord) -> None:
+        self.records.append(record)
 
     def csi_slots(self) -> frozenset[int]:
         return frozenset(r.item_slot for r in self.records if r.kind == "csi")
@@ -277,10 +273,9 @@ class TxInformationView:
     Channel coefficients are available only under delayed CSIT feedback,
     received outputs only under output feedback and only for
     receivers associated with this transmitter; both only for slots at least
-    ``delay_slots`` in the past.  Each successful read is appended to the log
-    (one record per scalar and trial), so the log doubles as a usage
-    certificate.  On a stack of trials' channels a read returns the trial
-    axis of values.
+    one in the past.  Each successful read is appended to the log (one
+    record per call), so the log doubles as a usage certificate.  On a stack
+    of trials' channels a read returns the trial axis of values.
     """
 
     def __init__(
@@ -300,7 +295,7 @@ class TxInformationView:
         self._log = log
 
     def _check_item_slot(self, item_slot: int, what: str) -> None:
-        latest = self.slot - self.model.delay_slots
+        latest = self.slot - 1
         if not (0 <= item_slot <= latest):
             raise CausalityViolation(
                 f"transmitter {self.tx} encoding slot {self.slot} asked for {what} "
@@ -308,17 +303,14 @@ class TxInformationView:
             )
 
     def channel_coeff(self, rx: int, tx_col: int, item_slot: int) -> complex:
-        """Read ``h[rx, tx_col, item_slot]``, enforcing delay and model kind."""
+        """Read ``h[rx, tx_col, item_slot]``, enforcing the delay and model kind."""
         if not self.model.provides_csi:
             raise CausalityViolation(
                 f"feedback kind {self.model.kind.value} carries no channel state"
             )
         self._check_item_slot(item_slot, "channel state")
         if self._log is not None:
-            self._log.append(
-                AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot),
-                self._tensor.num_trials,
-            )
+            self._log.append(AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot))
         coeff = self._tensor.h[rx, tx_col, item_slot]
         return coeff if coeff.ndim else complex(coeff)
 
@@ -342,8 +334,7 @@ class TxInformationView:
         """Read the value receiver ``rx`` observed at ``item_slot``.
 
         In a batched block run this is the ``(*B, *T)`` array of that value
-        across the batch; it is still checked and logged as one read per
-        trial.
+        across the batch; it is still checked and logged as one read.
         """
         if not self.model.provides_output:
             raise CausalityViolation(
@@ -355,10 +346,7 @@ class TxInformationView:
             )
         self._check_item_slot(item_slot, f"output of receiver {rx}")
         if self._log is not None:
-            self._log.append(
-                AccessRecord(self.tx, self.slot, "output", rx, None, item_slot),
-                self._tensor.num_trials,
-            )
+            self._log.append(AccessRecord(self.tx, self.slot, "output", rx, None, item_slot))
         return self._outputs[rx, item_slot]
 
 

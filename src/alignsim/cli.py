@@ -31,7 +31,9 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import CausalityViolation
-from .evaluate import TRIAL_BATCH, SchemeFailure, dof_by_counting, estimate_dof, run_trials
+from .evaluate import (
+    TRIAL_BATCH, SchemeFailure, dof_by_counting, estimate_dof, run_trials, validate_snr_grid,
+)
 from .numerics import Tolerances
 from .registry import SCHEMES, get_scheme
 
@@ -45,15 +47,6 @@ DOF_SLOPE_TOL = 0.05
 DOF_R2_MIN = 0.999
 #: Largest accepted leaked-to-desired power ratio of the noiseless decodes.
 LEAKAGE_RATIO_MAX = 1e-12
-
-#: Largest accepted SNR grid magnitude in dB, far past any physical SNR; near
-#: 3000 dB the transmit power overflows a float.
-SNR_DB_MAX = 1000.0
-
-#: Smallest accepted gap between SNR grid points in dB.  Rounding in the sum
-#: rates then moves a two-point slope by under 1e-6, even at SNR_DB_MAX, where
-#: a 1e-12 dB gap halves it; near 1e-200 dB the least-squares fit raises.
-SNR_GRID_MIN_GAP_DB = 1e-6
 
 
 class UsageError(Exception):
@@ -196,9 +189,10 @@ def _check_config_type(key: str, value) -> None:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.scheme not in SCHEMES:
-        known = ", ".join(sorted(SCHEMES))
-        raise UsageError(f"unknown scheme {config.scheme!r}; known schemes: {known}")
+    try:
+        get_scheme(config.scheme)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if config.mode not in MODES:
         raise UsageError(f"unknown mode {config.mode!r}; choose from {', '.join(MODES)}")
     if config.format not in FORMATS:
@@ -210,18 +204,12 @@ def _validate(config: RunConfig) -> None:
     if config.threads < 0:
         raise UsageError(f"threads must be non-negative, got {config.threads}")
     if config.mode == "dof_sweep":
-        grid = config.snr_grid_db
-        if not grid:
+        if not config.snr_grid_db:
             raise UsageError("dof_sweep mode requires an SNR grid (--snr-grid)")
-        if len(grid) < 2:
-            raise UsageError("the SNR grid needs at least two points")
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in grid):
-            raise UsageError(f"SNR grid points must be finite numbers, got {grid}")
-        if any(abs(v) > SNR_DB_MAX for v in grid):
-            raise UsageError(f"SNR grid points must lie within +-{SNR_DB_MAX:g} dB, got {grid}")
-        if np.min(np.diff(sorted(grid))) < SNR_GRID_MIN_GAP_DB:
-            gap = f"{SNR_GRID_MIN_GAP_DB:g} dB"
-            raise UsageError(f"SNR grid points must be distinct, {gap} apart or more, got {grid}")
+        try:
+            validate_snr_grid(config.snr_grid_db)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     elif config.snr_grid_db:
         raise UsageError(f"mode {config.mode!r} does not take an SNR grid")
     if config.format == "csv" and config.mode != "dof_sweep":

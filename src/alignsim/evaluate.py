@@ -52,6 +52,7 @@ batch to the run's report, joined in trial order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -96,6 +97,7 @@ __all__ = [
     "run_trials",
     "noise_transfer_weights",
     "sum_rate_bits",
+    "validate_snr_grid",
     "estimate_dof",
     "dof_by_counting",
     "future_perturbation_invariant",
@@ -116,6 +118,15 @@ WEIGHT_FLOOR = 1e-300
 
 #: Smallest message magnitude a relative decode error divides by.
 SCALE_FLOOR = 1e-300
+
+#: Largest accepted SNR grid magnitude in dB, far past any physical SNR; near
+#: 3000 dB the transmit power overflows a float.
+SNR_DB_MAX = 1000.0
+
+#: Smallest accepted gap between SNR grid points in dB.  Rounding in the sum
+#: rates then moves a two-point slope by under 1e-6, even at SNR_DB_MAX, where
+#: a 1e-12 dB gap halves it; near 1e-200 dB the least-squares fit raises.
+SNR_GRID_MIN_GAP_DB = 1e-6
 
 
 class SchemeFailure(Exception):
@@ -248,7 +259,7 @@ def simulate_block(
     num_slots, *B, *T)`` array added at the receivers; transmitters doing
     output feedback see the noisy values, as they would on a real feedback
     link.  Every array of the returned record ends in ``(*B, *T)``.  The
-    views log one read per scalar and trial, whatever ``B`` is.  ``state``
+    views log one record per read, whatever ``B`` and ``T`` are.  ``state``
     carries cached channel-dependent constants between repeated blocks on
     the same (tensor, offline) pair.
     """
@@ -541,6 +552,19 @@ def dof_by_counting(scheme: Scheme) -> Fraction:
     return Fraction(scheme.num_symbols, scheme.num_slots)
 
 
+def validate_snr_grid(grid: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless :func:`estimate_dof` can fit a slope over the grid in dB."""
+    if len(grid) < 2:
+        raise ValueError("the SNR grid needs at least two points")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in grid):
+        raise ValueError(f"SNR grid points must be finite numbers, got {grid}")
+    if any(abs(v) > SNR_DB_MAX for v in grid):
+        raise ValueError(f"SNR grid points must lie within +-{SNR_DB_MAX:g} dB, got {grid}")
+    if np.min(np.diff(sorted(grid))) < SNR_GRID_MIN_GAP_DB:
+        gap = f"{SNR_GRID_MIN_GAP_DB:g} dB"
+        raise ValueError(f"SNR grid points must be distinct, {gap} apart or more, got {grid}")
+
+
 def estimate_dof(
     scheme_id: str,
     snr_grid_db: list[float],
@@ -556,9 +580,12 @@ def estimate_dof(
     the fit measures the slope, not the Monte Carlo noise.  One
     :func:`sum_rate_bits` call rates every trial at every point, and the
     average over trials is one mean per point.
+
+    The grid is checked by :func:`validate_snr_grid` before any trial runs:
+    at least two points, all finite, within ``+-SNR_DB_MAX`` dB and at least
+    ``SNR_GRID_MIN_GAP_DB`` apart, or ``ValueError``.
     """
-    if len(snr_grid_db) < 2:
-        raise ValueError("the SNR grid needs at least two points to fit a slope")
+    validate_snr_grid(snr_grid_db)
     scheme = get_scheme(scheme_id)
     report = run_trials(
         scheme_id,

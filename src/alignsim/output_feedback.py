@@ -37,6 +37,7 @@ import numpy as np
 
 from .base import Scheme
 from .channel import FeedbackKind, FeedbackModel
+from .numerics import ordered_sum
 
 __all__ = [
     "SymbolPayload",
@@ -96,15 +97,6 @@ class ScheduledScheme(Scheme):
         per_rx = self.num_symbols // self.num_rx
         return [per_rx * rx + i for i in range(per_rx)]
 
-    def _combo_norm(self, view, refs):
-        """Norm of the symbol-basis coefficient vector of the rebuilt sum, per unit amp."""
-        total = 0.0
-        for r, m in refs:
-            for j, payload in enumerate(self.schedule[m]):
-                if isinstance(payload, SymbolPayload):
-                    total += abs(view.channel_coeff(r, j, m)) ** 2
-        return np.sqrt(total)
-
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         payload = self.schedule[slot][antenna]
         if payload is None:
@@ -114,15 +106,15 @@ class ScheduledScheme(Scheme):
         if isinstance(payload, OutputPayload):
             return view.output(payload.rx, payload.slot)
         if isinstance(payload, ComboPayload):
-            key = ("combo_norm", view.tx, slot)
-            if key not in state:
-                state[key] = self._combo_norm(view, payload.refs)
-            total = 0j
-            for r, m in payload.refs:
-                for j, other in enumerate(self.schedule[m]):
-                    if isinstance(other, SymbolPayload):
-                        total += view.channel_coeff(r, j, m) * amp * msgs[other.symbol]
-            return total / state[key]
+            # each coefficient is read once; their norm scales the sum to full power
+            terms = [
+                (view.channel_coeff(r, j, m), other.symbol)
+                for r, m in payload.refs
+                for j, other in enumerate(self.schedule[m])
+                if isinstance(other, SymbolPayload)
+            ]
+            norm = np.sqrt(ordered_sum(abs(coeff) ** 2 for coeff, _ in terms))
+            return ordered_sum(coeff * amp * msgs[symbol] for coeff, symbol in terms) / norm
         raise TypeError(f"unknown payload {payload!r}")
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import alignsim.cli as cli
+import alignsim.evaluate as evaluate
 import alignsim.retro_csit_ic3 as retro_csit_ic3
 import alignsim.retro_csit_x as retro_csit_x
 from alignsim.cli import RunConfig, UsageError, _render_json, main, parse_config, run
@@ -26,6 +27,19 @@ from alignsim.output_feedback import (
     XOutputFeedbackScheme,
 )
 from alignsim.registry import SCHEMES
+
+
+#: SNR grids the CLI refuses with exit 2, and a word of each message.
+BAD_SNR_GRIDS = [
+    ("nan,50", "finite"),
+    ("inf,50", "finite"),
+    ("50,50", "distinct"),
+    # distinct, but too close for the slope fit, which would raise
+    ("0,1e-270", "1e-06 dB apart or more"),
+    ("40,40.0000005,70", "1e-06 dB apart or more"),
+    ("40,5000", "within"),
+    ("40", "two points"),
+]
 
 
 class TestParseConfig:
@@ -295,17 +309,7 @@ class TestFailurePaths:
         assert out == ""
         assert err == "error: seed must be non-negative, got -1\n"
 
-    @pytest.mark.parametrize(
-        "grid, reason",
-        [
-            ("nan,50", "finite"),
-            ("inf,50", "finite"),
-            ("50,50", "distinct"),
-            # distinct, but too close for the slope fit, which would raise
-            ("0,1e-270", "1e-06 dB apart or more"),
-            ("40,40.0000005,70", "1e-06 dB apart or more"),
-        ],
-    )
+    @pytest.mark.parametrize("grid, reason", BAD_SNR_GRIDS)
     def test_bad_snr_grid_points_exit_2(self, capsys, grid, reason):
         code, out, err = _run_main(
             capsys,
@@ -315,6 +319,20 @@ class TestFailurePaths:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reason in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", [grid for grid, _ in BAD_SNR_GRIDS])
+    def test_library_rejects_bad_grids_before_any_trial(self, capsys, monkeypatch, grid):
+        # the library and the CLI apply one set of grid rules, with one message
+        calls = []
+        monkeypatch.setattr(evaluate, "run_trials", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError) as info:
+            evaluate.estimate_dof("bc_mat", cli._parse_snr_grid(grid), 5, 0)
+        assert calls == []
+        _, _, err = _run_main(
+            capsys,
+            ["--scheme", "bc_mat", "--mode", "dof_sweep", f"--snr-grid={grid}", "--trials", "2"],
+        )
+        assert err == f"error: {info.value}\n"
 
     def test_duplicate_snr_grid_in_config_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "run.json"

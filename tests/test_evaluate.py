@@ -27,6 +27,7 @@ from alignsim.evaluate import (
     run_trials,
     simulate_block,
     sum_rate_bits,
+    validate_snr_grid,
 )
 from alignsim.numerics import (
     DEFAULT_TOL,
@@ -235,6 +236,18 @@ class TestDofEstimation:
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
             estimate_dof("bc_mat", [40.0], 5, base_seed=1)
+
+    def test_near_equal_grid_rejected_before_any_trial(self):
+        with mock.patch("alignsim.evaluate.run_trials") as run:
+            with pytest.raises(ValueError, match="1e-06 dB apart or more, got \\[0, 1e-100\\]"):
+                estimate_dof("bc_mat", [0, 1e-100], 5, 0)
+        run.assert_not_called()
+
+    def test_numpy_grid_points_accepted(self):
+        grid = [np.float64(40.0), np.float32(55.0), np.int64(70)]
+        validate_snr_grid(grid)
+        estimate = estimate_dof("bc_mat", grid, 3, base_seed=1)
+        assert estimate.snr_grid_db == [40.0, 55.0, 70.0]
 
     def test_rates_increase_with_snr(self):
         estimate = estimate_dof("ic3_output_fb", [30.0, 40.0, 50.0], 10, base_seed=5)

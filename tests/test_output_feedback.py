@@ -101,6 +101,14 @@ class TestBcMat:
         assert all(r.tx == 0 for r in log.records)
         assert log.output_reads() == []
 
+    def test_combo_reads_each_coefficient_once(self):
+        # the combination sums four crossed coefficients: one read each
+        tensor, msgs = _trial_data(BC, 25)
+        log = AccessLog()
+        simulate_block(BC, tensor, None, msgs, 1.0, DEFAULT_TOL, log=log)
+        reads = [(r.item_rx, r.item_tx, r.item_slot) for r in log.records]
+        assert sorted(reads) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+
     @pytest.mark.parametrize("perturb_from", range(3))
     def test_future_states_never_leak(self, perturb_from):
         assert future_perturbation_invariant(BC, 31, [0], perturb_from, DEFAULT_TOL)
