@@ -7,6 +7,12 @@ trials' generator seeds.  Every matrix handled here is small
 ``numpy.linalg`` and add the contract checks the alignment constructions
 rely on: explicit rank guards, residual verification and a canonical phase
 convention that makes repeated computations reproducible to the bit.
+
+A null vector comes from a complete QR of ``aᴴ``, behind a bound on
+``s_min / s_max`` that the triangular factor gives; only the systems the
+bound cannot clear pay for an SVD, which then decides their rank.  The
+zero-forcing rows come from an SVD, whose singular values the decoder
+reports.
 """
 
 from __future__ import annotations
@@ -200,18 +206,72 @@ def phase_normalize(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / np.abs(pivot))
 
 
+#: ``null_vector`` takes a system's QR vector only where its bound ``b``
+#: exceeds this multiple of ``tol.rank_rel``.  ``b`` is at most ``s_min /
+#: s_max`` in exact arithmetic; ``b`` and the SVD's ratio each round at about
+#: ``eps * s_max / s_min`` relative, which the factor of two covers for any
+#: cutoff above about 1e-14.  So a system the QR path accepts is one the SVD
+#: path would accept too.
+NULL_GUARD_SLACK = 2.0
+
+
+def _triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of the upper-triangular ``r`` ``(m, m, *S)`` by back-substitution.
+
+    Row ``i`` of ``x = r⁻¹`` is ``(e_i - sum_{k > i} r[i, k] x[k]) / r[i, i]``,
+    with the sum run left to right by :func:`matvec`.  A zero pivot gives
+    non-finite rows.
+    """
+    m = r.shape[0]
+    eye = np.eye(m).reshape((m, 1, m) + (1,) * (r.ndim - 2))
+    x = np.empty_like(r)
+    for i in reversed(range(m)):
+        rest = eye[i] if i == m - 1 else eye[i] - matvec(r[i : i + 1, i + 1 :], x[i + 1 :])
+        x[i] = (rest / r[i : i + 1, i : i + 1])[0]
+    return x
+
+
+def _qr_null_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null vectors ``(n, N)`` of ``a`` ``(m, n, N)`` from a complete QR, with their bounds.
+
+    ``aᴴ = Q R`` gives ``a = Rᴴ Qᴴ``, and the last row of ``R`` is zero, so
+    ``a`` annihilates the last column of ``Q``.  The bound ``(N,)`` is ``b =
+    1 / (||R_m||_F ||R_m⁻¹||_F)`` on the leading ``m x m`` block ``R_m``,
+    whose singular values are those of ``a``: as ``||R_m||_F >= s_max`` and
+    ``||R_m⁻¹||_F >= 1 / s_min``, ``b <= s_min / s_max``.  A system whose
+    ``R_m`` has a zero pivot gets a bound that is zero or NaN.
+    """
+    m = a.shape[0]
+    # aᴴ as a C-ordered (N, n, m) stack: LAPACK's per-matrix copies then
+    # read contiguous memory
+    q, r = np.linalg.qr(np.conj(a.transpose(2, 1, 0), order="C"), mode="complete")
+    r = _unstacked(r[..., :m, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = 1.0 / (frobenius_norm(r) * frobenius_norm(_triangular_inverse(r)))
+    return q[..., -1].T, bound
+
+
 def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unit-norm right null vector of a wide matrix with a 1-D null space.
 
     ``a`` must have strictly fewer rows than columns and full row rank up to
     ``tol.rank_rel``; otherwise :class:`RankDeficient` is raised.  The vector
-    returned is the right singular vector belonging to the implicit zero
-    singular value, phase-normalized so repeated calls on the same input give
-    an identical result.
+    is phase-normalized, so repeated calls on the same input give an
+    identical result.
 
-    A stack of systems goes through one SVD call.  LAPACK factors each
-    matrix on its own and the rest is elementwise, so each vector is bit for
-    bit what a call on its system alone returns; one bad system raises.
+    The kernel is a complete QR of ``aᴴ``; the vector is the last column of
+    ``Q``.  The rank guard is the bound ``b <= s_min / s_max`` of
+    :func:`_qr_null_vectors`.  Where ``b`` exceeds :data:`NULL_GUARD_SLACK`
+    times ``tol.rank_rel``, the SVD would accept the system too, and the QR
+    vector stands.  Every other system, one with a zero pivot included,
+    goes through an SVD that decides exactly as the singular values say: it
+    gives the right singular vector of the zero singular value, or raises
+    :class:`RankDeficient` naming the smallest rank among those systems.
+
+    A stack of systems goes through one QR call, and the systems the bound
+    cannot clear through one SVD call.  LAPACK factors each matrix on its
+    own and the rest is elementwise, so each vector is bit for bit what a
+    call on its system alone returns; one bad system raises.
 
     Parameters
     ----------
@@ -232,13 +292,18 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         # single vector, which is only well defined for a one-dimensional
         # null space, i.e. cols == rows + 1 at full row rank.
         raise ValueError("null space is not one-dimensional for this shape")
-    _, s, vh = np.linalg.svd(_stacked(a), full_matrices=True)
-    if _rank_short(s, tol).any():
-        rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1).min()
-        raise RankDeficient(
-            f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
-        )
-    v = phase_normalize(np.moveaxis(vh[..., -1, :].conj(), -1, 0))
+    flat = a.reshape(rows, cols, -1)
+    v, bound = _qr_null_vectors(flat)
+    fallback = ~(bound > NULL_GUARD_SLACK * tol.rank_rel)
+    if fallback.any():
+        _, s, vh = np.linalg.svd(_stacked(flat[:, :, fallback]), full_matrices=True)
+        if _rank_short(s, tol).any():
+            rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1).min()
+            raise RankDeficient(
+                f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
+            )
+        v[:, fallback] = vh[..., -1, :].conj().T
+    v = phase_normalize(v.reshape(cols, *a.shape[2:]))
     v /= vector_norm(v)
     residual = vector_norm(matvec(a, v))
     scale = frobenius_norm(a)
@@ -264,7 +329,7 @@ def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
 
     ``rows`` holds ``w`` indices for every system, or is ``(R, w)``: one
     row per system along the first stack axis (``R`` receivers, say).  As
-    for :func:`null_vector`, one SVD call serves the stack, bit for bit.
+    for :func:`null_vector`, one stacked LAPACK call serves the stack, bit for bit.
 
     Returns ``(d, cond, residual)``: ``cond = s_min / s_max`` and
     ``residual = ||d @ g - I[rows]||_F``, both of shape ``(*S)``.  Raises

@@ -145,7 +145,7 @@ class IC3RetroCsitScheme(Scheme):
                 for j in interferers(rx):
                     for n in range(PHASE1_SLOTS):
                         h5[rx, j, n] = view.channel_coeff(rx, j, n)
-            # both victims' systems in one SVD call, stacked after the columns
+            # both victims' systems in one null_vector call, stacked after the columns
             alphas = null_vector(
                 np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2), tol
             )

@@ -119,7 +119,7 @@ def alignment_constants(
     is numerically zero, and propagates :class:`~alignsim.numerics.\
     RankDeficient` for rank-deficient draws; both are discard events.
     """
-    # both receivers' systems in one SVD call, stacked after the columns
+    # both receivers' systems in one null_vector call, stacked after the columns
     systems = np.stack([interference_system(h3, phase1, rx) for rx in range(2)], axis=2)
     v, w = np.moveaxis(null_vector(systems, tol), 1, 0)
     for vec in (v, w):

@@ -11,7 +11,7 @@ annihilators and phase-2 triples from the full channel tensor, one
 system at a time, the way a receiver would.  They share the library's
 ``null_vector`` so their triples match the encoder's bit for bit: what they
 check is the encoder's wiring (which systems, which sub-triples, in which
-order), not the SVD.
+order), not the factorization.
 """
 
 from __future__ import annotations

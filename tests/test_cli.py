@@ -401,6 +401,23 @@ class TestStructuralFailures:
         assert reason in message
 
 
+    @pytest.mark.parametrize(
+        "scheme, shape, rank",
+        [("x_retro_csit", "(3, 4)", "1 < 3"), ("ic3_retro_csit", "(5, 6)", "1 < 5")],
+    )
+    def test_rank_deficient_null_systems_exit_3(self, capsys, scheme, shape, rank):
+        # at --tol-rank 0.999 no annihilator system clears the rank guard, so
+        # every attempt ends in the null vector's SVD decision
+        code, out, err = _run_main(
+            capsys,
+            ["--scheme", scheme, "--trials", "1", "--tol-rank", "0.999", "--threads", "1"],
+        )
+        assert code == 3 and err == ""
+        assert json.loads(out)["error"]["message"] == (
+            f"{scheme} trial 0: exceeded 10 attempts; last discard: RankDeficient: "
+            f"matrix of shape {shape} has numerical rank {rank}"
+        )
+
     def test_singular_discard_names_receiver_certificate_and_flag(self, capsys):
         code, out, _ = _run_main(
             capsys,

@@ -4,17 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.numerics import (
+    NULL_GUARD_SLACK,
     RankDeficient,
     Singular,
     Tolerances,
+    _qr_null_vectors,
     null_vector,
     phase_normalize,
     sample_complex_gaussian,
+    vector_norm,
     zero_forcing_rows,
 )
 
 from _oracles import (
     jacobi_null_vector,
+    jacobi_singular_values,
     random_complex_matrix,
     random_rank_matrix,
     zero_forcing_oracle,
@@ -98,6 +102,49 @@ class TestNullVector:
         a = np.ones((2, 3), dtype=complex)
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
+            null_vector(a)
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(random_complex_matrix(rng, n, n))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
+def _wide_with_spectrum(rng, s):
+    """``m x (m + 1)`` matrix with singular values ``s`` and random singular vectors."""
+    m = len(s)
+    return _unitary(rng, m) @ np.hstack([np.diag(s), np.zeros((m, 1))]) @ _unitary(rng, m + 1).conj().T
+
+
+def _near_cutoff(rng, tol, rows=5):
+    """A system the QR bound cannot clear (``b <= 2 rank_rel``) that the SVD accepts.
+
+    Singular values ``(1, ..., 1, 2.5 rank_rel)``: ``s_min / s_max = 2.5
+    rank_rel``, while ``b`` is about that over ``sqrt(rows - 1)``, 1.25
+    rank_rel for five rows.
+    """
+    return _wide_with_spectrum(rng, [1.0] * (rows - 1) + [2.5 * tol.rank_rel])
+
+
+class TestNullGuard:
+    """The QR bound, and the SVD that decides every system the bound cannot clear."""
+
+    @pytest.mark.parametrize("tol", [Tolerances(), Tolerances(rank_rel=0.01)])
+    def test_near_cutoff_system_gets_the_svd_vector(self, rng, tol):
+        a = _near_cutoff(rng, tol)
+        _, bound = _qr_null_vectors(a[:, :, None])
+        s = np.linalg.svd(a, compute_uv=False)
+        assert bound[0] <= NULL_GUARD_SLACK * tol.rank_rel < s[-1] / s[0]
+        _, _, vh = np.linalg.svd(a)
+        want = phase_normalize(vh[-1].conj())
+        want /= vector_norm(want)
+        assert null_vector(a, tol).tobytes() == want.tobytes()
+
+    def test_rank_short_system_fails_in_the_svd(self, rng):
+        a = _wide_with_spectrum(rng, [1.0, 1.0, 1.0, 1e-9, 1e-12])
+        _, bound = _qr_null_vectors(a[:, :, None])
+        assert bound[0] <= NULL_GUARD_SLACK * 1e-8
+        with pytest.raises(RankDeficient, match=r"^matrix of shape \(5, 6\) has numerical rank 3 < 5$"):
             null_vector(a)
 
 
@@ -230,6 +277,17 @@ class TestStackedSystems:
             assert np.array_equal(v[:, r], null_vector(a[:, :, r]))
             for t in range(7):
                 assert np.array_equal(v[:, r, t], null_vector(a[:, :, r, t : t + 1])[:, 0])
+        # systems the QR bound cannot clear take the SVD, each on its own:
+        # mixed into a stack of cleared ones, every system keeps its lone bits
+        for r, t in [(0, 0), (0, 4), (1, 4), (1, 6)]:
+            a[:, :, r, t] = _near_cutoff(rng, Tolerances())
+        _, bound = _qr_null_vectors(a.reshape(5, 6, -1))
+        assert np.count_nonzero(bound <= NULL_GUARD_SLACK * 1e-8) == 4
+        v = null_vector(a)
+        for r in range(2):
+            assert np.array_equal(v[:, r], null_vector(a[:, :, r]))
+            for t in range(7):
+                assert np.array_equal(v[:, r, t], null_vector(a[:, :, r, t : t + 1])[:, 0])
 
     def test_null_vector_stack_guard_covers_every_system(self, rng):
         a = np.stack([random_complex_matrix(rng, 3, 4) for _ in range(2)], axis=2)
@@ -320,6 +378,36 @@ def test_null_vector_invariants_property(seed):
     v = null_vector(a)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert np.linalg.norm(a @ v) <= 1e-8 * np.linalg.norm(a)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([3, 5]),
+    log_cond=st.floats(0.0, 14.0),
+)
+def test_null_guard_bound_property(seed, rows, log_cond):
+    # stacks of three systems with s_max = 1 and s_min = 10**-log_cond, the
+    # other singular values anywhere between, at a random scale.  In exact
+    # arithmetic s_min / (rows s_max) <= b <= s_min / s_max; both
+    # factorizations round at about eps * cond relative to s_min, so each
+    # side gets that much room.  The guard's soundness is the last assert:
+    # b stays below NULL_GUARD_SLACK times either ratio, so a system the QR
+    # bound clears is one the SVD accepts.
+    gen = np.random.default_rng(seed)
+    room = (rows + 1) * np.finfo(float).eps * 10.0**log_cond
+    systems = []
+    for _ in range(3):
+        inner = np.sort(10.0 ** -gen.uniform(0.0, log_cond, rows - 2))[::-1]
+        s = np.concatenate([[1.0], inner, [10.0**-log_cond]]) * 10.0 ** gen.uniform(-5.0, 5.0)
+        systems.append(_wide_with_spectrum(gen, s))
+    a = np.stack(systems, axis=-1)
+    _, bound = _qr_null_vectors(a)
+    for t in range(3):
+        for s in (np.linalg.svd(a[..., t], compute_uv=False), jacobi_singular_values(a[..., t])):
+            ratio = s[-1] / s[0]
+            assert ratio / rows * (1.0 - room) <= bound[t] <= ratio * (1.0 + room)
+            assert bound[t] < NULL_GUARD_SLACK * ratio
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
