@@ -10,7 +10,8 @@ convention that makes repeated computations reproducible to the bit.
 
 A null vector comes from a complete QR of ``aᴴ``, behind a bound on
 ``s_min / s_max`` that the triangular factor gives; only the systems the
-bound cannot clear pay for an SVD, which then decides their rank.  The
+bound cannot clear pay for their singular values, which then decide their
+rank.  The
 zero-forcing rows come from an SVD, whose singular values the decoder
 reports.
 """
@@ -78,7 +79,9 @@ class Tolerances:
     rank_rel : float
         Singular values below ``rank_rel`` times the largest singular value
         are treated as zero.  Also bounds the acceptable condition number of
-        a zero-forcing receive matrix at ``1 / rank_rel``.
+        a zero-forcing receive matrix at ``1 / rank_rel``.  Below about
+        1e-14 the cutoff sits at roundoff, and :func:`null_vector`'s QR
+        bound and an SVD may then decide a system near it differently.
     residual_rel : float
         Acceptance threshold for null-space residuals, relative to the
         Frobenius norm of the matrix, and for zero-forcing residuals.
@@ -206,12 +209,12 @@ def phase_normalize(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / np.abs(pivot))
 
 
-#: ``null_vector`` takes a system's QR vector only where its bound ``b``
-#: exceeds this multiple of ``tol.rank_rel``.  ``b`` is at most ``s_min /
-#: s_max`` in exact arithmetic; ``b`` and the SVD's ratio each round at about
-#: ``eps * s_max / s_min`` relative, which the factor of two covers for any
-#: cutoff above about 1e-14.  So a system the QR path accepts is one the SVD
-#: path would accept too.
+#: ``null_vector`` clears a system's rank without its singular values only
+#: where its bound ``b`` exceeds this multiple of ``tol.rank_rel``.  ``b`` is
+#: at most ``s_min / s_max`` in exact arithmetic; ``b`` and the SVD's ratio
+#: each round at about ``eps * s_max / s_min`` relative, which the factor of
+#: two covers for any cutoff above about 1e-14.  So above that cutoff a
+#: system the bound clears is one the SVD would accept too.
 NULL_GUARD_SLACK = 2.0
 
 
@@ -260,18 +263,24 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     identical result.
 
     The kernel is a complete QR of ``aᴴ``; the vector is the last column of
-    ``Q``.  The rank guard is the bound ``b <= s_min / s_max`` of
+    ``Q``.  Householder QR factors ``aᴴ + E = Q R`` with ``||E||`` about
+    ``eps ||a||``, so ``a`` maps that column to ``-Eᴴ`` times it: the
+    residual stays at roundoff whatever the condition number.
+
+    The rank guard is the bound ``b <= s_min / s_max`` of
     :func:`_qr_null_vectors`.  Where ``b`` exceeds :data:`NULL_GUARD_SLACK`
-    times ``tol.rank_rel``, the SVD would accept the system too, and the QR
-    vector stands.  Every other system, one with a zero pivot included,
-    goes through an SVD that decides exactly as the singular values say: it
-    gives the right singular vector of the zero singular value, or raises
-    :class:`RankDeficient` naming the smallest rank among those systems.
+    times ``tol.rank_rel``, the system has full row rank without further
+    work; for ``tol.rank_rel`` above about 1e-14 the SVD's ratio would
+    clear it too (below that, rounding in ``b`` and in the ratio can exceed
+    the factor of two).  Every other system, one with a zero pivot
+    included, has its singular values computed, which decide exactly: a
+    system short of rank raises :class:`RankDeficient` naming the smallest
+    rank among those systems, and one of full rank keeps its QR vector.
 
     A stack of systems goes through one QR call, and the systems the bound
-    cannot clear through one SVD call.  LAPACK factors each matrix on its
-    own and the rest is elementwise, so each vector is bit for bit what a
-    call on its system alone returns; one bad system raises.
+    cannot clear through one singular-value call.  LAPACK factors each
+    matrix on its own and the rest is elementwise, so each vector is bit
+    for bit what a call on its system alone returns; one bad system raises.
 
     Parameters
     ----------
@@ -296,13 +305,12 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     v, bound = _qr_null_vectors(flat)
     fallback = ~(bound > NULL_GUARD_SLACK * tol.rank_rel)
     if fallback.any():
-        _, s, vh = np.linalg.svd(_stacked(flat[:, :, fallback]), full_matrices=True)
+        s = np.linalg.svd(_stacked(flat[:, :, fallback]), compute_uv=False)
         if _rank_short(s, tol).any():
             rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1).min()
             raise RankDeficient(
                 f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
             )
-        v[:, fallback] = vh[..., -1, :].conj().T
     v = phase_normalize(v.reshape(cols, *a.shape[2:]))
     v /= vector_norm(v)
     residual = vector_norm(matvec(a, v))

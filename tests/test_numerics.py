@@ -12,7 +12,6 @@ from alignsim.numerics import (
     null_vector,
     phase_normalize,
     sample_complex_gaussian,
-    vector_norm,
     zero_forcing_rows,
 )
 
@@ -127,18 +126,23 @@ def _near_cutoff(rng, tol, rows=5):
 
 
 class TestNullGuard:
-    """The QR bound, and the SVD that decides every system the bound cannot clear."""
+    """The QR bound, and the singular values that decide every system the bound cannot clear."""
 
     @pytest.mark.parametrize("tol", [Tolerances(), Tolerances(rank_rel=0.01)])
-    def test_near_cutoff_system_gets_the_svd_vector(self, rng, tol):
+    def test_near_cutoff_system_keeps_its_qr_vector(self, rng, tol):
+        # the singular values accept the system, and its QR vector stands:
+        # the same bits as in a stack with a cleared system, a residual at
+        # roundoff, and the SVD's null direction up to phase
         a = _near_cutoff(rng, tol)
         _, bound = _qr_null_vectors(a[:, :, None])
         s = np.linalg.svd(a, compute_uv=False)
         assert bound[0] <= NULL_GUARD_SLACK * tol.rank_rel < s[-1] / s[0]
+        v = null_vector(a, tol)
+        stack = np.stack([random_complex_matrix(rng, 5, 6), a], axis=2)
+        assert null_vector(stack, tol)[:, 1].tobytes() == v.tobytes()
+        assert np.linalg.norm(a @ v) <= tol.residual_rel * np.linalg.norm(a)
         _, _, vh = np.linalg.svd(a)
-        want = phase_normalize(vh[-1].conj())
-        want /= vector_norm(want)
-        assert null_vector(a, tol).tobytes() == want.tobytes()
+        assert abs(np.vdot(vh[-1].conj(), v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_short_system_fails_in_the_svd(self, rng):
         a = _wide_with_spectrum(rng, [1.0, 1.0, 1.0, 1e-9, 1e-12])
@@ -277,8 +281,9 @@ class TestStackedSystems:
             assert np.array_equal(v[:, r], null_vector(a[:, :, r]))
             for t in range(7):
                 assert np.array_equal(v[:, r, t], null_vector(a[:, :, r, t : t + 1])[:, 0])
-        # systems the QR bound cannot clear take the SVD, each on its own:
-        # mixed into a stack of cleared ones, every system keeps its lone bits
+        # systems the QR bound cannot clear have their singular values
+        # checked: mixed into a stack of cleared ones, every system keeps
+        # its lone bits
         for r, t in [(0, 0), (0, 4), (1, 4), (1, 6)]:
             a[:, :, r, t] = _near_cutoff(rng, Tolerances())
         _, bound = _qr_null_vectors(a.reshape(5, 6, -1))
