@@ -103,8 +103,13 @@ class Scheme:
         return sample_complex_gaussian(rng, self.num_symbols)
 
     def symbols_for_rx(self, rx: int) -> list[int]:
-        """Indices into the message vector that receiver ``rx`` must recover."""
-        raise NotImplementedError
+        """Indices into the message vector that receiver ``rx`` must recover.
+
+        Every receiver wants as many symbols, stored in one contiguous block
+        per receiver, in receiver order.
+        """
+        per_rx = self.num_symbols // self.num_rx
+        return list(range(per_rx * rx, per_rx * (rx + 1)))
 
     def interference_rank(self, rx: int) -> int:
         """Receive dimensions the design leaves to interference at ``rx``."""
@@ -153,44 +158,38 @@ class Scheme:
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
         each bit for bit as a call on its matrix alone would.
 
-        Raises :class:`~alignsim.numerics.Singular`, a degenerate draw, when
-        a receive matrix falls short of full row rank; the message names the
-        receiver, its ``receive_cond_rx*`` certificate and the cutoff, which
-        ``Tolerances.rank_rel`` (``--tol-rank``) sets.  Raises
-        :class:`InterferenceRankUnexpected` when a zero-forcing residual
-        exceeds ``tol.residual_rel``.
+        The receivers are judged in order, each on all its trials, with the
+        cutoff table's comparisons.  :class:`~alignsim.numerics.Singular`, a
+        degenerate draw, is raised where ``receive_cond_rx*`` is not above
+        ``Tolerances.rank_rel`` (``--tol-rank``; a NaN is not); the message
+        names the receiver, the condition number of its first such trial and
+        the cutoff.  :class:`InterferenceRankUnexpected` is raised where a
+        zero-forcing residual exceeds ``tol.residual_rel``.
         """
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
         rows = np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
-        try:
-            d, cond, residual = zero_forcing_rows(g, rows, tol)
-        except Singular as exc:
-            rx = exc.system[0]
-            if rx:
-                # receivers are checked in order, so a leak before rx comes first
-                self._check_leaks(zero_forcing_rows(g[:, :, :rx], rows[:rx], tol)[2], tol)
-            raise Singular(
-                f"receiver {rx}: {exc}; receive_cond_rx{rx} is at or below the "
-                f"--tol-rank cutoff {tol.rank_rel:.1e}",
-                exc.system,
-            ) from exc
-        self._check_leaks(residual, tol)
+        d, cond, residual = zero_forcing_rows(g, rows)
+        for rx in range(self.num_rx):
+            singular = ~(cond[rx] > tol.rank_rel)
+            if singular.any():
+                first = cond[rx].flat[singular.argmax()]
+                raise Singular(
+                    f"receiver {rx}: condition number "
+                    f"{1.0 / first if first > 0.0 else np.inf:.3e} exceeds "
+                    f"{1.0 / tol.rank_rel:.1e}; receive_cond_rx{rx} is at or below the "
+                    f"--tol-rank cutoff {tol.rank_rel:.1e}"
+                )
+            if (residual[rx] > tol.residual_rel).any():
+                raise InterferenceRankUnexpected(
+                    f"zero-forcing residual {np.max(residual[rx]):.3e} at receiver {rx} exceeds "
+                    f"{tol.residual_rel:.1e} (interference may fill only "
+                    f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
+                )
         return DecodeContext(
             tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0))), tuple(cond), tuple(residual),
             tensor, offline, state,
         )
-
-    def _check_leaks(self, residual: np.ndarray, tol: Tolerances) -> None:
-        """Raise for the first receiver whose zero-forcing residuals ``(R, *T)`` leak."""
-        leaks = (residual > tol.residual_rel).reshape(len(residual), -1).any(axis=1)
-        if leaks.any():
-            rx = int(leaks.argmax())
-            raise InterferenceRankUnexpected(
-                f"zero-forcing residual {np.max(residual[rx]):.3e} at receiver {rx} exceeds "
-                f"{tol.residual_rel:.1e} (interference may fill only "
-                f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
-            )
 
     def decode(self, y: np.ndarray, ctx: DecodeContext) -> np.ndarray:
         """Estimates of every symbol from the received block ``y``.
@@ -207,9 +206,11 @@ class Scheme:
     def certificates(self, ctx: DecodeContext) -> dict[str, float]:
         """Per-block health figures of the decoder; schemes add their encoder's.
 
-        ``interference_rank_rx*`` is the number of receive dimensions the
-        decoder certified the interference to fill.  With a trial axis each
-        value is a ``(T,)`` array, or one float that holds for every trial.
+        ``interference_rank_rx*`` is the design value
+        (:meth:`interference_rank`), not a measured rank: the decoder
+        certifies the alignment only through ``receive_cond_rx*`` and
+        ``zf_residual_rx*`` (ROADMAP item 2 measures it).  With a trial axis
+        each value is a ``(T,)`` array, or one float that holds for every trial.
         """
         certs = {}
         for rx in range(self.num_rx):

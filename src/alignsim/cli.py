@@ -62,8 +62,8 @@ class RunConfig:
     trials: int = 100
     seed: int = 0
     snr_grid_db: list[float] | None = None
-    tol_rank: float = 1e-8
-    tol_residual: float = 1e-8
+    tol_rank: float = Tolerances.rank_rel
+    tol_residual: float = Tolerances.residual_rel
     out: str | None = None
     format: str = "json"
     threads: int = 0  # 0 resolves to the machine's available parallelism

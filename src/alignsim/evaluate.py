@@ -43,8 +43,8 @@ rates, the noise weights: one more block run under output feedback, none
 otherwise.  Every reduction on that axis is a stacked LAPACK call or a
 left-to-right sum, so a trial's numbers are bit for bit the same whichever
 trials share its batch.  A batch that meets a degenerate draw or a
-structural failure is bisected down to the failing trials, which rerun one
-at a time; that keeps discards, retries and failure messages per trial.
+structural failure reruns trial by trial, which keeps discards, retries
+and failure messages per trial.
 Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
 batch to the run's report, joined in trial order.
 """
@@ -282,14 +282,7 @@ def simulate_block(
     return SignalRecord(x=x, y=y)
 
 
-def noise_transfer_weights(
-    scheme: Scheme,
-    tensor: ChannelTensor,
-    offline,
-    ctx,
-    tol: Tolerances,
-    state: dict | None = None,
-) -> np.ndarray:
+def noise_transfer_weights(scheme: Scheme, ctx, tol: Tolerances) -> np.ndarray:
     """Per-symbol squared norm of the decoder's unit-power noise image.
 
     The image of the unit impulse at receiver ``rx``, slot ``n`` is column
@@ -307,9 +300,10 @@ def noise_transfer_weights(
     Otherwise the replays carry the noise forward, and one batched block
     run at unit amplitude with zero messages takes the impulses as noise,
     one per batch column.  Both sums run in impulse order, so the two ways
-    give the same bits where both apply.
+    give the same bits where both apply.  The run reads the channel, the
+    offline coefficients and the cached constants off ``ctx``.
     """
-    trials = tensor.h.shape[3:]
+    trials = ctx.tensor.h.shape[3:]
     if not scheme.feedback.provides_output:
         weights = np.empty((scheme.num_symbols, *trials), dtype=np.float64)
         for rx, decoder in enumerate(ctx.decoders):
@@ -323,7 +317,7 @@ def noise_transfer_weights(
     )
     impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, *trials))
     record = simulate_block(
-        scheme, tensor, offline, zero_msgs, 1.0, tol, noise=impulses, state=state
+        scheme, ctx.tensor, ctx.offline, zero_msgs, 1.0, tol, noise=impulses, state=ctx.state
     )
     columns = scheme.decode(record.y, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
@@ -374,7 +368,7 @@ def _run_batch(
     failed = scheme.certificate_failures(certs, tol)
     weights = None
     if collect_weights:
-        weights = noise_transfer_weights(scheme, tensor, offline, ctx, tol, state=state)
+        weights = noise_transfer_weights(scheme, ctx, tol)
     # Every trial of the batch made the same reads, so one audit serves all.
     csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
     over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
@@ -459,61 +453,27 @@ def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
 def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one worker's batches in order; returns (outcomes, discards).
 
-    A batch that raises a degenerate draw or a structural failure is
-    bisected: its halves run as batches, and the one that raises is split
-    again, down to pieces of fewer than four trials, which run one trial at
-    a time through :func:`run_single_trial`.  A first half that succeeds
-    leaves the failure in the second, which splits without a run.  When
-    both halves raise, failures are dense, and both rerun one trial at a
-    time as a whole, which costs two half-batch runs over a rerun of every
-    trial.  Outcomes, discards and the first failure raised come in trial
-    order, as a trial-by-trial run gives them.
+    A batch that raises a degenerate draw or a structural failure reruns
+    its trials in order through :func:`run_single_trial`, so outcomes,
+    discards and the first failure raised come in trial order, as a
+    trial-by-trial run gives them.
     """
     scheme_id, base_seed, batches, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
     parts: list[TrialOutcomes] = []
     discards: list[Discard] = []
-
-    def batch(trials: range) -> TrialOutcomes | None:
-        try:
-            return _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
-        except (Degenerate, NumericsError):
-            return None
-
-    def one_by_one(trials: range) -> None:
-        for trial in trials:
-            outcome, resampled = run_single_trial(scheme, base_seed, trial, tol, collect_weights)
-            parts.append(outcome)
-            discards.extend(resampled)
-
-    def bisect(trials: range) -> None:
-        if len(trials) < 4:
-            one_by_one(trials)
-            return
-        left, right = _split(trials, 2)
-        left_outcomes = batch(left)
-        if left_outcomes is not None:
-            parts.append(left_outcomes)
-            bisect(right)
-            return
-        try:
-            right_outcomes = batch(right)
-        except SchemeFailure:
-            # a failure in the left half comes first
-            bisect(left)
-            raise
-        if right_outcomes is None:
-            one_by_one(trials)
-            return
-        bisect(left)
-        parts.append(right_outcomes)
-
     for trials in batches:
-        outcomes = batch(trials)
-        if outcomes is None:
-            bisect(trials)
-        else:
-            parts.append(outcomes)
+        try:
+            parts.append(
+                _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
+            )
+        except (Degenerate, NumericsError):
+            for trial in trials:
+                outcome, resampled = run_single_trial(
+                    scheme, base_seed, trial, tol, collect_weights
+                )
+                parts.append(outcome)
+                discards.extend(resampled)
     return _concat(parts), discards
 
 

@@ -11,9 +11,8 @@ convention that makes repeated computations reproducible to the bit.
 A null vector comes from a complete QR of ``aᴴ``, behind a bound on
 ``s_min / s_max`` that the triangular factor gives; only the systems the
 bound cannot clear pay for their singular values, which then decide their
-rank.  The
-zero-forcing rows come from an SVD, whose singular values the decoder
-reports.
+rank.  The zero-forcing rows come from an SVD, whose singular values the
+decoder reports and judges.
 """
 
 from __future__ import annotations
@@ -63,11 +62,12 @@ class RankDeficient(NumericsError, Degenerate):
 
 
 class Singular(NumericsError, Degenerate):
-    """A system is too ill-conditioned to invert reliably; ``system`` is its stack index."""
+    """A receive matrix is too ill-conditioned to invert reliably.
 
-    def __init__(self, message: str, system: tuple[int, ...] = ()) -> None:
-        super().__init__(message)
-        self.system = system
+    :func:`zero_forcing_rows` reports every system's ``cond`` and raises
+    nothing; the decoder judges ``cond`` against ``Tolerances.rank_rel``
+    and raises this for the first receiver that fails.
+    """
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,6 @@ def _stacked(a: np.ndarray) -> np.ndarray:
 def _unstacked(a: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_stacked` for ``(*S, m, n)`` results."""
     return np.moveaxis(a, (-2, -1), (0, 1))
-
-
-def _rank_short(s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Where descending singular values ``(*S, k)`` fall short of rank ``k`` (a zero matrix does)."""
-    return s[..., -1] <= tol.rank_rel * s[..., 0]
 
 
 def ordered_sum(terms) -> np.ndarray:
@@ -306,7 +301,8 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     fallback = ~(bound > NULL_GUARD_SLACK * tol.rank_rel)
     if fallback.any():
         s = np.linalg.svd(_stacked(flat[:, :, fallback]), compute_uv=False)
-        if _rank_short(s, tol).any():
+        # a zero matrix is rank-short too
+        if (s[..., -1] <= tol.rank_rel * s[..., 0]).any():
             rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1).min()
             raise RankDeficient(
                 f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
@@ -325,7 +321,7 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
+def zero_forcing_rows(g, rows):
     """Rows ``rows`` of the pseudo-inverse of a wide receive matrix, with its guards.
 
     ``g`` is ``(n, k, *S)`` with ``n <= k``: ``n`` observations of ``k``
@@ -339,26 +335,17 @@ def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
     row per system along the first stack axis (``R`` receivers, say).  As
     for :func:`null_vector`, one stacked LAPACK call serves the stack, bit for bit.
 
-    Returns ``(d, cond, residual)``: ``cond = s_min / s_max`` and
-    ``residual = ||d @ g - I[rows]||_F``, both of shape ``(*S)``.  Raises
-    :class:`Singular` when ``cond`` is at or below ``tol.rank_rel`` (``g``
-    falls short of full row rank); its ``system`` is the stack index of the
-    first such system.
+    Returns ``(d, cond, residual)`` for every system: ``cond = s_min /
+    s_max`` and ``residual = ||d @ g - I[rows]||_F``, both of shape
+    ``(*S)``.  Nothing is judged here; callers judge ``cond``.  A system
+    short of full row rank has a ``cond`` at or near zero (NaN for a zero
+    matrix) and may have non-finite ``d`` and ``residual``.
     """
     g = _as_matrix(g)
     n, k = g.shape[:2]
     if n > k:
         raise ValueError(f"zero_forcing_rows expects rows <= cols, got shape {g.shape}")
     u, s, vh = np.linalg.svd(_stacked(g), full_matrices=False)
-    bad = _rank_short(s, tol)
-    if bad.any():
-        system = np.unravel_index(bad.argmax(), bad.shape)
-        lo, hi = s[system][[-1, 0]]
-        cond = np.inf if lo == 0.0 else hi / lo
-        raise Singular(
-            f"condition number {cond:.3e} exceeds {1.0 / tol.rank_rel:.1e}",
-            tuple(int(i) for i in system),
-        )
     rows = np.asarray(rows)
     if rows.ndim == 1:
         want = vh[..., rows]
@@ -372,16 +359,17 @@ def zero_forcing_rows(g, rows, tol: Tolerances = DEFAULT_TOL):
     # factor is freed as soon as its copy exists, which keeps the peak memory
     # of a large stack down.
     del vh
-    v_rows = np.ascontiguousarray(np.moveaxis(want.conj() / s[..., None], (-1, -2), (0, 1)))
-    del want
-    u_h = np.ascontiguousarray(_unstacked(np.swapaxes(u, -1, -2).conj()))
-    del u
-    d = matvec(v_rows, u_h)
-    del v_rows, u_h
-    eye = _unstacked(np.eye(k)[rows])
-    eye = eye.reshape(eye.shape + (1,) * (g.ndim - 1 - rows.ndim))
-    residual = frobenius_norm(matvec(d, g) - eye)
-    return d, s[..., -1] / s[..., 0], residual
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v_rows = np.ascontiguousarray(np.moveaxis(want.conj() / s[..., None], (-1, -2), (0, 1)))
+        del want
+        u_h = np.ascontiguousarray(_unstacked(np.swapaxes(u, -1, -2).conj()))
+        del u
+        d = matvec(v_rows, u_h)
+        del v_rows, u_h
+        eye = _unstacked(np.eye(k)[rows])
+        eye = eye.reshape(eye.shape + (1,) * (g.ndim - 1 - rows.ndim))
+        residual = frobenius_norm(matvec(d, g) - eye)
+        return d, s[..., -1] / s[..., 0], residual
 
 
 def sample_complex_gaussian(

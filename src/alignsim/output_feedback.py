@@ -93,10 +93,6 @@ class ScheduledScheme(Scheme):
 
     schedule: tuple[tuple[object, ...], ...]
 
-    def symbols_for_rx(self, rx: int) -> list[int]:
-        per_rx = self.num_symbols // self.num_rx
-        return [per_rx * rx + i for i in range(per_rx)]
-
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         payload = self.schedule[slot][antenna]
         if payload is None:

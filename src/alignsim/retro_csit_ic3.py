@@ -121,9 +121,6 @@ class IC3RetroCsitScheme(Scheme):
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
 
-    def symbols_for_rx(self, rx: int) -> list[int]:
-        return [3 * rx + i for i in range(3)]
-
     def draw_offline(self, rng) -> ICOffline:
         phase1 = sample_complex_gaussian(rng, 3 * 3 * PHASE1_SLOTS)
         phase1 = phase1.reshape(3, 3, PHASE1_SLOTS, *phase1.shape[1:])

@@ -170,9 +170,6 @@ class XRetroCsitScheme(Scheme):
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
 
-    def symbols_for_rx(self, rx: int) -> list[int]:
-        return [4 * rx + 2 * j + i for j in range(2) for i in range(2)]
-
     def draw_offline(self, rng) -> XOffline:
         phase1 = sample_complex_gaussian(rng, 2 * 2 * 2 * PHASE1_SLOTS)
         trials = phase1.shape[1:]

@@ -172,7 +172,7 @@ def test_numerics_agree_with_bruteforce_oracle():
         extra = int(rng.integers(1, 4))
         interference = random_rank_matrix(rng, rows, rows - wanted + extra, rows - wanted)
         g = np.hstack([random_complex_matrix(rng, rows, wanted), interference])
-        d, _, residual = zero_forcing_rows(g, list(range(wanted)), DEFAULT_TOL)
+        d, _, residual = zero_forcing_rows(g, list(range(wanted)))
         oracle = zero_forcing_oracle(g, list(range(wanted)))
         worst = max(
             worst,

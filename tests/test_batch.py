@@ -110,7 +110,7 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
     for _ in range(3):
         tensor, offline = _draw(scheme, rng)
         ctx = decode_context(scheme, tensor, offline)
-        weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
         reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
         assert weights.shape == (scheme.num_symbols,)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
@@ -145,7 +145,7 @@ def test_weights_without_output_feedback_are_exact(scheme_id):
     for tensor, offline in _one_and_stacked(scheme):
         ctx = decode_context(scheme, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
-        weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
         assert weights.shape == reference.shape
         assert np.array_equal(weights, reference)
 
@@ -159,7 +159,7 @@ def test_output_feedback_weights_are_not_decoder_row_norms(scheme_id):
         ctx = decode_context(scheme, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
         np.testing.assert_allclose(
-            noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL),
+            noise_transfer_weights(scheme, ctx, DEFAULT_TOL),
             reference,
             rtol=1e-12,
         )
@@ -225,7 +225,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     record = simulate_block(scheme, tensor, offline, msgs, 1.0, DEFAULT_TOL, log=log, state=state)
     ctx = decode_context(scheme, tensor, offline)
     decoded = scheme.decode(record.y, ctx)
-    weights = noise_transfer_weights(scheme, tensor, offline, ctx, DEFAULT_TOL, state=state)
+    weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
     certs = scheme.certificates(ctx)
     assert weights.shape == (scheme.num_symbols, trials)
     for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
@@ -240,7 +240,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         _assert_close(decoded[:, t], scheme.decode(one.y, one_ctx))
         np.testing.assert_allclose(
             weights[:, t],
-            noise_transfer_weights(scheme, one_tensor, one_offline, one_ctx, DEFAULT_TOL),
+            noise_transfer_weights(scheme, one_ctx, DEFAULT_TOL),
             rtol=1e-12,
         )
         for key, value in scheme.certificates(one_ctx).items():

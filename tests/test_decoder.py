@@ -8,10 +8,10 @@ the Jacobi oracle's left null basis instead of LAPACK.
 import numpy as np
 import pytest
 
-from alignsim.base import Scheme
+from alignsim.base import InterferenceRankUnexpected, Scheme
 from alignsim.channel import generate_channel
 from alignsim.evaluate import _draw_batch, simulate_block
-from alignsim.numerics import DEFAULT_TOL, zero_forcing_rows
+from alignsim.numerics import DEFAULT_TOL, Singular, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, impulse_response
@@ -55,8 +55,66 @@ def test_one_factorization_equals_one_call_per_receiver(scheme_id):
     response, state = impulse_response(scheme, tensor, offline)
     ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, response, state)
     for rx in range(scheme.num_rx):
-        d, cond, residual = zero_forcing_rows(response[rx], scheme.symbols_for_rx(rx), DEFAULT_TOL)
+        d, cond, residual = zero_forcing_rows(response[rx], scheme.symbols_for_rx(rx))
         assert ctx.decoders[rx].tobytes() == np.ascontiguousarray(d).tobytes()
         assert ctx.decoders[rx].shape == d.shape
         assert ctx.receive_cond[rx].tobytes() == cond.tobytes()
         assert ctx.zf_residual[rx].tobytes() == residual.tobytes()
+
+
+def _bc_mat_receiver(rng, rx, leak=False):
+    """A ``3 x 4`` receive matrix of ``bc_mat``'s receiver ``rx``: its two symbols
+    are generic, and the other two span one dimension, or two where ``leak``."""
+    g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    if not leak:
+        first, second = [c for c in range(4) if c not in get_scheme("bc_mat").symbols_for_rx(rx)]
+        g[:, second] = (0.5 - 2.0j) * g[:, first]
+    return g
+
+
+_SINGULAR = (
+    "receiver {rx}: condition number {cond} exceeds 1.0e+08; "
+    "receive_cond_rx{rx} is at or below the --tol-rank cutoff 1.0e-08"
+)
+
+
+class TestReceiverOrder:
+    """``decode_context`` judges the receivers in order, each on all its trials."""
+
+    def test_a_leak_at_receiver_0_comes_before_a_singular_receiver_1(self):
+        scheme, rng = get_scheme("bc_mat"), np.random.default_rng(3)
+        response = np.stack(
+            [
+                np.stack([_bc_mat_receiver(rng, 0), _bc_mat_receiver(rng, 0, leak=True)], -1),
+                np.stack([np.zeros((3, 4)), _bc_mat_receiver(rng, 1)], -1),
+            ]
+        )
+        with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 0 exceeds 1\.0e-08"):
+            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+
+    def test_a_singular_receiver_0_comes_before_a_leak_at_receiver_1(self):
+        scheme, rng = get_scheme("bc_mat"), np.random.default_rng(4)
+        # s = (1, 1, 1e-9): condition number 1e9, above the default cutoff's 1e8
+        singular = np.diag([1.0, 1.0, 1e-9, 0.0])[:3]
+        response = np.stack(
+            [
+                np.stack([singular, _bc_mat_receiver(rng, 0)], -1),
+                np.stack([_bc_mat_receiver(rng, 1, leak=True)] * 2, -1),
+            ]
+        )
+        with pytest.raises(Singular) as info:
+            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+        assert str(info.value) == _SINGULAR.format(rx=0, cond="1.000e+09")
+
+    def test_zero_response_is_singular_at_receiver_0(self):
+        scheme = get_scheme("bc_mat")
+        with pytest.raises(Singular) as info:
+            scheme.decode_context(None, None, DEFAULT_TOL, np.zeros((2, 3, 4, 2)), {})
+        assert str(info.value) == _SINGULAR.format(rx=0, cond="inf")
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_receivers_own_the_symbols_in_order(scheme_id):
+    scheme = get_scheme(scheme_id)
+    owned = [symbol for rx in range(scheme.num_rx) for symbol in scheme.symbols_for_rx(rx)]
+    assert owned == list(range(scheme.num_symbols))

@@ -105,7 +105,7 @@ class TestNoiseWeights:
         tensor = generate_channel(2, 2, 3, rng)
         msgs = scheme.draw_messages(rng)
         ctx = decode_context(scheme, tensor, None)
-        weights = noise_transfer_weights(scheme, tensor, None, ctx, DEFAULT_TOL)
+        weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
         draws = 4000
         errors = np.empty((draws, 4), dtype=np.complex128)
         noise_rng = np.random.default_rng(10)
@@ -395,7 +395,7 @@ class TestTrialBatches:
         assert report.discards
 
     @pytest.mark.parametrize("bad", [0, 77, TRIAL_BATCH - 1])
-    def test_degenerate_trial_is_found_by_bisection(self, monkeypatch, bad):
+    def test_one_degenerate_trial_reruns_its_batch_trial_by_trial(self, monkeypatch, bad):
         import alignsim.evaluate as evaluate
 
         [states] = spawn_states([(23, bad, 0)], 3)
@@ -416,9 +416,8 @@ class TestTrialBatches:
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=23)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
-        # halving from one full batch down to the bad trial, whose retry
-        # makes one more call; a rerun of every trial would make 129
-        assert len(batch_sizes) <= 2 * math.log2(TRIAL_BATCH) + 2
+        # the batch, then every trial on its own, and the bad trial's retry
+        assert batch_sizes == [TRIAL_BATCH] + [1] * (TRIAL_BATCH + len(expected_discards))
 
     def test_dense_failures_rerun_trial_by_trial(self, monkeypatch):
         import alignsim.evaluate as evaluate
@@ -437,11 +436,8 @@ class TestTrialBatches:
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=21)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
-        # both halves of the batch fail, so every trial reruns on its own:
-        # the batch and its two halves are the only runs above that
-        half = TRIAL_BATCH // 2
-        per_trial = [1] * (TRIAL_BATCH + len(expected_discards))
-        assert batch_sizes == [TRIAL_BATCH, half, half] + per_trial
+        # the batch, then every trial on its own with its retries
+        assert batch_sizes == [TRIAL_BATCH] + [1] * (TRIAL_BATCH + len(expected_discards))
 
     def test_failure_in_left_half_is_raised_before_right_half(self, monkeypatch):
         import alignsim.evaluate as evaluate
@@ -454,8 +450,8 @@ class TestTrialBatches:
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         with pytest.raises(SchemeFailure, match="bc_mat trial 100: certificate"):
             run_single_trial(scheme, 24, 100, DEFAULT_TOL)
-        # the right half's batch fails its certificates first, but a
-        # trial-by-trial run meets trial 10's structural failure before it
+        # trial 100 fails its certificates, but the batch meets trial 10's
+        # structural failure and reruns trial by trial, which raises it first
         with pytest.raises(SchemeFailure, match="bc_mat trial 10: NumericsError"):
             run_trials("bc_mat", TRIAL_BATCH, base_seed=24)
 

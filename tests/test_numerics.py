@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignsim.base import Scheme
 from alignsim.numerics import (
+    DEFAULT_TOL,
     NULL_GUARD_SLACK,
     RankDeficient,
     Singular,
@@ -159,6 +161,23 @@ def _receive_matrix(rng, rows, wanted, extra):
     return np.hstack([random_complex_matrix(rng, rows, wanted), interference])
 
 
+def _decode_context(response):
+    """``decode_context`` of bare receivers whose receive matrices are ``response``.
+
+    ``response`` is ``(R, n, k, *T)``, and receiver ``r`` wants the ``w = k //
+    R`` unknowns ``w r`` to ``w (r + 1) - 1``, so receiver 0 is the system
+    ``zero_forcing_rows(response[0], range(w))``, judged first.
+    """
+    scheme = Scheme()
+    scheme.num_rx, scheme.num_slots, scheme.num_symbols = response.shape[:3]
+    return scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+
+
+def _not_above_cutoff(cond):
+    """Where ``cond`` fails the cutoff table's ``receive_cond > rank_rel`` (NaN fails)."""
+    return ~(np.asarray(cond) > DEFAULT_TOL.rank_rel)
+
+
 class TestZeroForcingRows:
     def test_round_trip_batch(self, rng):
         worst = 0.0
@@ -166,9 +185,8 @@ class TestZeroForcingRows:
             rows = int(rng.integers(2, 9))
             wanted = int(rng.integers(1, rows + 1))
             g = _receive_matrix(rng, rows, wanted, int(rng.integers(1, 4)))
-            try:
-                d, _, residual = zero_forcing_rows(g, list(range(wanted)))
-            except Singular:
+            d, cond, residual = zero_forcing_rows(g, list(range(wanted)))
+            if _not_above_cutoff(cond):
                 continue
             eye = np.eye(g.shape[1])[:wanted]
             worst = max(worst, np.linalg.norm(d @ g - eye), float(residual))
@@ -216,15 +234,20 @@ class TestZeroForcingRows:
         assert abs(cond_scaled - cond) <= 1e-9 * cond
         assert residual_scaled <= 1e-9
 
+    # zero_forcing_rows reports every system; the decoder judges its cond
+
     def test_zero_matrix(self):
+        g = np.zeros((3, 4), dtype=complex)
+        assert _not_above_cutoff(zero_forcing_rows(g, [0])[1])
         with pytest.raises(Singular, match="inf"):
-            zero_forcing_rows(np.zeros((3, 4), dtype=complex), [0])
+            _decode_context(np.stack([g] * 4))
 
     def test_singular_raises(self, rng):
         g = random_complex_matrix(rng, 3, 4)
         g[2] = g[0] + 2.0 * g[1]
+        assert _not_above_cutoff(zero_forcing_rows(g, [0])[1])
         with pytest.raises(Singular):
-            zero_forcing_rows(g, [0])
+            _decode_context(np.stack([g] * 4))
 
     def test_condition_guard(self):
         ok = np.diag([1.0, 1e-7]).astype(complex)
@@ -232,8 +255,11 @@ class TestZeroForcingRows:
         d, cond, _ = zero_forcing_rows(ok, [0, 1])
         assert abs(cond - 1e-7) <= 1e-20
         np.testing.assert_allclose(d, np.diag([1.0, 1e7]), rtol=1e-12)
+        ctx = _decode_context(ok[None])
+        assert ctx.receive_cond[0] == cond and np.array_equal(ctx.decoders[0], d)
+        assert _not_above_cutoff(zero_forcing_rows(bad, [0, 1])[1])
         with pytest.raises(Singular):
-            zero_forcing_rows(bad, [0, 1])
+            _decode_context(bad[None])
 
     def test_shape_checks(self, rng):
         with pytest.raises(ValueError):
@@ -320,25 +346,38 @@ class TestStackedSystems:
             zero_forcing_rows(g, np.array([[0], [1], [2]]))
 
     def test_singular_names_the_first_bad_system(self, rng):
-        g = np.stack([random_complex_matrix(rng, 3, 4) for _ in range(6)], axis=-1)
-        g = g.reshape(3, 4, 2, 3)
+        # (n, k, receivers, trials), receiver r wanting unknowns 2r and 2r + 1;
+        # every other system zero-forces cleanly, so receiver 1 is the first bad one
+        g = np.stack(
+            [
+                np.stack([np.roll(_receive_matrix(rng, 3, 2, 1), 2 * r, 1) for _ in range(3)], -1)
+                for r in range(2)
+            ],
+            axis=2,
+        )
         g[2, :, 1, 2] = 0.0
         g[1, :, 1, 2] = 0.0
-        with pytest.raises(Singular) as info:
-            zero_forcing_rows(g, [0])
-        assert info.value.system == (1, 2)
+        cond = zero_forcing_rows(g, np.array([[0, 1], [2, 3]]))[1]
+        assert np.argwhere(_not_above_cutoff(cond)).tolist() == [[1, 2]]
+        with pytest.raises(Singular, match=r"^receiver 1: condition number inf "):
+            _decode_context(np.moveaxis(g, 2, 0))
 
     def test_rank_guard_messages(self, rng):
-        # both routines call a matrix rank-short when s[-1] <= rank_rel * s[0];
-        # null_vector's message still counts the rank of the worst system
+        # null_vector calls a matrix rank-short when s[-1] <= rank_rel * s[0]
+        # and counts the rank of the worst system; the decoder calls it
+        # singular where s[-1] / s[0] is not above rank_rel
         rank_short = "matrix of shape (2, 3) has numerical rank {} < 2"
-        singular = "condition number inf exceeds 1.0e+08"
+        singular = (
+            "receiver 0: condition number inf exceeds 1.0e+08; "
+            "receive_cond_rx0 is at or below the --tol-rank cutoff 1.0e-08"
+        )
         with pytest.raises(RankDeficient) as info:
             null_vector(np.zeros((2, 3)))
         assert str(info.value) == rank_short.format(0)
+        assert _not_above_cutoff(zero_forcing_rows(np.zeros((2, 3)), [0])[1])
         with pytest.raises(Singular) as info:
-            zero_forcing_rows(np.zeros((2, 3)), [0])
-        assert str(info.value) == singular and info.value.system == ()
+            _decode_context(np.zeros((3, 2, 3)))
+        assert str(info.value) == singular
         a = np.stack([random_complex_matrix(rng, 2, 3) for _ in range(4)], axis=-1)
         a[1, :, 2] = 0.0
         with pytest.raises(RankDeficient) as info:
@@ -346,9 +385,11 @@ class TestStackedSystems:
         assert str(info.value) == rank_short.format(1)
         g = np.stack([random_complex_matrix(rng, 2, 3) for _ in range(4)], axis=-1)
         g[1, :, 2] = 0.0
+        cond = zero_forcing_rows(g, [0])[1]
+        assert np.flatnonzero(_not_above_cutoff(cond)).tolist() == [2]
         with pytest.raises(Singular) as info:
-            zero_forcing_rows(g, [0])
-        assert str(info.value) == singular and info.value.system == (2,)
+            _decode_context(np.stack([g] * 3))
+        assert str(info.value) == singular
 
 
 class TestSampleComplexGaussian:
@@ -422,8 +463,7 @@ def test_zero_forcing_round_trip_property(seed):
     rows = int(gen.integers(2, 9))
     wanted = int(gen.integers(1, rows + 1))
     g = _receive_matrix(gen, rows, wanted, int(gen.integers(1, 4)))
-    try:
-        d, _, _ = zero_forcing_rows(g, list(range(wanted)))
-    except Singular:
+    d, cond, _ = zero_forcing_rows(g, list(range(wanted)))
+    if _not_above_cutoff(cond):
         return
     assert np.linalg.norm(d @ g - np.eye(g.shape[1])[:wanted]) <= 1e-9
