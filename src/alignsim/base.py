@@ -21,9 +21,9 @@ symbols.  This recovers them exactly when ``G`` has full row rank and the
 interference fills only the ``num_slots - len(symbols_for_rx(rx))``
 dimensions that the desired symbols leave free.  This is the alignment
 each scheme is built for, and the decoder certifies it for every scheme.
-A scheme adds only the certificates of its own encoder and their rows of
-the cutoff table (:meth:`Scheme.certificate_cutoffs`); one method checks
-every trial's certificates against that table.
+A block's certificates form one table (:meth:`Scheme.certificates`): each
+row names a key, its value, a direction and a cutoff.  A scheme appends the
+rows of its own encoder, and :func:`certificate_failures` judges a table.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .numerics import (
     NumericsError, Singular, Tolerances, matvec, sample_complex_gaussian, zero_forcing_rows,
 )
 
-__all__ = ["InterferenceRankUnexpected", "DecodeContext", "Scheme"]
+__all__ = ["InterferenceRankUnexpected", "DecodeContext", "Scheme", "certificate_failures"]
 
 #: The comparison a certificate value must pass, by direction of its check.
 _PASSES = {"<=": np.less_equal, ">": np.greater, "==": np.equal}
@@ -81,13 +81,12 @@ class Scheme:
     num_slots: int
     num_rx: int
     num_tx: int          # channel inputs (antennas)
-    num_entities: int    # independent transmitter entities doing the reading
     num_symbols: int
     feedback: FeedbackModel
     csi_slot_budget: Fraction  # largest legal fraction of slots with CSI read back
 
     def entity_of(self, antenna: int) -> int:
-        """Transmitter entity that drives the given antenna (identity by default)."""
+        """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
         return antenna
 
     def draw_offline(self, rng) -> Any:
@@ -159,7 +158,7 @@ class Scheme:
         each bit for bit as a call on its matrix alone would.
 
         The receivers are judged in order, each on all its trials, with the
-        cutoff table's comparisons.  :class:`~alignsim.numerics.Singular`, a
+        certificate table's comparisons.  :class:`~alignsim.numerics.Singular`, a
         degenerate draw, is raised where ``receive_cond_rx*`` is not above
         ``Tolerances.rank_rel`` (``--tol-rank``; a NaN is not); the message
         names the receiver, the condition number of its first such trial and
@@ -203,40 +202,28 @@ class Scheme:
             decoded[self.symbols_for_rx(rx)] = matvec(ctx.decoders[rx], y[rx])
         return decoded
 
-    def certificates(self, ctx: DecodeContext) -> dict[str, float]:
-        """Per-block health figures of the decoder; schemes add their encoder's.
+    def certificates(self, ctx: DecodeContext, tol: Tolerances) -> list[tuple]:
+        """The block's certificate table: rows of ``(key, value, direction, cutoff)``.
 
-        ``interference_rank_rx*`` is the design value
-        (:meth:`interference_rank`), not a measured rank: the decoder
-        certifies the alignment only through ``receive_cond_rx*`` and
-        ``zf_residual_rx*`` (ROADMAP item 2 measures it).  With a trial axis
-        each value is a ``(T,)`` array, or one float that holds for every trial.
+        A row passes where ``value <direction> cutoff`` holds (see
+        :func:`certificate_failures`).  The decoder's rows come first, by
+        receiver, and a scheme appends its encoder's.  ``interference_rank_rx*``
+        is the design value (:meth:`interference_rank`), not a measured rank:
+        the decoder certifies the alignment only through ``receive_cond_rx*``
+        and ``zf_residual_rx*`` (ROADMAP item 2 measures it).  With a trial
+        axis each value is a ``(T,)`` array, or one float that holds for every trial.
         """
-        certs = {}
+        rows = []
         for rx in range(self.num_rx):
-            certs[f"interference_rank_rx{rx}"] = float(self.interference_rank(rx))
-            certs[f"receive_cond_rx{rx}"] = ctx.receive_cond[rx]
-            certs[f"zf_residual_rx{rx}"] = ctx.zf_residual[rx]
-        return certs
-
-    def certificate_cutoffs(self, tol: Tolerances) -> list[tuple[str, str, float]]:
-        """The cutoff table: each certificate check as ``(key, direction, cutoff)``.
-
-        A check passes when ``value <direction> cutoff`` holds.  Failures are named in
-        table order: the decoder's checks by receiver, then those a scheme appends.
-        """
-        cutoffs = []
-        for rx in range(self.num_rx):
-            cutoffs += [
-                (f"interference_rank_rx{rx}", "==", self.interference_rank(rx)),
-                (f"receive_cond_rx{rx}", ">", tol.rank_rel),
-                (f"zf_residual_rx{rx}", "<=", tol.residual_rel),
+            rank = self.interference_rank(rx)
+            rows += [
+                (f"interference_rank_rx{rx}", float(rank), "==", rank),
+                (f"receive_cond_rx{rx}", ctx.receive_cond[rx], ">", tol.rank_rel),
+                (f"zf_residual_rx{rx}", ctx.zf_residual[rx], "<=", tol.residual_rel),
             ]
-        return cutoffs
+        return rows
 
-    def certificate_failures(self, certs: dict, tol: Tolerances) -> dict[str, np.ndarray]:
-        """Per check of the cutoff table, the mask of ``certs`` values that fail it (NaN fails)."""
-        return {
-            key: ~_PASSES[direction](certs[key], cutoff)
-            for key, direction, cutoff in self.certificate_cutoffs(tol)
-        }
+
+def certificate_failures(rows) -> dict[str, np.ndarray]:
+    """Per row of a certificate table, in table order, the mask of its failing values (NaN fails)."""
+    return {key: ~_PASSES[direction](value, cutoff) for key, value, direction, cutoff in rows}

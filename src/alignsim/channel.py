@@ -34,7 +34,6 @@ __all__ = [
     "AccessRecord",
     "AccessLog",
     "TxInformationView",
-    "audit_feedback_usage",
     "outputs_own_receiver_only",
     "MAG_BOUNDS_DEFAULT",
 ]
@@ -261,6 +260,7 @@ class AccessLog:
         self.records.append(record)
 
     def csi_slots(self) -> frozenset[int]:
+        """Slots whose channel states any transmitter read: the CSI usage is their share."""
         return frozenset(r.item_slot for r in self.records if r.kind == "csi")
 
     def output_reads(self) -> list[AccessRecord]:
@@ -348,18 +348,6 @@ class TxInformationView:
         if self._log is not None:
             self._log.append(AccessRecord(self.tx, self.slot, "output", rx, None, item_slot))
         return self._outputs[rx, item_slot]
-
-
-def audit_feedback_usage(log: AccessLog, num_slots: int) -> frozenset[int]:
-    """Set of slot indices whose channel states any transmitter read.
-
-    The CSI usage fraction of a scheme is ``len(result) / num_slots``.
-    """
-    slots = log.csi_slots()
-    out_of_range = [m for m in slots if not (0 <= m < num_slots)]
-    if out_of_range:
-        raise ValueError(f"access log references slots outside the block: {out_of_range}")
-    return slots
 
 
 def outputs_own_receiver_only(log: AccessLog) -> bool:

@@ -62,14 +62,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import Scheme
+from .base import Scheme, certificate_failures
 from .channel import (
     AccessLog,
     ChannelTensor,
     SignalRecord,
     TxInformationView,
     apply_channel,
-    audit_feedback_usage,
     generate_channel,
     outputs_own_receiver_only,
 )
@@ -270,12 +269,8 @@ def simulate_block(
     if state is None:
         state = {}
     for n in range(num_slots):
-        views = {
-            entity: TxInformationView(entity, n, tensor, y, scheme.feedback, log)
-            for entity in range(scheme.num_entities)
-        }
         for j in range(num_tx):
-            view = views[scheme.entity_of(j)]
+            view = TxInformationView(scheme.entity_of(j), n, tensor, y, scheme.feedback, log)
             x[j, n] = scheme.transmit(j, n, view, msgs, offline, state, amp, tol)
         noise_slot = None if noise is None else noise[:, n]
         y[:, n] = apply_channel(x[:, n], tensor, n, noise=noise_slot)
@@ -361,16 +356,17 @@ def _run_batch(
     record = simulate_block(scheme, tensor, offline, columns, 1.0, tol, log=log, state=state)
     ctx = scheme.decode_context(tensor, offline, tol, record.y[:, :, 1:], state)
     decoded = scheme.decode(record.y[:, :, 0], ctx)
-    certs = {
-        key: np.array(np.broadcast_to(value, (n,)), dtype=np.float64)
-        for key, value in scheme.certificates(ctx).items()
-    }
-    failed = scheme.certificate_failures(certs, tol)
+    rows = [
+        (key, np.array(np.broadcast_to(value, (n,)), dtype=np.float64), *check)
+        for key, value, *check in scheme.certificates(ctx, tol)
+    ]
+    certs = {key: value for key, value, *_ in rows}
+    failed = certificate_failures(rows)
     weights = None
     if collect_weights:
         weights = noise_transfer_weights(scheme, ctx, tol)
     # Every trial of the batch made the same reads, so one audit serves all.
-    csi_slots = sorted(audit_feedback_usage(log, scheme.num_slots))
+    csi_slots = sorted(log.csi_slots())
     over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
     # name the first failing trial; within a trial, certificates come first
     failing = np.any(list(failed.values()), axis=0)

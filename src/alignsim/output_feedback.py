@@ -88,10 +88,20 @@ class ScheduledScheme(Scheme):
     """Execution engine for schedule-driven schemes.
 
     Subclasses provide ``schedule``: per slot, per antenna payloads, ``None``
-    for silence.
+    for silence.  The schedule fixes the block's size: ``num_slots`` is its
+    number of rows, ``num_tx`` their length and ``num_symbols`` its number of
+    symbol payloads.
     """
 
     schedule: tuple[tuple[object, ...], ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.num_slots = len(cls.schedule)
+        cls.num_tx = len(cls.schedule[0])
+        cls.num_symbols = sum(
+            isinstance(payload, SymbolPayload) for row in cls.schedule for payload in row
+        )
 
     def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
         payload = self.schedule[slot][antenna]
@@ -122,11 +132,7 @@ class BcMatScheme(ScheduledScheme):
     """
 
     scheme_id = "bc_mat"
-    num_slots = 3
     num_rx = 2
-    num_tx = 2
-    num_entities = 1
-    num_symbols = 4
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(2, 3)
 
@@ -150,11 +156,7 @@ class XOutputFeedbackScheme(ScheduledScheme):
     """
 
     scheme_id = "x_output_fb"
-    num_slots = 3
     num_rx = 2
-    num_tx = 2
-    num_entities = 2
-    num_symbols = 4
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
     csi_slot_budget = Fraction(0, 1)
 
@@ -175,11 +177,7 @@ class IC3OutputFeedbackScheme(ScheduledScheme):
     """
 
     scheme_id = "ic3_output_fb"
-    num_slots = 5
     num_rx = 3
-    num_tx = 3
-    num_entities = 3
-    num_symbols = 6
     feedback = FeedbackModel(
         kind=FeedbackKind.DELAYED_OUTPUT,
         output_association={

@@ -116,7 +116,6 @@ class IC3RetroCsitScheme(Scheme):
     num_slots = NUM_SLOTS
     num_rx = 3
     num_tx = 3
-    num_entities = 3
     num_symbols = 9
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
@@ -154,14 +153,15 @@ class IC3RetroCsitScheme(Scheme):
         # The same scalar is repeated in every phase-2 slot.
         return amp * dot(state[key], u[k])
 
-    def certificates(self, ctx):
+    def certificates(self, ctx, tol):
         """Decoder certificates plus the residuals of the encoder's cached alphas and triples."""
-        certs = super().certificates(ctx)
+        rows = super().certificates(ctx, tol)
         h5 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
         for rx in range(3):
             a = alpha_system(h5, ctx.offline.phase1, rx)
             alpha = ctx.state[("alpha", interferers(rx)[0], rx)]
-            certs[f"alpha_residual_rx{rx}"] = vector_norm(matvec(a, alpha)) / frobenius_norm(a)
+            residual = vector_norm(matvec(a, alpha)) / frobenius_norm(a)
+            rows.append((f"alpha_residual_rx{rx}", residual, "<=", tol.residual_rel))
         # The defining orthogonality of each transmitter's triple against the
         # annihilators it was built from: c[tx] . alpha_sub(rx, tx) = 0.
         constraint = 0.0
@@ -169,10 +169,4 @@ class IC3RetroCsitScheme(Scheme):
             for rx in interferers(tx):
                 sub = _alpha_sub(ctx.state[("alpha", tx, rx)], rx, tx)
                 constraint = np.maximum(constraint, abs(dot(ctx.state[("coeff", tx)], sub)))
-        certs["constraint_residual"] = constraint
-        return certs
-
-    def certificate_cutoffs(self, tol):
-        cutoffs = super().certificate_cutoffs(tol)
-        cutoffs += [(f"alpha_residual_rx{rx}", "<=", tol.residual_rel) for rx in range(3)]
-        return cutoffs + [("constraint_residual", "<=", CONSTRAINT_RESIDUAL_MAX)]
+        return rows + [("constraint_residual", constraint, "<=", CONSTRAINT_RESIDUAL_MAX)]

@@ -59,7 +59,7 @@ __all__ = [
 
 NUM_SLOTS = 7
 PHASE1_SLOTS = 3
-PHASE2_SLOTS = 4
+PHASE2_SLOTS = NUM_SLOTS - PHASE1_SLOTS
 
 
 class DegenerateNormalization(Degenerate):
@@ -165,7 +165,6 @@ class XRetroCsitScheme(Scheme):
     num_slots = NUM_SLOTS
     num_rx = 2
     num_tx = 2
-    num_entities = 2
     num_symbols = 8
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
@@ -202,14 +201,13 @@ class XRetroCsitScheme(Scheme):
         raw = c[0] * s[j, 0] + c[1] * s[j, 1]
         return amp * raw / _phase2_norm(c, constants.gamma[j])
 
-    def certificates(self, ctx):
+    def certificates(self, ctx, tol):
         """Decoder certificates plus the alignment of the encoder's cached constants."""
-        certs = super().certificates(ctx)
         h3 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
         phase1 = ctx.offline.phase1
         constants = ctx.state[("constants", 0)]
         gamma = constants.gamma
-        crosses = []
+        align, crosses = [], []
         for rx in range(2):
             other = 1 - rx
             a = interference_system(h3, phase1, rx)
@@ -217,9 +215,7 @@ class XRetroCsitScheme(Scheme):
             vec = np.stack(
                 [gamma[0, other], np.ones_like(factor), -factor * gamma[1, other], -factor]
             )
-            certs[f"align_residual_rx{rx}"] = vector_norm(matvec(a, vec)) / (
-                frobenius_norm(a) * vector_norm(vec)
-            )
+            align.append(vector_norm(matvec(a, vec)) / (frobenius_norm(a) * vector_norm(vec)))
             # phase-1 receive directions of the cross second symbols
             # u[other, j, 1] once the layer variables are substituted
             crosses.append(np.stack(
@@ -231,13 +227,10 @@ class XRetroCsitScheme(Scheme):
             ))
         # both receivers' direction pairs in one SVD call
         sv = singular_values(np.stack(crosses, axis=2))
+        rows = super().certificates(ctx, tol)
         for rx in range(2):
-            certs[f"colinearity_rx{rx}"] = sv[1, rx] / sv[0, rx]
-        return certs
-
-    def certificate_cutoffs(self, tol):
-        cutoffs = super().certificate_cutoffs(tol)
-        for rx in range(2):
-            cutoffs.append((f"colinearity_rx{rx}", "<=", tol.rank_rel))
-            cutoffs.append((f"align_residual_rx{rx}", "<=", tol.residual_rel))
-        return cutoffs
+            rows += [
+                (f"colinearity_rx{rx}", sv[1, rx] / sv[0, rx], "<=", tol.rank_rel),
+                (f"align_residual_rx{rx}", align[rx], "<=", tol.residual_rel),
+            ]
+        return rows

@@ -226,7 +226,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     ctx = decode_context(scheme, tensor, offline)
     decoded = scheme.decode(record.y, ctx)
     weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
-    certs = scheme.certificates(ctx)
+    certs = {key: value for key, value, *_ in scheme.certificates(ctx, DEFAULT_TOL)}
     assert weights.shape == (scheme.num_symbols, trials)
     for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
         one_log = AccessLog()
@@ -243,6 +243,6 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
             noise_transfer_weights(scheme, one_ctx, DEFAULT_TOL),
             rtol=1e-12,
         )
-        for key, value in scheme.certificates(one_ctx).items():
+        for key, value, *_ in scheme.certificates(one_ctx, DEFAULT_TOL):
             batch_value = np.broadcast_to(certs[key], (trials,))[t]
             np.testing.assert_allclose(batch_value, value, rtol=1e-6, atol=1e-13)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from alignsim.base import certificate_failures
 from alignsim.channel import generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
@@ -19,6 +20,7 @@ from alignsim.evaluate import (
     SchemeFailure,
     TrialOutcomes,
     _concat,
+    _draw_batch,
     _run_batch,
     dof_by_counting,
     estimate_dof,
@@ -167,11 +169,8 @@ class _DiscardAlways(BcMatScheme):
 
 
 class _BadCertificates(BcMatScheme):
-    def certificates(self, ctx):
-        return {"made_up": 1.0}
-
-    def certificate_cutoffs(self, tol):
-        return [("made_up", "<=", 0.0)]
+    def certificates(self, ctx, tol):
+        return [("made_up", 1.0, "<=", 0.0)]
 
 
 class _BudgetBreaker(BcMatScheme):
@@ -345,11 +344,9 @@ class _DiscardOneDraw(BcMatScheme):
 class _FailStrongTrials(BcMatScheme):
     """Fails a certificate in every trial whose first channel coefficient is strong."""
 
-    def certificates(self, ctx):
-        return {**super().certificates(ctx), "first_gain": np.abs(ctx.tensor.h[0, 0, 0])}
-
-    def certificate_cutoffs(self, tol):
-        return [*super().certificate_cutoffs(tol), ("first_gain", "<=", 1.5)]
+    def certificates(self, ctx, tol):
+        gain = np.abs(ctx.tensor.h[0, 0, 0])
+        return [*super().certificates(ctx, tol), ("first_gain", gain, "<=", 1.5)]
 
 
 class _StructuralAndCertificateFailures(BcMatScheme):
@@ -364,12 +361,9 @@ class _StructuralAndCertificateFailures(BcMatScheme):
             raise NumericsError("synthetic structural failure")
         return super().decode_context(tensor, *args, **kwargs)
 
-    def certificates(self, ctx):
+    def certificates(self, ctx, tol):
         flag = (ctx.tensor.h[0, 0, 0] == self.failing_certificate).astype(float)
-        return {**super().certificates(ctx), "flag": flag}
-
-    def certificate_cutoffs(self, tol):
-        return [*super().certificate_cutoffs(tol), ("flag", "<=", 0.5)]
+        return [*super().certificates(ctx, tol), ("flag", flag, "<=", 0.5)]
 
 
 def _trial_by_trial(scheme, base_seed, num_trials):
@@ -562,13 +556,13 @@ def test_failure_list_keeps_check_order(scheme_id):
     scheme = type(get_scheme(scheme_id))()
     certificates = scheme.certificates
 
-    def failing(ctx):
-        certs = {}
-        for key, value in certificates(ctx).items():
+    def failing(ctx, tol):
+        rows = []
+        for key, value, direction, cutoff in certificates(ctx, tol):
             bad = 0.0 if key.startswith("receive_cond") else -1.0 if key.startswith(
                 "interference_rank") else 1.0
-            certs[key] = np.array([np.broadcast_to(value, (2,))[0], bad])
-        return certs
+            rows.append((key, np.array([np.broadcast_to(value, (2,))[0], bad]), direction, cutoff))
+        return rows
 
     scheme.certificates = failing
     expected = f"{scheme_id} trial 1: certificate checks failed: {_CHECK_ORDER[scheme_id]}"
@@ -577,13 +571,26 @@ def test_failure_list_keeps_check_order(scheme_id):
     assert str(info.value) == expected
 
 
+def _certificate_table(scheme, base_seed):
+    """The certificate table of trial 0's first draw."""
+    tensor, offline, _ = _draw_batch(scheme, base_seed, [(0, 0)])
+    return scheme.certificates(decode_context(scheme, tensor, offline), DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
 def test_nan_certificate_fails_every_check(scheme_id):
-    scheme = get_scheme(scheme_id)
-    certs = {key: np.array([np.nan]) for key, _, _ in scheme.certificate_cutoffs(DEFAULT_TOL)}
-    failed = scheme.certificate_failures(certs, DEFAULT_TOL)
+    table = _certificate_table(get_scheme(scheme_id), 26)
+    rows = [(key, np.array([np.nan]), direction, cutoff) for key, _, direction, cutoff in table]
+    failed = certificate_failures(rows)
     assert list(failed) == _CHECK_ORDER[scheme_id]
     assert all(mask.tolist() == [True] for mask in failed.values())
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_certificate_keys_are_unique_and_reported(scheme_id):
+    keys = [key for key, *_ in _certificate_table(get_scheme(scheme_id), 27)]
+    assert len(set(keys)) == len(keys)
+    assert list(run_trials(scheme_id, 3, base_seed=27).outcomes.certificates) == keys
 
 
 def test_concat_joins_the_arrays_and_merges_the_audits():

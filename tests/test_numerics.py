@@ -174,7 +174,7 @@ def _decode_context(response):
 
 
 def _not_above_cutoff(cond):
-    """Where ``cond`` fails the cutoff table's ``receive_cond > rank_rel`` (NaN fails)."""
+    """Where ``cond`` fails the certificate table's ``receive_cond > rank_rel`` (NaN fails)."""
     return ~(np.asarray(cond) > DEFAULT_TOL.rank_rel)
 
 

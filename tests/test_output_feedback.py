@@ -8,14 +8,18 @@ from alignsim.output_feedback import (
     BcMatScheme,
     IC3OutputFeedbackScheme,
     OutputPayload,
+    ScheduledScheme,
+    SymbolPayload,
     XOutputFeedbackScheme,
 )
+from alignsim.registry import SCHEMES
 
 from _outcomes import run_with_batches
 
 BC = BcMatScheme()
 XFB = XOutputFeedbackScheme()
 ICFB = IC3OutputFeedbackScheme()
+SCHEDULED = [scheme for scheme in SCHEMES.values() if isinstance(scheme, ScheduledScheme)]
 
 
 def _trial_data(scheme, seed):
@@ -35,6 +39,26 @@ def _noise(scheme, seed):
 @pytest.fixture(scope="module", params=["bc_mat", "x_output_fb", "ic3_output_fb"])
 def fb_report(request):
     return request.param, *run_with_batches(request.param, 200, base_seed=77)
+
+
+@pytest.mark.parametrize("scheme", SCHEDULED, ids=lambda scheme: scheme.scheme_id)
+class TestScheduleSizes:
+    def test_every_slot_has_one_payload_per_antenna(self, scheme):
+        assert all(len(payloads) == scheme.num_tx for payloads in scheme.schedule)
+
+    def test_symbol_payloads_name_each_symbol_once(self, scheme):
+        symbols = [
+            payload.symbol
+            for payloads in scheme.schedule
+            for payload in payloads
+            if isinstance(payload, SymbolPayload)
+        ]
+        assert sorted(symbols) == list(range(scheme.num_symbols))
+
+
+def test_sizes_come_from_the_schedules():
+    sizes = {s.scheme_id: (s.num_slots, s.num_tx, s.num_symbols) for s in SCHEDULED}
+    assert sizes == {"bc_mat": (3, 2, 4), "x_output_fb": (3, 2, 4), "ic3_output_fb": (5, 3, 6)}
 
 
 class TestAllSchemes:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, generate_channel
-from alignsim.base import InterferenceRankUnexpected
+from alignsim.base import InterferenceRankUnexpected, certificate_failures
 from alignsim.evaluate import _draw_batch, future_perturbation_invariant, simulate_block
 from alignsim.numerics import DEFAULT_TOL, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
@@ -268,10 +268,13 @@ class TestDecoding:
         certs.update({f"receive_cond_rx{rx}": 0.1 for rx in range(3)})
         certs.update({f"zf_residual_rx{rx}": 0.0 for rx in range(3)})
         certs["constraint_residual"] = 0.0
+        tensor, offline, _ = _draw_batch(SCHEME, 8, [(0, 0)])
+        table = SCHEME.certificates(decode_context(SCHEME, tensor, offline), DEFAULT_TOL)
+        assert sorted(key for key, *_ in table) == sorted(certs)
 
         def failing():
-            failed = SCHEME.certificate_failures(certs, DEFAULT_TOL)
-            return [key for key, mask in failed.items() if mask]
+            rows = [(key, certs[key], direction, cutoff) for key, _, direction, cutoff in table]
+            return [key for key, mask in certificate_failures(rows).items() if mask]
 
         assert failing() == []
         certs["interference_rank_rx1"] = 6.0

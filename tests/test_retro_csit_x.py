@@ -129,7 +129,7 @@ class TestStackedSystems:
     def test_colinearity_equals_one_svd_per_receiver(self):
         tensor, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
         ctx = decode_context(SCHEME, tensor, offline)
-        certs = SCHEME.certificates(ctx)
+        certs = {key: value for key, value, *_ in SCHEME.certificates(ctx, DEFAULT_TOL)}
         h3, phase1 = tensor.h[:, :, :PHASE1_SLOTS], offline.phase1
         gamma = ctx.state[("constants", 0)].gamma
         for rx in range(2):
