@@ -58,10 +58,10 @@ class InterferenceRankUnexpected(NumericsError):
 class DecodeContext:
     """The zero-forcing decoders of one block and what the certificates read.
 
-    ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, *T)``
-    matrix that maps receiver ``rx``'s observations to its symbols;
-    ``receive_cond[rx]`` and ``zf_residual[rx]`` are its guards (see
-    :func:`~alignsim.numerics.zero_forcing_rows`), ``(*T)`` each.  ``state``
+    ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, T)``
+    stack of matrices that map receiver ``rx``'s observations to its
+    symbols; ``receive_cond[rx]`` and ``zf_residual[rx]`` are their guards
+    (see :func:`~alignsim.numerics.zero_forcing_rows`), ``(T,)`` each.  ``state``
     is the encoder's scratch dict of the block run the decoders were read
     from, where the schemes cached their alignment constants.
     """
@@ -89,17 +89,17 @@ class Scheme:
         """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
         return antenna
 
-    def draw_offline(self, rng) -> Any:
+    def draw_offline(self, rngs) -> Any:
         """Channel-independent coefficients shared by all nodes before the block.
 
-        ``rng`` is a generator, or a sequence of ``T`` whose draws are stacked
-        on a trailing trial axis, each bit for bit what it gives alone.
+        ``rngs`` is a sequence of ``T`` generators, one per trial, whose draws
+        are stacked on a trailing trial axis.
         """
         return None
 
-    def draw_messages(self, rng) -> np.ndarray:
-        """Unit-power information symbols, one per message slot (``rng`` as above)."""
-        return sample_complex_gaussian(rng, self.num_symbols)
+    def draw_messages(self, rngs) -> np.ndarray:
+        """Unit-power information symbols ``(num_symbols, T)`` (``rngs`` as above)."""
+        return sample_complex_gaussian(rngs, self.num_symbols)
 
     def symbols_for_rx(self, rx: int) -> list[int]:
         """Indices into the message vector that receiver ``rx`` must recover.
@@ -122,24 +122,28 @@ class Scheme:
         msgs: np.ndarray,
         offline: Any,
         state: dict,
-        amp: float,
         tol: Tolerances,
     ) -> complex | np.ndarray:
         """Scalar sent from ``antenna`` at ``slot``.
 
-        ``msgs`` has shape ``(num_symbols, *B, *T)``: ``B`` is empty or one
-        axis of blocks on the same channel, and ``T`` is empty or the trial
-        axis of a stack of trials, which the view's channel and ``offline``
-        carry last as well.  The result is the ``(*B, *T)`` array of scalars,
-        or one scalar that holds for all of them.  ``msgs[i]`` indexing keeps
-        the unbatched case on numpy scalars.  View reads carry both axes
-        through and are logged once per read whatever ``B`` and ``T`` are.
+        ``msgs`` has shape ``(num_symbols, *B, T)``: ``B`` is empty or one
+        axis of blocks on each trial's channel, and ``T`` is the trial axis,
+        which the view's channel and ``offline`` carry last as well.  The
+        result is the ``(*B, T)`` array of scalars, or one scalar that holds
+        for all of them.  View reads carry both axes through and are logged
+        once per read whatever ``B`` and ``T`` are.
 
         ``state`` is a per-block scratch dict for caching constants computed
-        from the view (it starts empty each block).  ``amp`` is the square
-        root of the transmit power; information-bearing slots are scaled so
-        their average power is exactly ``amp**2``.  The scalar must be
-        complex-linear in ``msgs`` and in the outputs it replays.
+        from the view (it starts empty each block).  The scalar must be
+        complex-linear in ``msgs`` and in the outputs it replays, so a power
+        ``P`` is the message scale ``sqrt(P)``.  Payloads built from the
+        symbols alone (a symbol, a combination of symbols, a combination of
+        clean observations rebuilt from delayed CSIT) are normalized: with
+        unit-power messages their average power is exactly 1 per (antenna,
+        slot), whatever the channel.  A replayed output is not: it is sent
+        as received, so its power follows its slot's channel gains and
+        noise.  For noiseless unit-power messages it averages 2 over channel
+        draws, since two antennas feed every replayed slot (ROADMAP item 4).
         """
         raise NotImplementedError
 
@@ -149,7 +153,7 @@ class Scheme:
         """Zero-forcing decoders of every receiver for one block.
 
         ``response`` is the encoder's impulse response ``(num_rx, num_slots,
-        num_symbols, *T)``: the received block of a run whose message columns
+        num_symbols, T)``: the received block of a run whose message columns
         are the identity, and ``state`` is the ``state`` of that run, which
         the certificates read.
 
@@ -193,8 +197,8 @@ class Scheme:
     def decode(self, y: np.ndarray, ctx: DecodeContext) -> np.ndarray:
         """Estimates of every symbol from the received block ``y``.
 
-        ``y`` has shape ``(num_rx, num_slots, *B, *T)`` and the result
-        ``(num_symbols, *B, *T)``; each receiver decodes its own symbols
+        ``y`` has shape ``(num_rx, num_slots, *B, T)`` and the result
+        ``(num_symbols, *B, T)``; each receiver decodes its own symbols
         from its own row.
         """
         decoded = np.empty((self.num_symbols, *y.shape[2:]), dtype=np.complex128)
@@ -210,8 +214,8 @@ class Scheme:
         receiver, and a scheme appends its encoder's.  ``interference_rank_rx*``
         is the design value (:meth:`interference_rank`), not a measured rank:
         the decoder certifies the alignment only through ``receive_cond_rx*``
-        and ``zf_residual_rx*`` (ROADMAP item 2 measures it).  With a trial
-        axis each value is a ``(T,)`` array, or one float that holds for every trial.
+        and ``zf_residual_rx*`` (ROADMAP item 2 measures it).  Each value is a
+        ``(T,)`` array, or one float that holds for every trial.
         """
         rows = []
         for rx in range(self.num_rx):

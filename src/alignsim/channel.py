@@ -84,12 +84,12 @@ class FeedbackModel:
 
 @dataclass(frozen=True)
 class ChannelTensor:
-    """Channel coefficients ``h[rx, tx, slot]`` with magnitude guarantees.
+    """Channel coefficients ``h[rx, tx, slot, t]`` of a stack of trials, within a magnitude band.
 
+    Trial ``t``'s channel is ``h[..., t]``; one trial is a stack of one.
     Every coefficient satisfies ``mag_bounds[0] <= |h| <= mag_bounds[1]``;
     draws outside the band were rejected and resampled during generation,
-    and ``num_rejections`` records how many.  A stack of independent trials'
-    channels carries a trailing trial axis: ``h[rx, tx, slot, t]``.
+    and ``num_rejections`` records how many.
     """
 
     h: np.ndarray
@@ -97,8 +97,8 @@ class ChannelTensor:
     num_rejections: int = 0
 
     def __post_init__(self) -> None:
-        if self.h.ndim not in (3, 4):
-            raise ValueError(f"channel tensor must be 3-D or 4-D, got shape {self.h.shape}")
+        if self.h.ndim != 4:
+            raise ValueError(f"channel tensor must be h[rx, tx, slot, t], got {self.h.shape}")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("channel coefficients must be finite")
         lo, hi = self.mag_bounds
@@ -120,35 +120,31 @@ class ChannelTensor:
 
     @property
     def num_trials(self) -> int:
-        """Channels in the stack (1 for a single 3-D tensor)."""
-        return self.h.shape[3] if self.h.ndim == 4 else 1
+        """Channels in the stack."""
+        return self.h.shape[3]
 
 
 def generate_channel(
     num_rx: int,
     num_tx: int,
     num_slots: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     mag_bounds: tuple[float, float] = MAG_BOUNDS_DEFAULT,
     max_rejections: int = 1000,
 ) -> ChannelTensor:
-    """Draw an i.i.d. CN(0, 1) channel tensor, rejection-sampled to the magnitude band.
+    """Draw one i.i.d. CN(0, 1) channel per generator, rejection-sampled to the magnitude band.
 
-    Each coefficient is redrawn while its magnitude falls outside
-    ``mag_bounds``, up to ``max_rejections`` redraws per coefficient; hitting
-    the cap aborts with a diagnostic, since for the default band the
-    per-draw rejection probability is about 1e-6 and the cap is unreachable
-    for any healthy generator.
-
-    Given a sequence of ``T`` generators instead of one, draws one channel
-    from each and returns their stack ``h[rx, tx, slot, t]``; channel ``t``
-    is bit for bit the one ``rng[t]`` alone would give.
+    Returns the stack ``h[rx, tx, slot, t]`` of one channel per generator;
+    channel ``t`` is bit for bit what ``[rngs[t]]`` alone gives.  Each
+    coefficient is redrawn while its magnitude falls outside ``mag_bounds``,
+    up to ``max_rejections`` redraws per coefficient; hitting the cap aborts
+    with a diagnostic, since for the default band the per-draw rejection
+    probability is about 1e-6 and the cap is unreachable for any healthy
+    generator.
     """
     lo, hi = mag_bounds
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid magnitude bounds {mag_bounds}")
-    single = not isinstance(rng, Sequence)
-    rngs = [rng] if single else list(rng)
     shape = (num_rx, num_tx, num_slots)
     count = num_rx * num_tx * num_slots
     h = sample_complex_gaussian(rngs, count).reshape(*shape, len(rngs))
@@ -158,9 +154,7 @@ def generate_channel(
         _reject_outside_band(h[..., t], rngs[t], lo, hi, max_rejections)
         for t in np.flatnonzero(outside)
     )
-    return ChannelTensor(
-        h=h[..., 0] if single else h, mag_bounds=mag_bounds, num_rejections=rejections
-    )
+    return ChannelTensor(h=h, mag_bounds=mag_bounds, num_rejections=rejections)
 
 
 def _reject_outside_band(
@@ -180,8 +174,7 @@ def _reject_outside_band(
                 f"{int(bad.sum())} coefficients still outside the band"
             )
         rejections += int(bad.sum())
-        redraw = sample_complex_gaussian(rng, int(bad.sum()))
-        h[bad] = redraw
+        h[bad] = sample_complex_gaussian([rng], int(bad.sum()))[:, 0]
         mags = np.abs(h)
         bad = (mags < lo) | (mags > hi)
     return rejections
@@ -198,14 +191,12 @@ def apply_channel(
     Returns ``y[k] = sum_j h[k, j, slot] * x_slot[j]``, evaluated through a
     single fixed arithmetic path, plus ``noise`` when it is given.
 
-    ``x_slot`` has shape ``(num_tx, *B)``, where ``B`` is empty or one axis
-    of independent blocks on the same channel; a stacked tensor appends its
-    trial axis, ``(num_tx, *B, T)``.  The output and ``noise`` have the
-    shape of ``x_slot`` with ``num_rx`` leading.
+    ``x_slot`` has shape ``(num_tx, *B, T)``, where ``B`` is empty or one
+    axis of independent blocks on each trial's channel.  The output and
+    ``noise`` have the shape of ``x_slot`` with ``num_rx`` leading.
     """
     x_slot = np.asarray(x_slot, dtype=np.complex128)
-    batch_axes = x_slot.ndim - 1 - (tensor.h.ndim - 3)
-    if batch_axes not in (0, 1) or x_slot.shape[0] != tensor.num_tx:
+    if x_slot.ndim not in (2, 3) or x_slot.shape[0] != tensor.num_tx:
         raise ValueError(f"expected {tensor.num_tx} transmit scalars, got shape {x_slot.shape}")
     y = matvec(tensor.h[:, :, slot], x_slot)
     if noise is not None:
@@ -219,8 +210,8 @@ class SignalRecord:
 
     ``x[j, n]`` is what antenna ``j`` sent at slot ``n`` and ``y[k, n]``
     what receiver ``k`` observed, noise included when the run added any.
-    A batched block run appends its batch axis to both arrays, and a run on
-    a stack of trials' channels appends the trial axis after that.
+    Both arrays end in the run's ``(*B, T)``: its batch axis, if any, then
+    the trial axis.
     """
 
     x: np.ndarray
@@ -274,8 +265,8 @@ class TxInformationView:
     received outputs only under output feedback and only for
     receivers associated with this transmitter; both only for slots at least
     one in the past.  Each successful read is appended to the log (one
-    record per call), so the log doubles as a usage certificate.  On a stack
-    of trials' channels a read returns the trial axis of values.
+    record per call), so the log doubles as a usage certificate.  A read
+    returns the value on every trial of the stack.
     """
 
     def __init__(
@@ -302,8 +293,8 @@ class TxInformationView:
                 f"of slot {item_slot}; only slots 0..{latest} are visible"
             )
 
-    def channel_coeff(self, rx: int, tx_col: int, item_slot: int) -> complex:
-        """Read ``h[rx, tx_col, item_slot]``, enforcing the delay and model kind."""
+    def channel_coeff(self, rx: int, tx_col: int, item_slot: int) -> np.ndarray:
+        """Read ``h[rx, tx_col, item_slot]``, a ``(T,)`` array, enforcing delay and model kind."""
         if not self.model.provides_csi:
             raise CausalityViolation(
                 f"feedback kind {self.model.kind.value} carries no channel state"
@@ -311,30 +302,29 @@ class TxInformationView:
         self._check_item_slot(item_slot, "channel state")
         if self._log is not None:
             self._log.append(AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot))
-        coeff = self._tensor.h[rx, tx_col, item_slot]
-        return coeff if coeff.ndim else complex(coeff)
+        return self._tensor.h[rx, tx_col, item_slot]
 
     def channel_states(self, slots: Iterable[int]) -> np.ndarray:
         """Read the full coefficient matrix for each given past slot.
 
-        Returns an array of shape ``(num_rx, num_tx, len(slots), *T)``.
+        Returns an array of shape ``(num_rx, num_tx, len(slots), T)``.
         Every scalar goes through :meth:`channel_coeff`, so all reads are
         checked and logged individually.
         """
         slots = list(slots)
         h = self._tensor.h
-        out = np.empty((h.shape[0], h.shape[1], len(slots), *h.shape[3:]), dtype=np.complex128)
+        out = np.empty((h.shape[0], h.shape[1], len(slots), h.shape[3]), dtype=np.complex128)
         for idx, m in enumerate(slots):
             for k in range(self._tensor.num_rx):
                 for j in range(self._tensor.num_tx):
                     out[k, j, idx] = self.channel_coeff(k, j, m)
         return out
 
-    def output(self, rx: int, item_slot: int) -> complex | np.ndarray:
+    def output(self, rx: int, item_slot: int) -> np.ndarray:
         """Read the value receiver ``rx`` observed at ``item_slot``.
 
-        In a batched block run this is the ``(*B, *T)`` array of that value
-        across the batch; it is still checked and logged as one read.
+        This is the ``(*B, T)`` array of that value across the run's batch
+        and trials; it is checked and logged as one read.
         """
         if not self.model.provides_output:
             raise CausalityViolation(

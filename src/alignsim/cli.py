@@ -336,8 +336,8 @@ def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
     passed = (
         abs(estimate.slope - float(counting)) <= DOF_SLOPE_TOL
         and estimate.r_squared >= DOF_R2_MIN
-        # leaked power relative to desired is amplitude-invariant, so one
-        # noiseless figure bounds it across the whole grid
+        # leaked power relative to desired is the same at every message
+        # scale, so one noiseless figure bounds it across the whole grid
         and leakage_ratio < LEAKAGE_RATIO_MAX
     )
     return results, passed

@@ -12,17 +12,19 @@ Every scheme decodes with one zero-forcing decoder (see
 :mod:`alignsim.base`).  Its receive matrices are read off the trial's own
 block run: next to the message column, the run carries one identity
 message column per symbol, whose received blocks are the encoder's
-impulse response.  Rates use the zero-forcing SINR of that decoder.  The decode
-``D y`` is complex-linear in the received block, and every signal-path
-coefficient carries exactly one factor of the amplitude ``sqrt(power)``
-while injected noise carries none, so the per-symbol estimation error at
-power ``P`` is exactly ``1/sqrt(P)`` times a fixed linear image of the unit
-noise block.  The per-symbol noise weight is the squared norm of that
-image.  Where no transmitter hears an output, the noise never reaches a
-transmit signal, and the weights are the squared row norms of the
-decoders.  Under output feedback they are read off one batched block run
-whose batch columns are the unit impulses at every receiver/slot position,
-so that the replays carry the noise forward as they would.  A weight turns
+impulse response.  Rates use the zero-forcing SINR of that decoder.  Every
+block runs at unit amplitude, and power ``P`` is the message scale
+``sqrt(P)``.  Each transmit scalar is complex-linear in the messages and in
+the outputs it replays, and the decode ``D y`` is complex-linear in the
+received block.  So the decode of messages ``sqrt(P) m`` under unit noise
+is ``sqrt(P) m`` plus a fixed linear image of the noise block, the same at
+every ``P``, and the per-symbol error relative to the message scale is
+exactly ``1/sqrt(P)`` times that image.  The per-symbol noise weight is the
+squared norm of the image.  Where no transmitter hears an output, the noise
+never reaches a transmit signal, and the weights are the squared row norms
+of the decoders.  Under output feedback they are read off one batched block
+run whose batch columns are the unit impulses at every receiver/slot
+position, so that the replays carry the noise forward as they would.  A weight turns
 into an exact per-symbol SINR ``P / weight`` at every operating point,
 which makes rate curves deterministic and smooth enough for slope fitting.
 
@@ -200,10 +202,14 @@ class RunReport:
 class DofEstimate:
     """Least-squares slope of average sum rate against log2 of the power.
 
+    Power ``P`` is the message scale ``sqrt(P)`` of unit-amplitude blocks,
+    so each symbol's SINR is exactly ``P / weight`` for its noise weight
+    (see :func:`noise_transfer_weights`), and the slope is the pre-log.
     ``max_rel_symbol_error`` is the worst noiseless relative decode error of
-    the underlying trials.  Signal-path coefficients all scale with the same
-    amplitude, so this relative leakage is the same at every grid point; its
-    square bounds the leaked-to-desired power ratio across the sweep.
+    the underlying trials.  The noiseless block is linear in the messages,
+    so this relative leakage is the same at every message scale, hence at
+    every grid point; its square bounds the leaked-to-desired power ratio
+    across the sweep.
     """
 
     scheme_id: str
@@ -242,25 +248,23 @@ def simulate_block(
     tensor: ChannelTensor,
     offline,
     msgs: np.ndarray,
-    amp: float,
     tol: Tolerances,
     noise: np.ndarray | None = None,
     log: AccessLog | None = None,
     state: dict | None = None,
 ) -> SignalRecord:
-    """Run one block slot by slot and return every signal involved.
+    """Run one block slot by slot, at unit amplitude, and return every signal involved.
 
-    ``msgs`` has shape ``(num_symbols, *B)``, where ``B`` is empty or one
-    batch size: a batch runs ``B`` blocks on the same channel at once, one
-    per trailing column.  On a stack of ``T`` trials' channels (a 4-D
-    tensor, with offline coefficients stacked the same way) ``msgs`` is
-    ``(num_symbols, *B, T)``.  ``noise`` is an optional ``(num_rx,
-    num_slots, *B, *T)`` array added at the receivers; transmitters doing
-    output feedback see the noisy values, as they would on a real feedback
-    link.  Every array of the returned record ends in ``(*B, *T)``.  The
-    views log one record per read, whatever ``B`` and ``T`` are.  ``state``
-    carries cached channel-dependent constants between repeated blocks on
-    the same (tensor, offline) pair.
+    The block runs on a stack of ``T`` trials' channels, with offline
+    coefficients stacked the same way.  ``msgs`` has shape ``(num_symbols,
+    *B, T)``, where ``B`` is empty or one batch size: a batch runs ``B``
+    blocks on each trial's channel at once, one per column.  ``noise`` is an
+    optional ``(num_rx, num_slots, *B, T)`` array added at the receivers;
+    transmitters doing output feedback see the noisy values, as they would
+    on a real feedback link.  Every array of the returned record ends in
+    ``(*B, T)``.  The views log one record per read, whatever ``B`` and
+    ``T`` are.  ``state`` carries cached channel-dependent constants between
+    repeated blocks on the same (tensor, offline) pair.
     """
     num_tx, num_rx, num_slots = scheme.num_tx, scheme.num_rx, scheme.num_slots
     batch = np.shape(msgs)[1:]
@@ -271,7 +275,7 @@ def simulate_block(
     for n in range(num_slots):
         for j in range(num_tx):
             view = TxInformationView(scheme.entity_of(j), n, tensor, y, scheme.feedback, log)
-            x[j, n] = scheme.transmit(j, n, view, msgs, offline, state, amp, tol)
+            x[j, n] = scheme.transmit(j, n, view, msgs, offline, state, tol)
         noise_slot = None if noise is None else noise[:, n]
         y[:, n] = apply_channel(x[:, n], tensor, n, noise=noise_slot)
     return SignalRecord(x=x, y=y)
@@ -284,8 +288,8 @@ def noise_transfer_weights(scheme: Scheme, ctx, tol: Tolerances) -> np.ndarray:
     ``(rx, n)`` of the linear noise-to-error map, so the sum of its squared
     magnitudes over the ``num_rx * num_slots`` impulses gives the variance
     of each symbol estimate under unit-variance noise: an array of shape
-    ``(num_symbols, *T)``.  At transmit power ``P`` the per-symbol SINR is
-    then ``P / weight``.
+    ``(num_symbols, T)``.  At transmit power ``P``, the message scale
+    ``sqrt(P)``, the per-symbol SINR is then ``P / weight``.
 
     When no transmitter hears an output (``scheme.feedback.provides_output``
     is false), the transmit signal does not depend on the noise: the image
@@ -293,26 +297,24 @@ def noise_transfer_weights(scheme: Scheme, ctx, tol: Tolerances) -> np.ndarray:
     symbols of ``rx`` and zero on the rest, so the weights are the
     decoders' squared row norms, summed over slots left to right.
     Otherwise the replays carry the noise forward, and one batched block
-    run at unit amplitude with zero messages takes the impulses as noise,
-    one per batch column.  Both sums run in impulse order, so the two ways
+    run with zero messages takes the impulses as noise, one per batch
+    column.  Both sums run in impulse order, so the two ways
     give the same bits where both apply.  The run reads the channel, the
     offline coefficients and the cached constants off ``ctx``.
     """
-    trials = ctx.tensor.h.shape[3:]
+    trials = ctx.tensor.num_trials
     if not scheme.feedback.provides_output:
-        weights = np.empty((scheme.num_symbols, *trials), dtype=np.float64)
+        weights = np.empty((scheme.num_symbols, trials), dtype=np.float64)
         for rx, decoder in enumerate(ctx.decoders):
             rows = ordered_sum(np.moveaxis(np.abs(decoder) ** 2, 1, 0))
             weights[scheme.symbols_for_rx(rx)] = rows
         return weights
     size = scheme.num_rx * scheme.num_slots
-    zero_msgs = np.zeros((scheme.num_symbols, size, *trials), dtype=np.complex128)
-    impulses = np.eye(size, dtype=np.complex128).reshape(
-        scheme.num_rx, scheme.num_slots, size, *(1,) * len(trials)
-    )
-    impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, *trials))
+    zero_msgs = np.zeros((scheme.num_symbols, size, trials), dtype=np.complex128)
+    impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size, 1)
+    impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, trials))
     record = simulate_block(
-        scheme, ctx.tensor, ctx.offline, zero_msgs, 1.0, tol, noise=impulses, state=ctx.state
+        scheme, ctx.tensor, ctx.offline, zero_msgs, tol, noise=impulses, state=ctx.state
     )
     columns = scheme.decode(record.y, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
@@ -353,7 +355,7 @@ def _run_batch(
     size = scheme.num_symbols
     identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, n))
     columns = np.concatenate([msgs[:, None], identity], axis=1)
-    record = simulate_block(scheme, tensor, offline, columns, 1.0, tol, log=log, state=state)
+    record = simulate_block(scheme, tensor, offline, columns, tol, log=log, state=state)
     ctx = scheme.decode_context(tensor, offline, tol, record.y[:, :, 1:], state)
     decoded = scheme.decode(record.y[:, :, 0], ctx)
     rows = [
@@ -592,10 +594,10 @@ def future_perturbation_invariant(
     changing every affected coefficient.
     """
     tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
-    x_ref = simulate_block(scheme, tensor, offline, msgs, 1.0, tol).x
+    x_ref = simulate_block(scheme, tensor, offline, msgs, tol).x
     h2 = tensor.h.copy()
     h2[:, :, perturb_from:] *= np.exp(0.7j)
     perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
-    x_alt = simulate_block(scheme, perturbed, offline, msgs, 1.0, tol).x
+    x_alt = simulate_block(scheme, perturbed, offline, msgs, tol).x
     upto = perturb_from + 1
     return bool(np.array_equal(x_ref[:, :upto], x_alt[:, :upto]))

@@ -140,15 +140,12 @@ def ordered_sum(terms) -> np.ndarray:
 def matvec(a, v) -> np.ndarray:
     """``a @ v`` for ``a`` of shape ``(m, k, *S)`` and ``v`` of shape ``(k, *B, *S)``.
 
-    Without stack axes this is plain ``a @ v``.  With them, the sum over
-    ``k`` runs left to right on elementwise products, which keeps each
-    system's bits independent of the stack it runs in.
+    The sum over ``k`` runs left to right on elementwise products, which
+    keeps each system's bits independent of the stack it runs in.
     """
-    if a.ndim == 2:
-        return a @ v
     batch_axes = v.ndim - 1 - (a.ndim - 2)
     a = a.reshape(a.shape[:2] + (1,) * batch_axes + a.shape[2:])
-    # v[i : i + 1] keeps both operands at one ndim: for a lone trial numpy
+    # v[i : i + 1] keeps both operands at one ndim: for a lone system numpy
     # multiplies operands of different ndim on a scalar path, whose last bit
     # can differ from its vector loop
     return ordered_sum(a[:, i] * v[i : i + 1] for i in range(a.shape[1]))
@@ -372,22 +369,16 @@ def zero_forcing_rows(g, rows):
         return d, s[..., -1] / s[..., 0], residual
 
 
-def sample_complex_gaussian(
-    rng: np.random.Generator | Sequence[np.random.Generator], count: int
-) -> np.ndarray:
-    """Draw ``count`` i.i.d. circularly symmetric complex Gaussians, unit variance.
+def sample_complex_gaussian(rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. circularly symmetric complex Gaussians per generator, unit variance.
 
     Real and imaginary parts are independent ``N(0, 1/2)`` so that
-    ``E|z|^2 = 1``.  Deterministic given the generator state.  Given a
-    sequence of ``T`` generators instead of one, each makes its own draw and
-    the result is their ``(count, T)`` stack; column ``t`` is bit for bit
-    what ``rng[t]`` alone gives.
+    ``E|z|^2 = 1``.  Deterministic given the generator states.  Each of the
+    ``T`` generators makes its own draw and the result is their ``(count,
+    T)`` stack; column ``t`` is bit for bit what ``[rngs[t]]`` alone gives.
     """
     # one draw of 2 * count normals is the two draws of count, back to back
-    if isinstance(rng, Sequence):
-        z = np.stack([r.standard_normal(2 * count) for r in rng], axis=-1)
-    else:
-        z = rng.standard_normal(2 * count)
+    z = np.stack([r.standard_normal(2 * count) for r in rngs], axis=-1)
     return (z[:count] + 1j * z[count:]) / np.sqrt(2.0)
 
 

@@ -103,12 +103,12 @@ class ScheduledScheme(Scheme):
             isinstance(payload, SymbolPayload) for row in cls.schedule for payload in row
         )
 
-    def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
+    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
         payload = self.schedule[slot][antenna]
         if payload is None:
             return 0j
         if isinstance(payload, SymbolPayload):
-            return amp * msgs[payload.symbol]
+            return msgs[payload.symbol]
         if isinstance(payload, OutputPayload):
             return view.output(payload.rx, payload.slot)
         if isinstance(payload, ComboPayload):
@@ -120,7 +120,7 @@ class ScheduledScheme(Scheme):
                 if isinstance(other, SymbolPayload)
             ]
             norm = np.sqrt(ordered_sum(abs(coeff) ** 2 for coeff, _ in terms))
-            return ordered_sum(coeff * amp * msgs[symbol] for coeff, symbol in terms) / norm
+            return ordered_sum(coeff * msgs[symbol] for coeff, symbol in terms) / norm
         raise TypeError(f"unknown payload {payload!r}")
 
 

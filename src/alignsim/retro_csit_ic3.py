@@ -81,7 +81,7 @@ def interferers(rx: int) -> tuple[int, int]:
 def alpha_system(h5: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     """5x6 matrix of phase-1 interfering receive directions at ``rx``.
 
-    ``h5`` is the slot-0..4 channel block ``(3, 3, 5, *T)``.  Columns 0-2
+    ``h5`` is the slot-0..4 channel block ``(3, 3, 5, T)``.  Columns 0-2
     belong to the lower-indexed interferer, columns 3-5 to the higher-indexed
     one.
     """
@@ -101,7 +101,7 @@ def _alpha_sub(alpha: np.ndarray, rx: int, tx: int) -> np.ndarray:
 
 
 def _unit_cross(a: np.ndarray, b: np.ndarray, tx: int) -> np.ndarray:
-    """Unit-norm cross product of two ``(3, *T)`` triples; raises when it vanishes."""
+    """Unit-norm cross product of two ``(3, T)`` triples; raises when it vanishes."""
     c = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
     norm = vector_norm(c)
     if np.any(norm < COEFF_NORM_FLOOR):
@@ -120,17 +120,17 @@ class IC3RetroCsitScheme(Scheme):
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
 
-    def draw_offline(self, rng) -> ICOffline:
-        phase1 = sample_complex_gaussian(rng, 3 * 3 * PHASE1_SLOTS)
-        phase1 = phase1.reshape(3, 3, PHASE1_SLOTS, *phase1.shape[1:])
+    def draw_offline(self, rngs) -> ICOffline:
+        phase1 = sample_complex_gaussian(rngs, 3 * 3 * PHASE1_SLOTS)
+        phase1 = phase1.reshape(3, 3, PHASE1_SLOTS, len(rngs))
         # unit power per (transmitter, slot): normalize over the symbol axis
         return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
-    def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
+    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
         u = msgs.reshape(3, 3, *msgs.shape[1:])
         k = antenna
         if slot < PHASE1_SLOTS:
-            return amp * dot(offline.phase1[k, :, slot], u[k])
+            return dot(offline.phase1[k, :, slot], u[k])
         key = ("coeff", view.tx)
         if key not in state:
             # Transmitter k only needs the annihilators of the two receivers
@@ -151,7 +151,7 @@ class IC3RetroCsitScheme(Scheme):
                 subs.append(_alpha_sub(alphas[:, idx], rx, k))
             state[key] = _unit_cross(subs[0], subs[1], k)
         # The same scalar is repeated in every phase-2 slot.
-        return amp * dot(state[key], u[k])
+        return dot(state[key], u[k])
 
     def certificates(self, ctx, tol):
         """Decoder certificates plus the residuals of the encoder's cached alphas and triples."""

@@ -86,17 +86,18 @@ class XAlignmentConstants:
 
     ``gamma[j, k]`` couples the two symbols of message (k, j); ``beta`` and
     ``delta`` are the interference co-linearity factors at receivers 0 and 1.
+    Each carries the trial axis last.
     """
 
     gamma: np.ndarray
-    beta: complex
-    delta: complex
+    beta: np.ndarray
+    delta: np.ndarray
 
 
 def interference_system(h3: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     """3x4 matrix of phase-1 receive directions, at ``rx``, of the other receiver's symbols.
 
-    ``h3`` is the slot-0..2 channel block ``(2, 2, 3, *T)``.  Column order:
+    ``h3`` is the slot-0..2 channel block ``(2, 2, 3, T)``.  Column order:
     (tx 0, sym 0), (tx 0, sym 1), (tx 1, sym 0), (tx 1, sym 1).
     """
     other = 1 - rx
@@ -140,8 +141,8 @@ def alignment_constants(
 def layer2_vars(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``.
 
-    ``u`` has shape ``(2, 2, 2, *B, *T)``, ``gamma`` ``(2, 2, *T)`` and the
-    result ``(2, 2, *B, *T)``.
+    ``u`` has shape ``(2, 2, 2, *B, T)``, ``gamma`` ``(2, 2, T)`` and the
+    result ``(2, 2, *B, T)``.
     """
     s = np.empty((2, 2, *u.shape[3:]), dtype=np.complex128)
     for j in range(2):
@@ -169,27 +170,25 @@ class XRetroCsitScheme(Scheme):
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
 
-    def draw_offline(self, rng) -> XOffline:
-        phase1 = sample_complex_gaussian(rng, 2 * 2 * 2 * PHASE1_SLOTS)
-        trials = phase1.shape[1:]
-        phase1 = phase1.reshape(2, 2, 2, PHASE1_SLOTS, *trials)
-        # Unit transmit power per (transmitter, slot): the scalar sent is
-        # amp * sum of coefficient * unit-power symbol.
-        norm = vector_norm(phase1.swapaxes(1, 2).reshape(4, 2, PHASE1_SLOTS, *trials))
-        phase2 = sample_complex_gaussian(rng, 2 * 2 * PHASE2_SLOTS)
+    def draw_offline(self, rngs) -> XOffline:
+        trials = len(rngs)
+        phase1 = sample_complex_gaussian(rngs, 2 * 2 * 2 * PHASE1_SLOTS)
+        phase1 = phase1.reshape(2, 2, 2, PHASE1_SLOTS, trials)
+        # Unit transmit power per (transmitter, slot): the scalar sent is the
+        # sum of coefficient * unit-power symbol.
+        norm = vector_norm(phase1.swapaxes(1, 2).reshape(4, 2, PHASE1_SLOTS, trials))
+        phase2 = sample_complex_gaussian(rngs, 2 * 2 * PHASE2_SLOTS)
         return XOffline(
             phase1=phase1 / norm[None, :, None],
-            phase2=phase2.reshape(2, 2, PHASE2_SLOTS, *trials),
+            phase2=phase2.reshape(2, 2, PHASE2_SLOTS, trials),
         )
 
-    def transmit(self, antenna, slot, view, msgs, offline, state, amp, tol):
+    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
         u = msgs.reshape(2, 2, 2, *msgs.shape[1:])
         j = antenna
         if slot < PHASE1_SLOTS:
             coeff = offline.phase1[:, j, :, slot]
-            return amp * ordered_sum(
-                coeff[k, i] * u[k, j, i] for k in range(2) for i in range(2)
-            )
+            return ordered_sum(coeff[k, i] * u[k, j, i] for k in range(2) for i in range(2))
         key = ("constants", view.tx)
         if key not in state:
             # First phase-2 slot: the delay has made slots 0..2 visible.
@@ -199,7 +198,7 @@ class XRetroCsitScheme(Scheme):
         s = layer2_vars(u, constants.gamma)
         c = offline.phase2[j, :, slot - PHASE1_SLOTS]
         raw = c[0] * s[j, 0] + c[1] * s[j, 1]
-        return amp * raw / _phase2_norm(c, constants.gamma[j])
+        return raw / _phase2_norm(c, constants.gamma[j])
 
     def certificates(self, ctx, tol):
         """Decoder certificates plus the alignment of the encoder's cached constants."""

@@ -18,15 +18,15 @@ from alignsim.channel import (
 
 class TestGenerateChannel:
     def test_shape_and_bounds(self, rng):
-        tensor = generate_channel(3, 3, 8, rng)
-        assert tensor.h.shape == (3, 3, 8)
+        tensor = generate_channel(3, 3, 8, [rng])
+        assert tensor.h.shape == (3, 3, 8, 1)
         mags = np.abs(tensor.h)
         assert mags.min() >= MAG_BOUNDS_DEFAULT[0]
         assert mags.max() <= MAG_BOUNDS_DEFAULT[1]
 
     def test_deterministic(self):
-        t1 = generate_channel(2, 2, 7, np.random.default_rng(11))
-        t2 = generate_channel(2, 2, 7, np.random.default_rng(11))
+        t1 = generate_channel(2, 2, 7, [np.random.default_rng(11)])
+        t2 = generate_channel(2, 2, 7, [np.random.default_rng(11)])
         assert np.array_equal(t1.h, t2.h)
 
     def test_rejection_rate_matches_rayleigh_tail(self):
@@ -35,12 +35,12 @@ class TestGenerateChannel:
         lo, hi = MAG_BOUNDS_DEFAULT
         p_reject = (1.0 - np.exp(-(lo**2))) + np.exp(-min(hi**2, 700.0))
         assert p_reject < 1e-4
-        tensor = generate_channel(10, 10, 1000, np.random.default_rng(0))
+        tensor = generate_channel(10, 10, 1000, [np.random.default_rng(0)])
         # 1e5 draws at ~1e-6 rejection probability: a handful at most.
         assert tensor.num_rejections <= 10
 
     def test_tight_band_resamples(self):
-        tensor = generate_channel(2, 2, 4, np.random.default_rng(3), mag_bounds=(0.5, 2.0))
+        tensor = generate_channel(2, 2, 4, [np.random.default_rng(3)], mag_bounds=(0.5, 2.0))
         mags = np.abs(tensor.h)
         assert tensor.num_rejections > 0
         assert mags.min() >= 0.5 and mags.max() <= 2.0
@@ -48,54 +48,59 @@ class TestGenerateChannel:
     def test_unreachable_band_aborts_with_diagnostic(self):
         with pytest.raises(RuntimeError, match="rejection"):
             generate_channel(
-                2, 2, 3, np.random.default_rng(1), mag_bounds=(1.0, 1.0000001),
+                2, 2, 3, [np.random.default_rng(1)], mag_bounds=(1.0, 1.0000001),
                 max_rejections=50,
             )
 
     def test_bad_bounds_rejected(self, rng):
         with pytest.raises(ValueError):
-            generate_channel(2, 2, 3, rng, mag_bounds=(0.0, 1.0))
+            generate_channel(2, 2, 3, [rng], mag_bounds=(0.0, 1.0))
         with pytest.raises(ValueError):
-            generate_channel(2, 2, 3, rng, mag_bounds=(2.0, 1.0))
+            generate_channel(2, 2, 3, [rng], mag_bounds=(2.0, 1.0))
 
 
 class TestChannelTensor:
     def test_validates_magnitudes(self, rng):
-        h = np.full((2, 2, 3), 1e-5, dtype=complex)
-        with pytest.raises(ValueError):
+        h = np.full((2, 2, 3, 1), 1e-5, dtype=complex)
+        with pytest.raises(ValueError, match="magnitude"):
             ChannelTensor(h=h)
 
     def test_validates_finite(self):
-        h = np.ones((2, 2, 3), dtype=complex)
+        h = np.ones((2, 2, 3, 1), dtype=complex)
         h[0, 0, 0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             ChannelTensor(h=h)
+
+    def test_refuses_a_lone_trial_tensor(self):
+        # one block shape: a lone trial is a stack of one, h[rx, tx, slot, t]
+        assert ChannelTensor(h=np.ones((2, 2, 3, 1), dtype=complex)).num_trials == 1
+        with pytest.raises(ValueError, match=r"h\[rx, tx, slot, t\]"):
+            ChannelTensor(h=np.ones((2, 2, 3), dtype=complex))
 
 
 class TestApplyChannel:
     def test_clean_reconstruction_exact(self, rng):
-        tensor = generate_channel(2, 2, 5, rng)
-        x = np.array([1.0 + 2.0j, -0.5j])
+        tensor = generate_channel(2, 2, 5, [rng])
+        x = np.array([[1.0 + 2.0j], [-0.5j]])
         y = apply_channel(x, tensor, 3)
-        assert np.array_equal(y, tensor.h[:, :, 3] @ x)
-        manual = np.array(
-            [sum(tensor.h[k, j, 3] * x[j] for j in range(2)) for k in range(2)]
-        )
-        np.testing.assert_allclose(y, manual, rtol=1e-15)
+        # the sum over transmitters runs left to right on elementwise products
+        assert np.array_equal(y, tensor.h[:, 0, 3] * x[0] + tensor.h[:, 1, 3] * x[1])
+        np.testing.assert_allclose(y[:, 0], tensor.h[:, :, 3, 0] @ x[:, 0], rtol=1e-15)
 
     def test_noise_injection(self, rng):
-        tensor = generate_channel(2, 2, 3, rng)
-        x = np.ones(2, dtype=complex)
-        noise = np.array([1.0, -1.0j])
+        tensor = generate_channel(2, 2, 3, [rng])
+        x = np.ones((2, 1), dtype=complex)
+        noise = np.array([[1.0], [-1.0j]])
         y = apply_channel(x, tensor, 0, noise=noise)
         np.testing.assert_allclose(y - apply_channel(x, tensor, 0), noise, rtol=0, atol=1e-15)
 
 
 def _tensor_and_outputs(rng, num_rx=2, num_tx=2, num_slots=7):
-    tensor = generate_channel(num_rx, num_tx, num_slots, rng)
+    """A one-trial channel stack and the ``(num_rx, num_slots, 1)`` outputs of its block."""
+    tensor = generate_channel(num_rx, num_tx, num_slots, [rng])
     outputs = (
-        rng.standard_normal((num_rx, num_slots))
-        + 1j * rng.standard_normal((num_rx, num_slots))
+        rng.standard_normal((num_rx, num_slots, 1))
+        + 1j * rng.standard_normal((num_rx, num_slots, 1))
     )
     return tensor, outputs
 
@@ -138,7 +143,7 @@ class TestDelayedOutputView:
             output_association={0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})},
         )
         view = TxInformationView(1, 4, tensor, outputs, model)
-        assert view.output(1, 2) == outputs[1, 2]
+        assert np.array_equal(view.output(1, 2), outputs[1, 2])
         with pytest.raises(CausalityViolation):
             view.output(0, 2)  # not this transmitter's receiver
         with pytest.raises(CausalityViolation):
@@ -148,8 +153,8 @@ class TestDelayedOutputView:
         tensor, outputs = _tensor_and_outputs(rng)
         model = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
         view = TxInformationView(0, 2, tensor, outputs, model)
-        assert view.output(0, 1) == outputs[0, 1]
-        assert view.output(1, 0) == outputs[1, 0]
+        assert np.array_equal(view.output(0, 1), outputs[0, 1])
+        assert np.array_equal(view.output(1, 0), outputs[1, 0])
 
     def test_no_csi_under_output_feedback(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)

@@ -1,8 +1,8 @@
 """The zero-forcing decoder every scheme shares.
 
 Its decoder rows are checked against a zero-forcing decoder built here
-from the encoder's impulse response, one unbatched block per symbol, with
-the Jacobi oracle's left null basis instead of LAPACK.
+from the encoder's impulse response, one block run per symbol, with the
+Jacobi oracle's left null basis instead of LAPACK.
 """
 
 import numpy as np
@@ -31,19 +31,19 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
     scheme = get_scheme(scheme_id)
     rng = np.random.default_rng(59)
     for _ in range(5):
-        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
-        offline = scheme.draw_offline(rng)
+        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+        offline = scheme.draw_offline([rng])
         ctx = decode_context(scheme, tensor, offline)
         response = np.stack(
             [
-                simulate_block(scheme, tensor, offline, unit, 1.0, DEFAULT_TOL).y
+                simulate_block(scheme, tensor, offline, unit[:, None], DEFAULT_TOL).y[..., 0]
                 for unit in np.eye(scheme.num_symbols, dtype=np.complex128)
             ],
             axis=-1,
         )
         for rx in range(scheme.num_rx):
             oracle = zero_forcing_oracle(response[rx], scheme.symbols_for_rx(rx))
-            decoder = ctx.decoders[rx]
+            decoder = ctx.decoders[rx][..., 0]
             assert np.linalg.norm(decoder - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 

@@ -54,47 +54,61 @@ class TestSimulateBlock:
     def test_received_values_reconstruct_from_channel(self, scheme_id):
         scheme = get_scheme(scheme_id)
         rng = np.random.default_rng(7)
-        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
-        offline = scheme.draw_offline(rng)
-        msgs = scheme.draw_messages(rng)
-        record = simulate_block(scheme, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+        offline = scheme.draw_offline([rng])
+        msgs = scheme.draw_messages([rng])
+        record = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
         for n in range(scheme.num_slots):
             np.testing.assert_allclose(
-                record.y[:, n], tensor.h[:, :, n] @ record.x[:, n], rtol=1e-13
+                record.y[:, n, 0], tensor.h[:, :, n, 0] @ record.x[:, n, 0], rtol=1e-13
             )
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+    def test_doubled_messages_double_every_signal(self, scheme_id):
+        # power P is the message scale sqrt(P): every transmit scalar is
+        # complex-linear in the messages and no normalization depends on
+        # them.  A power-of-two scale commutes with rounding, so a noiseless
+        # block at messages 2 m is the block at m, doubled, to the bit.
+        scheme = get_scheme(scheme_id)
+        tensor, offline, msgs = _draw_batch(scheme, 12, [(t, 0) for t in range(16)])
+        once = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
+        twice = simulate_block(scheme, tensor, offline, 2.0 * msgs, DEFAULT_TOL)
+        assert np.array_equal(twice.x, 2.0 * once.x)
+        assert np.array_equal(twice.y, 2.0 * once.y)
+        assert np.any(once.y != 0.0)
+
+    @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
     def test_error_is_linear_in_noise_and_inverse_in_amplitude(self, scheme_id):
-        # the premise of the rate model: the decode error is an
-        # amplitude-independent linear image of the noise, divided by amp
+        # the premise of the rate model: the decode error, relative to the
+        # message scale sqrt(P), is a P-independent linear image of the noise
+        # divided by sqrt(P)
         scheme = get_scheme(scheme_id)
         rng = np.random.default_rng(8)
-        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
-        offline = scheme.draw_offline(rng)
-        msgs = scheme.draw_messages(rng)
-        noise = sample_complex_gaussian(rng, scheme.num_rx * scheme.num_slots).reshape(
-            scheme.num_rx, scheme.num_slots
+        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+        offline = scheme.draw_offline([rng])
+        msgs = scheme.draw_messages([rng])
+        noise = sample_complex_gaussian([rng], scheme.num_rx * scheme.num_slots).reshape(
+            scheme.num_rx, scheme.num_slots, 1
         )
+        ctx = decode_context(scheme, tensor, offline)
 
-        def decode_error(amp, z, messages):
-            state: dict = {}
+        def decode_error(scale, z, messages):
             record = simulate_block(
-                scheme, tensor, offline, messages, amp, DEFAULT_TOL, noise=z, state=state
+                scheme, tensor, offline, scale * messages, DEFAULT_TOL, noise=z, state={}
             )
-            ctx = decode_context(scheme, tensor, offline, amp)
-            return scheme.decode(record.y, ctx) - messages
+            return scheme.decode(record.y, ctx) / scale - messages
 
         base = decode_error(1.0, noise, msgs)
-        # amplitude scaling: err(amp) = err(1) / amp
-        at_amp = decode_error(8.0, noise, msgs)
-        np.testing.assert_allclose(at_amp, base / 8.0, rtol=1e-8)
+        # message scaling: err(scale) = err(1) / scale
+        scaled = decode_error(8.0, noise, msgs)
+        np.testing.assert_allclose(scaled, base / 8.0, rtol=1e-8)
         # message independence: a different message draw, same noise
-        msgs2 = scheme.draw_messages(np.random.default_rng(99))
+        msgs2 = scheme.draw_messages([np.random.default_rng(99)])
         np.testing.assert_allclose(decode_error(1.0, noise, msgs2), base, rtol=0, atol=1e-10)
         # additivity in the noise
         noise2 = sample_complex_gaussian(
-            np.random.default_rng(100), scheme.num_rx * scheme.num_slots
-        ).reshape(scheme.num_rx, scheme.num_slots)
+            [np.random.default_rng(100)], scheme.num_rx * scheme.num_slots
+        ).reshape(scheme.num_rx, scheme.num_slots, 1)
         lhs = decode_error(1.0, noise + noise2, msgs)
         rhs = base + decode_error(1.0, noise2, msgs)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
@@ -104,16 +118,16 @@ class TestNoiseWeights:
     def test_weights_match_empirical_error_variance(self):
         scheme = get_scheme("bc_mat")
         rng = np.random.default_rng(9)
-        tensor = generate_channel(2, 2, 3, rng)
-        msgs = scheme.draw_messages(rng)
+        tensor = generate_channel(2, 2, 3, [rng])
+        msgs = scheme.draw_messages([rng])
         ctx = decode_context(scheme, tensor, None)
         weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
         draws = 4000
-        errors = np.empty((draws, 4), dtype=np.complex128)
+        errors = np.empty((draws, 4, 1), dtype=np.complex128)
         noise_rng = np.random.default_rng(10)
         for t in range(draws):
-            z = sample_complex_gaussian(noise_rng, 6).reshape(2, 3)
-            record = simulate_block(scheme, tensor, None, msgs, 1.0, DEFAULT_TOL, noise=z)
+            z = sample_complex_gaussian([noise_rng], 6).reshape(2, 3, 1)
+            record = simulate_block(scheme, tensor, None, msgs, DEFAULT_TOL, noise=z)
             errors[t] = scheme.decode(record.y, ctx) - msgs
         empirical = np.mean(np.abs(errors) ** 2, axis=0)
         np.testing.assert_allclose(empirical, weights, rtol=0.1)
@@ -393,7 +407,7 @@ class TestTrialBatches:
         import alignsim.evaluate as evaluate
 
         [states] = spawn_states([(23, bad, 0)], 3)
-        first = generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0]
+        first = generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
         scheme = _DiscardOneDraw(first)
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 23, TRIAL_BATCH)
         assert [(d.trial, d.attempt) for d in expected_discards] == [(bad, 0)]
@@ -437,7 +451,7 @@ class TestTrialBatches:
         import alignsim.evaluate as evaluate
 
         firsts = [
-            generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0]
+            generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
             for states in spawn_states([(24, trial, 0) for trial in (10, 100)], 3)
         ]
         scheme = _StructuralAndCertificateFailures(*firsts)
@@ -469,7 +483,7 @@ class TestTrialBatches:
         scheme = _FailStrongTrials()
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         gains = [
-            abs(generate_channel(2, 2, 3, seeded_generator(states[0])).h[0, 0, 0])
+            abs(generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0])
             for states in spawn_states([(22, trial, 0) for trial in range(100)], 3)
         ]
         first_bad = next(trial for trial, gain in enumerate(gains) if gain > 1.5)
@@ -507,21 +521,22 @@ _COEFFS = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinit
 @given(
     scheme_id=st.sampled_from(ALL_SCHEME_IDS),
     seed=st.integers(0, 2**32 - 1),
-    amp=st.sampled_from([1.0, 8.0]),
     a=_COEFFS,
     b=_COEFFS,
 )
-def test_decode_is_linear_in_the_received_block(scheme_id, seed, amp, a, b):
+def test_decode_is_linear_in_the_received_block(scheme_id, seed, a, b):
     scheme = get_scheme(scheme_id)
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
-    offline = scheme.draw_offline(rng)
+    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+    offline = scheme.draw_offline([rng])
     try:
-        ctx = decode_context(scheme, tensor, offline, amp)
+        ctx = decode_context(scheme, tensor, offline)
     except Degenerate:
         assume(False)
     size = scheme.num_rx * scheme.num_slots
-    y1, y2 = sample_complex_gaussian(rng, 2 * size).reshape(2, scheme.num_rx, scheme.num_slots)
+    y1, y2 = sample_complex_gaussian([rng], 2 * size).reshape(
+        2, scheme.num_rx, scheme.num_slots, 1
+    )
 
     d1, d2 = scheme.decode(y1, ctx), scheme.decode(y2, ctx)
     combined = scheme.decode(a * y1 + b * y2, ctx)

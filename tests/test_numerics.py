@@ -395,15 +395,15 @@ class TestStackedSystems:
 class TestSampleComplexGaussian:
     def test_moments(self):
         rng = np.random.default_rng(99)
-        z = sample_complex_gaussian(rng, 200_000)
+        z = sample_complex_gaussian([rng], 200_000)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.01
         assert abs(np.mean(z)) < 0.01
         # circular symmetry: the pseudo-variance vanishes
         assert abs(np.mean(z**2)) < 0.01
 
     def test_deterministic(self):
-        z1 = sample_complex_gaussian(np.random.default_rng(5), 64)
-        z2 = sample_complex_gaussian(np.random.default_rng(5), 64)
+        z1 = sample_complex_gaussian([np.random.default_rng(5)], 64)
+        z2 = sample_complex_gaussian([np.random.default_rng(5)], 64)
         assert np.array_equal(z1, z2)
 
     @pytest.mark.parametrize("count", [0, 1, 9, 45])
@@ -411,8 +411,9 @@ class TestSampleComplexGaussian:
         z = sample_complex_gaussian([np.random.default_rng(s) for s in range(5)], count)
         assert z.shape == (count, 5)
         for s in range(5):
-            one = sample_complex_gaussian(np.random.default_rng(s), count)
-            assert z[:, s].tobytes() == one.tobytes()
+            one = sample_complex_gaussian([np.random.default_rng(s)], count)
+            assert one.shape == (count, 1)
+            assert z[:, s].tobytes() == one[:, 0].tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -23,16 +23,17 @@ SCHEDULED = [scheme for scheme in SCHEMES.values() if isinstance(scheme, Schedul
 
 
 def _trial_data(scheme, seed):
+    """Channel and messages of a one-trial stack."""
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng)
-    msgs = scheme.draw_messages(rng)
+    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+    msgs = scheme.draw_messages([rng])
     return tensor, msgs
 
 
 def _noise(scheme, seed):
     rng = np.random.default_rng(seed)
-    return sample_complex_gaussian(rng, scheme.num_rx * scheme.num_slots).reshape(
-        scheme.num_rx, scheme.num_slots
+    return sample_complex_gaussian([rng], scheme.num_rx * scheme.num_slots).reshape(
+        scheme.num_rx, scheme.num_slots, 1
     )
 
 
@@ -87,14 +88,14 @@ class TestAllSchemes:
 class TestBcMat:
     def test_second_antenna_silent_in_combo_slot(self):
         tensor, msgs = _trial_data(BC, 21)
-        record = simulate_block(BC, tensor, None, msgs, 1.0, DEFAULT_TOL)
-        assert record.x[1, 2] == 0j
+        record = simulate_block(BC, tensor, None, msgs, DEFAULT_TOL)
+        assert np.all(record.x[1, 2] == 0j)
 
     def test_combo_is_normalized_sum_of_clean_observations(self):
         # The slot-2 scalar times its normalizer must equal the two clean
         # crossed observations the users are waiting on.
         tensor, msgs = _trial_data(BC, 22)
-        record = simulate_block(BC, tensor, None, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(BC, tensor, None, msgs, DEFAULT_TOL)
         h = tensor.h
         rho = np.sqrt(
             sum(abs(h[1, j, 0]) ** 2 for j in range(2))
@@ -104,23 +105,23 @@ class TestBcMat:
         np.testing.assert_allclose(record.x[0, 2] * rho, target, rtol=1e-12)
 
     def test_slot_powers(self):
+        # unit-power symbols give unit power in every sending (antenna, slot)
         tensor, _ = _trial_data(BC, 23)
-        amp = 4.0
         coeffs = np.zeros((2, 3, 4), dtype=np.complex128)
         for sym in range(4):
-            msgs = np.zeros(4, dtype=np.complex128)
+            msgs = np.zeros((4, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(BC, tensor, None, msgs, amp, DEFAULT_TOL)
-            coeffs[:, :, sym] = record.x
+            record = simulate_block(BC, tensor, None, msgs, DEFAULT_TOL)
+            coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
-        np.testing.assert_allclose(power[0, :], amp**2, rtol=1e-10)
-        np.testing.assert_allclose(power[1, :2], amp**2, rtol=1e-10)
+        np.testing.assert_allclose(power[0, :], 1.0, rtol=1e-10)
+        np.testing.assert_allclose(power[1, :2], 1.0, rtol=1e-10)
         assert power[1, 2] == 0.0
 
     def test_single_entity_reads_for_both_antennas(self):
         tensor, msgs = _trial_data(BC, 24)
         log = AccessLog()
-        simulate_block(BC, tensor, None, msgs, 1.0, DEFAULT_TOL, log=log)
+        simulate_block(BC, tensor, None, msgs, DEFAULT_TOL, log=log)
         assert log.csi_slots() == frozenset({0, 1})
         assert all(r.tx == 0 for r in log.records)
         assert log.output_reads() == []
@@ -129,7 +130,7 @@ class TestBcMat:
         # the combination sums four crossed coefficients: one read each
         tensor, msgs = _trial_data(BC, 25)
         log = AccessLog()
-        simulate_block(BC, tensor, None, msgs, 1.0, DEFAULT_TOL, log=log)
+        simulate_block(BC, tensor, None, msgs, DEFAULT_TOL, log=log)
         reads = [(r.item_rx, r.item_tx, r.item_slot) for r in log.records]
         assert sorted(reads) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
 
@@ -142,14 +143,14 @@ class TestXOutputFeedback:
     def test_replay_carries_noisy_output_bit_for_bit(self):
         tensor, msgs = _trial_data(XFB, 41)
         noise = _noise(XFB, 42)
-        record = simulate_block(XFB, tensor, None, msgs, 1.0, DEFAULT_TOL, noise=noise)
-        assert record.x[0, 2] == record.y[1, 0]
-        assert record.x[1, 2] == record.y[0, 1]
+        record = simulate_block(XFB, tensor, None, msgs, DEFAULT_TOL, noise=noise)
+        assert np.array_equal(record.x[0, 2], record.y[1, 0])
+        assert np.array_equal(record.x[1, 2], record.y[0, 1])
 
     def test_no_csi_and_full_association_reads(self):
         tensor, msgs = _trial_data(XFB, 43)
         log = AccessLog()
-        simulate_block(XFB, tensor, None, msgs, 1.0, DEFAULT_TOL, log=log)
+        simulate_block(XFB, tensor, None, msgs, DEFAULT_TOL, log=log)
         assert log.csi_slots() == frozenset()
         reads = {(r.tx, r.item_rx, r.item_slot) for r in log.output_reads()}
         assert reads == {(0, 1, 0), (1, 0, 1)}
@@ -167,16 +168,16 @@ class TestIC3OutputFeedback:
 
     def test_silent_antennas(self):
         tensor, msgs = _trial_data(ICFB, 51)
-        record = simulate_block(ICFB, tensor, None, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(ICFB, tensor, None, msgs, DEFAULT_TOL)
         for slot, payloads in enumerate(ICFB.schedule):
             for j, payload in enumerate(payloads):
                 if payload is None:
-                    assert record.x[j, slot] == 0j
+                    assert np.all(record.x[j, slot] == 0j)
 
     def test_only_own_outputs_read(self):
         tensor, msgs = _trial_data(ICFB, 52)
         log = AccessLog()
-        simulate_block(ICFB, tensor, None, msgs, 1.0, DEFAULT_TOL, log=log)
+        simulate_block(ICFB, tensor, None, msgs, DEFAULT_TOL, log=log)
         assert log.csi_slots() == frozenset()
         assert log.output_reads() != []
         assert all(r.item_rx == r.tx for r in log.output_reads())
@@ -195,7 +196,7 @@ class TestIC3OutputFeedback:
 
         tensor, msgs = _trial_data(ICFB, 53)
         with pytest.raises(CausalityViolation):
-            simulate_block(Leaky(), tensor, None, msgs, 1.0, DEFAULT_TOL)
+            simulate_block(Leaky(), tensor, None, msgs, DEFAULT_TOL)
 
     @pytest.mark.parametrize("perturb_from", range(5))
     def test_future_states_never_leak(self, perturb_from):
@@ -213,4 +214,4 @@ class TestInterpreterGuards:
 
         tensor, msgs = _trial_data(XFB, 61)
         with pytest.raises(CausalityViolation):
-            simulate_block(TooEager(), tensor, None, msgs, 1.0, DEFAULT_TOL)
+            simulate_block(TooEager(), tensor, None, msgs, DEFAULT_TOL)

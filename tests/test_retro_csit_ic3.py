@@ -26,8 +26,9 @@ SCHEME = IC3RetroCsitScheme()
 
 
 def _random_inputs(rng):
-    h5 = sample_complex_gaussian(rng, 3 * 3 * PHASE1_SLOTS).reshape(3, 3, PHASE1_SLOTS)
-    phase1 = sample_complex_gaussian(rng, 3 * 3 * PHASE1_SLOTS).reshape(3, 3, PHASE1_SLOTS)
+    """Phase-1 channel block and coefficients of one trial, as lone ``(3, 3, 5)`` systems."""
+    h5 = sample_complex_gaussian([rng], 3 * 3 * PHASE1_SLOTS).reshape(3, 3, PHASE1_SLOTS)
+    phase1 = sample_complex_gaussian([rng], 3 * 3 * PHASE1_SLOTS).reshape(3, 3, PHASE1_SLOTS)
     return h5, phase1
 
 
@@ -97,7 +98,7 @@ class TestPhase2Coefficients:
 
     def test_orthogonal_to_both_constraints(self, rng):
         for _ in range(50):
-            alphas = sample_complex_gaussian(rng, 18).reshape(3, 6)
+            alphas = sample_complex_gaussian([rng], 18).reshape(3, 6)
             coeffs = phase2_coefficients(alphas)
             for tx in range(3):
                 assert abs(np.linalg.norm(coeffs[tx]) - 1.0) <= 1e-12
@@ -105,7 +106,7 @@ class TestPhase2Coefficients:
                     assert abs(np.dot(coeffs[tx], _sub(alphas, rx, tx))) <= 1e-12
 
     def test_parallel_constraints_raise(self, rng):
-        alphas = sample_complex_gaussian(rng, 18).reshape(3, 6)
+        alphas = sample_complex_gaussian([rng], 18).reshape(3, 6)
         # make both constraints of transmitter 0 the same direction
         alphas[2, 0:3] = (0.5 - 0.25j) * alphas[1, 0:3]
         with pytest.raises(DegenerateCoefficients):
@@ -113,18 +114,19 @@ class TestPhase2Coefficients:
 
 
 def _trial_data(seed):
+    """Channel, offline coefficients and messages of a one-trial stack."""
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(3, 3, NUM_SLOTS, rng)
-    offline = SCHEME.draw_offline(rng)
-    msgs = SCHEME.draw_messages(rng)
+    tensor = generate_channel(3, 3, NUM_SLOTS, [rng])
+    offline = SCHEME.draw_offline([rng])
+    msgs = SCHEME.draw_messages([rng])
     return tensor, offline, msgs
 
 
 class TestEncoding:
     def test_phase1_matches_direct_summation(self):
         tensor, offline, msgs = _trial_data(11)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
-        u = msgs.reshape(3, 3)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
+        u = msgs.reshape(3, 3, 1)
         for k in range(3):
             for n in range(PHASE1_SLOTS):
                 expected = sum(offline.phase1[k, i, n] * u[k, i] for i in range(3))
@@ -132,7 +134,7 @@ class TestEncoding:
 
     def test_phase2_repeats_one_scalar(self):
         tensor, offline, msgs = _trial_data(12)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         assert np.array_equal(record.x[:, 5], record.x[:, 6])
         assert np.array_equal(record.x[:, 5], record.x[:, 7])
 
@@ -141,28 +143,29 @@ class TestEncoding:
         # the receivers re-derive the same triple from the full tensor.  Both
         # paths consume identical scalars, so the results match bit for bit.
         tensor, offline, msgs = _trial_data(13)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         _, coeffs, _ = effective_precoders(tensor.h, offline.phase1, DEFAULT_TOL)
-        u = msgs.reshape(3, 3)
+        u = msgs.reshape(3, 3, 1)
         for k in range(3):
-            assert record.x[k, 5] == complex(np.dot(coeffs[k], u[k]))
+            # the repeated scalar is the triple's products, summed left to right
+            expected = coeffs[k, 0] * u[k, 0] + coeffs[k, 1] * u[k, 1] + coeffs[k, 2] * u[k, 2]
+            assert np.array_equal(record.x[k, 5], expected)
 
     def test_unit_power_per_slot(self):
         tensor, offline, _ = _trial_data(14)
-        amp = 2.5
         coeffs = np.zeros((3, NUM_SLOTS, 9), dtype=np.complex128)
         for sym in range(9):
-            msgs = np.zeros(9, dtype=np.complex128)
+            msgs = np.zeros((9, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(SCHEME, tensor, offline, msgs, amp, DEFAULT_TOL)
-            coeffs[:, :, sym] = record.x
+            record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
+            coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
-        np.testing.assert_allclose(power, amp**2, rtol=1e-10)
+        np.testing.assert_allclose(power, 1.0, rtol=1e-10)
 
     def test_csi_reads_are_cross_channels_of_phase1(self):
         tensor, offline, msgs = _trial_data(15)
         log = AccessLog()
-        simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL, log=log)
+        simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL, log=log)
         assert log.csi_slots() == frozenset(range(PHASE1_SLOTS))
         csi = [r for r in log.records if r.kind == "csi"]
         # 2 annihilators x 2 interferers x 5 slots per transmitter
@@ -180,7 +183,7 @@ class TestTransmitCache:
     def test_cached_alphas_and_triples_match_the_oracle(self):
         tensor, offline, msgs = _trial_data(18)
         state: dict = {}
-        simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL, state=state)
+        simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL, state=state)
         alphas, coeffs, _ = effective_precoders(tensor.h, offline.phase1, DEFAULT_TOL)
         for k in range(3):
             for rx in interferers(k):
@@ -190,7 +193,7 @@ class TestTransmitCache:
     def test_stacked_victim_systems_equal_one_call_each(self):
         tensor, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
         state: dict = {}
-        simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL, state=state)
+        simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL, state=state)
         h5 = tensor.h[:, :, :PHASE1_SLOTS]
         for k in range(3):
             for rx in interferers(k):
@@ -233,7 +236,8 @@ class TestDecoding:
 
     def test_rank_five_confirmed_by_independent_oracle(self):
         tensor, offline, _ = _trial_data(16)
-        _, _, precoders = effective_precoders(tensor.h, offline.phase1, DEFAULT_TOL)
+        h = tensor.h[..., 0]
+        _, _, precoders = effective_precoders(h, offline.phase1[..., 0], DEFAULT_TOL)
         for rx in range(3):
             a, b = interferers(rx)
             cols = []
@@ -241,7 +245,7 @@ class TestDecoding:
                 for i in range(3):
                     cols.append(
                         np.array(
-                            [tensor.h[rx, j, n] * precoders[j, i, n] for n in range(NUM_SLOTS)]
+                            [h[rx, j, n] * precoders[j, i, n] for n in range(NUM_SLOTS)]
                         )
                     )
             interference = np.stack(cols, axis=1)
@@ -255,7 +259,7 @@ class TestDecoding:
         gen = np.random.default_rng(0)
 
         def wrong_triple(a, b, tx):
-            c = sample_complex_gaussian(gen, 3)
+            c = sample_complex_gaussian([gen], 3)
             return c / np.linalg.norm(c)
 
         monkeypatch.setattr(ic3, "_unit_cross", wrong_triple)

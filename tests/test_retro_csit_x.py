@@ -28,8 +28,9 @@ SCHEME = XRetroCsitScheme()
 
 
 def _random_inputs(rng):
-    h3 = sample_complex_gaussian(rng, 2 * 2 * 3).reshape(2, 2, 3)
-    phase1 = sample_complex_gaussian(rng, 2 * 2 * 2 * 3).reshape(2, 2, 2, 3)
+    """Phase-1 channel block and coefficients of one trial, as lone systems."""
+    h3 = sample_complex_gaussian([rng], 2 * 2 * 3).reshape(2, 2, 3)
+    phase1 = sample_complex_gaussian([rng], 2 * 2 * 2 * 3).reshape(2, 2, 2, 3)
     return h3, phase1
 
 
@@ -81,8 +82,8 @@ class TestAlignmentConstants:
         # (1, 0, 1, 0) has zero second and fourth entries, so the ratios
         # gamma = v0/v1 etc. are undefined and the draw must be discarded.
         h3 = np.ones((2, 2, 3), dtype=np.complex128)
-        h3[1] = sample_complex_gaussian(rng, 2 * 3).reshape(2, 3)
-        phase1 = sample_complex_gaussian(rng, 2 * 2 * 2 * 3).reshape(2, 2, 2, 3)
+        h3[1] = sample_complex_gaussian([rng], 2 * 3).reshape(2, 3)
+        phase1 = sample_complex_gaussian([rng], 2 * 2 * 2 * 3).reshape(2, 2, 2, 3)
         eye = np.eye(3, dtype=np.complex128)
         phase1[1, 0, 0, :] = eye[0]
         phase1[1, 0, 1, :] = eye[1]
@@ -147,8 +148,8 @@ class TestStackedSystems:
 
 class TestLayer2Vars:
     def test_definition(self, rng):
-        u = sample_complex_gaussian(rng, 8).reshape(2, 2, 2)
-        gamma = sample_complex_gaussian(rng, 4).reshape(2, 2)
+        u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2)
+        gamma = sample_complex_gaussian([rng], 4).reshape(2, 2)
         s = layer2_vars(u, gamma)
         for j in range(2):
             for k in range(2):
@@ -156,35 +157,36 @@ class TestLayer2Vars:
 
 
 def _trial_data(seed):
+    """Channel, offline coefficients and messages of a one-trial stack."""
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(2, 2, NUM_SLOTS, rng)
-    offline = SCHEME.draw_offline(rng)
-    msgs = SCHEME.draw_messages(rng)
+    tensor = generate_channel(2, 2, NUM_SLOTS, [rng])
+    offline = SCHEME.draw_offline([rng])
+    msgs = SCHEME.draw_messages([rng])
     return tensor, offline, msgs
 
 
 class TestEncoding:
     def test_zero_messages_given_zero_block(self):
         tensor, offline, _ = _trial_data(2)
-        msgs = np.zeros(8, dtype=np.complex128)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        msgs = np.zeros((8, 1), dtype=np.complex128)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         assert np.all(record.x == 0.0)
         assert np.all(record.y == 0.0)
 
     def test_single_symbol_readout(self):
         tensor, offline, _ = _trial_data(3)
-        msgs = np.zeros(8, dtype=np.complex128)
+        msgs = np.zeros((8, 1), dtype=np.complex128)
         msgs[0] = 1.0  # u[0, 0, 0]: first symbol from tx 0 to rx 0
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         for n in range(PHASE1_SLOTS):
-            assert record.x[0, n] == offline.phase1[0, 0, 0, n]
+            assert np.array_equal(record.x[0, n], offline.phase1[0, 0, 0, n])
         # tx 1 carries no part of this symbol in either phase
         assert np.all(record.x[1, :] == 0.0)
 
     def test_phase1_matches_direct_summation(self, rng):
         tensor, offline, msgs = _trial_data(4)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
-        u = msgs.reshape(2, 2, 2)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
+        u = msgs.reshape(2, 2, 2, 1)
         for j in range(2):
             for n in range(PHASE1_SLOTS):
                 expected = sum(
@@ -198,11 +200,11 @@ class TestEncoding:
         # Re-derive the phase-2 scalars from the slot-0..2 states alone,
         # through none of the view machinery, and compare exactly.
         tensor, offline, msgs = _trial_data(5)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         consts = alignment_constants(
             tensor.h[:, :, :PHASE1_SLOTS], offline.phase1, DEFAULT_TOL
         )
-        s = layer2_vars(msgs.reshape(2, 2, 2), consts.gamma)
+        s = layer2_vars(msgs.reshape(2, 2, 2, 1), consts.gamma)
         for j in range(2):
             for p in range(4):
                 c = offline.phase2[j, :, p]
@@ -211,29 +213,28 @@ class TestEncoding:
                     + abs(c[1]) ** 2 * (1.0 + abs(consts.gamma[j, 1]) ** 2)
                 )
                 expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / norm
-                assert record.x[j, PHASE1_SLOTS + p] == expected
+                assert np.array_equal(record.x[j, PHASE1_SLOTS + p], expected)
 
     def test_csi_reads_are_exactly_phase1_slots(self):
         tensor, offline, msgs = _trial_data(6)
         log = AccessLog()
-        simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL, log=log)
+        simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL, log=log)
         assert log.csi_slots() == frozenset(range(PHASE1_SLOTS))
         assert log.output_reads() == []
 
     def test_unit_power_per_slot(self):
         # The scalar each antenna sends is a linear form in the 8 unit-power
         # symbols; summing squared coefficients (extracted by unit impulses)
-        # gives the average transmit power, which the design pins to amp**2.
+        # gives the average transmit power, which the design pins to 1.
         tensor, offline, _ = _trial_data(7)
-        amp = 3.0
         coeffs = np.zeros((2, NUM_SLOTS, 8), dtype=np.complex128)
         for sym in range(8):
-            msgs = np.zeros(8, dtype=np.complex128)
+            msgs = np.zeros((8, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(SCHEME, tensor, offline, msgs, amp, DEFAULT_TOL)
-            coeffs[:, :, sym] = record.x
+            record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
+            coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
-        np.testing.assert_allclose(power, amp**2, rtol=1e-10)
+        np.testing.assert_allclose(power, 1.0, rtol=1e-10)
 
     @pytest.mark.parametrize("perturb_from", range(NUM_SLOTS))
     def test_future_states_never_leak(self, perturb_from):
@@ -274,13 +275,15 @@ class TestDecoding:
 
     def test_decode_is_linear_in_observations(self):
         tensor, offline, msgs = _trial_data(8)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         ctx = decode_context(SCHEME, tensor, offline)
         y = record.y
         base = SCHEME.decode(y, ctx)
         scaled = SCHEME.decode((2.0 - 1.0j) * y, ctx)
         np.testing.assert_allclose(scaled, (2.0 - 1.0j) * base, rtol=1e-10)
-        z = sample_complex_gaussian(np.random.default_rng(0), 2 * NUM_SLOTS).reshape(2, NUM_SLOTS)
+        z = sample_complex_gaussian([np.random.default_rng(0)], 2 * NUM_SLOTS).reshape(
+            2, NUM_SLOTS, 1
+        )
         lhs = SCHEME.decode(y + z, ctx)
         rhs = base + SCHEME.decode(z, ctx)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
@@ -297,11 +300,11 @@ class TestTransmitterBlindness:
         # scalars; views for the later slots expose more history, yet the
         # sent values must not change (nothing beyond slot 2 is consumed).
         tensor, offline, msgs = _trial_data(9)
-        record = simulate_block(SCHEME, tensor, offline, msgs, 1.0, DEFAULT_TOL)
+        record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         h2 = tensor.h.copy()
         h2[:, :, PHASE1_SLOTS:] *= np.exp(1.1j)
         from alignsim.channel import ChannelTensor
 
         perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
-        record2 = simulate_block(SCHEME, perturbed, offline, msgs, 1.0, DEFAULT_TOL)
+        record2 = simulate_block(SCHEME, perturbed, offline, msgs, DEFAULT_TOL)
         np.testing.assert_array_equal(record.x, record2.x)
