@@ -1,19 +1,23 @@
-"""Common contract shared by every transmission scheme, and its one decoder.
+"""Common contract shared by every transmission scheme: its one encoder engine and one decoder.
 
-A scheme is a stateless description of one block: how many slots, antennas,
-receivers and information symbols it uses, which feedback model it assumes,
-and how to encode and certify a single block.  All per-trial data
-(channel, offline coefficients, messages, cached alignment constants) is
-passed in explicitly, so one scheme instance can be shared freely across
-trials and worker processes.
+A scheme is a stateless description of one block: a schedule of payloads,
+the feedback model it assumes and the certificates of its construction.
+All per-trial data (channel, offline coefficients, messages, cached
+derivations) is passed in explicitly, so one scheme instance can be shared
+freely across trials and worker processes.
 
-Encoding happens one scalar at a time through ``transmit``; the only window
-into the channel or the past outputs is the :class:`~alignsim.channel.\
-TxInformationView` handed in by the block driver, which makes the feedback
-causality of every scheme mechanically checkable.
+The schedule assigns each (slot, antenna) a payload, and it fixes the
+block's size.  :meth:`Scheme.transmit`, the one encoder engine, sends a
+payload one scalar at a time: an information symbol, a replayed output, a
+combination of clean observations rebuilt from delayed CSIT, or a
+coefficient row over named symbols.  A row comes from the offline draw or
+from the sending entity's :meth:`Scheme.derive`, which the engine runs once
+per block.  The only window into the channel or the past outputs is the
+:class:`~alignsim.channel.TxInformationView` handed in by the block driver,
+which makes the feedback causality of every scheme mechanically checkable.
 
-Every scheme is complex-linear in its symbols, so decoding is the same for
-all of them and is defined here once.  The encoder's impulse response at
+Every payload is complex-linear in the symbols, so decoding is the same for
+all schemes and is defined here once.  The encoder's impulse response at
 receiver ``rx`` (what the receiver observes when one symbol is 1 and the
 rest are 0) is a ``num_slots x num_symbols`` receive matrix ``G``.  The
 receiver zero-forces with the rows of ``G⁺`` that belong to its own
@@ -36,10 +40,14 @@ import numpy as np
 
 from .channel import ChannelTensor, FeedbackModel, TxInformationView
 from .numerics import (
-    NumericsError, Singular, Tolerances, matvec, sample_complex_gaussian, zero_forcing_rows,
+    NumericsError, Singular, Tolerances, dot, matvec, ordered_sum, sample_complex_gaussian,
+    zero_forcing_rows,
 )
 
-__all__ = ["InterferenceRankUnexpected", "DecodeContext", "Scheme", "certificate_failures"]
+__all__ = [
+    "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "ComboPayload", "RowPayload",
+    "Derivation", "DecodeContext", "Scheme", "certificate_failures",
+]
 
 #: The comparison a certificate value must pass, by direction of its check.
 _PASSES = {"<=": np.less_equal, ">": np.greater, "==": np.equal}
@@ -55,6 +63,73 @@ class InterferenceRankUnexpected(NumericsError):
 
 
 @dataclass(frozen=True)
+class SymbolPayload:
+    """Send information symbol ``symbol`` at full power."""
+
+    symbol: int
+
+    @property
+    def symbols(self) -> tuple[int]:
+        """The one symbol it names, as a row names its symbols."""
+        return (self.symbol,)
+
+
+@dataclass(frozen=True)
+class OutputPayload:
+    """Replay the value receiver ``rx`` observed at ``slot``, unscaled.
+
+    The transmitter reads the stored output through its feedback view; it
+    has no channel knowledge, so the replay cannot be renormalized and its
+    power is proportional to, not exactly equal to, the slot budget.
+    """
+
+    rx: int
+    slot: int
+
+
+@dataclass(frozen=True)
+class ComboPayload:
+    """Send the sum of clean combinations ``refs``, rebuilt from delayed CSIT.
+
+    Each ref ``(rx, slot)`` names the noise-free linear combination receiver
+    ``rx`` observed at ``slot``.  The transmitter knows the symbols it sent
+    and, once the feedback delay has passed, the channel states, so it can
+    reconstruct the combinations exactly and normalize the sum to full
+    power.
+    """
+
+    refs: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class RowPayload:
+    """Send ``rows[row] . msgs[symbols]``: a coefficient row over the named symbols.
+
+    ``rows`` is the offline draw's ``offline.rows``, or, where ``derived``,
+    the ``rows`` of the :class:`Derivation` the sending entity derived from
+    its view (:meth:`Scheme.derive`).  Each row is a ``(len(symbols), T)``
+    array that the draw or the derivation normalizes to full power.
+    """
+
+    symbols: tuple[int, ...]
+    row: int | tuple[int, ...]
+    derived: bool = False
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """What a transmitter entity derives once per block from its view.
+
+    ``rows`` are its derived coefficient rows (see :class:`RowPayload`), and
+    ``constants`` the retrospective constants they were computed from, which
+    the scheme's certificates check.
+    """
+
+    rows: np.ndarray
+    constants: Any
+
+
+@dataclass(frozen=True)
 class DecodeContext:
     """The zero-forcing decoders of one block and what the certificates read.
 
@@ -62,8 +137,8 @@ class DecodeContext:
     stack of matrices that map receiver ``rx``'s observations to its
     symbols; ``receive_cond[rx]`` and ``zf_residual[rx]`` are their guards
     (see :func:`~alignsim.numerics.zero_forcing_rows`), ``(T,)`` each.  ``state``
-    is the encoder's scratch dict of the block run the decoders were read
-    from, where the schemes cached their alignment constants.
+    is the encoder's cache of the block run the decoders were read from: the
+    :class:`Derivation` of each entity that derived rows, keyed by entity.
     """
 
     decoders: tuple[np.ndarray, ...]
@@ -75,15 +150,30 @@ class DecodeContext:
 
 
 class Scheme:
-    """Base class; subclasses fill in the class attributes, ``transmit`` and their certificates."""
+    """Base class and encoder engine: subclasses give a schedule, their draws and certificates.
+
+    ``schedule[slot][antenna]`` is a payload, or ``None`` for silence.  The
+    schedule fixes the block's size: ``num_slots`` is its number of rows,
+    ``num_tx`` their length and ``num_symbols`` the number of symbols its
+    payloads name.
+    """
 
     scheme_id: str
+    schedule: tuple[tuple[object, ...], ...]
     num_slots: int
     num_rx: int
     num_tx: int          # channel inputs (antennas)
     num_symbols: int
     feedback: FeedbackModel
     csi_slot_budget: Fraction  # largest legal fraction of slots with CSI read back
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.num_slots = len(cls.schedule)
+        cls.num_tx = len(cls.schedule[0])
+        cls.num_symbols = len(
+            {s for payloads in cls.schedule for p in payloads for s in getattr(p, "symbols", ())}
+        )
 
     def entity_of(self, antenna: int) -> int:
         """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
@@ -93,13 +183,18 @@ class Scheme:
         """Channel-independent coefficients shared by all nodes before the block.
 
         ``rngs`` is a sequence of ``T`` generators, one per trial, whose draws
-        are stacked on a trailing trial axis.
+        are stacked on a trailing trial axis.  A schedule with offline rows
+        reads them as ``offline.rows``.
         """
         return None
 
     def draw_messages(self, rngs) -> np.ndarray:
         """Unit-power information symbols ``(num_symbols, T)`` (``rngs`` as above)."""
         return sample_complex_gaussian(rngs, self.num_symbols)
+
+    def derive(self, view: TxInformationView, offline: Any, tol: Tolerances) -> Derivation:
+        """The :class:`Derivation` of entity ``view.tx``, read at its first derived slot."""
+        raise NotImplementedError(f"{self.scheme_id} schedules no derived rows")
 
     def symbols_for_rx(self, rx: int) -> list[int]:
         """Indices into the message vector that receiver ``rx`` must recover.
@@ -124,7 +219,7 @@ class Scheme:
         state: dict,
         tol: Tolerances,
     ) -> complex | np.ndarray:
-        """Scalar sent from ``antenna`` at ``slot``.
+        """Scalar sent from ``antenna`` at ``slot``: its payload in the schedule.
 
         ``msgs`` has shape ``(num_symbols, *B, T)``: ``B`` is empty or one
         axis of blocks on each trial's channel, and ``T`` is the trial axis,
@@ -133,19 +228,42 @@ class Scheme:
         for all of them.  View reads carry both axes through and are logged
         once per read whatever ``B`` and ``T`` are.
 
-        ``state`` is a per-block scratch dict for caching constants computed
-        from the view (it starts empty each block).  The scalar must be
-        complex-linear in ``msgs`` and in the outputs it replays, so a power
-        ``P`` is the message scale ``sqrt(P)``.  Payloads built from the
-        symbols alone (a symbol, a combination of symbols, a combination of
-        clean observations rebuilt from delayed CSIT) are normalized: with
-        unit-power messages their average power is exactly 1 per (antenna,
-        slot), whatever the channel.  A replayed output is not: it is sent
-        as received, so its power follows its slot's channel gains and
-        noise.  For noiseless unit-power messages it averages 2 over channel
-        draws, since two antennas feed every replayed slot (ROADMAP item 4).
+        ``state`` is the block's cache (it starts empty each block): at an
+        entity's first derived row, the engine stores its :meth:`derive`
+        under the entity index.  The scalar is complex-linear in ``msgs``
+        and in the outputs it replays, so a power ``P`` is the message scale
+        ``sqrt(P)``.  Payloads built from the symbols alone (a symbol, a
+        coefficient row, a combination of clean observations rebuilt from
+        delayed CSIT) are normalized: with unit-power messages their average
+        power is exactly 1 per (antenna, slot), whatever the channel.  A
+        replayed output is not: it is sent as received, so its power follows
+        its slot's channel gains and noise.  For noiseless unit-power
+        messages it averages 2 over channel draws, since two antennas feed
+        every replayed slot (ROADMAP item 4).
         """
-        raise NotImplementedError
+        payload = self.schedule[slot][antenna]
+        if payload is None:
+            return 0j
+        if isinstance(payload, SymbolPayload):
+            return msgs[payload.symbol]
+        if isinstance(payload, OutputPayload):
+            return view.output(payload.rx, payload.slot)
+        if isinstance(payload, ComboPayload):
+            # each coefficient is read once; their norm scales the sum to full power
+            terms = [
+                (view.channel_coeff(r, j, m), other.symbol)
+                for r, m in payload.refs
+                for j, other in enumerate(self.schedule[m])
+                if isinstance(other, SymbolPayload)
+            ]
+            norm = np.sqrt(ordered_sum(abs(coeff) ** 2 for coeff, _ in terms))
+            return ordered_sum(coeff * msgs[symbol] for coeff, symbol in terms) / norm
+        if isinstance(payload, RowPayload):
+            if payload.derived and view.tx not in state:
+                state[view.tx] = self.derive(view, offline, tol)
+            source = state[view.tx] if payload.derived else offline
+            return dot(source.rows[payload.row], msgs[list(payload.symbols)])
+        raise TypeError(f"unknown payload {payload!r}")
 
     def decode_context(
         self, tensor, offline: Any, tol: Tolerances, response: np.ndarray, state: dict

@@ -1,12 +1,13 @@
 """Eight-slot delayed-CSIT scheme for the 3-user interference channel (9 symbols / 8 slots).
 
 Transmitter ``k`` carries three symbols ``u[k, 0..2]`` for receiver ``k``
-(flat index ``3k + i``).  Slot plan (0-based):
+(flat index ``3k + i``).  The scheme is a schedule of coefficient rows over
+each transmitter's own three symbols (slots 0-based):
 
-* Slots 0-4: each transmitter sends offline random combinations of its own
-  three symbols.  No channel knowledge is used.
-* Slots 5-7: each transmitter repeats a single retrospectively chosen
-  combination ``s[k] = c[k] . u[k]``, three times, using no channel
+* Slots 0-4: offline random rows.  No channel knowledge is used.
+* Slots 5-7: one row derived once per transmitter
+  (:meth:`IC3RetroCsitScheme.derive`), the retrospectively chosen
+  combination ``s[k] = c[k] . u[k]``, sent three times, using no channel
   knowledge of the current slots.
 
 At receiver ``k``, the phase-1 interference from its two interferers spans a
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .base import Scheme
+from .base import Derivation, RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
     Degenerate,
@@ -51,7 +52,6 @@ __all__ = [
     "IC3RetroCsitScheme",
 ]
 
-NUM_SLOTS = 8
 PHASE1_SLOTS = 5
 
 #: A phase-2 cross product of unit-norm alpha sub-triples shorter than this
@@ -72,6 +72,11 @@ class ICOffline:
 
     phase1: np.ndarray
 
+    @property
+    def rows(self) -> np.ndarray:
+        """``rows[k, n]``: transmitter k's slot-n row of ``phase1`` over its own symbols."""
+        return np.moveaxis(self.phase1, 2, 1)
+
 
 def interferers(rx: int) -> tuple[int, int]:
     """The two transmitters interfering at ``rx``, lower index first."""
@@ -88,6 +93,11 @@ def alpha_system(h5: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     a, b = interferers(rx)
     cols = [h5[rx, j, :] * phase1[j, i, :] for j in (a, b) for i in range(3)]
     return np.stack(cols, axis=1)
+
+
+def _own(k: int) -> tuple[int, ...]:
+    """Flat indices of transmitter ``k``'s symbols ``u[k, 0..2]``."""
+    return (3 * k, 3 * k + 1, 3 * k + 2)
 
 
 def _alpha_sub(alpha: np.ndarray, rx: int, tx: int) -> np.ndarray:
@@ -113,12 +123,13 @@ class IC3RetroCsitScheme(Scheme):
     """3-user interference channel, delayed CSIT, 9 symbols over 8 slots."""
 
     scheme_id = "ic3_retro_csit"
-    num_slots = NUM_SLOTS
     num_rx = 3
-    num_tx = 3
-    num_symbols = 9
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
-    csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
+    schedule = (
+        *[tuple(RowPayload(_own(k), (k, n)) for k in range(3)) for n in range(PHASE1_SLOTS)],
+        *[tuple(RowPayload(_own(k), 0, derived=True) for k in range(3))] * 3,
+    )
+    csi_slot_budget = Fraction(PHASE1_SLOTS, len(schedule))
 
     def draw_offline(self, rngs) -> ICOffline:
         phase1 = sample_complex_gaussian(rngs, 3 * 3 * PHASE1_SLOTS)
@@ -126,32 +137,25 @@ class IC3RetroCsitScheme(Scheme):
         # unit power per (transmitter, slot): normalize over the symbol axis
         return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
-    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
-        u = msgs.reshape(3, 3, *msgs.shape[1:])
-        k = antenna
-        if slot < PHASE1_SLOTS:
-            return dot(offline.phase1[k, :, slot], u[k])
-        key = ("coeff", view.tx)
-        if key not in state:
-            # Transmitter k only needs the annihilators of the two receivers
-            # it interferes with, and reads only their cross channels.
-            victims = interferers(k)
-            h5 = np.zeros((3, 3, *offline.phase1.shape[2:]), dtype=np.complex128)
-            for rx in victims:
-                for j in interferers(rx):
-                    for n in range(PHASE1_SLOTS):
-                        h5[rx, j, n] = view.channel_coeff(rx, j, n)
-            # both victims' systems in one null_vector call, stacked after the columns
-            alphas = null_vector(
-                np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2), tol
-            )
-            subs = []
-            for idx, rx in enumerate(victims):
-                state[("alpha", k, rx)] = alphas[:, idx]
-                subs.append(_alpha_sub(alphas[:, idx], rx, k))
-            state[key] = _unit_cross(subs[0], subs[1], k)
-        # The same scalar is repeated in every phase-2 slot.
-        return dot(state[key], u[k])
+    def derive(self, view, offline, tol):
+        """Transmitter ``view.tx``'s phase-2 triple, with the annihilators it was built from.
+
+        Transmitter ``k`` only needs the annihilators of the two receivers it
+        interferes with, and reads only their cross channels.
+        """
+        k, victims = view.tx, interferers(view.tx)
+        h5 = np.zeros((3, 3, *offline.phase1.shape[2:]), dtype=np.complex128)
+        for rx in victims:
+            for j in interferers(rx):
+                for n in range(PHASE1_SLOTS):
+                    h5[rx, j, n] = view.channel_coeff(rx, j, n)
+        # both victims' systems in one null_vector call, stacked after the columns
+        alphas = null_vector(
+            np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2), tol
+        )
+        alphas = dict(zip(victims, np.moveaxis(alphas, 1, 0)))
+        triple = _unit_cross(*[_alpha_sub(alphas[rx], rx, k) for rx in victims], k)
+        return Derivation(triple[None], alphas)
 
     def certificates(self, ctx, tol):
         """Decoder certificates plus the residuals of the encoder's cached alphas and triples."""
@@ -159,7 +163,7 @@ class IC3RetroCsitScheme(Scheme):
         h5 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
         for rx in range(3):
             a = alpha_system(h5, ctx.offline.phase1, rx)
-            alpha = ctx.state[("alpha", interferers(rx)[0], rx)]
+            alpha = ctx.state[interferers(rx)[0]].constants[rx]
             residual = vector_norm(matvec(a, alpha)) / frobenius_norm(a)
             rows.append((f"alpha_residual_rx{rx}", residual, "<=", tol.residual_rel))
         # The defining orthogonality of each transmitter's triple against the
@@ -167,6 +171,6 @@ class IC3RetroCsitScheme(Scheme):
         constraint = 0.0
         for tx in range(3):
             for rx in interferers(tx):
-                sub = _alpha_sub(ctx.state[("alpha", tx, rx)], rx, tx)
-                constraint = np.maximum(constraint, abs(dot(ctx.state[("coeff", tx)], sub)))
+                sub = _alpha_sub(ctx.state[tx].constants[rx], rx, tx)
+                constraint = np.maximum(constraint, abs(dot(ctx.state[tx].rows[0], sub)))
         return rows + [("constraint_residual", constraint, "<=", CONSTRAINT_RESIDUAL_MAX)]

@@ -4,15 +4,17 @@ Two transmitters each carry one two-symbol message for each of two receivers.
 Message symbols are ``u[k, j, i]``: the i-th symbol (i in {0, 1}) from
 transmitter ``j`` to receiver ``k``; the flat index is ``4k + 2j + i``.
 
-Slot plan (0-based):
+The scheme is a schedule of coefficient rows over each transmitter's own
+four symbols (slots 0-based):
 
-* Slots 0-2: each transmitter sends offline random combinations of its own
-  four symbols.  No channel knowledge is used.
-* Slots 3-6: each transmitter sends offline random combinations of its two
-  second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]``.
-  The constants ``gamma`` are chosen, from the slot-0..2 channel states that
-  the one-slot feedback delay has made available, so that at each receiver
-  the two cross interference symbols arrive along a single direction.
+* Slots 0-2: offline random rows.  No channel knowledge is used.
+* Slots 3-6: rows derived once per transmitter (:meth:`XRetroCsitScheme.\
+  derive`): offline random combinations of its two second-layer variables
+  ``s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]``, written out over the
+  symbols.  The constants ``gamma`` are chosen, from the slot-0..2 channel
+  states that the one-slot feedback delay has made available, so that at
+  each receiver the two cross interference symbols arrive along a single
+  direction.
 
 For receiver 0 the constants come from the unique null vector
 ``(gamma[0, 1], 1, -beta * gamma[1, 1], -beta)`` of the 3x4 matrix whose
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .base import Scheme
+from .base import Derivation, RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
     Degenerate,
@@ -41,7 +43,6 @@ from .numerics import (
     frobenius_norm,
     matvec,
     null_vector,
-    ordered_sum,
     sample_complex_gaussian,
     singular_values,
     vector_norm,
@@ -53,13 +54,15 @@ __all__ = [
     "XAlignmentConstants",
     "interference_system",
     "alignment_constants",
-    "layer2_vars",
     "XRetroCsitScheme",
 ]
 
-NUM_SLOTS = 7
 PHASE1_SLOTS = 3
-PHASE2_SLOTS = NUM_SLOTS - PHASE1_SLOTS
+
+
+def _own(j: int) -> tuple[int, ...]:
+    """Flat indices of transmitter ``j``'s symbols ``u[0, j, :]`` and ``u[1, j, :]``."""
+    return (2 * j, 2 * j + 1, 4 + 2 * j, 5 + 2 * j)
 
 
 class DegenerateNormalization(Degenerate):
@@ -78,6 +81,11 @@ class XOffline:
 
     phase1: np.ndarray
     phase2: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """``rows[j, n]``: transmitter j's slot-n row of ``phase1`` over its own symbols."""
+        return self.phase1.transpose(1, 3, 0, 2, 4).reshape(2, PHASE1_SLOTS, 4, -1)
 
 
 @dataclass(frozen=True)
@@ -138,73 +146,45 @@ def alignment_constants(
     return XAlignmentConstants(gamma=gamma, beta=beta, delta=delta)
 
 
-def layer2_vars(u: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``.
-
-    ``u`` has shape ``(2, 2, 2, *B, T)``, ``gamma`` ``(2, 2, T)`` and the
-    result ``(2, 2, *B, T)``.
-    """
-    s = np.empty((2, 2, *u.shape[3:]), dtype=np.complex128)
-    for j in range(2):
-        for k in range(2):
-            s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]
-    return s
-
-
-def _phase2_norm(c: np.ndarray, gamma_j: np.ndarray):
-    """Power normalizer for a phase-2 scalar expressed in the unit-power symbol basis."""
-    return np.sqrt(
-        abs(c[0]) ** 2 * (1.0 + abs(gamma_j[0]) ** 2)
-        + abs(c[1]) ** 2 * (1.0 + abs(gamma_j[1]) ** 2)
-    )
-
-
 class XRetroCsitScheme(Scheme):
     """X channel, delayed CSIT, 8 symbols over 7 slots."""
 
     scheme_id = "x_retro_csit"
-    num_slots = NUM_SLOTS
     num_rx = 2
-    num_tx = 2
-    num_symbols = 8
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
-    csi_slot_budget = Fraction(PHASE1_SLOTS, NUM_SLOTS)
+    schedule = (
+        *[tuple(RowPayload(_own(j), (j, n)) for j in range(2)) for n in range(PHASE1_SLOTS)],
+        *[tuple(RowPayload(_own(j), p, derived=True) for j in range(2)) for p in range(4)],
+    )
+    csi_slot_budget = Fraction(PHASE1_SLOTS, len(schedule))
 
     def draw_offline(self, rngs) -> XOffline:
-        trials = len(rngs)
+        trials, phase2_slots = len(rngs), self.num_slots - PHASE1_SLOTS
         phase1 = sample_complex_gaussian(rngs, 2 * 2 * 2 * PHASE1_SLOTS)
         phase1 = phase1.reshape(2, 2, 2, PHASE1_SLOTS, trials)
         # Unit transmit power per (transmitter, slot): the scalar sent is the
         # sum of coefficient * unit-power symbol.
         norm = vector_norm(phase1.swapaxes(1, 2).reshape(4, 2, PHASE1_SLOTS, trials))
-        phase2 = sample_complex_gaussian(rngs, 2 * 2 * PHASE2_SLOTS)
+        phase2 = sample_complex_gaussian(rngs, 2 * 2 * phase2_slots)
         return XOffline(
             phase1=phase1 / norm[None, :, None],
-            phase2=phase2.reshape(2, 2, PHASE2_SLOTS, trials),
+            phase2=phase2.reshape(2, 2, phase2_slots, trials),
         )
 
-    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
-        u = msgs.reshape(2, 2, 2, *msgs.shape[1:])
-        j = antenna
-        if slot < PHASE1_SLOTS:
-            coeff = offline.phase1[:, j, :, slot]
-            return ordered_sum(coeff[k, i] * u[k, j, i] for k in range(2) for i in range(2))
-        key = ("constants", view.tx)
-        if key not in state:
-            # First phase-2 slot: the delay has made slots 0..2 visible.
-            h3 = view.channel_states(range(PHASE1_SLOTS))
-            state[key] = alignment_constants(h3, offline.phase1, tol)
-        constants = state[key]
-        s = layer2_vars(u, constants.gamma)
-        c = offline.phase2[j, :, slot - PHASE1_SLOTS]
-        raw = c[0] * s[j, 0] + c[1] * s[j, 1]
-        return raw / _phase2_norm(c, constants.gamma[j])
+    def derive(self, view, offline, tol):
+        """Transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states."""
+        h3 = view.channel_states(range(PHASE1_SLOTS))
+        constants = alignment_constants(h3, offline.phase1, tol)
+        gamma, c = constants.gamma[view.tx], offline.phase2[view.tx]
+        # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
+        rows = np.stack([c[0], -c[0] * gamma[0], c[1], -c[1] * gamma[1]])
+        return Derivation(np.moveaxis(rows / vector_norm(rows), 1, 0), constants)
 
     def certificates(self, ctx, tol):
         """Decoder certificates plus the alignment of the encoder's cached constants."""
         h3 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
         phase1 = ctx.offline.phase1
-        constants = ctx.state[("constants", 0)]
+        constants = ctx.state[0].constants
         gamma = constants.gamma
         align, crosses = [], []
         for rx in range(2):

@@ -20,7 +20,6 @@ import numpy as np
 
 from alignsim.numerics import Tolerances, null_vector
 from alignsim.retro_csit_ic3 import (
-    NUM_SLOTS,
     PHASE1_SLOTS,
     _alpha_sub,
     _unit_cross,
@@ -186,8 +185,8 @@ def effective_precoders(
     """
     alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1, tol)
     coeffs = phase2_coefficients(alphas)
-    precoders = np.empty((3, 3, NUM_SLOTS, *h.shape[3:]), dtype=np.complex128)
+    precoders = np.empty((3, 3, *h.shape[2:]), dtype=np.complex128)
     precoders[:, :, :PHASE1_SLOTS] = phase1
-    for n in range(PHASE1_SLOTS, NUM_SLOTS):
+    for n in range(PHASE1_SLOTS, h.shape[2]):
         precoders[:, :, n] = coeffs
     return alphas, coeffs, precoders

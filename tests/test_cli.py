@@ -17,15 +17,10 @@ import alignsim.cli as cli
 import alignsim.evaluate as evaluate
 import alignsim.retro_csit_ic3 as retro_csit_ic3
 import alignsim.retro_csit_x as retro_csit_x
+from alignsim.base import ComboPayload, OutputPayload
 from alignsim.cli import RunConfig, UsageError, _render_json, main, parse_config, run
 from alignsim.evaluate import SchemeFailure
-from alignsim.output_feedback import (
-    BcMatScheme,
-    ComboPayload,
-    IC3OutputFeedbackScheme,
-    OutputPayload,
-    XOutputFeedbackScheme,
-)
+from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutputFeedbackScheme
 from alignsim.registry import SCHEMES
 
 

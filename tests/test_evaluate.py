@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alignsim.base import certificate_failures
+from alignsim.base import OutputPayload, certificate_failures
 from alignsim.channel import generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
@@ -24,6 +24,7 @@ from alignsim.evaluate import (
     _run_batch,
     dof_by_counting,
     estimate_dof,
+    future_perturbation_invariant,
     noise_transfer_weights,
     run_single_trial,
     run_trials,
@@ -47,6 +48,14 @@ from _decode import decode_context
 from _outcomes import outcome_fields
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
+
+#: Transmitter that owns each symbol, in the schemes with one entity per antenna.
+OWNER = {
+    "x_retro_csit": lambda s: (s // 2) % 2,
+    "ic3_retro_csit": lambda s: s // 3,
+    "x_output_fb": lambda s: s % 2,
+    "ic3_output_fb": lambda s: s // 2,
+}
 
 
 class TestSimulateBlock:
@@ -76,6 +85,45 @@ class TestSimulateBlock:
         assert np.array_equal(twice.x, 2.0 * once.x)
         assert np.array_equal(twice.y, 2.0 * once.y)
         assert np.any(once.y != 0.0)
+
+    @pytest.mark.parametrize("scheme_id", sorted(OWNER))
+    def test_distributed_transmitters_send_only_their_own_symbols(self, scheme_id):
+        # transmitter j knows only its own messages: a block that carries
+        # every other symbol, one per batch column, leaves it silent wherever
+        # it does not replay an output
+        scheme = get_scheme(scheme_id)
+        tensor, offline, _ = _draw_batch(scheme, 14, [(t, 0) for t in range(6)])
+        for j in range(scheme.num_tx):
+            others = [s for s in range(scheme.num_symbols) if OWNER[scheme_id](s) != j]
+            msgs = np.zeros((scheme.num_symbols, len(others), tensor.num_trials), complex)
+            msgs[others, range(len(others))] = 1.0
+            record = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
+            assert np.any(record.x != 0.0)
+            for n, payloads in enumerate(scheme.schedule):
+                if not isinstance(payloads[j], OutputPayload):
+                    assert np.all(record.x[j, n] == 0.0), (j, n)
+
+    @pytest.mark.parametrize("scheme_id, entities", [("x_retro_csit", 2), ("ic3_retro_csit", 3)])
+    def test_derive_runs_once_per_entity_per_block_run(self, monkeypatch, scheme_id, entities):
+        # the engine caches each entity's derivation under the entity index;
+        # a later run on the same state (the rate weights' run) reuses it
+        scheme = get_scheme(scheme_id)
+        derive, calls = scheme.derive, []
+
+        def counted(view, offline, tol):
+            calls.append(view.tx)
+            return derive(view, offline, tol)
+
+        monkeypatch.setattr(scheme, "derive", counted)
+        tensor, offline, msgs = _draw_batch(scheme, 15, [(t, 0) for t in range(4)])
+        state: dict = {}
+        first = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, state=state)
+        assert sorted(calls) == sorted(state) == list(range(entities))
+        again = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, state=state)
+        assert len(calls) == entities
+        assert np.array_equal(again.x, first.x)
+        simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
+        assert len(calls) == 2 * entities
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
     def test_error_is_linear_in_noise_and_inverse_in_amplitude(self, scheme_id):
@@ -112,6 +160,36 @@ class TestSimulateBlock:
         lhs = decode_error(1.0, noise + noise2, msgs)
         rhs = base + decode_error(1.0, noise2, msgs)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+
+
+class _PeeksAtTheCurrentSlot(BcMatScheme):
+    """Scales antenna 0's slot-2 scalar by ``|h[0, 0, 2]|``, read past the view."""
+
+    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
+        x = super().transmit(antenna, slot, view, msgs, offline, state, tol)
+        if (antenna, slot) == (0, 2):
+            return x * np.abs(view._tensor.h[0, 0, 2])
+        return x
+
+
+def test_perturbation_check_catches_a_scheme_that_peeks(monkeypatch):
+    """The causality check can fail: it flags a transmitter that reads the current slot.
+
+    The peek scales a scalar by a channel gain the receivers know, so the
+    scheme still decodes exactly and ``verify`` passes it; only the
+    perturbation check, cut at the peeked slot, tells (ROADMAP item 7).  It
+    tells through the last bits: its perturbation is a phase rotation, which
+    keeps ``|h|`` but for rounding, and that changes about half the draws'
+    magnitudes, so the check runs on 20 trials.
+    """
+    scheme = _PeeksAtTheCurrentSlot()
+    monkeypatch.setitem(SCHEMES, "bc_mat", scheme)
+    report = run_trials("bc_mat", 20, base_seed=0)
+    assert report.all_decode_ok and report.max_rel_symbol_error <= 1e-12
+    invariant = [
+        future_perturbation_invariant(scheme, 0, range(20), cut, DEFAULT_TOL) for cut in range(3)
+    ]
+    assert invariant == [True, True, False]
 
 
 class TestNoiseWeights:

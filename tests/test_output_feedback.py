@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
+from alignsim.base import OutputPayload, SymbolPayload
 from alignsim.channel import AccessLog, CausalityViolation, generate_channel
 from alignsim.evaluate import future_perturbation_invariant, simulate_block
 from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
-from alignsim.output_feedback import (
-    BcMatScheme,
-    IC3OutputFeedbackScheme,
-    OutputPayload,
-    ScheduledScheme,
-    SymbolPayload,
-    XOutputFeedbackScheme,
-)
+from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutputFeedbackScheme
 from alignsim.registry import SCHEMES
 
 from _outcomes import run_with_batches
@@ -19,7 +13,6 @@ from _outcomes import run_with_batches
 BC = BcMatScheme()
 XFB = XOutputFeedbackScheme()
 ICFB = IC3OutputFeedbackScheme()
-SCHEDULED = [scheme for scheme in SCHEMES.values() if isinstance(scheme, ScheduledScheme)]
 
 
 def _trial_data(scheme, seed):
@@ -42,24 +35,38 @@ def fb_report(request):
     return request.param, *run_with_batches(request.param, 200, base_seed=77)
 
 
-@pytest.mark.parametrize("scheme", SCHEDULED, ids=lambda scheme: scheme.scheme_id)
+@pytest.mark.parametrize("scheme", SCHEMES.values(), ids=lambda scheme: scheme.scheme_id)
 class TestScheduleSizes:
     def test_every_slot_has_one_payload_per_antenna(self, scheme):
         assert all(len(payloads) == scheme.num_tx for payloads in scheme.schedule)
 
     def test_symbol_payloads_name_each_symbol_once(self, scheme):
+        # a symbol payload sends its symbol once; a row may name it in every slot
         symbols = [
             payload.symbol
             for payloads in scheme.schedule
             for payload in payloads
             if isinstance(payload, SymbolPayload)
         ]
-        assert sorted(symbols) == list(range(scheme.num_symbols))
+        named = {
+            symbol
+            for payloads in scheme.schedule
+            for payload in payloads
+            for symbol in getattr(payload, "symbols", ())
+        }
+        assert len(symbols) == len(set(symbols))
+        assert sorted(named) == list(range(scheme.num_symbols))
 
 
 def test_sizes_come_from_the_schedules():
-    sizes = {s.scheme_id: (s.num_slots, s.num_tx, s.num_symbols) for s in SCHEDULED}
-    assert sizes == {"bc_mat": (3, 2, 4), "x_output_fb": (3, 2, 4), "ic3_output_fb": (5, 3, 6)}
+    sizes = {s.scheme_id: (s.num_slots, s.num_tx, s.num_symbols) for s in SCHEMES.values()}
+    assert sizes == {
+        "bc_mat": (3, 2, 4),
+        "x_output_fb": (3, 2, 4),
+        "ic3_output_fb": (5, 3, 6),
+        "x_retro_csit": (7, 2, 8),
+        "ic3_retro_csit": (8, 3, 9),
+    }
 
 
 class TestAllSchemes:

@@ -10,7 +10,6 @@ from alignsim.numerics import DEFAULT_TOL, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 import alignsim.retro_csit_ic3 as ic3
 from alignsim.retro_csit_ic3 import (
-    NUM_SLOTS,
     PHASE1_SLOTS,
     DegenerateCoefficients,
     IC3RetroCsitScheme,
@@ -23,6 +22,7 @@ from _oracles import compute_alphas, effective_precoders, jacobi_rank, phase2_co
 from _outcomes import run_with_batches
 
 SCHEME = IC3RetroCsitScheme()
+NUM_SLOTS = SCHEME.num_slots
 
 
 def _random_inputs(rng):
@@ -187,8 +187,8 @@ class TestTransmitCache:
         alphas, coeffs, _ = effective_precoders(tensor.h, offline.phase1, DEFAULT_TOL)
         for k in range(3):
             for rx in interferers(k):
-                np.testing.assert_allclose(state[("alpha", k, rx)], alphas[rx], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(state[("coeff", k)], coeffs[k], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(state[k].constants[rx], alphas[rx], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state[k].rows[0], coeffs[k], rtol=0, atol=1e-12)
 
     def test_stacked_victim_systems_equal_one_call_each(self):
         tensor, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
@@ -198,7 +198,7 @@ class TestTransmitCache:
         for k in range(3):
             for rx in interferers(k):
                 alone = null_vector(alpha_system(h5, offline.phase1, rx), DEFAULT_TOL)
-                assert state[("alpha", k, rx)].tobytes() == alone.tobytes()
+                assert state[k].constants[rx].tobytes() == alone.tobytes()
 
 
 @pytest.fixture(scope="module")

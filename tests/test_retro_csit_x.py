@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, generate_channel
+from alignsim.channel import AccessLog, TxInformationView, generate_channel
 from alignsim.evaluate import (
     _draw_batch,
     future_perturbation_invariant,
@@ -12,19 +12,18 @@ from alignsim.evaluate import (
 from alignsim.numerics import DEFAULT_TOL, RankDeficient, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 from alignsim.retro_csit_x import (
-    NUM_SLOTS,
     PHASE1_SLOTS,
     DegenerateNormalization,
     XRetroCsitScheme,
     alignment_constants,
     interference_system,
-    layer2_vars,
 )
 
 from _decode import decode_context
 from _outcomes import run_with_batches
 
 SCHEME = XRetroCsitScheme()
+NUM_SLOTS = SCHEME.num_slots
 
 
 def _random_inputs(rng):
@@ -132,7 +131,7 @@ class TestStackedSystems:
         ctx = decode_context(SCHEME, tensor, offline)
         certs = {key: value for key, value, *_ in SCHEME.certificates(ctx, DEFAULT_TOL)}
         h3, phase1 = tensor.h[:, :, :PHASE1_SLOTS], offline.phase1
-        gamma = ctx.state[("constants", 0)].gamma
+        gamma = ctx.state[0].constants.gamma
         for rx in range(2):
             other = 1 - rx
             cross = np.stack(
@@ -146,14 +145,35 @@ class TestStackedSystems:
             assert certs[f"colinearity_rx{rx}"].tobytes() == (sv[:, 1] / sv[:, 0]).tobytes()
 
 
+def _layer2_vars(u, gamma):
+    """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``, written out."""
+    s = np.empty((2, 2, *u.shape[3:]), dtype=np.complex128)
+    for j in range(2):
+        for k in range(2):
+            s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]
+    return s
+
+
 class TestLayer2Vars:
     def test_definition(self, rng):
-        u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2)
-        gamma = sample_complex_gaussian([rng], 4).reshape(2, 2)
-        s = layer2_vars(u, gamma)
+        # a derived row sends c[0] s[j, 0] + c[1] s[j, 1], normalized, over j's symbols
+        tensor, offline, _ = _trial_data(10)
+        u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2, 1)
         for j in range(2):
-            for k in range(2):
-                assert s[j, k] == u[k, j, 0] - gamma[j, k] * u[k, j, 1]
+            view = TxInformationView(j, PHASE1_SLOTS, tensor, None, SCHEME.feedback)
+            derived = SCHEME.derive(view, offline, DEFAULT_TOL)
+            gamma = derived.constants.gamma
+            s = _layer2_vars(u, gamma)
+            own = np.stack([u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]])
+            for p in range(NUM_SLOTS - PHASE1_SLOTS):
+                c = offline.phase2[j, :, p]
+                norm = np.sqrt(
+                    abs(c[0]) ** 2 * (1.0 + abs(gamma[j, 0]) ** 2)
+                    + abs(c[1]) ** 2 * (1.0 + abs(gamma[j, 1]) ** 2)
+                )
+                sent = np.sum(derived.rows[p] * own, axis=0)
+                expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / norm
+                np.testing.assert_allclose(sent, expected, rtol=1e-13)
 
 
 def _trial_data(seed):
@@ -198,22 +218,32 @@ class TestEncoding:
 
     def test_phase2_matches_rederivation(self):
         # Re-derive the phase-2 scalars from the slot-0..2 states alone,
-        # through none of the view machinery, and compare exactly.
+        # through none of the view machinery: exactly as the row over the
+        # symbols that the layer variables expand to, and to roundoff as the
+        # combination of the layer variables themselves.
         tensor, offline, msgs = _trial_data(5)
         record = simulate_block(SCHEME, tensor, offline, msgs, DEFAULT_TOL)
         consts = alignment_constants(
             tensor.h[:, :, :PHASE1_SLOTS], offline.phase1, DEFAULT_TOL
         )
-        s = layer2_vars(msgs.reshape(2, 2, 2, 1), consts.gamma)
+        u = msgs.reshape(2, 2, 2, 1)
+        s = _layer2_vars(u, consts.gamma)
         for j in range(2):
+            g = consts.gamma[j]
             for p in range(4):
                 c = offline.phase2[j, :, p]
                 norm = np.sqrt(
-                    abs(c[0]) ** 2 * (1.0 + abs(consts.gamma[j, 0]) ** 2)
-                    + abs(c[1]) ** 2 * (1.0 + abs(consts.gamma[j, 1]) ** 2)
+                    abs(c[0]) ** 2 * (1.0 + abs(g[0]) ** 2)
+                    + abs(c[1]) ** 2 * (1.0 + abs(g[1]) ** 2)
                 )
                 expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / norm
-                assert np.array_equal(record.x[j, PHASE1_SLOTS + p], expected)
+                np.testing.assert_allclose(record.x[j, PHASE1_SLOTS + p], expected, rtol=1e-13)
+                row = [c[0], -c[0] * g[0], c[1], -c[1] * g[1]]
+                squares = [r.real**2 + r.imag**2 for r in row]
+                norm = np.sqrt(((squares[0] + squares[1]) + squares[2]) + squares[3])
+                terms = [r / norm * v for r, v in zip(row, u[:, j].reshape(4, 1))]
+                exact = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+                assert np.array_equal(record.x[j, PHASE1_SLOTS + p], exact)
 
     def test_csi_reads_are_exactly_phase1_slots(self):
         tensor, offline, msgs = _trial_data(6)
