@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        help=f"parallel workers, capped at one per core and one per {TRIAL_BATCH} trials "
+        help=f"parallel workers, capped at one per usable CPU and one per {TRIAL_BATCH} trials "
         "(default: 0, as many as those caps allow)",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")

@@ -36,10 +36,13 @@ all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
 A run's workers take contiguous batches of at most ``TRIAL_BATCH`` trials
-(see :func:`run_trials`).  A batch draws with one ``generate_channel``, one
-``draw_offline`` and one ``draw_messages`` call, each handed the batch's
-generators of that stream: each generator makes its trial's normal draws,
-and the complex build and normalization run once on the stack.  The batch
+(see :func:`run_trials`).  The calling process is the first worker; a run
+of ``W`` workers starts ``W - 1`` child processes, one per further share,
+so a run of up to ``TRIAL_BATCH`` trials starts none.  A batch draws with
+one ``generate_channel``, one ``draw_offline`` and one ``draw_messages``
+call, each handed the batch's generators of that stream: each generator
+makes its trial's normal draws, and the complex build and normalization
+run once on the stack.  The batch
 then goes through one block run, one decode, one certificate pass and, for
 rates, the noise weights: one more block run under output feedback, none
 otherwise.  Every reduction on that axis is a stacked LAPACK call or a
@@ -57,9 +60,9 @@ import math
 import numbers
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from multiprocessing import Pipe, Process
 from typing import NamedTuple
 
 import numpy as np
@@ -432,16 +435,23 @@ def _split(trials: range, parts: int) -> list[range]:
     return [trials[p * n // parts : (p + 1) * n // parts] for p in range(parts)]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
     """Each worker's trial batches.
 
-    ``min(threads, os.cpu_count(), ceil(num_trials / TRIAL_BATCH))``
-    workers, at least one, take equal contiguous shares of the trials, so a
-    run of up to ``TRIAL_BATCH`` trials has one worker.  Each share of ``m``
+    ``min(threads, usable CPUs, ceil(num_trials / TRIAL_BATCH))`` workers,
+    at least one, take equal contiguous shares of the trials, so a run of
+    up to ``TRIAL_BATCH`` trials has one worker.  Each share of ``m``
     trials splits into ``ceil(m / TRIAL_BATCH)`` contiguous batches whose
     sizes differ by at most one.
     """
-    workers = max(1, min(threads, os.cpu_count() or 1, -(-num_trials // TRIAL_BATCH)))
+    workers = max(1, min(threads, _usable_cpus(), -(-num_trials // TRIAL_BATCH)))
     return [
         _split(share, -(-len(share) // TRIAL_BATCH))
         for share in _split(range(num_trials), workers)
@@ -475,6 +485,29 @@ def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
     return _concat(parts), discards
 
 
+def _send_trial_range(args, sender) -> None:
+    """A child worker: send back its share's (outcomes, discards), or what the share raised."""
+    try:
+        result = _run_trial_range(args)
+    except Exception as exc:
+        result = exc
+    sender.send(result)
+
+
+def _receive_trial_range(child: Process, receiver) -> tuple[TrialOutcomes, list[Discard]]:
+    """A child's (outcomes, discards); raises what its share raised."""
+    try:
+        result = receiver.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(
+            f"a worker process exited with code {child.exitcode} before sending its trials"
+        ) from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def run_trials(
     scheme_id: str,
     num_trials: int,
@@ -486,22 +519,42 @@ def run_trials(
     """Run ``num_trials`` deterministic trials of a scheme.
 
     The outcome is identical for any ``threads`` value.  At most one worker
-    process starts per core and per ``TRIAL_BATCH`` trials, so a run of up
-    to ``TRIAL_BATCH`` trials starts no pool; each worker runs an equal
+    runs per usable CPU and per ``TRIAL_BATCH`` trials; each runs an equal
     contiguous share of the trials in near-equal batches of at most
-    ``TRIAL_BATCH``.
+    ``TRIAL_BATCH``.  The caller is the first worker and runs the first
+    share; each further share runs in a child process of its own, so a run
+    of ``W`` workers starts ``W - 1`` children and a run of up to
+    ``TRIAL_BATCH`` trials starts none.  The shares are received in order,
+    so the first failure in trial order is the one raised.  No child
+    outlives the call: one still running when the call ends, by a return
+    or by an exception, is killed and joined.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
-    chunks = [
+    first, *rest = [
         (scheme_id, base_seed, batches, tol, collect_weights)
         for batches in _batch_plan(num_trials, threads)
     ]
-    if len(chunks) == 1:
-        ranges = [_run_trial_range(chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            ranges = list(pool.map(_run_trial_range, chunks))
+    children: list[tuple[Process, object]] = []
+    try:
+        for args in rest:
+            receiver, sender = Pipe(duplex=False)
+            child = Process(target=_send_trial_range, args=(args, sender))
+            child.start()
+            children.append((child, receiver))
+            # the child holds the only write end left, so its exit ends the pipe
+            sender.close()
+        ranges = [_run_trial_range(first)]
+        # receive before joining: a child blocks on a send the pipe cannot hold
+        ranges += [_receive_trial_range(child, receiver) for child, receiver in children]
+        for child, _ in children:
+            child.join()
+    finally:
+        for child, receiver in children:
+            if child.is_alive():
+                child.kill()
+            child.join()
+            receiver.close()
     return RunReport(_concat([o for o, _ in ranges]), [d for _, ds in ranges for d in ds])
 
 
@@ -589,14 +642,18 @@ def future_perturbation_invariant(
     every trial in ``trials``.
 
     The trials are drawn as one stack and run as one block each way, which
-    gives every trial the bits it has alone.  The perturbation is a pure
-    phase rotation, which keeps the tensor inside its magnitude band while
-    changing every affected coefficient.
+    gives every trial the bits it has alone.  The perturbation rotates every
+    affected coefficient's phase and scales its magnitude by 1.5, or by
+    1/1.5 where 1.5 would leave the magnitude band; the band of a drawn
+    tensor spans far more than 1.5², so the tensor stays inside it.  So a
+    transmit scalar that depends on a future gain's magnitude, not only one
+    that depends on its phase, changes on every draw.
     """
     tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
     x_ref = simulate_block(scheme, tensor, offline, msgs, tol).x
     h2 = tensor.h.copy()
-    h2[:, :, perturb_from:] *= np.exp(0.7j)
+    future = h2[:, :, perturb_from:]
+    future *= np.where(1.5 * np.abs(future) <= tensor.mag_bounds[1], 1.5, 1 / 1.5) * np.exp(0.7j)
     perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
     x_alt = simulate_block(scheme, perturbed, offline, msgs, tol).x
     upto = perturb_from + 1

@@ -545,35 +545,33 @@ class TestThreads:
 
         started = []
 
-        class RecordingPool:
-            """Stands in for the process pool: records its size, maps in-process."""
+        class RecordingProcess(evaluate.Process):
+            """A worker process that records its start."""
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
+        def children_started():
+            count = len(started)
+            started.clear()
+            return count
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
-        # 8 trials are one batch: a pool would have nothing to share out
+        monkeypatch.setattr(evaluate, "Process", RecordingProcess)
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+        # 8 trials are one batch: the caller runs them and starts no child
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
-        assert started == []
+        assert children_started() == 0
         assert report.outcomes.trial.tolist() == list(range(8))
-        # at most one worker per 2 trials: four, capped at three cores
+        # at most one worker per 2 trials: four, capped at three cores, so
+        # the caller and two children
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 2)
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
-        assert started == [3]
+        assert children_started() == 2
         assert report.outcomes.trial.tolist() == list(range(8))
         # 4 trials: two workers, below the three cores
         evaluate.run_trials("bc_mat", 4, base_seed=0, threads=500)
-        assert started == [3, 2]
+        assert children_started() == 1
 
 
 class TestOneLineErrors:

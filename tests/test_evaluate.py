@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -177,10 +180,7 @@ def test_perturbation_check_catches_a_scheme_that_peeks(monkeypatch):
 
     The peek scales a scalar by a channel gain the receivers know, so the
     scheme still decodes exactly and ``verify`` passes it; only the
-    perturbation check, cut at the peeked slot, tells (ROADMAP item 7).  It
-    tells through the last bits: its perturbation is a phase rotation, which
-    keeps ``|h|`` but for rounding, and that changes about half the draws'
-    magnitudes, so the check runs on 20 trials.
+    perturbation check, cut at the peeked slot, tells (ROADMAP item 7).
     """
     scheme = _PeeksAtTheCurrentSlot()
     monkeypatch.setitem(SCHEMES, "bc_mat", scheme)
@@ -190,6 +190,13 @@ def test_perturbation_check_catches_a_scheme_that_peeks(monkeypatch):
         future_perturbation_invariant(scheme, 0, range(20), cut, DEFAULT_TOL) for cut in range(3)
     ]
     assert invariant == [True, True, False]
+
+
+def test_perturbation_check_catches_a_magnitude_peek_on_every_trial():
+    """The perturbation moves every future gain's magnitude, so one trial suffices."""
+    scheme = _PeeksAtTheCurrentSlot()
+    for trial in range(20):
+        assert not future_perturbation_invariant(scheme, 0, [trial], 2, DEFAULT_TOL)
 
 
 class TestNoiseWeights:
@@ -441,6 +448,25 @@ class _FailStrongTrials(BcMatScheme):
         return [*super().certificates(ctx, tol), ("first_gain", gain, "<=", 1.5)]
 
 
+def _first_coefficients(base_seed, trials):
+    """The first channel coefficient of each trial's first draw."""
+    return [
+        generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
+        for states in spawn_states([(base_seed, trial, 0) for trial in trials], 3)
+    ]
+
+
+class _FailMarkedDraws(BcMatScheme):
+    """Fails a certificate on each draw whose first channel coefficient is in ``marked``."""
+
+    def __init__(self, marked):
+        self.marked = marked
+
+    def certificates(self, ctx, tol):
+        hit = np.isin(ctx.tensor.h[0, 0, 0], self.marked).astype(np.float64)
+        return [*super().certificates(ctx, tol), ("marked_draw", hit, "<=", 0.0)]
+
+
 class _StructuralAndCertificateFailures(BcMatScheme):
     """A structural failure on one draw and a failed certificate on another."""
 
@@ -528,11 +554,7 @@ class TestTrialBatches:
     def test_failure_in_left_half_is_raised_before_right_half(self, monkeypatch):
         import alignsim.evaluate as evaluate
 
-        firsts = [
-            generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
-            for states in spawn_states([(24, trial, 0) for trial in (10, 100)], 3)
-        ]
-        scheme = _StructuralAndCertificateFailures(*firsts)
+        scheme = _StructuralAndCertificateFailures(*_first_coefficients(24, (10, 100)))
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         with pytest.raises(SchemeFailure, match="bc_mat trial 100: certificate"):
             run_single_trial(scheme, 24, 100, DEFAULT_TOL)
@@ -575,7 +597,7 @@ class TestTrialBatches:
 def test_batch_plan(num_trials, threads, cores):
     import alignsim.evaluate as evaluate
 
-    with mock.patch.object(evaluate.os, "cpu_count", lambda: cores):
+    with mock.patch.object(evaluate, "_usable_cpus", lambda: cores):
         plan = evaluate._batch_plan(num_trials, threads)
     batches = [batch for worker in plan for batch in worker]
     # read worker by worker, the batches hold every trial once, in order, so
@@ -590,6 +612,71 @@ def test_batch_plan(num_trials, threads, cores):
         assert max(sizes) <= TRIAL_BATCH
         assert max(sizes) - min(sizes) <= 1
     assert all(plan)
+
+
+class TestWorkerProcesses:
+    """Two workers, the caller and one child; under the fixture they run trials 0-3 and 4-7."""
+
+    @pytest.fixture
+    def evaluate(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluate, "TRIAL_BATCH", 4)
+        assert evaluate._batch_plan(8, 2) == [[range(0, 4)], [range(4, 8)]]
+        return evaluate
+
+    def test_outcomes_of_a_share_larger_than_the_pipe_buffer(self, monkeypatch):
+        import alignsim.evaluate as evaluate
+
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        # two shares of 1024 trials; a share's pickled outcomes take about 110 kB
+        one = run_trials("bc_mat", 2048, base_seed=5, collect_weights=True, threads=1)
+        two = run_trials("bc_mat", 2048, base_seed=5, collect_weights=True, threads=2)
+        assert multiprocessing.active_children() == []
+        assert outcome_fields(two.outcomes) == outcome_fields(one.outcomes)
+        assert two.discards == one.discards
+
+    def test_failure_in_the_child_share_reaches_the_caller(self, evaluate, monkeypatch):
+        scheme = _FailMarkedDraws(_first_coefficients(8, [6]))
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        message = r"^bc_mat trial 6: certificate checks failed: \['marked_draw'\]$"
+        with pytest.raises(SchemeFailure, match=message):
+            run_trials("bc_mat", 8, base_seed=8, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_the_callers_earlier_failure_wins(self, evaluate, monkeypatch):
+        scheme = _FailMarkedDraws(_first_coefficients(8, [1, 6]))
+        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        with pytest.raises(SchemeFailure, match="^bc_mat trial 1: certificate"):
+            run_trials("bc_mat", 8, base_seed=8, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_exits_without_sending_is_an_error(self, evaluate, monkeypatch):
+        run_trial_range = evaluate._run_trial_range
+
+        def exits_in_the_child(args):
+            if args[2][0].start > 0:
+                os._exit(7)
+            return run_trial_range(args)
+
+        monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            run_trials("bc_mat", 8, base_seed=8, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_in_the_caller_kills_the_child(self, evaluate, monkeypatch):
+        def sleeps_in_the_child(args):
+            if args[2][0].start > 0:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluate, "_run_trial_range", sleeps_in_the_child)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_trials("bc_mat", 8, base_seed=8, threads=2)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < 30
 
 
 _COEFFS = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
