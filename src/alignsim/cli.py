@@ -12,8 +12,11 @@ Three modes over the same deterministic engine:
 
 Outputs are schema-stable: JSON is rendered with sorted keys and floats at
 17 significant digits, so identical configs produce byte-identical files.
-Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error,
-3 a scheme invariant broke (certificate or causality failure).
+Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
+or a report that could not be written (an output file that cannot be opened,
+or standard output closed before the report was out), 3 a scheme invariant
+broke (certificate or causality failure).  Every nonzero exit writes at most
+one line to standard error.
 """
 
 from __future__ import annotations
@@ -361,9 +364,18 @@ def _render_csv(config: RunConfig, results: dict) -> str:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader went away; with stdout on the null device, the
+            # interpreter's last flush of what is still buffered cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError("cannot write the report: standard output was closed") from None
     else:
         try:
             with open(config.out, "w", encoding="utf-8") as fh:

@@ -41,8 +41,8 @@ of ``W`` workers starts ``W - 1`` child processes, one per further share,
 so a run of up to ``TRIAL_BATCH`` trials starts none.  A batch draws with
 one ``generate_channel``, one ``draw_offline`` and one ``draw_messages``
 call, each handed the batch's generators of that stream: each generator
-makes its trial's normal draws, and the complex build and normalization
-run once on the stack.  The batch
+makes one normal call, into its row of one buffer, and the complex build
+and normalization run once on the stack.  The batch
 then goes through one block run, one decode, one certificate pass and, for
 rates, the noise weights: one more block run under output feedback, none
 otherwise.  Every reduction on that axis is a stacked LAPACK call or a
@@ -82,7 +82,7 @@ from .numerics import (
     NumericsError,
     Tolerances,
     ordered_sum,
-    seeded_generator,
+    seeded_generators,
     spawn_states,
 )
 from .registry import get_scheme
@@ -233,16 +233,17 @@ def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
     from the three children of ``SeedSequence((base_seed, trial, attempt))``;
     the seeds of the whole batch come from one pass of the seed hash.  A
     scheme that keeps the base ``draw_offline`` draws nothing offline, so
-    its offline generators are never built.
+    its offline generators are never built.  Past building its generators,
+    a draw's only work of its own is one normal call per stream.
     """
     states = spawn_states([(base_seed, trial, attempt) for trial, attempt in draws], 3)
     tensor = generate_channel(
-        scheme.num_rx, scheme.num_tx, scheme.num_slots, [seeded_generator(s) for s in states[:, 0]]
+        scheme.num_rx, scheme.num_tx, scheme.num_slots, seeded_generators(states[:, 0])
     )
     offline = None
     if type(scheme).draw_offline is not Scheme.draw_offline:
-        offline = scheme.draw_offline([seeded_generator(s) for s in states[:, 1]])
-    msgs = scheme.draw_messages([seeded_generator(s) for s in states[:, 2]])
+        offline = scheme.draw_offline(seeded_generators(states[:, 1]))
+    msgs = scheme.draw_messages(seeded_generators(states[:, 2]))
     return tensor, offline, msgs
 
 

@@ -38,8 +38,11 @@ __all__ = [
     "singular_values",
     "vector_norm",
     "frobenius_norm",
+    "standard_normals",
+    "complex_gaussian",
     "sample_complex_gaussian",
     "spawn_states",
+    "seeded_generators",
     "seeded_generator",
 ]
 
@@ -369,17 +372,38 @@ def zero_forcing_rows(g, rows):
         return d, s[..., -1] / s[..., 0], residual
 
 
+def standard_normals(rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+    """``count`` standard normals per generator, as their ``(count, T)`` stack.
+
+    Column ``t`` is ``rngs[t].standard_normal(count)``, which each generator
+    writes straight into its row of one buffer: one call per generator.
+    """
+    z = np.empty((len(rngs), count))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return np.ascontiguousarray(z.T)
+
+
+def complex_gaussian(z: np.ndarray) -> np.ndarray:
+    """Unit-variance complex Gaussians from ``2 * count`` rows of standard normals.
+
+    The first ``count`` rows are the real parts and the rest the imaginary
+    parts, each scaled to ``N(0, 1/2)`` so that ``E|z|^2 = 1``.
+    """
+    count = len(z) // 2
+    return (z[:count] + 1j * z[count:]) / np.sqrt(2.0)
+
+
 def sample_complex_gaussian(rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. circularly symmetric complex Gaussians per generator, unit variance.
 
-    Real and imaginary parts are independent ``N(0, 1/2)`` so that
-    ``E|z|^2 = 1``.  Deterministic given the generator states.  Each of the
-    ``T`` generators makes its own draw and the result is their ``(count,
-    T)`` stack; column ``t`` is bit for bit what ``[rngs[t]]`` alone gives.
+    Real and imaginary parts are independent ``N(0, 1/2)``, drawn as two
+    successive runs of ``count`` normals.  Deterministic given the generator
+    states.  The result is the ``(count, T)`` stack of the ``T`` generators'
+    draws; column ``t`` is bit for bit what ``[rngs[t]]`` alone gives.
     """
     # one draw of 2 * count normals is the two draws of count, back to back
-    z = np.stack([r.standard_normal(2 * count) for r in rngs], axis=-1)
-    return (z[:count] + 1j * z[count:]) / np.sqrt(2.0)
+    return complex_gaussian(standard_normals(rngs, 2 * count))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose streams
@@ -403,6 +427,28 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+def _entropy_runs(entropies) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The entropy tuples' assembled SeedSequence entropies, grouped by length.
+
+    One ``(rows, words)`` pair per length: the indices of the tuples whose
+    entropy has that many words, and those entropies as ``(len(rows),
+    length)`` uint32.
+    """
+    if len(set(map(len, entropies))) == 1:
+        values = np.array(entropies)
+        if values.dtype.kind in "iu" and values.min() >= 0 and values.max() <= _MASK32:
+            # every value is one word: the tuples are their own entropies
+            return [(np.arange(len(values)), values.astype(np.uint32))]
+    runs = [[w for value in entropy for w in _uint32_words(value)] for entropy in entropies]
+    by_length: dict[int, list[int]] = {}
+    for i, run in enumerate(runs):
+        by_length.setdefault(len(run), []).append(i)
+    return [
+        (np.array(rows), np.array([runs[i] for i in rows], dtype=np.uint32))
+        for rows in by_length.values()
+    ]
+
+
 def _const_chain(init: int, mult: int, count: int) -> np.ndarray:
     """``init * mult**k`` modulo 2**32 for ``k < count``."""
     chain = [init]
@@ -412,19 +458,20 @@ def _const_chain(init: int, mult: int, count: int) -> np.ndarray:
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """PCG64 seed words ``(n, 4)`` uint64 of the SeedSequences of the rows of ``entropy``.
+    """PCG64 seed words ``(n, 4)`` uint64 of the SeedSequences of the columns of ``entropy``.
 
-    ``entropy`` is ``(n, L)`` uint32, each row a SeedSequence's assembled
+    ``entropy`` is ``(L, n)`` uint32, each column a SeedSequence's assembled
     entropy, with ``L >= 4`` as for any spawned child; row ``i`` of the
-    result is that SeedSequence's ``generate_state(4, uint64)``.
+    result is column ``i``'s ``generate_state(4, uint64)``.  Each hash step
+    runs on whole rows of ``n`` values, so a step costs one short
+    contiguous loop however many SeedSequences share it.
     """
-    length = entropy.shape[1]
-    calls = _POOL_SIZE * length
-    consts = _const_chain(_INIT_A, _MULT_A, calls + 1)
+    length = entropy.shape[0]
+    consts = _const_chain(_INIT_A, _MULT_A, _POOL_SIZE * length + 1)[:, None]
     used = 0
 
     def hashmix(values: np.ndarray, count: int) -> np.ndarray:
-        # ``count`` successive hashmix calls, one per column
+        # ``count`` successive hashmix calls, one per row
         nonlocal used
         values = (values ^ consts[used : used + count]) * consts[used + 1 : used + count + 1]
         used += count
@@ -434,28 +481,28 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
         out = _MIX_MULT_L * x - _MIX_MULT_R * y
         return out ^ (out >> 16)
 
-    pool = hashmix(entropy[:, :_POOL_SIZE], _POOL_SIZE)
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src : src + 1], len(dst)))
+        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
     for src in range(_POOL_SIZE, length):
-        pool = mix(pool, hashmix(entropy[:, src : src + 1], _POOL_SIZE))
-    consts = _const_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
-    words = (np.tile(pool, 2) ^ consts[:-1]) * consts[1:]
+        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
+    consts = _const_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)[:, None]
+    words = (np.concatenate([pool, pool]) ^ consts[:-1]) * consts[1:]
     words = (words ^ (words >> 16)).astype(np.uint64)
-    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A SeedSequence reduced to the four uint64 words PCG64 seeds itself from."""
+class _SeedStates(np.random.bit_generator.ISeedSequence):
+    """Precomputed PCG64 seed words, one row for each generator built on this sequence in turn."""
 
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = state
+    def __init__(self, states: np.ndarray) -> None:
+        self._rows = iter(states)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or dtype is not np.uint64:
             raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
-        return self._state
+        return next(self._rows)
 
 
 def spawn_states(entropies, children: int) -> np.ndarray:
@@ -465,27 +512,34 @@ def spawn_states(entropies, children: int) -> np.ndarray:
     ``entropies``, stacked to ``(len(entropies), children, 4)``: bit for bit
     what numpy's own SeedSequence would give, but from one vectorized pass
     of its hash over every (entropy, child) pair instead of one
-    SeedSequence object per pair.  :func:`seeded_generator` turns one
-    child's words into its generator.
+    SeedSequence object per pair.  :func:`seeded_generators` turns the
+    children's words into generators.
     """
-    runs = [[w for value in entropy for w in _uint32_words(value)] for entropy in entropies]
-    states = np.empty((len(runs), children, 4), dtype=np.uint64)
-    by_length: dict[int, list[int]] = {}
-    for i, run in enumerate(runs):
-        by_length.setdefault(len(run), []).append(i)
-    child_keys = np.arange(children, dtype=np.uint32)
-    for length, rows in by_length.items():
+    states = np.empty((len(entropies), children, 4), dtype=np.uint64)
+    for rows, run in _entropy_runs(entropies):
+        length = run.shape[1]
         # a spawned child pads its parent's entropy to the pool size, then
         # appends its spawn key
-        entropy = np.zeros((len(rows), children, max(length, _POOL_SIZE) + 1), dtype=np.uint32)
-        entropy[:, :, :length] = np.array([runs[i] for i in rows], dtype=np.uint32)[:, None]
-        entropy[:, :, -1] = child_keys
-        states[rows] = _seed_states(entropy.reshape(len(rows) * children, -1)).reshape(
+        entropy = np.zeros((max(length, _POOL_SIZE) + 1, len(rows), children), dtype=np.uint32)
+        entropy[:length] = run.T[:, :, None]
+        entropy[-1] = np.arange(children)
+        states[rows] = _seed_states(entropy.reshape(len(entropy), -1)).reshape(
             len(rows), children, 4
         )
     return states
 
 
+def seeded_generators(states: np.ndarray) -> list[np.random.Generator]:
+    """``default_rng`` of each SeedSequence whose PCG64 seed words are a row of ``states``.
+
+    ``states`` is ``(T, 4)``.  The generators share one seed sequence that
+    hands each its row, so a generator costs one PCG64 and nothing more.
+    """
+    seeds = _SeedStates(states)
+    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(len(states))]
+
+
 def seeded_generator(state: np.ndarray) -> np.random.Generator:
     """``default_rng`` of the SeedSequence whose PCG64 seed words are ``state``."""
-    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+    [rng] = seeded_generators(state[None])
+    return rng

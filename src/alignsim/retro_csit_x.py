@@ -40,11 +40,12 @@ from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
     Degenerate,
     Tolerances,
+    complex_gaussian,
     frobenius_norm,
     matvec,
     null_vector,
-    sample_complex_gaussian,
     singular_values,
+    standard_normals,
     vector_norm,
 )
 
@@ -160,15 +161,17 @@ class XRetroCsitScheme(Scheme):
 
     def draw_offline(self, rngs) -> XOffline:
         trials, phase2_slots = len(rngs), self.num_slots - PHASE1_SLOTS
-        phase1 = sample_complex_gaussian(rngs, 2 * 2 * 2 * PHASE1_SLOTS)
+        # phase 2's complex draw follows phase 1's in each stream: one normal call covers both
+        phase1_count = 2 * 2 * 2 * PHASE1_SLOTS
+        z = standard_normals(rngs, 2 * (phase1_count + 2 * 2 * phase2_slots))
+        phase1 = complex_gaussian(z[: 2 * phase1_count])
         phase1 = phase1.reshape(2, 2, 2, PHASE1_SLOTS, trials)
         # Unit transmit power per (transmitter, slot): the scalar sent is the
         # sum of coefficient * unit-power symbol.
         norm = vector_norm(phase1.swapaxes(1, 2).reshape(4, 2, PHASE1_SLOTS, trials))
-        phase2 = sample_complex_gaussian(rngs, 2 * 2 * phase2_slots)
         return XOffline(
             phase1=phase1 / norm[None, :, None],
-            phase2=phase2.reshape(2, 2, phase2_slots, trials),
+            phase2=complex_gaussian(z[2 * phase1_count :]).reshape(2, 2, phase2_slots, trials),
         )
 
     def derive(self, view, offline, tol):

@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -605,6 +609,23 @@ class TestOneLineErrors:
         )
         assert code == 2
         assert out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["--scheme", "bc_mat", "--mode", "verify", "--trials", "3", "--threads", "1"]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "alignsim.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 2
+        assert done.stderr == "error: cannot write the report: standard output was closed\n"
 
 
 @pytest.mark.parametrize(

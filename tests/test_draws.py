@@ -4,8 +4,9 @@ A batch derives its generators from one vectorized pass of numpy's
 SeedSequence hash and draws its channels as one stack.  Every trial must
 still get exactly the numbers of the per-trial reference: numpy's own
 ``SeedSequence((base_seed, trial, attempt)).spawn(3)`` children, one
-channel per generator with a rejection loop of its own, and complex
-Gaussians from separate real and imaginary draws.
+channel per generator with a rejection loop of its own, complex Gaussians
+from separate real and imaginary draws, and offline coefficients laid out
+here from those draws, not by the schemes' own ``draw_offline``.
 """
 
 import dataclasses
@@ -13,18 +14,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-import alignsim.base
-import alignsim.retro_csit_ic3
-import alignsim.retro_csit_x
+import alignsim.evaluate
 from alignsim.channel import MAG_BOUNDS_DEFAULT, generate_channel
 from alignsim.evaluate import TRIAL_BATCH, _draw_batch
-from alignsim.numerics import sample_complex_gaussian, seeded_generator, spawn_states
+from alignsim.numerics import (
+    sample_complex_gaussian, seeded_generator, seeded_generators, spawn_states,
+)
 from alignsim.registry import SCHEMES, get_scheme
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
-
-#: Every module that draws complex Gaussians for a trial.
-_SAMPLING_MODULES = (alignsim.base, alignsim.retro_csit_x, alignsim.retro_csit_ic3)
 
 
 def reference_rngs(base_seed, trial, attempt):
@@ -36,11 +34,6 @@ def reference_gaussian(rng, count):
     re = rng.standard_normal(count)
     im = rng.standard_normal(count)
     return (re + 1j * im) / np.sqrt(2.0)
-
-
-def reference_gaussian_stack(rngs, count):
-    """``(count, T)``: column ``t`` is :func:`reference_gaussian` of ``rngs[t]``."""
-    return np.stack([reference_gaussian(rng, count) for rng in rngs], axis=-1)
 
 
 def reference_channel(num_rx, num_tx, num_slots, rng, mag_bounds=MAG_BOUNDS_DEFAULT):
@@ -107,6 +100,24 @@ def test_spawn_generators_on_any_entropy_length(entropy, children):
     ]
 
 
+@pytest.mark.parametrize("base_seed", [2**32 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1])
+def test_batched_seeds_on_either_side_of_one_word(base_seed):
+    # tuples of one-word values are split on arrays; a wider value goes
+    # through SeedSequence's own word split
+    generators = _spawned_generators([(base_seed, t, 0) for t in range(5)], 3)
+    for trial, children in enumerate(generators):
+        assert _pcg_states(children) == _reference_states(base_seed, trial, 0)
+
+
+def test_spawn_generators_on_mixed_entropy_lengths():
+    entropies = [(5,), (1, 2), (2**40, 3), ()]
+    for entropy, generators in zip(entropies, _spawned_generators(entropies, 2)):
+        reference = [np.random.PCG64(c) for c in np.random.SeedSequence(entropy).spawn(2)]
+        assert _pcg_states(generators) == [
+            (r.state["state"]["state"], r.state["state"]["inc"]) for r in reference
+        ]
+
+
 def test_single_trial_rngs_draw_like_the_reference():
     [got_rngs] = _spawned_generators([(17, 42, 3)], 3)
     for got, want in zip(got_rngs, reference_rngs(17, 42, 3)):
@@ -161,25 +172,37 @@ def test_rejection_cap_applies_to_a_stack():
 # -- whole batches ----------------------------------------------------------------
 
 
-def _reference_draw(scheme, base_seed, trial, attempt, monkeypatch):
+def _reference_offline(scheme_id, rng):
+    """One trial's offline coefficients, drawn as each scheme's offline stream lays them out."""
+    if scheme_id == "x_retro_csit":
+        # phase1[k, j, i, n]: transmitter j's coefficient of receiver k's
+        # symbol i at slot n, unit norm per (transmitter, slot) over (k, i)
+        phase1 = reference_gaussian(rng, 24).reshape(2, 2, 2, 3)
+        over_k_i = np.moveaxis(phase1, 2, 1)
+        power = sum(
+            over_k_i[k, i].real**2 + over_k_i[k, i].imag**2 for k in range(2) for i in range(2)
+        )
+        phase2 = reference_gaussian(rng, 16).reshape(2, 2, 4)
+        return {"phase1": phase1 / np.sqrt(power)[None, :, None], "phase2": phase2}
+    if scheme_id == "ic3_retro_csit":
+        # phase1[k, i, n]: transmitter k, symbol i, slot n, unit norm per (k, n)
+        phase1 = reference_gaussian(rng, 45).reshape(3, 3, 5)
+        power = sum(phase1[:, i].real**2 + phase1[:, i].imag**2 for i in range(3))
+        return {"phase1": phase1 / np.sqrt(power)[:, None]}
+    return None
+
+
+def _reference_draw(scheme, base_seed, trial, attempt):
     rng_channel, rng_offline, rng_msgs = reference_rngs(base_seed, trial, attempt)
     h, rejections = reference_channel(
         scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel
     )
-    with monkeypatch.context() as patch:
-        for module in _SAMPLING_MODULES:
-            patch.setattr(module, "sample_complex_gaussian", reference_gaussian_stack)
-        offline = scheme.draw_offline([rng_offline])
-        msgs = scheme.draw_messages([rng_msgs])
-    if offline is not None:
-        offline = type(offline)(**{
-            f.name: getattr(offline, f.name)[..., 0] for f in dataclasses.fields(offline)
-        })
-    return h, rejections, offline, msgs[:, 0]
+    offline = _reference_offline(scheme.scheme_id, rng_offline)
+    return h, rejections, offline, reference_gaussian(rng_msgs, scheme.num_symbols)
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
-def test_batch_draw_matches_per_trial_reference(scheme_id, monkeypatch):
+def test_batch_draw_matches_per_trial_reference(scheme_id):
     scheme = get_scheme(scheme_id)
     draws = [(t, 0) for t in range(TRIAL_BATCH)] + [(3, 1), (70, 9)]
     tensor, offline, msgs = _draw_batch(scheme, 3, draws)
@@ -187,18 +210,59 @@ def test_batch_draw_matches_per_trial_reference(scheme_id, monkeypatch):
     assert msgs.shape == (scheme.num_symbols, len(draws))
     total_rejections = 0
     for t, (trial, attempt) in enumerate(draws):
-        h, rejections, ref_offline, ref_msgs = _reference_draw(
-            scheme, 3, trial, attempt, monkeypatch
-        )
+        h, rejections, ref_offline, ref_msgs = _reference_draw(scheme, 3, trial, attempt)
         total_rejections += rejections
         assert _same_bits(tensor.h[..., t], h)
         assert _same_bits(msgs[:, t], ref_msgs)
         if ref_offline is None:
             assert offline is None
         else:
-            for f in dataclasses.fields(ref_offline):
-                assert _same_bits(getattr(offline, f.name)[..., t], getattr(ref_offline, f.name))
+            assert sorted(ref_offline) == sorted(f.name for f in dataclasses.fields(offline))
+            for name, want in ref_offline.items():
+                assert _same_bits(getattr(offline, name)[..., t], want)
     assert tensor.num_rejections == total_rejections
+
+
+class _CountingGenerator:
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mag_bounds", [MAG_BOUNDS_DEFAULT, (0.5, 2.0)])
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_each_generator_makes_one_normal_call_per_draw(scheme_id, mag_bounds, monkeypatch):
+    streams = []
+
+    def counting_generators(states):
+        streams.append([_CountingGenerator(rng) for rng in seeded_generators(states)])
+        return streams[-1]
+
+    def banded_channel(*args):
+        return generate_channel(*args, mag_bounds=mag_bounds)
+
+    monkeypatch.setattr(alignsim.evaluate, "seeded_generators", counting_generators)
+    monkeypatch.setattr(alignsim.evaluate, "generate_channel", banded_channel)
+    scheme = get_scheme(scheme_id)
+    draws = [(t, 0) for t in range(40)]
+    tensor, offline, _ = _draw_batch(scheme, 4, draws)
+    channel, *others = streams
+    assert len(others) == (1 if offline is None else 2)
+    assert all(len(stream) == len(draws) for stream in streams)
+    for stream in others:
+        assert [rng.calls for rng in stream] == [1] * len(draws)
+    # a channel generator calls again only to redraw coefficients outside the band
+    extra = [rng.calls - 1 for rng in channel]
+    assert min(extra) >= 0
+    assert sum(extra) <= tensor.num_rejections
+    assert (sum(extra) > 0) == (tensor.num_rejections > 0)
+    if mag_bounds == (0.5, 2.0):
+        assert sum(extra) > 0
 
 
 # -- stacked scheme draws ----------------------------------------------------------
