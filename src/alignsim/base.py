@@ -8,13 +8,14 @@ freely across trials and worker processes.
 
 The schedule assigns each (slot, antenna) a payload, and it fixes the
 block's size.  :meth:`Scheme.transmit`, the one encoder engine, sends a
-payload one scalar at a time: an information symbol, a replayed output, a
-combination of clean observations rebuilt from delayed CSIT, or a
-coefficient row over named symbols.  A row comes from the offline draw or
+payload one scalar at a time: an information symbol, a replayed output, or
+a coefficient row over named symbols.  A row comes from the offline draw or
 from the sending entity's :meth:`Scheme.derive`, which the engine runs once
 per block.  The only window into the channel or the past outputs is the
 :class:`~alignsim.channel.TxInformationView` handed in by the block driver,
 which makes the feedback causality of every scheme mechanically checkable.
+Delayed CSIT becomes coefficients only inside a ``derive``: the engine
+itself reads no channel state.
 
 Every payload is complex-linear in the symbols, so decoding is the same for
 all schemes and is defined here once.  The encoder's impulse response at
@@ -40,12 +41,11 @@ import numpy as np
 
 from .channel import ChannelTensor, FeedbackModel, TxInformationView
 from .numerics import (
-    NumericsError, Singular, Tolerances, dot, matvec, ordered_sum, sample_complex_gaussian,
-    zero_forcing_rows,
+    NumericsError, Singular, Tolerances, dot, matvec, sample_complex_gaussian, zero_forcing_rows,
 )
 
 __all__ = [
-    "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "ComboPayload", "RowPayload",
+    "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "RowPayload",
     "Derivation", "DecodeContext", "Scheme", "certificate_failures",
 ]
 
@@ -88,20 +88,6 @@ class OutputPayload:
 
 
 @dataclass(frozen=True)
-class ComboPayload:
-    """Send the sum of clean combinations ``refs``, rebuilt from delayed CSIT.
-
-    Each ref ``(rx, slot)`` names the noise-free linear combination receiver
-    ``rx`` observed at ``slot``.  The transmitter knows the symbols it sent
-    and, once the feedback delay has passed, the channel states, so it can
-    reconstruct the combinations exactly and normalize the sum to full
-    power.
-    """
-
-    refs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class RowPayload:
     """Send ``rows[row] . msgs[symbols]``: a coefficient row over the named symbols.
 
@@ -122,7 +108,7 @@ class Derivation:
 
     ``rows`` are its derived coefficient rows (see :class:`RowPayload`), and
     ``constants`` the retrospective constants they were computed from, which
-    the scheme's certificates check.
+    the scheme's certificates check (``None`` where they check none).
     """
 
     rows: np.ndarray
@@ -232,10 +218,11 @@ class Scheme:
         entity's first derived row, the engine stores its :meth:`derive`
         under the entity index.  The scalar is complex-linear in ``msgs``
         and in the outputs it replays, so a power ``P`` is the message scale
-        ``sqrt(P)``.  Payloads built from the symbols alone (a symbol, a
-        coefficient row, a combination of clean observations rebuilt from
-        delayed CSIT) are normalized: with unit-power messages their average
-        power is exactly 1 per (antenna, slot), whatever the channel.  A
+        ``sqrt(P)``.  A payload is one of three kinds.  The two built from
+        the symbols alone (a symbol, a coefficient row) are normalized: with
+        unit-power messages their average power is exactly 1 per (antenna,
+        slot), whatever the channel; a row that depends on the channel is
+        its entity's :meth:`derive`, the only place delayed CSIT is read.  A
         replayed output is not: it is sent as received, so its power follows
         its slot's channel gains and noise.  For noiseless unit-power
         messages it averages 2 over channel draws, since two antennas feed
@@ -248,16 +235,6 @@ class Scheme:
             return msgs[payload.symbol]
         if isinstance(payload, OutputPayload):
             return view.output(payload.rx, payload.slot)
-        if isinstance(payload, ComboPayload):
-            # each coefficient is read once; their norm scales the sum to full power
-            terms = [
-                (view.channel_coeff(r, j, m), other.symbol)
-                for r, m in payload.refs
-                for j, other in enumerate(self.schedule[m])
-                if isinstance(other, SymbolPayload)
-            ]
-            norm = np.sqrt(ordered_sum(abs(coeff) ** 2 for coeff, _ in terms))
-            return ordered_sum(coeff * msgs[symbol] for coeff, symbol in terms) / norm
         if isinstance(payload, RowPayload):
             if payload.derived and view.tx not in state:
                 state[view.tx] = self.derive(view, offline, tol)

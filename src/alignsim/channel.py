@@ -34,7 +34,6 @@ __all__ = [
     "AccessRecord",
     "AccessLog",
     "TxInformationView",
-    "outputs_own_receiver_only",
     "MAG_BOUNDS_DEFAULT",
 ]
 
@@ -254,9 +253,6 @@ class AccessLog:
         """Slots whose channel states any transmitter read: the CSI usage is their share."""
         return frozenset(r.item_slot for r in self.records if r.kind == "csi")
 
-    def output_reads(self) -> list[AccessRecord]:
-        return [r for r in self.records if r.kind == "output"]
-
 
 class TxInformationView:
     """Everything transmitter entity ``tx`` may legally read while encoding slot ``slot``.
@@ -339,11 +335,3 @@ class TxInformationView:
             self._log.append(AccessRecord(self.tx, self.slot, "output", rx, None, item_slot))
         return self._outputs[rx, item_slot]
 
-
-def outputs_own_receiver_only(log: AccessLog) -> bool:
-    """True when every output read was of the reading transmitter's own receiver.
-
-    Only meaningful for schemes that pair transmitter ``j`` with receiver
-    ``j``; vacuously true when no outputs were read.
-    """
-    return all(r.item_rx == r.tx for r in log.output_reads())

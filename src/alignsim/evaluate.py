@@ -75,7 +75,6 @@ from .channel import (
     TxInformationView,
     apply_channel,
     generate_channel,
-    outputs_own_receiver_only,
 )
 from .numerics import (
     Degenerate,
@@ -150,7 +149,7 @@ class TrialOutcomes:
     """Outcomes of ``n`` trials in trial order, each array ``(n,)`` or ``(n, num_symbols)``.
 
     ``noise_weights`` is present when rates were asked for.  A batch audits its
-    trials' reads at once: ``csi_slots`` and ``outputs_own_receiver_only`` hold for all.
+    trials' reads at once: ``csi_slots`` holds for all.
     """
 
     trial: np.ndarray
@@ -159,7 +158,6 @@ class TrialOutcomes:
     certificates: dict[str, np.ndarray]
     noise_weights: np.ndarray | None
     csi_slots: list[int]
-    outputs_own_receiver_only: bool
 
     @property
     def decode_ok(self) -> np.ndarray:
@@ -181,7 +179,6 @@ def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
             [p.noise_weights for p in parts]
         ),
         csi_slots=sorted(set().union(*(p.csi_slots for p in parts))),
-        outputs_own_receiver_only=all(p.outputs_own_receiver_only for p in parts),
     )
 
 
@@ -397,7 +394,6 @@ def _run_batch(
         certificates=certs,
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
         csi_slots=csi_slots,
-        outputs_own_receiver_only=outputs_own_receiver_only(log),
     )
 
 
@@ -430,10 +426,24 @@ def run_single_trial(
     )
 
 
-def _split(trials: range, parts: int) -> list[range]:
-    """``trials`` cut into ``parts`` contiguous ranges whose lengths differ by at most one."""
-    n = len(trials)
-    return [trials[p * n // parts : (p + 1) * n // parts] for p in range(parts)]
+@dataclass(frozen=True)
+class _Share(Sequence):
+    """A worker's contiguous ``trials``, read as ``batches`` contiguous batches.
+
+    The batches' sizes differ by at most one.  Each is cut only when it is
+    read, so planning and pickling a share cost the same for any size.
+    """
+
+    trials: range
+    batches: int
+
+    def __len__(self) -> int:
+        return self.batches
+
+    def __getitem__(self, index: int) -> range:
+        b = range(self.batches)[index]
+        n = self.trials.stop - self.trials.start
+        return self.trials[b * n // self.batches : (b + 1) * n // self.batches]
 
 
 def _usable_cpus() -> int:
@@ -443,20 +453,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _batch_plan(num_trials: int, threads: int) -> list[list[range]]:
-    """Each worker's trial batches.
+def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
+    """Each worker's share of the trials.
 
     ``min(threads, usable CPUs, ceil(num_trials / TRIAL_BATCH))`` workers,
-    at least one, take equal contiguous shares of the trials, so a run of
-    up to ``TRIAL_BATCH`` trials has one worker.  Each share of ``m``
-    trials splits into ``ceil(m / TRIAL_BATCH)`` contiguous batches whose
-    sizes differ by at most one.
+    at least one, take contiguous shares of the trials whose sizes differ
+    by at most one, so a run of up to ``TRIAL_BATCH`` trials has one
+    worker.  A ``threads`` of 0 drops its term: no bound beyond the usable
+    CPUs and the batch count.  A share of ``m`` trials reads as
+    ``ceil(m / TRIAL_BATCH)`` batches (see :class:`_Share`).
     """
-    workers = max(1, min(threads, _usable_cpus(), -(-num_trials // TRIAL_BATCH)))
-    return [
-        _split(share, -(-len(share) // TRIAL_BATCH))
-        for share in _split(range(num_trials), workers)
-    ]
+    cpus = _usable_cpus()
+    workers = max(1, min(threads or cpus, cpus, -(-num_trials // TRIAL_BATCH)))
+    bounds = [w * num_trials // workers for w in range(workers + 1)]
+    return [_Share(range(a, b), -(-(b - a) // TRIAL_BATCH)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
@@ -519,13 +529,14 @@ def run_trials(
 ) -> RunReport:
     """Run ``num_trials`` deterministic trials of a scheme.
 
-    The outcome is identical for any ``threads`` value.  At most one worker
-    runs per usable CPU and per ``TRIAL_BATCH`` trials; each runs an equal
-    contiguous share of the trials in near-equal batches of at most
-    ``TRIAL_BATCH``.  The caller is the first worker and runs the first
-    share; each further share runs in a child process of its own, so a run
-    of ``W`` workers starts ``W - 1`` children and a run of up to
-    ``TRIAL_BATCH`` trials starts none.  The shares are received in order,
+    The outcome is identical for any ``threads`` value.  At most
+    ``threads`` workers run (0 sets no bound of its own), at most one per
+    usable CPU and one per ``TRIAL_BATCH`` trials (see :func:`_batch_plan`);
+    each runs an equal contiguous share of the trials in near-equal batches
+    of at most ``TRIAL_BATCH``, cut as they run.  The caller is the first
+    worker and runs the first share; each further share runs in a child
+    process of its own, so a run of ``W`` workers starts ``W - 1`` children
+    and a run of up to ``TRIAL_BATCH`` trials starts none.  The shares are received in order,
     so the first failure in trial order is the one raised.  No child
     outlives the call: one still running when the call ends, by a return
     or by an exception, is killed and joined.

@@ -1,12 +1,12 @@
 """Short feedback-based schemes driven by explicit slot schedules.
 
-Three constructions, each only a schedule:
+Three constructions, each a schedule (``bc_mat``'s with one derived row):
 
 * ``bc_mat``: two-antenna broadcast channel with delayed CSIT, 4 symbols
   over 3 slots.  Slots 0 and 1 send each user's symbol pair; in slot 2 a
   single antenna sends the sum of the two interference combinations the
-  users already observed, rebuilt at the transmitter from the now-available
-  channel states.
+  users already observed, a row the transmitter derives from the
+  now-available channel states.
 * ``x_output_fb``: two-user X channel with delayed output feedback (every
   transmitter sees every receiver's outputs), 4 symbols over 3 slots.  Slots
   0 and 1 send the symbols for receivers 0 and 1; in slot 2 each transmitter
@@ -19,21 +19,24 @@ Three constructions, each only a schedule:
   has not already seen and complete two equations in its own two symbols.
 
 A schedule assigns each (slot, antenna) a payload: an information symbol,
-a stored received output, or a superposition of clean combinations rebuilt
-from delayed CSIT.  The encoder engine and the zero-forcing decoder that
-every scheme shares (:mod:`alignsim.base`) do the rest.  Every payload is
-linear in the symbols and in the replayed outputs, and the decoder
-certifies what the schedules are built for: at each receiver the
-interference fills the slots its two symbols leave free, one slot of three
-in the 3-slot schemes and three slots of five in ``ic3_output_fb``.
+a stored received output, or a coefficient row derived from delayed CSIT.
+The encoder engine and the zero-forcing decoder that every scheme shares
+(:mod:`alignsim.base`) do the rest.  Every payload is linear in the
+symbols and in the replayed outputs, and the decoder certifies what the
+schedules are built for: at each receiver the interference fills the slots
+its two symbols leave free, one slot of three in the 3-slot schemes and
+three slots of five in ``ic3_output_fb``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import ComboPayload, OutputPayload, Scheme, SymbolPayload
+import numpy as np
+
+from .base import Derivation, OutputPayload, RowPayload, Scheme, SymbolPayload
 from .channel import FeedbackKind, FeedbackModel
+from .numerics import ordered_sum
 
 __all__ = ["BcMatScheme", "XOutputFeedbackScheme", "IC3OutputFeedbackScheme"]
 
@@ -42,7 +45,10 @@ class BcMatScheme(Scheme):
     """Two-antenna broadcast channel, delayed CSIT, 4 symbols over 3 slots.
 
     Symbols 0-1 are user 0's pair, symbols 2-3 user 1's.  Both antennas are
-    driven by a single transmitter entity.
+    driven by a single transmitter entity.  In slot 2 antenna 0 sends what
+    receiver 1 observed in slot 0 plus what receiver 0 observed in slot 1,
+    noise-free: interference already known to one receiver and a fresh
+    equation in its own pair to the other.
     """
 
     scheme_id = "bc_mat"
@@ -53,11 +59,19 @@ class BcMatScheme(Scheme):
     schedule = (
         (SymbolPayload(0), SymbolPayload(1)),
         (SymbolPayload(2), SymbolPayload(3)),
-        (ComboPayload(refs=((1, 0), (0, 1))), None),
+        (RowPayload((0, 1, 2, 3), 0, derived=True), None),
     )
 
     def entity_of(self, antenna: int) -> int:
         return 0
+
+    def derive(self, view, offline, tol):
+        """Slot 2's row: the coefficients of both clean observations, at unit norm."""
+        # receiver 1's slot-0 coefficients on symbols 0-1, receiver 0's slot-1 ones on 2-3
+        row = np.stack(
+            [view.channel_coeff(rx, j, m) for rx, m in ((1, 0), (0, 1)) for j in range(2)]
+        )
+        return Derivation(row[None] / np.sqrt(ordered_sum(abs(row) ** 2)), None)
 
 
 class XOutputFeedbackScheme(Scheme):

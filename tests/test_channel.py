@@ -4,7 +4,6 @@ import pytest
 from alignsim.channel import (
     MAG_BOUNDS_DEFAULT,
     AccessLog,
-    AccessRecord,
     CausalityViolation,
     ChannelTensor,
     FeedbackKind,
@@ -12,7 +11,6 @@ from alignsim.channel import (
     TxInformationView,
     apply_channel,
     generate_channel,
-    outputs_own_receiver_only,
 )
 
 
@@ -201,13 +199,6 @@ class TestAccessLog:
         assert np.array_equal(values, expected) and values.shape == (trials,)
         assert len(log.records) == 1
         assert (log.records[0].tx, log.records[0].slot) == (1, 3)
-
-    def test_own_receiver_predicate(self):
-        log = AccessLog()
-        log.append(AccessRecord(1, 3, "output", 1, None, 1))
-        assert outputs_own_receiver_only(log)
-        log.append(AccessRecord(1, 4, "output", 0, None, 2))
-        assert not outputs_own_receiver_only(log)
 
     def test_denied_reads_leave_no_record(self, rng):
         tensor, outputs = _tensor_and_outputs(rng)

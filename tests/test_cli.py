@@ -21,7 +21,7 @@ import alignsim.cli as cli
 import alignsim.evaluate as evaluate
 import alignsim.retro_csit_ic3 as retro_csit_ic3
 import alignsim.retro_csit_x as retro_csit_x
-from alignsim.base import ComboPayload, OutputPayload
+from alignsim.base import Derivation, OutputPayload
 from alignsim.cli import RunConfig, UsageError, _render_json, main, parse_config, run
 from alignsim.evaluate import SchemeFailure
 from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutputFeedbackScheme
@@ -101,10 +101,13 @@ class TestParseConfig:
             parse_config(["--scheme", "bc_mat", "--trials", "0"])
 
     def test_resolved_threads(self):
+        # the CLI passes --threads through; the batch plan resolves 0
         config = parse_config(["--scheme", "bc_mat", "--threads", "3"])
-        assert config.resolved_threads() == 3
+        assert config.threads == 3
         config = parse_config(["--scheme", "bc_mat"])
-        assert config.resolved_threads() >= 1
+        assert config.threads == 0
+        workers = len(evaluate._batch_plan(10**6, config.threads))
+        assert workers == evaluate._usable_cpus() >= 1
 
 
 class TestRenderJson:
@@ -234,8 +237,45 @@ class TestAuditMode:
         assert code == 0
         results = json.loads(out)["results"]
         assert results["csi_slot_fraction"] == "0"
-        assert results["outputs_own_receiver_only"] is True
         assert results["feedback_kind"] == "delayed_output"
+        assert json.loads(out)["pass"] is True
+
+    def test_over_budget_reads_exit_3(self, capsys, monkeypatch):
+        # the run stops on an over-budget read before audit reports
+        class OverBudget(BcMatScheme):
+            csi_slot_budget = Fraction(1, 3)
+
+        monkeypatch.setitem(SCHEMES, "bc_mat", OverBudget())
+        code, out, err = _run_main(
+            capsys, ["--scheme", "bc_mat", "--mode", "audit", "--trials", "3", "--threads", "1"]
+        )
+        assert code == 3 and err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemeFailure"
+        assert error["message"] == (
+            "bc_mat trial 0: transmitters read channel states of slots [0, 1], above the "
+            "budget 1/3"
+        )
+
+    def test_output_read_outside_the_association_exits_3(self, capsys, monkeypatch):
+        # transmitter 1 replays receiver 0's output, which is not fed back to it
+        class Leaky(IC3OutputFeedbackScheme):
+            schedule = (
+                *IC3OutputFeedbackScheme.schedule[:3],
+                (None, OutputPayload(rx=0, slot=1), OutputPayload(rx=2, slot=0)),
+                IC3OutputFeedbackScheme.schedule[4],
+            )
+
+        monkeypatch.setitem(SCHEMES, "ic3_output_fb", Leaky())
+        code, out, err = _run_main(
+            capsys,
+            ["--scheme", "ic3_output_fb", "--mode", "audit", "--trials", "3", "--threads", "1"],
+        )
+        assert code == 3 and err == ""
+        assert json.loads(out)["error"] == {
+            "type": "CausalityViolation",
+            "message": "output of receiver 0 is not fed back to transmitter 1",
+        }
 
 
 class TestDofSweepMode:
@@ -432,7 +472,11 @@ class TestStructuralFailures:
 def _misalign_bc_mat(monkeypatch):
     # slot 2 resends receiver 0's own slot-0 equation instead of receiver 1's
     class Misaligned(BcMatScheme):
-        schedule = (*BcMatScheme.schedule[:2], (ComboPayload(refs=((1, 0), (0, 0))), None))
+        def derive(self, view, offline, tol):
+            # receiver 1's slot-0 observation plus receiver 0's, both in symbols 0-1
+            pair = [view.channel_coeff(1, j, 0) + view.channel_coeff(0, j, 0) for j in range(2)]
+            row = np.stack([*pair, 0 * pair[0], 0 * pair[0]])
+            return Derivation(row[None] / np.sqrt(np.sum(abs(row) ** 2, axis=0)), None)
 
     monkeypatch.setitem(SCHEMES, "bc_mat", Misaligned())
 

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import pickle
 import time
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alignsim.base import OutputPayload, certificate_failures
-from alignsim.channel import generate_channel
+from alignsim.channel import AccessLog, TxInformationView, generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
     MAX_ATTEMPTS,
@@ -127,6 +128,34 @@ class TestSimulateBlock:
         assert np.array_equal(again.x, first.x)
         simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
         assert len(calls) == 2 * entities
+
+    @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+    def test_the_engine_reads_no_channel(self, monkeypatch, scheme_id):
+        # delayed CSIT becomes coefficients only inside a derive
+        scheme = get_scheme(scheme_id)
+        reads = {"derive": 0, "engine": 0}
+        deriving = []
+        channel_coeff, derive = TxInformationView.channel_coeff, scheme.derive
+
+        def counted_read(view, *item):
+            reads["derive" if deriving else "engine"] += 1
+            return channel_coeff(view, *item)
+
+        def counted_derive(view, offline, tol):
+            deriving.append(view.tx)
+            try:
+                return derive(view, offline, tol)
+            finally:
+                deriving.pop()
+
+        monkeypatch.setattr(TxInformationView, "channel_coeff", counted_read)
+        monkeypatch.setattr(scheme, "derive", counted_derive)
+        tensor, offline, msgs = _draw_batch(scheme, 5, [(t, 0) for t in range(3)])
+        log = AccessLog()
+        simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, log=log)
+        assert reads["engine"] == 0
+        assert reads["derive"] == sum(r.kind == "csi" for r in log.records)
+        assert (reads["derive"] > 0) == scheme.feedback.provides_csi
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
     def test_error_is_linear_in_noise_and_inverse_in_amplitude(self, scheme_id):
@@ -394,7 +423,6 @@ def _weights_report(scheme, rows):
     outcomes = TrialOutcomes(
         trial=np.arange(n), attempt=np.zeros(n, dtype=int), max_rel_symbol_error=np.zeros(n),
         certificates={}, noise_weights=np.array(rows), csi_slots=[],
-        outputs_own_receiver_only=True,
     )
     return RunReport(outcomes, [])
 
@@ -614,6 +642,34 @@ def test_batch_plan(num_trials, threads, cores):
     assert all(plan)
 
 
+def test_batch_plan_cuts_batches_only_when_read():
+    # a trillion trials plan as two numbers per worker, picklable for a child
+    import alignsim.evaluate as evaluate
+
+    with mock.patch.object(evaluate, "_usable_cpus", lambda: 2):
+        start = time.perf_counter()
+        plan = evaluate._batch_plan(10**12, 2)
+        assert time.perf_counter() - start < 0.1
+    half = 10**12 // 2
+    assert [len(share) for share in plan] == [half // TRIAL_BATCH] * 2
+    assert [(share[0], share[-1]) for share in plan] == [
+        (range(0, 128), range(half - 128, half)),
+        (range(half, half + 128), range(10**12 - 128, 10**12)),
+    ]
+    assert pickle.loads(pickle.dumps(plan)) == plan
+    with pytest.raises(IndexError):
+        plan[0][half // TRIAL_BATCH]
+
+
+def test_batch_plan_at_threads_0_is_bounded_by_cpus_and_batches():
+    import alignsim.evaluate as evaluate
+
+    with mock.patch.object(evaluate, "_usable_cpus", lambda: 3):
+        assert len(evaluate._batch_plan(10**6, 0)) == 3
+        assert len(evaluate._batch_plan(2 * TRIAL_BATCH, 0)) == 2
+        assert len(evaluate._batch_plan(1, 0)) == 1
+
+
 class TestWorkerProcesses:
     """Two workers, the caller and one child; under the fixture they run trials 0-3 and 4-7."""
 
@@ -623,7 +679,9 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 4)
-        assert evaluate._batch_plan(8, 2) == [[range(0, 4)], [range(4, 8)]]
+        assert [list(share) for share in evaluate._batch_plan(8, 2)] == [
+            [range(0, 4)], [range(4, 8)]
+        ]
         return evaluate
 
     def test_outcomes_of_a_share_larger_than_the_pipe_buffer(self, monkeypatch):
@@ -774,18 +832,17 @@ def test_certificate_keys_are_unique_and_reported(scheme_id):
 
 
 def test_concat_joins_the_arrays_and_merges_the_audits():
-    def outcomes(trials, csi_slots, own):
+    def outcomes(trials, csi_slots):
         trials = np.array(trials)
         return TrialOutcomes(
             trial=trials, attempt=0 * trials, max_rel_symbol_error=trials / 10.0,
             certificates={"c": 2.0 * trials}, noise_weights=np.outer(trials, [1.0, 1.0]),
-            csi_slots=csi_slots, outputs_own_receiver_only=own,
+            csi_slots=csi_slots,
         )
 
-    joined = _concat([outcomes([0, 1], [2], True), outcomes([2], [0, 2], False)])
+    joined = _concat([outcomes([0, 1], [2]), outcomes([2], [0, 2])])
     assert joined.trial.tolist() == [0, 1, 2]
     assert joined.max_rel_symbol_error.tolist() == [0.0, 0.1, 0.2]
     assert joined.certificates["c"].tolist() == [0.0, 2.0, 4.0]
     assert joined.noise_weights.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
     assert joined.csi_slots == [0, 2]
-    assert joined.outputs_own_receiver_only is False

@@ -172,7 +172,7 @@ class TestEncoding:
         assert len(csi) == 3 * 2 * 2 * PHASE1_SLOTS
         for rec in csi:
             assert rec.item_rx != rec.tx  # never its own receiver's row
-        assert log.output_reads() == []
+        assert len(csi) == len(log.records)
 
     @pytest.mark.parametrize("perturb_from", range(NUM_SLOTS))
     def test_future_states_never_leak(self, perturb_from):
