@@ -1,10 +1,10 @@
 """Common contract shared by every transmission scheme: its one encoder engine and one decoder.
 
 A scheme is a stateless description of one block: a schedule of payloads,
-the feedback model it assumes and the certificates of its construction.
-All per-trial data (channel, offline coefficients, messages, cached
-derivations) is passed in explicitly, so one scheme instance can be shared
-freely across trials and worker processes.
+the feedback model it assumes, its draws and the rows its transmitters
+derive.  All per-trial data (channel, offline coefficients, messages,
+cached derived rows) is passed in explicitly, so one scheme instance can
+be shared freely across trials and worker processes.
 
 The schedule assigns each (slot, antenna) a payload, and it fixes the
 block's size.  :meth:`Scheme.transmit`, the one encoder engine, sends a
@@ -25,10 +25,10 @@ receiver zero-forces with the rows of ``G⁺`` that belong to its own
 symbols.  This recovers them exactly when ``G`` has full row rank and the
 interference fills only the ``num_slots - len(symbols_for_rx(rx))``
 dimensions that the desired symbols leave free.  This is the alignment
-each scheme is built for, and the decoder certifies it for every scheme.
-A block's certificates form one table (:meth:`Scheme.certificates`): each
-row names a key, its value, a direction and a cutoff.  A scheme appends the
-rows of its own encoder, and :func:`certificate_failures` judges a table.
+each scheme is built for, and the decoder certifies it for every scheme:
+a block's certificates form one table (:meth:`Scheme.certificates`), the
+same for every scheme, whose rows each name a key, its value, a direction
+and a cutoff, and :func:`certificate_failures` judges a table.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .numerics import (
 
 __all__ = [
     "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "RowPayload",
-    "Derivation", "DecodeContext", "Scheme", "certificate_failures",
+    "DecodeContext", "Scheme", "certificate_failures",
 ]
 
 #: The comparison a certificate value must pass, by direction of its check.
@@ -92,9 +92,9 @@ class RowPayload:
     """Send ``rows[row] . msgs[symbols]``: a coefficient row over the named symbols.
 
     ``rows`` is the offline draw's ``offline.rows``, or, where ``derived``,
-    the ``rows`` of the :class:`Derivation` the sending entity derived from
-    its view (:meth:`Scheme.derive`).  Each row is a ``(len(symbols), T)``
-    array that the draw or the derivation normalizes to full power.
+    the rows the sending entity derived from its view (:meth:`Scheme.derive`).
+    Each row is a ``(len(symbols), T)`` array that the draw or ``derive``
+    normalizes to full power.
     """
 
     symbols: tuple[int, ...]
@@ -103,28 +103,16 @@ class RowPayload:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """What a transmitter entity derives once per block from its view.
-
-    ``rows`` are its derived coefficient rows (see :class:`RowPayload`), and
-    ``constants`` the retrospective constants they were computed from, which
-    the scheme's certificates check (``None`` where they check none).
-    """
-
-    rows: np.ndarray
-    constants: Any
-
-
-@dataclass(frozen=True)
 class DecodeContext:
-    """The zero-forcing decoders of one block and what the certificates read.
+    """The zero-forcing decoders of one block, their guards and the block run they came from.
 
     ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, T)``
     stack of matrices that map receiver ``rx``'s observations to its
     symbols; ``receive_cond[rx]`` and ``zf_residual[rx]`` are their guards
-    (see :func:`~alignsim.numerics.zero_forcing_rows`), ``(T,)`` each.  ``state``
-    is the encoder's cache of the block run the decoders were read from: the
-    :class:`Derivation` of each entity that derived rows, keyed by entity.
+    (see :func:`~alignsim.numerics.zero_forcing_rows`), ``(T,)`` each, which
+    the certificates read.  ``tensor``, ``offline`` and ``state`` are the
+    block run the decoders were read from; ``state`` is the encoder's cache,
+    the derived rows of each entity that derived any, keyed by entity.
     """
 
     decoders: tuple[np.ndarray, ...]
@@ -136,7 +124,7 @@ class DecodeContext:
 
 
 class Scheme:
-    """Base class and encoder engine: subclasses give a schedule, their draws and certificates.
+    """Base class, encoder engine and decoder: subclasses give a schedule, draws and ``derive``.
 
     ``schedule[slot][antenna]`` is a payload, or ``None`` for silence.  The
     schedule fixes the block's size: ``num_slots`` is its number of rows,
@@ -178,8 +166,8 @@ class Scheme:
         """Unit-power information symbols ``(num_symbols, T)`` (``rngs`` as above)."""
         return sample_complex_gaussian(rngs, self.num_symbols)
 
-    def derive(self, view: TxInformationView, offline: Any, tol: Tolerances) -> Derivation:
-        """The :class:`Derivation` of entity ``view.tx``, read at its first derived slot."""
+    def derive(self, view: TxInformationView, offline: Any, tol: Tolerances) -> np.ndarray:
+        """Entity ``view.tx``'s derived rows (by ``RowPayload.row``), at its first derived slot."""
         raise NotImplementedError(f"{self.scheme_id} schedules no derived rows")
 
     def symbols_for_rx(self, rx: int) -> list[int]:
@@ -238,8 +226,8 @@ class Scheme:
         if isinstance(payload, RowPayload):
             if payload.derived and view.tx not in state:
                 state[view.tx] = self.derive(view, offline, tol)
-            source = state[view.tx] if payload.derived else offline
-            return dot(source.rows[payload.row], msgs[list(payload.symbols)])
+            rows = state[view.tx] if payload.derived else offline.rows
+            return dot(rows[payload.row], msgs[list(payload.symbols)])
         raise TypeError(f"unknown payload {payload!r}")
 
     def decode_context(
@@ -249,8 +237,7 @@ class Scheme:
 
         ``response`` is the encoder's impulse response ``(num_rx, num_slots,
         num_symbols, T)``: the received block of a run whose message columns
-        are the identity, and ``state`` is the ``state`` of that run, which
-        the certificates read.
+        are the identity, and ``state`` is the ``state`` of that run.
 
         All receivers' matrices share one shape and want as many symbols, so
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
@@ -305,11 +292,11 @@ class Scheme:
         """The block's certificate table: rows of ``(key, value, direction, cutoff)``.
 
         A row passes where ``value <direction> cutoff`` holds (see
-        :func:`certificate_failures`).  The decoder's rows come first, by
-        receiver, and a scheme appends its encoder's.  ``interference_rank_rx*``
-        is the design value (:meth:`interference_rank`), not a measured rank:
-        the decoder certifies the alignment only through ``receive_cond_rx*``
-        and ``zf_residual_rx*`` (ROADMAP item 2 measures it).  Each value is a
+        :func:`certificate_failures`).  Every scheme has the same three rows
+        per receiver, by receiver.  ``interference_rank_rx*`` is the design
+        value (:meth:`interference_rank`), not a measured rank: the decoder
+        certifies the alignment through ``receive_cond_rx*`` and
+        ``zf_residual_rx*`` (ROADMAP item 2 measures it).  Each value is a
         ``(T,)`` array, or one float that holds for every trial.
         """
         rows = []

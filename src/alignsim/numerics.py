@@ -35,7 +35,6 @@ __all__ = [
     "ordered_sum",
     "matvec",
     "dot",
-    "singular_values",
     "vector_norm",
     "frobenius_norm",
     "standard_normals",
@@ -157,11 +156,6 @@ def matvec(a, v) -> np.ndarray:
 def dot(c, v) -> np.ndarray:
     """``sum_i c[i] * v[i]`` for ``c`` of shape ``(k, *S)`` and ``v`` of shape ``(k, *B, *S)``."""
     return matvec(c[None], v)[0]
-
-
-def singular_values(a) -> np.ndarray:
-    """Descending singular values of ``a`` ``(m, n, *S)``, shape ``(min(m, n), *S)``."""
-    return np.moveaxis(np.linalg.svd(_stacked(_as_matrix(a)), compute_uv=False), -1, 0)
 
 
 def vector_norm(v) -> np.ndarray:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .base import Derivation, OutputPayload, RowPayload, Scheme, SymbolPayload
+from .base import OutputPayload, RowPayload, Scheme, SymbolPayload
 from .channel import FeedbackKind, FeedbackModel
 from .numerics import ordered_sum
 
@@ -71,7 +71,7 @@ class BcMatScheme(Scheme):
         row = np.stack(
             [view.channel_coeff(rx, j, m) for rx, m in ((1, 0), (0, 1)) for j in range(2)]
         )
-        return Derivation(row[None] / np.sqrt(ordered_sum(abs(row) ** 2)), None)
+        return row[None] / np.sqrt(ordered_sum(abs(row) ** 2))
 
 
 class XOutputFeedbackScheme(Scheme):

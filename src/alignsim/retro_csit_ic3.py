@@ -30,21 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .base import Derivation, RowPayload, Scheme
+from .base import RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
-from .numerics import (
-    Degenerate,
-    dot,
-    frobenius_norm,
-    matvec,
-    null_vector,
-    sample_complex_gaussian,
-    vector_norm,
-)
+from .numerics import Degenerate, null_vector, sample_complex_gaussian, vector_norm
 
 __all__ = [
     "COEFF_NORM_FLOOR",
-    "CONSTRAINT_RESIDUAL_MAX",
     "DegenerateCoefficients",
     "ICOffline",
     "interferers",
@@ -57,9 +48,6 @@ PHASE1_SLOTS = 5
 #: A phase-2 cross product of unit-norm alpha sub-triples shorter than this
 #: is treated as vanished: the two constraints are parallel.
 COEFF_NORM_FLOOR = 1e-12
-
-#: Largest accepted |c[tx] . alpha_sub(rx, tx)| for the phase-2 triples.
-CONSTRAINT_RESIDUAL_MAX = 1e-12
 
 
 class DegenerateCoefficients(Degenerate):
@@ -138,7 +126,7 @@ class IC3RetroCsitScheme(Scheme):
         return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
     def derive(self, view, offline, tol):
-        """Transmitter ``view.tx``'s phase-2 triple, with the annihilators it was built from.
+        """Transmitter ``view.tx``'s phase-2 triple, from the annihilators of its two victims.
 
         Transmitter ``k`` only needs the annihilators of the two receivers it
         interferes with, and reads only their cross channels.
@@ -153,24 +141,5 @@ class IC3RetroCsitScheme(Scheme):
         alphas = null_vector(
             np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2), tol
         )
-        alphas = dict(zip(victims, np.moveaxis(alphas, 1, 0)))
-        triple = _unit_cross(*[_alpha_sub(alphas[rx], rx, k) for rx in victims], k)
-        return Derivation(triple[None], alphas)
-
-    def certificates(self, ctx, tol):
-        """Decoder certificates plus the residuals of the encoder's cached alphas and triples."""
-        rows = super().certificates(ctx, tol)
-        h5 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
-        for rx in range(3):
-            a = alpha_system(h5, ctx.offline.phase1, rx)
-            alpha = ctx.state[interferers(rx)[0]].constants[rx]
-            residual = vector_norm(matvec(a, alpha)) / frobenius_norm(a)
-            rows.append((f"alpha_residual_rx{rx}", residual, "<=", tol.residual_rel))
-        # The defining orthogonality of each transmitter's triple against the
-        # annihilators it was built from: c[tx] . alpha_sub(rx, tx) = 0.
-        constraint = 0.0
-        for tx in range(3):
-            for rx in interferers(tx):
-                sub = _alpha_sub(ctx.state[tx].constants[rx], rx, tx)
-                constraint = np.maximum(constraint, abs(dot(ctx.state[tx].rows[0], sub)))
-        return rows + [("constraint_residual", constraint, "<=", CONSTRAINT_RESIDUAL_MAX)]
+        subs = [_alpha_sub(alpha, rx, k) for rx, alpha in zip(victims, np.moveaxis(alphas, 1, 0))]
+        return _unit_cross(*subs, k)[None]

@@ -16,16 +16,17 @@ four symbols (slots 0-based):
   each receiver the two cross interference symbols arrive along a single
   direction.
 
-For receiver 0 the constants come from the unique null vector
-``(gamma[0, 1], 1, -beta * gamma[1, 1], -beta)`` of the 3x4 matrix whose
-columns are the slot-0..2 receive directions of the four symbols intended
-for receiver 1, and symmetrically for receiver 1 (constants ``gamma[., 0]``
-and ``delta``).  At each receiver the four interfering symbols then fill
-only 3 of the 7 receive dimensions: two for their layer variables and one
-for the direction along which, once those are substituted, both cross
-second symbols arrive in phase 1.  That leaves 4 for the receiver's own
-four symbols; the zero-forcing decoder every scheme shares
-(:mod:`alignsim.base`) certifies this and decodes.
+For receiver 0 the constants come from the unique null vector ``v`` of the
+3x4 matrix whose columns are the slot-0..2 receive directions of the four
+symbols intended for receiver 1: ``gamma[0, 1] = v[0] / v[1]`` and
+``gamma[1, 1] = v[2] / v[3]``, so that ``v`` is proportional to
+``(gamma[0, 1], 1, b * gamma[1, 1], b)`` for some ``b``.  Symmetrically,
+receiver 1's system gives ``gamma[., 0]``.  At each receiver the four
+interfering symbols then fill only 3 of the 7 receive dimensions: two for
+their layer variables and one for the direction along which, once those
+are substituted, both cross second symbols arrive in phase 1.  That leaves
+4 for the receiver's own four symbols; the zero-forcing decoder every
+scheme shares (:mod:`alignsim.base`) certifies this and decodes.
 """
 
 from __future__ import annotations
@@ -35,16 +36,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .base import Derivation, RowPayload, Scheme
+from .base import RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
 from .numerics import (
     Degenerate,
     Tolerances,
     complex_gaussian,
-    frobenius_norm,
-    matvec,
     null_vector,
-    singular_values,
     standard_normals,
     vector_norm,
 )
@@ -52,7 +50,6 @@ from .numerics import (
 __all__ = [
     "DegenerateNormalization",
     "XOffline",
-    "XAlignmentConstants",
     "interference_system",
     "alignment_constants",
     "XRetroCsitScheme",
@@ -89,20 +86,6 @@ class XOffline:
         return self.phase1.transpose(1, 3, 0, 2, 4).reshape(2, PHASE1_SLOTS, 4, -1)
 
 
-@dataclass(frozen=True)
-class XAlignmentConstants:
-    """Retrospective constants computed from the phase-1 channel states.
-
-    ``gamma[j, k]`` couples the two symbols of message (k, j); ``beta`` and
-    ``delta`` are the interference co-linearity factors at receivers 0 and 1.
-    Each carries the trial axis last.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    delta: np.ndarray
-
-
 def interference_system(h3: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
     """3x4 matrix of phase-1 receive directions, at ``rx``, of the other receiver's symbols.
 
@@ -117,14 +100,13 @@ def interference_system(h3: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarr
     return np.stack(cols, axis=1)
 
 
-def alignment_constants(
-    h3: np.ndarray, phase1: np.ndarray, tol: Tolerances
-) -> XAlignmentConstants:
-    """Extract gamma, beta, delta from the two 3x4 interference systems.
+def alignment_constants(h3: np.ndarray, phase1: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The retrospective constants ``gamma`` from the two 3x4 interference systems.
 
-    Each system has a one-dimensional null space for generic draws; the
-    constants are ratios of null-vector entries, so they are independent of
-    the vector's scale and phase convention.  Raises
+    ``gamma[j, k]`` couples the two symbols of message (k, j), with the
+    trial axis last.  Each system has a one-dimensional null space for
+    generic draws; the constants are ratios of null-vector entries, so they
+    are independent of the vector's scale and phase convention.  Raises
     :class:`DegenerateNormalization` when an entry that must be pinned to 1
     is numerically zero, and propagates :class:`~alignsim.numerics.\
     RankDeficient` for rank-deficient draws; both are discard events.
@@ -136,15 +118,13 @@ def alignment_constants(
         if np.any(np.minimum(abs(vec[1]), abs(vec[3])) < tol.rank_rel * vector_norm(vec)):
             raise DegenerateNormalization("null vector entry too small to pin to unity")
     gamma = np.empty((2, 2, *v.shape[1:]), dtype=np.complex128)
-    # Null vector at receiver 0 is (gamma[0,1], 1, -beta*gamma[1,1], -beta)
-    # up to scale; receiver 1 gives (gamma[0,0], 1, -delta*gamma[1,0], -delta).
+    # receiver 0's null vector is (gamma[0,1], 1, b*gamma[1,1], b) up to
+    # scale, and receiver 1's (gamma[0,0], 1, b'*gamma[1,0], b')
     gamma[0, 1] = v[0] / v[1]
     gamma[1, 1] = v[2] / v[3]
-    beta = -v[3] / v[1]
     gamma[0, 0] = w[0] / w[1]
     gamma[1, 0] = w[2] / w[3]
-    delta = -w[3] / w[1]
-    return XAlignmentConstants(gamma=gamma, beta=beta, delta=delta)
+    return gamma
 
 
 class XRetroCsitScheme(Scheme):
@@ -177,42 +157,8 @@ class XRetroCsitScheme(Scheme):
     def derive(self, view, offline, tol):
         """Transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states."""
         h3 = view.channel_states(range(PHASE1_SLOTS))
-        constants = alignment_constants(h3, offline.phase1, tol)
-        gamma, c = constants.gamma[view.tx], offline.phase2[view.tx]
+        gamma = alignment_constants(h3, offline.phase1, tol)[view.tx]
+        c = offline.phase2[view.tx]
         # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
         rows = np.stack([c[0], -c[0] * gamma[0], c[1], -c[1] * gamma[1]])
-        return Derivation(np.moveaxis(rows / vector_norm(rows), 1, 0), constants)
-
-    def certificates(self, ctx, tol):
-        """Decoder certificates plus the alignment of the encoder's cached constants."""
-        h3 = ctx.tensor.h[:, :, :PHASE1_SLOTS]
-        phase1 = ctx.offline.phase1
-        constants = ctx.state[0].constants
-        gamma = constants.gamma
-        align, crosses = [], []
-        for rx in range(2):
-            other = 1 - rx
-            a = interference_system(h3, phase1, rx)
-            factor = constants.beta if rx == 0 else constants.delta
-            vec = np.stack(
-                [gamma[0, other], np.ones_like(factor), -factor * gamma[1, other], -factor]
-            )
-            align.append(vector_norm(matvec(a, vec)) / (frobenius_norm(a) * vector_norm(vec)))
-            # phase-1 receive directions of the cross second symbols
-            # u[other, j, 1] once the layer variables are substituted
-            crosses.append(np.stack(
-                [
-                    h3[rx, j] * (phase1[other, j, 0] * gamma[j, other] + phase1[other, j, 1])
-                    for j in range(2)
-                ],
-                axis=1,
-            ))
-        # both receivers' direction pairs in one SVD call
-        sv = singular_values(np.stack(crosses, axis=2))
-        rows = super().certificates(ctx, tol)
-        for rx in range(2):
-            rows += [
-                (f"colinearity_rx{rx}", sv[1, rx] / sv[0, rx], "<=", tol.rank_rel),
-                (f"align_residual_rx{rx}", align[rx], "<=", tol.residual_rel),
-            ]
-        return rows
+        return np.moveaxis(rows / vector_norm(rows), 1, 0)

@@ -63,11 +63,15 @@ class TestChannelTensor:
         with pytest.raises(ValueError, match="magnitude"):
             ChannelTensor(h=h)
 
-    def test_validates_finite(self):
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_validates_finite(self, bad):
         h = np.ones((2, 2, 3, 1), dtype=complex)
-        h[0, 0, 0] = np.inf
+        h[0, 0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             ChannelTensor(h=h)
+        # an unbounded band still refuses a non-finite coefficient
+        with pytest.raises(ValueError, match="finite"):
+            ChannelTensor(h=h, mag_bounds=(1e-3, np.inf))
 
     def test_refuses_a_lone_trial_tensor(self):
         # one block shape: a lone trial is a stack of one, h[rx, tx, slot, t]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alignsim.base import OutputPayload, certificate_failures
+from alignsim.base import OutputPayload, Scheme, certificate_failures
 from alignsim.channel import AccessLog, TxInformationView, generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
@@ -773,18 +773,15 @@ def _rx_keys(names, num_rx):
 
 _DECODER_CHECKS = ["interference_rank", "receive_cond", "zf_residual"]
 
-# every certificate check of each scheme, in the order a failure lists them
+# every certificate check of each scheme, in the order a failure lists them:
+# the decoder's, which are every scheme's
 _CHECK_ORDER = {
-    "bc_mat": _rx_keys(_DECODER_CHECKS, 2),
-    "x_output_fb": _rx_keys(_DECODER_CHECKS, 2),
-    "ic3_output_fb": _rx_keys(_DECODER_CHECKS, 3),
-    "x_retro_csit": _rx_keys(_DECODER_CHECKS, 2) + _rx_keys(["colinearity", "align_residual"], 2),
-    "ic3_retro_csit": (
-        _rx_keys(_DECODER_CHECKS, 3)
-        + [f"alpha_residual_rx{rx}" for rx in range(3)]
-        + ["constraint_residual"]
-    ),
+    scheme_id: _rx_keys(_DECODER_CHECKS, scheme.num_rx) for scheme_id, scheme in SCHEMES.items()
 }
+
+
+def test_every_scheme_is_certified_by_the_decoder_alone():
+    assert all(type(s).certificates is Scheme.certificates for s in SCHEMES.values())
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
