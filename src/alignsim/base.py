@@ -166,8 +166,12 @@ class Scheme:
         """Unit-power information symbols ``(num_symbols, T)`` (``rngs`` as above)."""
         return sample_complex_gaussian(rngs, self.num_symbols)
 
-    def derive(self, view: TxInformationView, offline: Any, tol: Tolerances) -> np.ndarray:
-        """Entity ``view.tx``'s derived rows (by ``RowPayload.row``), at its first derived slot."""
+    def derive(self, view: TxInformationView, offline: Any) -> np.ndarray:
+        """Entity ``view.tx``'s derived rows (by ``RowPayload.row``), at its first derived slot.
+
+        It judges no draw: the decoder judges the receive matrix its rows make
+        (:meth:`decode_context`).
+        """
         raise NotImplementedError(f"{self.scheme_id} schedules no derived rows")
 
     def symbols_for_rx(self, rx: int) -> list[int]:
@@ -191,7 +195,6 @@ class Scheme:
         msgs: np.ndarray,
         offline: Any,
         state: dict,
-        tol: Tolerances,
     ) -> complex | np.ndarray:
         """Scalar sent from ``antenna`` at ``slot``: its payload in the schedule.
 
@@ -204,7 +207,9 @@ class Scheme:
 
         ``state`` is the block's cache (it starts empty each block): at an
         entity's first derived row, the engine stores its :meth:`derive`
-        under the entity index.  The scalar is complex-linear in ``msgs``
+        under the entity index; it runs with floating-point warnings off,
+        since a degenerate draw may divide by zero there, and judges
+        nothing.  The scalar is complex-linear in ``msgs``
         and in the outputs it replays, so a power ``P`` is the message scale
         ``sqrt(P)``.  A payload is one of three kinds.  The two built from
         the symbols alone (a symbol, a coefficient row) are normalized: with
@@ -225,7 +230,8 @@ class Scheme:
             return view.output(payload.rx, payload.slot)
         if isinstance(payload, RowPayload):
             if payload.derived and view.tx not in state:
-                state[view.tx] = self.derive(view, offline, tol)
+                with np.errstate(all="ignore"):
+                    state[view.tx] = self.derive(view, offline)
             rows = state[view.tx] if payload.derived else offline.rows
             return dot(rows[payload.row], msgs[list(payload.symbols)])
         raise TypeError(f"unknown payload {payload!r}")
@@ -243,17 +249,23 @@ class Scheme:
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
         each bit for bit as a call on its matrix alone would.
 
-        The receivers are judged in order, each on all its trials, with the
-        certificate table's comparisons.  :class:`~alignsim.numerics.Singular`, a
-        degenerate draw, is raised where ``receive_cond_rx*`` is not above
-        ``Tolerances.rank_rel`` (``--tol-rank``; a NaN is not); the message
-        names the receiver, the condition number of its first such trial and
-        the cutoff.  :class:`InterferenceRankUnexpected` is raised where a
+        This is the one judge of a degenerate draw.  The receivers are judged
+        in order, each on all its trials, with the certificate table's
+        comparisons.  :class:`~alignsim.numerics.Singular`, a degenerate
+        draw, is raised where ``receive_cond_rx*`` is not above
+        ``Tolerances.rank_rel`` (``--tol-rank``; a NaN is not, and a receive
+        matrix that is not finite has a NaN ``cond``); the message names the
+        receiver, the condition number of its first such trial and the
+        cutoff.  :class:`InterferenceRankUnexpected` is raised where a
         zero-forcing residual exceeds ``tol.residual_rel``.
         """
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
         rows = np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
+        finite = np.isfinite(g).all(axis=(0, 1))
+        if not finite.all():
+            # a zero matrix stands in for each one that is not finite: its cond is NaN
+            g = np.where(finite, g, 0.0)
         d, cond, residual = zero_forcing_rows(g, rows)
         for rx in range(self.num_rx):
             singular = ~(cond[rx] > tol.rank_rel)

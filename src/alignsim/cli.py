@@ -113,8 +113,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_snr_grid,
         help="comma-separated SNR grid in dB (dof_sweep mode only), e.g. 40,50,60,70",
     )
-    parser.add_argument("--tol-rank", type=float, help="relative rank decision cutoff")
-    parser.add_argument("--tol-residual", type=float, help="relative residual acceptance cutoff")
+    parser.add_argument(
+        "--tol-rank", type=float,
+        help="receive_cond_rx* cutoff: a draw whose receive matrix has s_min/s_max at or below "
+        "it, or is not finite, is singular, and is discarded and resampled",
+    )
+    parser.add_argument(
+        "--tol-residual", type=float,
+        help="zf_residual_rx* cutoff: a zero-forcing residual above it fails the run (exit 3)",
+    )
     parser.add_argument("--out", help="output file path (default: stdout)")
     parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
     parser.add_argument(

@@ -2,10 +2,10 @@
 
 One trial is one block of a scheme on a fresh channel draw: encode through
 causality-checked views, decode at every receiver, compare against the sent
-symbols and collect the scheme's structural certificates.  Degenerate draws
-(rank-deficient alignment systems, vanishing pivots) are measure-zero events;
-they are discarded and the trial is resampled with a fresh deterministic
-seed, up to a fixed retry cap.  A causality violation or a failed
+symbols and collect the scheme's structural certificates.  A draw whose
+receive matrix the decoder judges singular (a non-finite one included) is a
+measure-zero event; it is discarded and the trial is resampled with a fresh
+deterministic seed, up to a fixed retry cap.  A causality violation or a failed
 certificate is never resampled: it aborts the run as a scheme failure.
 
 Every scheme decodes with one zero-forcing decoder (see
@@ -77,8 +77,8 @@ from .channel import (
     generate_channel,
 )
 from .numerics import (
-    Degenerate,
     NumericsError,
+    Singular,
     Tolerances,
     ordered_sum,
     seeded_generators,
@@ -249,7 +249,6 @@ def simulate_block(
     tensor: ChannelTensor,
     offline,
     msgs: np.ndarray,
-    tol: Tolerances,
     noise: np.ndarray | None = None,
     log: AccessLog | None = None,
     state: dict | None = None,
@@ -276,13 +275,13 @@ def simulate_block(
     for n in range(num_slots):
         for j in range(num_tx):
             view = TxInformationView(scheme.entity_of(j), n, tensor, y, scheme.feedback, log)
-            x[j, n] = scheme.transmit(j, n, view, msgs, offline, state, tol)
+            x[j, n] = scheme.transmit(j, n, view, msgs, offline, state)
         noise_slot = None if noise is None else noise[:, n]
         y[:, n] = apply_channel(x[:, n], tensor, n, noise=noise_slot)
     return SignalRecord(x=x, y=y)
 
 
-def noise_transfer_weights(scheme: Scheme, ctx, tol: Tolerances) -> np.ndarray:
+def noise_transfer_weights(scheme: Scheme, ctx) -> np.ndarray:
     """Per-symbol squared norm of the decoder's unit-power noise image.
 
     The image of the unit impulse at receiver ``rx``, slot ``n`` is column
@@ -315,7 +314,7 @@ def noise_transfer_weights(scheme: Scheme, ctx, tol: Tolerances) -> np.ndarray:
     impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size, 1)
     impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, trials))
     record = simulate_block(
-        scheme, ctx.tensor, ctx.offline, zero_msgs, tol, noise=impulses, state=ctx.state
+        scheme, ctx.tensor, ctx.offline, zero_msgs, noise=impulses, state=ctx.state
     )
     columns = scheme.decode(record.y, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
@@ -343,9 +342,10 @@ def _run_batch(
 ) -> TrialOutcomes:
     """Run the ``(trial, attempt)`` draws as one stacked block; their outcomes in draw order.
 
-    Raises what the block raises (a :class:`Degenerate` draw, a structural
-    :class:`NumericsError`) and :class:`SchemeFailure` for the first trial
-    whose certificates or CSI usage fail.
+    Raises what the decoder raises (:class:`~alignsim.numerics.Singular` for
+    a degenerate draw, another :class:`NumericsError` for a structural
+    failure) and :class:`SchemeFailure` for the first trial whose
+    certificates or CSI usage fail.
     """
     n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
@@ -356,7 +356,7 @@ def _run_batch(
     size = scheme.num_symbols
     identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, n))
     columns = np.concatenate([msgs[:, None], identity], axis=1)
-    record = simulate_block(scheme, tensor, offline, columns, tol, log=log, state=state)
+    record = simulate_block(scheme, tensor, offline, columns, log=log, state=state)
     ctx = scheme.decode_context(tensor, offline, tol, record.y[:, :, 1:], state)
     decoded = scheme.decode(record.y[:, :, 0], ctx)
     rows = [
@@ -367,7 +367,7 @@ def _run_batch(
     failed = certificate_failures(rows)
     weights = None
     if collect_weights:
-        weights = noise_transfer_weights(scheme, ctx, tol)
+        weights = noise_transfer_weights(scheme, ctx)
     # Every trial of the batch made the same reads, so one audit serves all.
     csi_slots = sorted(log.csi_slots())
     over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
@@ -406,15 +406,16 @@ def run_single_trial(
 ) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one trial, resampling discarded attempts; returns (outcome, discards).
 
-    A numerical failure that is not a degenerate draw (an interference rank
-    or a residual off its guarantee) becomes a :class:`SchemeFailure` that
-    names the trial.
+    An attempt whose receive matrix the decoder judges singular
+    (:class:`~alignsim.numerics.Singular`) is discarded.  Any other
+    numerical failure (an interference rank or a residual off its
+    guarantee) becomes a :class:`SchemeFailure` that names the trial.
     """
     discards: list[Discard] = []
     for attempt in range(MAX_ATTEMPTS):
         try:
             return _run_batch(scheme, base_seed, [(trial, attempt)], tol, collect_weights), discards
-        except Degenerate as exc:
+        except Singular as exc:
             discards.append(Discard(trial, attempt, f"{type(exc).__name__}: {exc}"))
         except NumericsError as exc:
             raise SchemeFailure(
@@ -472,7 +473,7 @@ def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
 def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one worker's batches in order; returns (outcomes, discards).
 
-    A batch that raises a degenerate draw or a structural failure reruns
+    A batch that raises a singular draw or a structural failure reruns
     its trials in order through :func:`run_single_trial`, so outcomes,
     discards and the first failure raised come in trial order, as a
     trial-by-trial run gives them.
@@ -486,7 +487,7 @@ def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
             parts.append(
                 _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
             )
-        except (Degenerate, NumericsError):
+        except NumericsError:
             for trial in trials:
                 outcome, resampled = run_single_trial(
                     scheme, base_seed, trial, tol, collect_weights
@@ -647,7 +648,6 @@ def future_perturbation_invariant(
     base_seed: int,
     trials: Sequence[int],
     perturb_from: int,
-    tol: Tolerances,
 ) -> bool:
     """True when perturbing channel states of slots >= ``perturb_from`` leaves
     every transmit scalar of slots <= ``perturb_from`` bit-identical, for
@@ -662,11 +662,11 @@ def future_perturbation_invariant(
     that depends on its phase, changes on every draw.
     """
     tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
-    x_ref = simulate_block(scheme, tensor, offline, msgs, tol).x
+    x_ref = simulate_block(scheme, tensor, offline, msgs).x
     h2 = tensor.h.copy()
     future = h2[:, :, perturb_from:]
     future *= np.where(1.5 * np.abs(future) <= tensor.mag_bounds[1], 1.5, 1 / 1.5) * np.exp(0.7j)
     perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
-    x_alt = simulate_block(scheme, perturbed, offline, msgs, tol).x
+    x_alt = simulate_block(scheme, perturbed, offline, msgs).x
     upto = perturb_from + 1
     return bool(np.array_equal(x_ref[:, :upto], x_alt[:, :upto]))

@@ -1,18 +1,16 @@
 """Complex dense linear algebra kernel shared by the scheme implementations.
 
-Null vectors, guarded zero-forcing (pseudo-inverse) rows, seeded
+Null vectors, zero-forcing (pseudo-inverse) rows with their guards, seeded
 circularly symmetric Gaussian sampling and the batched derivation of the
 trials' generator seeds.  Every matrix handled here is small
 (at most 8x9) and dense, so the routines lean on LAPACK through
-``numpy.linalg`` and add the contract checks the alignment constructions
-rely on: explicit rank guards, residual verification and a canonical phase
-convention that makes repeated computations reproducible to the bit.
+``numpy.linalg`` and add the shape and finiteness checks on their inputs
+and a canonical phase convention that makes repeated computations
+reproducible to the bit.
 
-A null vector comes from a complete QR of ``aᴴ``, behind a bound on
-``s_min / s_max`` that the triangular factor gives; only the systems the
-bound cannot clear pay for their singular values, which then decide their
-rank.  The zero-forcing rows come from an SVD, whose singular values the
-decoder reports and judges.
+A null vector comes from a complete QR of ``aᴴ`` and is not judged: a
+degenerate draw is judged once, by the decoder.  The zero-forcing rows come
+from an SVD, whose singular values the decoder reports and judges.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "Degenerate",
     "NumericsError",
-    "RankDeficient",
     "Singular",
     "Tolerances",
     "DEFAULT_TOL",
@@ -46,47 +42,34 @@ __all__ = [
 ]
 
 
-class Degenerate(Exception):
-    """A measure-zero draw the construction cannot use.
-
-    Rank-deficient alignment systems, vanishing pivots and the like.  The
-    trial runner discards the draw and resamples the trial; a degenerate
-    draw is never a bug.
-    """
-
-
 class NumericsError(Exception):
     """Base class for numerical contract failures."""
 
 
-class RankDeficient(NumericsError, Degenerate):
-    """A matrix fell short of the rank the construction requires."""
-
-
-class Singular(NumericsError, Degenerate):
-    """A receive matrix is too ill-conditioned to invert reliably.
+class Singular(NumericsError):
+    """A receive matrix too ill-conditioned to invert reliably: a degenerate draw.
 
     :func:`zero_forcing_rows` reports every system's ``cond`` and raises
     nothing; the decoder judges ``cond`` against ``Tolerances.rank_rel``
-    and raises this for the first receiver that fails.
+    and raises this for the first receiver that fails.  A draw whose
+    receive matrix is not finite, as where a derived row divided by an
+    exact zero, fails too.  The trial runner discards the draw and
+    resamples the trial; such a draw is never a bug.
     """
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative cutoffs used for rank decisions and residual acceptance.
+    """The decoder's relative cutoffs: receive-matrix conditioning and residual acceptance.
 
     Attributes
     ----------
     rank_rel : float
-        Singular values below ``rank_rel`` times the largest singular value
-        are treated as zero.  Also bounds the acceptable condition number of
-        a zero-forcing receive matrix at ``1 / rank_rel``.  Below about
-        1e-14 the cutoff sits at roundoff, and :func:`null_vector`'s QR
-        bound and an SVD may then decide a system near it differently.
+        Bounds the acceptable condition number of a zero-forcing receive
+        matrix at ``1 / rank_rel``: a matrix whose ``s_min / s_max`` is at
+        or below it is singular, and its draw is discarded.
     residual_rel : float
-        Acceptance threshold for null-space residuals, relative to the
-        Frobenius norm of the matrix, and for zero-forcing residuals.
+        Acceptance threshold for zero-forcing residuals.
     """
 
     rank_rel: float = 1e-8
@@ -198,88 +181,34 @@ def phase_normalize(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / np.abs(pivot))
 
 
-#: ``null_vector`` clears a system's rank without its singular values only
-#: where its bound ``b`` exceeds this multiple of ``tol.rank_rel``.  ``b`` is
-#: at most ``s_min / s_max`` in exact arithmetic; ``b`` and the SVD's ratio
-#: each round at about ``eps * s_max / s_min`` relative, which the factor of
-#: two covers for any cutoff above about 1e-14.  So above that cutoff a
-#: system the bound clears is one the SVD would accept too.
-NULL_GUARD_SLACK = 2.0
-
-
-def _triangular_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of the upper-triangular ``r`` ``(m, m, *S)`` by back-substitution.
-
-    Row ``i`` of ``x = r⁻¹`` is ``(e_i - sum_{k > i} r[i, k] x[k]) / r[i, i]``,
-    with the sum run left to right by :func:`matvec`.  A zero pivot gives
-    non-finite rows.
-    """
-    m = r.shape[0]
-    eye = np.eye(m).reshape((m, 1, m) + (1,) * (r.ndim - 2))
-    x = np.empty_like(r)
-    for i in reversed(range(m)):
-        rest = eye[i] if i == m - 1 else eye[i] - matvec(r[i : i + 1, i + 1 :], x[i + 1 :])
-        x[i] = (rest / r[i : i + 1, i : i + 1])[0]
-    return x
-
-
-def _qr_null_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null vectors ``(n, N)`` of ``a`` ``(m, n, N)`` from a complete QR, with their bounds.
-
-    ``aᴴ = Q R`` gives ``a = Rᴴ Qᴴ``, and the last row of ``R`` is zero, so
-    ``a`` annihilates the last column of ``Q``.  The bound ``(N,)`` is ``b =
-    1 / (||R_m||_F ||R_m⁻¹||_F)`` on the leading ``m x m`` block ``R_m``,
-    whose singular values are those of ``a``: as ``||R_m||_F >= s_max`` and
-    ``||R_m⁻¹||_F >= 1 / s_min``, ``b <= s_min / s_max``.  A system whose
-    ``R_m`` has a zero pivot gets a bound that is zero or NaN.
-    """
-    m = a.shape[0]
-    # aᴴ as a C-ordered (N, n, m) stack: LAPACK's per-matrix copies then
-    # read contiguous memory
-    q, r = np.linalg.qr(np.conj(a.transpose(2, 1, 0), order="C"), mode="complete")
-    r = _unstacked(r[..., :m, :])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = 1.0 / (frobenius_norm(r) * frobenius_norm(_triangular_inverse(r)))
-    return q[..., -1].T, bound
-
-
-def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def null_vector(a) -> np.ndarray:
     """Unit-norm right null vector of a wide matrix with a 1-D null space.
 
-    ``a`` must have strictly fewer rows than columns and full row rank up to
-    ``tol.rank_rel``; otherwise :class:`RankDeficient` is raised.  The vector
-    is phase-normalized, so repeated calls on the same input give an
-    identical result.
+    ``a`` must have exactly one row fewer than columns.  The vector is
+    phase-normalized, so repeated calls on the same input give an identical
+    result.  Nothing is judged here: a system short of full row rank has a
+    null space of more dimensions, and the vector is one of them, which the
+    construction cannot use; the receive matrix built from it is the
+    decoder's to judge.
 
-    The kernel is a complete QR of ``aᴴ``; the vector is the last column of
-    ``Q``.  Householder QR factors ``aᴴ + E = Q R`` with ``||E||`` about
-    ``eps ||a||``, so ``a`` maps that column to ``-Eᴴ`` times it: the
+    The kernel is a complete QR of ``aᴴ``: ``aᴴ = Q R`` gives ``a = Rᴴ
+    Qᴴ``, and the last row of ``R`` is zero, so ``a`` annihilates the last
+    column of ``Q``.  Householder QR factors ``aᴴ + E = Q R`` with ``||E||``
+    about ``eps ||a||``, so ``a`` maps that column to ``-Eᴴ`` times it: the
     residual stays at roundoff whatever the condition number.
 
-    The rank guard is the bound ``b <= s_min / s_max`` of
-    :func:`_qr_null_vectors`.  Where ``b`` exceeds :data:`NULL_GUARD_SLACK`
-    times ``tol.rank_rel``, the system has full row rank without further
-    work; for ``tol.rank_rel`` above about 1e-14 the SVD's ratio would
-    clear it too (below that, rounding in ``b`` and in the ratio can exceed
-    the factor of two).  Every other system, one with a zero pivot
-    included, has its singular values computed, which decide exactly: a
-    system short of rank raises :class:`RankDeficient` naming the smallest
-    rank among those systems, and one of full rank keeps its QR vector.
-
-    A stack of systems goes through one QR call, and the systems the bound
-    cannot clear through one singular-value call.  LAPACK factors each
+    A stack of systems goes through one QR call.  LAPACK factors each
     matrix on its own and the rest is elementwise, so each vector is bit
-    for bit what a call on its system alone returns; one bad system raises.
+    for bit what a call on its system alone returns.
 
     Parameters
     ----------
-    a : array_like, shape (m, n, *S) with m < n
-    tol : Tolerances
+    a : array_like, shape (m, n, *S) with n = m + 1
 
     Returns
     -------
     v : ndarray, shape (n, *S)
-        Unit norm, with ``norm(a @ v) <= tol.residual_rel * norm(a, 'fro')``.
+        Unit norm.
     """
     a = _as_matrix(a)
     rows, cols = a.shape[:2]
@@ -291,27 +220,11 @@ def null_vector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         # null space, i.e. cols == rows + 1 at full row rank.
         raise ValueError("null space is not one-dimensional for this shape")
     flat = a.reshape(rows, cols, -1)
-    v, bound = _qr_null_vectors(flat)
-    fallback = ~(bound > NULL_GUARD_SLACK * tol.rank_rel)
-    if fallback.any():
-        s = np.linalg.svd(_stacked(flat[:, :, fallback]), compute_uv=False)
-        # a zero matrix is rank-short too
-        if (s[..., -1] <= tol.rank_rel * s[..., 0]).any():
-            rank = np.count_nonzero(s > tol.rank_rel * s[..., :1], axis=-1).min()
-            raise RankDeficient(
-                f"matrix of shape {a.shape[:2]} has numerical rank {rank} < {rows}"
-            )
-    v = phase_normalize(v.reshape(cols, *a.shape[2:]))
+    # aᴴ as a C-ordered (N, n, m) stack: LAPACK's per-matrix copies then
+    # read contiguous memory
+    q = np.linalg.qr(np.conj(flat.transpose(2, 1, 0), order="C"), mode="complete")[0]
+    v = phase_normalize(q[..., -1].T.reshape(cols, *a.shape[2:]))
     v /= vector_norm(v)
-    residual = vector_norm(matvec(a, v))
-    scale = frobenius_norm(a)
-    excess = residual / (tol.residual_rel * scale)
-    if (excess > 1.0).any():
-        worst = excess.argmax()
-        raise NumericsError(
-            f"null vector residual {residual.flat[worst]:.3e} exceeds "
-            f"{tol.residual_rel:.1e} * {scale.flat[worst]:.3e}"
-        )
     return v
 
 

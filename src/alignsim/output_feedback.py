@@ -65,7 +65,7 @@ class BcMatScheme(Scheme):
     def entity_of(self, antenna: int) -> int:
         return 0
 
-    def derive(self, view, offline, tol):
+    def derive(self, view, offline):
         """Slot 2's row: the coefficients of both clean observations, at unit norm."""
         # receiver 1's slot-0 coefficients on symbols 0-1, receiver 0's slot-1 ones on 2-3
         row = np.stack(

@@ -32,11 +32,9 @@ import numpy as np
 
 from .base import RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
-from .numerics import Degenerate, null_vector, sample_complex_gaussian, vector_norm
+from .numerics import null_vector, sample_complex_gaussian, vector_norm
 
 __all__ = [
-    "COEFF_NORM_FLOOR",
-    "DegenerateCoefficients",
     "ICOffline",
     "interferers",
     "alpha_system",
@@ -44,14 +42,6 @@ __all__ = [
 ]
 
 PHASE1_SLOTS = 5
-
-#: A phase-2 cross product of unit-norm alpha sub-triples shorter than this
-#: is treated as vanished: the two constraints are parallel.
-COEFF_NORM_FLOOR = 1e-12
-
-
-class DegenerateCoefficients(Degenerate):
-    """A phase-2 coefficient cross product vanished (discardable draw)."""
 
 
 @dataclass(frozen=True)
@@ -98,13 +88,17 @@ def _alpha_sub(alpha: np.ndarray, rx: int, tx: int) -> np.ndarray:
     raise ValueError(f"transmitter {tx} does not interfere at receiver {rx}")
 
 
-def _unit_cross(a: np.ndarray, b: np.ndarray, tx: int) -> np.ndarray:
-    """Unit-norm cross product of two ``(3, T)`` triples; raises when it vanishes."""
+def _unit_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit-norm cross product of two ``(3, T)`` triples.
+
+    Nothing is judged here; the decoder judges the receive matrix the
+    product makes.  Where the triples are parallel, the product vanishes: an
+    exact zero comes out NaN, which the decoder finds singular, and one that
+    vanishes only to roundoff comes out a direction of noise, which leaves a
+    zero-forcing residual.
+    """
     c = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-    norm = vector_norm(c)
-    if np.any(norm < COEFF_NORM_FLOOR):
-        raise DegenerateCoefficients(f"phase-2 coefficient triple of transmitter {tx} vanished")
-    return c / norm
+    return c / vector_norm(c)
 
 
 class IC3RetroCsitScheme(Scheme):
@@ -125,7 +119,7 @@ class IC3RetroCsitScheme(Scheme):
         # unit power per (transmitter, slot): normalize over the symbol axis
         return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
-    def derive(self, view, offline, tol):
+    def derive(self, view, offline):
         """Transmitter ``view.tx``'s phase-2 triple, from the annihilators of its two victims.
 
         Transmitter ``k`` only needs the annihilators of the two receivers it
@@ -138,8 +132,7 @@ class IC3RetroCsitScheme(Scheme):
                 for n in range(PHASE1_SLOTS):
                     h5[rx, j, n] = view.channel_coeff(rx, j, n)
         # both victims' systems in one null_vector call, stacked after the columns
-        alphas = null_vector(
-            np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2), tol
-        )
+        systems = np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2)
+        alphas = null_vector(systems)
         subs = [_alpha_sub(alpha, rx, k) for rx, alpha in zip(victims, np.moveaxis(alphas, 1, 0))]
-        return _unit_cross(*subs, k)[None]
+        return _unit_cross(*subs)[None]

@@ -38,17 +38,9 @@ import numpy as np
 
 from .base import RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
-from .numerics import (
-    Degenerate,
-    Tolerances,
-    complex_gaussian,
-    null_vector,
-    standard_normals,
-    vector_norm,
-)
+from .numerics import complex_gaussian, null_vector, standard_normals, vector_norm
 
 __all__ = [
-    "DegenerateNormalization",
     "XOffline",
     "interference_system",
     "alignment_constants",
@@ -61,10 +53,6 @@ PHASE1_SLOTS = 3
 def _own(j: int) -> tuple[int, ...]:
     """Flat indices of transmitter ``j``'s symbols ``u[0, j, :]`` and ``u[1, j, :]``."""
     return (2 * j, 2 * j + 1, 4 + 2 * j, 5 + 2 * j)
-
-
-class DegenerateNormalization(Degenerate):
-    """A pinned null-vector entry was too small to divide by (discardable draw)."""
 
 
 @dataclass(frozen=True)
@@ -100,23 +88,20 @@ def interference_system(h3: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarr
     return np.stack(cols, axis=1)
 
 
-def alignment_constants(h3: np.ndarray, phase1: np.ndarray, tol: Tolerances) -> np.ndarray:
+def alignment_constants(h3: np.ndarray, phase1: np.ndarray) -> np.ndarray:
     """The retrospective constants ``gamma`` from the two 3x4 interference systems.
 
     ``gamma[j, k]`` couples the two symbols of message (k, j), with the
     trial axis last.  Each system has a one-dimensional null space for
     generic draws; the constants are ratios of null-vector entries, so they
-    are independent of the vector's scale and phase convention.  Raises
-    :class:`DegenerateNormalization` when an entry that must be pinned to 1
-    is numerically zero, and propagates :class:`~alignsim.numerics.\
-    RankDeficient` for rank-deficient draws; both are discard events.
+    are independent of the vector's scale and phase convention.  Nothing is
+    judged here: a draw whose system is short of rank, or whose pinned
+    entry vanishes, gives constants that are huge or not finite, and the
+    decoder judges the receive matrix they make (measure-zero events).
     """
     # both receivers' systems in one null_vector call, stacked after the columns
     systems = np.stack([interference_system(h3, phase1, rx) for rx in range(2)], axis=2)
-    v, w = np.moveaxis(null_vector(systems, tol), 1, 0)
-    for vec in (v, w):
-        if np.any(np.minimum(abs(vec[1]), abs(vec[3])) < tol.rank_rel * vector_norm(vec)):
-            raise DegenerateNormalization("null vector entry too small to pin to unity")
+    v, w = np.moveaxis(null_vector(systems), 1, 0)
     gamma = np.empty((2, 2, *v.shape[1:]), dtype=np.complex128)
     # receiver 0's null vector is (gamma[0,1], 1, b*gamma[1,1], b) up to
     # scale, and receiver 1's (gamma[0,0], 1, b'*gamma[1,0], b')
@@ -154,10 +139,10 @@ class XRetroCsitScheme(Scheme):
             phase2=complex_gaussian(z[2 * phase1_count :]).reshape(2, 2, phase2_slots, trials),
         )
 
-    def derive(self, view, offline, tol):
+    def derive(self, view, offline):
         """Transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states."""
         h3 = view.channel_states(range(PHASE1_SLOTS))
-        gamma = alignment_constants(h3, offline.phase1, tol)[view.tx]
+        gamma = alignment_constants(h3, offline.phase1)[view.tx]
         c = offline.phase2[view.tx]
         # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
         rows = np.stack([c[0], -c[0] * gamma[0], c[1], -c[1] * gamma[1]])

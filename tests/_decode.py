@@ -12,17 +12,17 @@ from alignsim.evaluate import simulate_block
 from alignsim.numerics import DEFAULT_TOL
 
 
-def impulse_response(scheme, tensor, offline, tol=DEFAULT_TOL):
+def impulse_response(scheme, tensor, offline):
     """``(response, state)`` of a block run whose message columns are the identity."""
     size = scheme.num_symbols
     eye = np.eye(size, dtype=np.complex128)[:, :, None]
     state: dict = {}
     msgs = np.broadcast_to(eye, (size, size, tensor.num_trials))
-    record = simulate_block(scheme, tensor, offline, msgs, tol, state=state)
+    record = simulate_block(scheme, tensor, offline, msgs, state=state)
     return record.y, state
 
 
 def decode_context(scheme, tensor, offline, tol=DEFAULT_TOL):
     """The scheme's decoders for the block, read off :func:`impulse_response`."""
-    response, state = impulse_response(scheme, tensor, offline, tol)
+    response, state = impulse_response(scheme, tensor, offline)
     return scheme.decode_context(tensor, offline, tol, response, state)

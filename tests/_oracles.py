@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from alignsim.numerics import Tolerances, null_vector
+from alignsim.numerics import null_vector
 from alignsim.retro_csit_ic3 import (
     PHASE1_SLOTS,
     _alpha_sub,
@@ -154,28 +154,26 @@ def random_rank_matrix(
 # -- 3-user IC retrospective scheme ------------------------------------------------
 
 
-def compute_alphas(h5: np.ndarray, phase1: np.ndarray, tol: Tolerances) -> np.ndarray:
+def compute_alphas(h5: np.ndarray, phase1: np.ndarray) -> np.ndarray:
     """Unit-norm annihilators ``alpha[k]`` of the three interference systems, one call each."""
-    return np.stack([null_vector(alpha_system(h5, phase1, rx), tol) for rx in range(3)])
+    return np.stack([null_vector(alpha_system(h5, phase1, rx)) for rx in range(3)])
 
 
 def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
     """Unit-norm triples ``c[k]``: the cross product of the two sub-triples constraining ``k``.
 
-    The sub-triples are taken in ascending receiver order; raises
-    ``DegenerateCoefficients`` when they are parallel.
+    The sub-triples are taken in ascending receiver order; where they are
+    parallel, the triple is NaN or ill-conditioned, as the encoder's is.
     """
     coeffs = np.empty((3, 3, *alphas.shape[2:]), dtype=np.complex128)
     for tx in range(3):
         lo, hi = interferers(tx)  # the receivers that see tx as interference
-        coeffs[tx] = _unit_cross(
-            _alpha_sub(alphas[lo], lo, tx), _alpha_sub(alphas[hi], hi, tx), tx
-        )
+        coeffs[tx] = _unit_cross(_alpha_sub(alphas[lo], lo, tx), _alpha_sub(alphas[hi], hi, tx))
     return coeffs
 
 
 def effective_precoders(
-    h: np.ndarray, phase1: np.ndarray, tol: Tolerances
+    h: np.ndarray, phase1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alphas, coeffs, precoders) where ``precoders[k, i, n]`` spans all 8 slots.
 
@@ -183,7 +181,7 @@ def effective_precoders(
     ``precoders[k, i, :]``: the phase-1 coefficients, then the repeated
     phase-2 triple.
     """
-    alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1, tol)
+    alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1)
     coeffs = phase2_coefficients(alphas)
     precoders = np.empty((3, 3, *h.shape[2:]), dtype=np.complex128)
     precoders[:, :, :PHASE1_SLOTS] = phase1

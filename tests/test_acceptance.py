@@ -16,7 +16,7 @@ from alignsim.evaluate import (
     future_perturbation_invariant,
     run_trials,
 )
-from alignsim.numerics import DEFAULT_TOL, null_vector, zero_forcing_rows
+from alignsim.numerics import null_vector, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
 from _oracles import (
@@ -139,7 +139,7 @@ def test_causality_replay_every_cut_point():
         trials = range(100)
         for cut in range(scheme.num_slots):
             # one stacked replay per cut; each trial keeps its own bits in the stack
-            if not future_perturbation_invariant(scheme, 606, trials, cut, DEFAULT_TOL):
+            if not future_perturbation_invariant(scheme, 606, trials, cut):
                 ok = False
             checked += len(trials)
     _report(

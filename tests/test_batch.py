@@ -27,7 +27,7 @@ from alignsim.evaluate import (
     run_trials,
     simulate_block,
 )
-from alignsim.numerics import DEFAULT_TOL, Degenerate, ordered_sum, sample_complex_gaussian
+from alignsim.numerics import DEFAULT_TOL, Singular, ordered_sum, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context
@@ -36,7 +36,7 @@ from _outcomes import outcome_fields
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
 
-def per_impulse_weights(scheme, tensor, offline, ctx, tol):
+def per_impulse_weights(scheme, tensor, offline, ctx):
     """Reference weights: one block run per (receiver, slot) impulse.
 
     On a stack of trials, every trial takes the impulse in the same run.
@@ -49,9 +49,7 @@ def per_impulse_weights(scheme, tensor, offline, ctx, tol):
         for n0 in range(scheme.num_slots):
             noise = np.zeros((scheme.num_rx, scheme.num_slots, *trials), dtype=np.complex128)
             noise[k0, n0] = 1.0
-            record = simulate_block(
-                scheme, tensor, offline, zero_msgs, tol, noise=noise, state=state
-            )
+            record = simulate_block(scheme, tensor, offline, zero_msgs, noise=noise, state=state)
             weights += np.abs(scheme.decode(record.y, ctx)) ** 2
     return weights
 
@@ -84,9 +82,9 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, seed):
     try:
         ctx = decode_context(scheme, tensor, offline)
         log = AccessLog()
-        record = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, noise=noise, log=log)
+        record = simulate_block(scheme, tensor, offline, msgs, noise=noise, log=log)
         decoded = scheme.decode(record.y, ctx)
-    except Degenerate:
+    except Singular:
         assume(False)
     assert record.x.shape == (scheme.num_tx, scheme.num_slots, batch, 1)
     assert record.y.shape == (scheme.num_rx, scheme.num_slots, batch, 1)
@@ -94,8 +92,7 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, seed):
     for b in range(batch):
         column_log = AccessLog()
         column = simulate_block(
-            scheme, tensor, offline, msgs[:, b], DEFAULT_TOL, noise=noise[:, :, b],
-            log=column_log,
+            scheme, tensor, offline, msgs[:, b], noise=noise[:, :, b], log=column_log
         )
         # one record per scalar read, not one per batch column
         assert log.records == column_log.records
@@ -111,8 +108,8 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
     for _ in range(3):
         tensor, offline = _draw(scheme, rng)
         ctx = decode_context(scheme, tensor, offline)
-        weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
-        reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        weights = noise_transfer_weights(scheme, ctx)
+        reference = per_impulse_weights(scheme, tensor, offline, ctx)
         assert weights.shape == (scheme.num_symbols, 1)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
 
@@ -145,8 +142,8 @@ def test_weights_without_output_feedback_are_exact(scheme_id):
     assert not scheme.feedback.provides_output
     for tensor, offline in _one_and_stacked(scheme):
         ctx = decode_context(scheme, tensor, offline)
-        reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
-        weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
+        reference = per_impulse_weights(scheme, tensor, offline, ctx)
+        weights = noise_transfer_weights(scheme, ctx)
         assert weights.shape == reference.shape
         assert np.array_equal(weights, reference)
 
@@ -158,9 +155,9 @@ def test_output_feedback_weights_are_not_decoder_row_norms(scheme_id):
     assert scheme.feedback.provides_output
     for tensor, offline in _one_and_stacked(scheme):
         ctx = decode_context(scheme, tensor, offline)
-        reference = per_impulse_weights(scheme, tensor, offline, ctx, DEFAULT_TOL)
+        reference = per_impulse_weights(scheme, tensor, offline, ctx)
         np.testing.assert_allclose(
-            noise_transfer_weights(scheme, ctx, DEFAULT_TOL),
+            noise_transfer_weights(scheme, ctx),
             reference,
             rtol=1e-12,
         )
@@ -223,15 +220,15 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     msgs = _join([d[2] for d in draws])
     log = AccessLog()
     state: dict = {}
-    record = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, log=log, state=state)
+    record = simulate_block(scheme, tensor, offline, msgs, log=log, state=state)
     ctx = decode_context(scheme, tensor, offline)
     decoded = scheme.decode(record.y, ctx)
-    weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
+    weights = noise_transfer_weights(scheme, ctx)
     certs = {key: value for key, value, *_ in scheme.certificates(ctx, DEFAULT_TOL)}
     assert weights.shape == (scheme.num_symbols, trials)
     for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
         one_log = AccessLog()
-        one = simulate_block(scheme, one_tensor, one_offline, one_msgs, DEFAULT_TOL, log=one_log)
+        one = simulate_block(scheme, one_tensor, one_offline, one_msgs, log=one_log)
         one_ctx = decode_context(scheme, one_tensor, one_offline)
         # each trial reads what its one-trial stack reads, record for record,
         # and both run one arithmetic, so every number matches to the bit
@@ -239,7 +236,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         assert np.array_equal(record.x[..., t : t + 1], one.x)
         assert np.array_equal(decoded[:, t : t + 1], scheme.decode(one.y, one_ctx))
         assert np.array_equal(
-            weights[:, t : t + 1], noise_transfer_weights(scheme, one_ctx, DEFAULT_TOL)
+            weights[:, t : t + 1], noise_transfer_weights(scheme, one_ctx)
         )
         for key, value, *_ in scheme.certificates(one_ctx, DEFAULT_TOL):
             batch_value = np.broadcast_to(certs[key], (trials,))[t]

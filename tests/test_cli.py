@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -439,20 +440,42 @@ class TestStructuralFailures:
 
 
     @pytest.mark.parametrize(
-        "scheme, shape, rank",
-        [("x_retro_csit", "(3, 4)", "1 < 3"), ("ic3_retro_csit", "(5, 6)", "1 < 5")],
+        "scheme, condition", [("x_retro_csit", "2.401e+02"), ("ic3_retro_csit", "6.465e+02")]
     )
-    def test_rank_deficient_null_systems_exit_3(self, capsys, scheme, shape, rank):
-        # at --tol-rank 0.999 no annihilator system clears the rank guard, so
-        # every attempt ends in the null vector's singular-value decision
+    def test_rank_deficient_null_systems_exit_3(self, capsys, scheme, condition):
+        # at --tol-rank 0.999 no receive matrix is conditioned well enough,
+        # so every attempt ends in the decoder's Singular
         code, out, err = _run_main(
             capsys,
             ["--scheme", scheme, "--trials", "1", "--tol-rank", "0.999", "--threads", "1"],
         )
         assert code == 3 and err == ""
         assert json.loads(out)["error"]["message"] == (
-            f"{scheme} trial 0: exceeded 10 attempts; last discard: RankDeficient: "
-            f"matrix of shape {shape} has numerical rank {rank}"
+            f"{scheme} trial 0: exceeded 10 attempts; last discard: Singular: receiver 0: "
+            f"condition number {condition} exceeds 1.0e+00; receive_cond_rx0 is at or below "
+            "the --tol-rank cutoff 1.0e+00"
+        )
+
+    def test_zero_pinned_entry_is_a_singular_discard(self, capsys, monkeypatch):
+        # a null vector whose pinned entry is exactly 0 makes gamma and the
+        # derived rows non-finite; the decoder judges that receive matrix
+        # singular, so each attempt is a discard, not a traceback
+        solve = retro_csit_x.null_vector
+
+        def pinned_zero(systems):
+            v = solve(systems)
+            v[1] = 0.0
+            return v
+
+        monkeypatch.setattr(retro_csit_x, "null_vector", pinned_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = _run_main(
+                capsys, ["--scheme", "x_retro_csit", "--trials", "1", "--threads", "1"]
+            )
+        assert code == 3 and err == ""
+        assert json.loads(out)["error"]["message"].startswith(
+            "x_retro_csit trial 0: exceeded 10 attempts; last discard: Singular: receiver 0: "
         )
 
     def test_singular_discard_names_receiver_certificate_and_flag(self, capsys):
@@ -470,7 +493,7 @@ class TestStructuralFailures:
 def _misalign_bc_mat(monkeypatch):
     # slot 2 resends receiver 0's own slot-0 equation instead of receiver 1's
     class Misaligned(BcMatScheme):
-        def derive(self, view, offline, tol):
+        def derive(self, view, offline):
             # receiver 1's slot-0 observation plus receiver 0's, both in symbols 0-1
             pair = [view.channel_coeff(1, j, 0) + view.channel_coeff(0, j, 0) for j in range(2)]
             row = np.stack([*pair, 0 * pair[0], 0 * pair[0]])
@@ -506,8 +529,8 @@ def _misalign_x_retro_csit(monkeypatch):
     # the layer variables use a coupling constant off the aligning one
     aligned = retro_csit_x.alignment_constants
 
-    def off_by_a_tenth(h3, phase1, tol):
-        return 1.1 * aligned(h3, phase1, tol)
+    def off_by_a_tenth(h3, phase1):
+        return 1.1 * aligned(h3, phase1)
 
     monkeypatch.setattr(retro_csit_x, "alignment_constants", off_by_a_tenth)
 
@@ -516,8 +539,8 @@ def _nudge_x_retro_csit_gamma(monkeypatch):
     # one coupling constant off the aligning one by a relative 1e-6
     aligned = retro_csit_x.alignment_constants
 
-    def nudged(h3, phase1, tol):
-        gamma = aligned(h3, phase1, tol)
+    def nudged(h3, phase1):
+        gamma = aligned(h3, phase1)
         gamma[0, 1] *= 1 + 1e-6
         return gamma
 
@@ -526,7 +549,7 @@ def _nudge_x_retro_csit_gamma(monkeypatch):
 
 def _misalign_ic3_retro_csit(monkeypatch):
     # every transmitter repeats a fixed generic triple instead of the aligned one
-    def generic_triple(a, b, tx):
+    def generic_triple(a, b):
         c = np.array([1.0, 0.5j, -0.75 + 0.25j]) / np.sqrt(1.0 + 0.25 + 0.625)
         return np.broadcast_to(c.reshape(3, *(1,) * (a.ndim - 1)), a.shape)
 
@@ -537,8 +560,8 @@ def _nudge_ic3_retro_csit_triples(monkeypatch):
     # each transmitter's aligned triple, its first coefficient off by a relative 1e-6
     aligned = retro_csit_ic3._unit_cross
 
-    def nudged(a, b, tx):
-        c = aligned(a, b, tx)
+    def nudged(a, b):
+        c = aligned(a, b)
         return np.concatenate([c[:1] * (1 + 1e-6), c[1:]])
 
     monkeypatch.setattr(retro_csit_ic3, "_unit_cross", nudged)

@@ -36,7 +36,7 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
         ctx = decode_context(scheme, tensor, offline)
         response = np.stack(
             [
-                simulate_block(scheme, tensor, offline, unit[:, None], DEFAULT_TOL).y[..., 0]
+                simulate_block(scheme, tensor, offline, unit[:, None]).y[..., 0]
                 for unit in np.eye(scheme.num_symbols, dtype=np.complex128)
             ],
             axis=-1,

@@ -38,9 +38,9 @@ from alignsim.evaluate import (
 )
 from alignsim.numerics import (
     DEFAULT_TOL,
-    Degenerate,
     NumericsError,
-    RankDeficient,
+    Singular,
+    Tolerances,
     sample_complex_gaussian,
     seeded_generator,
     spawn_states,
@@ -70,7 +70,7 @@ class TestSimulateBlock:
         tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
         offline = scheme.draw_offline([rng])
         msgs = scheme.draw_messages([rng])
-        record = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
+        record = simulate_block(scheme, tensor, offline, msgs)
         for n in range(scheme.num_slots):
             np.testing.assert_allclose(
                 record.y[:, n, 0], tensor.h[:, :, n, 0] @ record.x[:, n, 0], rtol=1e-13
@@ -84,8 +84,8 @@ class TestSimulateBlock:
         # block at messages 2 m is the block at m, doubled, to the bit.
         scheme = get_scheme(scheme_id)
         tensor, offline, msgs = _draw_batch(scheme, 12, [(t, 0) for t in range(16)])
-        once = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
-        twice = simulate_block(scheme, tensor, offline, 2.0 * msgs, DEFAULT_TOL)
+        once = simulate_block(scheme, tensor, offline, msgs)
+        twice = simulate_block(scheme, tensor, offline, 2.0 * msgs)
         assert np.array_equal(twice.x, 2.0 * once.x)
         assert np.array_equal(twice.y, 2.0 * once.y)
         assert np.any(once.y != 0.0)
@@ -101,7 +101,7 @@ class TestSimulateBlock:
             others = [s for s in range(scheme.num_symbols) if OWNER[scheme_id](s) != j]
             msgs = np.zeros((scheme.num_symbols, len(others), tensor.num_trials), complex)
             msgs[others, range(len(others))] = 1.0
-            record = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
+            record = simulate_block(scheme, tensor, offline, msgs)
             assert np.any(record.x != 0.0)
             for n, payloads in enumerate(scheme.schedule):
                 if not isinstance(payloads[j], OutputPayload):
@@ -114,19 +114,19 @@ class TestSimulateBlock:
         scheme = get_scheme(scheme_id)
         derive, calls = scheme.derive, []
 
-        def counted(view, offline, tol):
+        def counted(view, offline):
             calls.append(view.tx)
-            return derive(view, offline, tol)
+            return derive(view, offline)
 
         monkeypatch.setattr(scheme, "derive", counted)
         tensor, offline, msgs = _draw_batch(scheme, 15, [(t, 0) for t in range(4)])
         state: dict = {}
-        first = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, state=state)
+        first = simulate_block(scheme, tensor, offline, msgs, state=state)
         assert sorted(calls) == sorted(state) == list(range(entities))
-        again = simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, state=state)
+        again = simulate_block(scheme, tensor, offline, msgs, state=state)
         assert len(calls) == entities
         assert np.array_equal(again.x, first.x)
-        simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL)
+        simulate_block(scheme, tensor, offline, msgs)
         assert len(calls) == 2 * entities
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
@@ -141,10 +141,10 @@ class TestSimulateBlock:
             reads["derive" if deriving else "engine"] += 1
             return channel_coeff(view, *item)
 
-        def counted_derive(view, offline, tol):
+        def counted_derive(view, offline):
             deriving.append(view.tx)
             try:
-                return derive(view, offline, tol)
+                return derive(view, offline)
             finally:
                 deriving.pop()
 
@@ -152,7 +152,7 @@ class TestSimulateBlock:
         monkeypatch.setattr(scheme, "derive", counted_derive)
         tensor, offline, msgs = _draw_batch(scheme, 5, [(t, 0) for t in range(3)])
         log = AccessLog()
-        simulate_block(scheme, tensor, offline, msgs, DEFAULT_TOL, log=log)
+        simulate_block(scheme, tensor, offline, msgs, log=log)
         assert reads["engine"] == 0
         assert reads["derive"] == sum(r.kind == "csi" for r in log.records)
         assert (reads["derive"] > 0) == scheme.feedback.provides_csi
@@ -174,7 +174,7 @@ class TestSimulateBlock:
 
         def decode_error(scale, z, messages):
             record = simulate_block(
-                scheme, tensor, offline, scale * messages, DEFAULT_TOL, noise=z, state={}
+                scheme, tensor, offline, scale * messages, noise=z, state={}
             )
             return scheme.decode(record.y, ctx) / scale - messages
 
@@ -197,8 +197,8 @@ class TestSimulateBlock:
 class _PeeksAtTheCurrentSlot(BcMatScheme):
     """Scales antenna 0's slot-2 scalar by ``|h[0, 0, 2]|``, read past the view."""
 
-    def transmit(self, antenna, slot, view, msgs, offline, state, tol):
-        x = super().transmit(antenna, slot, view, msgs, offline, state, tol)
+    def transmit(self, antenna, slot, view, msgs, offline, state):
+        x = super().transmit(antenna, slot, view, msgs, offline, state)
         if (antenna, slot) == (0, 2):
             return x * np.abs(view._tensor.h[0, 0, 2])
         return x
@@ -216,7 +216,7 @@ def test_perturbation_check_catches_a_scheme_that_peeks(monkeypatch):
     report = run_trials("bc_mat", 20, base_seed=0)
     assert report.all_decode_ok and report.max_rel_symbol_error <= 1e-12
     invariant = [
-        future_perturbation_invariant(scheme, 0, range(20), cut, DEFAULT_TOL) for cut in range(3)
+        future_perturbation_invariant(scheme, 0, range(20), cut) for cut in range(3)
     ]
     assert invariant == [True, True, False]
 
@@ -225,7 +225,7 @@ def test_perturbation_check_catches_a_magnitude_peek_on_every_trial():
     """The perturbation moves every future gain's magnitude, so one trial suffices."""
     scheme = _PeeksAtTheCurrentSlot()
     for trial in range(20):
-        assert not future_perturbation_invariant(scheme, 0, [trial], 2, DEFAULT_TOL)
+        assert not future_perturbation_invariant(scheme, 0, [trial], 2)
 
 
 class TestNoiseWeights:
@@ -235,13 +235,13 @@ class TestNoiseWeights:
         tensor = generate_channel(2, 2, 3, [rng])
         msgs = scheme.draw_messages([rng])
         ctx = decode_context(scheme, tensor, None)
-        weights = noise_transfer_weights(scheme, ctx, DEFAULT_TOL)
+        weights = noise_transfer_weights(scheme, ctx)
         draws = 4000
         errors = np.empty((draws, 4, 1), dtype=np.complex128)
         noise_rng = np.random.default_rng(10)
         for t in range(draws):
             z = sample_complex_gaussian([noise_rng], 6).reshape(2, 3, 1)
-            record = simulate_block(scheme, tensor, None, msgs, DEFAULT_TOL, noise=z)
+            record = simulate_block(scheme, tensor, None, msgs, noise=z)
             errors[t] = scheme.decode(record.y, ctx) - msgs
         empirical = np.mean(np.abs(errors) ** 2, axis=0)
         np.testing.assert_allclose(empirical, weights, rtol=0.1)
@@ -287,13 +287,13 @@ class _DiscardSometimes(BcMatScheme):
 
     def decode_context(self, tensor, *args, **kwargs):
         if tensor.h[0, 0, 0].real > 0.0:
-            raise RankDeficient("synthetic degenerate draw")
+            raise Singular("synthetic degenerate draw")
         return super().decode_context(tensor, *args, **kwargs)
 
 
 class _DiscardAlways(BcMatScheme):
     def decode_context(self, tensor, *args, **kwargs):
-        raise RankDeficient("synthetic degenerate draw")
+        raise Singular("synthetic degenerate draw")
 
 
 class _BadCertificates(BcMatScheme):
@@ -316,7 +316,7 @@ class TestDiscardAndFailurePaths:
             assert result.attempt.tolist() == [len(discards)]
             for attempt, d in enumerate(discards):
                 assert d == Discard(trial, attempt, d.reason)
-                assert "RankDeficient" in d.reason
+                assert "Singular" in d.reason
             seen_discard = seen_discard or bool(discards)
         assert seen_discard
 
@@ -331,6 +331,15 @@ class TestDiscardAndFailurePaths:
     def test_csi_budget_violation_is_fatal(self):
         with pytest.raises(SchemeFailure, match="budget"):
             run_single_trial(_BudgetBreaker(), 20, 0, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 73)])
+    def test_the_decoder_judges_every_discard(self, scheme_id, discards):
+        # at a coarse rank cutoff many draws are degenerate; each one is the
+        # decoder's Singular, over two batches of 65 trials
+        report = run_trials(scheme_id, 130, 7, tol=Tolerances(rank_rel=0.01), threads=1)
+        assert len(report.discards) == discards
+        assert all(d.reason.startswith("Singular: ") for d in report.discards)
+        assert report.all_decode_ok
 
 
 class TestDofEstimation:
@@ -452,7 +461,7 @@ class _DiscardSomeTrials(BcMatScheme):
 
     def decode_context(self, tensor, *args, **kwargs):
         if np.any(tensor.h[0, 0, 0].real > 0.0):
-            raise RankDeficient("synthetic degenerate draw")
+            raise Singular("synthetic degenerate draw")
         return super().decode_context(tensor, *args, **kwargs)
 
 
@@ -464,7 +473,7 @@ class _DiscardOneDraw(BcMatScheme):
 
     def decode_context(self, tensor, *args, **kwargs):
         if np.any(tensor.h[0, 0, 0] == self.coefficient):
-            raise RankDeficient("synthetic degenerate draw")
+            raise Singular("synthetic degenerate draw")
         return super().decode_context(tensor, *args, **kwargs)
 
 
@@ -754,7 +763,7 @@ def test_decode_is_linear_in_the_received_block(scheme_id, seed, a, b):
     offline = scheme.draw_offline([rng])
     try:
         ctx = decode_context(scheme, tensor, offline)
-    except Degenerate:
+    except Singular:
         assume(False)
     size = scheme.num_rx * scheme.num_slots
     y1, y2 = sample_complex_gaussian([rng], 2 * size).reshape(

@@ -4,7 +4,7 @@ import pytest
 from alignsim.base import OutputPayload, SymbolPayload
 from alignsim.channel import AccessLog, CausalityViolation, generate_channel
 from alignsim.evaluate import future_perturbation_invariant, simulate_block
-from alignsim.numerics import DEFAULT_TOL, sample_complex_gaussian
+from alignsim.numerics import sample_complex_gaussian
 from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutputFeedbackScheme
 from alignsim.registry import SCHEMES
 
@@ -106,14 +106,14 @@ class TestAllSchemes:
 class TestBcMat:
     def test_second_antenna_silent_in_combo_slot(self):
         tensor, msgs = _trial_data(BC, 21)
-        record = simulate_block(BC, tensor, None, msgs, DEFAULT_TOL)
+        record = simulate_block(BC, tensor, None, msgs)
         assert np.all(record.x[1, 2] == 0j)
 
     def test_combo_is_normalized_sum_of_clean_observations(self):
         # The slot-2 scalar times its normalizer must equal the two clean
         # crossed observations the users are waiting on.
         tensor, msgs = _trial_data(BC, 22)
-        record = simulate_block(BC, tensor, None, msgs, DEFAULT_TOL)
+        record = simulate_block(BC, tensor, None, msgs)
         h = tensor.h
         rho = np.sqrt(
             sum(abs(h[1, j, 0]) ** 2 for j in range(2))
@@ -129,7 +129,7 @@ class TestBcMat:
         for sym in range(4):
             msgs = np.zeros((4, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(BC, tensor, None, msgs, DEFAULT_TOL)
+            record = simulate_block(BC, tensor, None, msgs)
             coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
         np.testing.assert_allclose(power[0, :], 1.0, rtol=1e-10)
@@ -139,7 +139,7 @@ class TestBcMat:
     def test_single_entity_reads_for_both_antennas(self):
         tensor, msgs = _trial_data(BC, 24)
         log = AccessLog()
-        simulate_block(BC, tensor, None, msgs, DEFAULT_TOL, log=log)
+        simulate_block(BC, tensor, None, msgs, log=log)
         assert log.csi_slots() == frozenset({0, 1})
         assert all(r.tx == 0 and r.kind == "csi" for r in log.records)
 
@@ -147,34 +147,34 @@ class TestBcMat:
         # the combination sums four crossed coefficients: one read each
         tensor, msgs = _trial_data(BC, 25)
         log = AccessLog()
-        simulate_block(BC, tensor, None, msgs, DEFAULT_TOL, log=log)
+        simulate_block(BC, tensor, None, msgs, log=log)
         reads = [(r.item_rx, r.item_tx, r.item_slot) for r in log.records]
         assert sorted(reads) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
 
     @pytest.mark.parametrize("perturb_from", range(3))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(BC, 31, [0], perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(BC, 31, [0], perturb_from)
 
 
 class TestXOutputFeedback:
     def test_replay_carries_noisy_output_bit_for_bit(self):
         tensor, msgs = _trial_data(XFB, 41)
         noise = _noise(XFB, 42)
-        record = simulate_block(XFB, tensor, None, msgs, DEFAULT_TOL, noise=noise)
+        record = simulate_block(XFB, tensor, None, msgs, noise=noise)
         assert np.array_equal(record.x[0, 2], record.y[1, 0])
         assert np.array_equal(record.x[1, 2], record.y[0, 1])
 
     def test_no_csi_and_full_association_reads(self):
         tensor, msgs = _trial_data(XFB, 43)
         log = AccessLog()
-        simulate_block(XFB, tensor, None, msgs, DEFAULT_TOL, log=log)
+        simulate_block(XFB, tensor, None, msgs, log=log)
         assert log.csi_slots() == frozenset()
         reads = {(r.tx, r.item_rx, r.item_slot) for r in log.records if r.kind == "output"}
         assert reads == {(0, 1, 0), (1, 0, 1)}
 
     @pytest.mark.parametrize("perturb_from", range(3))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(XFB, 32, [0], perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(XFB, 32, [0], perturb_from)
 
 
 class TestIC3OutputFeedback:
@@ -185,7 +185,7 @@ class TestIC3OutputFeedback:
 
     def test_silent_antennas(self):
         tensor, msgs = _trial_data(ICFB, 51)
-        record = simulate_block(ICFB, tensor, None, msgs, DEFAULT_TOL)
+        record = simulate_block(ICFB, tensor, None, msgs)
         for slot, payloads in enumerate(ICFB.schedule):
             for j, payload in enumerate(payloads):
                 if payload is None:
@@ -194,7 +194,7 @@ class TestIC3OutputFeedback:
     def test_only_own_outputs_read(self):
         tensor, msgs = _trial_data(ICFB, 52)
         log = AccessLog()
-        simulate_block(ICFB, tensor, None, msgs, DEFAULT_TOL, log=log)
+        simulate_block(ICFB, tensor, None, msgs, log=log)
         assert log.csi_slots() == frozenset()
         assert log.records != []
         assert all(r.kind == "output" and r.item_rx == r.tx for r in log.records)
@@ -213,11 +213,11 @@ class TestIC3OutputFeedback:
 
         tensor, msgs = _trial_data(ICFB, 53)
         with pytest.raises(CausalityViolation):
-            simulate_block(Leaky(), tensor, None, msgs, DEFAULT_TOL)
+            simulate_block(Leaky(), tensor, None, msgs)
 
     @pytest.mark.parametrize("perturb_from", range(5))
     def test_future_states_never_leak(self, perturb_from):
-        assert future_perturbation_invariant(ICFB, 33, [0], perturb_from, DEFAULT_TOL)
+        assert future_perturbation_invariant(ICFB, 33, [0], perturb_from)
 
 
 class TestInterpreterGuards:
@@ -231,4 +231,4 @@ class TestInterpreterGuards:
 
         tensor, msgs = _trial_data(XFB, 61)
         with pytest.raises(CausalityViolation):
-            simulate_block(TooEager(), tensor, None, msgs, DEFAULT_TOL)
+            simulate_block(TooEager(), tensor, None, msgs)
