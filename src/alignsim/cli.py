@@ -91,10 +91,10 @@ _CONFIG_TYPES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag as one line on stderr, still exiting with code 2."""
+    """Reports a bad flag as a :class:`UsageError`, like every other usage error."""
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        raise UsageError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,7 +146,7 @@ def _parse_snr_grid(text: str) -> list[float]:
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Merge defaults, config file and command line flags into a RunConfig."""
-    flags = vars(_build_parser().parse_args(argv))
+    flags = vars(_PARSER.parse_args(argv))
     config_path = flags.pop("config")
     values: dict[str, object] = {}
     if config_path is not None:
@@ -334,6 +334,10 @@ def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
 
 #: Each mode's runner, in the order ``--help`` lists the modes.
 MODES = {"verify": _mode_verify, "dof_sweep": _mode_dof_sweep, "audit": _mode_audit}
+
+#: Built once per process (it reads ``MODES``); a parse leaves it unchanged,
+#: so every ``main`` call shares it.
+_PARSER = _build_parser()
 
 
 def _render_csv(config: RunConfig, results: dict) -> str:

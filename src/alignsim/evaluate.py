@@ -166,8 +166,10 @@ class TrialOutcomes:
 
 
 def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
-    """The outcomes of ``parts``, one after the other."""
+    """The outcomes of ``parts``, one after the other; a lone part is returned as it is."""
     first = parts[0]
+    if len(parts) == 1:
+        return first
     return TrialOutcomes(
         trial=np.concatenate([p.trial for p in parts]),
         attempt=np.concatenate([p.attempt for p in parts]),

@@ -383,9 +383,9 @@ class TestFailurePaths:
         assert "distinct" in err
 
     def test_bad_flag_choice_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["--scheme", "nope"])
-        assert info.value.code == 2
+        code, out, err = _run_main(capsys, ["--scheme", "nope"])
+        assert code == 2
+        assert out == "" and err.startswith("error: argument --scheme: ") and err.count("\n") == 1
 
     def test_scheme_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -678,10 +678,9 @@ class TestOneLineErrors:
         ],
     )
     def test_bad_flag_is_one_line(self, capsys, argv):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        err = capsys.readouterr().err
+        code, out, err = _run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_snr_grid_out_of_range_exits_2(self, capsys):
@@ -716,6 +715,36 @@ class TestOneLineErrors:
         assert "Traceback" not in done.stderr
         assert done.returncode == 2
         assert done.stderr == "error: cannot write the report: standard output was closed\n"
+
+
+class TestInProcessCalls:
+    def test_calls_share_one_parser_and_stay_independent(self, capsys, monkeypatch):
+        def no_second_parser():
+            raise AssertionError("main() built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", no_second_parser)
+        sweep = ["--scheme", "bc_mat", "--mode", "dof_sweep", "--trials", "3", "--threads", "1",
+                 "--snr-grid", "40,50,60,70"]
+        code, first, err = _run_main(capsys, sweep)
+        assert code == 0 and err == ""
+        # no flag of the sweep carries over: this run has no grid
+        code, out, err = _run_main(capsys, ["--scheme", "bc_mat", "--trials", "3", "--threads", "1"])
+        assert code == 0 and err == ""
+        assert '"snr_grid_db":null' in out and '"mode":"verify"' in out
+        code, out, err = _run_main(capsys, ["--scheme", "bc_mat", "--trials", "abc"])
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        code, again, err = _run_main(capsys, sweep)
+        assert code == 0 and err == ""
+        assert again == first
+
+    def test_help_names_every_scheme_and_mode(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for name in [*SCHEMES, *cli.MODES]:
+            assert name in text
 
 
 @pytest.mark.parametrize(
@@ -804,9 +833,6 @@ def test_fuzzed_inputs_exit_cleanly(flags, config, tmp_path_factory):
             argv += [flag, default]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1

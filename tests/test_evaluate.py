@@ -852,3 +852,5 @@ def test_concat_joins_the_arrays_and_merges_the_audits():
     assert joined.certificates["c"].tolist() == [0.0, 2.0, 4.0]
     assert joined.noise_weights.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
     assert joined.csi_slots == [0, 2]
+    lone = outcomes([0, 1], [2])
+    assert _concat([lone]) is lone
