@@ -249,15 +249,18 @@ class Scheme:
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
         each bit for bit as a call on its matrix alone would.
 
-        This is the one judge of a degenerate draw.  The receivers are judged
-        in order, each on all its trials, with the certificate table's
-        comparisons.  :class:`~alignsim.numerics.Singular`, a degenerate
-        draw, is raised where ``receive_cond_rx*`` is not above
-        ``Tolerances.rank_rel`` (``--tol-rank``; a NaN is not, and a receive
-        matrix that is not finite has a NaN ``cond``); the message names the
-        receiver, the condition number of its first such trial and the
-        cutoff.  :class:`InterferenceRankUnexpected` is raised where a
-        zero-forcing residual exceeds ``tol.residual_rel``.
+        This is the one judge of a degenerate draw.  Each draw meets the
+        certificate table's comparisons in table order, receiver by
+        receiver, and its first failed check decides.  Where that check is a
+        ``receive_cond_rx*`` not above ``Tolerances.rank_rel`` (``--tol-rank``;
+        a NaN is not, and a receive matrix that is not finite has a NaN
+        ``cond``), the draw is degenerate; :class:`~alignsim.numerics.Singular`
+        carries every such draw, each with a message that names its
+        receiver, its condition number and the cutoff.  Where it is a
+        zero-forcing residual above ``tol.residual_rel``, for any draw,
+        :class:`InterferenceRankUnexpected` is raised instead, naming the
+        first such draw's residual and receiver.  So a block of one draw
+        raises what that draw meets first, whichever draws share its block.
         """
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
@@ -267,22 +270,30 @@ class Scheme:
             # a zero matrix stands in for each one that is not finite: its cond is NaN
             g = np.where(finite, g, 0.0)
         d, cond, residual = zero_forcing_rows(g, rows)
-        for rx in range(self.num_rx):
-            singular = ~(cond[rx] > tol.rank_rel)
-            if singular.any():
-                first = cond[rx].flat[singular.argmax()]
-                raise Singular(
-                    f"receiver {rx}: condition number "
-                    f"{1.0 / first if first > 0.0 else np.inf:.3e} exceeds "
-                    f"{1.0 / tol.rank_rel:.1e}; receive_cond_rx{rx} is at or below the "
+        # rows cond_rx0, residual_rx0, cond_rx1, ...: each draw's checks in table order
+        failed = np.stack([~(cond > tol.rank_rel), residual > tol.residual_rel], axis=1)
+        failed = failed.reshape(2 * self.num_rx, -1)
+        if failed.any():
+            draws = np.flatnonzero(failed.any(axis=0))
+            rx, leak = np.divmod(failed[:, draws].argmax(axis=0), 2)
+            if leak.any():
+                i = leak.argmax()
+                r = int(rx[i])
+                raise InterferenceRankUnexpected(
+                    f"zero-forcing residual {residual[r].flat[draws[i]]:.3e} at receiver {r} "
+                    f"exceeds {tol.residual_rel:.1e} (interference may fill only "
+                    f"{self.interference_rank(r)} of {self.num_slots} receive dimensions)"
+                )
+            messages = {}
+            for t, r in zip(draws.tolist(), rx.tolist()):
+                value = cond[r].flat[t]
+                messages[t] = (
+                    f"receiver {r}: condition number "
+                    f"{1.0 / value if value > 0.0 else np.inf:.3e} exceeds "
+                    f"{1.0 / tol.rank_rel:.1e}; receive_cond_rx{r} is at or below the "
                     f"--tol-rank cutoff {tol.rank_rel:.1e}"
                 )
-            if (residual[rx] > tol.residual_rel).any():
-                raise InterferenceRankUnexpected(
-                    f"zero-forcing residual {np.max(residual[rx]):.3e} at receiver {rx} exceeds "
-                    f"{tol.residual_rel:.1e} (interference may fill only "
-                    f"{self.interference_rank(rx)} of {self.num_slots} receive dimensions)"
-                )
+            raise Singular(messages)
         return DecodeContext(
             tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0))), tuple(cond), tuple(residual),
             tensor, offline, state,

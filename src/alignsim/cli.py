@@ -38,7 +38,7 @@ import numpy as np
 
 from .channel import CausalityViolation
 from .evaluate import (
-    TRIAL_BATCH, SchemeFailure, dof_by_counting, estimate_dof, run_trials, validate_snr_grid,
+    TRIALS_PER_WORKER, SchemeFailure, dof_by_counting, estimate_dof, run_trials, validate_snr_grid,
 )
 from .numerics import Tolerances
 from .registry import SCHEMES, get_scheme
@@ -71,7 +71,7 @@ class RunConfig:
     tol_residual: float = Tolerances.residual_rel
     out: str | None = None
     format: str = "json"
-    threads: int = 0  # 0: no bound beyond the usable CPUs and the batch count
+    threads: int = 0  # 0: no bound beyond the usable CPUs and the trial count
 
     def tolerances(self) -> Tolerances:
         try:
@@ -127,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        help=f"parallel workers, capped at one per usable CPU and one per {TRIAL_BATCH} trials "
-        "(default: 0, as many as those caps allow)",
+        help="parallel workers, capped at one per usable CPU and one per "
+        f"{TRIALS_PER_WORKER} trials (default: 0, as many as those caps allow)",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     return parser

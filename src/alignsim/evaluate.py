@@ -35,10 +35,11 @@ trial, independent of execution order and worker count.  A batch derives
 all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
-A run's workers take contiguous batches of at most ``TRIAL_BATCH`` trials
-(see :func:`run_trials`).  The calling process is the first worker; a run
-of ``W`` workers starts ``W - 1`` child processes, one per further share,
-so a run of up to ``TRIAL_BATCH`` trials starts none.  A batch draws with
+A run has at most one worker per ``TRIALS_PER_WORKER`` trials, and each
+worker takes contiguous batches of at most ``TRIAL_BATCH`` trials (see
+:func:`run_trials`).  The calling process is the first worker; a run of
+``W`` workers starts ``W - 1`` child processes, one per further share, so a
+run of up to ``TRIALS_PER_WORKER`` trials starts none.  A batch draws with
 one ``generate_channel``, one ``draw_offline`` and one ``draw_messages``
 call, each handed the batch's generators of that stream: each generator
 makes one normal call, into its row of one buffer, and the complex build
@@ -47,9 +48,12 @@ then goes through one block run, one decode, one certificate pass and, for
 rates, the noise weights: one more block run under output feedback, none
 otherwise.  Every reduction on that axis is a stacked LAPACK call or a
 left-to-right sum, so a trial's numbers are bit for bit the same whichever
-trials share its batch.  A batch that meets a degenerate draw or a
-structural failure reruns trial by trial, which keeps discards, retries
-and failure messages per trial.
+trials share its batch.  So a batch that meets degenerate draws runs
+again with each of them replaced by its trial's next attempt, and the rest
+of the batch comes out as it would have.  A batch that meets anything else
+(a structural failure, a failed certificate or budget, or a trial out of
+attempts) reruns trial by trial, which raises the first failure in trial
+order with its own message.
 Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
 batch to the run's report, joined in trial order.
 """
@@ -89,6 +93,7 @@ from .registry import get_scheme
 __all__ = [
     "SchemeFailure",
     "TRIAL_BATCH",
+    "TRIALS_PER_WORKER",
     "MAX_ATTEMPTS",
     "DECODE_REL_TOL",
     "Discard",
@@ -107,7 +112,10 @@ __all__ = [
 ]
 
 #: Most trials stacked into one block run.
-TRIAL_BATCH = 128
+TRIAL_BATCH = 256
+
+#: Trials per worker: a run starts at most one worker per this many trials.
+TRIALS_PER_WORKER = 128
 
 #: Retry cap per trial index before the run is declared broken.
 MAX_ATTEMPTS = 10
@@ -344,10 +352,11 @@ def _run_batch(
 ) -> TrialOutcomes:
     """Run the ``(trial, attempt)`` draws as one stacked block; their outcomes in draw order.
 
-    Raises what the decoder raises (:class:`~alignsim.numerics.Singular` for
-    a degenerate draw, another :class:`NumericsError` for a structural
+    Raises what the decoder raises (:class:`~alignsim.numerics.Singular`
+    for degenerate draws, another :class:`NumericsError` for a structural
     failure) and :class:`SchemeFailure` for the first trial whose
-    certificates or CSI usage fail.
+    certificates or CSI usage fail.  Of the block run it keeps the received
+    block alone.
     """
     n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
@@ -358,9 +367,9 @@ def _run_batch(
     size = scheme.num_symbols
     identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, n))
     columns = np.concatenate([msgs[:, None], identity], axis=1)
-    record = simulate_block(scheme, tensor, offline, columns, log=log, state=state)
-    ctx = scheme.decode_context(tensor, offline, tol, record.y[:, :, 1:], state)
-    decoded = scheme.decode(record.y[:, :, 0], ctx)
+    y = simulate_block(scheme, tensor, offline, columns, log=log, state=state).y
+    ctx = scheme.decode_context(tensor, offline, tol, y[:, :, 1:], state)
+    decoded = scheme.decode(y[:, :, 0], ctx)
     rows = [
         (key, np.array(np.broadcast_to(value, (n,)), dtype=np.float64), *check)
         for key, value, *check in scheme.certificates(ctx, tol)
@@ -399,6 +408,41 @@ def _run_batch(
     )
 
 
+def _run_resampled(
+    scheme: Scheme,
+    base_seed: int,
+    trials: Sequence[int],
+    tol: Tolerances,
+    collect_weights: bool,
+) -> tuple[TrialOutcomes, list[Discard]]:
+    """Run the trials as one batch, resampling degenerate draws; returns (outcomes, discards).
+
+    Each round runs the batch at each trial's current attempt.  A round
+    that raises :class:`~alignsim.numerics.Singular` discards the draws it
+    names, and the next round runs each of their trials at its next
+    attempt.  A draw's numbers do not depend on the draws that share its
+    batch, so the draws a round passes pass again, and at most
+    ``MAX_ATTEMPTS`` rounds run.  The discards come sorted by (trial,
+    attempt).  A trial whose last attempt is discarded raises
+    :class:`SchemeFailure`; anything else a round raises is raised as it is.
+    """
+    draws = [(trial, 0) for trial in trials]
+    discards: list[Discard] = []
+    while True:
+        try:
+            return _run_batch(scheme, base_seed, draws, tol, collect_weights), sorted(discards)
+        except Singular as exc:
+            for index, reason in exc.draws.items():
+                trial, attempt = draws[index]
+                discards.append(Discard(trial, attempt, f"{type(exc).__name__}: {reason}"))
+                if attempt + 1 == MAX_ATTEMPTS:
+                    raise SchemeFailure(
+                        f"{scheme.scheme_id} trial {trial}: exceeded {MAX_ATTEMPTS} attempts; "
+                        f"last discard: {discards[-1].reason}"
+                    ) from None
+                draws[index] = (trial, attempt + 1)
+
+
 def run_single_trial(
     scheme: Scheme,
     base_seed: int,
@@ -408,25 +452,18 @@ def run_single_trial(
 ) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one trial, resampling discarded attempts; returns (outcome, discards).
 
-    An attempt whose receive matrix the decoder judges singular
-    (:class:`~alignsim.numerics.Singular`) is discarded.  Any other
-    numerical failure (an interference rank or a residual off its
-    guarantee) becomes a :class:`SchemeFailure` that names the trial.
+    The loop of a batch on one draw (see :func:`_run_resampled`): an
+    attempt whose receive matrix the decoder judges singular
+    (:class:`~alignsim.numerics.Singular`) is discarded, at most
+    ``MAX_ATTEMPTS`` times.  Any other numerical failure (a residual off
+    its guarantee) becomes a :class:`SchemeFailure` that names the trial.
     """
-    discards: list[Discard] = []
-    for attempt in range(MAX_ATTEMPTS):
-        try:
-            return _run_batch(scheme, base_seed, [(trial, attempt)], tol, collect_weights), discards
-        except Singular as exc:
-            discards.append(Discard(trial, attempt, f"{type(exc).__name__}: {exc}"))
-        except NumericsError as exc:
-            raise SchemeFailure(
-                f"{scheme.scheme_id} trial {trial}: {type(exc).__name__}: {exc}"
-            ) from exc
-    raise SchemeFailure(
-        f"{scheme.scheme_id} trial {trial}: exceeded {MAX_ATTEMPTS} attempts; "
-        f"last discard: {discards[-1].reason}"
-    )
+    try:
+        return _run_resampled(scheme, base_seed, [trial], tol, collect_weights)
+    except NumericsError as exc:
+        raise SchemeFailure(
+            f"{scheme.scheme_id} trial {trial}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -459,15 +496,16 @@ def _usable_cpus() -> int:
 def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
     """Each worker's share of the trials.
 
-    ``min(threads, usable CPUs, ceil(num_trials / TRIAL_BATCH))`` workers,
-    at least one, take contiguous shares of the trials whose sizes differ
-    by at most one, so a run of up to ``TRIAL_BATCH`` trials has one
-    worker.  A ``threads`` of 0 drops its term: no bound beyond the usable
-    CPUs and the batch count.  A share of ``m`` trials reads as
-    ``ceil(m / TRIAL_BATCH)`` batches (see :class:`_Share`).
+    ``min(threads, usable CPUs, ceil(num_trials / TRIALS_PER_WORKER))``
+    workers, at least one, take contiguous shares of the trials whose sizes
+    differ by at most one, so a run of up to ``TRIALS_PER_WORKER`` trials has
+    one worker.  A ``threads`` of 0 drops its term: no bound beyond the
+    usable CPUs and the trial count.  A share of ``m`` trials reads as
+    ``ceil(m / TRIAL_BATCH)`` batches (see :class:`_Share`), so a share of up
+    to ``TRIAL_BATCH`` trials is one batch.
     """
     cpus = _usable_cpus()
-    workers = max(1, min(threads or cpus, cpus, -(-num_trials // TRIAL_BATCH)))
+    workers = max(1, min(threads or cpus, cpus, -(-num_trials // TRIALS_PER_WORKER)))
     bounds = [w * num_trials // workers for w in range(workers + 1)]
     return [_Share(range(a, b), -(-(b - a) // TRIAL_BATCH)) for a, b in zip(bounds, bounds[1:])]
 
@@ -475,10 +513,11 @@ def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
 def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one worker's batches in order; returns (outcomes, discards).
 
-    A batch that raises a singular draw or a structural failure reruns
-    its trials in order through :func:`run_single_trial`, so outcomes,
-    discards and the first failure raised come in trial order, as a
-    trial-by-trial run gives them.
+    Each batch resamples its degenerate draws in place
+    (:func:`_run_resampled`).  A batch that raises anything else, a trial
+    out of attempts included, reruns its trials in order through
+    :func:`run_single_trial`, so outcomes, discards and the first failure
+    raised come in trial order, as a trial-by-trial run gives them.
     """
     scheme_id, base_seed, batches, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
@@ -486,16 +525,15 @@ def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
     discards: list[Discard] = []
     for trials in batches:
         try:
-            parts.append(
-                _run_batch(scheme, base_seed, [(t, 0) for t in trials], tol, collect_weights)
-            )
-        except NumericsError:
-            for trial in trials:
-                outcome, resampled = run_single_trial(
-                    scheme, base_seed, trial, tol, collect_weights
-                )
-                parts.append(outcome)
-                discards.extend(resampled)
+            runs = [_run_resampled(scheme, base_seed, trials, tol, collect_weights)]
+        except (NumericsError, SchemeFailure):
+            runs = [
+                run_single_trial(scheme, base_seed, trial, tol, collect_weights)
+                for trial in trials
+            ]
+        for outcome, resampled in runs:
+            parts.append(outcome)
+            discards.extend(resampled)
     return _concat(parts), discards
 
 
@@ -534,15 +572,15 @@ def run_trials(
 
     The outcome is identical for any ``threads`` value.  At most
     ``threads`` workers run (0 sets no bound of its own), at most one per
-    usable CPU and one per ``TRIAL_BATCH`` trials (see :func:`_batch_plan`);
-    each runs an equal contiguous share of the trials in near-equal batches
-    of at most ``TRIAL_BATCH``, cut as they run.  The caller is the first
-    worker and runs the first share; each further share runs in a child
-    process of its own, so a run of ``W`` workers starts ``W - 1`` children
-    and a run of up to ``TRIAL_BATCH`` trials starts none.  The shares are received in order,
-    so the first failure in trial order is the one raised.  No child
-    outlives the call: one still running when the call ends, by a return
-    or by an exception, is killed and joined.
+    usable CPU and one per ``TRIALS_PER_WORKER`` trials (see
+    :func:`_batch_plan`); each runs an equal contiguous share of the trials
+    in near-equal batches of at most ``TRIAL_BATCH``, cut as they run.  The
+    caller is the first worker and runs the first share; each further share
+    runs in a child process of its own, so a run of ``W`` workers starts
+    ``W - 1`` children and a run of up to ``TRIALS_PER_WORKER`` trials starts
+    none.  The shares are received in order, so the first failure in trial
+    order is the one raised.  No child outlives the call: one still running
+    when the call ends, by a return or by an exception, is killed and joined.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")

@@ -47,15 +47,21 @@ class NumericsError(Exception):
 
 
 class Singular(NumericsError):
-    """A receive matrix too ill-conditioned to invert reliably: a degenerate draw.
+    """Receive matrices too ill-conditioned to invert reliably: degenerate draws.
 
     :func:`zero_forcing_rows` reports every system's ``cond`` and raises
-    nothing; the decoder judges ``cond`` against ``Tolerances.rank_rel``
-    and raises this for the first receiver that fails.  A draw whose
-    receive matrix is not finite, as where a derived row divided by an
-    exact zero, fails too.  The trial runner discards the draw and
-    resamples the trial; such a draw is never a bug.
+    nothing; the decoder judges ``cond`` against ``Tolerances.rank_rel``,
+    draw by draw.  A draw whose receive matrix is not finite, as where a
+    derived row divided by an exact zero, fails too.  ``draws`` maps the
+    index on the trial axis of each degenerate draw of a block to the
+    message a block of that draw alone raises, and the exception's own
+    message is the first draw's.  The trial runner discards those draws
+    and resamples their trials; such a draw is never a bug.
     """
+
+    def __init__(self, draws: dict[int, str]):
+        super().__init__(next(iter(draws.values())))
+        self.draws = draws
 
 
 @dataclass(frozen=True)

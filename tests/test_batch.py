@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, ChannelTensor, generate_channel
 from alignsim.evaluate import (
+    MAX_ATTEMPTS,
     TRIAL_BATCH,
     _draw_batch,
     _run_batch,
@@ -183,17 +184,34 @@ def _full_batch(scheme_id):
     scheme_id=st.sampled_from(ALL_SCHEME_IDS),
     trial=st.integers(0, TRIAL_BATCH - 1),
     partner=st.integers(0, TRIAL_BATCH - 1),
+    partner_attempt=st.integers(0, MAX_ATTEMPTS - 1),
     first=st.booleans(),
 )
-def test_trial_result_independent_of_batch(scheme_id, trial, partner, first):
+def test_trial_result_independent_of_batch(scheme_id, trial, partner, partner_attempt, first):
     scheme = get_scheme(scheme_id)
     reference = outcome_fields(_full_batch(scheme_id), trial)
     alone = _run_batch(scheme, 41, [(trial, 0)], DEFAULT_TOL, True)
-    pair = [(trial, 0), (partner, 0)] if first else [(partner, 0), (trial, 0)]
-    paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, True)
+    other = (partner, partner_attempt)
+    pair = [(trial, 0), other] if first else [other, (trial, 0)]
+    try:
+        paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, True)
+    except Singular:
+        assume(False)
     # every field, noise weights included, must match to the bit
     assert outcome_fields(alone, 0) == reference
     assert outcome_fields(paired, 0 if first else 1) == reference
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_draws_at_mixed_attempts_match_their_draws_alone(scheme_id):
+    # a batch that resamples runs some trials at later attempts than others
+    scheme = get_scheme(scheme_id)
+    draws = [(t, (3 * t) % MAX_ATTEMPTS) for t in range(12)] + [(40, 0), (5, 0)]
+    batch = _run_batch(scheme, 43, draws, DEFAULT_TOL, True)
+    assert list(zip(batch.trial.tolist(), batch.attempt.tolist())) == draws
+    for index, draw in enumerate(draws):
+        alone = _run_batch(scheme, 43, [draw], DEFAULT_TOL, True)
+        assert outcome_fields(batch, index) == outcome_fields(alone, 0), draw
 
 
 def _join(items):

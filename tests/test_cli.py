@@ -653,13 +653,13 @@ class TestThreads:
 
         monkeypatch.setattr(evaluate, "Process", RecordingProcess)
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
-        # 8 trials are one batch: the caller runs them and starts no child
+        # 8 trials are one worker's: the caller runs them and starts no child
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert children_started() == 0
         assert report.outcomes.trial.tolist() == list(range(8))
         # at most one worker per 2 trials: four, capped at three cores, so
         # the caller and two children
-        monkeypatch.setattr(evaluate, "TRIAL_BATCH", 2)
+        monkeypatch.setattr(evaluate, "TRIALS_PER_WORKER", 2)
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert children_started() == 2
         assert report.outcomes.trial.tolist() == list(range(8))
@@ -755,16 +755,16 @@ class TestInProcessCalls:
         for trials in (65, 130, 257)
     ]
     + [
-        # a loose --tol-rank discards draws at seed 7; at 0.01 the null
-        # vectors' rank guard also sends systems to their singular values
+        # a loose --tol-rank makes the decoder judge draws singular at seed 7,
+        # a few at 0.003 and most retrospective ones at 0.01
         pytest.param("verify", 130, ["--tol-rank", "0.003"], 25, id="130-verify-discards"),
-        pytest.param("verify", 130, ["--tol-rank", "0.01"], 219, id="130-verify-null-guard"),
+        pytest.param("verify", 130, ["--tol-rank", "0.01"], 219, id="130-verify-dense-discards"),
     ],
 )
 def test_reports_identical_across_thread_counts(capsys, mode, trials, extra, total_discards):
-    # at one worker, 257 trials are three batches of 85 or 86; at two, 65
-    # trials are one batch and start no pool, 130 are one batch of 65 per
-    # worker, and 257 are a batch of 128 and batches of 65 and 64
+    # at one worker, 257 trials are two batches of 128 and 129; at two, 65
+    # trials are one worker's and start no child, 130 are one batch of 65
+    # per worker, and 257 one batch of 128 or 129 per worker
     discards = 0
     for scheme in sorted(cli.SCHEMES):
         argv = ["--scheme", scheme, "--mode", mode, "--trials", str(trials), "--seed", "7", *extra]

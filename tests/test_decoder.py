@@ -79,7 +79,7 @@ _SINGULAR = (
 
 
 class TestReceiverOrder:
-    """``decode_context`` judges the receivers in order, each on all its trials."""
+    """``decode_context`` judges each draw's receivers in order."""
 
     def test_a_leak_at_receiver_0_comes_before_a_singular_receiver_1(self):
         scheme, rng = get_scheme("bc_mat"), np.random.default_rng(3)
@@ -99,12 +99,37 @@ class TestReceiverOrder:
         response = np.stack(
             [
                 np.stack([singular, _bc_mat_receiver(rng, 0)], -1),
-                np.stack([_bc_mat_receiver(rng, 1, leak=True)] * 2, -1),
+                np.stack([_bc_mat_receiver(rng, 1, leak=True), _bc_mat_receiver(rng, 1)], -1),
             ]
         )
         with pytest.raises(Singular) as info:
             scheme.decode_context(None, None, DEFAULT_TOL, response, {})
         assert str(info.value) == _SINGULAR.format(rx=0, cond="1.000e+09")
+        assert list(info.value.draws) == [0]
+
+    def test_each_draw_is_judged_by_its_own_first_failed_check(self):
+        scheme, rng = get_scheme("bc_mat"), np.random.default_rng(5)
+        zero = np.zeros((3, 4))
+        # draw 0 is singular at receiver 1, draw 1 passes, draw 2 is singular
+        # at receiver 0 and would leak at receiver 1
+        response = np.stack(
+            [
+                np.stack([_bc_mat_receiver(rng, 0)] * 2 + [zero], -1),
+                np.stack(
+                    [zero, _bc_mat_receiver(rng, 1), _bc_mat_receiver(rng, 1, leak=True)], -1
+                ),
+            ]
+        )
+        with pytest.raises(Singular) as info:
+            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+        assert info.value.draws == {
+            0: _SINGULAR.format(rx=1, cond="inf"), 2: _SINGULAR.format(rx=0, cond="inf")
+        }
+        assert str(info.value) == info.value.draws[0]
+        # a leak that is a draw's first failed check wins over every singular draw
+        response[1, ..., 1] = _bc_mat_receiver(rng, 1, leak=True)
+        with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 1 exceeds 1\.0e-08"):
+            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
 
     def test_zero_response_is_singular_at_receiver_0(self):
         scheme = get_scheme("bc_mat")

@@ -17,6 +17,7 @@ from alignsim.evaluate import (
     DECODE_REL_TOL,
     MAX_ATTEMPTS,
     TRIAL_BATCH,
+    TRIALS_PER_WORKER,
     WEIGHT_FLOOR,
     Discard,
     DofEstimate,
@@ -282,18 +283,23 @@ class TestRunTrials:
             assert abs(rate - expected) <= 1e-12 * expected
 
 
+def _singular_where(mask):
+    """Raise the decoder's ``Singular`` for the draws of a block where ``mask`` holds, if any."""
+    if np.any(mask):
+        raise Singular({int(t): "synthetic degenerate draw" for t in np.flatnonzero(mask)})
+
+
 class _DiscardSometimes(BcMatScheme):
-    """Discards the draw whenever the first channel coefficient leans positive."""
+    """Discards each draw whose first channel coefficient leans positive."""
 
     def decode_context(self, tensor, *args, **kwargs):
-        if tensor.h[0, 0, 0].real > 0.0:
-            raise Singular("synthetic degenerate draw")
+        _singular_where(tensor.h[0, 0, 0].real > 0.0)
         return super().decode_context(tensor, *args, **kwargs)
 
 
 class _DiscardAlways(BcMatScheme):
     def decode_context(self, tensor, *args, **kwargs):
-        raise Singular("synthetic degenerate draw")
+        _singular_where(np.ones(tensor.num_trials, dtype=bool))
 
 
 class _BadCertificates(BcMatScheme):
@@ -335,7 +341,7 @@ class TestDiscardAndFailurePaths:
     @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 73)])
     def test_the_decoder_judges_every_discard(self, scheme_id, discards):
         # at a coarse rank cutoff many draws are degenerate; each one is the
-        # decoder's Singular, over two batches of 65 trials
+        # decoder's Singular, resampled within one batch of 130 trials
         report = run_trials(scheme_id, 130, 7, tol=Tolerances(rank_rel=0.01), threads=1)
         assert len(report.discards) == discards
         assert all(d.reason.startswith("Singular: ") for d in report.discards)
@@ -456,15 +462,6 @@ def test_sweep_rates_equal_the_per_trial_loop(inputs):
     assert np.array(estimate.sum_rates).tobytes() == np.array(expected).tobytes()
 
 
-class _DiscardSomeTrials(BcMatScheme):
-    """Discards a draw whenever the first channel coefficient leans positive."""
-
-    def decode_context(self, tensor, *args, **kwargs):
-        if np.any(tensor.h[0, 0, 0].real > 0.0):
-            raise Singular("synthetic degenerate draw")
-        return super().decode_context(tensor, *args, **kwargs)
-
-
 class _DiscardOneDraw(BcMatScheme):
     """Discards the one draw whose first channel coefficient is ``coefficient``."""
 
@@ -472,8 +469,7 @@ class _DiscardOneDraw(BcMatScheme):
         self.coefficient = coefficient
 
     def decode_context(self, tensor, *args, **kwargs):
-        if np.any(tensor.h[0, 0, 0] == self.coefficient):
-            raise Singular("synthetic degenerate draw")
+        _singular_where(tensor.h[0, 0, 0] == self.coefficient)
         return super().decode_context(tensor, *args, **kwargs)
 
 
@@ -485,11 +481,12 @@ class _FailStrongTrials(BcMatScheme):
         return [*super().certificates(ctx, tol), ("first_gain", gain, "<=", 1.5)]
 
 
-def _first_coefficients(base_seed, trials):
-    """The first channel coefficient of each trial's first draw."""
+def _first_coefficients(base_seed, trials, attempts=(0,)):
+    """The first channel coefficient of each trial's draws at ``attempts``."""
+    draws = [(base_seed, trial, attempt) for trial in trials for attempt in attempts]
     return [
         generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
-        for states in spawn_states([(base_seed, trial, 0) for trial in trials], 3)
+        for states in spawn_states(draws, 3)
     ]
 
 
@@ -502,6 +499,18 @@ class _FailMarkedDraws(BcMatScheme):
     def certificates(self, ctx, tol):
         hit = np.isin(ctx.tensor.h[0, 0, 0], self.marked).astype(np.float64)
         return [*super().certificates(ctx, tol), ("marked_draw", hit, "<=", 0.0)]
+
+
+class _FailMarkedDiscardOthers(_FailMarkedDraws):
+    """Fails a certificate on the draws in ``marked``; discards the draws in ``singular``."""
+
+    def __init__(self, marked, singular):
+        super().__init__(marked)
+        self.singular = singular
+
+    def decode_context(self, tensor, *args, **kwargs):
+        _singular_where(np.isin(tensor.h[0, 0, 0], self.singular))
+        return super().decode_context(tensor, *args, **kwargs)
 
 
 class _StructuralAndCertificateFailures(BcMatScheme):
@@ -531,11 +540,27 @@ def _trial_by_trial(scheme, base_seed, num_trials):
     return _concat(parts), discards
 
 
+def _record_batches(monkeypatch, scheme):
+    """Make ``run_trials`` run ``scheme``; the draws of each ``_run_batch`` call it makes."""
+    import alignsim.evaluate as evaluate
+
+    calls = []
+    run_batch = evaluate._run_batch
+
+    def recording(scheme, base_seed, draws, *args):
+        calls.append(list(draws))
+        return run_batch(scheme, base_seed, draws, *args)
+
+    monkeypatch.setattr(evaluate, "_run_batch", recording)
+    monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+    return calls
+
+
 class TestTrialBatches:
     def test_degenerate_batch_reruns_trial_by_trial(self, monkeypatch):
         import alignsim.evaluate as evaluate
 
-        scheme = _DiscardSomeTrials()
+        scheme = _DiscardSometimes()
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         report = run_trials("bc_mat", 70, base_seed=21)
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 21, 70)
@@ -543,50 +568,53 @@ class TestTrialBatches:
         assert report.discards == expected_discards
         assert report.discards
 
-    @pytest.mark.parametrize("bad", [0, 77, TRIAL_BATCH - 1])
+    @pytest.mark.parametrize("bad", [0, 77, 127, TRIAL_BATCH - 1])
     def test_one_degenerate_trial_reruns_its_batch_trial_by_trial(self, monkeypatch, bad):
-        import alignsim.evaluate as evaluate
-
         [states] = spawn_states([(23, bad, 0)], 3)
         first = generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
         scheme = _DiscardOneDraw(first)
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 23, TRIAL_BATCH)
         assert [(d.trial, d.attempt) for d in expected_discards] == [(bad, 0)]
 
-        batch_sizes = []
-
-        def counting_run_batch(scheme, base_seed, draws, *args):
-            batch_sizes.append(len(draws))
-            return run_batch(scheme, base_seed, draws, *args)
-
-        run_batch = evaluate._run_batch
-        monkeypatch.setattr(evaluate, "_run_batch", counting_run_batch)
-        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        calls = _record_batches(monkeypatch, scheme)
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=23)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
-        # the batch, then every trial on its own, and the bad trial's retry
-        assert batch_sizes == [TRIAL_BATCH] + [1] * (TRIAL_BATCH + len(expected_discards))
+        # the batch, then the batch again with the bad trial at its next
+        # attempt: the trials match a trial-by-trial run, none runs alone
+        assert calls == [
+            [(t, 0) for t in range(TRIAL_BATCH)],
+            [(t, int(t == bad)) for t in range(TRIAL_BATCH)],
+        ]
 
     def test_dense_failures_rerun_trial_by_trial(self, monkeypatch):
-        import alignsim.evaluate as evaluate
-
-        scheme = _DiscardSomeTrials()
+        scheme = _DiscardSometimes()
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 21, TRIAL_BATCH)
-        batch_sizes = []
-
-        def counting_run_batch(scheme, base_seed, draws, *args):
-            batch_sizes.append(len(draws))
-            return run_batch(scheme, base_seed, draws, *args)
-
-        run_batch = evaluate._run_batch
-        monkeypatch.setattr(evaluate, "_run_batch", counting_run_batch)
-        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
+        calls = _record_batches(monkeypatch, scheme)
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=21)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
-        # the batch, then every trial on its own with its retries
-        assert batch_sizes == [TRIAL_BATCH] + [1] * (TRIAL_BATCH + len(expected_discards))
+        # each round runs the whole batch, the last round's discards at their
+        # next attempts, until the last attempt any trial needed has run
+        assert [len(draws) for draws in calls] == [TRIAL_BATCH] * len(calls)
+        assert len(calls) == max(d.attempt for d in expected_discards) + 2 <= MAX_ATTEMPTS
+        attempts = {d.trial: d.attempt + 1 for d in expected_discards}
+        assert calls[-1] == [(t, attempts.get(t, 0)) for t in range(TRIAL_BATCH)]
+
+    def test_an_early_certificate_failure_beats_a_later_trial_out_of_attempts(
+        self, monkeypatch
+    ):
+        scheme = _FailMarkedDiscardOthers(
+            _first_coefficients(26, [5]), _first_coefficients(26, [200], range(MAX_ATTEMPTS))
+        )
+        with pytest.raises(SchemeFailure, match="^bc_mat trial 200: exceeded 10 attempts; "):
+            run_single_trial(scheme, 26, 200, DEFAULT_TOL)
+        calls = _record_batches(monkeypatch, scheme)
+        # the batch resamples trial 200 until it runs out of attempts, then
+        # reruns trial by trial, which meets trial 5's certificate first
+        with pytest.raises(SchemeFailure, match=r"^bc_mat trial 5: certificate checks failed: "):
+            run_trials("bc_mat", TRIAL_BATCH, base_seed=26)
+        assert [len(draws) for draws in calls] == [TRIAL_BATCH] * MAX_ATTEMPTS + [1] * 6
 
     def test_failure_in_left_half_is_raised_before_right_half(self, monkeypatch):
         import alignsim.evaluate as evaluate
@@ -640,7 +668,7 @@ def test_batch_plan(num_trials, threads, cores):
     # read worker by worker, the batches hold every trial once, in order, so
     # each batch and each worker's share is contiguous
     assert [trial for batch in batches for trial in batch] == list(range(num_trials))
-    assert len(plan) == min(threads, cores, math.ceil(num_trials / TRIAL_BATCH))
+    assert len(plan) == min(threads, cores, math.ceil(num_trials / TRIALS_PER_WORKER))
     shares = [sum(len(batch) for batch in worker) for worker in plan]
     assert max(shares) - min(shares) <= 1
     for share, worker in zip(shares, plan):
@@ -659,11 +687,11 @@ def test_batch_plan_cuts_batches_only_when_read():
         start = time.perf_counter()
         plan = evaluate._batch_plan(10**12, 2)
         assert time.perf_counter() - start < 0.1
-    half = 10**12 // 2
-    assert [len(share) for share in plan] == [half // TRIAL_BATCH] * 2
+    half, size = 10**12 // 2, TRIAL_BATCH
+    assert [len(share) for share in plan] == [half // size] * 2
     assert [(share[0], share[-1]) for share in plan] == [
-        (range(0, 128), range(half - 128, half)),
-        (range(half, half + 128), range(10**12 - 128, 10**12)),
+        (range(0, size), range(half - size, half)),
+        (range(half, half + size), range(10**12 - size, 10**12)),
     ]
     assert pickle.loads(pickle.dumps(plan)) == plan
     with pytest.raises(IndexError):
@@ -675,7 +703,7 @@ def test_batch_plan_at_threads_0_is_bounded_by_cpus_and_batches():
 
     with mock.patch.object(evaluate, "_usable_cpus", lambda: 3):
         assert len(evaluate._batch_plan(10**6, 0)) == 3
-        assert len(evaluate._batch_plan(2 * TRIAL_BATCH, 0)) == 2
+        assert len(evaluate._batch_plan(2 * TRIALS_PER_WORKER, 0)) == 2
         assert len(evaluate._batch_plan(1, 0)) == 1
 
 
@@ -687,7 +715,7 @@ class TestWorkerProcesses:
         import alignsim.evaluate as evaluate
 
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(evaluate, "TRIAL_BATCH", 4)
+        monkeypatch.setattr(evaluate, "TRIALS_PER_WORKER", 4)
         assert [list(share) for share in evaluate._batch_plan(8, 2)] == [
             [range(0, 4)], [range(4, 8)]
         ]

@@ -322,13 +322,15 @@ class TestStackedSystems:
         with pytest.raises(Singular) as info:
             _decode_context(np.zeros((3, 2, 3)))
         assert str(info.value) == singular
-        g = np.stack([random_complex_matrix(rng, 2, 3) for _ in range(4)], axis=-1)
-        g[1, :, 2] = 0.0
+        # square systems: the healthy trials decode cleanly, trial 2 is zero
+        g = np.stack([random_complex_matrix(rng, 3, 3) for _ in range(4)], axis=-1)
+        g[:, :, 2] = 0.0
         cond = zero_forcing_rows(g, [0])[1]
         assert np.flatnonzero(_not_above_cutoff(cond)).tolist() == [2]
         with pytest.raises(Singular) as info:
             _decode_context(np.stack([g] * 3))
         assert str(info.value) == singular
+        assert info.value.draws == {2: singular}
 
 
 class TestSampleComplexGaussian:

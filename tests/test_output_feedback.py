@@ -32,7 +32,7 @@ def _noise(scheme, seed):
 
 @pytest.fixture(scope="module", params=["bc_mat", "x_output_fb", "ic3_output_fb"])
 def fb_report(request):
-    return request.param, *run_with_batches(request.param, 200, base_seed=77)
+    return request.param, *run_with_batches(request.param, 400, base_seed=77)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=lambda scheme: scheme.scheme_id)
@@ -72,7 +72,7 @@ def test_sizes_come_from_the_schedules():
 class TestAllSchemes:
     def test_exact_recovery_over_trials(self, fb_report):
         _, report, _ = fb_report
-        assert report.outcomes.trial.tolist() == list(range(200))
+        assert report.outcomes.trial.tolist() == list(range(400))
         assert report.all_decode_ok
         assert report.max_rel_symbol_error <= 1e-9
         assert report.discards == []

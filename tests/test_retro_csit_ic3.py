@@ -222,7 +222,7 @@ class TestTransmitCache:
 
 @pytest.fixture(scope="module")
 def ic3_run():
-    return run_with_batches("ic3_retro_csit", 200, base_seed=4321)
+    return run_with_batches("ic3_retro_csit", 400, base_seed=4321)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +232,7 @@ def ic3_report(ic3_run):
 
 class TestDecoding:
     def test_exact_recovery_over_trials(self, ic3_report):
-        assert ic3_report.outcomes.trial.tolist() == list(range(200))
+        assert ic3_report.outcomes.trial.tolist() == list(range(400))
         assert ic3_report.all_decode_ok
         assert ic3_report.max_rel_symbol_error <= 1e-9
 

@@ -253,7 +253,7 @@ class TestEncoding:
 
 @pytest.fixture(scope="module")
 def x_run():
-    return run_with_batches("x_retro_csit", 200, base_seed=1234)
+    return run_with_batches("x_retro_csit", 400, base_seed=1234)
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +263,7 @@ def x_report(x_run):
 
 class TestDecoding:
     def test_exact_recovery_over_trials(self, x_report):
-        assert x_report.outcomes.trial.tolist() == list(range(200))
+        assert x_report.outcomes.trial.tolist() == list(range(400))
         assert x_report.all_decode_ok
         assert x_report.max_rel_symbol_error <= 1e-9
 
