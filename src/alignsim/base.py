@@ -26,9 +26,9 @@ symbols.  This recovers them exactly when ``G`` has full row rank and the
 interference fills only the ``num_slots - len(symbols_for_rx(rx))``
 dimensions that the desired symbols leave free.  This is the alignment
 each scheme is built for, and the decoder certifies it for every scheme:
-a block's certificates form one table (:meth:`Scheme.certificates`), the
-same for every scheme, whose rows each name a key, its value, a direction
-and a cutoff, and :func:`certificate_failures` judges a table.
+:meth:`Scheme.decode_context` judges each draw's receive conditioning and
+zero-forcing residual, and :meth:`Scheme.certificates` reports those two
+values per receiver, the same for every scheme.
 """
 
 from __future__ import annotations
@@ -46,18 +46,15 @@ from .numerics import (
 
 __all__ = [
     "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "RowPayload",
-    "DecodeContext", "Scheme", "certificate_failures",
+    "DecodeContext", "Scheme",
 ]
-
-#: The comparison a certificate value must pass, by direction of its check.
-_PASSES = {"<=": np.less_equal, ">": np.greater, "==": np.equal}
 
 
 class InterferenceRankUnexpected(NumericsError):
     """Interference at a receiver spans more dimensions than the design leaves it.
 
-    A zero-forcing residual above ``Tolerances.residual_rel`` means some
-    interference cannot be told apart from the desired symbols.  This is a
+    A zero-forcing residual above ``Tolerances.residual_rel``, or NaN, means
+    some interference cannot be told apart from the desired symbols.  This is a
     structural failure of the construction, never a resampling event.
     """
 
@@ -249,15 +246,17 @@ class Scheme:
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
         each bit for bit as a call on its matrix alone would.
 
-        This is the one judge of a degenerate draw.  Each draw meets the
-        certificate table's comparisons in table order, receiver by
-        receiver, and its first failed check decides.  Where that check is a
-        ``receive_cond_rx*`` not above ``Tolerances.rank_rel`` (``--tol-rank``;
-        a NaN is not, and a receive matrix that is not finite has a NaN
-        ``cond``), the draw is degenerate; :class:`~alignsim.numerics.Singular`
-        carries every such draw, each with a message that names its
-        receiver, its condition number and the cutoff.  Where it is a
-        zero-forcing residual above ``tol.residual_rel``, for any draw,
+        This is the one judge of every draw, and of every certificate.  Each
+        draw meets two checks per receiver, receiver by receiver, in the
+        order of :meth:`certificates`' keys: ``receive_cond_rx*`` above
+        ``Tolerances.rank_rel`` (``--tol-rank``), then ``zf_residual_rx*`` at
+        or below ``Tolerances.residual_rel`` (``--tol-residual``).  A NaN
+        passes neither, and a receive matrix that is not finite has a NaN
+        ``cond``.  The draw's first failed check decides.  Where it is a
+        ``receive_cond_rx*``, the draw is degenerate;
+        :class:`~alignsim.numerics.Singular` carries every such draw, each
+        with a message that names its receiver, its condition number and the
+        cutoff.  Where it is a zero-forcing residual, for any draw,
         :class:`InterferenceRankUnexpected` is raised instead, naming the
         first such draw's residual and receiver.  So a block of one draw
         raises what that draw meets first, whichever draws share its block.
@@ -265,13 +264,9 @@ class Scheme:
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
         rows = np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
-        finite = np.isfinite(g).all(axis=(0, 1))
-        if not finite.all():
-            # a zero matrix stands in for each one that is not finite: its cond is NaN
-            g = np.where(finite, g, 0.0)
         d, cond, residual = zero_forcing_rows(g, rows)
-        # rows cond_rx0, residual_rx0, cond_rx1, ...: each draw's checks in table order
-        failed = np.stack([~(cond > tol.rank_rel), residual > tol.residual_rel], axis=1)
+        # rows cond_rx0, residual_rx0, cond_rx1, ...: each draw's checks in key order
+        failed = np.stack([~(cond > tol.rank_rel), ~(residual <= tol.residual_rel)], axis=1)
         failed = failed.reshape(2 * self.num_rx, -1)
         if failed.any():
             draws = np.flatnonzero(failed.any(axis=0))
@@ -311,28 +306,17 @@ class Scheme:
             decoded[self.symbols_for_rx(rx)] = matvec(ctx.decoders[rx], y[rx])
         return decoded
 
-    def certificates(self, ctx: DecodeContext, tol: Tolerances) -> list[tuple]:
-        """The block's certificate table: rows of ``(key, value, direction, cutoff)``.
+    def certificates(self, ctx: DecodeContext) -> dict[str, np.ndarray]:
+        """The block's certificates: ``receive_cond_rx*`` and ``zf_residual_rx*``, by receiver.
 
-        A row passes where ``value <direction> cutoff`` holds (see
-        :func:`certificate_failures`).  Every scheme has the same three rows
-        per receiver, by receiver.  ``interference_rank_rx*`` is the design
-        value (:meth:`interference_rank`), not a measured rank: the decoder
-        certifies the alignment through ``receive_cond_rx*`` and
-        ``zf_residual_rx*`` (ROADMAP item 2 measures it).  Each value is a
-        ``(T,)`` array, or one float that holds for every trial.
+        Each value is the ``(T,)`` array of the decoder's guard, which
+        :meth:`decode_context` has judged; every scheme reports the same two
+        per receiver.  The design's interference rank
+        (:meth:`interference_rank`) is not reported: the two guards certify
+        it (ROADMAP item 2 would measure it).
         """
-        rows = []
+        certs = {}
         for rx in range(self.num_rx):
-            rank = self.interference_rank(rx)
-            rows += [
-                (f"interference_rank_rx{rx}", float(rank), "==", rank),
-                (f"receive_cond_rx{rx}", ctx.receive_cond[rx], ">", tol.rank_rel),
-                (f"zf_residual_rx{rx}", ctx.zf_residual[rx], "<=", tol.residual_rel),
-            ]
-        return rows
-
-
-def certificate_failures(rows) -> dict[str, np.ndarray]:
-    """Per row of a certificate table, in table order, the mask of its failing values (NaN fails)."""
-    return {key: ~_PASSES[direction](value, cutoff) for key, value, direction, cutoff in rows}
+            certs[f"receive_cond_rx{rx}"] = ctx.receive_cond[rx]
+            certs[f"zf_residual_rx{rx}"] = ctx.zf_residual[rx]
+        return certs

@@ -1,17 +1,14 @@
 """Command line front end.
 
-Three modes over the same deterministic engine:
+Two modes over the same deterministic engine:
 
-* ``verify``: run noiseless trials, require exact decoding and all
-  structural certificates.
+* ``verify``: run noiseless trials, require exact decoding, and report the
+  decoder's certificates and which slots had their channel states read.
+  The decoder judges the certificates; a failed one, a read the feedback
+  model does not grant (an output read outside the association included)
+  and a read over the scheme's CSI budget stop the run with exit code 3.
 * ``dof_sweep``: fit the sum-rate slope over an SNR grid and compare it
   against the exact symbols-per-slot count.
-* ``audit``: run trials only to collect the transmitter information-access
-  log; report which slots had their channel states read, against the
-  scheme's CSI budget.  It judges nothing of its own: a read its feedback
-  model does not grant, an output read outside the association included,
-  and a read over the CSI budget stop the run with exit code 3, so an
-  audit that reports passes.
 
 Outputs are schema-stable: JSON is rendered with sorted keys and floats at
 17 significant digits, so identical configs produce byte-identical files.
@@ -249,52 +246,26 @@ def _render_json(obj) -> str:
 # -- modes -------------------------------------------------------------------
 
 
-def _run_report(config: RunConfig):
-    """Run the configured trials; returns ``(scheme, report, fields verify and audit share)``."""
+def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
     scheme = get_scheme(config.scheme)
     report = run_trials(
         config.scheme, config.trials, config.seed, tol=config.tolerances(), threads=config.threads
     )
     outcomes = report.outcomes
-    shared = {
+    decode_ok = int(np.count_nonzero(outcomes.decode_ok))
+    results = {
         "trials": config.trials,
         "discards": len(report.discards),
         "csi_slot_indices": outcomes.csi_slots,
         "csi_slot_fraction": Fraction(len(outcomes.csi_slots), scheme.num_slots),
-    }
-    return scheme, report, shared
-
-
-def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
-    scheme, report, shared = _run_report(config)
-    certificates = report.outcomes.certificates
-    decode_ok = int(np.count_nonzero(report.outcomes.decode_ok))
-    ranks = [certificates[f"interference_rank_rx{rx}"] for rx in range(scheme.num_rx)]
-    results = {
-        **shared,
         "decode_ok": decode_ok,
         "max_rel_symbol_error": report.max_rel_symbol_error,
-        # np.unique would import numpy.ma, 20 ms on a cold start
-        "interference_ranks_observed": sorted(set(np.concatenate(ranks).astype(int).tolist())),
         "certificate_extrema": {
             key: [float(np.min(values)), float(np.max(values))]
-            for key, values in certificates.items()
+            for key, values in outcomes.certificates.items()
         },
     }
-    passed = decode_ok == config.trials
-    return results, passed
-
-
-def _mode_audit(config: RunConfig) -> tuple[dict, bool]:
-    # the run itself stops on a read the feedback model or the CSI budget forbids
-    scheme, _, shared = _run_report(config)
-    results = {
-        **shared,
-        "feedback_kind": scheme.feedback.kind.value,
-        "csi_slot_fraction_float": float(shared["csi_slot_fraction"]),
-        "csi_slot_budget": scheme.csi_slot_budget,
-    }
-    return results, True
+    return results, decode_ok == config.trials
 
 
 def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
@@ -333,7 +304,7 @@ def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
 
 
 #: Each mode's runner, in the order ``--help`` lists the modes.
-MODES = {"verify": _mode_verify, "dof_sweep": _mode_dof_sweep, "audit": _mode_audit}
+MODES = {"verify": _mode_verify, "dof_sweep": _mode_dof_sweep}
 
 #: Built once per process (it reads ``MODES``); a parse leaves it unchanged,
 #: so every ``main`` call shares it.

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import Scheme, certificate_failures
+from .base import Scheme
 from .channel import (
     AccessLog,
     ChannelTensor,
@@ -354,9 +354,10 @@ def _run_batch(
 
     Raises what the decoder raises (:class:`~alignsim.numerics.Singular`
     for degenerate draws, another :class:`NumericsError` for a structural
-    failure) and :class:`SchemeFailure` for the first trial whose
-    certificates or CSI usage fail.  Of the block run it keeps the received
-    block alone.
+    failure, a failed certificate included), and :class:`SchemeFailure`,
+    naming the first draw's trial, where the transmitters read channel
+    states over the CSI budget.  Every draw of a block makes the same
+    reads.  Of the block run it keeps the received block alone.
     """
     n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
@@ -370,29 +371,14 @@ def _run_batch(
     y = simulate_block(scheme, tensor, offline, columns, log=log, state=state).y
     ctx = scheme.decode_context(tensor, offline, tol, y[:, :, 1:], state)
     decoded = scheme.decode(y[:, :, 0], ctx)
-    rows = [
-        (key, np.array(np.broadcast_to(value, (n,)), dtype=np.float64), *check)
-        for key, value, *check in scheme.certificates(ctx, tol)
-    ]
-    certs = {key: value for key, value, *_ in rows}
-    failed = certificate_failures(rows)
     weights = None
     if collect_weights:
         weights = noise_transfer_weights(scheme, ctx)
     # Every trial of the batch made the same reads, so one audit serves all.
     csi_slots = sorted(log.csi_slots())
-    over_budget = Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget
-    # name the first failing trial; within a trial, certificates come first
-    failing = np.any(list(failed.values()), axis=0)
-    first = int((failing | over_budget).argmax())
-    if failing[first]:
+    if Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
         raise SchemeFailure(
-            f"{scheme.scheme_id} trial {draws[first][0]}: certificate checks failed: "
-            f"{[key for key, mask in failed.items() if mask[first]]}"
-        )
-    if over_budget:
-        raise SchemeFailure(
-            f"{scheme.scheme_id} trial {draws[first][0]}: transmitters read channel states "
+            f"{scheme.scheme_id} trial {draws[0][0]}: transmitters read channel states "
             f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
         )
     trial, attempt = np.array(draws).T
@@ -402,7 +388,7 @@ def _run_batch(
         trial=trial,
         attempt=attempt,
         max_rel_symbol_error=errors / scales,
-        certificates=certs,
+        certificates=scheme.certificates(ctx),
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
         csi_slots=csi_slots,
     )

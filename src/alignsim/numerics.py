@@ -4,9 +4,10 @@ Null vectors, zero-forcing (pseudo-inverse) rows with their guards, seeded
 circularly symmetric Gaussian sampling and the batched derivation of the
 trials' generator seeds.  Every matrix handled here is small
 (at most 8x9) and dense, so the routines lean on LAPACK through
-``numpy.linalg`` and add the shape and finiteness checks on their inputs
-and a canonical phase convention that makes repeated computations
-reproducible to the bit.
+``numpy.linalg`` and add shape checks on their inputs and a canonical
+phase convention that makes repeated computations reproducible to the bit.
+A null vector's input must be finite; a zero-forcing system that is not
+reports a NaN condition, for the decoder to judge.
 
 A null vector comes from a complete QR of ``aᴴ`` and is not judged: a
 degenerate draw is judged once, by the decoder.  The zero-forcing rows come
@@ -24,7 +25,6 @@ __all__ = [
     "NumericsError",
     "Singular",
     "Tolerances",
-    "DEFAULT_TOL",
     "phase_normalize",
     "null_vector",
     "zero_forcing_rows",
@@ -38,7 +38,6 @@ __all__ = [
     "sample_complex_gaussian",
     "spawn_states",
     "seeded_generators",
-    "seeded_generator",
 ]
 
 
@@ -88,9 +87,6 @@ class Tolerances:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
-DEFAULT_TOL = Tolerances()
-
-
 # Shape convention: a matrix argument is ``(m, n, *S)`` and a vector ``(n,
 # *S)``, where ``S`` is empty or any number of stack axes: a trial axis, and
 # before it, where one call handles several systems of a trial, an axis of
@@ -104,8 +100,6 @@ def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or min(a.shape[:2]) < 1:
         raise ValueError(f"expected a nonempty (m, n, *S) array, got shape {np.shape(a)}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -217,6 +211,8 @@ def null_vector(a) -> np.ndarray:
         Unit norm.
     """
     a = _as_matrix(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     rows, cols = a.shape[:2]
     if rows >= cols:
         raise ValueError(f"null_vector expects rows < cols, got shape {a.shape}")
@@ -251,13 +247,18 @@ def zero_forcing_rows(g, rows):
     Returns ``(d, cond, residual)`` for every system: ``cond = s_min /
     s_max`` and ``residual = ||d @ g - I[rows]||_F``, both of shape
     ``(*S)``.  Nothing is judged here; callers judge ``cond``.  A system
-    short of full row rank has a ``cond`` at or near zero (NaN for a zero
-    matrix) and may have non-finite ``d`` and ``residual``.
+    short of full row rank has a ``cond`` at or near zero and may have
+    non-finite ``d`` and ``residual``.  A zero system, and one with an entry
+    that is not finite, for which a zero system stands in, have a NaN
+    ``cond``.
     """
     g = _as_matrix(g)
     n, k = g.shape[:2]
     if n > k:
         raise ValueError(f"zero_forcing_rows expects rows <= cols, got shape {g.shape}")
+    finite = np.isfinite(g).all(axis=(0, 1))
+    if not finite.all():
+        g = np.where(finite, g, 0.0)
     u, s, vh = np.linalg.svd(_stacked(g), full_matrices=False)
     rows = np.asarray(rows)
     if rows.ndim == 1:
@@ -450,9 +451,3 @@ def seeded_generators(states: np.ndarray) -> list[np.random.Generator]:
     """
     seeds = _SeedStates(states)
     return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(len(states))]
-
-
-def seeded_generator(state: np.ndarray) -> np.random.Generator:
-    """``default_rng`` of the SeedSequence whose PCG64 seed words are ``state``."""
-    [rng] = seeded_generators(state[None])
-    return rng

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from alignsim.evaluate import simulate_block
-from alignsim.numerics import DEFAULT_TOL
+from alignsim.numerics import Tolerances
 
 
 def impulse_response(scheme, tensor, offline):
@@ -22,7 +22,7 @@ def impulse_response(scheme, tensor, offline):
     return record.y, state
 
 
-def decode_context(scheme, tensor, offline, tol=DEFAULT_TOL):
+def decode_context(scheme, tensor, offline, tol=Tolerances()):
     """The scheme's decoders for the block, read off :func:`impulse_response`."""
     response, state = impulse_response(scheme, tensor, offline)
     return scheme.decode_context(tensor, offline, tol, response, state)

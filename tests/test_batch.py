@@ -28,7 +28,7 @@ from alignsim.evaluate import (
     run_trials,
     simulate_block,
 )
-from alignsim.numerics import DEFAULT_TOL, Singular, ordered_sum, sample_complex_gaussian
+from alignsim.numerics import Singular, Tolerances, ordered_sum, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context
@@ -190,11 +190,11 @@ def _full_batch(scheme_id):
 def test_trial_result_independent_of_batch(scheme_id, trial, partner, partner_attempt, first):
     scheme = get_scheme(scheme_id)
     reference = outcome_fields(_full_batch(scheme_id), trial)
-    alone = _run_batch(scheme, 41, [(trial, 0)], DEFAULT_TOL, True)
+    alone = _run_batch(scheme, 41, [(trial, 0)], Tolerances(), True)
     other = (partner, partner_attempt)
     pair = [(trial, 0), other] if first else [other, (trial, 0)]
     try:
-        paired = _run_batch(scheme, 41, pair, DEFAULT_TOL, True)
+        paired = _run_batch(scheme, 41, pair, Tolerances(), True)
     except Singular:
         assume(False)
     # every field, noise weights included, must match to the bit
@@ -207,10 +207,10 @@ def test_draws_at_mixed_attempts_match_their_draws_alone(scheme_id):
     # a batch that resamples runs some trials at later attempts than others
     scheme = get_scheme(scheme_id)
     draws = [(t, (3 * t) % MAX_ATTEMPTS) for t in range(12)] + [(40, 0), (5, 0)]
-    batch = _run_batch(scheme, 43, draws, DEFAULT_TOL, True)
+    batch = _run_batch(scheme, 43, draws, Tolerances(), True)
     assert list(zip(batch.trial.tolist(), batch.attempt.tolist())) == draws
     for index, draw in enumerate(draws):
-        alone = _run_batch(scheme, 43, [draw], DEFAULT_TOL, True)
+        alone = _run_batch(scheme, 43, [draw], Tolerances(), True)
         assert outcome_fields(batch, index) == outcome_fields(alone, 0), draw
 
 
@@ -242,7 +242,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     ctx = decode_context(scheme, tensor, offline)
     decoded = scheme.decode(record.y, ctx)
     weights = noise_transfer_weights(scheme, ctx)
-    certs = {key: value for key, value, *_ in scheme.certificates(ctx, DEFAULT_TOL)}
+    certs = scheme.certificates(ctx)
     assert weights.shape == (scheme.num_symbols, trials)
     for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
         one_log = AccessLog()
@@ -256,6 +256,6 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         assert np.array_equal(
             weights[:, t : t + 1], noise_transfer_weights(scheme, one_ctx)
         )
-        for key, value, *_ in scheme.certificates(one_ctx, DEFAULT_TOL):
+        for key, value in scheme.certificates(one_ctx).items():
             batch_value = np.broadcast_to(certs[key], (trials,))[t]
             assert np.array_equal(batch_value, np.broadcast_to(value, (1,))[0]), key

@@ -149,6 +149,10 @@ class TestVerifyMode:
         assert doc["results"]["decode_ok"] == 5
         assert doc["results"]["csi_slot_indices"] == []
         assert doc["config"]["scheme"] == "x_output_fb"
+        assert sorted(doc["results"]) == [
+            "certificate_extrema", "csi_slot_fraction", "csi_slot_indices", "decode_ok",
+            "discards", "max_rel_symbol_error", "trials",
+        ]
 
     def test_output_is_byte_stable(self, capsys):
         argv = ["--scheme", "bc_mat", "--trials", "4", "--seed", "9", "--threads", "1"]
@@ -179,31 +183,26 @@ class TestVerifyMode:
         extrema = json.loads(out)["results"]["certificate_extrema"]
         assert extrema["receive_cond_rx0"][0] > 1e-8
         assert extrema["zf_residual_rx1"][1] <= 1e-8
-
-    @pytest.mark.parametrize(
-        "scheme_id, ranks",
-        [
-            ("bc_mat", [1]),
-            ("x_output_fb", [1]),
-            ("ic3_output_fb", [3]),
-            ("x_retro_csit", [3]),
-            ("ic3_retro_csit", [5]),
-        ],
-    )
-    def test_interference_ranks_observed(self, capsys, scheme_id, ranks):
-        code, out, _ = _run_main(
-            capsys, ["--scheme", scheme_id, "--trials", "3", "--seed", "0", "--threads", "1"]
-        )
-        assert code == 0
-        assert json.loads(out)["results"]["interference_ranks_observed"] == ranks
+        assert sorted(extrema) == [
+            "receive_cond_rx0", "receive_cond_rx1", "zf_residual_rx0", "zf_residual_rx1"
+        ]
 
 
 class TestAuditMode:
+    """The audit of the transmitters' reads, which ``verify`` makes: the former
+    audit mode's cases, and that mode now a usage error."""
+
+    def test_audit_mode_is_a_usage_error(self, capsys):
+        code, out, err = _run_main(capsys, ["--scheme", "bc_mat", "--mode", "audit"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: argument --mode: invalid choice: 'audit' ")
+        assert err.count("\n") == 1
+
     def test_x_scheme_fraction_is_exactly_three_sevenths(self, capsys):
         code, out, _ = _run_main(
             capsys,
             [
-                "--scheme", "x_retro_csit", "--mode", "audit",
+                "--scheme", "x_retro_csit", "--mode", "verify",
                 "--trials", "3", "--seed", "0", "--threads", "1",
             ],
         )
@@ -216,7 +215,7 @@ class TestAuditMode:
         code, out, _ = _run_main(
             capsys,
             [
-                "--scheme", "ic3_retro_csit", "--mode", "audit",
+                "--scheme", "ic3_retro_csit", "--mode", "verify",
                 "--trials", "3", "--seed", "0", "--threads", "1",
             ],
         )
@@ -229,24 +228,24 @@ class TestAuditMode:
         code, out, _ = _run_main(
             capsys,
             [
-                "--scheme", "ic3_output_fb", "--mode", "audit",
+                "--scheme", "ic3_output_fb", "--mode", "verify",
                 "--trials", "3", "--seed", "0", "--threads", "1",
             ],
         )
         assert code == 0
         results = json.loads(out)["results"]
         assert results["csi_slot_fraction"] == "0"
-        assert results["feedback_kind"] == "delayed_output"
+        assert results["csi_slot_indices"] == []
         assert json.loads(out)["pass"] is True
 
     def test_over_budget_reads_exit_3(self, capsys, monkeypatch):
-        # the run stops on an over-budget read before audit reports
+        # the run stops on an over-budget read before verify reports
         class OverBudget(BcMatScheme):
             csi_slot_budget = Fraction(1, 3)
 
         monkeypatch.setitem(SCHEMES, "bc_mat", OverBudget())
         code, out, err = _run_main(
-            capsys, ["--scheme", "bc_mat", "--mode", "audit", "--trials", "3", "--threads", "1"]
+            capsys, ["--scheme", "bc_mat", "--mode", "verify", "--trials", "3", "--threads", "1"]
         )
         assert code == 3 and err == ""
         error = json.loads(out)["error"]
@@ -268,7 +267,7 @@ class TestAuditMode:
         monkeypatch.setitem(SCHEMES, "ic3_output_fb", Leaky())
         code, out, err = _run_main(
             capsys,
-            ["--scheme", "ic3_output_fb", "--mode", "audit", "--trials", "3", "--threads", "1"],
+            ["--scheme", "ic3_output_fb", "--mode", "verify", "--trials", "3", "--threads", "1"],
         )
         assert code == 3 and err == ""
         assert json.loads(out)["error"] == {

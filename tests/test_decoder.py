@@ -11,7 +11,7 @@ import pytest
 from alignsim.base import InterferenceRankUnexpected, Scheme
 from alignsim.channel import generate_channel
 from alignsim.evaluate import _draw_batch, simulate_block
-from alignsim.numerics import DEFAULT_TOL, Singular, zero_forcing_rows
+from alignsim.numerics import Singular, Tolerances, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, impulse_response
@@ -53,7 +53,7 @@ def test_one_factorization_equals_one_call_per_receiver(scheme_id):
     scheme = get_scheme(scheme_id)
     tensor, offline, _ = _draw_batch(scheme, 61, [(t, 0) for t in range(8)])
     response, state = impulse_response(scheme, tensor, offline)
-    ctx = scheme.decode_context(tensor, offline, DEFAULT_TOL, response, state)
+    ctx = scheme.decode_context(tensor, offline, Tolerances(), response, state)
     for rx in range(scheme.num_rx):
         d, cond, residual = zero_forcing_rows(response[rx], scheme.symbols_for_rx(rx))
         assert ctx.decoders[rx].tobytes() == np.ascontiguousarray(d).tobytes()
@@ -90,7 +90,7 @@ class TestReceiverOrder:
             ]
         )
         with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 0 exceeds 1\.0e-08"):
-            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+            scheme.decode_context(None, None, Tolerances(), response, {})
 
     def test_a_singular_receiver_0_comes_before_a_leak_at_receiver_1(self):
         scheme, rng = get_scheme("bc_mat"), np.random.default_rng(4)
@@ -103,7 +103,7 @@ class TestReceiverOrder:
             ]
         )
         with pytest.raises(Singular) as info:
-            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+            scheme.decode_context(None, None, Tolerances(), response, {})
         assert str(info.value) == _SINGULAR.format(rx=0, cond="1.000e+09")
         assert list(info.value.draws) == [0]
 
@@ -121,7 +121,7 @@ class TestReceiverOrder:
             ]
         )
         with pytest.raises(Singular) as info:
-            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+            scheme.decode_context(None, None, Tolerances(), response, {})
         assert info.value.draws == {
             0: _SINGULAR.format(rx=1, cond="inf"), 2: _SINGULAR.format(rx=0, cond="inf")
         }
@@ -129,12 +129,12 @@ class TestReceiverOrder:
         # a leak that is a draw's first failed check wins over every singular draw
         response[1, ..., 1] = _bc_mat_receiver(rng, 1, leak=True)
         with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 1 exceeds 1\.0e-08"):
-            scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+            scheme.decode_context(None, None, Tolerances(), response, {})
 
     def test_zero_response_is_singular_at_receiver_0(self):
         scheme = get_scheme("bc_mat")
         with pytest.raises(Singular) as info:
-            scheme.decode_context(None, None, DEFAULT_TOL, np.zeros((2, 3, 4, 2)), {})
+            scheme.decode_context(None, None, Tolerances(), np.zeros((2, 3, 4, 2)), {})
         assert str(info.value) == _SINGULAR.format(rx=0, cond="inf")
 
 

@@ -18,7 +18,7 @@ import alignsim.evaluate
 from alignsim.channel import MAG_BOUNDS_DEFAULT, generate_channel
 from alignsim.evaluate import TRIAL_BATCH, _draw_batch
 from alignsim.numerics import (
-    sample_complex_gaussian, seeded_generator, seeded_generators, spawn_states,
+    sample_complex_gaussian, seeded_generators, spawn_states,
 )
 from alignsim.registry import SCHEMES, get_scheme
 
@@ -52,7 +52,7 @@ def reference_channel(num_rx, num_tx, num_slots, rng, mag_bounds=MAG_BOUNDS_DEFA
 
 def _spawned_generators(entropies, children):
     """The generators of :func:`spawn_states`, one list of ``children`` per entropy."""
-    return [[seeded_generator(s) for s in row] for row in spawn_states(entropies, children)]
+    return [seeded_generators(row) for row in spawn_states(entropies, children)]
 
 
 def _pcg_states(generators):

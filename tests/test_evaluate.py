@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alignsim.base import OutputPayload, Scheme, certificate_failures
+from alignsim.base import InterferenceRankUnexpected, OutputPayload, Scheme
 from alignsim.channel import AccessLog, TxInformationView, generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
@@ -38,18 +38,18 @@ from alignsim.evaluate import (
     validate_snr_grid,
 )
 from alignsim.numerics import (
-    DEFAULT_TOL,
     NumericsError,
     Singular,
     Tolerances,
     sample_complex_gaussian,
-    seeded_generator,
+    seeded_generators,
     spawn_states,
+    zero_forcing_rows,
 )
 from alignsim.output_feedback import BcMatScheme
 from alignsim.registry import SCHEMES, get_scheme
 
-from _decode import decode_context
+from _decode import decode_context, impulse_response
 from _outcomes import outcome_fields
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
@@ -289,6 +289,12 @@ def _singular_where(mask):
         raise Singular({int(t): "synthetic degenerate draw" for t in np.flatnonzero(mask)})
 
 
+def _leak_where(mask):
+    """Fail the decoder's certificates, as a leak does, where ``mask`` holds for a draw."""
+    if np.any(mask):
+        raise InterferenceRankUnexpected("synthetic leak")
+
+
 class _DiscardSometimes(BcMatScheme):
     """Discards each draw whose first channel coefficient leans positive."""
 
@@ -303,8 +309,8 @@ class _DiscardAlways(BcMatScheme):
 
 
 class _BadCertificates(BcMatScheme):
-    def certificates(self, ctx, tol):
-        return [("made_up", 1.0, "<=", 0.0)]
+    def decode_context(self, tensor, *args, **kwargs):
+        _leak_where(np.ones(tensor.num_trials, dtype=bool))
 
 
 class _BudgetBreaker(BcMatScheme):
@@ -316,7 +322,7 @@ class TestDiscardAndFailurePaths:
         scheme = _DiscardSometimes()
         seen_discard = False
         for trial in range(12):
-            result, discards = run_single_trial(scheme, 17, trial, DEFAULT_TOL)
+            result, discards = run_single_trial(scheme, 17, trial, Tolerances())
             assert result.decode_ok.tolist() == [True]
             assert result.trial.tolist() == [trial]
             assert result.attempt.tolist() == [len(discards)]
@@ -328,15 +334,15 @@ class TestDiscardAndFailurePaths:
 
     def test_retry_cap_becomes_scheme_failure(self):
         with pytest.raises(SchemeFailure, match=str(MAX_ATTEMPTS)):
-            run_single_trial(_DiscardAlways(), 18, 0, DEFAULT_TOL)
+            run_single_trial(_DiscardAlways(), 18, 0, Tolerances())
 
     def test_certificate_failure_is_fatal_not_resampled(self):
-        with pytest.raises(SchemeFailure, match="made_up"):
-            run_single_trial(_BadCertificates(), 19, 0, DEFAULT_TOL)
+        with pytest.raises(SchemeFailure, match="trial 0: InterferenceRankUnexpected: synthetic"):
+            run_single_trial(_BadCertificates(), 19, 0, Tolerances())
 
     def test_csi_budget_violation_is_fatal(self):
         with pytest.raises(SchemeFailure, match="budget"):
-            run_single_trial(_BudgetBreaker(), 20, 0, DEFAULT_TOL)
+            run_single_trial(_BudgetBreaker(), 20, 0, Tolerances())
 
     @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 73)])
     def test_the_decoder_judges_every_discard(self, scheme_id, discards):
@@ -474,35 +480,35 @@ class _DiscardOneDraw(BcMatScheme):
 
 
 class _FailStrongTrials(BcMatScheme):
-    """Fails a certificate in every trial whose first channel coefficient is strong."""
+    """Fails the certificates of every trial whose first channel coefficient is strong."""
 
-    def certificates(self, ctx, tol):
-        gain = np.abs(ctx.tensor.h[0, 0, 0])
-        return [*super().certificates(ctx, tol), ("first_gain", gain, "<=", 1.5)]
+    def decode_context(self, tensor, *args, **kwargs):
+        _leak_where(np.abs(tensor.h[0, 0, 0]) > 1.5)
+        return super().decode_context(tensor, *args, **kwargs)
 
 
 def _first_coefficients(base_seed, trials, attempts=(0,)):
     """The first channel coefficient of each trial's draws at ``attempts``."""
     draws = [(base_seed, trial, attempt) for trial in trials for attempt in attempts]
     return [
-        generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
+        generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0]
         for states in spawn_states(draws, 3)
     ]
 
 
 class _FailMarkedDraws(BcMatScheme):
-    """Fails a certificate on each draw whose first channel coefficient is in ``marked``."""
+    """Fails the certificates of each draw whose first channel coefficient is in ``marked``."""
 
     def __init__(self, marked):
         self.marked = marked
 
-    def certificates(self, ctx, tol):
-        hit = np.isin(ctx.tensor.h[0, 0, 0], self.marked).astype(np.float64)
-        return [*super().certificates(ctx, tol), ("marked_draw", hit, "<=", 0.0)]
+    def decode_context(self, tensor, *args, **kwargs):
+        _leak_where(np.isin(tensor.h[0, 0, 0], self.marked))
+        return super().decode_context(tensor, *args, **kwargs)
 
 
 class _FailMarkedDiscardOthers(_FailMarkedDraws):
-    """Fails a certificate on the draws in ``marked``; discards the draws in ``singular``."""
+    """Discards the draws in ``singular``, then fails the certificates of those in ``marked``."""
 
     def __init__(self, marked, singular):
         super().__init__(marked)
@@ -514,27 +520,24 @@ class _FailMarkedDiscardOthers(_FailMarkedDraws):
 
 
 class _StructuralAndCertificateFailures(BcMatScheme):
-    """A structural failure on one draw and a failed certificate on another."""
+    """A failed certificate on one draw, raised first, and a structural failure on another."""
 
     def __init__(self, structural, failing_certificate):
         self.structural = structural
         self.failing_certificate = failing_certificate
 
     def decode_context(self, tensor, *args, **kwargs):
+        _leak_where(tensor.h[0, 0, 0] == self.failing_certificate)
         if np.any(tensor.h[0, 0, 0] == self.structural):
             raise NumericsError("synthetic structural failure")
         return super().decode_context(tensor, *args, **kwargs)
-
-    def certificates(self, ctx, tol):
-        flag = (ctx.tensor.h[0, 0, 0] == self.failing_certificate).astype(float)
-        return [*super().certificates(ctx, tol), ("flag", flag, "<=", 0.5)]
 
 
 def _trial_by_trial(scheme, base_seed, num_trials):
     """Outcomes and discards of the trials run one at a time."""
     parts, discards = [], []
     for trial in range(num_trials):
-        outcome, trial_discards = run_single_trial(scheme, base_seed, trial, DEFAULT_TOL)
+        outcome, trial_discards = run_single_trial(scheme, base_seed, trial, Tolerances())
         parts.append(outcome)
         discards += trial_discards
     return _concat(parts), discards
@@ -571,7 +574,7 @@ class TestTrialBatches:
     @pytest.mark.parametrize("bad", [0, 77, 127, TRIAL_BATCH - 1])
     def test_one_degenerate_trial_reruns_its_batch_trial_by_trial(self, monkeypatch, bad):
         [states] = spawn_states([(23, bad, 0)], 3)
-        first = generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0]
+        first = generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0]
         scheme = _DiscardOneDraw(first)
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 23, TRIAL_BATCH)
         assert [(d.trial, d.attempt) for d in expected_discards] == [(bad, 0)]
@@ -608,11 +611,11 @@ class TestTrialBatches:
             _first_coefficients(26, [5]), _first_coefficients(26, [200], range(MAX_ATTEMPTS))
         )
         with pytest.raises(SchemeFailure, match="^bc_mat trial 200: exceeded 10 attempts; "):
-            run_single_trial(scheme, 26, 200, DEFAULT_TOL)
+            run_single_trial(scheme, 26, 200, Tolerances())
         calls = _record_batches(monkeypatch, scheme)
         # the batch resamples trial 200 until it runs out of attempts, then
         # reruns trial by trial, which meets trial 5's certificate first
-        with pytest.raises(SchemeFailure, match=r"^bc_mat trial 5: certificate checks failed: "):
+        with pytest.raises(SchemeFailure, match=r"^bc_mat trial 5: InterferenceRankUnexpected: "):
             run_trials("bc_mat", TRIAL_BATCH, base_seed=26)
         assert [len(draws) for draws in calls] == [TRIAL_BATCH] * MAX_ATTEMPTS + [1] * 6
 
@@ -621,10 +624,10 @@ class TestTrialBatches:
 
         scheme = _StructuralAndCertificateFailures(*_first_coefficients(24, (10, 100)))
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
-        with pytest.raises(SchemeFailure, match="bc_mat trial 100: certificate"):
-            run_single_trial(scheme, 24, 100, DEFAULT_TOL)
-        # trial 100 fails its certificates, but the batch meets trial 10's
-        # structural failure and reruns trial by trial, which raises it first
+        with pytest.raises(SchemeFailure, match="bc_mat trial 100: InterferenceRankUnexpected"):
+            run_single_trial(scheme, 24, 100, Tolerances())
+        # the batch raises trial 100's failed certificates, and reruns trial by
+        # trial, which raises trial 10's structural failure first
         with pytest.raises(SchemeFailure, match="bc_mat trial 10: NumericsError"):
             run_trials("bc_mat", TRIAL_BATCH, base_seed=24)
 
@@ -648,12 +651,12 @@ class TestTrialBatches:
         scheme = _FailStrongTrials()
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         gains = [
-            abs(generate_channel(2, 2, 3, [seeded_generator(states[0])]).h[0, 0, 0, 0])
+            abs(generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0])
             for states in spawn_states([(22, trial, 0) for trial in range(100)], 3)
         ]
         first_bad = next(trial for trial, gain in enumerate(gains) if gain > 1.5)
         assert first_bad > 0
-        with pytest.raises(SchemeFailure, match=f"bc_mat trial {first_bad}: certificate"):
+        with pytest.raises(SchemeFailure, match=f"bc_mat trial {first_bad}: InterferenceRank"):
             run_trials("bc_mat", 100, base_seed=22)
 
 
@@ -735,7 +738,7 @@ class TestWorkerProcesses:
     def test_failure_in_the_child_share_reaches_the_caller(self, evaluate, monkeypatch):
         scheme = _FailMarkedDraws(_first_coefficients(8, [6]))
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
-        message = r"^bc_mat trial 6: certificate checks failed: \['marked_draw'\]$"
+        message = r"^bc_mat trial 6: InterferenceRankUnexpected: synthetic leak$"
         with pytest.raises(SchemeFailure, match=message):
             run_trials("bc_mat", 8, base_seed=8, threads=2)
         assert multiprocessing.active_children() == []
@@ -743,7 +746,7 @@ class TestWorkerProcesses:
     def test_the_callers_earlier_failure_wins(self, evaluate, monkeypatch):
         scheme = _FailMarkedDraws(_first_coefficients(8, [1, 6]))
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
-        with pytest.raises(SchemeFailure, match="^bc_mat trial 1: certificate"):
+        with pytest.raises(SchemeFailure, match="^bc_mat trial 1: InterferenceRankUnexpected"):
             run_trials("bc_mat", 8, base_seed=8, threads=2)
         assert multiprocessing.active_children() == []
 
@@ -808,12 +811,11 @@ def _rx_keys(names, num_rx):
     return [f"{name}_rx{rx}" for rx in range(num_rx) for name in names]
 
 
-_DECODER_CHECKS = ["interference_rank", "receive_cond", "zf_residual"]
-
-# every certificate check of each scheme, in the order a failure lists them:
+# every certificate of each scheme, in the order the decoder judges them:
 # the decoder's, which are every scheme's
 _CHECK_ORDER = {
-    scheme_id: _rx_keys(_DECODER_CHECKS, scheme.num_rx) for scheme_id, scheme in SCHEMES.items()
+    scheme_id: _rx_keys(["receive_cond", "zf_residual"], scheme.num_rx)
+    for scheme_id, scheme in SCHEMES.items()
 }
 
 
@@ -821,46 +823,74 @@ def test_every_scheme_is_certified_by_the_decoder_alone():
     assert all(type(s).certificates is Scheme.certificates for s in SCHEMES.values())
 
 
+def _judged(scheme_id, guards):
+    """``decode_context`` of two draws of a scheme whose guards read ``guards``.
+
+    ``guards[(key, draw)]`` replaces the value of certificate ``key`` at
+    ``draw`` in what ``zero_forcing_rows`` returns to the decoder.
+    """
+    scheme = get_scheme(scheme_id)
+    tensor, offline, _ = _draw_batch(scheme, 25, [(0, 0), (1, 0)])
+    response, state = impulse_response(scheme, tensor, offline)
+
+    def spoiled(g, rows):
+        d, cond, residual = zero_forcing_rows(g, rows)
+        cond, residual = cond.copy(), residual.copy()
+        for (key, draw), value in guards.items():
+            name, rx = key.rsplit("_rx", 1)
+            (cond if name == "receive_cond" else residual)[int(rx), draw] = value
+        return d, cond, residual
+
+    with mock.patch("alignsim.base.zero_forcing_rows", spoiled):
+        return scheme.decode_context(tensor, offline, Tolerances(), response, state)
+
+
+def _singular_at(rx):
+    return (
+        f"receiver {rx}: condition number inf exceeds 1.0e+08; "
+        f"receive_cond_rx{rx} is at or below the --tol-rank cutoff 1.0e-08"
+    )
+
+
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
 def test_failure_list_keeps_check_order(scheme_id):
-    # trial 1 of the batch fails every check: a wrong rank, a receive
-    # condition of 0 and residuals of 1; trial 0 keeps its own values
-    scheme = type(get_scheme(scheme_id))()
-    certificates = scheme.certificates
-
-    def failing(ctx, tol):
-        rows = []
-        for key, value, direction, cutoff in certificates(ctx, tol):
-            bad = 0.0 if key.startswith("receive_cond") else -1.0 if key.startswith(
-                "interference_rank") else 1.0
-            rows.append((key, np.array([np.broadcast_to(value, (2,))[0], bad]), direction, cutoff))
-        return rows
-
-    scheme.certificates = failing
-    expected = f"{scheme_id} trial 1: certificate checks failed: {_CHECK_ORDER[scheme_id]}"
-    with pytest.raises(SchemeFailure) as info:
-        _run_batch(scheme, 25, [(0, 0), (1, 0)], DEFAULT_TOL, False)
-    assert str(info.value) == expected
-
-
-def _certificate_table(scheme, base_seed):
-    """The certificate table of trial 0's first draw."""
-    tensor, offline, _ = _draw_batch(scheme, base_seed, [(0, 0)])
-    return scheme.certificates(decode_context(scheme, tensor, offline), DEFAULT_TOL)
+    # the certificates come in the order the decoder judges them: where
+    # draw 1 fails every check from one key on (a receive condition of 0,
+    # residuals of 1), the decoder names that key's check
+    keys = _CHECK_ORDER[scheme_id]
+    assert list(get_scheme(scheme_id).certificates(_judged(scheme_id, {}))) == keys
+    bad = {"receive_cond": 0.0, "zf_residual": 1.0}
+    for first, key in enumerate(keys):
+        guards = {(later, 1): bad[later.rsplit("_rx", 1)[0]] for later in keys[first:]}
+        name, rx = key.rsplit("_rx", 1)
+        if name == "receive_cond":
+            with pytest.raises(Singular) as info:
+                _judged(scheme_id, guards)
+            assert info.value.draws == {1: _singular_at(rx)}
+        else:
+            with pytest.raises(InterferenceRankUnexpected, match=f" at receiver {rx} exceeds "):
+                _judged(scheme_id, guards)
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
 def test_nan_certificate_fails_every_check(scheme_id):
-    table = _certificate_table(get_scheme(scheme_id), 26)
-    rows = [(key, np.array([np.nan]), direction, cutoff) for key, _, direction, cutoff in table]
-    failed = certificate_failures(rows)
-    assert list(failed) == _CHECK_ORDER[scheme_id]
-    assert all(mask.tolist() == [True] for mask in failed.values())
+    # a NaN guard fails its check: a NaN residual beside a healthy receive
+    # condition is a leak, not a pass
+    for key in _CHECK_ORDER[scheme_id]:
+        name, rx = key.rsplit("_rx", 1)
+        if name == "receive_cond":
+            with pytest.raises(Singular) as info:
+                _judged(scheme_id, {(key, 0): np.nan})
+            assert info.value.draws == {0: _singular_at(rx)}
+        else:
+            message = f"^zero-forcing residual nan at receiver {rx} "
+            with pytest.raises(InterferenceRankUnexpected, match=message):
+                _judged(scheme_id, {(key, 0): np.nan})
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
 def test_certificate_keys_are_unique_and_reported(scheme_id):
-    keys = [key for key, *_ in _certificate_table(get_scheme(scheme_id), 27)]
+    keys = list(get_scheme(scheme_id).certificates(_judged(scheme_id, {})))
     assert len(set(keys)) == len(keys)
     assert list(run_trials(scheme_id, 3, base_seed=27).outcomes.certificates) == keys
 

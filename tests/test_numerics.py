@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from alignsim.base import Scheme
 from alignsim.numerics import (
-    DEFAULT_TOL,
     Singular,
     Tolerances,
     null_vector,
@@ -128,12 +127,12 @@ def _decode_context(response):
     """
     scheme = Scheme()
     scheme.num_rx, scheme.num_slots, scheme.num_symbols = response.shape[:3]
-    return scheme.decode_context(None, None, DEFAULT_TOL, response, {})
+    return scheme.decode_context(None, None, Tolerances(), response, {})
 
 
 def _not_above_cutoff(cond):
-    """Where ``cond`` fails the certificate table's ``receive_cond > rank_rel`` (NaN fails)."""
-    return ~(np.asarray(cond) > DEFAULT_TOL.rank_rel)
+    """Where ``cond`` fails the decoder's ``receive_cond > rank_rel`` (NaN fails)."""
+    return ~(np.asarray(cond) > Tolerances.rank_rel)
 
 
 class TestZeroForcingRows:
@@ -223,9 +222,22 @@ class TestZeroForcingRows:
         with pytest.raises(ValueError):
             zero_forcing_rows(random_complex_matrix(rng, 3, 2), [0])
         g = random_complex_matrix(rng, 2, 3)
+        # a system that is not finite is no shape error: it reports a NaN cond
         g[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            zero_forcing_rows(g, [0])
+        _, cond, _ = zero_forcing_rows(g, [0])
+        assert np.isnan(cond)
+
+    def test_a_system_that_is_not_finite_leaves_its_stack_alone(self, rng):
+        good = [random_complex_matrix(rng, 2, 3) for _ in range(2)]
+        bad = random_complex_matrix(rng, 2, 3)
+        bad[1, 2] = np.nan
+        d, cond, residual = zero_forcing_rows(np.stack([good[0], bad, good[1]], -1), [0])
+        assert np.isnan(cond[1])
+        for t, g in zip((0, 2), good):
+            alone = zero_forcing_rows(g[..., None], [0])
+            assert d[..., t : t + 1].tobytes() == alone[0].tobytes()
+            assert cond[t : t + 1].tobytes() == alone[1].tobytes()
+            assert residual[t : t + 1].tobytes() == alone[2].tobytes()
 
 
 class TestPhaseNormalize:

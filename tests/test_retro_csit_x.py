@@ -11,7 +11,7 @@ from alignsim.evaluate import (
     future_perturbation_invariant,
     simulate_block,
 )
-from alignsim.numerics import DEFAULT_TOL, Singular, null_vector, sample_complex_gaussian
+from alignsim.numerics import Singular, Tolerances, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 from alignsim.retro_csit_x import (
     PHASE1_SLOTS,
@@ -124,7 +124,7 @@ class TestStackedSystems:
             cross = _cross_second_directions(h3, phase1, gamma, rx)
             sv = np.linalg.svd(np.moveaxis(cross, -1, 0), compute_uv=False)
             assert np.all(sv[:, 0] > 0.0)
-            assert np.all(sv[:, 1] <= DEFAULT_TOL.rank_rel * sv[:, 0])
+            assert np.all(sv[:, 1] <= Tolerances.rank_rel * sv[:, 0])
 
 
 def _layer2_vars(u, gamma):
