@@ -2,9 +2,10 @@
 
 A scheme is a stateless description of one block: a schedule of payloads,
 the feedback model it assumes, its draws and the rows its transmitters
-derive.  All per-trial data (channel, offline coefficients, messages,
-cached derived rows) is passed in explicitly, so one scheme instance can
-be shared freely across trials and worker processes.
+derive.  All per-trial data (channel, offline coefficients, messages) is
+passed in explicitly, and each entity's derived rows live in a cache of one
+block run, so one scheme instance can be shared freely across trials and
+worker processes.
 
 The schedule assigns each (slot, antenna) a payload, and it fixes the
 block's size.  :meth:`Scheme.transmit`, the one encoder engine, sends a
@@ -27,8 +28,10 @@ interference fills only the ``num_slots - len(symbols_for_rx(rx))``
 dimensions that the desired symbols leave free.  This is the alignment
 each scheme is built for, and the decoder certifies it for every scheme:
 :meth:`Scheme.decode_context` judges each draw's receive conditioning and
-zero-forcing residual, and :meth:`Scheme.certificates` reports those two
-values per receiver, the same for every scheme.
+zero-forcing residual, and its :class:`DecodeContext` carries those two
+values per receiver as the block's certificates, the same for every scheme.
+The context holds what the decoder made alone, never the block run it was
+read from.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import ChannelTensor, FeedbackModel, TxInformationView
+from .channel import FeedbackModel, TxInformationView
 from .numerics import (
     NumericsError, Singular, Tolerances, dot, matvec, sample_complex_gaussian, zero_forcing_rows,
 )
@@ -101,23 +104,21 @@ class RowPayload:
 
 @dataclass(frozen=True)
 class DecodeContext:
-    """The zero-forcing decoders of one block, their guards and the block run they came from.
+    """The zero-forcing decoders of one block and the certificates they were judged by.
 
     ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, T)``
     stack of matrices that map receiver ``rx``'s observations to its
-    symbols; ``receive_cond[rx]`` and ``zf_residual[rx]`` are their guards
-    (see :func:`~alignsim.numerics.zero_forcing_rows`), ``(T,)`` each, which
-    the certificates read.  ``tensor``, ``offline`` and ``state`` are the
-    block run the decoders were read from; ``state`` is the encoder's cache,
-    the derived rows of each entity that derived any, keyed by entity.
+    symbols.  ``certificates`` holds their guards (see
+    :func:`~alignsim.numerics.zero_forcing_rows`), ``receive_cond_rx*`` and
+    ``zf_residual_rx*``, a ``(T,)`` array each, by receiver in the order
+    :meth:`Scheme.decode_context` judges them.  Every scheme reports the same
+    two per receiver.  The design's interference rank
+    (:meth:`Scheme.interference_rank`) is not among them: the two guards
+    certify it (ROADMAP item 2 would measure it).
     """
 
     decoders: tuple[np.ndarray, ...]
-    receive_cond: tuple[np.ndarray, ...]
-    zf_residual: tuple[np.ndarray, ...]
-    tensor: ChannelTensor
-    offline: Any
-    state: dict
+    certificates: dict[str, np.ndarray]
 
 
 class Scheme:
@@ -202,8 +203,8 @@ class Scheme:
         for all of them.  View reads carry both axes through and are logged
         once per read whatever ``B`` and ``T`` are.
 
-        ``state`` is the block's cache (it starts empty each block): at an
-        entity's first derived row, the engine stores its :meth:`derive`
+        ``state`` is the cache of one block run (it starts empty each run): at
+        an entity's first derived row, the engine stores its :meth:`derive`
         under the entity index; it runs with floating-point warnings off,
         since a degenerate draw may divide by zero there, and judges
         nothing.  The scalar is complex-linear in ``msgs``
@@ -233,14 +234,12 @@ class Scheme:
             return dot(rows[payload.row], msgs[list(payload.symbols)])
         raise TypeError(f"unknown payload {payload!r}")
 
-    def decode_context(
-        self, tensor, offline: Any, tol: Tolerances, response: np.ndarray, state: dict
-    ) -> DecodeContext:
-        """Zero-forcing decoders of every receiver for one block.
+    def decode_context(self, tol: Tolerances, response: np.ndarray) -> DecodeContext:
+        """Zero-forcing decoders of every receiver for one block, and its certificates.
 
         ``response`` is the encoder's impulse response ``(num_rx, num_slots,
         num_symbols, T)``: the received block of a run whose message columns
-        are the identity, and ``state`` is the ``state`` of that run.
+        are the identity.
 
         All receivers' matrices share one shape and want as many symbols, so
         one :func:`~alignsim.numerics.zero_forcing_rows` call factors them all,
@@ -248,12 +247,12 @@ class Scheme:
 
         This is the one judge of every draw, and of every certificate.  Each
         draw meets two checks per receiver, receiver by receiver, in the
-        order of :meth:`certificates`' keys: ``receive_cond_rx*`` above
-        ``Tolerances.rank_rel`` (``--tol-rank``), then ``zf_residual_rx*`` at
-        or below ``Tolerances.residual_rel`` (``--tol-residual``).  A NaN
-        passes neither, and a receive matrix that is not finite has a NaN
-        ``cond``.  The draw's first failed check decides.  Where it is a
-        ``receive_cond_rx*``, the draw is degenerate;
+        order of the context's ``certificates`` keys: ``receive_cond_rx*``
+        above ``Tolerances.rank_rel`` (``--tol-rank``), then
+        ``zf_residual_rx*`` at or below ``Tolerances.residual_rel``
+        (``--tol-residual``).  A NaN passes neither, and a receive matrix
+        that is not finite has a NaN ``cond``.  The draw's first failed check
+        decides.  Where it is a ``receive_cond_rx*``, the draw is degenerate;
         :class:`~alignsim.numerics.Singular` carries every such draw, each
         with a message that names its receiver, its condition number and the
         cutoff.  Where it is a zero-forcing residual, for any draw,
@@ -289,10 +288,11 @@ class Scheme:
                     f"--tol-rank cutoff {tol.rank_rel:.1e}"
                 )
             raise Singular(messages)
-        return DecodeContext(
-            tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0))), tuple(cond), tuple(residual),
-            tensor, offline, state,
-        )
+        certificates = {}
+        for rx in range(self.num_rx):
+            certificates[f"receive_cond_rx{rx}"] = cond[rx]
+            certificates[f"zf_residual_rx{rx}"] = residual[rx]
+        return DecodeContext(tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0))), certificates)
 
     def decode(self, y: np.ndarray, ctx: DecodeContext) -> np.ndarray:
         """Estimates of every symbol from the received block ``y``.
@@ -305,18 +305,3 @@ class Scheme:
         for rx in range(self.num_rx):
             decoded[self.symbols_for_rx(rx)] = matvec(ctx.decoders[rx], y[rx])
         return decoded
-
-    def certificates(self, ctx: DecodeContext) -> dict[str, np.ndarray]:
-        """The block's certificates: ``receive_cond_rx*`` and ``zf_residual_rx*``, by receiver.
-
-        Each value is the ``(T,)`` array of the decoder's guard, which
-        :meth:`decode_context` has judged; every scheme reports the same two
-        per receiver.  The design's interference rank
-        (:meth:`interference_rank`) is not reported: the two guards certify
-        it (ROADMAP item 2 would measure it).
-        """
-        certs = {}
-        for rx in range(self.num_rx):
-            certs[f"receive_cond_rx{rx}"] = ctx.receive_cond[rx]
-            certs[f"zf_residual_rx{rx}"] = ctx.zf_residual[rx]
-        return certs

@@ -13,9 +13,10 @@ Two modes over the same deterministic engine:
 Outputs are schema-stable: JSON is rendered with sorted keys and floats at
 17 significant digits, so identical configs produce byte-identical files.
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
-or a report that could not be written (an output file that cannot be opened,
-or standard output closed before the report was out), 3 a scheme invariant
-broke (certificate or causality failure).  Every nonzero exit writes at most
+or a report that could not be produced (an output file that cannot be
+opened, standard output closed before the report was out, or a worker
+process that exited before sending its trials), 3 a scheme invariant broke
+(certificate or causality failure).  Every nonzero exit writes at most
 one line to standard error.
 """
 
@@ -376,7 +377,7 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(parse_config(argv))
-    except UsageError as exc:
+    except (UsageError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

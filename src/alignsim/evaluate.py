@@ -44,11 +44,11 @@ one ``generate_channel``, one ``draw_offline`` and one ``draw_messages``
 call, each handed the batch's generators of that stream: each generator
 makes one normal call, into its row of one buffer, and the complex build
 and normalization run once on the stack.  The batch
-then goes through one block run, one decode, one certificate pass and, for
-rates, the noise weights: one more block run under output feedback, none
-otherwise.  Every reduction on that axis is a stacked LAPACK call or a
-left-to-right sum, so a trial's numbers are bit for bit the same whichever
-trials share its batch.  So a batch that meets degenerate draws runs
+then goes through one block run, one decode context (which judges the
+certificates), one decode and, for rates, the noise weights: one more block
+run under output feedback, none otherwise.  Every reduction on that axis is
+a stacked LAPACK call or a left-to-right sum, so a trial's numbers are bit
+for bit the same whichever trials share its batch.  So a batch that meets degenerate draws runs
 again with each of them replaced by its trial's next attempt, and the rest
 of the batch comes out as it would have.  A batch that meets anything else
 (a structural failure, a failed certificate or budget, or a trial out of
@@ -261,7 +261,6 @@ def simulate_block(
     msgs: np.ndarray,
     noise: np.ndarray | None = None,
     log: AccessLog | None = None,
-    state: dict | None = None,
 ) -> SignalRecord:
     """Run one block slot by slot, at unit amplitude, and return every signal involved.
 
@@ -273,15 +272,15 @@ def simulate_block(
     transmitters doing output feedback see the noisy values, as they would
     on a real feedback link.  Every array of the returned record ends in
     ``(*B, T)``.  The views log one record per read, whatever ``B`` and
-    ``T`` are.  ``state`` carries cached channel-dependent constants between
-    repeated blocks on the same (tensor, offline) pair.
+    ``T`` are.  Each entity's derived rows are cached for this run alone
+    (see :meth:`~alignsim.base.Scheme.transmit`): a second run derives them
+    again.
     """
     num_tx, num_rx, num_slots = scheme.num_tx, scheme.num_rx, scheme.num_slots
     batch = np.shape(msgs)[1:]
     x = np.zeros((num_tx, num_slots, *batch), dtype=np.complex128)
     y = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
-    if state is None:
-        state = {}
+    state: dict = {}
     for n in range(num_slots):
         for j in range(num_tx):
             view = TxInformationView(scheme.entity_of(j), n, tensor, y, scheme.feedback, log)
@@ -291,7 +290,7 @@ def simulate_block(
     return SignalRecord(x=x, y=y)
 
 
-def noise_transfer_weights(scheme: Scheme, ctx) -> np.ndarray:
+def noise_transfer_weights(scheme: Scheme, ctx, tensor: ChannelTensor, offline) -> np.ndarray:
     """Per-symbol squared norm of the decoder's unit-power noise image.
 
     The image of the unit impulse at receiver ``rx``, slot ``n`` is column
@@ -309,10 +308,11 @@ def noise_transfer_weights(scheme: Scheme, ctx) -> np.ndarray:
     Otherwise the replays carry the noise forward, and one batched block
     run with zero messages takes the impulses as noise, one per batch
     column.  Both sums run in impulse order, so the two ways
-    give the same bits where both apply.  The run reads the channel, the
-    offline coefficients and the cached constants off ``ctx``.
+    give the same bits where both apply.  That run is on the block
+    ``ctx`` was read from: ``tensor`` and ``offline`` are its channel and
+    offline coefficients, and its entities derive their rows afresh.
     """
-    trials = ctx.tensor.num_trials
+    trials = tensor.num_trials
     if not scheme.feedback.provides_output:
         weights = np.empty((scheme.num_symbols, trials), dtype=np.float64)
         for rx, decoder in enumerate(ctx.decoders):
@@ -323,9 +323,7 @@ def noise_transfer_weights(scheme: Scheme, ctx) -> np.ndarray:
     zero_msgs = np.zeros((scheme.num_symbols, size, trials), dtype=np.complex128)
     impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size, 1)
     impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, trials))
-    record = simulate_block(
-        scheme, ctx.tensor, ctx.offline, zero_msgs, noise=impulses, state=ctx.state
-    )
+    record = simulate_block(scheme, tensor, offline, zero_msgs, noise=impulses)
     columns = scheme.decode(record.y, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
@@ -357,23 +355,24 @@ def _run_batch(
     failure, a failed certificate included), and :class:`SchemeFailure`,
     naming the first draw's trial, where the transmitters read channel
     states over the CSI budget.  Every draw of a block makes the same
-    reads.  Of the block run it keeps the received block alone.
+    reads.  Of the block run it keeps the received block alone, and the
+    decode context keeps what the decoder made: the rate weights' rerun
+    takes the block's channel and offline coefficients from the batch.
     """
     n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
-    state: dict = {}
     # the message column, then one identity column per symbol: their
     # received blocks are the impulse response the decoder is read from
     size = scheme.num_symbols
     identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, n))
     columns = np.concatenate([msgs[:, None], identity], axis=1)
-    y = simulate_block(scheme, tensor, offline, columns, log=log, state=state).y
-    ctx = scheme.decode_context(tensor, offline, tol, y[:, :, 1:], state)
+    y = simulate_block(scheme, tensor, offline, columns, log=log).y
+    ctx = scheme.decode_context(tol, y[:, :, 1:])
     decoded = scheme.decode(y[:, :, 0], ctx)
     weights = None
     if collect_weights:
-        weights = noise_transfer_weights(scheme, ctx)
+        weights = noise_transfer_weights(scheme, ctx, tensor, offline)
     # Every trial of the batch made the same reads, so one audit serves all.
     csi_slots = sorted(log.csi_slots())
     if Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
@@ -388,7 +387,7 @@ def _run_batch(
         trial=trial,
         attempt=attempt,
         max_rel_symbol_error=errors / scales,
-        certificates=scheme.certificates(ctx),
+        certificates=ctx.certificates,
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
         csi_slots=csi_slots,
     )
@@ -533,12 +532,16 @@ def _send_trial_range(args, sender) -> None:
 
 
 def _receive_trial_range(child: Process, receiver) -> tuple[TrialOutcomes, list[Discard]]:
-    """A child's (outcomes, discards); raises what its share raised."""
+    """A child's (outcomes, discards); raises what its share raised.
+
+    A child that exits before it sends raises :class:`ChildProcessError`
+    naming its exit code.
+    """
     try:
         result = receiver.recv()
     except EOFError:
         child.join()
-        raise RuntimeError(
+        raise ChildProcessError(
             f"a worker process exited with code {child.exitcode} before sending its trials"
         ) from None
     if isinstance(result, Exception):
@@ -565,7 +568,8 @@ def run_trials(
     runs in a child process of its own, so a run of ``W`` workers starts
     ``W - 1`` children and a run of up to ``TRIALS_PER_WORKER`` trials starts
     none.  The shares are received in order, so the first failure in trial
-    order is the one raised.  No child outlives the call: one still running
+    order is the one raised, and a child that exits before it sends raises
+    :class:`ChildProcessError`.  No child outlives the call: one still running
     when the call ends, by a return or by an exception, is killed and joined.
     """
     if num_trials < 1:

@@ -45,12 +45,11 @@ def per_impulse_weights(scheme, tensor, offline, ctx):
     trials = tensor.h.shape[3:]
     zero_msgs = np.zeros((scheme.num_symbols, *trials), dtype=np.complex128)
     weights = np.zeros((scheme.num_symbols, *trials), dtype=np.float64)
-    state: dict = {}
     for k0 in range(scheme.num_rx):
         for n0 in range(scheme.num_slots):
             noise = np.zeros((scheme.num_rx, scheme.num_slots, *trials), dtype=np.complex128)
             noise[k0, n0] = 1.0
-            record = simulate_block(scheme, tensor, offline, zero_msgs, noise=noise, state=state)
+            record = simulate_block(scheme, tensor, offline, zero_msgs, noise=noise)
             weights += np.abs(scheme.decode(record.y, ctx)) ** 2
     return weights
 
@@ -109,7 +108,7 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
     for _ in range(3):
         tensor, offline = _draw(scheme, rng)
         ctx = decode_context(scheme, tensor, offline)
-        weights = noise_transfer_weights(scheme, ctx)
+        weights = noise_transfer_weights(scheme, ctx, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx)
         assert weights.shape == (scheme.num_symbols, 1)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
@@ -144,7 +143,7 @@ def test_weights_without_output_feedback_are_exact(scheme_id):
     for tensor, offline in _one_and_stacked(scheme):
         ctx = decode_context(scheme, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx)
-        weights = noise_transfer_weights(scheme, ctx)
+        weights = noise_transfer_weights(scheme, ctx, tensor, offline)
         assert weights.shape == reference.shape
         assert np.array_equal(weights, reference)
 
@@ -158,7 +157,7 @@ def test_output_feedback_weights_are_not_decoder_row_norms(scheme_id):
         ctx = decode_context(scheme, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx)
         np.testing.assert_allclose(
-            noise_transfer_weights(scheme, ctx),
+            noise_transfer_weights(scheme, ctx, tensor, offline),
             reference,
             rtol=1e-12,
         )
@@ -237,12 +236,11 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     offline = _join([d[1] for d in draws])
     msgs = _join([d[2] for d in draws])
     log = AccessLog()
-    state: dict = {}
-    record = simulate_block(scheme, tensor, offline, msgs, log=log, state=state)
+    record = simulate_block(scheme, tensor, offline, msgs, log=log)
     ctx = decode_context(scheme, tensor, offline)
     decoded = scheme.decode(record.y, ctx)
-    weights = noise_transfer_weights(scheme, ctx)
-    certs = scheme.certificates(ctx)
+    weights = noise_transfer_weights(scheme, ctx, tensor, offline)
+    certs = ctx.certificates
     assert weights.shape == (scheme.num_symbols, trials)
     for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
         one_log = AccessLog()
@@ -254,8 +252,8 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         assert np.array_equal(record.x[..., t : t + 1], one.x)
         assert np.array_equal(decoded[:, t : t + 1], scheme.decode(one.y, one_ctx))
         assert np.array_equal(
-            weights[:, t : t + 1], noise_transfer_weights(scheme, one_ctx)
+            weights[:, t : t + 1], noise_transfer_weights(scheme, one_ctx, one_tensor, one_offline)
         )
-        for key, value in scheme.certificates(one_ctx).items():
+        for key, value in one_ctx.certificates.items():
             batch_value = np.broadcast_to(certs[key], (trials,))[t]
             assert np.array_equal(batch_value, np.broadcast_to(value, (1,))[0]), key

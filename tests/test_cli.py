@@ -716,6 +716,25 @@ class TestOneLineErrors:
         assert done.stderr == "error: cannot write the report: standard output was closed\n"
 
 
+    def test_a_worker_that_exits_early_is_one_line(self, capfd, monkeypatch):
+        # two workers of 4 trials each; the child exits before it sends
+        run_trial_range = evaluate._run_trial_range
+
+        def exits_in_the_child(args):
+            if args[2][0].start > 0:
+                os._exit(7)
+            return run_trial_range(args)
+
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluate, "TRIALS_PER_WORKER", 4)
+        monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
+        code = main(["--scheme", "bc_mat", "--trials", "8", "--threads", "2"])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: a worker process exited with code 7 before sending its trials\n"
+
+
 class TestInProcessCalls:
     def test_calls_share_one_parser_and_stay_independent(self, capsys, monkeypatch):
         def no_second_parser():

@@ -127,7 +127,7 @@ def _decode_context(response):
     """
     scheme = Scheme()
     scheme.num_rx, scheme.num_slots, scheme.num_symbols = response.shape[:3]
-    return scheme.decode_context(None, None, Tolerances(), response, {})
+    return scheme.decode_context(Tolerances(), response)
 
 
 def _not_above_cutoff(cond):
@@ -213,7 +213,7 @@ class TestZeroForcingRows:
         assert abs(cond - 1e-7) <= 1e-20
         np.testing.assert_allclose(d, np.diag([1.0, 1e7]), rtol=1e-12)
         ctx = _decode_context(ok[None])
-        assert ctx.receive_cond[0] == cond and np.array_equal(ctx.decoders[0], d)
+        assert ctx.certificates["receive_cond_rx0"] == cond and np.array_equal(ctx.decoders[0], d)
         assert _not_above_cutoff(zero_forcing_rows(bad, [0, 1])[1])
         with pytest.raises(Singular):
             _decode_context(bad[None])

@@ -194,30 +194,41 @@ class TestEncoding:
         assert future_perturbation_invariant(SCHEME, 77, [0], perturb_from)
 
 
+def _derived_rows(monkeypatch, tensor, offline, msgs):
+    """Each entity's derived rows, as one block run's engine caches them."""
+    derive, rows = SCHEME.derive, {}
+
+    def recorded(view, offline):
+        rows[view.tx] = derive(view, offline)
+        return rows[view.tx]
+
+    monkeypatch.setattr(SCHEME, "derive", recorded)
+    simulate_block(SCHEME, tensor, offline, msgs)
+    return rows
+
+
 class TestTransmitCache:
-    def test_cached_triples_match_the_oracle(self):
+    def test_cached_triples_match_the_oracle(self, monkeypatch):
         tensor, offline, msgs = _trial_data(18)
-        state: dict = {}
-        simulate_block(SCHEME, tensor, offline, msgs, state=state)
+        derived = _derived_rows(monkeypatch, tensor, offline, msgs)
         _, coeffs, _ = effective_precoders(tensor.h, offline.phase1)
         # each victim's annihilator, recomputed from its system alone
         alphas = compute_alphas(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
         for k in range(3):
-            np.testing.assert_allclose(state[k][0], coeffs[k], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(derived[k][0], coeffs[k], rtol=0, atol=1e-12)
             # the triple's defining orthogonality: c[k] . alpha_sub(rx, k) = 0
             for rx in interferers(k):
-                assert np.all(abs(np.sum(state[k][0] * _sub(alphas, rx, k), axis=0)) <= 1e-12)
+                assert np.all(abs(np.sum(derived[k][0] * _sub(alphas, rx, k), axis=0)) <= 1e-12)
 
-    def test_stacked_victim_systems_equal_one_call_each(self):
+    def test_stacked_victim_systems_equal_one_call_each(self, monkeypatch):
         # the triples of both victims' systems, stacked in one null_vector call,
         # are bit for bit those of one call per system
         tensor, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
-        state: dict = {}
-        simulate_block(SCHEME, tensor, offline, msgs, state=state)
+        derived = _derived_rows(monkeypatch, tensor, offline, msgs)
         alphas = compute_alphas(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
         coeffs = phase2_coefficients(alphas)
         for k in range(3):
-            assert state[k][0].tobytes() == coeffs[k].tobytes()
+            assert derived[k][0].tobytes() == coeffs[k].tobytes()
 
 
 @pytest.fixture(scope="module")
