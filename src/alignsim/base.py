@@ -256,9 +256,11 @@ class Scheme:
         :class:`~alignsim.numerics.Singular` carries every such draw, each
         with a message that names its receiver, its condition number and the
         cutoff.  Where it is a zero-forcing residual, for any draw,
-        :class:`InterferenceRankUnexpected` is raised instead, naming the
-        first such draw's residual and receiver.  So a block of one draw
-        raises what that draw meets first, whichever draws share its block.
+        :class:`InterferenceRankUnexpected` is raised instead, and its
+        ``draws`` carry every such draw, each with a message that names its
+        residual and receiver.  So each draw an exception names gets the
+        message a block of that draw alone raises, whichever draws share its
+        block.
         """
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
@@ -270,24 +272,26 @@ class Scheme:
         if failed.any():
             draws = np.flatnonzero(failed.any(axis=0))
             rx, leak = np.divmod(failed[:, draws].argmax(axis=0), 2)
-            if leak.any():
-                i = leak.argmax()
-                r = int(rx[i])
-                raise InterferenceRankUnexpected(
-                    f"zero-forcing residual {residual[r].flat[draws[i]]:.3e} at receiver {r} "
-                    f"exceeds {tol.residual_rel:.1e} (interference may fill only "
-                    f"{self.interference_rank(r)} of {self.num_slots} receive dimensions)"
-                )
+            # a leak in the block is raised, naming each draw whose first failed check leaks
+            error = InterferenceRankUnexpected if leak.any() else Singular
+            named = leak == leak.any()
             messages = {}
-            for t, r in zip(draws.tolist(), rx.tolist()):
-                value = cond[r].flat[t]
-                messages[t] = (
-                    f"receiver {r}: condition number "
-                    f"{1.0 / value if value > 0.0 else np.inf:.3e} exceeds "
-                    f"{1.0 / tol.rank_rel:.1e}; receive_cond_rx{r} is at or below the "
-                    f"--tol-rank cutoff {tol.rank_rel:.1e}"
-                )
-            raise Singular(messages)
+            for t, r in zip(draws[named].tolist(), rx[named].tolist()):
+                if error is Singular:
+                    value = cond[r].flat[t]
+                    messages[t] = (
+                        f"receiver {r}: condition number "
+                        f"{1.0 / value if value > 0.0 else np.inf:.3e} exceeds "
+                        f"{1.0 / tol.rank_rel:.1e}; receive_cond_rx{r} is at or below the "
+                        f"--tol-rank cutoff {tol.rank_rel:.1e}"
+                    )
+                else:
+                    messages[t] = (
+                        f"zero-forcing residual {residual[r].flat[t]:.3e} at receiver {r} "
+                        f"exceeds {tol.residual_rel:.1e} (interference may fill only "
+                        f"{self.interference_rank(r)} of {self.num_slots} receive dimensions)"
+                    )
+            raise error(messages)
         certificates = {}
         for rx in range(self.num_rx):
             certificates[f"receive_cond_rx{rx}"] = cond[rx]

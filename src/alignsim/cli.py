@@ -16,8 +16,10 @@ Exit codes: 0 all assertions passed, 1 an assertion failed, 2 usage error
 or a report that could not be produced (an output file that cannot be
 opened, standard output closed before the report was out, or a worker
 process that exited before sending its trials), 3 a scheme invariant broke
-(certificate or causality failure).  Every nonzero exit writes at most
-one line to standard error.
+(certificate or causality failure), and 128 plus the signal number a run
+stopped on an interrupt (SIGINT, 130) or a terminate request (SIGTERM,
+143), once its worker processes are stopped.  Every nonzero exit writes at
+most one line to standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import io
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -374,12 +378,27 @@ def run(config: RunConfig) -> int:
     return 0 if passed else 1
 
 
+def _interrupt(signum, frame):
+    """Stop on SIGTERM as on SIGINT: the run unwinds, which stops its workers."""
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # only the main thread may set a handler; elsewhere SIGTERM keeps its own
+    handles = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if handles else None
     try:
         return run(parse_config(argv))
     except (UsageError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt as exc:
+        signum = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        print(f"error: stopped by {signum.name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        if handles:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -48,12 +48,13 @@ then goes through one block run, one decode context (which judges the
 certificates), one decode and, for rates, the noise weights: one more block
 run under output feedback, none otherwise.  Every reduction on that axis is
 a stacked LAPACK call or a left-to-right sum, so a trial's numbers are bit
-for bit the same whichever trials share its batch.  So a batch that meets degenerate draws runs
-again with each of them replaced by its trial's next attempt, and the rest
-of the batch comes out as it would have.  A batch that meets anything else
-(a structural failure, a failed certificate or budget, or a trial out of
-attempts) reruns trial by trial, which raises the first failure in trial
-order with its own message.
+for bit the same whichever trials share its batch.  So a block the decoder
+fails splits by draw: the degenerate draws it names run again together at
+their trials' next attempt, a draw it fails otherwise fails its trial, and
+the draws it does not name run again as a block of their own, which gives
+them the bits they had.  Once every trial of the batch has passed or failed,
+the lowest failing trial raises, with the message a run of that trial alone
+gives.
 Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
 batch to the run's report, joined in trial order.
 """
@@ -63,6 +64,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import signal
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +104,6 @@ __all__ = [
     "RunReport",
     "DofEstimate",
     "simulate_block",
-    "run_single_trial",
     "run_trials",
     "noise_transfer_weights",
     "sum_rate_bits",
@@ -173,19 +175,25 @@ class TrialOutcomes:
         return self.max_rel_symbol_error <= DECODE_REL_TOL
 
 
-def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
-    """The outcomes of ``parts``, one after the other; a lone part is returned as it is."""
+def _concat(parts: list[TrialOutcomes], sort: bool = False) -> TrialOutcomes:
+    """The outcomes of ``parts``, one after the other, or in trial order where ``sort``.
+
+    A lone part is returned as it is.
+    """
     first = parts[0]
     if len(parts) == 1:
         return first
+    order = np.argsort(np.concatenate([p.trial for p in parts])) if sort else slice(None)
+
+    def join(arrays):
+        return np.concatenate(arrays)[order]
+
     return TrialOutcomes(
-        trial=np.concatenate([p.trial for p in parts]),
-        attempt=np.concatenate([p.attempt for p in parts]),
-        max_rel_symbol_error=np.concatenate([p.max_rel_symbol_error for p in parts]),
-        certificates={
-            key: np.concatenate([p.certificates[key] for p in parts]) for key in first.certificates
-        },
-        noise_weights=None if first.noise_weights is None else np.concatenate(
+        trial=join([p.trial for p in parts]),
+        attempt=join([p.attempt for p in parts]),
+        max_rel_symbol_error=join([p.max_rel_symbol_error for p in parts]),
+        certificates={key: join([p.certificates[key] for p in parts]) for key in first.certificates},
+        noise_weights=None if first.noise_weights is None else join(
             [p.noise_weights for p in parts]
         ),
         csi_slots=sorted(set().union(*(p.csi_slots for p in parts))),
@@ -350,14 +358,13 @@ def _run_batch(
 ) -> TrialOutcomes:
     """Run the ``(trial, attempt)`` draws as one stacked block; their outcomes in draw order.
 
-    Raises what the decoder raises (:class:`~alignsim.numerics.Singular`
-    for degenerate draws, another :class:`NumericsError` for a structural
-    failure, a failed certificate included), and :class:`SchemeFailure`,
-    naming the first draw's trial, where the transmitters read channel
-    states over the CSI budget.  Every draw of a block makes the same
-    reads.  Of the block run it keeps the received block alone, and the
-    decode context keeps what the decoder made: the rate weights' rerun
-    takes the block's channel and offline coefficients from the batch.
+    Raises what the decoder raises, a :class:`NumericsError` that names
+    the draws it fails (see :func:`_run_draws`).  It judges no CSI budget:
+    the outcomes' ``csi_slots`` are the slots whose channel states the
+    transmitters read, the same for every draw of the block.  Of the block
+    run it keeps the received block alone, and the decode context keeps
+    what the decoder made: the rate weights' rerun takes the block's
+    channel and offline coefficients from the batch.
     """
     n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
@@ -373,13 +380,6 @@ def _run_batch(
     weights = None
     if collect_weights:
         weights = noise_transfer_weights(scheme, ctx, tensor, offline)
-    # Every trial of the batch made the same reads, so one audit serves all.
-    csi_slots = sorted(log.csi_slots())
-    if Fraction(len(csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
-        raise SchemeFailure(
-            f"{scheme.scheme_id} trial {draws[0][0]}: transmitters read channel states "
-            f"of slots {csi_slots}, above the budget {scheme.csi_slot_budget}"
-        )
     trial, attempt = np.array(draws).T
     errors = np.max(np.abs(decoded - msgs), axis=0)
     scales = np.maximum(np.max(np.abs(msgs), axis=0), SCALE_FLOOR)
@@ -389,66 +389,66 @@ def _run_batch(
         max_rel_symbol_error=errors / scales,
         certificates=ctx.certificates,
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
-        csi_slots=csi_slots,
+        csi_slots=sorted(log.csi_slots()),
     )
 
 
-def _run_resampled(
+def _run_draws(
     scheme: Scheme,
     base_seed: int,
     trials: Sequence[int],
     tol: Tolerances,
     collect_weights: bool,
 ) -> tuple[TrialOutcomes, list[Discard]]:
-    """Run the trials as one batch, resampling degenerate draws; returns (outcomes, discards).
+    """Run the trials until each one passes or fails; returns (outcomes, discards).
 
-    Each round runs the batch at each trial's current attempt.  A round
-    that raises :class:`~alignsim.numerics.Singular` discards the draws it
-    names, and the next round runs each of their trials at its next
-    attempt.  A draw's numbers do not depend on the draws that share its
-    batch, so the draws a round passes pass again, and at most
-    ``MAX_ATTEMPTS`` rounds run.  The discards come sorted by (trial,
-    attempt).  A trial whose last attempt is discarded raises
-    :class:`SchemeFailure`; anything else a round raises is raised as it is.
+    The trials run from attempt 0 as one block (:func:`_run_batch`).  A
+    block the decoder fails splits by the draws its :class:`NumericsError`
+    names.  A :class:`~alignsim.numerics.Singular` draw is discarded, and
+    those of one block run together at their trials' next attempt; any
+    other named draw, or a trial out of its ``MAX_ATTEMPTS`` attempts, fails
+    its trial.  The draws it does not name run again as a block of their
+    own.  A draw's numbers do not depend on the draws that share its block,
+    so they come out as they would have, and so does each failure's
+    message.  Every draw makes the same reads, so reads over the CSI budget
+    fail the lowest trial that a block passed.  Once every trial has passed
+    or failed, the lowest failing trial raises :class:`SchemeFailure` with
+    the message a run of that trial alone gives.  Otherwise the outcomes
+    come in trial order, and the discards by (trial, attempt).
     """
-    draws = [(trial, 0) for trial in trials]
+    blocks = [[(trial, 0) for trial in trials]]
+    passed: list[TrialOutcomes] = []
+    failures: dict[int, str] = {}
     discards: list[Discard] = []
-    while True:
+    while blocks:
+        draws = blocks.pop()
         try:
-            return _run_batch(scheme, base_seed, draws, tol, collect_weights), sorted(discards)
-        except Singular as exc:
-            for index, reason in exc.draws.items():
-                trial, attempt = draws[index]
-                discards.append(Discard(trial, attempt, f"{type(exc).__name__}: {reason}"))
+            passed.append(_run_batch(scheme, base_seed, draws, tol, collect_weights))
+        except NumericsError as error:
+            rest, resampled = [], []
+            for index, (trial, attempt) in enumerate(draws):
+                if index not in error.draws:
+                    rest.append((trial, attempt))
+                    continue
+                reason = f"{type(error).__name__}: {error.draws[index]}"
+                if not isinstance(error, Singular):
+                    failures[trial] = reason
+                    continue
+                discards.append(Discard(trial, attempt, reason))
                 if attempt + 1 == MAX_ATTEMPTS:
-                    raise SchemeFailure(
-                        f"{scheme.scheme_id} trial {trial}: exceeded {MAX_ATTEMPTS} attempts; "
-                        f"last discard: {discards[-1].reason}"
-                    ) from None
-                draws[index] = (trial, attempt + 1)
-
-
-def run_single_trial(
-    scheme: Scheme,
-    base_seed: int,
-    trial: int,
-    tol: Tolerances,
-    collect_weights: bool = False,
-) -> tuple[TrialOutcomes, list[Discard]]:
-    """Run one trial, resampling discarded attempts; returns (outcome, discards).
-
-    The loop of a batch on one draw (see :func:`_run_resampled`): an
-    attempt whose receive matrix the decoder judges singular
-    (:class:`~alignsim.numerics.Singular`) is discarded, at most
-    ``MAX_ATTEMPTS`` times.  Any other numerical failure (a residual off
-    its guarantee) becomes a :class:`SchemeFailure` that names the trial.
-    """
-    try:
-        return _run_resampled(scheme, base_seed, [trial], tol, collect_weights)
-    except NumericsError as exc:
-        raise SchemeFailure(
-            f"{scheme.scheme_id} trial {trial}: {type(exc).__name__}: {exc}"
-        ) from exc
+                    failures[trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {reason}"
+                else:
+                    resampled.append((trial, attempt + 1))
+            blocks += [block for block in (rest, resampled) if block]
+    if passed and Fraction(len(passed[0].csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
+        failures[min(int(p.trial[0]) for p in passed)] = (
+            f"transmitters read channel states of slots {passed[0].csi_slots}, "
+            f"above the budget {scheme.csi_slot_budget}"
+        )
+    if failures:
+        trial = min(failures)
+        raise SchemeFailure(f"{scheme.scheme_id} trial {trial}: {failures[trial]}")
+    return _concat(passed, sort=True), sorted(discards)
 
 
 @dataclass(frozen=True)
@@ -498,32 +498,33 @@ def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
 def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one worker's batches in order; returns (outcomes, discards).
 
-    Each batch resamples its degenerate draws in place
-    (:func:`_run_resampled`).  A batch that raises anything else, a trial
-    out of attempts included, reruns its trials in order through
-    :func:`run_single_trial`, so outcomes, discards and the first failure
-    raised come in trial order, as a trial-by-trial run gives them.
+    Each batch runs through :func:`_run_draws`, so outcomes, discards and
+    the first failure raised come in trial order.  ``args`` ends in the pid
+    of the process that called :func:`run_trials`: a child worker whose
+    parent is no longer that process exits at its next batch, since
+    nothing is left to read its share.
     """
-    scheme_id, base_seed, batches, tol, collect_weights = args
+    scheme_id, base_seed, batches, tol, collect_weights, caller = args
     scheme = get_scheme(scheme_id)
     parts: list[TrialOutcomes] = []
     discards: list[Discard] = []
     for trials in batches:
-        try:
-            runs = [_run_resampled(scheme, base_seed, trials, tol, collect_weights)]
-        except (NumericsError, SchemeFailure):
-            runs = [
-                run_single_trial(scheme, base_seed, trial, tol, collect_weights)
-                for trial in trials
-            ]
-        for outcome, resampled in runs:
-            parts.append(outcome)
-            discards.extend(resampled)
+        if caller not in (os.getpid(), os.getppid()):
+            sys.exit(1)
+        outcome, resampled = _run_draws(scheme, base_seed, trials, tol, collect_weights)
+        parts.append(outcome)
+        discards += resampled
     return _concat(parts), discards
 
 
 def _send_trial_range(args, sender) -> None:
-    """A child worker: send back its share's (outcomes, discards), or what the share raised."""
+    """A child worker: send back its share's (outcomes, discards), or what the share raised.
+
+    It ignores SIGINT and ends at SIGTERM without a word: the caller stops
+    on either signal, and kills it.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         result = _run_trial_range(args)
     except Exception as exc:
@@ -570,12 +571,14 @@ def run_trials(
     none.  The shares are received in order, so the first failure in trial
     order is the one raised, and a child that exits before it sends raises
     :class:`ChildProcessError`.  No child outlives the call: one still running
-    when the call ends, by a return or by an exception, is killed and joined.
+    when the call ends, by a return or by an exception (an interrupt
+    included), is killed and joined, and a child whose caller dies without
+    that exits at its next batch.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     first, *rest = [
-        (scheme_id, base_seed, batches, tol, collect_weights)
+        (scheme_id, base_seed, batches, tol, collect_weights, os.getpid())
         for batches in _batch_plan(num_trials, threads)
     ]
     children: list[tuple[Process, object]] = []

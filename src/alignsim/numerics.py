@@ -42,7 +42,17 @@ __all__ = [
 
 
 class NumericsError(Exception):
-    """Base class for numerical contract failures."""
+    """Numerical contract failures of some draws of a block.
+
+    ``draws`` maps the index on the trial axis of each failing draw of a
+    block to the message a block of that draw alone raises, and the
+    exception's own message is the first draw's.  The trial runner settles
+    each named draw by it, and reruns the draws it does not name.
+    """
+
+    def __init__(self, draws: dict[int, str]):
+        super().__init__(next(iter(draws.values())))
+        self.draws = draws
 
 
 class Singular(NumericsError):
@@ -51,16 +61,11 @@ class Singular(NumericsError):
     :func:`zero_forcing_rows` reports every system's ``cond`` and raises
     nothing; the decoder judges ``cond`` against ``Tolerances.rank_rel``,
     draw by draw.  A draw whose receive matrix is not finite, as where a
-    derived row divided by an exact zero, fails too.  ``draws`` maps the
-    index on the trial axis of each degenerate draw of a block to the
-    message a block of that draw alone raises, and the exception's own
-    message is the first draw's.  The trial runner discards those draws
-    and resamples their trials; such a draw is never a bug.
+    derived row divided by an exact zero, fails too.  The trial runner
+    discards the draws it names and resamples their trials at their next
+    attempt; such a draw is never a bug.  Any other :class:`NumericsError`
+    fails the trials of the draws it names.
     """
-
-    def __init__(self, draws: dict[int, str]):
-        super().__init__(next(iter(draws.values())))
-        self.draws = draws
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -735,6 +738,115 @@ class TestOneLineErrors:
         assert err == "error: a worker process exited with code 7 before sending its trials\n"
 
 
+#: The console script's run, on two workers whatever the CPUs: the caller and one child.
+_TWO_WORKER_MAIN = (
+    "import sys, alignsim.cli as cli, alignsim.evaluate as evaluate\n"
+    "evaluate._usable_cpus = lambda: 2\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _live_group(pgid):
+    """Pid and ignored-signal mask of each process of group ``pgid`` that has not exited."""
+    live = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+            status = Path(f"/proc/{entry}/status").read_text()
+        except OSError:  # it exited while the table was read
+            continue
+        # the fields after the command name: state, parent pid, process group
+        state, _, group = stat.rpartition(")")[2].split()[:3]
+        if int(group) == pgid and state not in "ZX":
+            live.append((int(entry), int(re.search(r"^SigIgn:\s*(\w+)", status, re.M)[1], 16)))
+    return live
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
+class TestSignals:
+    """A run stopped by a signal prints one line and leaves no worker.
+
+    Each run starts in a session of its own, so its process group holds the
+    caller and its one child alone.
+    """
+
+    @pytest.fixture
+    def start_run(self):
+        """Start the run; at teardown, kill whatever of its group is left."""
+        started = []
+
+        def start():
+            src = str(Path(cli.__file__).resolve().parents[1])
+            paths = [src, os.environ.get("PYTHONPATH", "")]
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+            argv = ["--scheme", "ic3_retro_csit", "--trials", "200000", "--threads", "2"]
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _TWO_WORKER_MAIN, *argv], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=env, start_new_session=True, text=True,
+            )
+            started.append(proc)
+            # the child runs its share once it ignores SIGINT
+            sigint = 1 << (signal.SIGINT - 1)
+            deadline = time.monotonic() + 10
+            while not any(pid != proc.pid and mask & sigint for pid, mask in _live_group(proc.pid)):
+                assert proc.poll() is None and time.monotonic() < deadline, "no child ignores SIGINT"
+                time.sleep(0.01)
+            return proc
+
+        yield start
+        for proc in started:
+            for pid, _ in _live_group(proc.pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.communicate()
+
+    @staticmethod
+    def _assert_group_gone(pgid):
+        deadline = time.monotonic() + 5
+        while _live_group(pgid):
+            assert time.monotonic() < deadline, _live_group(pgid)
+            time.sleep(0.01)
+
+    @pytest.mark.parametrize(
+        "stop, code",
+        [
+            pytest.param(lambda proc: os.killpg(proc.pid, signal.SIGINT), 130, id="SIGINT-group"),
+            pytest.param(lambda proc: proc.send_signal(signal.SIGTERM), 143, id="SIGTERM-caller"),
+        ],
+    )
+    def test_a_stopped_run_exits_with_one_line(self, start_run, stop, code):
+        proc = start_run()
+        stop(proc)
+        out, err = proc.communicate(timeout=10)
+        assert proc.returncode == code
+        assert out == ""
+        assert err == f"error: stopped by {signal.Signals(code - 128).name}\n"
+        self._assert_group_gone(proc.pid)
+
+    def test_a_child_terminated_alone_ends_without_a_word(self, start_run):
+        proc = start_run()
+        [child] = [pid for pid, _ in _live_group(proc.pid) if pid != proc.pid]
+        os.kill(child, signal.SIGTERM)
+        deadline = time.monotonic() + 5
+        while child in [pid for pid, _ in _live_group(proc.pid)]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 130
+        assert out == ""
+        assert err == "error: stopped by SIGINT\n"
+
+    def test_a_child_whose_caller_is_killed_stops_at_its_next_batch(self, start_run):
+        proc = start_run()
+        proc.kill()
+        # the orphaned child holds the pipes open until it exits
+        out, err = proc.communicate(timeout=10)
+        assert proc.returncode == -signal.SIGKILL
+        assert out == "" and err == ""
+        self._assert_group_gone(proc.pid)
+
+
 class TestInProcessCalls:
     def test_calls_share_one_parser_and_stay_independent(self, capsys, monkeypatch):
         def no_second_parser():
@@ -755,6 +867,19 @@ class TestInProcessCalls:
         code, again, err = _run_main(capsys, sweep)
         assert code == 0 and err == ""
         assert again == first
+
+    def test_main_runs_outside_the_main_thread(self, capsys):
+        argv = ["--scheme", "bc_mat", "--trials", "2", "--threads", "1"]
+        codes = []
+        handler = signal.getsignal(signal.SIGTERM)
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and codes == [0]
+        assert signal.getsignal(signal.SIGTERM) is handler
+        code, out, err = _run_main(capsys, argv)
+        assert code == 0 and err == ""
+        assert signal.getsignal(signal.SIGTERM) is handler
 
     def test_help_names_every_scheme_and_mode(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -131,6 +131,41 @@ class TestReceiverOrder:
         with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 1 exceeds 1\.0e-08"):
             scheme.decode_context(Tolerances(), response)
 
+    def test_a_leak_names_every_leaking_draw_with_its_message_alone(self):
+        scheme, rng = get_scheme("bc_mat"), np.random.default_rng(6)
+        zero = np.zeros((3, 4))
+        # draw 0 passes, draw 1 leaks at receiver 0, draw 2 is singular at
+        # receiver 0 and draw 3 leaks at receiver 1
+        response = np.stack(
+            [
+                np.stack(
+                    [
+                        _bc_mat_receiver(rng, 0),
+                        _bc_mat_receiver(rng, 0, leak=True),
+                        zero,
+                        _bc_mat_receiver(rng, 0),
+                    ],
+                    -1,
+                ),
+                np.stack(
+                    [_bc_mat_receiver(rng, 1)] * 3 + [_bc_mat_receiver(rng, 1, leak=True)], -1
+                ),
+            ]
+        )
+        with pytest.raises(InterferenceRankUnexpected) as info:
+            scheme.decode_context(Tolerances(), response)
+        alone = {}
+        for t in (1, 3):
+            with pytest.raises(InterferenceRankUnexpected) as one:
+                scheme.decode_context(Tolerances(), response[..., t : t + 1])
+            alone[t] = one.value.draws[0]
+        assert info.value.draws == alone
+        assert " at receiver 0 exceeds " in alone[1] and " at receiver 1 exceeds " in alone[3]
+        assert str(info.value) == alone[1]
+        with pytest.raises(Singular) as info:
+            scheme.decode_context(Tolerances(), response[..., 2:3])
+        assert info.value.draws == {0: _SINGULAR.format(rx=0, cond="inf")}
+
     def test_zero_response_is_singular_at_receiver_0(self):
         scheme = get_scheme("bc_mat")
         with pytest.raises(Singular) as info:

@@ -28,11 +28,11 @@ from alignsim.evaluate import (
     _concat,
     _draw_batch,
     _run_batch,
+    _run_draws,
     dof_by_counting,
     estimate_dof,
     future_perturbation_invariant,
     noise_transfer_weights,
-    run_single_trial,
     run_trials,
     simulate_block,
     sum_rate_bits,
@@ -297,9 +297,9 @@ def _singular_where(mask):
 
 
 def _leak_where(mask):
-    """Fail the decoder's certificates, as a leak does, where ``mask`` holds for a draw."""
+    """Fail the decoder's certificates, as a leak does, for the draws where ``mask`` holds."""
     if np.any(mask):
-        raise InterferenceRankUnexpected("synthetic leak")
+        raise InterferenceRankUnexpected({int(t): "synthetic leak" for t in np.flatnonzero(mask)})
 
 
 # The synthetic schemes below key on ``response[0, 0, 0]``: receiver 0's
@@ -332,7 +332,7 @@ class TestDiscardAndFailurePaths:
         scheme = _DiscardSometimes()
         seen_discard = False
         for trial in range(12):
-            result, discards = run_single_trial(scheme, 17, trial, Tolerances())
+            result, discards = _run_draws(scheme, 17, [trial], Tolerances(), False)
             assert result.decode_ok.tolist() == [True]
             assert result.trial.tolist() == [trial]
             assert result.attempt.tolist() == [len(discards)]
@@ -344,15 +344,15 @@ class TestDiscardAndFailurePaths:
 
     def test_retry_cap_becomes_scheme_failure(self):
         with pytest.raises(SchemeFailure, match=str(MAX_ATTEMPTS)):
-            run_single_trial(_DiscardAlways(), 18, 0, Tolerances())
+            _run_draws(_DiscardAlways(), 18, [0], Tolerances(), False)
 
     def test_certificate_failure_is_fatal_not_resampled(self):
         with pytest.raises(SchemeFailure, match="trial 0: InterferenceRankUnexpected: synthetic"):
-            run_single_trial(_BadCertificates(), 19, 0, Tolerances())
+            _run_draws(_BadCertificates(), 19, [0], Tolerances(), False)
 
     def test_csi_budget_violation_is_fatal(self):
         with pytest.raises(SchemeFailure, match="budget"):
-            run_single_trial(_BudgetBreaker(), 20, 0, Tolerances())
+            _run_draws(_BudgetBreaker(), 20, [0], Tolerances(), False)
 
     @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 73)])
     def test_the_decoder_judges_every_discard(self, scheme_id, discards):
@@ -538,16 +538,17 @@ class _StructuralAndCertificateFailures(BcMatScheme):
 
     def decode_context(self, tol, response):
         _leak_where(response[0, 0, 0] == self.failing_certificate)
-        if np.any(response[0, 0, 0] == self.structural):
-            raise NumericsError("synthetic structural failure")
+        structural = np.flatnonzero(response[0, 0, 0] == self.structural)
+        if structural.size:
+            raise NumericsError({int(t): "synthetic structural failure" for t in structural})
         return super().decode_context(tol, response)
 
 
 def _trial_by_trial(scheme, base_seed, num_trials):
-    """Outcomes and discards of the trials run one at a time."""
+    """Outcomes and discards of the trials, each run alone."""
     parts, discards = [], []
     for trial in range(num_trials):
-        outcome, trial_discards = run_single_trial(scheme, base_seed, trial, Tolerances())
+        outcome, trial_discards = _run_draws(scheme, base_seed, [trial], Tolerances(), False)
         parts.append(outcome)
         discards += trial_discards
     return _concat(parts), discards
@@ -569,20 +570,34 @@ def _record_batches(monkeypatch, scheme):
     return calls
 
 
-class TestTrialBatches:
-    def test_degenerate_batch_reruns_trial_by_trial(self, monkeypatch):
-        import alignsim.evaluate as evaluate
+def _split_rounds(num_trials, discards):
+    """The draws of each ``_run_batch`` call of a batch whose only failures are ``discards``.
 
+    A block that meets discards runs its discarded draws at their next
+    attempt first, then the rest of the block, which passes.  Where each
+    block's discards are all its failures, every attempt holds one block.
+    """
+    discarded = {(d.trial, d.attempt) for d in discards}
+    levels = [[(t, 0) for t in range(num_trials)]]
+    while any(draw in discarded for draw in levels[-1]):
+        levels.append([(t, a + 1) for t, a in levels[-1] if (t, a) in discarded])
+    rests = [[draw for draw in level if draw not in discarded] for level in levels[:-1]]
+    return levels + rests[::-1]
+
+
+class TestTrialBatches:
+    def test_degenerate_draws_rerun_apart_from_their_batch(self, monkeypatch):
         scheme = _DiscardSometimes()
-        monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
-        report = run_trials("bc_mat", 70, base_seed=21)
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 21, 70)
+        calls = _record_batches(monkeypatch, scheme)
+        report = run_trials("bc_mat", 70, base_seed=21)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
         assert report.discards
+        assert calls == _split_rounds(70, expected_discards)
 
     @pytest.mark.parametrize("bad", [0, 77, 127, TRIAL_BATCH - 1])
-    def test_one_degenerate_trial_reruns_its_batch_trial_by_trial(self, monkeypatch, bad):
+    def test_one_degenerate_trial_reruns_alone_then_the_rest(self, monkeypatch, bad):
         [states] = spawn_states([(23, bad, 0)], 3)
         first = generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0]
         scheme = _DiscardOneDraw(first)
@@ -593,26 +608,30 @@ class TestTrialBatches:
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=23)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
-        # the batch, then the batch again with the bad trial at its next
-        # attempt: the trials match a trial-by-trial run, none runs alone
+        # the batch, then the bad trial at its next attempt, then the rest of
+        # the batch: each comes out as it does alone
         assert calls == [
             [(t, 0) for t in range(TRIAL_BATCH)],
-            [(t, int(t == bad)) for t in range(TRIAL_BATCH)],
+            [(bad, 1)],
+            [(t, 0) for t in range(TRIAL_BATCH) if t != bad],
         ]
 
-    def test_dense_failures_rerun_trial_by_trial(self, monkeypatch):
+    def test_dense_discards_rerun_by_attempt(self, monkeypatch):
         scheme = _DiscardSometimes()
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 21, TRIAL_BATCH)
         calls = _record_batches(monkeypatch, scheme)
         report = run_trials("bc_mat", TRIAL_BATCH, base_seed=21)
         assert outcome_fields(report.outcomes) == outcome_fields(expected_outcomes)
         assert report.discards == expected_discards
-        # each round runs the whole batch, the last round's discards at their
-        # next attempts, until the last attempt any trial needed has run
-        assert [len(draws) for draws in calls] == [TRIAL_BATCH] * len(calls)
-        assert len(calls) == max(d.attempt for d in expected_discards) + 2 <= MAX_ATTEMPTS
-        attempts = {d.trial: d.attempt + 1 for d in expected_discards}
-        assert calls[-1] == [(t, attempts.get(t, 0)) for t in range(TRIAL_BATCH)]
+        # each attempt's discards run together at the next attempt, until one
+        # such block passes; then the rest of each block, deepest first
+        assert calls == _split_rounds(TRIAL_BATCH, expected_discards)
+        attempts = max(d.attempt for d in expected_discards) + 2
+        assert len(calls) == 2 * attempts - 1 and attempts <= MAX_ATTEMPTS
+        # a draw runs where it is discarded or first passes, and a passing draw
+        # again where its block failed: all but those of the last block
+        last = len(calls[attempts - 1])
+        assert sum(map(len, calls)) == 2 * TRIAL_BATCH + len(expected_discards) - last
 
     def test_an_early_certificate_failure_beats_a_later_trial_out_of_attempts(
         self, monkeypatch
@@ -621,13 +640,42 @@ class TestTrialBatches:
             _first_coefficients(26, [5]), _first_coefficients(26, [200], range(MAX_ATTEMPTS))
         )
         with pytest.raises(SchemeFailure, match="^bc_mat trial 200: exceeded 10 attempts; "):
-            run_single_trial(scheme, 26, 200, Tolerances())
+            _run_draws(scheme, 26, [200], Tolerances(), False)
         calls = _record_batches(monkeypatch, scheme)
-        # the batch resamples trial 200 until it runs out of attempts, then
-        # reruns trial by trial, which meets trial 5's certificate first
+        # trial 200 reruns alone until it runs out of attempts; the rest of
+        # the batch meets trial 5's certificate, and the rest of that passes
         with pytest.raises(SchemeFailure, match=r"^bc_mat trial 5: InterferenceRankUnexpected: "):
             run_trials("bc_mat", TRIAL_BATCH, base_seed=26)
-        assert [len(draws) for draws in calls] == [TRIAL_BATCH] * MAX_ATTEMPTS + [1] * 6
+        assert [len(draws) for draws in calls] == (
+            [TRIAL_BATCH] + [1] * (MAX_ATTEMPTS - 1) + [TRIAL_BATCH - 1, TRIAL_BATCH - 2]
+        )
+
+    def test_an_early_trial_out_of_attempts_beats_a_later_leak(self, monkeypatch):
+        scheme = _FailMarkedDiscardOthers(
+            _first_coefficients(27, [100]), _first_coefficients(27, [3], range(MAX_ATTEMPTS))
+        )
+        _record_batches(monkeypatch, scheme)
+        message = r"^bc_mat trial 3: exceeded 10 attempts; last discard: Singular: synthetic"
+        with pytest.raises(SchemeFailure, match=message):
+            run_trials("bc_mat", TRIAL_BATCH, base_seed=27)
+
+    def test_an_early_trial_that_leaks_at_its_next_attempt_beats_a_later_leak(
+        self, monkeypatch
+    ):
+        # trial 4 is singular at attempt 0 and leaks at attempt 1; trial 50
+        # leaks at attempt 0
+        scheme = _FailMarkedDiscardOthers(
+            _first_coefficients(28, [4], [1]) + _first_coefficients(28, [50]),
+            _first_coefficients(28, [4]),
+        )
+        calls = _record_batches(monkeypatch, scheme)
+        message = r"^bc_mat trial 4: InterferenceRankUnexpected: synthetic leak$"
+        with pytest.raises(SchemeFailure, match=message):
+            run_trials("bc_mat", TRIAL_BATCH, base_seed=28)
+        others = [(t, 0) for t in range(TRIAL_BATCH) if t != 4]
+        assert calls == [
+            [(t, 0) for t in range(TRIAL_BATCH)], [(4, 1)], others, [d for d in others if d != (50, 0)]
+        ]
 
     def test_failure_in_left_half_is_raised_before_right_half(self, monkeypatch):
         import alignsim.evaluate as evaluate
@@ -635,9 +683,9 @@ class TestTrialBatches:
         scheme = _StructuralAndCertificateFailures(*_first_coefficients(24, (10, 100)))
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         with pytest.raises(SchemeFailure, match="bc_mat trial 100: InterferenceRankUnexpected"):
-            run_single_trial(scheme, 24, 100, Tolerances())
-        # the batch raises trial 100's failed certificates, and reruns trial by
-        # trial, which raises trial 10's structural failure first
+            _run_draws(scheme, 24, [100], Tolerances(), False)
+        # the batch fails trial 100's certificates, and the rest of it meets
+        # trial 10's structural failure, which is raised first
         with pytest.raises(SchemeFailure, match="bc_mat trial 10: NumericsError"):
             run_trials("bc_mat", TRIAL_BATCH, base_seed=24)
 
@@ -654,6 +702,17 @@ class TestTrialBatches:
         # every trial reads over budget; trial 0 passes its certificates at seed 22
         with pytest.raises(SchemeFailure, match="bc_mat trial 0: transmitters read"):
             run_trials("bc_mat", 100, base_seed=22)
+
+    def test_a_budget_failure_names_the_lowest_trial_a_block_passed(self, monkeypatch):
+        class OverBudget(_DiscardOneDraw):
+            csi_slot_budget = Fraction(1, 3)
+
+        # trial 5's next attempt passes first, alone; trial 0 passes with the rest
+        scheme = OverBudget(_first_coefficients(29, [5])[0])
+        calls = _record_batches(monkeypatch, scheme)
+        with pytest.raises(SchemeFailure, match="^bc_mat trial 0: transmitters read"):
+            run_trials("bc_mat", 100, base_seed=29)
+        assert calls[1] == [(5, 1)]
 
     def test_failure_names_the_failing_trial_of_a_batch(self, monkeypatch):
         import alignsim.evaluate as evaluate
