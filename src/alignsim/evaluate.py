@@ -66,7 +66,7 @@ import numbers
 import os
 import signal
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pipe, Process
@@ -110,7 +110,6 @@ __all__ = [
     "validate_snr_grid",
     "estimate_dof",
     "dof_by_counting",
-    "future_perturbation_invariant",
 ]
 
 #: Most trials stacked into one block run.
@@ -495,59 +494,62 @@ def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
     return [_Share(range(a, b), -(-(b - a) // TRIAL_BATCH)) for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_trial_range(args) -> tuple[TrialOutcomes, list[Discard]]:
+def _run_trial_range(args, check: Callable[[], None]) -> tuple[TrialOutcomes, list[Discard]]:
     """Run one worker's batches in order; returns (outcomes, discards).
 
     Each batch runs through :func:`_run_draws`, so outcomes, discards and
-    the first failure raised come in trial order.  ``args`` ends in the pid
-    of the process that called :func:`run_trials`: a child worker whose
-    parent is no longer that process exits at its next batch, since
-    nothing is left to read its share.
+    the first failure raised come in trial order.  ``check`` runs before
+    each batch and ends the share when the run cannot use it: a child
+    worker whose caller is gone exits, and the caller raises once a child
+    has exited without sending.
     """
-    scheme_id, base_seed, batches, tol, collect_weights, caller = args
+    scheme_id, base_seed, batches, tol, collect_weights = args
     scheme = get_scheme(scheme_id)
     parts: list[TrialOutcomes] = []
     discards: list[Discard] = []
     for trials in batches:
-        if caller not in (os.getpid(), os.getppid()):
-            sys.exit(1)
+        check()
         outcome, resampled = _run_draws(scheme, base_seed, trials, tol, collect_weights)
         parts.append(outcome)
         discards += resampled
     return _concat(parts), discards
 
 
-def _send_trial_range(args, sender) -> None:
+def _send_trial_range(args, sender, caller: int) -> None:
     """A child worker: send back its share's (outcomes, discards), or what the share raised.
 
     It ignores SIGINT and ends at SIGTERM without a word: the caller stops
-    on either signal, and kills it.
+    on either signal, and kills it.  Once its parent is no longer
+    ``caller``, the process that started it, it exits at its next batch,
+    since nothing is left to read its share.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def orphaned() -> None:
+        if os.getppid() != caller:
+            sys.exit(1)
+
     try:
-        result = _run_trial_range(args)
+        result = _run_trial_range(args, orphaned)
     except Exception as exc:
         result = exc
     sender.send(result)
 
 
-def _receive_trial_range(child: Process, receiver) -> tuple[TrialOutcomes, list[Discard]]:
-    """A child's (outcomes, discards); raises what its share raised.
+def _receive_trial_range(child: Process, receiver):
+    """What a child sent: its share's (outcomes, discards), or the exception the share raised.
 
     A child that exits before it sends raises :class:`ChildProcessError`
     naming its exit code.
     """
     try:
-        result = receiver.recv()
+        return receiver.recv()
     except EOFError:
         child.join()
         raise ChildProcessError(
             f"a worker process exited with code {child.exitcode} before sending its trials"
         ) from None
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def run_trials(
@@ -569,30 +571,44 @@ def run_trials(
     runs in a child process of its own, so a run of ``W`` workers starts
     ``W - 1`` children and a run of up to ``TRIALS_PER_WORKER`` trials starts
     none.  The shares are received in order, so the first failure in trial
-    order is the one raised, and a child that exits before it sends raises
-    :class:`ChildProcessError`.  No child outlives the call: one still running
-    when the call ends, by a return or by an exception (an interrupt
+    order is the one raised.  Before each of its batches the caller reads
+    what every exited child sent, so a child that exits before it sends
+    raises :class:`ChildProcessError` at the caller's next batch, or once
+    the caller's share is done.  No child outlives the call: one still
+    running when the call ends, by a return or by an exception (an interrupt
     included), is killed and joined, and a child whose caller dies without
     that exits at its next batch.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     first, *rest = [
-        (scheme_id, base_seed, batches, tol, collect_weights, os.getpid())
+        (scheme_id, base_seed, batches, tol, collect_weights)
         for batches in _batch_plan(num_trials, threads)
     ]
     children: list[tuple[Process, object]] = []
+    sent: dict[Process, object] = {}
+
+    def receive_exited() -> None:
+        # an exited child's pipe holds all it sent, so this read never waits
+        for child, receiver in children:
+            if child not in sent and child.exitcode is not None:
+                sent[child] = _receive_trial_range(child, receiver)
+
     try:
         for args in rest:
             receiver, sender = Pipe(duplex=False)
-            child = Process(target=_send_trial_range, args=(args, sender))
+            child = Process(target=_send_trial_range, args=(args, sender, os.getpid()))
             child.start()
             children.append((child, receiver))
             # the child holds the only write end left, so its exit ends the pipe
             sender.close()
-        ranges = [_run_trial_range(first)]
+        ranges = [_run_trial_range(first, receive_exited)]
         # receive before joining: a child blocks on a send the pipe cannot hold
-        ranges += [_receive_trial_range(child, receiver) for child, receiver in children]
+        for child, receiver in children:
+            result = sent[child] if child in sent else _receive_trial_range(child, receiver)
+            if isinstance(result, Exception):
+                raise result
+            ranges.append(result)
         for child, _ in children:
             child.join()
     finally:
@@ -674,32 +690,3 @@ def estimate_dof(
         discards=len(report.discards),
         max_rel_symbol_error=report.max_rel_symbol_error,
     )
-
-
-def future_perturbation_invariant(
-    scheme: Scheme,
-    base_seed: int,
-    trials: Sequence[int],
-    perturb_from: int,
-) -> bool:
-    """True when perturbing channel states of slots >= ``perturb_from`` leaves
-    every transmit scalar of slots <= ``perturb_from`` bit-identical, for
-    every trial in ``trials``.
-
-    The trials are drawn as one stack and run as one block each way, which
-    gives every trial the bits it has alone.  The perturbation rotates every
-    affected coefficient's phase and scales its magnitude by 1.5, or by
-    1/1.5 where 1.5 would leave the magnitude band; the band of a drawn
-    tensor spans far more than 1.5², so the tensor stays inside it.  So a
-    transmit scalar that depends on a future gain's magnitude, not only one
-    that depends on its phase, changes on every draw.
-    """
-    tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
-    x_ref = simulate_block(scheme, tensor, offline, msgs).x
-    h2 = tensor.h.copy()
-    future = h2[:, :, perturb_from:]
-    future *= np.where(1.5 * np.abs(future) <= tensor.mag_bounds[1], 1.5, 1 / 1.5) * np.exp(0.7j)
-    perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
-    x_alt = simulate_block(scheme, perturbed, offline, msgs).x
-    upto = perturb_from + 1
-    return bool(np.array_equal(x_ref[:, :upto], x_alt[:, :upto]))

@@ -12,12 +12,22 @@ system at a time, the way a receiver would.  They share the library's
 ``null_vector`` so their triples match the encoder's bit for bit: what they
 check is the encoder's wiring (which systems, which sub-triples, in which
 order), not the factorization.
+
+The causality oracle at the very end reruns a block with the channel
+states of later slots perturbed: a transmitter that reads only earlier
+slots sends the same bits up to the cut.  No run of the package calls it;
+the tests own it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
+from alignsim.base import Scheme
+from alignsim.channel import ChannelTensor
+from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import null_vector
 from alignsim.retro_csit_ic3 import (
     PHASE1_SLOTS,
@@ -188,3 +198,35 @@ def effective_precoders(
     for n in range(PHASE1_SLOTS, h.shape[2]):
         precoders[:, :, n] = coeffs
     return alphas, coeffs, precoders
+
+
+# -- causality under future-channel perturbation -----------------------------------
+
+
+def future_perturbation_invariant(
+    scheme: Scheme,
+    base_seed: int,
+    trials: Sequence[int],
+    perturb_from: int,
+) -> bool:
+    """True when perturbing channel states of slots >= ``perturb_from`` leaves
+    every transmit scalar of slots <= ``perturb_from`` bit-identical, for
+    every trial in ``trials``.
+
+    The trials are drawn as one stack and run as one block each way, which
+    gives every trial the bits it has alone.  The perturbation rotates every
+    affected coefficient's phase and scales its magnitude by 1.5, or by
+    1/1.5 where 1.5 would leave the magnitude band; the band of a drawn
+    tensor spans far more than 1.5², so the tensor stays inside it.  So a
+    transmit scalar that depends on a future gain's magnitude, not only one
+    that depends on its phase, changes on every draw.
+    """
+    tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
+    x_ref = simulate_block(scheme, tensor, offline, msgs).x
+    h2 = tensor.h.copy()
+    future = h2[:, :, perturb_from:]
+    future *= np.where(1.5 * np.abs(future) <= tensor.mag_bounds[1], 1.5, 1 / 1.5) * np.exp(0.7j)
+    perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
+    x_alt = simulate_block(scheme, perturbed, offline, msgs).x
+    upto = perturb_from + 1
+    return bool(np.array_equal(x_ref[:, :upto], x_alt[:, :upto]))

@@ -13,13 +13,13 @@ import numpy as np
 from alignsim.evaluate import (
     dof_by_counting,
     estimate_dof,
-    future_perturbation_invariant,
     run_trials,
 )
 from alignsim.numerics import null_vector, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
 from _oracles import (
+    future_perturbation_invariant,
     jacobi_null_vector,
     random_complex_matrix,
     random_rank_matrix,

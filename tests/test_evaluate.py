@@ -31,7 +31,6 @@ from alignsim.evaluate import (
     _run_draws,
     dof_by_counting,
     estimate_dof,
-    future_perturbation_invariant,
     noise_transfer_weights,
     run_trials,
     simulate_block,
@@ -51,6 +50,7 @@ from alignsim.output_feedback import BcMatScheme
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, impulse_response
+from _oracles import future_perturbation_invariant
 from _outcomes import outcome_fields
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
@@ -822,18 +822,48 @@ class TestWorkerProcesses:
     def test_a_child_that_exits_without_sending_is_an_error(self, evaluate, monkeypatch):
         run_trial_range = evaluate._run_trial_range
 
-        def exits_in_the_child(args):
+        def exits_in_the_child(args, check):
             if args[2][0].start > 0:
                 os._exit(7)
-            return run_trial_range(args)
+            return run_trial_range(args, check)
 
         monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             run_trials("bc_mat", 8, base_seed=8, threads=2)
         assert multiprocessing.active_children() == []
 
+    def test_a_child_that_exits_early_stops_the_caller_at_its_next_batch(
+        self, evaluate, monkeypatch
+    ):
+        monkeypatch.setattr(evaluate, "TRIAL_BATCH", 1)
+        assert len(evaluate._batch_plan(8, 2)[0]) == 4
+        run_trial_range, run_draws = evaluate._run_trial_range, evaluate._run_draws
+        batches = []
+
+        def exits_in_the_child(args, check):
+            if args[2][0].start > 0:
+                os._exit(7)
+            return run_trial_range(args, check)
+
+        def waits_for_the_child_to_exit(scheme, base_seed, trials, *rest):
+            deadline = time.monotonic() + 10
+            while multiprocessing.active_children():
+                assert time.monotonic() < deadline, "the child did not exit"
+                time.sleep(0.01)
+            batches.append(trials)
+            return run_draws(scheme, base_seed, trials, *rest)
+
+        monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
+        monkeypatch.setattr(evaluate, "_run_draws", waits_for_the_child_to_exit)
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            run_trials("bc_mat", 8, base_seed=8, threads=2)
+        # the check before the caller's second batch sees the exited child, if
+        # the one before its first does not
+        assert len(batches) <= 1
+        assert multiprocessing.active_children() == []
+
     def test_an_interrupt_in_the_caller_kills_the_child(self, evaluate, monkeypatch):
-        def sleeps_in_the_child(args):
+        def sleeps_in_the_child(args, check):
             if args[2][0].start > 0:
                 time.sleep(60)
             raise KeyboardInterrupt

@@ -3,11 +3,12 @@ import pytest
 
 from alignsim.base import OutputPayload, SymbolPayload
 from alignsim.channel import AccessLog, CausalityViolation, generate_channel
-from alignsim.evaluate import future_perturbation_invariant, simulate_block
+from alignsim.evaluate import simulate_block
 from alignsim.numerics import sample_complex_gaussian
 from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutputFeedbackScheme
 from alignsim.registry import SCHEMES
 
+from _oracles import future_perturbation_invariant
 from _outcomes import run_with_batches
 
 BC = BcMatScheme()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, generate_channel
 from alignsim.base import InterferenceRankUnexpected
-from alignsim.evaluate import _draw_batch, future_perturbation_invariant, simulate_block
+from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import Singular, sample_complex_gaussian
 from alignsim.registry import get_scheme
 import alignsim.retro_csit_ic3 as ic3
@@ -19,7 +19,13 @@ from alignsim.retro_csit_ic3 import (
 )
 
 from _decode import decode_context
-from _oracles import compute_alphas, effective_precoders, jacobi_rank, phase2_coefficients
+from _oracles import (
+    compute_alphas,
+    effective_precoders,
+    future_perturbation_invariant,
+    jacobi_rank,
+    phase2_coefficients,
+)
 from _outcomes import run_with_batches
 
 SCHEME = IC3RetroCsitScheme()

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, ChannelTensor, TxInformationView, generate_channel
-from alignsim.evaluate import (
-    _draw_batch,
-    future_perturbation_invariant,
-    simulate_block,
-)
+from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import Singular, Tolerances, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
 from alignsim.retro_csit_x import (
@@ -22,7 +18,7 @@ from alignsim.retro_csit_x import (
 )
 
 from _decode import decode_context
-from _oracles import jacobi_rank
+from _oracles import future_perturbation_invariant, jacobi_rank
 from _outcomes import run_with_batches
 
 SCHEME = XRetroCsitScheme()
