@@ -40,7 +40,8 @@ import numpy as np
 
 from .channel import CausalityViolation
 from .evaluate import (
-    TRIALS_PER_WORKER, SchemeFailure, dof_by_counting, estimate_dof, run_trials, validate_snr_grid,
+    ENTRIES_PER_WORKER, SchemeFailure, dof_by_counting, estimate_dof, run_trials,
+    validate_snr_grid,
 )
 from .numerics import Tolerances
 from .registry import SCHEMES, get_scheme
@@ -73,7 +74,7 @@ class RunConfig:
     tol_residual: float = Tolerances.residual_rel
     out: str | None = None
     format: str = "json"
-    threads: int = 0  # 0: no bound beyond the usable CPUs and the trial count
+    threads: int = 0  # 0: no bound beyond the usable CPUs and the decoding work
 
     def tolerances(self) -> Tolerances:
         try:
@@ -130,7 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         help="parallel workers, capped at one per usable CPU and one per "
-        f"{TRIALS_PER_WORKER} trials (default: 0, as many as those caps allow)",
+        f"{ENTRIES_PER_WORKER} receive-matrix entries of decoding work, each trial "
+        "counting num_rx * num_slots * num_symbols (default: 0, as many as those caps allow)",
     )
     parser.add_argument("--config", help="JSON config file; explicit flags override it")
     return parser

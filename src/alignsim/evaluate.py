@@ -35,16 +35,18 @@ trial, independent of execution order and worker count.  A batch derives
 all its trials' generators in one vectorized pass of the SeedSequence hash,
 bit for bit those of that contract.
 
-A run has at most one worker per ``TRIALS_PER_WORKER`` trials, and each
-worker takes contiguous batches of at most ``TRIAL_BATCH`` trials (see
-:func:`run_trials`).  The calling process is the first worker; a run of
-``W`` workers starts ``W - 1`` child processes, one per further share, so a
-run of up to ``TRIALS_PER_WORKER`` trials starts none.  A batch draws with
-one ``generate_channel``, one ``draw_offline`` and one ``draw_messages``
-call, each handed the batch's generators of that stream: each generator
-makes one normal call, into its row of one buffer, and the complex build
-and normalization run once on the stack.  The batch
-then goes through one block run, one decode context (which judges the
+A run has at most one worker per ``ENTRIES_PER_WORKER`` receive-matrix
+entries, ``num_rx * num_slots * num_symbols`` per trial, the work of the
+decoder's stacked SVD, and each worker takes contiguous batches of at most
+``TRIAL_BATCH`` trials (see :func:`run_trials`).  The calling process is the
+first worker; a run of ``W`` workers starts ``W - 1`` child processes, one
+per further share, so a run of up to ``ENTRIES_PER_WORKER`` entries starts
+none: a child costs more to start than so short a share saves.  A batch
+draws with one ``generate_channel``, one ``draw_offline`` and one
+``draw_messages`` call, each handed the batch's generators of that stream:
+each generator makes one normal call, into its row of one buffer, and the
+complex build and normalization run once on the stack.  The batch then
+goes through one block run, one decode context (which judges the
 certificates), one decode and, for rates, the noise weights: one more block
 run under output feedback, none otherwise.  Every reduction on that axis is
 a stacked LAPACK call or a left-to-right sum, so a trial's numbers are bit
@@ -96,7 +98,7 @@ from .registry import get_scheme
 __all__ = [
     "SchemeFailure",
     "TRIAL_BATCH",
-    "TRIALS_PER_WORKER",
+    "ENTRIES_PER_WORKER",
     "MAX_ATTEMPTS",
     "DECODE_REL_TOL",
     "Discard",
@@ -115,8 +117,11 @@ __all__ = [
 #: Most trials stacked into one block run.
 TRIAL_BATCH = 256
 
-#: Trials per worker: a run starts at most one worker per this many trials.
-TRIALS_PER_WORKER = 128
+#: Decoding work per worker, in receive-matrix entries (trials times
+#: ``num_rx * num_slots * num_symbols``): a run starts at most one worker per
+#: this many.  On a shared 2-core machine every scheme's second worker breaks
+#: even between about 15k and 41k entries, where one worker takes 20-30 ms.
+ENTRIES_PER_WORKER = 2**15
 
 #: Retry cap per trial index before the run is declared broken.
 MAX_ATTEMPTS = 10
@@ -477,19 +482,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _batch_plan(num_trials: int, threads: int) -> list[_Share]:
-    """Each worker's share of the trials.
+def _batch_plan(scheme: Scheme, num_trials: int, threads: int) -> list[_Share]:
+    """Each worker's share of the trials of ``scheme``.
 
-    ``min(threads, usable CPUs, ceil(num_trials / TRIALS_PER_WORKER))``
-    workers, at least one, take contiguous shares of the trials whose sizes
-    differ by at most one, so a run of up to ``TRIALS_PER_WORKER`` trials has
-    one worker.  A ``threads`` of 0 drops its term: no bound beyond the
-    usable CPUs and the trial count.  A share of ``m`` trials reads as
-    ``ceil(m / TRIAL_BATCH)`` batches (see :class:`_Share`), so a share of up
-    to ``TRIAL_BATCH`` trials is one batch.
+    A trial's decoding work is the ``num_rx * num_slots * num_symbols``
+    entries of its receive matrices, which the decoder's stacked SVD
+    factors.  ``min(threads, usable CPUs, ceil(work / ENTRIES_PER_WORKER))``
+    workers, at least one, for the run's total ``work``, take contiguous
+    shares of the trials whose sizes differ by at most one, so a run of up
+    to ``ENTRIES_PER_WORKER`` entries has one worker: below that a child
+    costs more to start and join than its share saves.  A ``threads`` of 0
+    drops its term: no bound beyond the usable CPUs and the work.  A share
+    of ``m`` trials reads as ``ceil(m / TRIAL_BATCH)`` batches (see
+    :class:`_Share`), so a share of up to ``TRIAL_BATCH`` trials is one
+    batch.
     """
     cpus = _usable_cpus()
-    workers = max(1, min(threads or cpus, cpus, -(-num_trials // TRIALS_PER_WORKER)))
+    work = num_trials * scheme.num_rx * scheme.num_slots * scheme.num_symbols
+    workers = max(1, min(threads or cpus, cpus, -(-work // ENTRIES_PER_WORKER)))
     bounds = [w * num_trials // workers for w in range(workers + 1)]
     return [_Share(range(a, b), -(-(b - a) // TRIAL_BATCH)) for a, b in zip(bounds, bounds[1:])]
 
@@ -564,26 +574,27 @@ def run_trials(
 
     The outcome is identical for any ``threads`` value.  At most
     ``threads`` workers run (0 sets no bound of its own), at most one per
-    usable CPU and one per ``TRIALS_PER_WORKER`` trials (see
-    :func:`_batch_plan`); each runs an equal contiguous share of the trials
-    in near-equal batches of at most ``TRIAL_BATCH``, cut as they run.  The
-    caller is the first worker and runs the first share; each further share
-    runs in a child process of its own, so a run of ``W`` workers starts
-    ``W - 1`` children and a run of up to ``TRIALS_PER_WORKER`` trials starts
-    none.  The shares are received in order, so the first failure in trial
-    order is the one raised.  Before each of its batches the caller reads
-    what every exited child sent, so a child that exits before it sends
-    raises :class:`ChildProcessError` at the caller's next batch, or once
-    the caller's share is done.  No child outlives the call: one still
-    running when the call ends, by a return or by an exception (an interrupt
-    included), is killed and joined, and a child whose caller dies without
-    that exits at its next batch.
+    usable CPU and one per ``ENTRIES_PER_WORKER`` receive-matrix entries of
+    the run's decoding work (see :func:`_batch_plan`); each runs an equal
+    contiguous share of the trials in near-equal batches of at most
+    ``TRIAL_BATCH``, cut as they run.  The caller is the first worker and
+    runs the first share; each further share runs in a child process of its
+    own, so a run of ``W`` workers starts ``W - 1`` children and a run of up
+    to ``ENTRIES_PER_WORKER`` entries starts none: up to 1365 trials of
+    ``bc_mat``, or 151 of ``ic3_retro_csit``.  The shares are received in
+    order, so the first failure in trial order is the one raised.  Before
+    each of its batches the caller reads what every exited child sent, so a
+    child that exits before it sends raises :class:`ChildProcessError` at
+    the caller's next batch, or once the caller's share is done.  No child
+    outlives the call: one still running when the call ends, by a return or
+    by an exception (an interrupt included), is killed and joined, and a
+    child whose caller dies without that exits at its next batch.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     first, *rest = [
         (scheme_id, base_seed, batches, tol, collect_weights)
-        for batches in _batch_plan(num_trials, threads)
+        for batches in _batch_plan(get_scheme(scheme_id), num_trials, threads)
     ]
     children: list[tuple[Process, object]] = []
     sent: dict[Process, object] = {}

@@ -109,7 +109,7 @@ class TestParseConfig:
         assert config.threads == 3
         config = parse_config(["--scheme", "bc_mat"])
         assert config.threads == 0
-        workers = len(evaluate._batch_plan(10**6, config.threads))
+        workers = len(evaluate._batch_plan(SCHEMES["bc_mat"], 10**6, config.threads))
         assert workers == evaluate._usable_cpus() >= 1
 
 
@@ -132,6 +132,12 @@ class TestRenderJson:
 
     def test_nested_containers_and_none(self):
         assert _render_json({"a": [1, (2.5, None)], "b": True}) == '{"a":[1,[2.5,null]],"b":true}'
+
+
+def _entries(scheme_id):
+    """Receive-matrix entries one trial of the scheme gives the decoder."""
+    scheme = SCHEMES[scheme_id]
+    return scheme.num_rx * scheme.num_slots * scheme.num_symbols
 
 
 def _run_main(capsys, argv):
@@ -636,9 +642,9 @@ class TestThreads:
         assert out == ""
         assert "threads must be non-negative" in err and err.count("\n") == 1
 
-    def test_workers_clamped_to_core_count(self, monkeypatch):
-        import alignsim.evaluate as evaluate
-
+    @pytest.fixture
+    def children_started(self, monkeypatch):
+        """Counts the worker processes started since its last call."""
         started = []
 
         class RecordingProcess(evaluate.Process):
@@ -648,26 +654,59 @@ class TestThreads:
                 started.append(self)
                 super().start()
 
-        def children_started():
-            count = len(started)
+        def count():
+            number = len(started)
             started.clear()
-            return count
+            return number
 
         monkeypatch.setattr(evaluate, "Process", RecordingProcess)
+        return count
+
+    def test_workers_clamped_to_core_count(self, monkeypatch, children_started):
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
         # 8 trials are one worker's: the caller runs them and starts no child
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert children_started() == 0
         assert report.outcomes.trial.tolist() == list(range(8))
-        # at most one worker per 2 trials: four, capped at three cores, so
-        # the caller and two children
-        monkeypatch.setattr(evaluate, "TRIALS_PER_WORKER", 2)
+        # at most one worker per 2 trials' work: four, capped at three cores,
+        # so the caller and two children
+        monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 2 * _entries("bc_mat"))
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert children_started() == 2
         assert report.outcomes.trial.tolist() == list(range(8))
         # 4 trials: two workers, below the three cores
         evaluate.run_trials("bc_mat", 4, base_seed=0, threads=500)
         assert children_started() == 1
+
+    def test_the_cap_reads_the_scheme(self, capsys, monkeypatch, children_started):
+        # 200 trials on two CPUs: bc_mat's 4800 entries are one worker's, and
+        # ic3_retro_csit's 43200 are two workers'
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        assert 200 * _entries("bc_mat") <= evaluate.ENTRIES_PER_WORKER < 200 * _entries(
+            "ic3_retro_csit"
+        )
+        for scheme_id, children in [("bc_mat", 0), ("ic3_retro_csit", 1)]:
+            argv = ["--scheme", scheme_id, "--trials", "200", "--threads", "2"]
+            assert _run_main(capsys, argv)[0] == 0
+            assert children_started() == children
+
+    @pytest.mark.parametrize("scheme_id", sorted(SCHEMES))
+    def test_reports_identical_on_both_sides_of_the_cap(
+        self, capsys, monkeypatch, children_started, scheme_id
+    ):
+        # a cap of ten ic3_retro_csit trials' work; the scheme's most trials
+        # under it start no child at --threads 2, and one more trial starts one
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 10 * _entries("ic3_retro_csit"))
+        under = evaluate.ENTRIES_PER_WORKER // _entries(scheme_id)
+        for trials, children in [(under, 0), (under + 1, 1)]:
+            argv = ["--scheme", scheme_id, "--trials", str(trials), "--seed", "3"]
+            outs = {}
+            for threads in ("1", "2"):
+                code, outs[threads], err = _run_main(capsys, [*argv, "--threads", threads])
+                assert code == 0 and err == ""
+            assert children_started() == children
+            assert outs["1"].replace('"threads":1,', '"threads":2,') == outs["2"]
 
 
 class TestOneLineErrors:
@@ -729,7 +768,7 @@ class TestOneLineErrors:
             return run_trial_range(args, check)
 
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(evaluate, "TRIALS_PER_WORKER", 4)
+        monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 4 * _entries("bc_mat"))
         monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
         code = main(["--scheme", "bc_mat", "--trials", "8", "--threads", "2"])
         out, err = capfd.readouterr()
@@ -901,12 +940,16 @@ class TestInProcessCalls:
         pytest.param("verify", 130, ["--tol-rank", "0.01"], 219, id="130-verify-dense-discards"),
     ],
 )
-def test_reports_identical_across_thread_counts(capsys, mode, trials, extra, total_discards):
+def test_reports_identical_across_thread_counts(
+    capsys, monkeypatch, mode, trials, extra, total_discards
+):
+    # at a cap of 128 trials' work, so that these short runs start children:
     # at one worker, 257 trials are two batches of 128 and 129; at two, 65
     # trials are one worker's and start no child, 130 are one batch of 65
     # per worker, and 257 one batch of 128 or 129 per worker
     discards = 0
     for scheme in sorted(cli.SCHEMES):
+        monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 128 * _entries(scheme))
         argv = ["--scheme", scheme, "--mode", mode, "--trials", str(trials), "--seed", "7", *extra]
         if mode == "dof_sweep":
             argv += ["--snr-grid", "40,55,70"]

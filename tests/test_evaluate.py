@@ -16,9 +16,9 @@ from alignsim.base import DecodeContext, InterferenceRankUnexpected, OutputPaylo
 from alignsim.channel import AccessLog, TxInformationView, generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
+    ENTRIES_PER_WORKER,
     MAX_ATTEMPTS,
     TRIAL_BATCH,
-    TRIALS_PER_WORKER,
     WEIGHT_FLOOR,
     Discard,
     DofEstimate,
@@ -729,18 +729,30 @@ class TestTrialBatches:
             run_trials("bc_mat", 100, base_seed=22)
 
 
+def _entries(scheme_id):
+    """Receive-matrix entries one trial of the scheme gives the decoder."""
+    scheme = get_scheme(scheme_id)
+    return scheme.num_rx * scheme.num_slots * scheme.num_symbols
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(num_trials=st.integers(1, 1000), threads=st.integers(1, 4), cores=st.integers(1, 4))
-def test_batch_plan(num_trials, threads, cores):
+@given(
+    scheme_id=st.sampled_from(sorted(SCHEMES)),
+    num_trials=st.integers(1, 6000),
+    threads=st.integers(1, 4),
+    cores=st.integers(1, 4),
+)
+def test_batch_plan(scheme_id, num_trials, threads, cores):
     import alignsim.evaluate as evaluate
 
     with mock.patch.object(evaluate, "_usable_cpus", lambda: cores):
-        plan = evaluate._batch_plan(num_trials, threads)
+        plan = evaluate._batch_plan(get_scheme(scheme_id), num_trials, threads)
     batches = [batch for worker in plan for batch in worker]
     # read worker by worker, the batches hold every trial once, in order, so
     # each batch and each worker's share is contiguous
     assert [trial for batch in batches for trial in batch] == list(range(num_trials))
-    assert len(plan) == min(threads, cores, math.ceil(num_trials / TRIALS_PER_WORKER))
+    work = num_trials * _entries(scheme_id)
+    assert len(plan) == min(threads, cores, math.ceil(work / ENTRIES_PER_WORKER))
     shares = [sum(len(batch) for batch in worker) for worker in plan]
     assert max(shares) - min(shares) <= 1
     for share, worker in zip(shares, plan):
@@ -757,7 +769,7 @@ def test_batch_plan_cuts_batches_only_when_read():
 
     with mock.patch.object(evaluate, "_usable_cpus", lambda: 2):
         start = time.perf_counter()
-        plan = evaluate._batch_plan(10**12, 2)
+        plan = evaluate._batch_plan(get_scheme("bc_mat"), 10**12, 2)
         assert time.perf_counter() - start < 0.1
     half, size = 10**12 // 2, TRIAL_BATCH
     assert [len(share) for share in plan] == [half // size] * 2
@@ -770,13 +782,17 @@ def test_batch_plan_cuts_batches_only_when_read():
         plan[0][half // TRIAL_BATCH]
 
 
-def test_batch_plan_at_threads_0_is_bounded_by_cpus_and_batches():
+def test_batch_plan_at_threads_0_is_bounded_by_cpus_and_work():
     import alignsim.evaluate as evaluate
 
     with mock.patch.object(evaluate, "_usable_cpus", lambda: 3):
-        assert len(evaluate._batch_plan(10**6, 0)) == 3
-        assert len(evaluate._batch_plan(2 * TRIALS_PER_WORKER, 0)) == 2
-        assert len(evaluate._batch_plan(1, 0)) == 1
+        for scheme_id, scheme in SCHEMES.items():
+            per_worker = ENTRIES_PER_WORKER // _entries(scheme_id)
+            assert len(evaluate._batch_plan(scheme, 10**6, 0)) == 3
+            assert len(evaluate._batch_plan(scheme, 2 * per_worker, 0)) == 2
+            assert len(evaluate._batch_plan(scheme, per_worker + 1, 0)) == 2
+            assert len(evaluate._batch_plan(scheme, per_worker, 0)) == 1
+            assert len(evaluate._batch_plan(scheme, 1, 0)) == 1
 
 
 class TestWorkerProcesses:
@@ -786,9 +802,10 @@ class TestWorkerProcesses:
     def evaluate(self, monkeypatch):
         import alignsim.evaluate as evaluate
 
+        # a cap of four bc_mat trials' work
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(evaluate, "TRIALS_PER_WORKER", 4)
-        assert [list(share) for share in evaluate._batch_plan(8, 2)] == [
+        monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 4 * _entries("bc_mat"))
+        assert [list(share) for share in evaluate._batch_plan(get_scheme("bc_mat"), 8, 2)] == [
             [range(0, 4)], [range(4, 8)]
         ]
         return evaluate
@@ -836,7 +853,7 @@ class TestWorkerProcesses:
         self, evaluate, monkeypatch
     ):
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 1)
-        assert len(evaluate._batch_plan(8, 2)[0]) == 4
+        assert len(evaluate._batch_plan(get_scheme("bc_mat"), 8, 2)[0]) == 4
         run_trial_range, run_draws = evaluate._run_trial_range, evaluate._run_draws
         batches = []
 
