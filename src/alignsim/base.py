@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -127,7 +128,9 @@ class Scheme:
     ``schedule[slot][antenna]`` is a payload, or ``None`` for silence.  The
     schedule fixes the block's size: ``num_slots`` is its number of rows,
     ``num_tx`` their length and ``num_symbols`` the number of symbols its
-    payloads name.
+    payloads name.  ``replayed_outputs`` lists the distinct ``(rx, slot)``
+    outputs its transmitters replay, in that order: where the noise reaches a
+    transmit signal.
     """
 
     scheme_id: str
@@ -136,6 +139,7 @@ class Scheme:
     num_rx: int
     num_tx: int          # channel inputs (antennas)
     num_symbols: int
+    replayed_outputs: tuple[tuple[int, int], ...]
     feedback: FeedbackModel
     csi_slot_budget: Fraction  # largest legal fraction of slots with CSI read back
 
@@ -146,6 +150,10 @@ class Scheme:
         cls.num_symbols = len(
             {s for payloads in cls.schedule for p in payloads for s in getattr(p, "symbols", ())}
         )
+        cls.replayed_outputs = tuple(sorted(
+            {(p.rx, p.slot) for payloads in cls.schedule for p in payloads
+             if isinstance(p, OutputPayload)}
+        ))
 
     def entity_of(self, antenna: int) -> int:
         """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
@@ -180,6 +188,11 @@ class Scheme:
         """
         per_rx = self.num_symbols // self.num_rx
         return list(range(per_rx * rx, per_rx * (rx + 1)))
+
+    @cached_property
+    def _symbol_rows(self) -> np.ndarray:
+        """``(num_rx, w)``: row ``rx`` holds :meth:`symbols_for_rx` of ``rx``."""
+        return np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
 
     def interference_rank(self, rx: int) -> int:
         """Receive dimensions the design leaves to interference at ``rx``."""
@@ -264,12 +277,11 @@ class Scheme:
         """
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
-        rows = np.array([self.symbols_for_rx(rx) for rx in range(self.num_rx)])
-        d, cond, residual = zero_forcing_rows(g, rows)
-        # rows cond_rx0, residual_rx0, cond_rx1, ...: each draw's checks in key order
-        failed = np.stack([~(cond > tol.rank_rel), ~(residual <= tol.residual_rel)], axis=1)
-        failed = failed.reshape(2 * self.num_rx, -1)
-        if failed.any():
+        d, cond, residual = zero_forcing_rows(g, self._symbol_rows)
+        if not ((cond > tol.rank_rel).all() and (residual <= tol.residual_rel).all()):
+            # rows cond_rx0, residual_rx0, cond_rx1, ...: each draw's checks in key order
+            failed = np.stack([~(cond > tol.rank_rel), ~(residual <= tol.residual_rel)], axis=1)
+            failed = failed.reshape(2 * self.num_rx, -1)
             draws = np.flatnonzero(failed.any(axis=0))
             rx, leak = np.divmod(failed[:, draws].argmax(axis=0), 2)
             # a leak in the block is raised, naming each draw whose first failed check leaks

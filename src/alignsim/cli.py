@@ -33,8 +33,9 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -223,30 +224,34 @@ def _validate(config: RunConfig) -> None:
 
 
 def _render_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    Strings are encoded as ``json.dumps`` encodes them.  The most frequent
+    types of a report are tested first.
+    """
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite float {obj!r}")
         return "%.17g" % obj
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_render_json(item) for item in obj) + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         parts = []
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(json.dumps(key) + ":" + _render_json(obj[key]))
+            parts.append(encode_basestring_ascii(key) + ":" + _render_json(obj[key]))
         return "{" + ",".join(parts) + "}"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return encode_basestring_ascii(str(obj))
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_render_json(item) for item in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -362,7 +367,7 @@ def run(config: RunConfig) -> int:
         results, passed = MODES[config.mode](config)
     except (SchemeFailure, CausalityViolation) as exc:
         error_doc = {
-            "config": asdict(config),
+            "config": vars(config),
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "pass": False,
         }
@@ -372,7 +377,7 @@ def run(config: RunConfig) -> int:
         _emit(config, _render_csv(config, results))
     else:
         document = {
-            "config": asdict(config),
+            "config": vars(config),
             "results": results,
             "pass": passed,
         }

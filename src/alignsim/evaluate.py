@@ -20,11 +20,12 @@ received block.  So the decode of messages ``sqrt(P) m`` under unit noise
 is ``sqrt(P) m`` plus a fixed linear image of the noise block, the same at
 every ``P``, and the per-symbol error relative to the message scale is
 exactly ``1/sqrt(P)`` times that image.  The per-symbol noise weight is the
-squared norm of the image.  Where no transmitter hears an output, the noise
-never reaches a transmit signal, and the weights are the squared row norms
-of the decoders.  Under output feedback they are read off one batched block
-run whose batch columns are the unit impulses at every receiver/slot
-position, so that the replays carry the noise forward as they would.  A weight turns
+squared norm of the image.  Noise at a receiver/slot position that no
+transmitter replays never reaches a transmit signal, and its image is a
+column of the decoders.  The image of a replayed position is read off the
+trial's own block run too: for rates, the run carries one more column per
+replayed output, with zero messages and that position's unit impulse as
+noise, so that the replays carry it forward as they would.  A weight turns
 into an exact per-symbol SINR ``P / weight`` at every operating point,
 which makes rate curves deterministic and smooth enough for slope fitting.
 
@@ -41,22 +42,23 @@ decoder's stacked SVD, and each worker takes contiguous batches of at most
 ``TRIAL_BATCH`` trials (see :func:`run_trials`).  The calling process is the
 first worker; a run of ``W`` workers starts ``W - 1`` child processes, one
 per further share, so a run of up to ``ENTRIES_PER_WORKER`` entries starts
-none: a child costs more to start than so short a share saves.  A batch
+none: a child costs more to start than so short a share saves, and a run
+on one worker does not even import :mod:`multiprocessing`.  A batch
 draws with one ``generate_channel``, one ``draw_offline`` and one
 ``draw_messages`` call, each handed the batch's generators of that stream:
 each generator makes one normal call, into its row of one buffer, and the
 complex build and normalization run once on the stack.  The batch then
 goes through one block run, one decode context (which judges the
-certificates), one decode and, for rates, the noise weights: one more block
-run under output feedback, none otherwise.  Every reduction on that axis is
-a stacked LAPACK call or a left-to-right sum, so a trial's numbers are bit
-for bit the same whichever trials share its batch.  So a block the decoder
-fails splits by draw: the degenerate draws it names run again together at
-their trials' next attempt, a draw it fails otherwise fails its trial, and
-the draws it does not name run again as a block of their own, which gives
-them the bits they had.  Once every trial of the batch has passed or failed,
-the lowest failing trial raises, with the message a run of that trial alone
-gives.
+certificates), one decode and, for rates, the noise weights, which need
+no run of their own: a batch is one block run in every mode.  Every
+reduction on that axis is a stacked LAPACK call or a left-to-right sum, so
+a trial's numbers are bit for bit the same whichever trials share its
+batch.  So a block the decoder fails splits by draw: the degenerate draws
+it names run again together at their trials' next attempt, a draw it fails
+otherwise fails its trial, and the draws it does not name run again as a
+block of their own, which gives them the bits they had.  Once every trial
+of the batch has passed or failed, the lowest failing trial raises, with
+the message a run of that trial alone gives.
 Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
 batch to the run's report, joined in trial order.
 """
@@ -71,8 +73,7 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pipe, Process
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -94,6 +95,9 @@ from .numerics import (
     spawn_states,
 )
 from .registry import get_scheme
+
+if TYPE_CHECKING:
+    from multiprocessing import Process
 
 __all__ = [
     "SchemeFailure",
@@ -280,7 +284,8 @@ def simulate_block(
     coefficients stacked the same way.  ``msgs`` has shape ``(num_symbols,
     *B, T)``, where ``B`` is empty or one batch size: a batch runs ``B``
     blocks on each trial's channel at once, one per column.  ``noise`` is an
-    optional ``(num_rx, num_slots, *B, T)`` array added at the receivers;
+    optional array added at the receivers, ``(num_rx, num_slots, *B, T)``
+    or one that broadcasts to it;
     transmitters doing output feedback see the noisy values, as they would
     on a real feedback link.  Every array of the returned record ends in
     ``(*B, T)``.  The views log one record per read, whatever ``B`` and
@@ -302,42 +307,42 @@ def simulate_block(
     return SignalRecord(x=x, y=y)
 
 
-def noise_transfer_weights(scheme: Scheme, ctx, tensor: ChannelTensor, offline) -> np.ndarray:
+def noise_transfer_weights(scheme: Scheme, ctx, replayed_images: np.ndarray) -> np.ndarray:
     """Per-symbol squared norm of the decoder's unit-power noise image.
 
     The image of the unit impulse at receiver ``rx``, slot ``n`` is column
     ``(rx, n)`` of the linear noise-to-error map, so the sum of its squared
-    magnitudes over the ``num_rx * num_slots`` impulses gives the variance
-    of each symbol estimate under unit-variance noise: an array of shape
-    ``(num_symbols, T)``.  At transmit power ``P``, the message scale
-    ``sqrt(P)``, the per-symbol SINR is then ``P / weight``.
+    magnitudes over the ``num_rx * num_slots`` impulses, in ``(rx, n)``
+    order, gives the variance of each symbol estimate under unit-variance
+    noise: an array of shape ``(num_symbols, T)``.  At transmit power
+    ``P``, the message scale ``sqrt(P)``, the per-symbol SINR is then ``P /
+    weight``.
 
-    When no transmitter hears an output (``scheme.feedback.provides_output``
-    is false), the transmit signal does not depend on the noise: the image
-    of impulse ``(rx, n)`` is column ``n`` of ``ctx.decoders[rx]`` on the
-    symbols of ``rx`` and zero on the rest, so the weights are the
-    decoders' squared row norms, summed over slots left to right.
-    Otherwise the replays carry the noise forward, and one batched block
-    run with zero messages takes the impulses as noise, one per batch
-    column.  Both sums run in impulse order, so the two ways
-    give the same bits where both apply.  That run is on the block
-    ``ctx`` was read from: ``tensor`` and ``offline`` are its channel and
-    offline coefficients, and its entities derive their rows afresh.
+    An impulse that no transmitter replays never reaches a transmit
+    signal: its image is column ``n`` of ``ctx.decoders[rx]`` on the
+    symbols of ``rx`` and exactly zero on the rest, which the sum skips.  A
+    replayed impulse, one of ``scheme.replayed_outputs``, is carried forward
+    by the replays, and its image is the decode of a block run with zero
+    messages and that impulse as noise: ``replayed_images`` holds them,
+    ``(num_symbols, len(scheme.replayed_outputs), T)`` in that order, as
+    read off the block ``ctx`` was read from.  Without replayed outputs the
+    weights are the decoders' squared row norms, summed over slots left to
+    right.
     """
-    trials = tensor.num_trials
-    if not scheme.feedback.provides_output:
-        weights = np.empty((scheme.num_symbols, trials), dtype=np.float64)
-        for rx, decoder in enumerate(ctx.decoders):
-            rows = ordered_sum(np.moveaxis(np.abs(decoder) ** 2, 1, 0))
-            weights[scheme.symbols_for_rx(rx)] = rows
-        return weights
-    size = scheme.num_rx * scheme.num_slots
-    zero_msgs = np.zeros((scheme.num_symbols, size, trials), dtype=np.complex128)
-    impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size, 1)
-    impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, trials))
-    record = simulate_block(scheme, tensor, offline, zero_msgs, noise=impulses)
-    columns = scheme.decode(record.y, ctx)
-    return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
+    replayed = dict(zip(scheme.replayed_outputs, np.moveaxis(np.abs(replayed_images) ** 2, 1, 0)))
+    weights = np.empty((scheme.num_symbols, *ctx.decoders[0].shape[2:]), dtype=np.float64)
+    for own, decoder in enumerate(ctx.decoders):
+        symbols = scheme.symbols_for_rx(own)
+        rows = np.abs(decoder) ** 2
+        terms = []
+        for rx in range(scheme.num_rx):
+            for n in range(scheme.num_slots):
+                if (rx, n) in replayed:
+                    terms.append(replayed[rx, n][symbols])
+                elif rx == own:
+                    terms.append(rows[:, n])
+        weights[symbols] = ordered_sum(terms)
+    return weights
 
 
 def sum_rate_bits(weights: np.ndarray, power, num_slots: int) -> float | np.ndarray:
@@ -365,25 +370,37 @@ def _run_batch(
     Raises what the decoder raises, a :class:`NumericsError` that names
     the draws it fails (see :func:`_run_draws`).  It judges no CSI budget:
     the outcomes' ``csi_slots`` are the slots whose channel states the
-    transmitters read, the same for every draw of the block.  Of the block
-    run it keeps the received block alone, and the decode context keeps
-    what the decoder made: the rate weights' rerun takes the block's
-    channel and offline coefficients from the batch.
+    transmitters read, the same for every draw of the block.  The batch is
+    one block run, whose columns are the message, for rates one zero
+    message per replayed output with that output's unit impulse as noise
+    (see :func:`noise_transfer_weights`), then one identity message per
+    symbol.  The run adds ``-0.0`` as noise everywhere else, the identity
+    of floating-point addition, so the message and identity columns keep
+    the bits of a noiseless run.
     """
     n = len(draws)
     tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
-    # the message column, then one identity column per symbol: their
-    # received blocks are the impulse response the decoder is read from
     size = scheme.num_symbols
-    identity = np.broadcast_to(np.eye(size)[:, :, None], (size, size, n))
-    columns = np.concatenate([msgs[:, None], identity], axis=1)
-    y = simulate_block(scheme, tensor, offline, columns, log=log).y
-    ctx = scheme.decode_context(tol, y[:, :, 1:])
-    decoded = scheme.decode(y[:, :, 0], ctx)
+    replayed = scheme.replayed_outputs if collect_weights else ()
+    k = len(replayed)
+    # after the message column, the impulse columns' zero messages, then the
+    # identity columns, whose received blocks are the decoder's impulse response
+    eye = np.eye(size, k + size, k)
+    columns = np.concatenate([msgs[:, None], np.broadcast_to(eye[:, :, None], (*eye.shape, n))], 1)
+    noise = None
+    if replayed:
+        # both parts -0.0: a +0.0 part would turn a -0.0 one into +0.0
+        noise = np.full((scheme.num_rx, scheme.num_slots, 1 + k + size, 1), complex(-0.0, -0.0))
+        for column, (rx, slot) in enumerate(replayed, 1):
+            noise[rx, slot, column] = 1.0
+    y = simulate_block(scheme, tensor, offline, columns, noise=noise, log=log).y
+    ctx = scheme.decode_context(tol, y[:, :, 1 + k :])
+    decoded = scheme.decode(y[:, :, : 1 + k], ctx)
     weights = None
     if collect_weights:
-        weights = noise_transfer_weights(scheme, ctx, tensor, offline)
+        weights = noise_transfer_weights(scheme, ctx, decoded[:, 1:])
+    decoded = decoded[:, 0]
     trial, attempt = np.array(draws).T
     errors = np.max(np.abs(decoded - msgs), axis=0)
     scales = np.maximum(np.max(np.abs(msgs), axis=0), SCALE_FLOOR)
@@ -606,6 +623,9 @@ def run_trials(
                 sent[child] = _receive_trial_range(child, receiver)
 
     try:
+        if rest:
+            # a run that starts no child never imports multiprocessing
+            from multiprocessing import Pipe, Process
         for args in rest:
             receiver, sender = Pipe(duplex=False)
             child = Process(target=_send_trial_range, args=(args, sender, os.getpid()))

@@ -17,6 +17,7 @@ from an SVD, whose singular values the decoder reports and judges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -368,12 +369,15 @@ def _entropy_runs(entropies) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
+@cache
 def _const_chain(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k`` modulo 2**32 for ``k < count``."""
+    """``init * mult**k`` modulo 2**32 for ``k < count``, read-only: one array per chain."""
     chain = [init]
     for _ in range(count - 1):
         chain.append(chain[-1] * mult & _MASK32)
-    return np.array(chain, dtype=np.uint32)
+    chain = np.array(chain, dtype=np.uint32)
+    chain.setflags(write=False)
+    return chain
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
@@ -383,7 +387,8 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     entropy, with ``L >= 4`` as for any spawned child; row ``i`` of the
     result is column ``i``'s ``generate_state(4, uint64)``.  Each hash step
     runs on whole rows of ``n`` values, so a step costs one short
-    contiguous loop however many SeedSequences share it.
+    contiguous loop however many SeedSequences share it.  The hash's
+    constants are built once per entropy length.
     """
     length = entropy.shape[0]
     consts = _const_chain(_INIT_A, _MULT_A, _POOL_SIZE * length + 1)[:, None]

@@ -13,6 +13,10 @@ system at a time, the way a receiver would.  They share the library's
 check is the encoder's wiring (which systems, which sub-triples, in which
 order), not the factorization.
 
+The noise-weight oracle reruns a block with a unit impulse at every
+receiver and slot, whether or not a transmitter replays it, which is how
+the package found the weights before they rode the decode run.
+
 The causality oracle at the very end reruns a block with the channel
 states of later slots perturbed: a transmitter that reads only earlier
 slots sends the same bits up to the cut.  No run of the package calls it;
@@ -28,7 +32,7 @@ import numpy as np
 from alignsim.base import Scheme
 from alignsim.channel import ChannelTensor
 from alignsim.evaluate import _draw_batch, simulate_block
-from alignsim.numerics import null_vector
+from alignsim.numerics import null_vector, ordered_sum
 from alignsim.retro_csit_ic3 import (
     PHASE1_SLOTS,
     _alpha_sub,
@@ -198,6 +202,27 @@ def effective_precoders(
     for n in range(PHASE1_SLOTS, h.shape[2]):
         precoders[:, :, n] = coeffs
     return alphas, coeffs, precoders
+
+
+# -- noise weights from an impulse at every receiver and slot ---------------------
+
+
+def all_impulse_weights(scheme: Scheme, ctx, tensor: ChannelTensor, offline) -> np.ndarray:
+    """Per-symbol noise weights ``(num_symbols, T)`` of the block, from one all-impulse run.
+
+    The run has zero messages and one batch column per ``(rx, slot)``
+    impulse, in that order, with the impulse as noise, so the replays carry
+    it forward as they would.  Each symbol's weight is the sum of its
+    squared decodes over the columns, left to right.
+    """
+    size = scheme.num_rx * scheme.num_slots
+    trials = tensor.num_trials
+    zero_msgs = np.zeros((scheme.num_symbols, size, trials), dtype=np.complex128)
+    impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size, 1)
+    impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, trials))
+    record = simulate_block(scheme, tensor, offline, zero_msgs, noise=impulses)
+    columns = scheme.decode(record.y, ctx)
+    return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
 
 # -- causality under future-channel perturbation -----------------------------------

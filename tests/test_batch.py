@@ -4,34 +4,37 @@ Every block runs on a stack of trials, so one trial is a stack of one.  A
 run with a batch axis must compute, column by column, what a run of each
 column alone computes, and must read through the transmitter views exactly
 as that run does.  A stack of trials must compute, trial by trial, what a
-one-trial stack of each computes.  The noise-transfer weights, which come
-from one batched run under output feedback and from the decoder rows
-otherwise, are checked against the per-impulse loop they replace.  A
-trial's results must not depend, to the bit, on the trials that share its
-batch.
+one-trial stack of each computes.  The noise-transfer weights, which read
+the replayed outputs' impulses off the batch's one block run and take the
+decoder rows for every other impulse, are checked against a per-impulse
+loop and, bit for bit, against one run with an impulse at every receiver
+and slot.  A trial's results must not depend, to the bit, on the trials
+that share its batch.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import alignsim.evaluate as evaluate
 from alignsim.channel import AccessLog, ChannelTensor, generate_channel
 from alignsim.evaluate import (
     MAX_ATTEMPTS,
     TRIAL_BATCH,
     _draw_batch,
     _run_batch,
-    noise_transfer_weights,
     run_trials,
     simulate_block,
 )
 from alignsim.numerics import Singular, Tolerances, ordered_sum, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
 
-from _decode import decode_context
+from _decode import decode_context, noise_weights
+from _oracles import all_impulse_weights
 from _outcomes import outcome_fields
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
@@ -108,7 +111,7 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
     for _ in range(3):
         tensor, offline = _draw(scheme, rng)
         ctx = decode_context(scheme, tensor, offline)
-        weights = noise_transfer_weights(scheme, ctx, tensor, offline)
+        weights = noise_weights(scheme, tensor, offline, ctx)
         reference = per_impulse_weights(scheme, tensor, offline, ctx)
         assert weights.shape == (scheme.num_symbols, 1)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
@@ -136,14 +139,14 @@ def _decoder_row_norms(scheme, ctx):
 
 @pytest.mark.parametrize("scheme_id", DELAYED_CSIT_IDS)
 def test_weights_without_output_feedback_are_exact(scheme_id):
-    # no transmitter hears an output, so the weights skip the impulse run
-    # and must still carry the impulse run's bits
+    # no transmitter replays an output, so the weights are the decoder rows
+    # and must still carry the impulse runs' bits
     scheme = get_scheme(scheme_id)
     assert not scheme.feedback.provides_output
     for tensor, offline in _one_and_stacked(scheme):
         ctx = decode_context(scheme, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx)
-        weights = noise_transfer_weights(scheme, ctx, tensor, offline)
+        weights = noise_weights(scheme, tensor, offline, ctx)
         assert weights.shape == reference.shape
         assert np.array_equal(weights, reference)
 
@@ -157,11 +160,55 @@ def test_output_feedback_weights_are_not_decoder_row_norms(scheme_id):
         ctx = decode_context(scheme, tensor, offline)
         reference = per_impulse_weights(scheme, tensor, offline, ctx)
         np.testing.assert_allclose(
-            noise_transfer_weights(scheme, ctx, tensor, offline),
+            noise_weights(scheme, tensor, offline, ctx),
             reference,
             rtol=1e-12,
         )
         assert not np.allclose(_decoder_row_norms(scheme, ctx), reference, rtol=1e-3)
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+@pytest.mark.parametrize("trials", [1, 17, 256])
+def test_batch_weights_equal_the_all_impulse_run(scheme_id, trials):
+    # the batch's one block run carries an impulse only where an output is
+    # replayed; a run with an impulse at every receiver and slot gives the same bits
+    scheme = get_scheme(scheme_id)
+    draws = [(t, 0) for t in range(trials)]
+    outcomes = _run_batch(scheme, 3, draws, Tolerances(), True)
+    tensor, offline, _ = _draw_batch(scheme, 3, draws)
+    reference = all_impulse_weights(scheme, decode_context(scheme, tensor, offline), tensor, offline)
+    assert outcomes.noise_weights.shape == (trials, scheme.num_symbols)
+    assert np.array_equal(outcomes.noise_weights, reference.T)
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+def test_a_sweep_batch_decodes_as_a_verify_batch(scheme_id):
+    # the impulse columns and the -0.0 noise of the other columns leave the
+    # message and identity columns their noiseless bits, signs of zero included
+    scheme = get_scheme(scheme_id)
+    draws = [(t, 0) for t in range(40)]
+    received = []
+
+    def recording(*args, **kwargs):
+        record = simulate_block(*args, **kwargs)
+        received.append(record.y)
+        return record
+
+    with mock.patch.object(evaluate, "simulate_block", recording):
+        sweep = _run_batch(scheme, 5, draws, Tolerances(), True)
+        verify = _run_batch(scheme, 5, draws, Tolerances(), False)
+    assert verify.noise_weights is None and sweep.noise_weights is not None
+    swept_y, verified_y = received
+    impulses = len(scheme.replayed_outputs)
+    assert swept_y.shape[2] == verified_y.shape[2] + impulses
+    kept = np.delete(swept_y, np.arange(1, 1 + impulses), axis=2)
+    assert kept.tobytes() == verified_y.tobytes()
+    pairs = [(sweep.max_rel_symbol_error, verify.max_rel_symbol_error)]
+    assert list(sweep.certificates) == list(verify.certificates)
+    pairs += [(sweep.certificates[key], verify.certificates[key]) for key in verify.certificates]
+    for swept, verified in pairs:
+        assert np.array_equal(swept, verified)
+        assert np.array_equal(np.signbit(swept), np.signbit(verified))
 
 
 # -- trials on the batch axis -------------------------------------------------
@@ -239,7 +286,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     record = simulate_block(scheme, tensor, offline, msgs, log=log)
     ctx = decode_context(scheme, tensor, offline)
     decoded = scheme.decode(record.y, ctx)
-    weights = noise_transfer_weights(scheme, ctx, tensor, offline)
+    weights = noise_weights(scheme, tensor, offline, ctx)
     certs = ctx.certificates
     assert weights.shape == (scheme.num_symbols, trials)
     for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
@@ -252,7 +299,7 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
         assert np.array_equal(record.x[..., t : t + 1], one.x)
         assert np.array_equal(decoded[:, t : t + 1], scheme.decode(one.y, one_ctx))
         assert np.array_equal(
-            weights[:, t : t + 1], noise_transfer_weights(scheme, one_ctx, one_tensor, one_offline)
+            weights[:, t : t + 1], noise_weights(scheme, one_tensor, one_offline, one_ctx)
         )
         for key, value in one_ctx.certificates.items():
             batch_value = np.broadcast_to(certs[key], (trials,))[t]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -132,6 +133,14 @@ class TestRenderJson:
 
     def test_nested_containers_and_none(self):
         assert _render_json({"a": [1, (2.5, None)], "b": True}) == '{"a":[1,[2.5,null]],"b":true}'
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "bc_mat", 'a "quote"', "back\\slash", "tab\tline\n", "\x00\x1f\x7f", "é 日 \U0001F600",
+         "\ud800"],
+    )
+    def test_strings_render_as_json_dumps(self, text):
+        assert _render_json({text: [text]}) == "{" + json.dumps(text) + ":[" + json.dumps(text) + "]}"
 
 
 def _entries(scheme_id):
@@ -647,7 +656,7 @@ class TestThreads:
         """Counts the worker processes started since its last call."""
         started = []
 
-        class RecordingProcess(evaluate.Process):
+        class RecordingProcess(multiprocessing.Process):
             """A worker process that records its start."""
 
             def start(self):
@@ -659,7 +668,8 @@ class TestThreads:
             started.clear()
             return number
 
-        monkeypatch.setattr(evaluate, "Process", RecordingProcess)
+        # the runner imports Process where it starts a child
+        monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
         return count
 
     def test_workers_clamped_to_core_count(self, monkeypatch, children_started):
@@ -707,6 +717,24 @@ class TestThreads:
                 assert code == 0 and err == ""
             assert children_started() == children
             assert outs["1"].replace('"threads":1,', '"threads":2,') == outs["2"]
+
+    def test_a_one_worker_run_does_not_import_multiprocessing(self):
+        # only a run that starts a child pays for the import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from alignsim.cli import main\n"
+            "for mode in (['verify'], ['dof_sweep', '--snr-grid', '40,70']):\n"
+            "    argv = ['--scheme', 'ic3_output_fb', '--trials', '3', '--threads', '1']\n"
+            "    assert main([*argv, '--mode', *mode]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestOneLineErrors:

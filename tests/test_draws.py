@@ -129,6 +129,18 @@ def test_negative_entropy_is_rejected():
         spawn_states([(0, -1, 0)], 3)
 
 
+def test_the_hash_constants_are_built_once_and_read_only():
+    # every batch of one entropy length shares its constant chains
+    from alignsim.numerics import _const_chain
+
+    _const_chain.cache_clear()
+    first = spawn_states([(3, 4, 5)], 3)
+    assert _const_chain.cache_info().misses == 2
+    assert np.array_equal(spawn_states([(3, 4, 5), (6, 7, 8)], 3)[:1], first)
+    assert _const_chain.cache_info().misses == 2
+    assert not _const_chain(1, 3, 4).flags.writeable
+
+
 # -- complex Gaussians ----------------------------------------------------------
 
 

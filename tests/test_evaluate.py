@@ -31,7 +31,6 @@ from alignsim.evaluate import (
     _run_draws,
     dof_by_counting,
     estimate_dof,
-    noise_transfer_weights,
     run_trials,
     simulate_block,
     sum_rate_bits,
@@ -49,7 +48,7 @@ from alignsim.numerics import (
 from alignsim.output_feedback import BcMatScheme
 from alignsim.registry import SCHEMES, get_scheme
 
-from _decode import decode_context, impulse_response
+from _decode import decode_context, impulse_response, noise_weights
 from _oracles import future_perturbation_invariant
 from _outcomes import outcome_fields
 
@@ -242,7 +241,7 @@ class TestNoiseWeights:
             scheme = get_scheme(scheme_id)
             tensor, offline, msgs = _draw_batch(scheme, 9, [(t, 0) for t in range(16)])
             ctx = decode_context(scheme, tensor, offline)
-            weights = noise_transfer_weights(scheme, ctx, tensor, offline)
+            weights = noise_weights(scheme, tensor, offline, ctx)
             rng = np.random.default_rng(10)
             shape = (scheme.num_rx, scheme.num_slots, NOISE_COLUMNS, tensor.num_trials)
             noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
@@ -412,15 +411,9 @@ class TestDofEstimation:
         assert estimate.sum_rates == sorted(estimate.sum_rates)
 
 
-# per dof_sweep batch: the message run, plus the impulse run where a replay
-# carries the noise forward
-SWEEP_BLOCK_RUNS = {
-    "bc_mat": 1,
-    "ic3_output_fb": 2,
-    "ic3_retro_csit": 1,
-    "x_output_fb": 2,
-    "x_retro_csit": 1,
-}
+# per dof_sweep batch: one run, whose impulse columns carry the noise of the
+# replayed outputs forward
+SWEEP_BLOCK_RUNS = 1
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
@@ -430,7 +423,7 @@ def test_sweep_batch_block_runs(scheme_id):
     with mock.patch.object(evaluate, "simulate_block", wraps=simulate_block) as spy:
         estimate = estimate_dof(scheme_id, [40.0, 70.0], 40, base_seed=8)
     assert estimate.discards == 0
-    assert spy.call_count == SWEEP_BLOCK_RUNS[scheme_id]
+    assert spy.call_count == SWEEP_BLOCK_RUNS
 
 
 @st.composite
