@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -298,22 +298,6 @@ class TxInformationView:
         if self._log is not None:
             self._log.append(AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot))
         return self._tensor.h[rx, tx_col, item_slot]
-
-    def channel_states(self, slots: Iterable[int]) -> np.ndarray:
-        """Read the full coefficient matrix for each given past slot.
-
-        Returns an array of shape ``(num_rx, num_tx, len(slots), T)``.
-        Every scalar goes through :meth:`channel_coeff`, so all reads are
-        checked and logged individually.
-        """
-        slots = list(slots)
-        h = self._tensor.h
-        out = np.empty((h.shape[0], h.shape[1], len(slots), h.shape[3]), dtype=np.complex128)
-        for idx, m in enumerate(slots):
-            for k in range(self._tensor.num_rx):
-                for j in range(self._tensor.num_tx):
-                    out[k, j, idx] = self.channel_coeff(k, j, m)
-        return out
 
     def output(self, rx: int, item_slot: int) -> np.ndarray:
         """Read the value receiver ``rx`` observed at ``item_slot``.

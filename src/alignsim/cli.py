@@ -160,7 +160,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                 file_values = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
@@ -170,10 +170,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     values.update({key: value for key, value in flags.items() if value is not None})
     if "scheme" not in values:
         raise UsageError("a scheme must be given (--scheme or config file)")
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from None
+    config = RunConfig(**values)
     _validate(config)
     return config
 
@@ -323,7 +320,7 @@ MODES = {"verify": _mode_verify, "dof_sweep": _mode_dof_sweep}
 _PARSER = _build_parser()
 
 
-def _render_csv(config: RunConfig, results: dict) -> str:
+def _render_csv(results: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["snr_db", "sum_rate", "trials", "discards"])
@@ -374,7 +371,7 @@ def run(config: RunConfig) -> int:
         _emit(config, _render_json(error_doc))
         return 3
     if config.format == "csv":
-        _emit(config, _render_csv(config, results))
+        _emit(config, _render_csv(results))
     else:
         document = {
             "config": vars(config),

@@ -38,8 +38,9 @@ bit for bit those of that contract.
 
 A run has at most one worker per ``ENTRIES_PER_WORKER`` receive-matrix
 entries, ``num_rx * num_slots * num_symbols`` per trial, the work of the
-decoder's stacked SVD, and each worker takes contiguous batches of at most
-``TRIAL_BATCH`` trials (see :func:`run_trials`).  The calling process is the
+decoder's stacked SVD.  Each worker's share is one contiguous range of
+trials, which :func:`_run_draws` runs in contiguous batches of at most
+``TRIAL_BATCH`` (see :func:`run_trials`).  The calling process is the
 first worker; a run of ``W`` workers starts ``W - 1`` child processes, one
 per further share, so a run of up to ``ENTRIES_PER_WORKER`` entries starts
 none: a child costs more to start than so short a share saves, and a run
@@ -183,15 +184,12 @@ class TrialOutcomes:
         return self.max_rel_symbol_error <= DECODE_REL_TOL
 
 
-def _concat(parts: list[TrialOutcomes], sort: bool = False) -> TrialOutcomes:
-    """The outcomes of ``parts``, one after the other, or in trial order where ``sort``.
-
-    A lone part is returned as it is.
-    """
+def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
+    """The outcomes of ``parts``, joined in trial order; a lone part is returned as it is."""
     first = parts[0]
     if len(parts) == 1:
         return first
-    order = np.argsort(np.concatenate([p.trial for p in parts])) if sort else slice(None)
+    order = np.argsort(np.concatenate([p.trial for p in parts]))
 
     def join(arrays):
         return np.concatenate(arrays)[order]
@@ -420,76 +418,68 @@ def _run_draws(
     trials: Sequence[int],
     tol: Tolerances,
     collect_weights: bool,
+    check: Callable[[], None] = lambda: None,
 ) -> tuple[TrialOutcomes, list[Discard]]:
     """Run the trials until each one passes or fails; returns (outcomes, discards).
 
-    The trials run from attempt 0 as one block (:func:`_run_batch`).  A
-    block the decoder fails splits by the draws its :class:`NumericsError`
-    names.  A :class:`~alignsim.numerics.Singular` draw is discarded, and
-    those of one block run together at their trials' next attempt; any
-    other named draw, or a trial out of its ``MAX_ATTEMPTS`` attempts, fails
-    its trial.  The draws it does not name run again as a block of their
-    own.  A draw's numbers do not depend on the draws that share its block,
-    so they come out as they would have, and so does each failure's
-    message.  Every draw makes the same reads, so reads over the CSI budget
-    fail the lowest trial that a block passed.  Once every trial has passed
-    or failed, the lowest failing trial raises :class:`SchemeFailure` with
-    the message a run of that trial alone gives.  Otherwise the outcomes
-    come in trial order, and the discards by (trial, attempt).
+    The trials run in ``ceil(len(trials) / TRIAL_BATCH)`` contiguous
+    batches, whose sizes differ by at most one, each cut as it is reached.
+    ``check`` runs before each batch and ends the run when its caller cannot
+    use it: a child worker whose caller is gone exits, and the caller raises
+    once a child has exited without sending.  A batch runs from attempt 0 as
+    one block (:func:`_run_batch`).  A block the decoder fails splits by the
+    draws its :class:`NumericsError` names.  A
+    :class:`~alignsim.numerics.Singular` draw is discarded, and those of one
+    block run together at their trials' next attempt; any other named draw,
+    or a trial out of its ``MAX_ATTEMPTS`` attempts, fails its trial.  The
+    draws it does not name run again as a block of their own.  A draw's
+    numbers do not depend on the draws that share its block, so they come
+    out as they would have, and so does each failure's message.  Every draw
+    makes the same reads, so reads over the CSI budget fail the lowest trial
+    that a block of the batch passed.  Once every trial of a batch has
+    passed or failed, its lowest failing trial raises :class:`SchemeFailure`
+    with the message a run of that trial alone gives.  Otherwise the
+    outcomes come in trial order, and the discards by (trial, attempt).
     """
-    blocks = [[(trial, 0) for trial in trials]]
-    passed: list[TrialOutcomes] = []
-    failures: dict[int, str] = {}
+    n = len(trials)
+    batches = -(-n // TRIAL_BATCH)
+    outcomes: list[TrialOutcomes] = []
     discards: list[Discard] = []
-    while blocks:
-        draws = blocks.pop()
-        try:
-            passed.append(_run_batch(scheme, base_seed, draws, tol, collect_weights))
-        except NumericsError as error:
-            rest, resampled = [], []
-            for index, (trial, attempt) in enumerate(draws):
-                if index not in error.draws:
-                    rest.append((trial, attempt))
-                    continue
-                reason = f"{type(error).__name__}: {error.draws[index]}"
-                if not isinstance(error, Singular):
-                    failures[trial] = reason
-                    continue
-                discards.append(Discard(trial, attempt, reason))
-                if attempt + 1 == MAX_ATTEMPTS:
-                    failures[trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {reason}"
-                else:
-                    resampled.append((trial, attempt + 1))
-            blocks += [block for block in (rest, resampled) if block]
-    if passed and Fraction(len(passed[0].csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
-        failures[min(int(p.trial[0]) for p in passed)] = (
-            f"transmitters read channel states of slots {passed[0].csi_slots}, "
-            f"above the budget {scheme.csi_slot_budget}"
-        )
-    if failures:
-        trial = min(failures)
-        raise SchemeFailure(f"{scheme.scheme_id} trial {trial}: {failures[trial]}")
-    return _concat(passed, sort=True), sorted(discards)
-
-
-@dataclass(frozen=True)
-class _Share(Sequence):
-    """A worker's contiguous ``trials``, read as ``batches`` contiguous batches.
-
-    The batches' sizes differ by at most one.  Each is cut only when it is
-    read, so planning and pickling a share cost the same for any size.
-    """
-
-    trials: range
-    batches: int
-
-    def __len__(self) -> int:
-        return self.batches
-
-    def __getitem__(self, index: int) -> range:
-        b = range(self.batches)[index]
-        n = self.trials.stop - self.trials.start
-        return self.trials[b * n // self.batches : (b + 1) * n // self.batches]
+    for b in range(batches):
+        check()
+        blocks = [[(trial, 0) for trial in trials[b * n // batches : (b + 1) * n // batches]]]
+        passed: list[TrialOutcomes] = []
+        failures: dict[int, str] = {}
+        while blocks:
+            draws = blocks.pop()
+            try:
+                passed.append(_run_batch(scheme, base_seed, draws, tol, collect_weights))
+            except NumericsError as error:
+                rest, resampled = [], []
+                for index, (trial, attempt) in enumerate(draws):
+                    if index not in error.draws:
+                        rest.append((trial, attempt))
+                        continue
+                    reason = f"{type(error).__name__}: {error.draws[index]}"
+                    if not isinstance(error, Singular):
+                        failures[trial] = reason
+                        continue
+                    discards.append(Discard(trial, attempt, reason))
+                    if attempt + 1 == MAX_ATTEMPTS:
+                        failures[trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {reason}"
+                    else:
+                        resampled.append((trial, attempt + 1))
+                blocks += [block for block in (rest, resampled) if block]
+        if passed and Fraction(len(passed[0].csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
+            failures[min(int(p.trial[0]) for p in passed)] = (
+                f"transmitters read channel states of slots {passed[0].csi_slots}, "
+                f"above the budget {scheme.csi_slot_budget}"
+            )
+        if failures:
+            trial = min(failures)
+            raise SchemeFailure(f"{scheme.scheme_id} trial {trial}: {failures[trial]}")
+        outcomes += passed
+    return _concat(outcomes), sorted(discards)
 
 
 def _usable_cpus() -> int:
@@ -499,8 +489,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _batch_plan(scheme: Scheme, num_trials: int, threads: int) -> list[_Share]:
-    """Each worker's share of the trials of ``scheme``.
+def _batch_plan(scheme: Scheme, num_trials: int, threads: int) -> list[range]:
+    """Each worker's share of the trials of ``scheme``, a contiguous range.
 
     A trial's decoding work is the ``num_rx * num_slots * num_symbols``
     entries of its receive matrices, which the decoder's stacked SVD
@@ -509,41 +499,19 @@ def _batch_plan(scheme: Scheme, num_trials: int, threads: int) -> list[_Share]:
     shares of the trials whose sizes differ by at most one, so a run of up
     to ``ENTRIES_PER_WORKER`` entries has one worker: below that a child
     costs more to start and join than its share saves.  A ``threads`` of 0
-    drops its term: no bound beyond the usable CPUs and the work.  A share
-    of ``m`` trials reads as ``ceil(m / TRIAL_BATCH)`` batches (see
-    :class:`_Share`), so a share of up to ``TRIAL_BATCH`` trials is one
-    batch.
+    drops its term: no bound beyond the usable CPUs and the work.  Planning
+    and pickling a share cost the same for any size; :func:`_run_draws`
+    cuts it into batches.
     """
     cpus = _usable_cpus()
     work = num_trials * scheme.num_rx * scheme.num_slots * scheme.num_symbols
     workers = max(1, min(threads or cpus, cpus, -(-work // ENTRIES_PER_WORKER)))
     bounds = [w * num_trials // workers for w in range(workers + 1)]
-    return [_Share(range(a, b), -(-(b - a) // TRIAL_BATCH)) for a, b in zip(bounds, bounds[1:])]
-
-
-def _run_trial_range(args, check: Callable[[], None]) -> tuple[TrialOutcomes, list[Discard]]:
-    """Run one worker's batches in order; returns (outcomes, discards).
-
-    Each batch runs through :func:`_run_draws`, so outcomes, discards and
-    the first failure raised come in trial order.  ``check`` runs before
-    each batch and ends the share when the run cannot use it: a child
-    worker whose caller is gone exits, and the caller raises once a child
-    has exited without sending.
-    """
-    scheme_id, base_seed, batches, tol, collect_weights = args
-    scheme = get_scheme(scheme_id)
-    parts: list[TrialOutcomes] = []
-    discards: list[Discard] = []
-    for trials in batches:
-        check()
-        outcome, resampled = _run_draws(scheme, base_seed, trials, tol, collect_weights)
-        parts.append(outcome)
-        discards += resampled
-    return _concat(parts), discards
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _send_trial_range(args, sender, caller: int) -> None:
-    """A child worker: send back its share's (outcomes, discards), or what the share raised.
+    """A child worker: run ``_run_draws(*args)`` and send back what it returned or raised.
 
     It ignores SIGINT and ends at SIGTERM without a word: the caller stops
     on either signal, and kills it.  Once its parent is no longer
@@ -558,7 +526,7 @@ def _send_trial_range(args, sender, caller: int) -> None:
             sys.exit(1)
 
     try:
-        result = _run_trial_range(args, orphaned)
+        result = _run_draws(*args, orphaned)
     except Exception as exc:
         result = exc
     sender.send(result)
@@ -593,25 +561,28 @@ def run_trials(
     ``threads`` workers run (0 sets no bound of its own), at most one per
     usable CPU and one per ``ENTRIES_PER_WORKER`` receive-matrix entries of
     the run's decoding work (see :func:`_batch_plan`); each runs an equal
-    contiguous share of the trials in near-equal batches of at most
-    ``TRIAL_BATCH``, cut as they run.  The caller is the first worker and
-    runs the first share; each further share runs in a child process of its
-    own, so a run of ``W`` workers starts ``W - 1`` children and a run of up
-    to ``ENTRIES_PER_WORKER`` entries starts none: up to 1365 trials of
-    ``bc_mat``, or 151 of ``ic3_retro_csit``.  The shares are received in
-    order, so the first failure in trial order is the one raised.  Before
-    each of its batches the caller reads what every exited child sent, so a
-    child that exits before it sends raises :class:`ChildProcessError` at
-    the caller's next batch, or once the caller's share is done.  No child
+    contiguous share of the trials through :func:`_run_draws`, in
+    near-equal batches of at most ``TRIAL_BATCH``, cut as they run.  The
+    scheme is resolved once: the caller is the first worker and runs the
+    first share, and each further share runs on that scheme object in a
+    child process of its own.  So a run of ``W`` workers starts ``W - 1``
+    children, and a run of up to ``ENTRIES_PER_WORKER`` entries starts
+    none: up to 1365 trials of ``bc_mat``, or 151 of ``ic3_retro_csit``.
+    The shares are received in order, so the first failure in trial order
+    is the one raised.  Before each of its batches the caller reads what
+    every exited child sent, so a child that exits before it sends raises
+    :class:`ChildProcessError` at the caller's next batch, or once the
+    caller's share is done.  No child
     outlives the call: one still running when the call ends, by a return or
     by an exception (an interrupt included), is killed and joined, and a
     child whose caller dies without that exits at its next batch.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
+    scheme = get_scheme(scheme_id)
     first, *rest = [
-        (scheme_id, base_seed, batches, tol, collect_weights)
-        for batches in _batch_plan(get_scheme(scheme_id), num_trials, threads)
+        (scheme, base_seed, share, tol, collect_weights)
+        for share in _batch_plan(scheme, num_trials, threads)
     ]
     children: list[tuple[Process, object]] = []
     sent: dict[Process, object] = {}
@@ -633,7 +604,7 @@ def run_trials(
             children.append((child, receiver))
             # the child holds the only write end left, so its exit ends the pipe
             sender.close()
-        ranges = [_run_trial_range(first, receive_exited)]
+        ranges = [_run_draws(*first, receive_exited)]
         # receive before joining: a child blocks on a send the pipe cannot hold
         for child, receiver in children:
             result = sent[child] if child in sent else _receive_trial_range(child, receiver)

@@ -150,8 +150,6 @@ def dot(c, v) -> np.ndarray:
 def vector_norm(v) -> np.ndarray:
     """Euclidean norm over the first axis."""
     v = np.asarray(v)
-    if v.shape[0] == 0:
-        return np.zeros(v.shape[1:])
     return np.sqrt(ordered_sum(v.real**2 + v.imag**2))
 
 

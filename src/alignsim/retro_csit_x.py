@@ -141,7 +141,12 @@ class XRetroCsitScheme(Scheme):
 
     def derive(self, view, offline):
         """Transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states."""
-        h3 = view.channel_states(range(PHASE1_SLOTS))
+        # slot by slot, each slot's matrix row by row
+        reads = [
+            [[view.channel_coeff(k, j, m) for j in range(2)] for k in range(2)]
+            for m in range(PHASE1_SLOTS)
+        ]
+        h3 = np.moveaxis(np.array(reads), 0, 2)
         gamma = alignment_constants(h3, offline.phase1)[view.tx]
         c = offline.phase2[view.tx]
         # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot

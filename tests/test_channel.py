@@ -113,8 +113,13 @@ class TestDelayedCsitView:
         model = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
         log = AccessLog()
         view = TxInformationView(0, 3, tensor, outputs, model, log)
-        states = view.channel_states(range(3))
-        assert np.array_equal(states, tensor.h[:, :, :3])
+        for m in range(3):
+            for k in range(2):
+                for j in range(2):
+                    assert np.array_equal(view.channel_coeff(k, j, m), tensor.h[k, j, m])
+        assert [(r.item_rx, r.item_tx, r.item_slot) for r in log.records] == [
+            (k, j, m) for m in range(3) for k in range(2) for j in range(2)
+        ]
         with pytest.raises(CausalityViolation):
             view.channel_coeff(0, 0, 3)
         with pytest.raises(CausalityViolation):

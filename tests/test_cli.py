@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -67,6 +68,12 @@ class TestParseConfig:
         path.write_text(json.dumps({"scheme": "bc_mat", "trails": 5}))
         with pytest.raises(UsageError, match="trails"):
             parse_config(["--config", str(path)])
+
+    def test_config_keys_are_the_run_config_fields_and_the_flags(self):
+        # a file's keys are checked against _CONFIG_TYPES, so RunConfig takes them all
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        dests = {action.dest for action in cli._PARSER._actions} - {"help", "config"}
+        assert set(cli._CONFIG_TYPES) == fields == dests
 
     def test_missing_config_file(self):
         with pytest.raises(UsageError, match="cannot read"):
@@ -785,19 +792,35 @@ class TestOneLineErrors:
         assert done.returncode == 2
         assert done.stderr == "error: cannot write the report: standard output was closed\n"
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe", "codec can't decode byte 0xff"),
+            (b'{"scheme": "bc_mat", "seed": ' + b"1" * 5000 + b"}", "5000 digits"),
+        ],
+        ids=["not_utf8", "long_integer"],
+    )
+    def test_bad_config_file_is_one_line(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        code, out, err = _run_main(capsys, ["--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config file is not valid JSON: ") and err.count("\n") == 1
+        assert reason in err
 
     def test_a_worker_that_exits_early_is_one_line(self, capfd, monkeypatch):
         # two workers of 4 trials each; the child exits before it sends
-        run_trial_range = evaluate._run_trial_range
+        run_draws = evaluate._run_draws
 
-        def exits_in_the_child(args, check):
-            if args[2][0].start > 0:
+        def exits_in_the_child(scheme, base_seed, trials, *rest):
+            if trials.start > 0:
                 os._exit(7)
-            return run_trial_range(args, check)
+            return run_draws(scheme, base_seed, trials, *rest)
 
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 4 * _entries("bc_mat"))
-        monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
+        monkeypatch.setattr(evaluate, "_run_draws", exits_in_the_child)
         code = main(["--scheme", "bc_mat", "--trials", "8", "--threads", "2"])
         out, err = capfd.readouterr()
         assert code == 2

@@ -728,6 +728,17 @@ def _entries(scheme_id):
     return scheme.num_rx * scheme.num_slots * scheme.num_symbols
 
 
+def _recording_batch(calls):
+    """A stand-in ``_run_batch`` that appends each call's draws to ``calls`` and passes them."""
+
+    def recording(scheme, base_seed, draws, *args):
+        calls.append([trial for trial, _ in draws])
+        trial, attempt = np.array(draws).T
+        return TrialOutcomes(trial, attempt, np.zeros(len(draws)), {}, None, [])
+
+    return recording
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     scheme_id=st.sampled_from(sorted(SCHEMES)),
@@ -738,41 +749,78 @@ def _entries(scheme_id):
 def test_batch_plan(scheme_id, num_trials, threads, cores):
     import alignsim.evaluate as evaluate
 
+    scheme = get_scheme(scheme_id)
     with mock.patch.object(evaluate, "_usable_cpus", lambda: cores):
-        plan = evaluate._batch_plan(get_scheme(scheme_id), num_trials, threads)
-    batches = [batch for worker in plan for batch in worker]
-    # read worker by worker, the batches hold every trial once, in order, so
-    # each batch and each worker's share is contiguous
-    assert [trial for batch in batches for trial in batch] == list(range(num_trials))
+        plan = evaluate._batch_plan(scheme, num_trials, threads)
+    # read worker by worker, the shares hold every trial once, in order
+    assert all(type(share) is range and share.step == 1 for share in plan)
+    assert [trial for share in plan for trial in share] == list(range(num_trials))
     work = num_trials * _entries(scheme_id)
     assert len(plan) == min(threads, cores, math.ceil(work / ENTRIES_PER_WORKER))
-    shares = [sum(len(batch) for batch in worker) for worker in plan]
+    shares = [len(share) for share in plan]
     assert max(shares) - min(shares) <= 1
-    for share, worker in zip(shares, plan):
-        sizes = [len(batch) for batch in worker]
-        assert len(worker) == math.ceil(share / TRIAL_BATCH)
-        assert max(sizes) <= TRIAL_BATCH
-        assert max(sizes) - min(sizes) <= 1
     assert all(plan)
+    calls = []
+    with mock.patch.object(evaluate, "_run_batch", _recording_batch(calls)):
+        for share in plan:
+            start = len(calls)
+            outcomes, _ = evaluate._run_draws(scheme, 0, share, Tolerances(), False)
+            sizes = [len(batch) for batch in calls[start:]]
+            assert len(sizes) == math.ceil(len(share) / TRIAL_BATCH)
+            assert max(sizes) <= TRIAL_BATCH
+            assert max(sizes) - min(sizes) <= 1
+            assert outcomes.trial.tolist() == list(share)
+    # each batch is contiguous, and the batches run in trial order
+    assert [trial for batch in calls for trial in batch] == list(range(num_trials))
 
 
-def test_batch_plan_cuts_batches_only_when_read():
-    # a trillion trials plan as two numbers per worker, picklable for a child
+def test_batch_plan_cuts_batches_only_when_read(monkeypatch):
+    # a trillion trials plan as two ranges, picklable for a child; the runner
+    # cuts a share's batches only as it reaches them
     import alignsim.evaluate as evaluate
 
     with mock.patch.object(evaluate, "_usable_cpus", lambda: 2):
         start = time.perf_counter()
         plan = evaluate._batch_plan(get_scheme("bc_mat"), 10**12, 2)
         assert time.perf_counter() - start < 0.1
-    half, size = 10**12 // 2, TRIAL_BATCH
-    assert [len(share) for share in plan] == [half // size] * 2
-    assert [(share[0], share[-1]) for share in plan] == [
-        (range(0, size), range(half - size, half)),
-        (range(half, half + size), range(10**12 - size, 10**12)),
-    ]
+    half = 10**12 // 2
+    assert plan == [range(0, half), range(half, 10**12)]
     assert pickle.loads(pickle.dumps(plan)) == plan
-    with pytest.raises(IndexError):
-        plan[0][half // TRIAL_BATCH]
+    calls = []
+    recording = _recording_batch(calls)
+
+    def runs_one_batch(*args):
+        assert not calls, "the check did not stop the run"
+        return recording(*args)
+
+    monkeypatch.setattr(evaluate, "_run_batch", runs_one_batch)
+
+    class Stop(Exception):
+        pass
+
+    def stops_before_the_second_batch():
+        if calls:
+            raise Stop
+
+    with pytest.raises(Stop):
+        evaluate._run_draws(
+            get_scheme("bc_mat"), 0, plan[1], Tolerances(), False, stops_before_the_second_batch
+        )
+    assert calls == [list(range(half, half + TRIAL_BATCH))]
+
+
+def test_run_draws_checks_before_each_batch(monkeypatch):
+    import alignsim.evaluate as evaluate
+
+    events = []
+    monkeypatch.setattr(evaluate, "TRIAL_BATCH", 3)
+    monkeypatch.setattr(evaluate, "_run_batch", _recording_batch(events))
+    outcomes, discards = evaluate._run_draws(
+        get_scheme("bc_mat"), 0, range(8), Tolerances(), False, lambda: events.append("check")
+    )
+    assert events == ["check", [0, 1], "check", [2, 3, 4], "check", [5, 6, 7]]
+    assert outcomes.trial.tolist() == list(range(8))
+    assert discards == []
 
 
 def test_batch_plan_at_threads_0_is_bounded_by_cpus_and_work():
@@ -798,9 +846,7 @@ class TestWorkerProcesses:
         # a cap of four bc_mat trials' work
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 4 * _entries("bc_mat"))
-        assert [list(share) for share in evaluate._batch_plan(get_scheme("bc_mat"), 8, 2)] == [
-            [range(0, 4)], [range(4, 8)]
-        ]
+        assert evaluate._batch_plan(get_scheme("bc_mat"), 8, 2) == [range(0, 4), range(4, 8)]
         return evaluate
 
     def test_outcomes_of_a_share_larger_than_the_pipe_buffer(self, monkeypatch):
@@ -830,14 +876,14 @@ class TestWorkerProcesses:
         assert multiprocessing.active_children() == []
 
     def test_a_child_that_exits_without_sending_is_an_error(self, evaluate, monkeypatch):
-        run_trial_range = evaluate._run_trial_range
+        run_draws = evaluate._run_draws
 
-        def exits_in_the_child(args, check):
-            if args[2][0].start > 0:
+        def exits_in_the_child(scheme, base_seed, trials, *rest):
+            if trials.start > 0:
                 os._exit(7)
-            return run_trial_range(args, check)
+            return run_draws(scheme, base_seed, trials, *rest)
 
-        monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
+        monkeypatch.setattr(evaluate, "_run_draws", exits_in_the_child)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             run_trials("bc_mat", 8, base_seed=8, threads=2)
         assert multiprocessing.active_children() == []
@@ -845,26 +891,26 @@ class TestWorkerProcesses:
     def test_a_child_that_exits_early_stops_the_caller_at_its_next_batch(
         self, evaluate, monkeypatch
     ):
+        # the caller's share of 4 trials runs as 4 batches
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 1)
-        assert len(evaluate._batch_plan(get_scheme("bc_mat"), 8, 2)[0]) == 4
-        run_trial_range, run_draws = evaluate._run_trial_range, evaluate._run_draws
+        run_draws, run_batch = evaluate._run_draws, evaluate._run_batch
         batches = []
 
-        def exits_in_the_child(args, check):
-            if args[2][0].start > 0:
+        def exits_in_the_child(scheme, base_seed, trials, *rest):
+            if trials.start > 0:
                 os._exit(7)
-            return run_trial_range(args, check)
+            return run_draws(scheme, base_seed, trials, *rest)
 
-        def waits_for_the_child_to_exit(scheme, base_seed, trials, *rest):
+        def waits_for_the_child_to_exit(scheme, base_seed, draws, *rest):
             deadline = time.monotonic() + 10
             while multiprocessing.active_children():
                 assert time.monotonic() < deadline, "the child did not exit"
                 time.sleep(0.01)
-            batches.append(trials)
-            return run_draws(scheme, base_seed, trials, *rest)
+            batches.append(draws)
+            return run_batch(scheme, base_seed, draws, *rest)
 
-        monkeypatch.setattr(evaluate, "_run_trial_range", exits_in_the_child)
-        monkeypatch.setattr(evaluate, "_run_draws", waits_for_the_child_to_exit)
+        monkeypatch.setattr(evaluate, "_run_draws", exits_in_the_child)
+        monkeypatch.setattr(evaluate, "_run_batch", waits_for_the_child_to_exit)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             run_trials("bc_mat", 8, base_seed=8, threads=2)
         # the check before the caller's second batch sees the exited child, if
@@ -873,12 +919,12 @@ class TestWorkerProcesses:
         assert multiprocessing.active_children() == []
 
     def test_an_interrupt_in_the_caller_kills_the_child(self, evaluate, monkeypatch):
-        def sleeps_in_the_child(args, check):
-            if args[2][0].start > 0:
+        def sleeps_in_the_child(scheme, base_seed, trials, *rest):
+            if trials.start > 0:
                 time.sleep(60)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(evaluate, "_run_trial_range", sleeps_in_the_child)
+        monkeypatch.setattr(evaluate, "_run_draws", sleeps_in_the_child)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             run_trials("bc_mat", 8, base_seed=8, threads=2)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, ChannelTensor, TxInformationView, generate_channel
+from alignsim.channel import (
+    AccessLog,
+    AccessRecord,
+    ChannelTensor,
+    TxInformationView,
+    generate_channel,
+)
 from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import Singular, Tolerances, null_vector, sample_complex_gaussian
 from alignsim.registry import get_scheme
@@ -227,6 +233,20 @@ class TestEncoding:
         simulate_block(SCHEME, tensor, offline, msgs, log=log)
         assert log.csi_slots() == frozenset(range(PHASE1_SLOTS))
         assert all(r.kind == "csi" for r in log.records)
+
+    def test_csi_read_sequence(self):
+        # each transmitter derives once, at the first phase-2 slot: slot by
+        # slot, each slot's matrix row by row, one record per coefficient
+        tensor, offline, msgs = _trial_data(6)
+        log = AccessLog()
+        simulate_block(SCHEME, tensor, offline, msgs, log=log)
+        assert log.records == [
+            AccessRecord(tx, PHASE1_SLOTS, "csi", k, j, m)
+            for tx in range(2)
+            for m in range(PHASE1_SLOTS)
+            for k in range(2)
+            for j in range(2)
+        ]
 
     def test_unit_power_per_slot(self):
         # The scalar each antenna sends is a linear form in the 8 unit-power
