@@ -11,8 +11,10 @@ The schedule assigns each (slot, antenna) a payload, and it fixes the
 block's size.  :meth:`Scheme.transmit`, the one encoder engine, sends a
 payload one scalar at a time: an information symbol, a replayed output, or
 a coefficient row over named symbols.  A row comes from the offline draw or
-from the sending entity's :meth:`Scheme.derive`, which the engine runs once
-per block.  The only window into the channel or the past outputs is the
+from the sending entity's derived rows: one :meth:`Scheme.derive` call per
+block run turns the delayed CSI into the rows of every entity that first
+derives at a slot, each entity reading through its own view.  The only
+window into the channel or the past outputs is the
 :class:`~alignsim.channel.TxInformationView` handed in by the block driver,
 which makes the feedback causality of every scheme mechanically checkable.
 Delayed CSIT becomes coefficients only inside a ``derive``: the engine
@@ -36,6 +38,7 @@ read from.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -128,9 +131,11 @@ class Scheme:
     ``schedule[slot][antenna]`` is a payload, or ``None`` for silence.  The
     schedule fixes the block's size: ``num_slots`` is its number of rows,
     ``num_tx`` their length and ``num_symbols`` the number of symbols its
-    payloads name.  ``replayed_outputs`` lists the distinct ``(rx, slot)``
-    outputs its transmitters replay, in that order: where the noise reaches a
-    transmit signal.
+    payloads name.  A schedule has no more slots than symbols, since each
+    receive matrix ``G`` must be wide enough to zero-force; a class whose
+    schedule has more is rejected when it is created.  ``replayed_outputs``
+    lists the distinct ``(rx, slot)`` outputs its transmitters replay, in
+    that order: where the noise reaches a transmit signal.
     """
 
     scheme_id: str
@@ -154,6 +159,11 @@ class Scheme:
             {(p.rx, p.slot) for payloads in cls.schedule for p in payloads
              if isinstance(p, OutputPayload)}
         ))
+        if cls.num_slots > cls.num_symbols:
+            raise ValueError(
+                f"scheme {getattr(cls, 'scheme_id', cls.__name__)}: its schedule has "
+                f"{cls.num_slots} slots but names only {cls.num_symbols} symbols"
+            )
 
     def entity_of(self, antenna: int) -> int:
         """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
@@ -172,13 +182,36 @@ class Scheme:
         """Unit-power information symbols ``(num_symbols, T)`` (``rngs`` as above)."""
         return sample_complex_gaussian(rngs, self.num_symbols)
 
-    def derive(self, view: TxInformationView, offline: Any) -> np.ndarray:
-        """Entity ``view.tx``'s derived rows (by ``RowPayload.row``), at its first derived slot.
+    def derive(self, views: Sequence[TxInformationView], offline: Any) -> list[np.ndarray]:
+        """Each entity ``view.tx``'s derived rows (by ``RowPayload.row``), in the order of ``views``.
 
-        It judges no draw: the decoder judges the receive matrix its rows make
-        (:meth:`decode_context`).
+        The engine calls it once per block run for each slot of
+        :attr:`derive_plan` that names entities, with one view per entity at
+        that slot, and caches each entity's rows under its index for the rest
+        of the run.  Every entity reads through its own view exactly what its
+        own rows use, so the access log and the causality checks stay per
+        entity; work that several entities' rows share, such as factoring one
+        receiver's system, is done once.  It judges no draw: the decoder
+        judges the receive matrix the rows make (:meth:`decode_context`).
         """
         raise NotImplementedError(f"{self.scheme_id} schedules no derived rows")
+
+    @cached_property
+    def derive_plan(self) -> tuple[tuple[int, ...], ...]:
+        """``derive_plan[slot]``: the entities whose first derived row is sent at ``slot``.
+
+        Each entity appears once, at its first derived slot; the entities of a
+        slot are in the order their antennas first send a derived row.
+        """
+        first: dict[int, int] = {}
+        for slot, payloads in enumerate(self.schedule):
+            for antenna, payload in enumerate(payloads):
+                if isinstance(payload, RowPayload) and payload.derived:
+                    first.setdefault(self.entity_of(antenna), slot)
+        return tuple(
+            tuple(tx for tx, first_slot in first.items() if first_slot == slot)
+            for slot in range(self.num_slots)
+        )
 
     def symbols_for_rx(self, rx: int) -> list[int]:
         """Indices into the message vector that receiver ``rx`` must recover.
@@ -216,11 +249,11 @@ class Scheme:
         for all of them.  View reads carry both axes through and are logged
         once per read whatever ``B`` and ``T`` are.
 
-        ``state`` is the cache of one block run (it starts empty each run): at
-        an entity's first derived row, the engine stores its :meth:`derive`
-        under the entity index; it runs with floating-point warnings off,
-        since a degenerate draw may divide by zero there, and judges
-        nothing.  The scalar is complex-linear in ``msgs``
+        ``state`` is the cache of one block run (it starts empty each run):
+        ``state[tx]`` holds entity ``tx``'s derived rows, which the block
+        driver (:func:`~alignsim.evaluate.simulate_block`) stores from one
+        :meth:`derive` call before the entity's first derived slot is sent.
+        The scalar is complex-linear in ``msgs``
         and in the outputs it replays, so a power ``P`` is the message scale
         ``sqrt(P)``.  A payload is one of three kinds.  The two built from
         the symbols alone (a symbol, a coefficient row) are normalized: with
@@ -240,9 +273,6 @@ class Scheme:
         if isinstance(payload, OutputPayload):
             return view.output(payload.rx, payload.slot)
         if isinstance(payload, RowPayload):
-            if payload.derived and view.tx not in state:
-                with np.errstate(all="ignore"):
-                    state[view.tx] = self.derive(view, offline)
             rows = state[view.tx] if payload.derived else offline.rows
             return dot(rows[payload.row], msgs[list(payload.symbols)])
         raise TypeError(f"unknown payload {payload!r}")

@@ -98,7 +98,7 @@ from .numerics import (
 from .registry import get_scheme
 
 if TYPE_CHECKING:
-    from multiprocessing import Process
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "SchemeFailure",
@@ -287,8 +287,13 @@ def simulate_block(
     transmitters doing output feedback see the noisy values, as they would
     on a real feedback link.  Every array of the returned record ends in
     ``(*B, T)``.  The views log one record per read, whatever ``B`` and
-    ``T`` are.  Each entity's derived rows are cached for this run alone
-    (see :meth:`~alignsim.base.Scheme.transmit`): a second run derives them
+    ``T`` are.  At each slot of the scheme's
+    :attr:`~alignsim.base.Scheme.derive_plan` that names entities, one
+    :meth:`~alignsim.base.Scheme.derive` call, with one view per entity,
+    derives their rows before any antenna sends; it runs with
+    floating-point warnings off, since a degenerate draw may divide by zero
+    there.  The rows are cached for this run alone (see
+    :meth:`~alignsim.base.Scheme.transmit`): a second run derives them
     again.
     """
     num_tx, num_rx, num_slots = scheme.num_tx, scheme.num_rx, scheme.num_slots
@@ -296,7 +301,11 @@ def simulate_block(
     x = np.zeros((num_tx, num_slots, *batch), dtype=np.complex128)
     y = np.zeros((num_rx, num_slots, *batch), dtype=np.complex128)
     state: dict = {}
-    for n in range(num_slots):
+    for n, deriving in enumerate(scheme.derive_plan):
+        if deriving:
+            views = [TxInformationView(tx, n, tensor, y, scheme.feedback, log) for tx in deriving]
+            with np.errstate(all="ignore"):
+                state.update(zip(deriving, scheme.derive(views, offline)))
         for j in range(num_tx):
             view = TxInformationView(scheme.entity_of(j), n, tensor, y, scheme.feedback, log)
             x[j, n] = scheme.transmit(j, n, view, msgs, offline, state)
@@ -532,7 +541,7 @@ def _send_trial_range(args, sender, caller: int) -> None:
     sender.send(result)
 
 
-def _receive_trial_range(child: Process, receiver):
+def _receive_trial_range(child: BaseProcess, receiver):
     """What a child sent: its share's (outcomes, discards), or the exception the share raised.
 
     A child that exits before it sends raises :class:`ChildProcessError`
@@ -565,9 +574,11 @@ def run_trials(
     near-equal batches of at most ``TRIAL_BATCH``, cut as they run.  The
     scheme is resolved once: the caller is the first worker and runs the
     first share, and each further share runs on that scheme object in a
-    child process of its own.  So a run of ``W`` workers starts ``W - 1``
-    children, and a run of up to ``ENTRIES_PER_WORKER`` entries starts
-    none: up to 1365 trials of ``bc_mat``, or 151 of ``ic3_retro_csit``.
+    child process of its own, forked whatever the default start method (so
+    a run of more than one worker needs a platform with ``fork``).  So a
+    run of ``W`` workers starts ``W - 1`` children, and a run of up to
+    ``ENTRIES_PER_WORKER`` entries starts none: up to 1365 trials of
+    ``bc_mat``, or 151 of ``ic3_retro_csit``.
     The shares are received in order, so the first failure in trial order
     is the one raised.  Before each of its batches the caller reads what
     every exited child sent, so a child that exits before it sends raises
@@ -584,8 +595,8 @@ def run_trials(
         (scheme, base_seed, share, tol, collect_weights)
         for share in _batch_plan(scheme, num_trials, threads)
     ]
-    children: list[tuple[Process, object]] = []
-    sent: dict[Process, object] = {}
+    children: list[tuple[BaseProcess, object]] = []
+    sent: dict[BaseProcess, object] = {}
 
     def receive_exited() -> None:
         # an exited child's pipe holds all it sent, so this read never waits
@@ -595,11 +606,15 @@ def run_trials(
 
     try:
         if rest:
-            # a run that starts no child never imports multiprocessing
-            from multiprocessing import Pipe, Process
+            # a run that starts no child never imports multiprocessing.  A child
+            # must be forked, whatever the default start method: under forkserver
+            # its parent would be the server, and it would stop as orphaned
+            from multiprocessing import get_context
+
+            fork = get_context("fork")
         for args in rest:
-            receiver, sender = Pipe(duplex=False)
-            child = Process(target=_send_trial_range, args=(args, sender, os.getpid()))
+            receiver, sender = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_trial_range, args=(args, sender, os.getpid()))
             child.start()
             children.append((child, receiver))
             # the child holds the only write end left, so its exit ends the pipe

@@ -65,13 +65,14 @@ class BcMatScheme(Scheme):
     def entity_of(self, antenna: int) -> int:
         return 0
 
-    def derive(self, view, offline):
+    def derive(self, views, offline):
         """Slot 2's row: the coefficients of both clean observations, at unit norm."""
+        (view,) = views
         # receiver 1's slot-0 coefficients on symbols 0-1, receiver 0's slot-1 ones on 2-3
         row = np.stack(
             [view.channel_coeff(rx, j, m) for rx, m in ((1, 0), (0, 1)) for j in range(2)]
         )
-        return row[None] / np.sqrt(ordered_sum(abs(row) ** 2))
+        return [row[None] / np.sqrt(ordered_sum(abs(row) ** 2))]
 
 
 class XOutputFeedbackScheme(Scheme):

@@ -5,10 +5,11 @@ Transmitter ``k`` carries three symbols ``u[k, 0..2]`` for receiver ``k``
 each transmitter's own three symbols (slots 0-based):
 
 * Slots 0-4: offline random rows.  No channel knowledge is used.
-* Slots 5-7: one row derived once per transmitter
-  (:meth:`IC3RetroCsitScheme.derive`), the retrospectively chosen
+* Slots 5-7: one row per transmitter, the retrospectively chosen
   combination ``s[k] = c[k] . u[k]``, sent three times, using no channel
-  knowledge of the current slots.
+  knowledge of the current slots.  All three transmitters' rows come from
+  one :meth:`IC3RetroCsitScheme.derive` call per block run, which factors
+  each receiver's annihilator once for both transmitters that use it.
 
 At receiver ``k``, the phase-1 interference from its two interferers spans a
 five-dimensional subspace of the 8-slot receive space with a one-dimensional
@@ -119,20 +120,28 @@ class IC3RetroCsitScheme(Scheme):
         # unit power per (transmitter, slot): normalize over the symbol axis
         return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
-    def derive(self, view, offline):
-        """Transmitter ``view.tx``'s phase-2 triple, from the annihilators of its two victims.
+    def derive(self, views, offline):
+        """Each transmitter ``view.tx``'s phase-2 triple, from the annihilators of its two victims.
 
-        Transmitter ``k`` only needs the annihilators of the two receivers it
-        interferes with, and reads only their cross channels.
+        Transmitter ``k`` reads, through its own view, only the cross channels
+        of the two receivers it interferes with: those its victims'
+        annihilators are built from.  Every receiver some transmitter needs
+        is factored once, all in one ``null_vector`` call, and every triple
+        comes from one ``_unit_cross`` on the stacked sub-triples.
         """
-        k, victims = view.tx, interferers(view.tx)
         h5 = np.zeros((3, 3, *offline.phase1.shape[2:]), dtype=np.complex128)
-        for rx in victims:
-            for j in interferers(rx):
-                for n in range(PHASE1_SLOTS):
-                    h5[rx, j, n] = view.channel_coeff(rx, j, n)
-        # both victims' systems in one null_vector call, stacked after the columns
+        for view in views:
+            for rx in interferers(view.tx):
+                for j in interferers(rx):
+                    for n in range(PHASE1_SLOTS):
+                        h5[rx, j, n] = view.channel_coeff(rx, j, n)
+        victims = sorted({rx for view in views for rx in interferers(view.tx)})
+        # every victim's system in one null_vector call, stacked after the columns
         systems = np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2)
-        alphas = null_vector(systems)
-        subs = [_alpha_sub(alpha, rx, k) for rx, alpha in zip(victims, np.moveaxis(alphas, 1, 0))]
-        return _unit_cross(*subs)[None]
+        alphas = dict(zip(victims, np.moveaxis(null_vector(systems), 1, 0)))
+        # each transmitter's sub-triples at its lower and its higher victim
+        lower, higher = zip(*(
+            [_alpha_sub(alphas[rx], rx, view.tx) for rx in interferers(view.tx)] for view in views
+        ))
+        triples = _unit_cross(np.stack(lower, axis=1), np.stack(higher, axis=1))
+        return list(np.ascontiguousarray(np.moveaxis(triples, 1, 0))[:, None])

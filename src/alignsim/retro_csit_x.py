@@ -8,12 +8,13 @@ The scheme is a schedule of coefficient rows over each transmitter's own
 four symbols (slots 0-based):
 
 * Slots 0-2: offline random rows.  No channel knowledge is used.
-* Slots 3-6: rows derived once per transmitter (:meth:`XRetroCsitScheme.\
-  derive`): offline random combinations of its two second-layer variables
-  ``s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]``, written out over the
-  symbols.  The constants ``gamma`` are chosen, from the slot-0..2 channel
-  states that the one-slot feedback delay has made available, so that at
-  each receiver the two cross interference symbols arrive along a single
+* Slots 3-6: rows both transmitters derive in one call per block run
+  (:meth:`XRetroCsitScheme.derive`): offline random combinations of each
+  transmitter's two second-layer variables ``s[j, k] = u[k, j, 0] -
+  gamma[j, k] * u[k, j, 1]``, written out over the symbols.  The
+  constants ``gamma`` are chosen, from the slot-0..2 channel states that
+  the one-slot feedback delay has made available, so that at each
+  receiver the two cross interference symbols arrive along a single
   direction.
 
 For receiver 0 the constants come from the unique null vector ``v`` of the
@@ -139,16 +140,24 @@ class XRetroCsitScheme(Scheme):
             phase2=complex_gaussian(z[2 * phase1_count :]).reshape(2, 2, phase2_slots, trials),
         )
 
-    def derive(self, view, offline):
-        """Transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states."""
-        # slot by slot, each slot's matrix row by row
-        reads = [
-            [[view.channel_coeff(k, j, m) for j in range(2)] for k in range(2)]
-            for m in range(PHASE1_SLOTS)
-        ]
-        h3 = np.moveaxis(np.array(reads), 0, 2)
-        gamma = alignment_constants(h3, offline.phase1)[view.tx]
-        c = offline.phase2[view.tx]
-        # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
-        rows = np.stack([c[0], -c[0] * gamma[0], c[1], -c[1] * gamma[1]])
-        return np.moveaxis(rows / vector_norm(rows), 1, 0)
+    def derive(self, views, offline):
+        """Each transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states.
+
+        Each transmitter reads all twelve states through its own view; the
+        constants of both interference systems are found once for all.
+        """
+        h3 = np.empty((2, 2, PHASE1_SLOTS, *offline.phase1.shape[4:]), dtype=np.complex128)
+        for view in views:
+            # slot by slot, each slot's matrix row by row
+            for m in range(PHASE1_SLOTS):
+                for k in range(2):
+                    for j in range(2):
+                        h3[k, j, m] = view.channel_coeff(k, j, m)
+        gamma = alignment_constants(h3, offline.phase1)
+        derived = []
+        for view in views:
+            c, g = offline.phase2[view.tx], gamma[view.tx]
+            # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
+            rows = np.stack([c[0], -c[0] * g[0], c[1], -c[1] * g[1]])
+            derived.append(np.moveaxis(rows / vector_norm(rows), 1, 0))
+        return derived

@@ -517,11 +517,12 @@ class TestStructuralFailures:
 def _misalign_bc_mat(monkeypatch):
     # slot 2 resends receiver 0's own slot-0 equation instead of receiver 1's
     class Misaligned(BcMatScheme):
-        def derive(self, view, offline):
+        def derive(self, views, offline):
             # receiver 1's slot-0 observation plus receiver 0's, both in symbols 0-1
+            (view,) = views
             pair = [view.channel_coeff(1, j, 0) + view.channel_coeff(0, j, 0) for j in range(2)]
             row = np.stack([*pair, 0 * pair[0], 0 * pair[0]])
-            return row[None] / np.sqrt(np.sum(abs(row) ** 2, axis=0))
+            return [row[None] / np.sqrt(np.sum(abs(row) ** 2, axis=0))]
 
     monkeypatch.setitem(SCHEMES, "bc_mat", Misaligned())
 
@@ -663,7 +664,9 @@ class TestThreads:
         """Counts the worker processes started since its last call."""
         started = []
 
-        class RecordingProcess(multiprocessing.Process):
+        fork = multiprocessing.get_context("fork")
+
+        class RecordingProcess(fork.Process):
             """A worker process that records its start."""
 
             def start(self):
@@ -675,8 +678,8 @@ class TestThreads:
             started.clear()
             return number
 
-        # the runner imports Process where it starts a child
-        monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
+        # the runner takes Process from the fork context where it starts a child
+        monkeypatch.setattr(fork, "Process", RecordingProcess)
         return count
 
     def test_workers_clamped_to_core_count(self, monkeypatch, children_started):

@@ -3,8 +3,12 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,8 +16,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alignsim.base import DecodeContext, InterferenceRankUnexpected, OutputPayload
-from alignsim.channel import AccessLog, TxInformationView, generate_channel
+import alignsim.retro_csit_ic3 as retro_csit_ic3
+import alignsim.retro_csit_x as retro_csit_x
+from alignsim.base import DecodeContext, InterferenceRankUnexpected, OutputPayload, SymbolPayload
+from alignsim.channel import AccessLog, AccessRecord, TxInformationView, generate_channel
 from alignsim.evaluate import (
     DECODE_REL_TOL,
     ENTRIES_PER_WORKER,
@@ -45,7 +51,7 @@ from alignsim.numerics import (
     spawn_states,
     zero_forcing_rows,
 )
-from alignsim.output_feedback import BcMatScheme
+from alignsim.output_feedback import BcMatScheme, XOutputFeedbackScheme
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, impulse_response, noise_weights
@@ -60,6 +66,18 @@ OWNER = {
     "ic3_retro_csit": lambda s: s // 3,
     "x_output_fb": lambda s: s % 2,
     "ic3_output_fb": lambda s: s // 2,
+}
+
+#: The derive slot and each entity's CSI reads ``(rx, tx, slot)`` of the
+#: retrospective schemes, as each entity made them deriving on its own.
+READS_ALONE = {
+    "x_retro_csit": (3, lambda tx: [(k, j, m) for m in range(3) for k in range(2) for j in range(2)]),
+    "ic3_retro_csit": (5, lambda tx: [
+        (rx, j, n)
+        for rx in retro_csit_ic3.interferers(tx)
+        for j in retro_csit_ic3.interferers(rx)
+        for n in range(5)
+    ]),
 }
 
 
@@ -111,21 +129,79 @@ class TestSimulateBlock:
     @pytest.mark.parametrize("scheme_id, entities", [("x_retro_csit", 2), ("ic3_retro_csit", 3)])
     def test_derive_runs_once_per_entity_per_block_run(self, monkeypatch, scheme_id, entities):
         # the engine caches each entity's derivation for one block run: a
-        # second run on the same block derives again, to the same bits
+        # second run on the same block derives again, to the same bits.  One
+        # call derives every entity, each through its own view
         scheme = get_scheme(scheme_id)
         derive, calls = scheme.derive, []
 
-        def counted(view, offline):
-            calls.append(view.tx)
-            return derive(view, offline)
+        def counted(views, offline):
+            calls.append([view.tx for view in views])
+            return derive(views, offline)
 
         monkeypatch.setattr(scheme, "derive", counted)
         tensor, offline, msgs = _draw_batch(scheme, 15, [(t, 0) for t in range(4)])
         first = simulate_block(scheme, tensor, offline, msgs)
-        assert sorted(calls) == list(range(entities))
+        assert calls == [list(range(entities))]
         again = simulate_block(scheme, tensor, offline, msgs)
-        assert sorted(calls) == sorted(2 * list(range(entities)))
+        assert calls == 2 * [list(range(entities))]
         assert np.array_equal(again.x, first.x)
+
+    @pytest.mark.parametrize(
+        "scheme_id, module, systems",
+        [("x_retro_csit", retro_csit_x, 2), ("ic3_retro_csit", retro_csit_ic3, 3)],
+    )
+    def test_each_receiver_system_is_factored_once_per_block_run(
+        self, monkeypatch, scheme_id, module, systems
+    ):
+        # a verify batch is one block run: one derive call for every entity,
+        # which factors each receiver's system once per trial, not once per
+        # entity that uses it
+        scheme = get_scheme(scheme_id)
+        derive, null_vector, calls, factored = scheme.derive, module.null_vector, [], []
+
+        def counted_derive(views, offline):
+            calls.append([view.tx for view in views])
+            return derive(views, offline)
+
+        def counted_null_vector(a):
+            factored.append(a[0, 0].size)
+            return null_vector(a)
+
+        monkeypatch.setattr(scheme, "derive", counted_derive)
+        monkeypatch.setattr(module, "null_vector", counted_null_vector)
+        _run_batch(scheme, 3, [(t, 0) for t in range(7)], Tolerances(), False)
+        assert calls == [list(range(scheme.num_tx))]
+        assert sum(factored) == systems * 7
+
+    @pytest.mark.parametrize("scheme_id", sorted(READS_ALONE))
+    def test_each_entity_reads_what_it_read_deriving_alone(self, scheme_id):
+        # one derive call for all entities widens no entity's reads
+        scheme = get_scheme(scheme_id)
+        tensor, offline, msgs = _draw_batch(scheme, 16, [(t, 0) for t in range(3)])
+        log = AccessLog()
+        simulate_block(scheme, tensor, offline, msgs, log=log)
+        slot, reads = READS_ALONE[scheme_id]
+        expected = Counter(
+            AccessRecord(tx, slot, "csi", rx, j, n)
+            for tx in range(scheme.num_tx)
+            for rx, j, n in reads(tx)
+        )
+        assert Counter(log.records) == expected
+
+    def test_a_schedule_with_more_slots_than_symbols_is_rejected_at_class_creation(self):
+        # three slots cannot zero-force two symbols: the class is not built
+        with pytest.raises(ValueError) as raised:
+
+            class TooLong(XOutputFeedbackScheme):
+                schedule = (
+                    (SymbolPayload(0), SymbolPayload(1)),
+                    (None, None),
+                    (OutputPayload(rx=1, slot=0), None),
+                )
+
+        assert str(raised.value) == (
+            "scheme x_output_fb: its schedule has 3 slots but names only 2 symbols"
+        )
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
     def test_the_engine_reads_no_channel(self, monkeypatch, scheme_id):
@@ -139,10 +215,10 @@ class TestSimulateBlock:
             reads["derive" if deriving else "engine"] += 1
             return channel_coeff(view, *item)
 
-        def counted_derive(view, offline):
-            deriving.append(view.tx)
+        def counted_derive(views, offline):
+            deriving.append(views)
             try:
-                return derive(view, offline)
+                return derive(views, offline)
             finally:
                 deriving.pop()
 
@@ -917,6 +993,30 @@ class TestWorkerProcesses:
         # the one before its first does not
         assert len(batches) <= 1
         assert multiprocessing.active_children() == []
+
+    def test_children_are_forked_whatever_the_default_start_method(self):
+        # under forkserver a child's parent is the server, not the caller, so
+        # a child not forked would stop as orphaned before its first batch
+        src = Path(retro_csit_ic3.__file__).resolve().parents[1]
+        paths = [str(src), str(Path(__file__).parent)]
+        script = (
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "import alignsim.evaluate as evaluate\n"
+            "from _outcomes import outcome_fields\n"
+            "evaluate._usable_cpus = lambda: 2\n"
+            "assert len(evaluate._batch_plan(evaluate.get_scheme('ic3_retro_csit'), 400, 2)) == 2\n"
+            "one, two = (evaluate.run_trials('ic3_retro_csit', 400, 0, threads=t) for t in (1, 2))\n"
+            "assert outcome_fields(two.outcomes) == outcome_fields(one.outcomes)\n"
+            "assert two.discards == one.discards\n"
+            "print('equal')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "equal"
 
     def test_an_interrupt_in_the_caller_kills_the_child(self, evaluate, monkeypatch):
         def sleeps_in_the_child(scheme, base_seed, trials, *rest):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, generate_channel
+from alignsim.channel import AccessLog, ChannelTensor, generate_channel
 from alignsim.base import InterferenceRankUnexpected
 from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import Singular, sample_complex_gaussian
@@ -204,12 +204,14 @@ def _derived_rows(monkeypatch, tensor, offline, msgs):
     """Each entity's derived rows, as one block run's engine caches them."""
     derive, rows = SCHEME.derive, {}
 
-    def recorded(view, offline):
-        rows[view.tx] = derive(view, offline)
-        return rows[view.tx]
+    def recorded(views, offline):
+        derived = derive(views, offline)
+        rows.update(zip((view.tx for view in views), derived))
+        return derived
 
-    monkeypatch.setattr(SCHEME, "derive", recorded)
-    simulate_block(SCHEME, tensor, offline, msgs)
+    with monkeypatch.context() as patch:
+        patch.setattr(SCHEME, "derive", recorded)
+        simulate_block(SCHEME, tensor, offline, msgs)
     return rows
 
 
@@ -235,6 +237,23 @@ class TestTransmitCache:
         coeffs = phase2_coefficients(alphas)
         for k in range(3):
             assert derived[k][0].tobytes() == coeffs[k].tobytes()
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("n", [0, PHASE1_SLOTS - 1])
+    def test_a_triple_ignores_the_states_its_transmitter_never_reads(self, monkeypatch, k, n):
+        # transmitter k never reads its own receiver's row h[k, :, :]; a
+        # phase-1 state there feeds only receiver k's annihilator, which the
+        # shared factoring builds for the other two transmitters alone
+        tensor, offline, msgs = _draw_batch(SCHEME, 9, [(t, 0) for t in range(5)])
+        derived = _derived_rows(monkeypatch, tensor, offline, msgs)
+        for j in interferers(k):
+            h = tensor.h.copy()
+            h[k, j, n] *= np.exp(0.7j)
+            moved = _derived_rows(monkeypatch, ChannelTensor(h=h), offline, msgs)
+            assert moved[k].tobytes() == derived[k].tobytes()
+            for other in interferers(k):
+                # every trial's triple moves
+                assert np.all(np.any(moved[other] != derived[other], axis=(0, 1)))
 
 
 @pytest.fixture(scope="module")
@@ -293,8 +312,9 @@ class TestDecoding:
         gen = np.random.default_rng(0)
 
         def wrong_triple(a, b):
-            c = sample_complex_gaussian([gen], 3)
-            return c / np.linalg.norm(c)
+            # one random unit triple per transmitter of the stack
+            c = sample_complex_gaussian([gen], a.size).reshape(a.shape)
+            return c / np.linalg.norm(c, axis=0)
 
         monkeypatch.setattr(ic3, "_unit_cross", wrong_triple)
         with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):

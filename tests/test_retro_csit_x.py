@@ -143,9 +143,8 @@ class TestLayer2Vars:
         # a derived row sends c[0] s[j, 0] + c[1] s[j, 1], normalized, over j's symbols
         tensor, offline, _ = _trial_data(10)
         u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2, 1)
-        for j in range(2):
-            view = TxInformationView(j, PHASE1_SLOTS, tensor, None, SCHEME.feedback)
-            derived = SCHEME.derive(view, offline)
+        views = [TxInformationView(j, PHASE1_SLOTS, tensor, None, SCHEME.feedback) for j in range(2)]
+        for j, derived in enumerate(SCHEME.derive(views, offline)):
             gamma = alignment_constants(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
             s = _layer2_vars(u, gamma)
             own = np.stack([u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]])
