@@ -1,13 +1,15 @@
 """Fading channel, feedback models and causality-audited transmitter views.
 
-The channel is a dense tensor of i.i.d. complex Gaussian coefficients, one
-per (receiver, transmitter, slot).  Receivers are assumed to know the whole
-tensor (global receiver CSI, including the current slot).  Transmitters never
-touch the tensor or the received signals directly: everything they learn goes
-through a :class:`TxInformationView`, which enforces the feedback model's
-delay and association rules and records every read in an :class:`AccessLog`.
-A read that the model does not permit raises :class:`CausalityViolation`,
-which is always a bug in a scheme, never a recoverable event.
+The channel is the plain complex array ``h[rx, tx, slot, t]`` of i.i.d.
+CN(0, 1) coefficients, one per (receiver, transmitter, slot) of each trial
+``t`` of a stack, untruncated as in the paper's fading model.  Receivers are
+assumed to know the whole array (global receiver CSI, including the current
+slot).  Transmitters never touch the array or the received signals directly:
+everything they learn goes through a :class:`TxInformationView`, which
+enforces the feedback model's delay and association rules and records every
+read in an :class:`AccessLog`.  A read that the model does not permit raises
+:class:`CausalityViolation`, which is always a bug in a scheme, never a
+recoverable event.
 
 Slot indices are 0-based throughout.  Feedback arrives one slot late: a view
 for slot ``n`` exposes information of slots ``0 .. n-1`` only.
@@ -27,18 +29,13 @@ __all__ = [
     "CausalityViolation",
     "FeedbackKind",
     "FeedbackModel",
-    "ChannelTensor",
     "SignalRecord",
     "generate_channel",
     "apply_channel",
     "AccessRecord",
     "AccessLog",
     "TxInformationView",
-    "MAG_BOUNDS_DEFAULT",
 ]
-
-MAG_BOUNDS_DEFAULT = (1e-3, 1e3)
-
 
 class CausalityViolation(Exception):
     """A transmitter asked for information its feedback model does not grant."""
@@ -81,108 +78,20 @@ class FeedbackModel:
         return tx in self.output_association.get(rx, frozenset())
 
 
-@dataclass(frozen=True)
-class ChannelTensor:
-    """Channel coefficients ``h[rx, tx, slot, t]`` of a stack of trials, within a magnitude band.
-
-    Trial ``t``'s channel is ``h[..., t]``; one trial is a stack of one.
-    Every coefficient satisfies ``mag_bounds[0] <= |h| <= mag_bounds[1]``;
-    draws outside the band were rejected and resampled during generation,
-    and ``num_rejections`` records how many.
-    """
-
-    h: np.ndarray
-    mag_bounds: tuple[float, float] = MAG_BOUNDS_DEFAULT
-    num_rejections: int = 0
-
-    def __post_init__(self) -> None:
-        if self.h.ndim != 4:
-            raise ValueError(f"channel tensor must be h[rx, tx, slot, t], got {self.h.shape}")
-        lo, hi = self.mag_bounds
-        mags = np.abs(self.h)
-        # NaN fails every comparison and inf the last: one test covers both
-        if not (lo <= mags.min() and mags.max() <= hi < np.inf):
-            raise ValueError("channel coefficients must be finite, with magnitude within the band")
-
-    @property
-    def num_rx(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def num_tx(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def num_slots(self) -> int:
-        return self.h.shape[2]
-
-    @property
-    def num_trials(self) -> int:
-        """Channels in the stack."""
-        return self.h.shape[3]
-
-
 def generate_channel(
-    num_rx: int,
-    num_tx: int,
-    num_slots: int,
-    rngs: Sequence[np.random.Generator],
-    mag_bounds: tuple[float, float] = MAG_BOUNDS_DEFAULT,
-    max_rejections: int = 1000,
-) -> ChannelTensor:
-    """Draw one i.i.d. CN(0, 1) channel per generator, rejection-sampled to the magnitude band.
+    num_rx: int, num_tx: int, num_slots: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Draw one i.i.d. CN(0, 1) channel per generator: the stack ``h[rx, tx, slot, t]``.
 
-    Returns the stack ``h[rx, tx, slot, t]`` of one channel per generator;
-    channel ``t`` is bit for bit what ``[rngs[t]]`` alone gives.  Each
-    coefficient is redrawn while its magnitude falls outside ``mag_bounds``,
-    up to ``max_rejections`` redraws per coefficient; hitting the cap aborts
-    with a diagnostic, since for the default band the per-draw rejection
-    probability is about 1e-6 and the cap is unreachable for any healthy
-    generator.
+    Channel ``t`` is bit for bit what ``[rngs[t]]`` alone gives.  No draw is
+    refused here: a draw the decoder cannot use is the decoder's to judge.
     """
-    lo, hi = mag_bounds
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid magnitude bounds {mag_bounds}")
-    shape = (num_rx, num_tx, num_slots)
     count = num_rx * num_tx * num_slots
-    h = sample_complex_gaussian(rngs, count).reshape(*shape, len(rngs))
-    mags = np.abs(h)
-    outside = ((mags < lo) | (mags > hi)).reshape(count, -1).any(axis=0)
-    rejections = sum(
-        _reject_outside_band(h[..., t], rngs[t], lo, hi, max_rejections)
-        for t in np.flatnonzero(outside)
-    )
-    return ChannelTensor(h=h, mag_bounds=mag_bounds, num_rejections=rejections)
-
-
-def _reject_outside_band(
-    h: np.ndarray, rng: np.random.Generator, lo: float, hi: float, max_rejections: int
-) -> int:
-    """Redraw, in place, the coefficients of ``h`` outside ``[lo, hi]``; returns the redraws."""
-    rejections = 0
-    mags = np.abs(h)
-    bad = (mags < lo) | (mags > hi)
-    rounds = 0
-    while np.any(bad):
-        rounds += 1
-        if rounds > max_rejections:
-            raise RuntimeError(
-                f"rejection sampling failed to land in |h| within [{lo:g}, {hi:g}] "
-                f"after {max_rejections} redraws per coefficient; "
-                f"{int(bad.sum())} coefficients still outside the band"
-            )
-        rejections += int(bad.sum())
-        h[bad] = sample_complex_gaussian([rng], int(bad.sum()))[:, 0]
-        mags = np.abs(h)
-        bad = (mags < lo) | (mags > hi)
-    return rejections
+    return sample_complex_gaussian(rngs, count).reshape(num_rx, num_tx, num_slots, len(rngs))
 
 
 def apply_channel(
-    x_slot: np.ndarray,
-    tensor: ChannelTensor,
-    slot: int,
-    noise: np.ndarray | None = None,
+    x_slot: np.ndarray, h: np.ndarray, slot: int, noise: np.ndarray | None = None
 ) -> np.ndarray:
     """Propagate one slot of transmit scalars through the channel.
 
@@ -194,9 +103,9 @@ def apply_channel(
     ``noise`` have the shape of ``x_slot`` with ``num_rx`` leading.
     """
     x_slot = np.asarray(x_slot, dtype=np.complex128)
-    if x_slot.ndim not in (2, 3) or x_slot.shape[0] != tensor.num_tx:
-        raise ValueError(f"expected {tensor.num_tx} transmit scalars, got shape {x_slot.shape}")
-    y = matvec(tensor.h[:, :, slot], x_slot)
+    if x_slot.ndim not in (2, 3) or x_slot.shape[0] != h.shape[1]:
+        raise ValueError(f"expected {h.shape[1]} transmit scalars, got shape {x_slot.shape}")
+    y = matvec(h[:, :, slot], x_slot)
     if noise is not None:
         y = y + np.asarray(noise, dtype=np.complex128)
     return y
@@ -268,14 +177,14 @@ class TxInformationView:
         self,
         tx: int,
         slot: int,
-        tensor: ChannelTensor,
+        h: np.ndarray,
         outputs: np.ndarray,
         model: FeedbackModel,
         log: AccessLog | None = None,
     ) -> None:
         self.tx = tx
         self.slot = slot
-        self._tensor = tensor
+        self._h = h
         self._outputs = outputs
         self.model = model
         self._log = log
@@ -297,7 +206,7 @@ class TxInformationView:
         self._check_item_slot(item_slot, "channel state")
         if self._log is not None:
             self._log.append(AccessRecord(self.tx, self.slot, "csi", rx, tx_col, item_slot))
-        return self._tensor.h[rx, tx_col, item_slot]
+        return self._h[rx, tx_col, item_slot]
 
     def output(self, rx: int, item_slot: int) -> np.ndarray:
         """Read the value receiver ``rx`` observed at ``item_slot``.

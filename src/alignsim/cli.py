@@ -197,8 +197,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"unknown mode {config.mode!r}; choose from {', '.join(MODES)}")
     if config.format not in FORMATS:
         raise UsageError(f"unknown format {config.format!r}")
-    if config.trials < 1:
-        raise UsageError("trials must be at least 1")
+    if not 1 <= config.trials <= sys.maxsize:
+        raise UsageError(f"trials must be from 1 to {sys.maxsize}")
     if config.seed < 0:
         raise UsageError(f"seed must be non-negative, got {config.seed}")
     if config.threads < 0:

@@ -2,11 +2,13 @@
 
 One trial is one block of a scheme on a fresh channel draw: encode through
 causality-checked views, decode at every receiver, compare against the sent
-symbols and collect the scheme's structural certificates.  A draw whose
-receive matrix the decoder judges singular (a non-finite one included) is a
-measure-zero event; it is discarded and the trial is resampled with a fresh
-deterministic seed, up to a fixed retry cap.  A causality violation or a failed
-certificate is never resampled: it aborts the run as a scheme failure.
+symbols and collect the scheme's structural certificates.  The decoder is
+the only judge of a draw: the channel is used as drawn, however weak a
+coefficient.  A draw whose receive matrix the decoder judges singular (a
+non-finite one included) is a measure-zero event; it is discarded and the
+trial is resampled with a fresh deterministic seed, up to a fixed retry cap.
+A causality violation or a failed certificate is never resampled: it aborts
+the run as a scheme failure.
 
 Every scheme decodes with one zero-forcing decoder (see
 :mod:`alignsim.base`).  Its receive matrices are read off the trial's own
@@ -81,7 +83,6 @@ import numpy as np
 from .base import Scheme
 from .channel import (
     AccessLog,
-    ChannelTensor,
     SignalRecord,
     TxInformationView,
     apply_channel,
@@ -248,7 +249,7 @@ class DofEstimate:
 
 
 def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
-    """Channel, offline coefficients and messages of the draws, stacked on a trailing trial axis.
+    """Channel ``h``, offline coefficients and messages of the draws, on a trailing trial axis.
 
     Draw ``(trial, attempt)`` takes its channel, offline and message streams
     from the three children of ``SeedSequence((base_seed, trial, attempt))``;
@@ -258,19 +259,19 @@ def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
     a draw's only work of its own is one normal call per stream.
     """
     states = spawn_states([(base_seed, trial, attempt) for trial, attempt in draws], 3)
-    tensor = generate_channel(
+    h = generate_channel(
         scheme.num_rx, scheme.num_tx, scheme.num_slots, seeded_generators(states[:, 0])
     )
     offline = None
     if type(scheme).draw_offline is not Scheme.draw_offline:
         offline = scheme.draw_offline(seeded_generators(states[:, 1]))
     msgs = scheme.draw_messages(seeded_generators(states[:, 2]))
-    return tensor, offline, msgs
+    return h, offline, msgs
 
 
 def simulate_block(
     scheme: Scheme,
-    tensor: ChannelTensor,
+    h: np.ndarray,
     offline,
     msgs: np.ndarray,
     noise: np.ndarray | None = None,
@@ -278,12 +279,12 @@ def simulate_block(
 ) -> SignalRecord:
     """Run one block slot by slot, at unit amplitude, and return every signal involved.
 
-    The block runs on a stack of ``T`` trials' channels, with offline
-    coefficients stacked the same way.  ``msgs`` has shape ``(num_symbols,
-    *B, T)``, where ``B`` is empty or one batch size: a batch runs ``B``
-    blocks on each trial's channel at once, one per column.  ``noise`` is an
-    optional array added at the receivers, ``(num_rx, num_slots, *B, T)``
-    or one that broadcasts to it;
+    The block runs on ``h[rx, tx, slot, t]``, a stack of ``T`` trials'
+    channels, with offline coefficients stacked the same way.  ``msgs`` has
+    shape ``(num_symbols, *B, T)``, where ``B`` is empty or one batch size:
+    a batch runs ``B`` blocks on each trial's channel at once, one per
+    column.  ``noise`` is an optional array added at the receivers,
+    ``(num_rx, num_slots, *B, T)`` or one that broadcasts to it;
     transmitters doing output feedback see the noisy values, as they would
     on a real feedback link.  Every array of the returned record ends in
     ``(*B, T)``.  The views log one record per read, whatever ``B`` and
@@ -303,14 +304,14 @@ def simulate_block(
     state: dict = {}
     for n, deriving in enumerate(scheme.derive_plan):
         if deriving:
-            views = [TxInformationView(tx, n, tensor, y, scheme.feedback, log) for tx in deriving]
+            views = [TxInformationView(tx, n, h, y, scheme.feedback, log) for tx in deriving]
             with np.errstate(all="ignore"):
                 state.update(zip(deriving, scheme.derive(views, offline)))
         for j in range(num_tx):
-            view = TxInformationView(scheme.entity_of(j), n, tensor, y, scheme.feedback, log)
+            view = TxInformationView(scheme.entity_of(j), n, h, y, scheme.feedback, log)
             x[j, n] = scheme.transmit(j, n, view, msgs, offline, state)
         noise_slot = None if noise is None else noise[:, n]
-        y[:, n] = apply_channel(x[:, n], tensor, n, noise=noise_slot)
+        y[:, n] = apply_channel(x[:, n], h, n, noise=noise_slot)
     return SignalRecord(x=x, y=y)
 
 
@@ -386,7 +387,7 @@ def _run_batch(
     the bits of a noiseless run.
     """
     n = len(draws)
-    tensor, offline, msgs = _draw_batch(scheme, base_seed, draws)
+    h, offline, msgs = _draw_batch(scheme, base_seed, draws)
     log = AccessLog()
     size = scheme.num_symbols
     replayed = scheme.replayed_outputs if collect_weights else ()
@@ -401,7 +402,7 @@ def _run_batch(
         noise = np.full((scheme.num_rx, scheme.num_slots, 1 + k + size, 1), complex(-0.0, -0.0))
         for column, (rx, slot) in enumerate(replayed, 1):
             noise[rx, slot, column] = 1.0
-    y = simulate_block(scheme, tensor, offline, columns, noise=noise, log=log).y
+    y = simulate_block(scheme, h, offline, columns, noise=noise, log=log).y
     ctx = scheme.decode_context(tol, y[:, :, 1 + k :])
     decoded = scheme.decode(y[:, :, : 1 + k], ctx)
     weights = None
@@ -564,7 +565,7 @@ def run_trials(
     collect_weights: bool = False,
     threads: int = 1,
 ) -> RunReport:
-    """Run ``num_trials`` deterministic trials of a scheme.
+    """Run ``num_trials`` deterministic trials of a scheme, from 1 to ``sys.maxsize``.
 
     The outcome is identical for any ``threads`` value.  At most
     ``threads`` workers run (0 sets no bound of its own), at most one per
@@ -588,8 +589,9 @@ def run_trials(
     by an exception (an interrupt included), is killed and joined, and a
     child whose caller dies without that exits at its next batch.
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be at least 1")
+    if not 1 <= num_trials <= sys.maxsize:
+        # a share of more than sys.maxsize trials has no len()
+        raise ValueError(f"num_trials must be from 1 to {sys.maxsize}")
     scheme = get_scheme(scheme_id)
     first, *rest = [
         (scheme, base_seed, share, tol, collect_weights)

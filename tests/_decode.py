@@ -13,26 +13,26 @@ from alignsim.evaluate import noise_transfer_weights, simulate_block
 from alignsim.numerics import Tolerances
 
 
-def impulse_response(scheme, tensor, offline):
+def impulse_response(scheme, h, offline):
     """The received block of a run whose message columns are the identity."""
     size = scheme.num_symbols
     eye = np.eye(size, dtype=np.complex128)[:, :, None]
-    msgs = np.broadcast_to(eye, (size, size, tensor.num_trials))
-    return simulate_block(scheme, tensor, offline, msgs).y
+    msgs = np.broadcast_to(eye, (size, size, h.shape[3]))
+    return simulate_block(scheme, h, offline, msgs).y
 
 
-def decode_context(scheme, tensor, offline, tol=Tolerances()):
+def decode_context(scheme, h, offline, tol=Tolerances()):
     """The scheme's decoders for the block, read off :func:`impulse_response`."""
-    return scheme.decode_context(tol, impulse_response(scheme, tensor, offline))
+    return scheme.decode_context(tol, impulse_response(scheme, h, offline))
 
 
-def replayed_images(scheme, tensor, offline, ctx):
+def replayed_images(scheme, h, offline, ctx):
     """Decodes ``(num_symbols, k, T)`` of the ``k`` replayed outputs' unit impulses.
 
     One block run with zero messages and one column per
     ``scheme.replayed_outputs`` entry, whose impulse is that column's noise.
     """
-    trials = tensor.num_trials
+    trials = h.shape[3]
     replayed = scheme.replayed_outputs
     if not replayed:
         return np.zeros((scheme.num_symbols, 0, trials))
@@ -40,9 +40,9 @@ def replayed_images(scheme, tensor, offline, ctx):
     noise = np.zeros((scheme.num_rx, scheme.num_slots, len(replayed), trials), dtype=np.complex128)
     for column, (rx, slot) in enumerate(replayed):
         noise[rx, slot, column] = 1.0
-    return scheme.decode(simulate_block(scheme, tensor, offline, zero_msgs, noise=noise).y, ctx)
+    return scheme.decode(simulate_block(scheme, h, offline, zero_msgs, noise=noise).y, ctx)
 
 
-def noise_weights(scheme, tensor, offline, ctx):
+def noise_weights(scheme, h, offline, ctx):
     """The block's :func:`~alignsim.evaluate.noise_transfer_weights`, ``(num_symbols, T)``."""
-    return noise_transfer_weights(scheme, ctx, replayed_images(scheme, tensor, offline, ctx))
+    return noise_transfer_weights(scheme, ctx, replayed_images(scheme, h, offline, ctx))

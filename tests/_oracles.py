@@ -7,7 +7,7 @@ tautology.  Jacobi is slow but achieves high relative accuracy on the small
 matrices these tests use, which lets the comparisons run at 1e-10 and below.
 
 The 3-user IC helpers at the end re-derive the retrospective scheme's
-annihilators and phase-2 triples from the full channel tensor, one
+annihilators and phase-2 triples from the full channel ``h``, one
 system at a time, the way a receiver would.  They share the library's
 ``null_vector`` so their triples match the encoder's bit for bit: what they
 check is the encoder's wiring (which systems, which sub-triples, in which
@@ -30,7 +30,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from alignsim.base import Scheme
-from alignsim.channel import ChannelTensor
 from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import null_vector, ordered_sum
 from alignsim.retro_csit_ic3 import (
@@ -207,7 +206,7 @@ def effective_precoders(
 # -- noise weights from an impulse at every receiver and slot ---------------------
 
 
-def all_impulse_weights(scheme: Scheme, ctx, tensor: ChannelTensor, offline) -> np.ndarray:
+def all_impulse_weights(scheme: Scheme, ctx, h: np.ndarray, offline) -> np.ndarray:
     """Per-symbol noise weights ``(num_symbols, T)`` of the block, from one all-impulse run.
 
     The run has zero messages and one batch column per ``(rx, slot)``
@@ -216,11 +215,11 @@ def all_impulse_weights(scheme: Scheme, ctx, tensor: ChannelTensor, offline) -> 
     squared decodes over the columns, left to right.
     """
     size = scheme.num_rx * scheme.num_slots
-    trials = tensor.num_trials
+    trials = h.shape[3]
     zero_msgs = np.zeros((scheme.num_symbols, size, trials), dtype=np.complex128)
     impulses = np.eye(size, dtype=np.complex128).reshape(scheme.num_rx, scheme.num_slots, size, 1)
     impulses = np.broadcast_to(impulses, (scheme.num_rx, scheme.num_slots, size, trials))
-    record = simulate_block(scheme, tensor, offline, zero_msgs, noise=impulses)
+    record = simulate_block(scheme, h, offline, zero_msgs, noise=impulses)
     columns = scheme.decode(record.y, ctx)
     return ordered_sum(np.moveaxis(np.abs(columns) ** 2, 1, 0))
 
@@ -239,19 +238,16 @@ def future_perturbation_invariant(
     every trial in ``trials``.
 
     The trials are drawn as one stack and run as one block each way, which
-    gives every trial the bits it has alone.  The perturbation rotates every
-    affected coefficient's phase and scales its magnitude by 1.5, or by
-    1/1.5 where 1.5 would leave the magnitude band; the band of a drawn
-    tensor spans far more than 1.5², so the tensor stays inside it.  So a
-    transmit scalar that depends on a future gain's magnitude, not only one
-    that depends on its phase, changes on every draw.
+    gives every trial the bits it has alone.  The perturbation scales every
+    affected coefficient by ``1.5 e^{0.7j}``, which moves its magnitude and
+    its phase.  So a transmit scalar that depends on a future gain's
+    magnitude, not only one that depends on its phase, changes on every
+    draw.
     """
-    tensor, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
-    x_ref = simulate_block(scheme, tensor, offline, msgs).x
-    h2 = tensor.h.copy()
-    future = h2[:, :, perturb_from:]
-    future *= np.where(1.5 * np.abs(future) <= tensor.mag_bounds[1], 1.5, 1 / 1.5) * np.exp(0.7j)
-    perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
+    h, offline, msgs = _draw_batch(scheme, base_seed, [(trial, 0) for trial in trials])
+    x_ref = simulate_block(scheme, h, offline, msgs).x
+    perturbed = h.copy()
+    perturbed[:, :, perturb_from:] *= 1.5 * np.exp(0.7j)
     x_alt = simulate_block(scheme, perturbed, offline, msgs).x
     upto = perturb_from + 1
     return bool(np.array_equal(x_ref[:, :upto], x_alt[:, :upto]))

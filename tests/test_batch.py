@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import alignsim.evaluate as evaluate
-from alignsim.channel import AccessLog, ChannelTensor, generate_channel
+from alignsim.channel import AccessLog, generate_channel
 from alignsim.evaluate import (
     MAX_ATTEMPTS,
     TRIAL_BATCH,
@@ -40,27 +40,27 @@ from _outcomes import outcome_fields
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
 
-def per_impulse_weights(scheme, tensor, offline, ctx):
+def per_impulse_weights(scheme, h, offline, ctx):
     """Reference weights: one block run per (receiver, slot) impulse.
 
     On a stack of trials, every trial takes the impulse in the same run.
     """
-    trials = tensor.h.shape[3:]
+    trials = h.shape[3:]
     zero_msgs = np.zeros((scheme.num_symbols, *trials), dtype=np.complex128)
     weights = np.zeros((scheme.num_symbols, *trials), dtype=np.float64)
     for k0 in range(scheme.num_rx):
         for n0 in range(scheme.num_slots):
             noise = np.zeros((scheme.num_rx, scheme.num_slots, *trials), dtype=np.complex128)
             noise[k0, n0] = 1.0
-            record = simulate_block(scheme, tensor, offline, zero_msgs, noise=noise)
+            record = simulate_block(scheme, h, offline, zero_msgs, noise=noise)
             weights += np.abs(scheme.decode(record.y, ctx)) ** 2
     return weights
 
 
 def _draw(scheme, rng):
-    """(tensor, offline) of a one-trial stack drawn from ``rng``."""
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
-    return tensor, scheme.draw_offline([rng])
+    """(h, offline) of a one-trial stack drawn from ``rng``."""
+    h = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+    return h, scheme.draw_offline([rng])
 
 
 def _assert_close(batched, column):
@@ -77,15 +77,15 @@ def _assert_close(batched, column):
 def test_batched_block_matches_unbatched_columns(scheme_id, batch, seed):
     scheme = get_scheme(scheme_id)
     rng = np.random.default_rng(seed)
-    tensor, offline = _draw(scheme, rng)
+    h, offline = _draw(scheme, rng)
     msgs = sample_complex_gaussian([rng], scheme.num_symbols * batch).reshape(-1, batch, 1)
     noise = sample_complex_gaussian([rng], scheme.num_rx * scheme.num_slots * batch).reshape(
         scheme.num_rx, scheme.num_slots, batch, 1
     )
     try:
-        ctx = decode_context(scheme, tensor, offline)
+        ctx = decode_context(scheme, h, offline)
         log = AccessLog()
-        record = simulate_block(scheme, tensor, offline, msgs, noise=noise, log=log)
+        record = simulate_block(scheme, h, offline, msgs, noise=noise, log=log)
         decoded = scheme.decode(record.y, ctx)
     except Singular:
         assume(False)
@@ -95,7 +95,7 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, seed):
     for b in range(batch):
         column_log = AccessLog()
         column = simulate_block(
-            scheme, tensor, offline, msgs[:, b], noise=noise[:, :, b], log=column_log
+            scheme, h, offline, msgs[:, b], noise=noise[:, :, b], log=column_log
         )
         # one record per scalar read, not one per batch column
         assert log.records == column_log.records
@@ -109,10 +109,10 @@ def test_noise_weights_match_per_impulse_reference(scheme_id):
     scheme = get_scheme(scheme_id)
     rng = np.random.default_rng(31)
     for _ in range(3):
-        tensor, offline = _draw(scheme, rng)
-        ctx = decode_context(scheme, tensor, offline)
-        weights = noise_weights(scheme, tensor, offline, ctx)
-        reference = per_impulse_weights(scheme, tensor, offline, ctx)
+        h, offline = _draw(scheme, rng)
+        ctx = decode_context(scheme, h, offline)
+        weights = noise_weights(scheme, h, offline, ctx)
+        reference = per_impulse_weights(scheme, h, offline, ctx)
         assert weights.shape == (scheme.num_symbols, 1)
         np.testing.assert_allclose(weights, reference, rtol=1e-12)
 
@@ -122,10 +122,10 @@ OUTPUT_FEEDBACK_IDS = ["ic3_output_fb", "x_output_fb"]
 
 
 def _one_and_stacked(scheme):
-    """(tensor, offline) of a one-trial stack, then of a 40-trial stack."""
+    """(h, offline) of a one-trial stack, then of a 40-trial stack."""
     one = _draw(scheme, np.random.default_rng(37))
-    tensor, offline, _ = _draw_batch(scheme, 37, [(t, 0) for t in range(40)])
-    return [one, (tensor, offline)]
+    h, offline, _ = _draw_batch(scheme, 37, [(t, 0) for t in range(40)])
+    return [one, (h, offline)]
 
 
 def _decoder_row_norms(scheme, ctx):
@@ -143,10 +143,10 @@ def test_weights_without_output_feedback_are_exact(scheme_id):
     # and must still carry the impulse runs' bits
     scheme = get_scheme(scheme_id)
     assert not scheme.feedback.provides_output
-    for tensor, offline in _one_and_stacked(scheme):
-        ctx = decode_context(scheme, tensor, offline)
-        reference = per_impulse_weights(scheme, tensor, offline, ctx)
-        weights = noise_weights(scheme, tensor, offline, ctx)
+    for h, offline in _one_and_stacked(scheme):
+        ctx = decode_context(scheme, h, offline)
+        reference = per_impulse_weights(scheme, h, offline, ctx)
+        weights = noise_weights(scheme, h, offline, ctx)
         assert weights.shape == reference.shape
         assert np.array_equal(weights, reference)
 
@@ -156,11 +156,11 @@ def test_output_feedback_weights_are_not_decoder_row_norms(scheme_id):
     # replayed outputs carry the noise forward, so the row norms miss part of it
     scheme = get_scheme(scheme_id)
     assert scheme.feedback.provides_output
-    for tensor, offline in _one_and_stacked(scheme):
-        ctx = decode_context(scheme, tensor, offline)
-        reference = per_impulse_weights(scheme, tensor, offline, ctx)
+    for h, offline in _one_and_stacked(scheme):
+        ctx = decode_context(scheme, h, offline)
+        reference = per_impulse_weights(scheme, h, offline, ctx)
         np.testing.assert_allclose(
-            noise_weights(scheme, tensor, offline, ctx),
+            noise_weights(scheme, h, offline, ctx),
             reference,
             rtol=1e-12,
         )
@@ -175,8 +175,8 @@ def test_batch_weights_equal_the_all_impulse_run(scheme_id, trials):
     scheme = get_scheme(scheme_id)
     draws = [(t, 0) for t in range(trials)]
     outcomes = _run_batch(scheme, 3, draws, Tolerances(), True)
-    tensor, offline, _ = _draw_batch(scheme, 3, draws)
-    reference = all_impulse_weights(scheme, decode_context(scheme, tensor, offline), tensor, offline)
+    h, offline, _ = _draw_batch(scheme, 3, draws)
+    reference = all_impulse_weights(scheme, decode_context(scheme, h, offline), h, offline)
     assert outcomes.noise_weights.shape == (trials, scheme.num_symbols)
     assert np.array_equal(outcomes.noise_weights, reference.T)
 
@@ -279,27 +279,27 @@ def test_trial_stack_matches_unbatched_trials(scheme_id):
     rng = np.random.default_rng(43)
     trials = 5
     draws = [_draw(scheme, rng) + (scheme.draw_messages([rng]),) for _ in range(trials)]
-    tensor = ChannelTensor(h=_join([d[0].h for d in draws]))
+    h = _join([d[0] for d in draws])
     offline = _join([d[1] for d in draws])
     msgs = _join([d[2] for d in draws])
     log = AccessLog()
-    record = simulate_block(scheme, tensor, offline, msgs, log=log)
-    ctx = decode_context(scheme, tensor, offline)
+    record = simulate_block(scheme, h, offline, msgs, log=log)
+    ctx = decode_context(scheme, h, offline)
     decoded = scheme.decode(record.y, ctx)
-    weights = noise_weights(scheme, tensor, offline, ctx)
+    weights = noise_weights(scheme, h, offline, ctx)
     certs = ctx.certificates
     assert weights.shape == (scheme.num_symbols, trials)
-    for t, (one_tensor, one_offline, one_msgs) in enumerate(draws):
+    for t, (one_h, one_offline, one_msgs) in enumerate(draws):
         one_log = AccessLog()
-        one = simulate_block(scheme, one_tensor, one_offline, one_msgs, log=one_log)
-        one_ctx = decode_context(scheme, one_tensor, one_offline)
+        one = simulate_block(scheme, one_h, one_offline, one_msgs, log=one_log)
+        one_ctx = decode_context(scheme, one_h, one_offline)
         # each trial reads what its one-trial stack reads, record for record,
         # and both run one arithmetic, so every number matches to the bit
         assert log.records == one_log.records
         assert np.array_equal(record.x[..., t : t + 1], one.x)
         assert np.array_equal(decoded[:, t : t + 1], scheme.decode(one.y, one_ctx))
         assert np.array_equal(
-            weights[:, t : t + 1], noise_weights(scheme, one_tensor, one_offline, one_ctx)
+            weights[:, t : t + 1], noise_weights(scheme, one_h, one_offline, one_ctx)
         )
         for key, value in one_ctx.certificates.items():
             batch_value = np.broadcast_to(certs[key], (trials,))[t]

@@ -754,6 +754,8 @@ class TestOneLineErrors:
             ["--scheme", "nope"],
             ["--scheme", "bc_mat", "--trials", "abc"],
             ["--scheme", "bc_mat", "--no-such-flag"],
+            # past sys.maxsize a worker's share, a range, has no len()
+            ["--scheme", "bc_mat", "--trials", str(sys.maxsize + 1), "--threads", "1"],
         ],
     )
     def test_bad_flag_is_one_line(self, capsys, argv):

@@ -31,12 +31,12 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
     scheme = get_scheme(scheme_id)
     rng = np.random.default_rng(59)
     for _ in range(5):
-        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+        h = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
         offline = scheme.draw_offline([rng])
-        ctx = decode_context(scheme, tensor, offline)
+        ctx = decode_context(scheme, h, offline)
         response = np.stack(
             [
-                simulate_block(scheme, tensor, offline, unit[:, None]).y[..., 0]
+                simulate_block(scheme, h, offline, unit[:, None]).y[..., 0]
                 for unit in np.eye(scheme.num_symbols, dtype=np.complex128)
             ],
             axis=-1,
@@ -51,8 +51,8 @@ def test_decoder_matches_jacobi_oracle(scheme_id):
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
 def test_one_factorization_equals_one_call_per_receiver(scheme_id):
     scheme = get_scheme(scheme_id)
-    tensor, offline, _ = _draw_batch(scheme, 61, [(t, 0) for t in range(8)])
-    response = impulse_response(scheme, tensor, offline)
+    h, offline, _ = _draw_batch(scheme, 61, [(t, 0) for t in range(8)])
+    response = impulse_response(scheme, h, offline)
     ctx = scheme.decode_context(Tolerances(), response)
     for rx in range(scheme.num_rx):
         d, cond, residual = zero_forcing_rows(response[rx], scheme.symbols_for_rx(rx))

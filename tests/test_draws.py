@@ -4,7 +4,7 @@ A batch derives its generators from one vectorized pass of numpy's
 SeedSequence hash and draws its channels as one stack.  Every trial must
 still get exactly the numbers of the per-trial reference: numpy's own
 ``SeedSequence((base_seed, trial, attempt)).spawn(3)`` children, one
-channel per generator with a rejection loop of its own, complex Gaussians
+channel per generator, complex Gaussians
 from separate real and imaginary draws, and offline coefficients laid out
 here from those draws, not by the schemes' own ``draw_offline``.
 """
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import alignsim.evaluate
-from alignsim.channel import MAG_BOUNDS_DEFAULT, generate_channel
+from alignsim.channel import generate_channel
 from alignsim.evaluate import TRIAL_BATCH, _draw_batch
 from alignsim.numerics import (
     sample_complex_gaussian, seeded_generators, spawn_states,
@@ -36,18 +36,10 @@ def reference_gaussian(rng, count):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def reference_channel(num_rx, num_tx, num_slots, rng, mag_bounds=MAG_BOUNDS_DEFAULT):
-    """One channel, each coefficient redrawn while it lies outside the band."""
-    lo, hi = mag_bounds
+def reference_channel(num_rx, num_tx, num_slots, rng):
+    """One channel, every coefficient as drawn."""
     shape = (num_rx, num_tx, num_slots)
-    h = reference_gaussian(rng, int(np.prod(shape))).reshape(shape)
-    rejections = 0
-    bad = (np.abs(h) < lo) | (np.abs(h) > hi)
-    while np.any(bad):
-        rejections += int(bad.sum())
-        h[bad] = reference_gaussian(rng, int(bad.sum()))
-        bad = (np.abs(h) < lo) | (np.abs(h) > hi)
-    return h, rejections
+    return reference_gaussian(rng, int(np.prod(shape))).reshape(shape)
 
 
 def _spawned_generators(entropies, children):
@@ -154,31 +146,13 @@ def test_complex_gaussian_matches_two_draws(count):
 # -- channels -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mag_bounds", [MAG_BOUNDS_DEFAULT, (0.05, 3.0), (0.5, 2.0)])
-def test_channel_stack_matches_per_trial_channels(mag_bounds):
+def test_channel_stack_matches_per_trial_channels():
     rngs = [rng for rng, _, _ in _spawned_generators([(8, t, 0) for t in range(40)], 3)]
-    tensor = generate_channel(2, 2, 7, rngs, mag_bounds=mag_bounds)
-    assert tensor.h.shape == (2, 2, 7, 40)
-    per_trial = [
-        reference_channel(2, 2, 7, rng, mag_bounds)
-        for rng, _, _ in (reference_rngs(8, t, 0) for t in range(40))
-    ]
-    for t, (h, _) in enumerate(per_trial):
-        assert _same_bits(tensor.h[..., t], h)
-    rejections = [r for _, r in per_trial]
-    assert tensor.num_rejections == sum(rejections)
-    if mag_bounds == (0.5, 2.0):
-        # narrow band: nearly every trial runs its own rejection loop
-        assert sum(r > 0 for r in rejections) > 30
-    if mag_bounds == (0.05, 3.0):
-        # some trials reject and some do not
-        assert 0 < sum(r > 0 for r in rejections) < 40
-
-
-def test_rejection_cap_applies_to_a_stack():
-    rngs = [np.random.default_rng(s) for s in range(3)]
-    with pytest.raises(RuntimeError, match="rejection sampling failed"):
-        generate_channel(2, 2, 3, rngs, mag_bounds=(10.0, 20.0), max_rejections=5)
+    h = generate_channel(2, 2, 7, rngs)
+    assert h.shape == (2, 2, 7, 40)
+    for t in range(40):
+        rng, _, _ = reference_rngs(8, t, 0)
+        assert _same_bits(h[..., t], reference_channel(2, 2, 7, rng))
 
 
 # -- whole batches ----------------------------------------------------------------
@@ -206,25 +180,21 @@ def _reference_offline(scheme_id, rng):
 
 def _reference_draw(scheme, base_seed, trial, attempt):
     rng_channel, rng_offline, rng_msgs = reference_rngs(base_seed, trial, attempt)
-    h, rejections = reference_channel(
-        scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel
-    )
+    h = reference_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, rng_channel)
     offline = _reference_offline(scheme.scheme_id, rng_offline)
-    return h, rejections, offline, reference_gaussian(rng_msgs, scheme.num_symbols)
+    return h, offline, reference_gaussian(rng_msgs, scheme.num_symbols)
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
 def test_batch_draw_matches_per_trial_reference(scheme_id):
     scheme = get_scheme(scheme_id)
     draws = [(t, 0) for t in range(TRIAL_BATCH)] + [(3, 1), (70, 9)]
-    tensor, offline, msgs = _draw_batch(scheme, 3, draws)
-    assert tensor.h.shape == (scheme.num_rx, scheme.num_tx, scheme.num_slots, len(draws))
+    h, offline, msgs = _draw_batch(scheme, 3, draws)
+    assert h.shape == (scheme.num_rx, scheme.num_tx, scheme.num_slots, len(draws))
     assert msgs.shape == (scheme.num_symbols, len(draws))
-    total_rejections = 0
     for t, (trial, attempt) in enumerate(draws):
-        h, rejections, ref_offline, ref_msgs = _reference_draw(scheme, 3, trial, attempt)
-        total_rejections += rejections
-        assert _same_bits(tensor.h[..., t], h)
+        ref_h, ref_offline, ref_msgs = _reference_draw(scheme, 3, trial, attempt)
+        assert _same_bits(h[..., t], ref_h)
         assert _same_bits(msgs[:, t], ref_msgs)
         if ref_offline is None:
             assert offline is None
@@ -232,7 +202,6 @@ def test_batch_draw_matches_per_trial_reference(scheme_id):
             assert sorted(ref_offline) == sorted(f.name for f in dataclasses.fields(offline))
             for name, want in ref_offline.items():
                 assert _same_bits(getattr(offline, name)[..., t], want)
-    assert tensor.num_rejections == total_rejections
 
 
 class _CountingGenerator:
@@ -246,35 +215,24 @@ class _CountingGenerator:
         return self.rng.standard_normal(*args, **kwargs)
 
 
-@pytest.mark.parametrize("mag_bounds", [MAG_BOUNDS_DEFAULT, (0.5, 2.0)])
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
-def test_each_generator_makes_one_normal_call_per_draw(scheme_id, mag_bounds, monkeypatch):
+def test_each_generator_makes_one_normal_call_per_draw(scheme_id, monkeypatch):
     streams = []
 
     def counting_generators(states):
         streams.append([_CountingGenerator(rng) for rng in seeded_generators(states)])
         return streams[-1]
 
-    def banded_channel(*args):
-        return generate_channel(*args, mag_bounds=mag_bounds)
-
     monkeypatch.setattr(alignsim.evaluate, "seeded_generators", counting_generators)
-    monkeypatch.setattr(alignsim.evaluate, "generate_channel", banded_channel)
     scheme = get_scheme(scheme_id)
-    draws = [(t, 0) for t in range(40)]
-    tensor, offline, _ = _draw_batch(scheme, 4, draws)
-    channel, *others = streams
-    assert len(others) == (1 if offline is None else 2)
-    assert all(len(stream) == len(draws) for stream in streams)
-    for stream in others:
+    # at seed 0, ic3_output_fb's draw of trial 3534 and ic3_retro_csit's of
+    # 10009 hold a coefficient below 1e-3 in magnitude, which is kept as drawn
+    draws = [(t, 0) for t in range(40)] + [(3534, 0), (10009, 0)]
+    _, offline, _ = _draw_batch(scheme, 0, draws)
+    # the channel stream first, then the offline one where the scheme draws any
+    assert len(streams) == (2 if offline is None else 3)
+    for stream in streams:
         assert [rng.calls for rng in stream] == [1] * len(draws)
-    # a channel generator calls again only to redraw coefficients outside the band
-    extra = [rng.calls - 1 for rng in channel]
-    assert min(extra) >= 0
-    assert sum(extra) <= tensor.num_rejections
-    assert (sum(extra) > 0) == (tensor.num_rejections > 0)
-    if mag_bounds == (0.5, 2.0):
-        assert sum(extra) > 0
 
 
 # -- stacked scheme draws ----------------------------------------------------------

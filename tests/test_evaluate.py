@@ -86,13 +86,13 @@ class TestSimulateBlock:
     def test_received_values_reconstruct_from_channel(self, scheme_id):
         scheme = get_scheme(scheme_id)
         rng = np.random.default_rng(7)
-        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+        h = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
         offline = scheme.draw_offline([rng])
         msgs = scheme.draw_messages([rng])
-        record = simulate_block(scheme, tensor, offline, msgs)
+        record = simulate_block(scheme, h, offline, msgs)
         for n in range(scheme.num_slots):
             np.testing.assert_allclose(
-                record.y[:, n, 0], tensor.h[:, :, n, 0] @ record.x[:, n, 0], rtol=1e-13
+                record.y[:, n, 0], h[:, :, n, 0] @ record.x[:, n, 0], rtol=1e-13
             )
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
@@ -102,9 +102,9 @@ class TestSimulateBlock:
         # them.  A power-of-two scale commutes with rounding, so a noiseless
         # block at messages 2 m is the block at m, doubled, to the bit.
         scheme = get_scheme(scheme_id)
-        tensor, offline, msgs = _draw_batch(scheme, 12, [(t, 0) for t in range(16)])
-        once = simulate_block(scheme, tensor, offline, msgs)
-        twice = simulate_block(scheme, tensor, offline, 2.0 * msgs)
+        h, offline, msgs = _draw_batch(scheme, 12, [(t, 0) for t in range(16)])
+        once = simulate_block(scheme, h, offline, msgs)
+        twice = simulate_block(scheme, h, offline, 2.0 * msgs)
         assert np.array_equal(twice.x, 2.0 * once.x)
         assert np.array_equal(twice.y, 2.0 * once.y)
         assert np.any(once.y != 0.0)
@@ -115,12 +115,12 @@ class TestSimulateBlock:
         # every other symbol, one per batch column, leaves it silent wherever
         # it does not replay an output
         scheme = get_scheme(scheme_id)
-        tensor, offline, _ = _draw_batch(scheme, 14, [(t, 0) for t in range(6)])
+        h, offline, _ = _draw_batch(scheme, 14, [(t, 0) for t in range(6)])
         for j in range(scheme.num_tx):
             others = [s for s in range(scheme.num_symbols) if OWNER[scheme_id](s) != j]
-            msgs = np.zeros((scheme.num_symbols, len(others), tensor.num_trials), complex)
+            msgs = np.zeros((scheme.num_symbols, len(others), h.shape[3]), complex)
             msgs[others, range(len(others))] = 1.0
-            record = simulate_block(scheme, tensor, offline, msgs)
+            record = simulate_block(scheme, h, offline, msgs)
             assert np.any(record.x != 0.0)
             for n, payloads in enumerate(scheme.schedule):
                 if not isinstance(payloads[j], OutputPayload):
@@ -139,10 +139,10 @@ class TestSimulateBlock:
             return derive(views, offline)
 
         monkeypatch.setattr(scheme, "derive", counted)
-        tensor, offline, msgs = _draw_batch(scheme, 15, [(t, 0) for t in range(4)])
-        first = simulate_block(scheme, tensor, offline, msgs)
+        h, offline, msgs = _draw_batch(scheme, 15, [(t, 0) for t in range(4)])
+        first = simulate_block(scheme, h, offline, msgs)
         assert calls == [list(range(entities))]
-        again = simulate_block(scheme, tensor, offline, msgs)
+        again = simulate_block(scheme, h, offline, msgs)
         assert calls == 2 * [list(range(entities))]
         assert np.array_equal(again.x, first.x)
 
@@ -177,9 +177,9 @@ class TestSimulateBlock:
     def test_each_entity_reads_what_it_read_deriving_alone(self, scheme_id):
         # one derive call for all entities widens no entity's reads
         scheme = get_scheme(scheme_id)
-        tensor, offline, msgs = _draw_batch(scheme, 16, [(t, 0) for t in range(3)])
+        h, offline, msgs = _draw_batch(scheme, 16, [(t, 0) for t in range(3)])
         log = AccessLog()
-        simulate_block(scheme, tensor, offline, msgs, log=log)
+        simulate_block(scheme, h, offline, msgs, log=log)
         slot, reads = READS_ALONE[scheme_id]
         expected = Counter(
             AccessRecord(tx, slot, "csi", rx, j, n)
@@ -224,9 +224,9 @@ class TestSimulateBlock:
 
         monkeypatch.setattr(TxInformationView, "channel_coeff", counted_read)
         monkeypatch.setattr(scheme, "derive", counted_derive)
-        tensor, offline, msgs = _draw_batch(scheme, 5, [(t, 0) for t in range(3)])
+        h, offline, msgs = _draw_batch(scheme, 5, [(t, 0) for t in range(3)])
         log = AccessLog()
-        simulate_block(scheme, tensor, offline, msgs, log=log)
+        simulate_block(scheme, h, offline, msgs, log=log)
         assert reads["engine"] == 0
         assert reads["derive"] == sum(r.kind == "csi" for r in log.records)
         assert (reads["derive"] > 0) == scheme.feedback.provides_csi
@@ -238,16 +238,16 @@ class TestSimulateBlock:
         # divided by sqrt(P)
         scheme = get_scheme(scheme_id)
         rng = np.random.default_rng(8)
-        tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+        h = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
         offline = scheme.draw_offline([rng])
         msgs = scheme.draw_messages([rng])
         noise = sample_complex_gaussian([rng], scheme.num_rx * scheme.num_slots).reshape(
             scheme.num_rx, scheme.num_slots, 1
         )
-        ctx = decode_context(scheme, tensor, offline)
+        ctx = decode_context(scheme, h, offline)
 
         def decode_error(scale, z, messages):
-            record = simulate_block(scheme, tensor, offline, scale * messages, noise=z)
+            record = simulate_block(scheme, h, offline, scale * messages, noise=z)
             return scheme.decode(record.y, ctx) / scale - messages
 
         base = decode_error(1.0, noise, msgs)
@@ -272,7 +272,7 @@ class _PeeksAtTheCurrentSlot(BcMatScheme):
     def transmit(self, antenna, slot, view, msgs, offline, state):
         x = super().transmit(antenna, slot, view, msgs, offline, state)
         if (antenna, slot) == (0, 2):
-            return x * np.abs(view._tensor.h[0, 0, 2])
+            return x * np.abs(view._h[0, 0, 2])
         return x
 
 
@@ -315,16 +315,16 @@ class TestNoiseWeights:
         band = 5.0 / math.sqrt(NOISE_COLUMNS)
         for scheme_id in ALL_SCHEME_IDS:
             scheme = get_scheme(scheme_id)
-            tensor, offline, msgs = _draw_batch(scheme, 9, [(t, 0) for t in range(16)])
-            ctx = decode_context(scheme, tensor, offline)
-            weights = noise_weights(scheme, tensor, offline, ctx)
+            h, offline, msgs = _draw_batch(scheme, 9, [(t, 0) for t in range(16)])
+            ctx = decode_context(scheme, h, offline)
+            weights = noise_weights(scheme, h, offline, ctx)
             rng = np.random.default_rng(10)
-            shape = (scheme.num_rx, scheme.num_slots, NOISE_COLUMNS, tensor.num_trials)
+            shape = (scheme.num_rx, scheme.num_slots, NOISE_COLUMNS, h.shape[3])
             noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
             for power in (10.0, 1e4):
                 sent = math.sqrt(power) * msgs[:, None]
                 columns = np.broadcast_to(sent, (scheme.num_symbols, *shape[2:]))
-                record = simulate_block(scheme, tensor, offline, columns, noise=noise)
+                record = simulate_block(scheme, h, offline, columns, noise=noise)
                 errors = scheme.decode(record.y, ctx) - sent
                 ratio = np.mean(np.abs(errors) ** 2, axis=1) / weights
                 assert np.all(np.abs(ratio - 1.0) <= band), (scheme_id, power, ratio)
@@ -353,6 +353,11 @@ class TestRunTrials:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_trials("bc_mat", 0, base_seed=1)
+
+    def test_rejects_more_trials_than_a_share_can_hold(self):
+        # a share is a range, and a range past sys.maxsize has no len()
+        with pytest.raises(ValueError, match="num_trials"):
+            run_trials("bc_mat", sys.maxsize + 1, base_seed=1, threads=1)
 
     def test_sinr_and_rate_population(self):
         report = run_trials("bc_mat", 2, base_seed=6, collect_weights=True)
@@ -437,6 +442,21 @@ class TestDiscardAndFailurePaths:
         assert len(report.discards) == discards
         assert all(d.reason.startswith("Singular: ") for d in report.discards)
         assert report.all_decode_ok
+
+    @pytest.mark.parametrize(
+        "scheme_id, trial", [("ic3_output_fb", 3534), ("ic3_retro_csit", 10009)]
+    )
+    def test_the_decoder_not_the_draw_judges_a_weak_coefficient(self, scheme_id, trial):
+        # at seed 0 these first draws hold a coefficient of magnitude 4.0e-4
+        # and 8.2e-4: the channel keeps it as drawn, and the decoder finds
+        # the draw regular and decodes it exactly at its first attempt
+        scheme = get_scheme(scheme_id)
+        h, _, _ = _draw_batch(scheme, 0, [(trial, 0)])
+        assert np.abs(h).min() < 1e-3
+        outcomes, discards = _run_draws(scheme, 0, [trial], Tolerances(), True)
+        assert discards == []
+        assert outcomes.attempt.tolist() == [0]
+        assert outcomes.decode_ok.tolist() == [True]
 
 
 class TestDofEstimation:
@@ -570,7 +590,7 @@ def _first_coefficients(base_seed, trials, attempts=(0,)):
     """The first channel coefficient of each trial's draws at ``attempts``."""
     draws = [(base_seed, trial, attempt) for trial in trials for attempt in attempts]
     return [
-        generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0]
+        generate_channel(2, 2, 3, seeded_generators(states[:1]))[0, 0, 0, 0]
         for states in spawn_states(draws, 3)
     ]
 
@@ -668,7 +688,7 @@ class TestTrialBatches:
     @pytest.mark.parametrize("bad", [0, 77, 127, TRIAL_BATCH - 1])
     def test_one_degenerate_trial_reruns_alone_then_the_rest(self, monkeypatch, bad):
         [states] = spawn_states([(23, bad, 0)], 3)
-        first = generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0]
+        first = generate_channel(2, 2, 3, seeded_generators(states[:1]))[0, 0, 0, 0]
         scheme = _DiscardOneDraw(first)
         expected_outcomes, expected_discards = _trial_by_trial(scheme, 23, TRIAL_BATCH)
         assert [(d.trial, d.attempt) for d in expected_discards] == [(bad, 0)]
@@ -789,7 +809,7 @@ class TestTrialBatches:
         scheme = _FailStrongTrials()
         monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
         gains = [
-            abs(generate_channel(2, 2, 3, seeded_generators(states[:1])).h[0, 0, 0, 0])
+            abs(generate_channel(2, 2, 3, seeded_generators(states[:1]))[0, 0, 0, 0])
             for states in spawn_states([(22, trial, 0) for trial in range(100)], 3)
         ]
         first_bad = next(trial for trial, gain in enumerate(gains) if gain > 1.5)
@@ -1045,10 +1065,10 @@ _COEFFS = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinit
 def test_decode_is_linear_in_the_received_block(scheme_id, seed, a, b):
     scheme = get_scheme(scheme_id)
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+    h = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
     offline = scheme.draw_offline([rng])
     try:
-        ctx = decode_context(scheme, tensor, offline)
+        ctx = decode_context(scheme, h, offline)
     except Singular:
         assume(False)
     size = scheme.num_rx * scheme.num_slots
@@ -1087,8 +1107,8 @@ def _judged(scheme_id, guards):
     ``draw`` in what ``zero_forcing_rows`` returns to the decoder.
     """
     scheme = get_scheme(scheme_id)
-    tensor, offline, _ = _draw_batch(scheme, 25, [(0, 0), (1, 0)])
-    response = impulse_response(scheme, tensor, offline)
+    h, offline, _ = _draw_batch(scheme, 25, [(0, 0), (1, 0)])
+    response = impulse_response(scheme, h, offline)
 
     def spoiled(g, rows):
         d, cond, residual = zero_forcing_rows(g, rows)

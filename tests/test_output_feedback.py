@@ -19,9 +19,9 @@ ICFB = IC3OutputFeedbackScheme()
 def _trial_data(scheme, seed):
     """Channel and messages of a one-trial stack."""
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
+    h = generate_channel(scheme.num_rx, scheme.num_tx, scheme.num_slots, [rng])
     msgs = scheme.draw_messages([rng])
-    return tensor, msgs
+    return h, msgs
 
 
 def _noise(scheme, seed):
@@ -106,16 +106,15 @@ class TestAllSchemes:
 
 class TestBcMat:
     def test_second_antenna_silent_in_combo_slot(self):
-        tensor, msgs = _trial_data(BC, 21)
-        record = simulate_block(BC, tensor, None, msgs)
+        h, msgs = _trial_data(BC, 21)
+        record = simulate_block(BC, h, None, msgs)
         assert np.all(record.x[1, 2] == 0j)
 
     def test_combo_is_normalized_sum_of_clean_observations(self):
         # The slot-2 scalar times its normalizer must equal the two clean
         # crossed observations the users are waiting on.
-        tensor, msgs = _trial_data(BC, 22)
-        record = simulate_block(BC, tensor, None, msgs)
-        h = tensor.h
+        h, msgs = _trial_data(BC, 22)
+        record = simulate_block(BC, h, None, msgs)
         rho = np.sqrt(
             sum(abs(h[1, j, 0]) ** 2 for j in range(2))
             + sum(abs(h[0, j, 1]) ** 2 for j in range(2))
@@ -125,12 +124,12 @@ class TestBcMat:
 
     def test_slot_powers(self):
         # unit-power symbols give unit power in every sending (antenna, slot)
-        tensor, _ = _trial_data(BC, 23)
+        h, _ = _trial_data(BC, 23)
         coeffs = np.zeros((2, 3, 4), dtype=np.complex128)
         for sym in range(4):
             msgs = np.zeros((4, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(BC, tensor, None, msgs)
+            record = simulate_block(BC, h, None, msgs)
             coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
         np.testing.assert_allclose(power[0, :], 1.0, rtol=1e-10)
@@ -138,17 +137,17 @@ class TestBcMat:
         assert power[1, 2] == 0.0
 
     def test_single_entity_reads_for_both_antennas(self):
-        tensor, msgs = _trial_data(BC, 24)
+        h, msgs = _trial_data(BC, 24)
         log = AccessLog()
-        simulate_block(BC, tensor, None, msgs, log=log)
+        simulate_block(BC, h, None, msgs, log=log)
         assert log.csi_slots() == frozenset({0, 1})
         assert all(r.tx == 0 and r.kind == "csi" for r in log.records)
 
     def test_combo_reads_each_coefficient_once(self):
         # the combination sums four crossed coefficients: one read each
-        tensor, msgs = _trial_data(BC, 25)
+        h, msgs = _trial_data(BC, 25)
         log = AccessLog()
-        simulate_block(BC, tensor, None, msgs, log=log)
+        simulate_block(BC, h, None, msgs, log=log)
         reads = [(r.item_rx, r.item_tx, r.item_slot) for r in log.records]
         assert sorted(reads) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
 
@@ -159,16 +158,16 @@ class TestBcMat:
 
 class TestXOutputFeedback:
     def test_replay_carries_noisy_output_bit_for_bit(self):
-        tensor, msgs = _trial_data(XFB, 41)
+        h, msgs = _trial_data(XFB, 41)
         noise = _noise(XFB, 42)
-        record = simulate_block(XFB, tensor, None, msgs, noise=noise)
+        record = simulate_block(XFB, h, None, msgs, noise=noise)
         assert np.array_equal(record.x[0, 2], record.y[1, 0])
         assert np.array_equal(record.x[1, 2], record.y[0, 1])
 
     def test_no_csi_and_full_association_reads(self):
-        tensor, msgs = _trial_data(XFB, 43)
+        h, msgs = _trial_data(XFB, 43)
         log = AccessLog()
-        simulate_block(XFB, tensor, None, msgs, log=log)
+        simulate_block(XFB, h, None, msgs, log=log)
         assert log.csi_slots() == frozenset()
         reads = {(r.tx, r.item_rx, r.item_slot) for r in log.records if r.kind == "output"}
         assert reads == {(0, 1, 0), (1, 0, 1)}
@@ -185,17 +184,17 @@ class TestIC3OutputFeedback:
         assert ICFB.symbols_for_rx(2) == [4, 5]
 
     def test_silent_antennas(self):
-        tensor, msgs = _trial_data(ICFB, 51)
-        record = simulate_block(ICFB, tensor, None, msgs)
+        h, msgs = _trial_data(ICFB, 51)
+        record = simulate_block(ICFB, h, None, msgs)
         for slot, payloads in enumerate(ICFB.schedule):
             for j, payload in enumerate(payloads):
                 if payload is None:
                     assert np.all(record.x[j, slot] == 0j)
 
     def test_only_own_outputs_read(self):
-        tensor, msgs = _trial_data(ICFB, 52)
+        h, msgs = _trial_data(ICFB, 52)
         log = AccessLog()
-        simulate_block(ICFB, tensor, None, msgs, log=log)
+        simulate_block(ICFB, h, None, msgs, log=log)
         assert log.csi_slots() == frozenset()
         assert log.records != []
         assert all(r.kind == "output" and r.item_rx == r.tx for r in log.records)
@@ -212,9 +211,9 @@ class TestIC3OutputFeedback:
                 ICFB.schedule[4],
             )
 
-        tensor, msgs = _trial_data(ICFB, 53)
+        h, msgs = _trial_data(ICFB, 53)
         with pytest.raises(CausalityViolation):
-            simulate_block(Leaky(), tensor, None, msgs)
+            simulate_block(Leaky(), h, None, msgs)
 
     @pytest.mark.parametrize("perturb_from", range(5))
     def test_future_states_never_leak(self, perturb_from):
@@ -230,6 +229,6 @@ class TestInterpreterGuards:
                 (OutputPayload(rx=1, slot=2), OutputPayload(rx=0, slot=1)),
             )
 
-        tensor, msgs = _trial_data(XFB, 61)
+        h, msgs = _trial_data(XFB, 61)
         with pytest.raises(CausalityViolation):
-            simulate_block(TooEager(), tensor, None, msgs)
+            simulate_block(TooEager(), h, None, msgs)

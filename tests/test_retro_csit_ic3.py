@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, ChannelTensor, generate_channel
+from alignsim.channel import AccessLog, generate_channel
 from alignsim.base import InterferenceRankUnexpected
 from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import Singular, sample_complex_gaussian
@@ -127,26 +127,26 @@ class TestPhase2Coefficients:
             return alphas
 
         monkeypatch.setattr(ic3, "null_vector", parallel)
-        tensor, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
+        h, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(Singular):
-                decode_context(SCHEME, tensor, offline)
+                decode_context(SCHEME, h, offline)
 
 
 def _trial_data(seed):
     """Channel, offline coefficients and messages of a one-trial stack."""
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(3, 3, NUM_SLOTS, [rng])
+    h = generate_channel(3, 3, NUM_SLOTS, [rng])
     offline = SCHEME.draw_offline([rng])
     msgs = SCHEME.draw_messages([rng])
-    return tensor, offline, msgs
+    return h, offline, msgs
 
 
 class TestEncoding:
     def test_phase1_matches_direct_summation(self):
-        tensor, offline, msgs = _trial_data(11)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
+        h, offline, msgs = _trial_data(11)
+        record = simulate_block(SCHEME, h, offline, msgs)
         u = msgs.reshape(3, 3, 1)
         for k in range(3):
             for n in range(PHASE1_SLOTS):
@@ -154,18 +154,18 @@ class TestEncoding:
                 np.testing.assert_allclose(record.x[k, n], expected, rtol=1e-12)
 
     def test_phase2_repeats_one_scalar(self):
-        tensor, offline, msgs = _trial_data(12)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
+        h, offline, msgs = _trial_data(12)
+        record = simulate_block(SCHEME, h, offline, msgs)
         assert np.array_equal(record.x[:, 5], record.x[:, 6])
         assert np.array_equal(record.x[:, 5], record.x[:, 7])
 
     def test_encoder_agrees_with_receiver_side_rederivation(self):
         # Each transmitter derives its combination triple from partial CSI;
-        # the receivers re-derive the same triple from the full tensor.  Both
+        # the receivers re-derive the same triple from the full channel.  Both
         # paths consume identical scalars, so the results match bit for bit.
-        tensor, offline, msgs = _trial_data(13)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
-        _, coeffs, _ = effective_precoders(tensor.h, offline.phase1)
+        h, offline, msgs = _trial_data(13)
+        record = simulate_block(SCHEME, h, offline, msgs)
+        _, coeffs, _ = effective_precoders(h, offline.phase1)
         u = msgs.reshape(3, 3, 1)
         for k in range(3):
             # the repeated scalar is the triple's products, summed left to right
@@ -173,20 +173,20 @@ class TestEncoding:
             assert np.array_equal(record.x[k, 5], expected)
 
     def test_unit_power_per_slot(self):
-        tensor, offline, _ = _trial_data(14)
+        h, offline, _ = _trial_data(14)
         coeffs = np.zeros((3, NUM_SLOTS, 9), dtype=np.complex128)
         for sym in range(9):
             msgs = np.zeros((9, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(SCHEME, tensor, offline, msgs)
+            record = simulate_block(SCHEME, h, offline, msgs)
             coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
         np.testing.assert_allclose(power, 1.0, rtol=1e-10)
 
     def test_csi_reads_are_cross_channels_of_phase1(self):
-        tensor, offline, msgs = _trial_data(15)
+        h, offline, msgs = _trial_data(15)
         log = AccessLog()
-        simulate_block(SCHEME, tensor, offline, msgs, log=log)
+        simulate_block(SCHEME, h, offline, msgs, log=log)
         assert log.csi_slots() == frozenset(range(PHASE1_SLOTS))
         csi = [r for r in log.records if r.kind == "csi"]
         # 2 annihilators x 2 interferers x 5 slots per transmitter
@@ -200,7 +200,7 @@ class TestEncoding:
         assert future_perturbation_invariant(SCHEME, 77, [0], perturb_from)
 
 
-def _derived_rows(monkeypatch, tensor, offline, msgs):
+def _derived_rows(monkeypatch, h, offline, msgs):
     """Each entity's derived rows, as one block run's engine caches them."""
     derive, rows = SCHEME.derive, {}
 
@@ -211,17 +211,17 @@ def _derived_rows(monkeypatch, tensor, offline, msgs):
 
     with monkeypatch.context() as patch:
         patch.setattr(SCHEME, "derive", recorded)
-        simulate_block(SCHEME, tensor, offline, msgs)
+        simulate_block(SCHEME, h, offline, msgs)
     return rows
 
 
 class TestTransmitCache:
     def test_cached_triples_match_the_oracle(self, monkeypatch):
-        tensor, offline, msgs = _trial_data(18)
-        derived = _derived_rows(monkeypatch, tensor, offline, msgs)
-        _, coeffs, _ = effective_precoders(tensor.h, offline.phase1)
+        h, offline, msgs = _trial_data(18)
+        derived = _derived_rows(monkeypatch, h, offline, msgs)
+        _, coeffs, _ = effective_precoders(h, offline.phase1)
         # each victim's annihilator, recomputed from its system alone
-        alphas = compute_alphas(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
+        alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], offline.phase1)
         for k in range(3):
             np.testing.assert_allclose(derived[k][0], coeffs[k], rtol=0, atol=1e-12)
             # the triple's defining orthogonality: c[k] . alpha_sub(rx, k) = 0
@@ -231,9 +231,9 @@ class TestTransmitCache:
     def test_stacked_victim_systems_equal_one_call_each(self, monkeypatch):
         # the triples of both victims' systems, stacked in one null_vector call,
         # are bit for bit those of one call per system
-        tensor, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
-        derived = _derived_rows(monkeypatch, tensor, offline, msgs)
-        alphas = compute_alphas(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
+        h, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
+        derived = _derived_rows(monkeypatch, h, offline, msgs)
+        alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], offline.phase1)
         coeffs = phase2_coefficients(alphas)
         for k in range(3):
             assert derived[k][0].tobytes() == coeffs[k].tobytes()
@@ -244,12 +244,12 @@ class TestTransmitCache:
         # transmitter k never reads its own receiver's row h[k, :, :]; a
         # phase-1 state there feeds only receiver k's annihilator, which the
         # shared factoring builds for the other two transmitters alone
-        tensor, offline, msgs = _draw_batch(SCHEME, 9, [(t, 0) for t in range(5)])
-        derived = _derived_rows(monkeypatch, tensor, offline, msgs)
+        h, offline, msgs = _draw_batch(SCHEME, 9, [(t, 0) for t in range(5)])
+        derived = _derived_rows(monkeypatch, h, offline, msgs)
         for j in interferers(k):
-            h = tensor.h.copy()
-            h[k, j, n] *= np.exp(0.7j)
-            moved = _derived_rows(monkeypatch, ChannelTensor(h=h), offline, msgs)
+            perturbed = h.copy()
+            perturbed[k, j, n] *= np.exp(0.7j)
+            moved = _derived_rows(monkeypatch, perturbed, offline, msgs)
             assert moved[k].tobytes() == derived[k].tobytes()
             for other in interferers(k):
                 # every trial's triple moves
@@ -288,8 +288,8 @@ class TestDecoding:
         assert report.outcomes.csi_slots == [0, 1, 2, 3, 4]
 
     def test_rank_five_confirmed_by_independent_oracle(self):
-        tensor, offline, _ = _trial_data(16)
-        h = tensor.h[..., 0]
+        h, offline, _ = _trial_data(16)
+        h = h[..., 0]
         _, _, precoders = effective_precoders(h, offline.phase1[..., 0])
         for rx in range(3):
             a, b = interferers(rx)
@@ -308,7 +308,7 @@ class TestDecoding:
         # With a generic (non-aligned) repetition triple the phase-2 slots
         # add a sixth interference dimension, which the decoder must treat
         # as a structural failure rather than a discardable draw.
-        tensor, offline, _ = _trial_data(17)
+        h, offline, _ = _trial_data(17)
         gen = np.random.default_rng(0)
 
         def wrong_triple(a, b):
@@ -318,7 +318,7 @@ class TestDecoding:
 
         monkeypatch.setattr(ic3, "_unit_cross", wrong_triple)
         with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):
-            decode_context(SCHEME, tensor, offline)
+            decode_context(SCHEME, h, offline)
 
     def test_registry_exposes_scheme(self):
         scheme = get_scheme("ic3_retro_csit")

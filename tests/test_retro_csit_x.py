@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from alignsim.channel import (
     AccessLog,
     AccessRecord,
-    ChannelTensor,
     TxInformationView,
     generate_channel,
 )
@@ -82,18 +81,16 @@ class TestAlignmentConstants:
         # gamma = v0/v1 etc. are undefined.  No encoder code judges that:
         # the block runs without a warning, and the decoder finds the
         # receive matrix singular (not finite), so the draw is discarded.
-        tensor, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
-        h = tensor.h.copy()
+        h, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
         h[0, :, :PHASE1_SLOTS] = 1.0
         phase1 = offline.phase1.copy()
         eye = np.eye(3, dtype=np.complex128)[:, :, None]
         phase1[1] = np.stack([[eye[0], eye[1]], [-eye[0], eye[2]]])
-        tensor = ChannelTensor(h=h, mag_bounds=tensor.mag_bounds)
         offline = XOffline(phase1=phase1, phase2=offline.phase2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(Singular):
-                decode_context(SCHEME, tensor, offline)
+                decode_context(SCHEME, h, offline)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -107,8 +104,8 @@ class TestAlignmentConstants:
 
 class TestStackedSystems:
     def test_constants_equal_one_null_vector_call_per_receiver(self):
-        tensor, offline, _ = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
-        h3 = tensor.h[:, :, :PHASE1_SLOTS]
+        h, offline, _ = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
+        h3 = h[:, :, :PHASE1_SLOTS]
         gamma = alignment_constants(h3, offline.phase1)
         v = null_vector(interference_system(h3, offline.phase1, 0))
         w = null_vector(interference_system(h3, offline.phase1, 1))
@@ -119,8 +116,8 @@ class TestStackedSystems:
 
     def test_cross_second_directions_have_rank_one(self):
         # the stacked constants align both receivers' cross second symbols in every trial
-        tensor, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
-        h3, phase1 = tensor.h[:, :, :PHASE1_SLOTS], offline.phase1
+        h, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
+        h3, phase1 = h[:, :, :PHASE1_SLOTS], offline.phase1
         gamma = alignment_constants(h3, phase1)
         for rx in range(2):
             cross = _cross_second_directions(h3, phase1, gamma, rx)
@@ -141,11 +138,11 @@ def _layer2_vars(u, gamma):
 class TestLayer2Vars:
     def test_definition(self, rng):
         # a derived row sends c[0] s[j, 0] + c[1] s[j, 1], normalized, over j's symbols
-        tensor, offline, _ = _trial_data(10)
+        h, offline, _ = _trial_data(10)
         u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2, 1)
-        views = [TxInformationView(j, PHASE1_SLOTS, tensor, None, SCHEME.feedback) for j in range(2)]
+        views = [TxInformationView(j, PHASE1_SLOTS, h, None, SCHEME.feedback) for j in range(2)]
         for j, derived in enumerate(SCHEME.derive(views, offline)):
-            gamma = alignment_constants(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
+            gamma = alignment_constants(h[:, :, :PHASE1_SLOTS], offline.phase1)
             s = _layer2_vars(u, gamma)
             own = np.stack([u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]])
             for p in range(NUM_SLOTS - PHASE1_SLOTS):
@@ -162,33 +159,33 @@ class TestLayer2Vars:
 def _trial_data(seed):
     """Channel, offline coefficients and messages of a one-trial stack."""
     rng = np.random.default_rng(seed)
-    tensor = generate_channel(2, 2, NUM_SLOTS, [rng])
+    h = generate_channel(2, 2, NUM_SLOTS, [rng])
     offline = SCHEME.draw_offline([rng])
     msgs = SCHEME.draw_messages([rng])
-    return tensor, offline, msgs
+    return h, offline, msgs
 
 
 class TestEncoding:
     def test_zero_messages_given_zero_block(self):
-        tensor, offline, _ = _trial_data(2)
+        h, offline, _ = _trial_data(2)
         msgs = np.zeros((8, 1), dtype=np.complex128)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
+        record = simulate_block(SCHEME, h, offline, msgs)
         assert np.all(record.x == 0.0)
         assert np.all(record.y == 0.0)
 
     def test_single_symbol_readout(self):
-        tensor, offline, _ = _trial_data(3)
+        h, offline, _ = _trial_data(3)
         msgs = np.zeros((8, 1), dtype=np.complex128)
         msgs[0] = 1.0  # u[0, 0, 0]: first symbol from tx 0 to rx 0
-        record = simulate_block(SCHEME, tensor, offline, msgs)
+        record = simulate_block(SCHEME, h, offline, msgs)
         for n in range(PHASE1_SLOTS):
             assert np.array_equal(record.x[0, n], offline.phase1[0, 0, 0, n])
         # tx 1 carries no part of this symbol in either phase
         assert np.all(record.x[1, :] == 0.0)
 
     def test_phase1_matches_direct_summation(self, rng):
-        tensor, offline, msgs = _trial_data(4)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
+        h, offline, msgs = _trial_data(4)
+        record = simulate_block(SCHEME, h, offline, msgs)
         u = msgs.reshape(2, 2, 2, 1)
         for j in range(2):
             for n in range(PHASE1_SLOTS):
@@ -204,9 +201,9 @@ class TestEncoding:
         # through none of the view machinery: exactly as the row over the
         # symbols that the layer variables expand to, and to roundoff as the
         # combination of the layer variables themselves.
-        tensor, offline, msgs = _trial_data(5)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
-        gamma = alignment_constants(tensor.h[:, :, :PHASE1_SLOTS], offline.phase1)
+        h, offline, msgs = _trial_data(5)
+        record = simulate_block(SCHEME, h, offline, msgs)
+        gamma = alignment_constants(h[:, :, :PHASE1_SLOTS], offline.phase1)
         u = msgs.reshape(2, 2, 2, 1)
         s = _layer2_vars(u, gamma)
         for j in range(2):
@@ -227,18 +224,18 @@ class TestEncoding:
                 assert np.array_equal(record.x[j, PHASE1_SLOTS + p], exact)
 
     def test_csi_reads_are_exactly_phase1_slots(self):
-        tensor, offline, msgs = _trial_data(6)
+        h, offline, msgs = _trial_data(6)
         log = AccessLog()
-        simulate_block(SCHEME, tensor, offline, msgs, log=log)
+        simulate_block(SCHEME, h, offline, msgs, log=log)
         assert log.csi_slots() == frozenset(range(PHASE1_SLOTS))
         assert all(r.kind == "csi" for r in log.records)
 
     def test_csi_read_sequence(self):
         # each transmitter derives once, at the first phase-2 slot: slot by
         # slot, each slot's matrix row by row, one record per coefficient
-        tensor, offline, msgs = _trial_data(6)
+        h, offline, msgs = _trial_data(6)
         log = AccessLog()
-        simulate_block(SCHEME, tensor, offline, msgs, log=log)
+        simulate_block(SCHEME, h, offline, msgs, log=log)
         assert log.records == [
             AccessRecord(tx, PHASE1_SLOTS, "csi", k, j, m)
             for tx in range(2)
@@ -251,12 +248,12 @@ class TestEncoding:
         # The scalar each antenna sends is a linear form in the 8 unit-power
         # symbols; summing squared coefficients (extracted by unit impulses)
         # gives the average transmit power, which the design pins to 1.
-        tensor, offline, _ = _trial_data(7)
+        h, offline, _ = _trial_data(7)
         coeffs = np.zeros((2, NUM_SLOTS, 8), dtype=np.complex128)
         for sym in range(8):
             msgs = np.zeros((8, 1), dtype=np.complex128)
             msgs[sym] = 1.0
-            record = simulate_block(SCHEME, tensor, offline, msgs)
+            record = simulate_block(SCHEME, h, offline, msgs)
             coeffs[:, :, sym] = record.x[..., 0]
         power = np.sum(np.abs(coeffs) ** 2, axis=2)
         np.testing.assert_allclose(power, 1.0, rtol=1e-10)
@@ -297,9 +294,9 @@ class TestDecoding:
         assert report.outcomes.csi_slots == [0, 1, 2]
 
     def test_decode_is_linear_in_observations(self):
-        tensor, offline, msgs = _trial_data(8)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
-        ctx = decode_context(SCHEME, tensor, offline)
+        h, offline, msgs = _trial_data(8)
+        record = simulate_block(SCHEME, h, offline, msgs)
+        ctx = decode_context(SCHEME, h, offline)
         y = record.y
         base = SCHEME.decode(y, ctx)
         scaled = SCHEME.decode((2.0 - 1.0j) * y, ctx)
@@ -322,12 +319,9 @@ class TestTransmitterBlindness:
         # A transmitter that has seen slots 0..2 can compute its phase-2
         # scalars; views for the later slots expose more history, yet the
         # sent values must not change (nothing beyond slot 2 is consumed).
-        tensor, offline, msgs = _trial_data(9)
-        record = simulate_block(SCHEME, tensor, offline, msgs)
-        h2 = tensor.h.copy()
-        h2[:, :, PHASE1_SLOTS:] *= np.exp(1.1j)
-        from alignsim.channel import ChannelTensor
-
-        perturbed = ChannelTensor(h=h2, mag_bounds=tensor.mag_bounds)
+        h, offline, msgs = _trial_data(9)
+        record = simulate_block(SCHEME, h, offline, msgs)
+        perturbed = h.copy()
+        perturbed[:, :, PHASE1_SLOTS:] *= np.exp(1.1j)
         record2 = simulate_block(SCHEME, perturbed, offline, msgs)
         np.testing.assert_array_equal(record.x, record2.x)
