@@ -13,6 +13,7 @@ that share its batch.
 """
 
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,12 +22,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import alignsim.evaluate as evaluate
-from alignsim.channel import AccessLog, generate_channel
+from alignsim.base import OutputPayload, Scheme, SymbolPayload
+from alignsim.channel import AccessLog, FeedbackKind, FeedbackModel, generate_channel
 from alignsim.evaluate import (
     MAX_ATTEMPTS,
     TRIAL_BATCH,
     _draw_batch,
     _run_batch,
+    _run_draws,
     run_trials,
     simulate_block,
 )
@@ -178,6 +181,35 @@ def test_batch_weights_equal_the_all_impulse_run(scheme_id, trials):
     h, offline, _ = _draw_batch(scheme, 3, draws)
     reference = all_impulse_weights(scheme, decode_context(scheme, h, offline), h, offline)
     assert outcomes.noise_weights.shape == (trials, scheme.num_symbols)
+    assert np.array_equal(outcomes.noise_weights, reference.T)
+
+
+class _ChainedReplay(Scheme):
+    """Two receivers, three antennas, full output feedback: slot 2 replays slot 1's
+    output at receiver 1, which itself carries two replays of slot 0."""
+
+    scheme_id = "chained_replay"
+    num_rx = 2
+    feedback = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
+    csi_slot_budget = Fraction(0, 1)
+
+    schedule = (
+        (SymbolPayload(2), None, None),
+        (SymbolPayload(1), OutputPayload(rx=0, slot=0), OutputPayload(rx=1, slot=0)),
+        (OutputPayload(rx=1, slot=0), OutputPayload(rx=1, slot=1), SymbolPayload(0)),
+        (None, OutputPayload(rx=0, slot=0), SymbolPayload(3)),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 9])
+def test_chained_replay_weights_equal_the_all_impulse_run(seed):
+    # no shipped schedule replays an output that itself carries a replay; the
+    # weights read off the batch run must still be the all-impulse run's bits
+    scheme = _ChainedReplay()
+    outcomes, discards = _run_draws(scheme, seed, range(256), Tolerances(), True)
+    assert discards == [] and outcomes.decode_ok.all()
+    h, offline, _ = _draw_batch(scheme, seed, [(t, 0) for t in range(256)])
+    reference = all_impulse_weights(scheme, decode_context(scheme, h, offline), h, offline)
     assert np.array_equal(outcomes.noise_weights, reference.T)
 
 
