@@ -4,8 +4,7 @@ Null vectors, zero-forcing (pseudo-inverse) rows with their guards, seeded
 circularly symmetric Gaussian sampling and the batched derivation of the
 trials' generator seeds.  Every matrix handled here is small
 (at most 8x9) and dense, so the routines lean on LAPACK through
-``numpy.linalg`` and add shape checks on their inputs and a canonical
-phase convention that makes repeated computations reproducible to the bit.
+``numpy.linalg`` and add shape checks on their inputs.
 A null vector's input must be finite; a zero-forcing system that is not
 reports a NaN condition, for the decoder to judge.
 
@@ -26,7 +25,6 @@ __all__ = [
     "NumericsError",
     "Singular",
     "Tolerances",
-    "phase_normalize",
     "null_vector",
     "zero_forcing_rows",
     "ordered_sum",
@@ -159,38 +157,14 @@ def frobenius_norm(a) -> np.ndarray:
     return vector_norm(a.reshape(-1, *a.shape[2:]))
 
 
-#: ``phase_normalize`` pivots on the first entry whose magnitude exceeds this
-#: fraction of the vector's largest: an entry that is zero up to roundoff
-#: (about 1e-16 relative) never becomes the pivot, while any entry a generic
-#: draw makes is far above it.
-PHASE_PIVOT_REL = 1e-9
-
-
-def phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate ``v`` by a unit phase so its first significant entry is real positive.
-
-    The pivot is the first entry whose magnitude exceeds
-    :data:`PHASE_PIVOT_REL` times the largest magnitude in the vector, which
-    makes the convention stable against entries that are zero only up to
-    roundoff.  The rotation leaves the norm unchanged.  A zero vector is
-    returned as a copy.  ``v`` may carry trailing stack axes; each vector is
-    normalized on its own.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    mags = np.abs(v)
-    top = mags.max(axis=0)
-    first = np.argmax(mags > PHASE_PIVOT_REL * top, axis=0)
-    pivot = v.reshape(len(v), -1)[first.ravel(), np.arange(first.size)].reshape(first.shape)
-    pivot = np.where(top > 0.0, pivot, 1.0)
-    return v * (pivot.conjugate() / np.abs(pivot))
-
-
 def null_vector(a) -> np.ndarray:
     """Unit-norm right null vector of a wide matrix with a 1-D null space.
 
     ``a`` must have exactly one row fewer than columns.  The vector is
-    phase-normalized, so repeated calls on the same input give an identical
-    result.  Nothing is judged here: a system short of full row rank has a
+    returned as LAPACK gives it, at no fixed phase: any vector of the null
+    space serves the constructions, which use only its direction.  It
+    depends only on ``a``, so repeated calls give an identical result.
+    Nothing is judged here: a system short of full row rank has a
     null space of more dimensions, and the vector is one of them, which the
     construction cannot use; the receive matrix built from it is the
     decoder's to judge.
@@ -202,8 +176,8 @@ def null_vector(a) -> np.ndarray:
     residual stays at roundoff whatever the condition number.
 
     A stack of systems goes through one QR call.  LAPACK factors each
-    matrix on its own and the rest is elementwise, so each vector is bit
-    for bit what a call on its system alone returns.
+    matrix on its own, so each vector is bit for bit what a call on its
+    system alone returns.
 
     Parameters
     ----------
@@ -212,7 +186,7 @@ def null_vector(a) -> np.ndarray:
     Returns
     -------
     v : ndarray, shape (n, *S)
-        Unit norm.
+        Unit norm, to roundoff: a column of the unitary ``Q``.
     """
     a = _as_matrix(a)
     if not np.all(np.isfinite(a)):
@@ -229,9 +203,7 @@ def null_vector(a) -> np.ndarray:
     # aᴴ as a C-ordered (N, n, m) stack: LAPACK's per-matrix copies then
     # read contiguous memory
     q = np.linalg.qr(np.conj(flat.transpose(2, 1, 0), order="C"), mode="complete")[0]
-    v = phase_normalize(q[..., -1].T.reshape(cols, *a.shape[2:]))
-    v /= vector_norm(v)
-    return v
+    return q[..., -1].T.reshape(cols, *a.shape[2:])
 
 
 def zero_forcing_rows(g, rows):

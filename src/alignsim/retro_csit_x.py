@@ -95,7 +95,7 @@ def alignment_constants(h3: np.ndarray, phase1: np.ndarray) -> np.ndarray:
     ``gamma[j, k]`` couples the two symbols of message (k, j), with the
     trial axis last.  Each system has a one-dimensional null space for
     generic draws; the constants are ratios of null-vector entries, so they
-    are independent of the vector's scale and phase convention.  Nothing is
+    are independent of the vector's scale and phase.  Nothing is
     judged here: a draw whose system is short of rank, or whose pinned
     entry vanishes, gives constants that are huge or not finite, and the
     decoder judges the receive matrix they make (measure-zero events).

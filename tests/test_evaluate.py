@@ -434,10 +434,11 @@ class TestDiscardAndFailurePaths:
         with pytest.raises(SchemeFailure, match="budget"):
             _run_draws(_BudgetBreaker(), 20, [0], Tolerances(), False)
 
-    @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 73)])
+    @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 75)])
     def test_the_decoder_judges_every_discard(self, scheme_id, discards):
         # at a coarse rank cutoff many draws are degenerate; each one is the
-        # decoder's Singular, resampled within one batch of 130 trials
+        # decoder's Singular, resampled within one batch of 130 trials (the
+        # corpus runs tests/golden/discards-<scheme>-0.01.json)
         report = run_trials(scheme_id, 130, 7, tol=Tolerances(rank_rel=0.01), threads=1)
         assert len(report.discards) == discards
         assert all(d.reason.startswith("Singular: ") for d in report.discards)
