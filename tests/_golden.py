@@ -117,8 +117,8 @@ def render(doc) -> str:
     return json.dumps(doc)
 
 
-def _close(a: float, b: float, floor: float) -> bool:
-    return abs(a - b) <= max(REL * max(abs(a), abs(b)), floor)
+def _close(a: float, b: float, rel: float, floor: float) -> bool:
+    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
 
 
 def differences(expected, actual, key: str = "") -> list[str]:
@@ -137,13 +137,13 @@ def differences(expected, actual, key: str = "") -> list[str]:
             same = expected == actual
         else:
             leaf = key.rsplit(".", 1)[-1].split("[")[0]
-            same = _close(expected, actual, FLOOR if ROUNDOFF_KEY.fullmatch(leaf) else 0.0)
+            same = _close(expected, actual, REL, FLOOR if ROUNDOFF_KEY.fullmatch(leaf) else 0.0)
     elif isinstance(expected, str) and isinstance(actual, str):
         parts = _PRINTED.split(expected), _PRINTED.split(actual)
         printed = _PRINTED.findall(expected), _PRINTED.findall(actual)
+        # one unit in the fourth digit is at most 1e-3 of the number
         same = parts[0] == parts[1] and len(printed[0]) == len(printed[1]) and all(
-            abs(float(e) - float(a)) <= max(1e-3 * abs(float(e)), FLOOR)
-            for e, a in zip(*printed)
+            _close(float(e), float(a), 1e-3, FLOOR) for e, a in zip(*printed)
         )
     else:
         same = type(expected) is type(actual) and expected == actual

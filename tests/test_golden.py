@@ -36,3 +36,29 @@ def test_the_run_gives_its_recorded_report(name):
         assert out == ("" if report is None else render(report) + "\n")
     else:
         assert differences(report, json.loads(out) if out else None) == []
+
+
+def test_the_cross_version_comparison_keeps_its_bounds():
+    # off the recorded versions the floats are compared by bounds, which this
+    # machine's runs never reach; the bounds must still hold on a moved report
+    report = json.loads((GOLDEN / "dof_sweep-ic3_retro_csit.json").read_text())["stdout"]
+    assert differences(report, report) == []
+
+    def moved(key, value):
+        doc = json.loads(json.dumps(report))
+        doc["results"][key] = value
+        return differences(report, doc)
+
+    results = report["results"]
+    assert moved("max_rel_symbol_error", results["max_rel_symbol_error"] + 1e-12) == []
+    assert moved("max_rel_symbol_error", 1e-10) != []
+    assert moved("slope", results["slope"] * (1 + 1e-7)) == []
+    assert moved("slope", results["slope"] * (1 + 1e-5)) != []
+    assert moved("discards", results["discards"] + 1) != []
+    flipped = json.loads(json.dumps(report))
+    flipped["pass"] = 1
+    assert differences(report, flipped) != []
+    message = "trial 0: condition number 6.465e+02 exceeds 1.0e+00"
+    assert differences(message, message.replace("6.465e+02", "6.466e+02")) == []
+    assert differences(message, message.replace("6.465e+02", "7.008e+02")) != []
+    assert differences(message, message.replace("trial 0", "trial 1")) != []
