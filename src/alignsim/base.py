@@ -39,10 +39,9 @@ read from.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -66,8 +65,7 @@ class InterferenceRankUnexpected(NumericsError):
     """
 
 
-@dataclass(frozen=True)
-class SymbolPayload:
+class SymbolPayload(NamedTuple):
     """Send information symbol ``symbol`` at full power."""
 
     symbol: int
@@ -78,8 +76,7 @@ class SymbolPayload:
         return (self.symbol,)
 
 
-@dataclass(frozen=True)
-class OutputPayload:
+class OutputPayload(NamedTuple):
     """Replay the value receiver ``rx`` observed at ``slot``, unscaled.
 
     The transmitter reads the stored output through its feedback view; it
@@ -91,8 +88,7 @@ class OutputPayload:
     slot: int
 
 
-@dataclass(frozen=True)
-class RowPayload:
+class RowPayload(NamedTuple):
     """Send ``rows[row] . msgs[symbols]``: a coefficient row over the named symbols.
 
     ``rows`` is the offline draw's ``offline.rows``, or, where ``derived``,
@@ -106,8 +102,7 @@ class RowPayload:
     derived: bool = False
 
 
-@dataclass(frozen=True)
-class DecodeContext:
+class DecodeContext(NamedTuple):
     """The zero-forcing decoders of one block and the certificates they were judged by.
 
     ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, T)``
@@ -136,6 +131,11 @@ class Scheme:
     schedule has more is rejected when it is created.  ``replayed_outputs``
     lists the distinct ``(rx, slot)`` outputs its transmitters replay, in
     that order: where the noise reaches a transmit signal.
+
+    Transmitters are distributed: ``owners[s]`` is the one entity that knows
+    symbol ``s``, and a class whose schedule has antenna ``j`` send a
+    symbol or row naming a symbol that ``entity_of(j)`` does not own is
+    rejected when it is created.
     """
 
     scheme_id: str
@@ -144,6 +144,7 @@ class Scheme:
     num_rx: int
     num_tx: int          # channel inputs (antennas)
     num_symbols: int
+    owners: tuple[int, ...]  # the entity that knows each symbol
     replayed_outputs: tuple[tuple[int, int], ...]
     feedback: FeedbackModel
     csi_slot_budget: Fraction  # largest legal fraction of slots with CSI read back
@@ -159,13 +160,23 @@ class Scheme:
             {(p.rx, p.slot) for payloads in cls.schedule for p in payloads
              if isinstance(p, OutputPayload)}
         ))
+        name = getattr(cls, "scheme_id", cls.__name__)
         if cls.num_slots > cls.num_symbols:
             raise ValueError(
-                f"scheme {getattr(cls, 'scheme_id', cls.__name__)}: its schedule has "
-                f"{cls.num_slots} slots but names only {cls.num_symbols} symbols"
+                f"scheme {name}: its schedule has {cls.num_slots} slots but names only "
+                f"{cls.num_symbols} symbols"
             )
+        for slot, payloads in enumerate(cls.schedule):
+            for antenna, p in enumerate(payloads):
+                entity = cls.entity_of(antenna)
+                if any(cls.owners[s] != entity for s in getattr(p, "symbols", ())):
+                    raise ValueError(
+                        f"scheme {name}: slot {slot}, antenna {antenna} names a symbol "
+                        f"that its entity {entity} does not own"
+                    )
 
-    def entity_of(self, antenna: int) -> int:
+    @classmethod
+    def entity_of(cls, antenna: int) -> int:
         """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
         return antenna
 

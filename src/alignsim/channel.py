@@ -18,8 +18,7 @@ for slot ``n`` exposes information of slots ``0 .. n-1`` only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class FeedbackKind(enum.Enum):
     DELAYED_OUTPUT = "delayed_output"
 
 
-@dataclass(frozen=True)
-class FeedbackModel:
+class FeedbackModel(NamedTuple):
     """Feedback kind, and which transmitters see which receiver outputs.
 
     Either kind arrives one slot late, the delay the retrospective schemes
@@ -111,8 +109,7 @@ def apply_channel(
     return y
 
 
-@dataclass(frozen=True)
-class SignalRecord:
+class SignalRecord(NamedTuple):
     """All scalars of one simulated block.
 
     ``x[j, n]`` is what antenna ``j`` sent at slot ``n`` and ``y[k, n]``
@@ -125,8 +122,7 @@ class SignalRecord:
     y: np.ndarray
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """One read through a transmitter view, for every trial of the block at once.
 
     ``kind`` is ``"csi"`` for a channel coefficient ``h[item_rx, item_tx,
@@ -143,7 +139,6 @@ class AccessRecord:
     item_slot: int
 
 
-@dataclass
 class AccessLog:
     """Append-only record of every transmitter-side information read.
 
@@ -152,7 +147,8 @@ class AccessLog:
     each trial's own.
     """
 
-    records: list[AccessRecord] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.records: list[AccessRecord] = []
 
     def append(self, record: AccessRecord) -> None:
         self.records.append(record)

@@ -25,7 +25,6 @@ most one line to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -33,9 +32,9 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +61,7 @@ class UsageError(Exception):
     """Bad flags or config file; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved run description (flags override config file values)."""
 
     scheme: str
@@ -71,8 +69,8 @@ class RunConfig:
     trials: int = 100
     seed: int = 0
     snr_grid_db: list[float] | None = None
-    tol_rank: float = Tolerances.rank_rel
-    tol_residual: float = Tolerances.residual_rel
+    tol_rank: float = Tolerances().rank_rel
+    tol_residual: float = Tolerances().residual_rel
     out: str | None = None
     format: str = "json"
     threads: int = 0  # 0: no bound beyond the usable CPUs and the decoding work
@@ -321,6 +319,9 @@ _PARSER = _build_parser()
 
 
 def _render_csv(results: dict) -> str:
+    # imported here: a JSON report, the default, never loads csv
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["snr_db", "sum_rate", "trials", "discards"])
@@ -364,7 +365,7 @@ def run(config: RunConfig) -> int:
         results, passed = MODES[config.mode](config)
     except (SchemeFailure, CausalityViolation) as exc:
         error_doc = {
-            "config": vars(config),
+            "config": config._asdict(),
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "pass": False,
         }
@@ -374,7 +375,7 @@ def run(config: RunConfig) -> int:
         _emit(config, _render_csv(results))
     else:
         document = {
-            "config": vars(config),
+            "config": config._asdict(),
             "results": results,
             "pass": passed,
         }

@@ -74,7 +74,6 @@ import os
 import signal
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -164,8 +163,7 @@ class Discard(NamedTuple):
     reason: str
 
 
-@dataclass
-class TrialOutcomes:
+class TrialOutcomes(NamedTuple):
     """Outcomes of ``n`` trials in trial order, each array ``(n,)`` or ``(n, num_symbols)``.
 
     ``noise_weights`` is present when rates were asked for.  A batch audits its
@@ -207,8 +205,7 @@ def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
     )
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """All outcomes of a deterministic multi-trial run."""
 
     outcomes: TrialOutcomes
@@ -223,8 +220,7 @@ class RunReport:
         return float(np.max(self.outcomes.max_rel_symbol_error))
 
 
-@dataclass
-class DofEstimate:
+class DofEstimate(NamedTuple):
     """Least-squares slope of average sum rate against log2 of the power.
 
     Power ``P`` is the message scale ``sqrt(P)`` of unit-amplitude blocks,

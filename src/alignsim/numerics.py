@@ -15,9 +15,8 @@ from an SVD, whose singular values the decoder reports and judges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,9 +66,16 @@ class Singular(NumericsError):
     """
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Cutoffs(NamedTuple):
+    rank_rel: float = 1e-8
+    residual_rel: float = 1e-8
+
+
+class Tolerances(_Cutoffs):
     """The decoder's relative cutoffs: receive-matrix conditioning and residual acceptance.
+
+    Each must lie strictly inside ``(0, 1)``; ``Tolerances()`` holds the
+    defaults, ``1e-8`` each.
 
     Attributes
     ----------
@@ -81,14 +87,19 @@ class Tolerances:
         Acceptance threshold for zero-forcing residuals.
     """
 
-    rank_rel: float = 1e-8
-    residual_rel: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("rank_rel", "residual_rel"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: check its values too
+        return cls(*iterable)
 
 
 # Shape convention: a matrix argument is ``(m, n, *S)`` and a vector ``(n,

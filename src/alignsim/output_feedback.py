@@ -53,6 +53,7 @@ class BcMatScheme(Scheme):
 
     scheme_id = "bc_mat"
     num_rx = 2
+    owners = (0, 0, 0, 0)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     csi_slot_budget = Fraction(2, 3)
 
@@ -62,7 +63,8 @@ class BcMatScheme(Scheme):
         (RowPayload((0, 1, 2, 3), 0, derived=True), None),
     )
 
-    def entity_of(self, antenna: int) -> int:
+    @classmethod
+    def entity_of(cls, antenna: int) -> int:
         return 0
 
     def derive(self, views, offline):
@@ -86,6 +88,7 @@ class XOutputFeedbackScheme(Scheme):
 
     scheme_id = "x_output_fb"
     num_rx = 2
+    owners = (0, 1, 0, 1)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
     csi_slot_budget = Fraction(0, 1)
 
@@ -107,6 +110,7 @@ class IC3OutputFeedbackScheme(Scheme):
 
     scheme_id = "ic3_output_fb"
     num_rx = 3
+    owners = (0, 0, 1, 1, 2, 2)
     feedback = FeedbackModel(
         kind=FeedbackKind.DELAYED_OUTPUT,
         output_association={

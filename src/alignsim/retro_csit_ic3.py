@@ -26,8 +26,8 @@ three desired symbols; the zero-forcing decoder every scheme shares
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ __all__ = [
 PHASE1_SLOTS = 5
 
 
-@dataclass(frozen=True)
-class ICOffline:
+class ICOffline(NamedTuple):
     """Phase-1 coefficients ``phase1[k, i, n]``, unit power per (k, n)."""
 
     phase1: np.ndarray
@@ -107,6 +106,7 @@ class IC3RetroCsitScheme(Scheme):
 
     scheme_id = "ic3_retro_csit"
     num_rx = 3
+    owners = (0, 0, 0, 1, 1, 1, 2, 2, 2)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     schedule = (
         *[tuple(RowPayload(_own(k), (k, n)) for k in range(3)) for n in range(PHASE1_SLOTS)],

@@ -32,8 +32,8 @@ scheme shares (:mod:`alignsim.base`) certifies this and decodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ def _own(j: int) -> tuple[int, ...]:
     return (2 * j, 2 * j + 1, 4 + 2 * j, 5 + 2 * j)
 
 
-@dataclass(frozen=True)
-class XOffline:
+class XOffline(NamedTuple):
     """Coefficients agreed on before the block, independent of the channel.
 
     ``phase1[k, j, i, n]`` weights symbol ``u[k, j, i]`` in transmitter j's
@@ -118,6 +117,7 @@ class XRetroCsitScheme(Scheme):
 
     scheme_id = "x_retro_csit"
     num_rx = 2
+    owners = (0, 0, 1, 1, 0, 0, 1, 1)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     schedule = (
         *[tuple(RowPayload(_own(j), (j, n)) for j in range(2)) for n in range(PHASE1_SLOTS)],

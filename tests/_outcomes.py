@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,7 @@ def outcome_fields(outcomes, index=slice(None)):
             return [(key, value(item)) for key, item in field.items()]
         return field
 
-    return tuple(value(getattr(outcomes, f.name)) for f in dataclasses.fields(outcomes))
+    return tuple(value(getattr(outcomes, name)) for name in outcomes._fields)
 
 
 def run_with_batches(scheme_id, num_trials, base_seed):

@@ -12,7 +12,6 @@ and slot.  A trial's results must not depend, to the bit, on the trials
 that share its batch.
 """
 
-import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -190,6 +189,7 @@ class _ChainedReplay(Scheme):
 
     scheme_id = "chained_replay"
     num_rx = 2
+    owners = (2, 0, 0, 2)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_OUTPUT)
     csi_slot_budget = Fraction(0, 1)
 
@@ -293,15 +293,12 @@ def test_draws_at_mixed_attempts_match_their_draws_alone(scheme_id):
 
 
 def _join(items):
-    """Join one-trial stacks of arrays, or of dataclasses of arrays, on their trial axis."""
+    """Join one-trial stacks of arrays, or of records of arrays, on their trial axis."""
     first = items[0]
     if first is None:
         return None
-    if dataclasses.is_dataclass(first):
-        return type(first)(**{
-            f.name: _join([getattr(item, f.name) for item in items])
-            for f in dataclasses.fields(first)
-        })
+    if isinstance(first, tuple):
+        return type(first)(*(_join(fields) for fields in zip(*items)))
     return np.concatenate(items, axis=-1)
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -71,7 +70,7 @@ class TestParseConfig:
 
     def test_config_keys_are_the_run_config_fields_and_the_flags(self):
         # a file's keys are checked against _CONFIG_TYPES, so RunConfig takes them all
-        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        fields = set(RunConfig._fields)
         dests = {action.dest for action in cli._PARSER._actions} - {"help", "config"}
         assert set(cli._CONFIG_TYPES) == fields == dests
 
@@ -730,7 +729,9 @@ class TestThreads:
             assert outs["1"].replace('"threads":1,', '"threads":2,') == outs["2"]
 
     def test_a_one_worker_run_does_not_import_multiprocessing(self):
-        # only a run that starts a child pays for the import
+        # only a run that starts a child pays for the import; records are
+        # NamedTuples and only CSV output needs csv, so a cold start of JSON
+        # runs loads neither dataclasses nor csv
         src = str(Path(cli.__file__).resolve().parents[1])
         script = (
             "import sys\n"
@@ -738,7 +739,8 @@ class TestThreads:
             "for mode in (['verify'], ['dof_sweep', '--snr-grid', '40,70']):\n"
             "    argv = ['--scheme', 'ic3_output_fb', '--trials', '3', '--threads', '1']\n"
             "    assert main([*argv, '--mode', *mode]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'dataclasses', 'csv')))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run(

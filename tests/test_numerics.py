@@ -32,6 +32,12 @@ class TestTolerances:
             Tolerances(rank_rel=bad)
         with pytest.raises(ValueError):
             Tolerances(residual_rel=bad)
+        # a positional cutoff and a copy made by _replace are checked as well
+        with pytest.raises(ValueError):
+            Tolerances(0.5, bad)
+        for name in Tolerances._fields:
+            with pytest.raises(ValueError):
+                Tolerances()._replace(**{name: bad})
 
 
 class TestNullVector:
@@ -128,7 +134,7 @@ def _decode_context(response):
 
 def _not_above_cutoff(cond):
     """Where ``cond`` fails the decoder's ``receive_cond > rank_rel`` (NaN fails)."""
-    return ~(np.asarray(cond) > Tolerances.rank_rel)
+    return ~(np.asarray(cond) > Tolerances().rank_rel)
 
 
 class TestZeroForcingRows:

@@ -123,7 +123,7 @@ class TestStackedSystems:
             cross = _cross_second_directions(h3, phase1, gamma, rx)
             sv = np.linalg.svd(np.moveaxis(cross, -1, 0), compute_uv=False)
             assert np.all(sv[:, 0] > 0.0)
-            assert np.all(sv[:, 1] <= Tolerances.rank_rel * sv[:, 0])
+            assert np.all(sv[:, 1] <= Tolerances().rank_rel * sv[:, 0])
 
 
 def _layer2_vars(u, gamma):
