@@ -588,6 +588,8 @@ def run_trials(
     if not 1 <= num_trials <= sys.maxsize:
         # a share of more than sys.maxsize trials has no len()
         raise ValueError(f"num_trials must be from 1 to {sys.maxsize}")
+    if threads < 0:
+        raise ValueError(f"threads must be non-negative, got {threads}")
     scheme = get_scheme(scheme_id)
     first, *rest = [
         (scheme, base_seed, share, tol, collect_weights)
@@ -644,7 +646,9 @@ def validate_snr_grid(grid: Sequence[float]) -> None:
     """Raise ``ValueError`` unless :func:`estimate_dof` can fit a slope over the grid in dB."""
     if len(grid) < 2:
         raise ValueError("the SNR grid needs at least two points")
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in grid):
+    # a bool is an int to Python, but no SNR in dB
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in grid):
         raise ValueError(f"SNR grid points must be finite numbers, got {grid}")
     if any(abs(v) > SNR_DB_MAX for v in grid):
         raise ValueError(f"SNR grid points must lie within +-{SNR_DB_MAX:g} dB, got {grid}")

@@ -15,10 +15,14 @@ At receiver ``k``, the phase-1 interference from its two interferers spans a
 five-dimensional subspace of the 8-slot receive space with a one-dimensional
 annihilator ``alpha[k]`` (the null vector of the 5x6 matrix of interfering
 receive directions, interferer of lower index first).  The coefficient
-triple ``c[k]`` is the cross product of the two sub-triples of
-``alpha[.]`` that constrain transmitter ``k`` at the receivers it
-interferes with, which forces each phase-2 repetition to stay inside the
-interference space already spanned during phase 1.  Interference at each
+triple ``c[k]`` is the null vector of the 2x3 matrix whose rows are the two
+sub-triples of ``alpha[.]`` that constrain transmitter ``k`` at the
+receivers it interferes with, which forces each phase-2 repetition to stay
+inside the interference space already spanned during phase 1.  Where the
+two sub-triples are independent, that is the direction of their cross
+product; where they are parallel, any triple orthogonal to both aligns, and
+the null vector is one of them, so no ratio or product of near-equal terms
+is ever formed.  Interference at each
 receiver therefore occupies exactly 5 of 8 dimensions, leaving 3 for the
 three desired symbols; the zero-forcing decoder every scheme shares
 (:mod:`alignsim.base`) certifies this and decodes.
@@ -88,19 +92,6 @@ def _alpha_sub(alpha: np.ndarray, rx: int, tx: int) -> np.ndarray:
     raise ValueError(f"transmitter {tx} does not interfere at receiver {rx}")
 
 
-def _unit_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit-norm cross product of two ``(3, T)`` triples.
-
-    Nothing is judged here; the decoder judges the receive matrix the
-    product makes.  Where the triples are parallel, the product vanishes: an
-    exact zero comes out NaN, which the decoder finds singular, and one that
-    vanishes only to roundoff comes out a direction of noise, which leaves a
-    zero-forcing residual.
-    """
-    c = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
-    return c / vector_norm(c)
-
-
 class IC3RetroCsitScheme(Scheme):
     """3-user interference channel, delayed CSIT, 9 symbols over 8 slots."""
 
@@ -127,7 +118,7 @@ class IC3RetroCsitScheme(Scheme):
         of the two receivers it interferes with: those its victims'
         annihilators are built from.  Every receiver some transmitter needs
         is factored once, all in one ``null_vector`` call, and every triple
-        comes from one ``_unit_cross`` on the stacked sub-triples.
+        comes from one more, on the stacked pairs of sub-triples.
         """
         h5 = np.zeros((3, 3, *offline.phase1.shape[2:]), dtype=np.complex128)
         for view in views:
@@ -139,9 +130,10 @@ class IC3RetroCsitScheme(Scheme):
         # every victim's system in one null_vector call, stacked after the columns
         systems = np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2)
         alphas = dict(zip(victims, np.moveaxis(null_vector(systems), 1, 0)))
-        # each transmitter's sub-triples at its lower and its higher victim
-        lower, higher = zip(*(
+        # each transmitter's sub-triples at its lower and its higher victim, as the
+        # rows of a 2x3 system stacked after the columns: (2, 3, views, T)
+        pairs = np.array([
             [_alpha_sub(alphas[rx], rx, view.tx) for rx in interferers(view.tx)] for view in views
-        ))
-        triples = _unit_cross(np.stack(lower, axis=1), np.stack(higher, axis=1))
+        ])
+        triples = null_vector(np.moveaxis(pairs, 0, 2))
         return list(np.ascontiguousarray(np.moveaxis(triples, 1, 0))[:, None])

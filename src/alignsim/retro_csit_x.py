@@ -10,24 +10,29 @@ four symbols (slots 0-based):
 * Slots 0-2: offline random rows.  No channel knowledge is used.
 * Slots 3-6: rows both transmitters derive in one call per block run
   (:meth:`XRetroCsitScheme.derive`): offline random combinations of each
-  transmitter's two second-layer variables ``s[j, k] = u[k, j, 0] -
-  gamma[j, k] * u[k, j, 1]``, written out over the symbols.  The
-  constants ``gamma`` are chosen, from the slot-0..2 channel states that
-  the one-slot feedback delay has made available, so that at each
-  receiver the two cross interference symbols arrive along a single
-  direction.
+  transmitter's two second-layer variables ``s[j, k]``, one per message
+  ``(k, j)``, written out over the symbols.  Each layer variable is chosen,
+  from the slot-0..2 channel states that the one-slot feedback delay has
+  made available, so that at each receiver the two cross interference
+  symbols arrive along a single direction.
 
-For receiver 0 the constants come from the unique null vector ``v`` of the
-3x4 matrix whose columns are the slot-0..2 receive directions of the four
-symbols intended for receiver 1: ``gamma[0, 1] = v[0] / v[1]`` and
-``gamma[1, 1] = v[2] / v[3]``, so that ``v`` is proportional to
-``(gamma[0, 1], 1, b * gamma[1, 1], b)`` for some ``b``.  Symmetrically,
-receiver 1's system gives ``gamma[., 0]``.  At each receiver the four
-interfering symbols then fill only 3 of the 7 receive dimensions: two for
-their layer variables and one for the direction along which, once those
-are substituted, both cross second symbols arrive in phase 1.  That leaves
-4 for the receiver's own four symbols; the zero-forcing decoder every
-scheme shares (:mod:`alignsim.base`) certifies this and decodes.
+The layer variables come from the unique null vector ``v`` of each 3x4
+matrix whose columns are the slot-0..2 receive directions, at one receiver,
+of the four symbols intended for the other.  For receiver 0's ``v`` that
+system makes the combination ``sum_j (v[2j] u[1, j, 0] + v[2j+1] u[1, j,
+1])`` of receiver 1's symbols invisible at receiver 0.  So once the layer
+``s[j, 1] = v[2j+1] u[1, j, 0] - v[2j] u[1, j, 1]`` is substituted, the two
+cross second symbols ``u[1, j, 1]`` arrive at receiver 0 along directions
+that, scaled by ``v[2j+1]``, sum to zero: along one direction.
+Symmetrically, receiver 1's null vector gives ``s[., 0]``.  The paper
+writes each layer as ``u[k, j, 0] - gamma[j, k] u[k, j, 1]``, with ``gamma``
+the ratio ``v[2j] / v[2j+1]`` of the two entries the layer uses; the rows
+take the entries themselves, so no ratio is formed and a zero entry is no
+special case.  At each receiver the four interfering symbols then fill
+only 3 of the 7 receive dimensions: two for their layer variables and one
+for the direction along which both cross second symbols arrive in phase 1.
+That leaves 4 for the receiver's own four symbols; the zero-forcing decoder
+every scheme shares (:mod:`alignsim.base`) certifies this and decodes.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .numerics import complex_gaussian, null_vector, standard_normals, vector_no
 __all__ = [
     "XOffline",
     "interference_system",
-    "alignment_constants",
     "XRetroCsitScheme",
 ]
 
@@ -88,30 +92,6 @@ def interference_system(h3: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarr
     return np.stack(cols, axis=1)
 
 
-def alignment_constants(h3: np.ndarray, phase1: np.ndarray) -> np.ndarray:
-    """The retrospective constants ``gamma`` from the two 3x4 interference systems.
-
-    ``gamma[j, k]`` couples the two symbols of message (k, j), with the
-    trial axis last.  Each system has a one-dimensional null space for
-    generic draws; the constants are ratios of null-vector entries, so they
-    are independent of the vector's scale and phase.  Nothing is
-    judged here: a draw whose system is short of rank, or whose pinned
-    entry vanishes, gives constants that are huge or not finite, and the
-    decoder judges the receive matrix they make (measure-zero events).
-    """
-    # both receivers' systems in one null_vector call, stacked after the columns
-    systems = np.stack([interference_system(h3, phase1, rx) for rx in range(2)], axis=2)
-    v, w = np.moveaxis(null_vector(systems), 1, 0)
-    gamma = np.empty((2, 2, *v.shape[1:]), dtype=np.complex128)
-    # receiver 0's null vector is (gamma[0,1], 1, b*gamma[1,1], b) up to
-    # scale, and receiver 1's (gamma[0,0], 1, b'*gamma[1,0], b')
-    gamma[0, 1] = v[0] / v[1]
-    gamma[1, 1] = v[2] / v[3]
-    gamma[0, 0] = w[0] / w[1]
-    gamma[1, 0] = w[2] / w[3]
-    return gamma
-
-
 class XRetroCsitScheme(Scheme):
     """X channel, delayed CSIT, 8 symbols over 7 slots."""
 
@@ -141,10 +121,13 @@ class XRetroCsitScheme(Scheme):
         )
 
     def derive(self, views, offline):
-        """Each transmitter ``view.tx``'s phase-2 rows, from the constants of the slot-0..2 states.
+        """Each transmitter ``view.tx``'s phase-2 rows, from the slot-0..2 states' null vectors.
 
-        Each transmitter reads all twelve states through its own view; the
-        constants of both interference systems are found once for all.
+        Each transmitter reads all twelve states through its own view; both
+        interference systems are factored once for all.  Nothing is judged
+        here: a draw whose system is short of rank gives one null vector of
+        several, and the decoder judges the receive matrix it makes (a
+        measure-zero event).
         """
         h3 = np.empty((2, 2, PHASE1_SLOTS, *offline.phase1.shape[4:]), dtype=np.complex128)
         for view in views:
@@ -153,11 +136,15 @@ class XRetroCsitScheme(Scheme):
                 for k in range(2):
                     for j in range(2):
                         h3[k, j, m] = view.channel_coeff(k, j, m)
-        gamma = alignment_constants(h3, offline.phase1)
+        # both receivers' systems in one null_vector call, stacked after the columns
+        systems = np.stack([interference_system(h3, offline.phase1, rx) for rx in range(2)], axis=2)
+        null = null_vector(systems)
         derived = []
         for view in views:
-            c, g = offline.phase2[view.tx], gamma[view.tx]
-            # c[m] s[j, m] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
-            rows = np.stack([c[0], -c[0] * g[0], c[1], -c[1] * g[1]])
+            j, c = view.tx, offline.phase2[view.tx]
+            # v[:, k]: the entries of receiver 1-k's null vector that weigh transmitter j
+            v = null[2 * j : 2 * j + 2, ::-1]
+            # c[k] s[j, k] over (u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]), per slot
+            rows = np.stack([c[0] * v[1, 0], -c[0] * v[0, 0], c[1] * v[1, 1], -c[1] * v[0, 1]])
             derived.append(np.moveaxis(rows / vector_norm(rows), 1, 0))
         return derived

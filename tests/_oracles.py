@@ -35,7 +35,6 @@ from alignsim.numerics import null_vector, ordered_sum
 from alignsim.retro_csit_ic3 import (
     PHASE1_SLOTS,
     _alpha_sub,
-    _unit_cross,
     alpha_system,
     interferers,
 )
@@ -173,15 +172,17 @@ def compute_alphas(h5: np.ndarray, phase1: np.ndarray) -> np.ndarray:
 
 
 def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
-    """Unit-norm triples ``c[k]``: the cross product of the two sub-triples constraining ``k``.
+    """Unit-norm triples ``c[k]``: the null vector of the two sub-triples constraining ``k``.
 
-    The sub-triples are taken in ascending receiver order; where they are
-    parallel, the triple is NaN or ill-conditioned, as the encoder's is.
+    One ``null_vector`` call per transmitter, on the 2x3 matrix of its
+    sub-triples in ascending receiver order; where they are parallel, the
+    triple is one of the many orthogonal to both.
     """
     coeffs = np.empty((3, 3, *alphas.shape[2:]), dtype=np.complex128)
     for tx in range(3):
         lo, hi = interferers(tx)  # the receivers that see tx as interference
-        coeffs[tx] = _unit_cross(_alpha_sub(alphas[lo], lo, tx), _alpha_sub(alphas[hi], hi, tx))
+        pair = np.stack([_alpha_sub(alphas[lo], lo, tx), _alpha_sub(alphas[hi], hi, tx)])
+        coeffs[tx] = null_vector(pair)
     return coeffs
 
 

@@ -153,21 +153,25 @@ class TestSimulateBlock:
         # which factors each receiver's system once per trial, not once per
         # entity that uses it
         scheme = get_scheme(scheme_id)
-        derive, null_vector, calls, factored = scheme.derive, module.null_vector, [], []
+        derive, null_vector, calls, factored = scheme.derive, module.null_vector, [], Counter()
 
         def counted_derive(views, offline):
             calls.append([view.tx for view in views])
             return derive(views, offline)
 
         def counted_null_vector(a):
-            factored.append(a[0, 0].size)
+            # systems factored, by their row count
+            factored[a.shape[0]] += a[0, 0].size
             return null_vector(a)
 
         monkeypatch.setattr(scheme, "derive", counted_derive)
         monkeypatch.setattr(module, "null_vector", counted_null_vector)
         _run_batch(scheme, 3, [(t, 0) for t in range(7)], Tolerances(), False)
         assert calls == [list(range(scheme.num_tx))]
-        assert sum(factored) == systems * 7
+        # a receiver's system has one row per phase-1 slot
+        assert factored.pop(module.PHASE1_SLOTS) == systems * 7
+        # and ic3_retro_csit's triples are one 2x3 system per transmitter and trial
+        assert factored == (Counter({2: 3 * 7}) if module is retro_csit_ic3 else Counter())
 
     @pytest.mark.parametrize("scheme_id", sorted(READS_ALONE))
     def test_each_entity_reads_what_it_read_deriving_alone(self, scheme_id):
@@ -374,6 +378,13 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="num_trials"):
             run_trials("bc_mat", sys.maxsize + 1, base_seed=1, threads=1)
 
+    def test_rejects_negative_threads_before_any_trial(self):
+        # as the CLI does with exit 2; a negative bound used to run one worker
+        with mock.patch("alignsim.evaluate._run_draws") as run:
+            with pytest.raises(ValueError, match="threads must be non-negative, got -3"):
+                run_trials("bc_mat", 10, 0, threads=-3)
+        run.assert_not_called()
+
     def test_sinr_and_rate_population(self):
         report = run_trials("bc_mat", 2, base_seed=6, collect_weights=True)
         power, slots = 10.0**3.0, get_scheme("bc_mat").num_slots
@@ -449,11 +460,12 @@ class TestDiscardAndFailurePaths:
         with pytest.raises(SchemeFailure, match="budget"):
             _run_draws(_BudgetBreaker(), 20, [0], Tolerances(), False)
 
-    @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 123), ("ic3_retro_csit", 75)])
+    @pytest.mark.parametrize("scheme_id, discards", [("x_retro_csit", 92), ("ic3_retro_csit", 70)])
     def test_the_decoder_judges_every_discard(self, scheme_id, discards):
         # at a coarse rank cutoff many draws are degenerate; each one is the
         # decoder's Singular, resampled within one batch of 130 trials (the
-        # corpus runs tests/golden/discards-<scheme>-0.01.json)
+        # corpus runs tests/golden/discards-x_retro_csit-0.01.json and
+        # tests/golden/discards-ic3_retro_csit-0.01.json)
         report = run_trials(scheme_id, 130, 7, tol=Tolerances(rank_rel=0.01), threads=1)
         assert len(report.discards) == discards
         assert all(d.reason.startswith("Singular: ") for d in report.discards)
@@ -510,6 +522,14 @@ class TestDofEstimation:
         with mock.patch("alignsim.evaluate.run_trials") as run:
             with pytest.raises(ValueError, match="1e-06 dB apart or more, got \\[0, 1e-100\\]"):
                 estimate_dof("bc_mat", [0, 1e-100], 5, 0)
+        run.assert_not_called()
+
+    @pytest.mark.parametrize("grid", [[True, 10.0], [40.0, np.True_, 70.0]])
+    def test_bool_grid_points_rejected_before_any_trial(self, grid):
+        # True would sweep 1 dB; the CLI's config check refuses it too
+        with mock.patch("alignsim.evaluate.run_trials") as run:
+            with pytest.raises(ValueError, match="finite numbers"):
+                estimate_dof("bc_mat", grid, 5, 0)
         run.assert_not_called()
 
     def test_numpy_grid_points_accepted(self):

@@ -1,14 +1,12 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignsim.channel import AccessLog, generate_channel
+from alignsim.channel import AccessLog, TxInformationView, generate_channel
 from alignsim.base import InterferenceRankUnexpected
 from alignsim.evaluate import _draw_batch, simulate_block
-from alignsim.numerics import Singular, sample_complex_gaussian
+from alignsim.numerics import sample_complex_gaussian
 from alignsim.registry import get_scheme
 import alignsim.retro_csit_ic3 as ic3
 from alignsim.retro_csit_ic3 import (
@@ -89,7 +87,7 @@ class TestComputeAlphas:
 
 
 class TestPhase2Coefficients:
-    def test_known_cross_product(self):
+    def test_known_annihilator(self):
         eye = np.eye(3, dtype=np.complex128)
         alphas = np.zeros((3, 6), dtype=np.complex128)
         # transmitter 0 is constrained by alphas[1, 0:3] and alphas[2, 0:3]
@@ -101,7 +99,8 @@ class TestPhase2Coefficients:
         alphas[0, 3:6] = eye[1]
         alphas[1, 3:6] = eye[0]
         coeffs = phase2_coefficients(alphas)
-        np.testing.assert_array_equal(coeffs[0], eye[2])
+        # the one direction orthogonal to both, at the phase LAPACK gives it
+        np.testing.assert_allclose(abs(coeffs[0]), abs(eye[2]), rtol=0, atol=1e-15)
 
     def test_orthogonal_to_both_constraints(self, rng):
         for _ in range(50):
@@ -112,26 +111,28 @@ class TestPhase2Coefficients:
                 for rx in interferers(tx):
                     assert abs(np.dot(coeffs[tx], _sub(alphas, rx, tx))) <= 1e-12
 
-    def test_parallel_constraints_raise(self, monkeypatch):
-        # each transmitter's second victim annihilator is twice its first, so
-        # transmitters 0 and 2 are constrained along one direction; real
-        # annihilators make the products round alike, so their cross products
-        # vanish exactly.  No encoder code judges that: the block runs without
-        # a warning, and the decoder finds the receive matrix singular (not
-        # finite), so the draw is discarded.
-        solve = ic3.null_vector
+    def test_a_parallel_pair_is_annihilated(self, monkeypatch):
+        # each transmitter's higher victim sub-triple made twice its lower one,
+        # (a, 2a): a cross product of the two vanishes (NaN once normalized),
+        # but the null vector of the pair is still a unit triple orthogonal to both
+        solve, pairs = ic3.null_vector, []
 
         def parallel(systems):
-            alphas = solve(systems).real
-            alphas[:, 1] = 2.0 * alphas[:, 0]
-            return alphas
+            if systems.shape[:2] == (2, 3):
+                systems = np.stack([systems[0], 2.0 * systems[0]])
+                pairs.append(systems)
+            return solve(systems)
 
         monkeypatch.setattr(ic3, "null_vector", parallel)
-        h, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(Singular):
-                decode_context(SCHEME, h, offline)
+        h, offline, _ = _draw_batch(SCHEME, 3, [(t, 0) for t in range(4)])
+        views = [TxInformationView(k, PHASE1_SLOTS, h, None, SCHEME.feedback) for k in range(3)]
+        derived = SCHEME.derive(views, offline)
+        (pair,) = pairs
+        for k, rows in enumerate(derived):
+            triple = rows[0]
+            np.testing.assert_allclose(np.linalg.norm(triple, axis=0), 1.0, rtol=1e-14)
+            residual = np.sum(pair[:, :, k] * triple, axis=1)
+            assert np.all(abs(residual) <= 1e-14 * np.linalg.norm(pair[:, :, k], axis=(0, 1)))
 
 
 def _trial_data(seed):
@@ -311,12 +312,12 @@ class TestDecoding:
         h, offline, _ = _trial_data(17)
         gen = np.random.default_rng(0)
 
-        def wrong_triple(a, b):
-            # one random unit triple per transmitter of the stack
-            c = sample_complex_gaussian([gen], a.size).reshape(a.shape)
-            return c / np.linalg.norm(c, axis=0)
+        def wrong_triples(views, offline):
+            # one random unit triple per transmitter and trial
+            c = sample_complex_gaussian([gen], 3 * 3 * h.shape[3]).reshape(3, 1, 3, -1)
+            return list(c / np.linalg.norm(c, axis=2, keepdims=True))
 
-        monkeypatch.setattr(ic3, "_unit_cross", wrong_triple)
+        monkeypatch.setattr(SCHEME, "derive", wrong_triples)
         with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):
             decode_context(SCHEME, h, offline)
 

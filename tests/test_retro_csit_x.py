@@ -12,13 +12,18 @@ from alignsim.channel import (
     generate_channel,
 )
 from alignsim.evaluate import _draw_batch, simulate_block
-from alignsim.numerics import Singular, Tolerances, null_vector, sample_complex_gaussian
+from alignsim.numerics import (
+    Singular,
+    Tolerances,
+    null_vector,
+    sample_complex_gaussian,
+    vector_norm,
+)
 from alignsim.registry import get_scheme
 from alignsim.retro_csit_x import (
     PHASE1_SLOTS,
     XOffline,
     XRetroCsitScheme,
-    alignment_constants,
     interference_system,
 )
 
@@ -30,57 +35,72 @@ SCHEME = XRetroCsitScheme()
 NUM_SLOTS = SCHEME.num_slots
 
 
-def _random_inputs(rng):
-    """Phase-1 channel block and coefficients of one trial, as lone systems."""
-    h3 = sample_complex_gaussian([rng], 2 * 2 * 3).reshape(2, 2, 3)
-    phase1 = sample_complex_gaussian([rng], 2 * 2 * 2 * 3).reshape(2, 2, 2, 3)
-    return h3, phase1
+def _derive(h, offline):
+    """Both transmitters' derived rows ``(4, 4, T)``, each through its own view."""
+    views = [TxInformationView(j, PHASE1_SLOTS, h, None, SCHEME.feedback) for j in range(2)]
+    return SCHEME.derive(views, offline)
 
 
-def _cross_second_directions(h3, phase1, gamma, rx):
+def _null_vectors(h, phase1):
+    """Receiver 0's and receiver 1's null vectors, one ``null_vector`` call each."""
+    return [null_vector(interference_system(h[:, :, :PHASE1_SLOTS], phase1, rx)) for rx in range(2)]
+
+
+def _cross_second_directions(h, phase1, derived, rx):
     """Phase-1 receive directions at ``rx`` of the cross second symbols, as columns.
 
-    Independent re-derivation: once ``u[other, j, 0] = s[j, other] +
-    gamma[j, other] u[other, j, 1]`` is substituted, symbol ``u[other, j, 1]``
-    arrives along the slotwise product of the channel from ``j`` and its
-    effective phase-1 weight.  The alignment makes the two columns colinear.
+    Independent re-derivation from the derived rows alone.  Transmitter j's
+    first phase-2 row weighs the two symbols of message ``(k, j)``, ``k = 1 -
+    rx``, by some multiple of its layer's entries ``(a, b)``.  Once ``u[k, j,
+    0] = (s[j, k] - b u[k, j, 1]) / a`` is substituted, symbol ``u[k, j, 1]``
+    arrives along the slotwise product of the channel from ``j`` and
+    ``phase1[k, j, 1] - (b / a) phase1[k, j, 0]``.  Each column here is that
+    direction times ``a``, which leaves the rank as it is.  The alignment
+    makes the two columns colinear.
     """
-    other = 1 - rx
-    return np.stack(
-        [
-            h3[rx, j] * (phase1[other, j, 0] * gamma[j, other] + phase1[other, j, 1])
-            for j in range(2)
-        ],
-        axis=1,
-    )
+    k = 1 - rx
+    cols = []
+    for j in range(2):
+        a, b = derived[j][0, 2 * k], derived[j][0, 2 * k + 1]
+        cols.append(h[rx, j, :PHASE1_SLOTS] * (a * phase1[k, j, 1] - b * phase1[k, j, 0]))
+    return np.stack(cols, axis=1)
 
 
-class TestAlignmentConstants:
-    def test_null_property_both_receivers(self, rng):
-        for _ in range(50):
-            h3, phase1 = _random_inputs(rng)
-            gamma = alignment_constants(h3, phase1)
-            for rx in range(2):
-                assert jacobi_rank(_cross_second_directions(h3, phase1, gamma, rx), 1e-10) == 1
+class TestAlignment:
+    def test_cross_second_directions_have_rank_one_at_both_receivers(self):
+        h, offline, _ = _draw_batch(SCHEME, 1, [(t, 0) for t in range(50)])
+        derived = _derive(h, offline)
+        for rx in range(2):
+            cross = _cross_second_directions(h, offline.phase1, derived, rx)
+            for t in range(50):
+                assert jacobi_rank(cross[..., t], 1e-10) == 1
 
-    def test_deterministic(self, rng):
-        h3, phase1 = _random_inputs(rng)
-        c1 = alignment_constants(h3, phase1)
-        c2 = alignment_constants(h3.copy(), phase1.copy())
-        assert np.array_equal(c1, c2)
+    def test_deterministic(self):
+        h, offline, _ = _draw_batch(SCHEME, 2, [(t, 0) for t in range(4)])
+        first = _derive(h, offline)
+        again = _derive(h.copy(), XOffline(offline.phase1.copy(), offline.phase2.copy()))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
-    def test_invariant_under_channel_scale(self, rng):
-        h3, phase1 = _random_inputs(rng)
-        c1 = alignment_constants(h3, phase1)
-        c2 = alignment_constants(1.7 * np.exp(0.3j) * h3, phase1)
-        np.testing.assert_allclose(c1, c2, rtol=1e-9)
+    def test_layers_invariant_under_channel_scale(self):
+        # a layer is its two entries up to a common factor: the paper's gamma,
+        # their ratio, does not move when every channel state is scaled
+        h, offline, _ = _draw_batch(SCHEME, 3, [(t, 0) for t in range(4)])
+        rows = _derive(h, offline)
+        scaled = _derive(1.7 * np.exp(0.3j) * h, offline)
+        for j in range(2):
+            for k in range(2):
+                a, b = rows[j][:, 2 * k], rows[j][:, 2 * k + 1]
+                a2, b2 = scaled[j][:, 2 * k], scaled[j][:, 2 * k + 1]
+                np.testing.assert_allclose(a * b2 - a2 * b, 0.0, rtol=0, atol=1e-12)
 
-    def test_degenerate_pinned_entry_raises(self):
-        # Receiver-0 system columns e1, e2, -e1, e3: its null vector
-        # (1, 0, 1, 0) has zero second and fourth entries, so the ratios
-        # gamma = v0/v1 etc. are undefined.  No encoder code judges that:
-        # the block runs without a warning, and the decoder finds the
-        # receive matrix singular (not finite), so the draw is discarded.
+    def test_a_zero_null_vector_entry_is_no_special_case(self):
+        # Receiver-0 system columns e1, e2, -e1, e3: its null vector (1, 0,
+        # 1, 0) has zero second and fourth entries, so the paper's ratios
+        # gamma = v0/v1 are undefined.  The layers take the entries
+        # themselves: each is then a lone symbol, and the rows stay finite.
+        # The draw is still degenerate, since receiver 1's own first symbols
+        # arrive along e1 and -e1 in phase 1, and the decoder finds receiver 1
+        # singular, no longer receiver 0.
         h, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
         h[0, :, :PHASE1_SLOTS] = 1.0
         phase1 = offline.phase1.copy()
@@ -89,50 +109,66 @@ class TestAlignmentConstants:
         offline = XOffline(phase1=phase1, phase2=offline.phase2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(Singular):
+            derived = _derive(h, offline)
+            with pytest.raises(Singular, match="^receiver 1: "):
                 decode_context(SCHEME, h, offline)
+        for rows in derived:
+            assert np.all(np.isfinite(rows))
+            # message (1, j) weighs only u[1, j, 1]
+            assert np.all(rows[:, 2] == 0.0) and np.all(rows[:, 3] != 0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_null_property_is_generic(self, seed):
-        gen = np.random.default_rng(seed)
-        h3, phase1 = _random_inputs(gen)
-        gamma = alignment_constants(h3, phase1)
-        s = np.linalg.svd(_cross_second_directions(h3, phase1, gamma, 0), compute_uv=False)
+    def test_alignment_is_generic(self, seed):
+        h, offline, _ = _draw_batch(SCHEME, seed, [(0, 0)])
+        cross = _cross_second_directions(h, offline.phase1, _derive(h, offline), 0)
+        s = np.linalg.svd(cross[..., 0], compute_uv=False)
         assert s[1] <= 1e-9 * s[0]
 
 
+def _layer_rows(c, v, w, j):
+    """Transmitter j's row ``c[0] s[j, 0] + c[1] s[j, 1]`` over its symbols, unnormalized.
+
+    The layer of message ``(k, j)`` is ``n[2j+1] u[k, j, 0] - n[2j] u[k, j,
+    1]``, for ``n`` the null vector of receiver ``1 - k``: ``w`` for ``k = 0``
+    and ``v`` for ``k = 1``.
+    """
+    return [c[0] * w[2 * j + 1], -c[0] * w[2 * j], c[1] * v[2 * j + 1], -c[1] * v[2 * j]]
+
+
 class TestStackedSystems:
-    def test_constants_equal_one_null_vector_call_per_receiver(self):
+    def test_rows_equal_one_null_vector_call_per_receiver(self):
         h, offline, _ = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
-        h3 = h[:, :, :PHASE1_SLOTS]
-        gamma = alignment_constants(h3, offline.phase1)
-        v = null_vector(interference_system(h3, offline.phase1, 0))
-        w = null_vector(interference_system(h3, offline.phase1, 1))
-        assert gamma[0, 1].tobytes() == (v[0] / v[1]).tobytes()
-        assert gamma[1, 1].tobytes() == (v[2] / v[3]).tobytes()
-        assert gamma[0, 0].tobytes() == (w[0] / w[1]).tobytes()
-        assert gamma[1, 0].tobytes() == (w[2] / w[3]).tobytes()
+        derived = _derive(h, offline)
+        v, w = _null_vectors(h, offline.phase1)
+        for j in range(2):
+            rows = np.stack(_layer_rows(offline.phase2[j], v, w, j))
+            expected = np.moveaxis(rows / vector_norm(rows), 1, 0)
+            assert derived[j].tobytes() == expected.tobytes()
 
     def test_cross_second_directions_have_rank_one(self):
-        # the stacked constants align both receivers' cross second symbols in every trial
+        # the stacked null vectors align both receivers' cross second symbols in every trial
         h, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
-        h3, phase1 = h[:, :, :PHASE1_SLOTS], offline.phase1
-        gamma = alignment_constants(h3, phase1)
+        derived = _derive(h, offline)
         for rx in range(2):
-            cross = _cross_second_directions(h3, phase1, gamma, rx)
+            cross = _cross_second_directions(h, offline.phase1, derived, rx)
             sv = np.linalg.svd(np.moveaxis(cross, -1, 0), compute_uv=False)
             assert np.all(sv[:, 0] > 0.0)
             assert np.all(sv[:, 1] <= Tolerances().rank_rel * sv[:, 0])
 
 
-def _layer2_vars(u, gamma):
-    """Second-layer variables ``s[j, k] = u[k, j, 0] - gamma[j, k] u[k, j, 1]``, written out."""
+def _layer2_vars(u, v, w):
+    """Second-layer variables ``s[j, k]``, written out from the null vectors."""
     s = np.empty((2, 2, *u.shape[3:]), dtype=np.complex128)
     for j in range(2):
-        for k in range(2):
-            s[j, k] = u[k, j, 0] - gamma[j, k] * u[k, j, 1]
+        for k, n in enumerate((w, v)):
+            s[j, k] = n[2 * j + 1] * u[k, j, 0] - n[2 * j] * u[k, j, 1]
     return s
+
+
+def _layer_norm(c, v, w, j):
+    """Norm of transmitter j's row ``c[0] s[j, 0] + c[1] s[j, 1]`` over its symbols."""
+    return np.sqrt(sum(abs(r) ** 2 for r in _layer_rows(c, v, w, j)))
 
 
 class TestLayer2Vars:
@@ -140,19 +176,14 @@ class TestLayer2Vars:
         # a derived row sends c[0] s[j, 0] + c[1] s[j, 1], normalized, over j's symbols
         h, offline, _ = _trial_data(10)
         u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2, 1)
-        views = [TxInformationView(j, PHASE1_SLOTS, h, None, SCHEME.feedback) for j in range(2)]
-        for j, derived in enumerate(SCHEME.derive(views, offline)):
-            gamma = alignment_constants(h[:, :, :PHASE1_SLOTS], offline.phase1)
-            s = _layer2_vars(u, gamma)
+        v, w = _null_vectors(h, offline.phase1)
+        s = _layer2_vars(u, v, w)
+        for j, derived in enumerate(_derive(h, offline)):
             own = np.stack([u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]])
             for p in range(NUM_SLOTS - PHASE1_SLOTS):
                 c = offline.phase2[j, :, p]
-                norm = np.sqrt(
-                    abs(c[0]) ** 2 * (1.0 + abs(gamma[j, 0]) ** 2)
-                    + abs(c[1]) ** 2 * (1.0 + abs(gamma[j, 1]) ** 2)
-                )
                 sent = np.sum(derived[p] * own, axis=0)
-                expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / norm
+                expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / _layer_norm(c, v, w, j)
                 np.testing.assert_allclose(sent, expected, rtol=1e-13)
 
 
@@ -203,23 +234,18 @@ class TestEncoding:
         # combination of the layer variables themselves.
         h, offline, msgs = _trial_data(5)
         record = simulate_block(SCHEME, h, offline, msgs)
-        gamma = alignment_constants(h[:, :, :PHASE1_SLOTS], offline.phase1)
+        v, w = _null_vectors(h, offline.phase1)
         u = msgs.reshape(2, 2, 2, 1)
-        s = _layer2_vars(u, gamma)
+        s = _layer2_vars(u, v, w)
         for j in range(2):
-            g = gamma[j]
             for p in range(4):
                 c = offline.phase2[j, :, p]
-                norm = np.sqrt(
-                    abs(c[0]) ** 2 * (1.0 + abs(g[0]) ** 2)
-                    + abs(c[1]) ** 2 * (1.0 + abs(g[1]) ** 2)
-                )
-                expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / norm
+                expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / _layer_norm(c, v, w, j)
                 np.testing.assert_allclose(record.x[j, PHASE1_SLOTS + p], expected, rtol=1e-13)
-                row = [c[0], -c[0] * g[0], c[1], -c[1] * g[1]]
+                row = _layer_rows(c, v, w, j)
                 squares = [r.real**2 + r.imag**2 for r in row]
                 norm = np.sqrt(((squares[0] + squares[1]) + squares[2]) + squares[3])
-                terms = [r / norm * v for r, v in zip(row, u[:, j].reshape(4, 1))]
+                terms = [r / norm * x for r, x in zip(row, u[:, j].reshape(4, 1))]
                 exact = ((terms[0] + terms[1]) + terms[2]) + terms[3]
                 assert np.array_equal(record.x[j, PHASE1_SLOTS + p], exact)
 
