@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from _golden import CASES, GOLDEN, differences, render, run, versions
+from _golden import CASES, GOLDEN, differences, recorded, render, run, versions
 
 RECORDED = json.loads((GOLDEN / "versions.json").read_text())
 CURRENT = versions()
@@ -21,7 +21,7 @@ def test_every_case_has_one_file():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_the_run_gives_its_recorded_report(name):
-    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    expected = recorded(name)
     assert expected["argv"] == CASES[name]
     code, out, err = run(name)
     assert code == expected["exit"]
@@ -41,7 +41,7 @@ def test_the_run_gives_its_recorded_report(name):
 def test_the_cross_version_comparison_keeps_its_bounds():
     # off the recorded versions the floats are compared by bounds, which this
     # machine's runs never reach; the bounds must still hold on a moved report
-    report = json.loads((GOLDEN / "dof_sweep-ic3_retro_csit.json").read_text())["stdout"]
+    report = recorded("dof_sweep-ic3_retro_csit")["stdout"]
     assert differences(report, report) == []
 
     def moved(key, value):

@@ -201,25 +201,24 @@ class TestEncoding:
         assert future_perturbation_invariant(SCHEME, 77, [0], perturb_from)
 
 
-def _derived_rows(monkeypatch, h, offline, msgs):
+def _derived_rows(h, offline, msgs):
     """Each entity's derived rows, as one block run's engine caches them."""
-    derive, rows = SCHEME.derive, {}
+    scheme, rows = IC3RetroCsitScheme(), {}
 
     def recorded(views, offline):
-        derived = derive(views, offline)
+        derived = SCHEME.derive(views, offline)
         rows.update(zip((view.tx for view in views), derived))
         return derived
 
-    with monkeypatch.context() as patch:
-        patch.setattr(SCHEME, "derive", recorded)
-        simulate_block(SCHEME, h, offline, msgs)
+    scheme.derive = recorded
+    simulate_block(scheme, h, offline, msgs)
     return rows
 
 
 class TestTransmitCache:
-    def test_cached_triples_match_the_oracle(self, monkeypatch):
+    def test_cached_triples_match_the_oracle(self):
         h, offline, msgs = _trial_data(18)
-        derived = _derived_rows(monkeypatch, h, offline, msgs)
+        derived = _derived_rows(h, offline, msgs)
         _, coeffs, _ = effective_precoders(h, offline.phase1)
         # each victim's annihilator, recomputed from its system alone
         alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], offline.phase1)
@@ -229,11 +228,11 @@ class TestTransmitCache:
             for rx in interferers(k):
                 assert np.all(abs(np.sum(derived[k][0] * _sub(alphas, rx, k), axis=0)) <= 1e-12)
 
-    def test_stacked_victim_systems_equal_one_call_each(self, monkeypatch):
+    def test_stacked_victim_systems_equal_one_call_each(self):
         # the triples of both victims' systems, stacked in one null_vector call,
         # are bit for bit those of one call per system
         h, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
-        derived = _derived_rows(monkeypatch, h, offline, msgs)
+        derived = _derived_rows(h, offline, msgs)
         alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], offline.phase1)
         coeffs = phase2_coefficients(alphas)
         for k in range(3):
@@ -241,16 +240,16 @@ class TestTransmitCache:
 
     @pytest.mark.parametrize("k", range(3))
     @pytest.mark.parametrize("n", [0, PHASE1_SLOTS - 1])
-    def test_a_triple_ignores_the_states_its_transmitter_never_reads(self, monkeypatch, k, n):
+    def test_a_triple_ignores_the_states_its_transmitter_never_reads(self, k, n):
         # transmitter k never reads its own receiver's row h[k, :, :]; a
         # phase-1 state there feeds only receiver k's annihilator, which the
         # shared factoring builds for the other two transmitters alone
         h, offline, msgs = _draw_batch(SCHEME, 9, [(t, 0) for t in range(5)])
-        derived = _derived_rows(monkeypatch, h, offline, msgs)
+        derived = _derived_rows(h, offline, msgs)
         for j in interferers(k):
             perturbed = h.copy()
             perturbed[k, j, n] *= np.exp(0.7j)
-            moved = _derived_rows(monkeypatch, perturbed, offline, msgs)
+            moved = _derived_rows(perturbed, offline, msgs)
             assert moved[k].tobytes() == derived[k].tobytes()
             for other in interferers(k):
                 # every trial's triple moves
@@ -305,7 +304,7 @@ class TestDecoding:
             interference = np.stack(cols, axis=1)
             assert jacobi_rank(interference, 1e-8) == 5
 
-    def test_wrong_coefficients_break_the_rank_guarantee(self, monkeypatch):
+    def test_wrong_coefficients_break_the_rank_guarantee(self):
         # With a generic (non-aligned) repetition triple the phase-2 slots
         # add a sixth interference dimension, which the decoder must treat
         # as a structural failure rather than a discardable draw.
@@ -317,9 +316,10 @@ class TestDecoding:
             c = sample_complex_gaussian([gen], 3 * 3 * h.shape[3]).reshape(3, 1, 3, -1)
             return list(c / np.linalg.norm(c, axis=2, keepdims=True))
 
-        monkeypatch.setattr(SCHEME, "derive", wrong_triples)
+        scheme = IC3RetroCsitScheme()
+        scheme.derive = wrong_triples
         with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):
-            decode_context(SCHEME, h, offline)
+            decode_context(scheme, h, offline)
 
     def test_registry_exposes_scheme(self):
         scheme = get_scheme("ic3_retro_csit")
