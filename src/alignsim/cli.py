@@ -172,7 +172,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                 file_values = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # a RecursionError: nested deeper than the decoder's recursion limit
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")

@@ -167,11 +167,13 @@ class TrialOutcomes(NamedTuple):
     """Outcomes of ``n`` trials in trial order, each array ``(n,)`` or ``(n, num_symbols)``.
 
     ``noise_weights`` is present when rates were asked for.  A batch audits its
-    trials' reads at once: ``csi_slots`` holds for all.
+    trials' reads at once: ``csi_slots`` holds for all.  A block's outcomes,
+    as :func:`_run_block` gives them, are in draw order, with ``trial`` and
+    ``attempt`` ``None``.
     """
 
-    trial: np.ndarray
-    attempt: np.ndarray
+    trial: np.ndarray | None
+    attempt: np.ndarray | None
     max_rel_symbol_error: np.ndarray
     certificates: dict[str, np.ndarray]
     noise_weights: np.ndarray | None
@@ -362,28 +364,26 @@ def sum_rate_bits(weights: np.ndarray, power, num_slots: int) -> float | np.ndar
     return np.sum(np.log2(1.0 + sinr), axis=-1) / num_slots
 
 
-def _run_batch(
-    scheme: Scheme,
-    base_seed: int,
-    draws: list[tuple[int, int]],
-    tol: Tolerances,
-    collect_weights: bool,
+def _run_block(
+    scheme: Scheme, h: np.ndarray, offline, msgs: np.ndarray, tol: Tolerances, collect_weights: bool
 ) -> TrialOutcomes:
-    """Run the ``(trial, attempt)`` draws as one stacked block; their outcomes in draw order.
+    """Run the block of channels ``h``, offline coefficients and messages; its draws' outcomes.
 
-    Raises what the decoder raises, a :class:`NumericsError` that names
-    the draws it fails (see :func:`_run_draws`).  It judges no CSI budget:
-    the outcomes' ``csi_slots`` are the slots whose channel states the
-    transmitters read, the same for every draw of the block.  The batch is
-    one block run, whose columns are the message, for rates one zero
-    message per replayed output with that output's unit impulse as noise
-    (see :func:`noise_transfer_weights`), then one identity message per
-    symbol.  The run adds ``-0.0`` as noise everywhere else, the identity
-    of floating-point addition, so the message and identity columns keep
-    the bits of a noiseless run.
+    The arrays are stacked on a trailing draw axis, as :func:`_draw_batch`
+    gives them or as a caller builds them.  The outcomes come in draw order
+    with no ``trial`` or ``attempt``, which :func:`_run_draws` sets.  Raises
+    what the decoder raises, a :class:`NumericsError` that names the failing
+    draws by their index on that axis.  It judges no CSI budget: the
+    outcomes' ``csi_slots`` are the slots whose channel states the
+    transmitters read, the same for every draw of the block.  The block is
+    one run, whose columns are the message, for rates one zero message per
+    replayed output with that output's unit impulse as noise (see
+    :func:`noise_transfer_weights`), then one identity message per symbol.
+    The run adds ``-0.0`` as noise everywhere else, the identity of
+    floating-point addition, so the message and identity columns keep the
+    bits of a noiseless run.
     """
-    n = len(draws)
-    h, offline, msgs = _draw_batch(scheme, base_seed, draws)
+    n = msgs.shape[-1]
     log = AccessLog()
     size = scheme.num_symbols
     replayed = scheme.replayed_outputs if collect_weights else ()
@@ -404,13 +404,11 @@ def _run_batch(
     weights = None
     if collect_weights:
         weights = noise_transfer_weights(scheme, ctx, decoded[:, 1:])
-    decoded = decoded[:, 0]
-    trial, attempt = np.array(draws).T
-    errors = np.max(np.abs(decoded - msgs), axis=0)
+    errors = np.max(np.abs(decoded[:, 0] - msgs), axis=0)
     scales = np.maximum(np.max(np.abs(msgs), axis=0), SCALE_FLOOR)
     return TrialOutcomes(
-        trial=trial,
-        attempt=attempt,
+        trial=None,
+        attempt=None,
         max_rel_symbol_error=errors / scales,
         certificates=ctx.certificates,
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
@@ -433,8 +431,9 @@ def _run_draws(
     ``check`` runs before each batch and ends the run when its caller cannot
     use it: a child worker whose caller is gone exits, and the caller raises
     once a child has exited without sending.  A batch runs from attempt 0 as
-    one block (:func:`_run_batch`).  A block the decoder fails splits by the
-    draws its :class:`NumericsError` names.  A
+    one block, drawn by :func:`_draw_batch` and run by :func:`_run_block`,
+    whose outcomes take their draws' trial and attempt.  A block the decoder
+    fails splits by the draws its :class:`NumericsError` names.  A
     :class:`~alignsim.numerics.Singular` draw is discarded, and those of one
     block run together at their trials' next attempt; any other named draw,
     or a trial out of its ``MAX_ATTEMPTS`` attempts, fails its trial.  The
@@ -458,8 +457,9 @@ def _run_draws(
         failures: dict[int, str] = {}
         while blocks:
             draws = blocks.pop()
+            h, offline, msgs = _draw_batch(scheme, base_seed, draws)
             try:
-                passed.append(_run_batch(scheme, base_seed, draws, tol, collect_weights))
+                result = _run_block(scheme, h, offline, msgs, tol, collect_weights)
             except NumericsError as error:
                 rest, resampled = [], []
                 for index, (trial, attempt) in enumerate(draws):
@@ -476,6 +476,9 @@ def _run_draws(
                     else:
                         resampled.append((trial, attempt + 1))
                 blocks += [block for block in (rest, resampled) if block]
+            else:
+                trial, attempt = np.array(draws).T
+                passed.append(result._replace(trial=trial, attempt=attempt))
         if passed and Fraction(len(passed[0].csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
             failures[min(int(p.trial[0]) for p in passed)] = (
                 f"transmitters read channel states of slots {passed[0].csi_slots}, "

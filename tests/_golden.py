@@ -67,6 +67,28 @@ CASES["tol_residual_1e-13-ic3_retro_csit-300"] = [
     "--scheme", "ic3_retro_csit", "--mode", "verify", "--trials", "300", "--seed", "3",
     "--threads", "1", "--tol-residual", "1e-13",
 ]
+# the CI's tight-residual runs at seed 0: their largest healthy residuals, and
+# the first x_retro_csit trial to leak past 1e-12
+for _scheme in ("ic3_retro_csit", "x_retro_csit"):
+    CASES[f"tol_residual_1e-12-{_scheme}-300"] = [
+        "--scheme", _scheme, "--mode", "verify", "--trials", "300", "--seed", "0",
+        "--threads", "1", "--tol-residual", "1e-12",
+    ]
+CASES["tol_residual_1e-12-x_retro_csit-3239"] = [
+    "--scheme", "x_retro_csit", "--mode", "verify", "--trials", "3239", "--seed", "0",
+    "--threads", "1", "--tol-residual", "1e-12",
+]
+# the lowest trial out of attempts in the CI's two-worker failure run
+CASES["tol_rank_0.05-ic3_output_fb-400"] = [
+    "--scheme", "ic3_output_fb", "--mode", "verify", "--trials", "400", "--seed", "7",
+    "--threads", "1", "--tol-rank", "0.05",
+]
+# the discard counts of the CI's two-worker sweeps that rerun discarded draws
+for _scheme, _trials, _tol in (("ic3_output_fb", "400", "0.02"), ("x_output_fb", "1400", "0.05")):
+    CASES[f"dof_sweep_discards-{_scheme}-{_trials}"] = [
+        "--scheme", _scheme, "--mode", "dof_sweep", "--trials", _trials, "--seed", "7",
+        "--threads", "1", "--tol-rank", _tol, *_GRID,
+    ]
 CASES.update({
     "usage-unknown_scheme": ["--scheme", "nope"],
     "usage-bad_trials": ["--scheme", "bc_mat", "--trials", "abc"],
@@ -74,6 +96,7 @@ CASES.update({
     "usage-bad_config_value": ["--config", "{inputs}/bad_value.json"],
     "usage-non_utf8_config": ["--config", "{inputs}/non_utf8.json"],
     "usage-long_integer_config": ["--config", "{inputs}/long_integer.json"],
+    "usage-deep_config": ["--config", "{inputs}/deep.json"],
 })
 
 

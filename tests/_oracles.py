@@ -17,6 +17,9 @@ The noise-weight oracle reruns a block with a unit impulse at every
 receiver and slot, whether or not a transmitter replays it, which is how
 the package found the weights before they rode the decode run.
 
+The slot-pattern helper gives a drawn channel a coherence pattern: groups
+of slots that share one channel, as under block fading.
+
 The causality oracle at the very end reruns a block with the channel
 states of later slots perturbed: a transmitter that reads only earlier
 slots sends the same bits up to the cut.  No run of the package calls it;
@@ -226,6 +229,17 @@ def all_impulse_weights(scheme: Scheme, ctx, h: np.ndarray, offline) -> np.ndarr
 
 
 # -- causality under future-channel perturbation -----------------------------------
+
+
+def slot_pattern(h: np.ndarray, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """A copy of the channel stack ``h`` where every slot of a group has its first slot's channel.
+
+    ``h`` is ``h[rx, tx, slot, t]``; a slot in no group keeps its own draw.
+    """
+    patterned = h.copy()
+    for group in groups:
+        patterned[:, :, list(group)] = h[:, :, group[0], None]
+    return patterned
 
 
 def future_perturbation_invariant(

@@ -21,17 +21,23 @@ def outcome_fields(outcomes, index=slice(None)):
     return tuple(value(getattr(outcomes, name)) for name in outcomes._fields)
 
 
-def run_with_batches(scheme_id, num_trials, base_seed):
-    """A one-worker ``run_trials`` report and the outcomes of each batch it ran, in order."""
+def run_with_batches(scheme_id, num_trials, base_seed, collect_weights=False):
+    """A one-worker ``run_trials`` report and the outcomes of each block it ran, in order.
+
+    Each block's outcomes are as ``_run_block`` gave them, before the run
+    set their trials and attempts.
+    """
     import alignsim.evaluate as evaluate
 
-    run_batch = evaluate._run_batch
+    run_block = evaluate._run_block
     batches = []
 
     def recording(*args):
-        batches.append(run_batch(*args))
+        batches.append(run_block(*args))
         return batches[-1]
 
-    with mock.patch.object(evaluate, "_run_batch", recording):
-        report = evaluate.run_trials(scheme_id, num_trials, base_seed, threads=1)
+    with mock.patch.object(evaluate, "_run_block", recording):
+        report = evaluate.run_trials(
+            scheme_id, num_trials, base_seed, collect_weights=collect_weights, threads=1
+        )
     return report, batches

@@ -27,7 +27,7 @@ from alignsim.evaluate import (
     MAX_ATTEMPTS,
     TRIAL_BATCH,
     _draw_batch,
-    _run_batch,
+    _run_block,
     _run_draws,
     run_trials,
     simulate_block,
@@ -37,7 +37,7 @@ from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, noise_weights
 from _oracles import all_impulse_weights
-from _outcomes import outcome_fields
+from _outcomes import outcome_fields, run_with_batches
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
@@ -175,12 +175,34 @@ def test_batch_weights_equal_the_all_impulse_run(scheme_id, trials):
     # the batch's one block run carries an impulse only where an output is
     # replayed; a run with an impulse at every receiver and slot gives the same bits
     scheme = get_scheme(scheme_id)
-    draws = [(t, 0) for t in range(trials)]
-    outcomes = _run_batch(scheme, 3, draws, Tolerances(), True)
-    h, offline, _ = _draw_batch(scheme, 3, draws)
+    h, offline, msgs = _draw_batch(scheme, 3, [(t, 0) for t in range(trials)])
+    outcomes = _run_block(scheme, h, offline, msgs, Tolerances(), True)
     reference = all_impulse_weights(scheme, decode_context(scheme, h, offline), h, offline)
     assert outcomes.noise_weights.shape == (trials, scheme.num_symbols)
     assert np.array_equal(outcomes.noise_weights, reference.T)
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+@pytest.mark.parametrize("collect_weights", [False, True], ids=["verify", "sweep"])
+@pytest.mark.parametrize("trials", [1, 17, 256])
+def test_run_block_on_the_drawn_arrays_gives_the_runs_outcomes(scheme_id, collect_weights, trials):
+    # a run's one path from a block to outcomes takes the arrays as given: on
+    # the arrays a batch draws it gives, bit for bit, what the run recorded
+    scheme = get_scheme(scheme_id)
+    report, [recorded] = run_with_batches(scheme_id, trials, 3, collect_weights)
+    draws = [(t, 0) for t in range(trials)]
+    h, offline, msgs = _draw_batch(scheme, 3, draws)
+    outcomes = _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
+    assert outcome_fields(outcomes) == outcome_fields(recorded)
+    trial, attempt = np.array(draws).T
+    labelled = outcomes._replace(trial=trial, attempt=attempt)
+    assert outcome_fields(labelled) == outcome_fields(report.outcomes)
+    # a draw with no channel is singular, and the decoder names it alone
+    zeroed = trials // 2
+    h[..., zeroed] = 0.0
+    with pytest.raises(Singular) as raised:
+        _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
+    assert list(raised.value.draws) == [zeroed]
 
 
 class _ChainedReplay(Scheme):
@@ -218,7 +240,7 @@ def test_a_sweep_batch_decodes_as_a_verify_batch(scheme_id):
     # the impulse columns and the -0.0 noise of the other columns leave the
     # message and identity columns their noiseless bits, signs of zero included
     scheme = get_scheme(scheme_id)
-    draws = [(t, 0) for t in range(40)]
+    block = _draw_batch(scheme, 5, [(t, 0) for t in range(40)])
     received = []
 
     def recording(*args, **kwargs):
@@ -227,8 +249,8 @@ def test_a_sweep_batch_decodes_as_a_verify_batch(scheme_id):
         return record
 
     with mock.patch.object(evaluate, "simulate_block", recording):
-        sweep = _run_batch(scheme, 5, draws, Tolerances(), True)
-        verify = _run_batch(scheme, 5, draws, Tolerances(), False)
+        sweep = _run_block(scheme, *block, Tolerances(), True)
+        verify = _run_block(scheme, *block, Tolerances(), False)
     assert verify.noise_weights is None and sweep.noise_weights is not None
     swept_y, verified_y = received
     impulses = len(scheme.replayed_outputs)
@@ -249,12 +271,20 @@ _FULL_RUNS: dict = {}
 
 
 def _full_batch(scheme_id):
-    """Outcomes of the first TRIAL_BATCH trials of seed 41, run as one full batch."""
+    """Outcomes of the first TRIAL_BATCH trials of seed 41, run as one full batch.
+
+    They come without trials and attempts, as a block's outcomes do.
+    """
     if scheme_id not in _FULL_RUNS:
         report = run_trials(scheme_id, TRIAL_BATCH, 41, collect_weights=True)
         assert not report.discards
-        _FULL_RUNS[scheme_id] = report.outcomes
+        _FULL_RUNS[scheme_id] = report.outcomes._replace(trial=None, attempt=None)
     return _FULL_RUNS[scheme_id]
+
+
+def _run_drawn(scheme, base_seed, draws):
+    """The outcomes of the draws run as one block, with noise weights."""
+    return _run_block(scheme, *_draw_batch(scheme, base_seed, draws), Tolerances(), True)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -268,11 +298,11 @@ def _full_batch(scheme_id):
 def test_trial_result_independent_of_batch(scheme_id, trial, partner, partner_attempt, first):
     scheme = get_scheme(scheme_id)
     reference = outcome_fields(_full_batch(scheme_id), trial)
-    alone = _run_batch(scheme, 41, [(trial, 0)], Tolerances(), True)
+    alone = _run_drawn(scheme, 41, [(trial, 0)])
     other = (partner, partner_attempt)
     pair = [(trial, 0), other] if first else [other, (trial, 0)]
     try:
-        paired = _run_batch(scheme, 41, pair, Tolerances(), True)
+        paired = _run_drawn(scheme, 41, pair)
     except Singular:
         assume(False)
     # every field, noise weights included, must match to the bit
@@ -285,10 +315,9 @@ def test_draws_at_mixed_attempts_match_their_draws_alone(scheme_id):
     # a batch that resamples runs some trials at later attempts than others
     scheme = get_scheme(scheme_id)
     draws = [(t, (3 * t) % MAX_ATTEMPTS) for t in range(12)] + [(40, 0), (5, 0)]
-    batch = _run_batch(scheme, 43, draws, Tolerances(), True)
-    assert list(zip(batch.trial.tolist(), batch.attempt.tolist())) == draws
+    batch = _run_drawn(scheme, 43, draws)
     for index, draw in enumerate(draws):
-        alone = _run_batch(scheme, 43, [draw], Tolerances(), True)
+        alone = _run_drawn(scheme, 43, [draw])
         assert outcome_fields(batch, index) == outcome_fields(alone, 0), draw
 
 

@@ -786,8 +786,10 @@ class TestOneLineErrors:
         [
             (b"\xff\xfe", "codec can't decode byte 0xff"),
             (b'{"scheme": "bc_mat", "seed": ' + b"1" * 5000 + b"}", "5000 digits"),
+            # deeper than the decoder's recursion limit
+            (b"[" * 3000 + b"]" * 3000, "maximum recursion depth exceeded"),
         ],
-        ids=["not_utf8", "long_integer"],
+        ids=["not_utf8", "long_integer", "deep_nesting"],
     )
     def test_bad_config_file_is_one_line(self, capsys, tmp_path, content, reason):
         path = tmp_path / "run.json"

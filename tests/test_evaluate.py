@@ -34,7 +34,7 @@ from alignsim.evaluate import (
     TrialOutcomes,
     _concat,
     _draw_batch,
-    _run_batch,
+    _run_block,
     _run_draws,
     dof_by_counting,
     estimate_dof,
@@ -173,7 +173,8 @@ class TestSimulateBlock:
 
         scheme.derive = counted_derive
         monkeypatch.setattr(module, "null_vector", counted_null_vector)
-        _run_batch(scheme, 3, [(t, 0) for t in range(7)], Tolerances(), False)
+        block = _draw_batch(scheme, 3, [(t, 0) for t in range(7)])
+        _run_block(scheme, *block, Tolerances(), False)
         assert calls == [list(range(scheme.num_tx))]
         # a receiver's system has one row per phase-1 slot
         assert factored.pop(module.PHASE1_SLOTS) == systems * 7
@@ -707,23 +708,23 @@ def _trial_by_trial(scheme, base_seed, num_trials):
 
 
 def _record_batches(monkeypatch, scheme):
-    """Make ``run_trials`` run ``scheme``; the draws of each ``_run_batch`` call it makes."""
+    """Make ``run_trials`` run ``scheme``; the draws of each block it runs."""
     import alignsim.evaluate as evaluate
 
     calls = []
-    run_batch = evaluate._run_batch
+    draw_batch = evaluate._draw_batch
 
-    def recording(scheme, base_seed, draws, *args):
+    def recording(scheme, base_seed, draws):
         calls.append(list(draws))
-        return run_batch(scheme, base_seed, draws, *args)
+        return draw_batch(scheme, base_seed, draws)
 
-    monkeypatch.setattr(evaluate, "_run_batch", recording)
+    monkeypatch.setattr(evaluate, "_draw_batch", recording)
     monkeypatch.setattr(evaluate, "get_scheme", lambda scheme_id: scheme)
     return calls
 
 
 def _split_rounds(num_trials, discards):
-    """The draws of each ``_run_batch`` call of a batch whose only failures are ``discards``.
+    """The draws of each block run of a batch whose only failures are ``discards``.
 
     A block that meets discards runs its discarded draws at their next
     attempt first, then the rest of the block, which passes.  Where each
@@ -887,15 +888,20 @@ def _entries(scheme_id):
     return scheme.num_rx * scheme.num_slots * scheme.num_symbols
 
 
-def _recording_batch(calls):
-    """A stand-in ``_run_batch`` that appends each call's draws to ``calls`` and passes them."""
+def _passing_blocks(calls):
+    """Stand-ins for ``_draw_batch`` and ``_run_block``, by name, that pass every draw.
 
-    def recording(scheme, base_seed, draws, *args):
+    Each block's trials go to ``calls``.
+    """
+
+    def recording(scheme, base_seed, draws):
         calls.append([trial for trial, _ in draws])
-        trial, attempt = np.array(draws).T
-        return TrialOutcomes(trial, attempt, np.zeros(len(draws)), {}, None, [])
+        return None, None, np.zeros((1, len(draws)))
 
-    return recording
+    def passing(scheme, h, offline, msgs, *args):
+        return TrialOutcomes(None, None, np.zeros(msgs.shape[-1]), {}, None, [])
+
+    return {"_draw_batch": recording, "_run_block": passing}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -920,7 +926,7 @@ def test_batch_plan(scheme_id, num_trials, threads, cores):
     assert max(shares) - min(shares) <= 1
     assert all(plan)
     calls = []
-    with mock.patch.object(evaluate, "_run_batch", _recording_batch(calls)):
+    with mock.patch.multiple(evaluate, **_passing_blocks(calls)):
         for share in plan:
             start = len(calls)
             outcomes, _ = evaluate._run_draws(scheme, 0, share, Tolerances(), False)
@@ -946,13 +952,14 @@ def test_batch_plan_cuts_batches_only_when_read(monkeypatch):
     assert plan == [range(0, half), range(half, 10**12)]
     assert pickle.loads(pickle.dumps(plan)) == plan
     calls = []
-    recording = _recording_batch(calls)
+    stand_ins = _passing_blocks(calls)
 
-    def runs_one_batch(*args):
+    def draws_one_batch(*args):
         assert not calls, "the check did not stop the run"
-        return recording(*args)
+        return stand_ins["_draw_batch"](*args)
 
-    monkeypatch.setattr(evaluate, "_run_batch", runs_one_batch)
+    monkeypatch.setattr(evaluate, "_draw_batch", draws_one_batch)
+    monkeypatch.setattr(evaluate, "_run_block", stand_ins["_run_block"])
 
     class Stop(Exception):
         pass
@@ -973,10 +980,10 @@ def test_run_draws_checks_before_each_batch(monkeypatch):
 
     events = []
     monkeypatch.setattr(evaluate, "TRIAL_BATCH", 3)
-    monkeypatch.setattr(evaluate, "_run_batch", _recording_batch(events))
-    outcomes, discards = evaluate._run_draws(
-        get_scheme("bc_mat"), 0, range(8), Tolerances(), False, lambda: events.append("check")
-    )
+    with mock.patch.multiple(evaluate, **_passing_blocks(events)):
+        outcomes, discards = evaluate._run_draws(
+            get_scheme("bc_mat"), 0, range(8), Tolerances(), False, lambda: events.append("check")
+        )
     assert events == ["check", [0, 1], "check", [2, 3, 4], "check", [5, 6, 7]]
     assert outcomes.trial.tolist() == list(range(8))
     assert discards == []
@@ -1052,7 +1059,7 @@ class TestWorkerProcesses:
     ):
         # the caller's share of 4 trials runs as 4 batches
         monkeypatch.setattr(evaluate, "TRIAL_BATCH", 1)
-        run_draws, run_batch = evaluate._run_draws, evaluate._run_batch
+        run_draws, draw_batch = evaluate._run_draws, evaluate._draw_batch
         batches = []
 
         def exits_in_the_child(scheme, base_seed, trials, *rest):
@@ -1060,16 +1067,16 @@ class TestWorkerProcesses:
                 os._exit(7)
             return run_draws(scheme, base_seed, trials, *rest)
 
-        def waits_for_the_child_to_exit(scheme, base_seed, draws, *rest):
+        def waits_for_the_child_to_exit(scheme, base_seed, draws):
             deadline = time.monotonic() + 10
             while multiprocessing.active_children():
                 assert time.monotonic() < deadline, "the child did not exit"
                 time.sleep(0.01)
             batches.append(draws)
-            return run_batch(scheme, base_seed, draws, *rest)
+            return draw_batch(scheme, base_seed, draws)
 
         monkeypatch.setattr(evaluate, "_run_draws", exits_in_the_child)
-        monkeypatch.setattr(evaluate, "_run_batch", waits_for_the_child_to_exit)
+        monkeypatch.setattr(evaluate, "_draw_batch", waits_for_the_child_to_exit)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             run_trials("bc_mat", 8, base_seed=8, threads=2)
         # the check before the caller's second batch sees the exited child, if
