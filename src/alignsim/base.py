@@ -10,10 +10,16 @@ worker processes.
 The schedule assigns each (slot, antenna) a payload, and it fixes the
 block's size.  :meth:`Scheme.transmit`, the one encoder engine, sends a
 payload one scalar at a time: an information symbol, a replayed output, or
-a coefficient row over named symbols.  A row comes from the offline draw or
-from the sending entity's derived rows: one :meth:`Scheme.derive` call per
-block run turns the delayed CSI into the rows of every entity that first
-derives at a slot, each entity reading through its own view.  The only
+a coefficient row over named symbols.  A row with no row key is offline:
+the schedule's offline slots are those that send one, and one table, drawn
+channel-free before the block (:meth:`Scheme.draw_offline`), holds a
+coefficient per symbol and offline slot.  A row with a key comes from the
+sending entity's derived rows: one :meth:`Scheme.derive` call per block run
+turns the delayed CSI into the rows of every entity that first derives at a
+slot, each entity reading through its own view.  The receive directions
+that the offline rows give each receiver's unwanted symbols, the systems a
+retrospective ``derive`` annihilates, are built once, here
+(:meth:`Scheme.offline_interference`).  The only
 window into the channel or the past outputs is the
 :class:`~alignsim.channel.TxInformationView` handed in by the block driver,
 which makes the feedback causality of every scheme mechanically checkable.
@@ -41,17 +47,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import FeedbackModel, TxInformationView
 from .numerics import (
-    NumericsError, Singular, Tolerances, dot, matvec, sample_complex_gaussian, zero_forcing_rows,
+    NumericsError, Singular, Tolerances, complex_gaussian, dot, matvec, sample_complex_gaussian,
+    standard_normals, vector_norm, zero_forcing_rows,
 )
 
 __all__ = [
-    "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "RowPayload",
+    "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "RowPayload", "Offline",
     "DecodeContext", "Scheme",
 ]
 
@@ -89,17 +96,30 @@ class OutputPayload(NamedTuple):
 
 
 class RowPayload(NamedTuple):
-    """Send ``rows[row] . msgs[symbols]``: a coefficient row over the named symbols.
+    """Send a coefficient row over the named symbols: ``row . msgs[symbols]``.
 
-    ``rows`` is the offline draw's ``offline.rows``, or, where ``derived``,
-    the rows the sending entity derived from its view (:meth:`Scheme.derive`).
-    Each row is a ``(len(symbols), T)`` array that the draw or ``derive``
-    normalizes to full power.
+    With no ``row`` key the row is offline: the offline table's coefficients
+    of ``symbols`` at this slot (:meth:`Scheme.draw_offline`).  A key names
+    one of the rows the sending entity derived from its view
+    (:meth:`Scheme.derive`).  Each row is a ``(len(symbols), T)`` array that
+    the draw or ``derive`` normalizes to full power.
     """
 
     symbols: tuple[int, ...]
-    row: int | tuple[int, ...]
-    derived: bool = False
+    row: int | None = None
+
+
+class Offline(NamedTuple):
+    """Coefficients shared by all nodes before the block, independent of the channel.
+
+    ``table[symbol, k, t]`` weighs ``symbol`` in the offline rows of the
+    ``k``-th offline slot, normalized to unit power over each row's symbols;
+    ``extra`` holds the scheme's ``offline_extra`` further coefficients,
+    ``(offline_extra, T)``, as drawn.
+    """
+
+    table: np.ndarray
+    extra: np.ndarray
 
 
 class DecodeContext(NamedTuple):
@@ -131,6 +151,11 @@ class Scheme:
     schedule has more is rejected when it is created.  ``replayed_outputs``
     lists the distinct ``(rx, slot)`` outputs its transmitters replay, in
     that order: where the noise reaches a transmit signal.
+    ``offline_slots`` lists the slots that send an offline row (a
+    :class:`RowPayload` with no row key), in order; a class whose offline
+    rows name one symbol twice in a slot is rejected when it is created.
+    ``offline_extra`` counts the offline coefficients a scheme draws past
+    its table (:meth:`draw_offline`).
 
     Transmitters are distributed: ``owners[s]`` is the one entity that knows
     symbol ``s``, and a class whose schedule has antenna ``j`` send a
@@ -146,6 +171,8 @@ class Scheme:
     num_symbols: int
     owners: tuple[int, ...]  # the entity that knows each symbol
     replayed_outputs: tuple[tuple[int, int], ...]
+    offline_slots: tuple[int, ...]
+    offline_extra: int = 0
     feedback: FeedbackModel
     csi_slot_budget: Fraction  # largest legal fraction of slots with CSI read back
 
@@ -160,6 +187,12 @@ class Scheme:
             {(p.rx, p.slot) for payloads in cls.schedule for p in payloads
              if isinstance(p, OutputPayload)}
         ))
+        # each offline row, a row with no key: (slot, antenna, symbols)
+        offline = [
+            (slot, antenna, p.symbols) for slot, payloads in enumerate(cls.schedule)
+            for antenna, p in enumerate(payloads) if isinstance(p, RowPayload) and p.row is None
+        ]
+        cls.offline_slots = tuple(sorted({slot for slot, _, _ in offline}))
         name = getattr(cls, "scheme_id", cls.__name__)
         if cls.num_slots > cls.num_symbols:
             raise ValueError(
@@ -174,26 +207,85 @@ class Scheme:
                         f"scheme {name}: slot {slot}, antenna {antenna} names a symbol "
                         f"that its entity {entity} does not own"
                     )
+            named = [s for n, _, symbols in offline if n == slot for s in symbols]
+            if len(set(named)) < len(named):
+                raise ValueError(f"scheme {name}: slot {slot}'s offline rows name a symbol twice")
+        # (k, antenna, symbols) of each offline row, k its slot's place in offline_slots
+        cls._offline_rows = [(cls.offline_slots.index(n), a, s) for n, a, s in offline]
+        # per row width, the (R, w) symbols and (R, 1) slot places of those rows:
+        # draw_offline normalizes each width's rows in one gather and scatter
+        by_width: dict[int, list] = {}
+        for k, _, symbols in cls._offline_rows:
+            by_width.setdefault(len(symbols), []).append((symbols, [k]))
+        cls._row_index = [tuple(map(np.array, zip(*rows))) for rows in by_width.values()]
 
     @classmethod
     def entity_of(cls, antenna: int) -> int:
         """Transmitter entity that drives the given antenna and reads for it (identity by default)."""
         return antenna
 
-    def draw_offline(self, rngs) -> Any:
+    def draw_offline(self, rngs) -> Offline | None:
         """Channel-independent coefficients shared by all nodes before the block.
 
         ``rngs`` is a sequence of ``T`` generators, one per trial, whose draws
-        are stacked on a trailing trial axis.  A schedule with offline rows
-        reads them as ``offline.rows``.
+        are stacked on a trailing trial axis.  Each generator makes one
+        normal call: the CN(0, 1) table ``table[symbol, k]``, one coefficient
+        per symbol and offline slot, symbol-major, then ``offline_extra``
+        more, each complex draw its real parts before its imaginary ones.
+        Each offline row is then normalized to unit power over its symbols,
+        summed in the row's order, so the row sends unit power.  A scheme
+        with neither draws nothing and gets ``None``.
         """
-        return None
+        count = self.num_symbols * len(self.offline_slots)
+        if not count + self.offline_extra:
+            return None
+        z = standard_normals(rngs, 2 * (count + self.offline_extra))
+        table = complex_gaussian(z[: 2 * count]).reshape(self.num_symbols, -1, len(rngs))
+        for symbols, ks in self._row_index:
+            rows = table[symbols, ks]
+            table[symbols, ks] = rows / vector_norm(rows.swapaxes(0, 1))[:, None]
+        return Offline(table, complex_gaussian(z[2 * count :]))
+
+    def offline_interference(self, h: np.ndarray, offline: Offline, rxs) -> np.ndarray:
+        """Each receiver's receive directions, over the offline slots, of the symbols it does not want.
+
+        ``h[rx, antenna, slot]`` holds at least the offline slots' channel
+        states that these directions use, from the views of a ``derive``.
+        Column ``c`` of receiver ``rx``'s system is the ``c``-th symbol it
+        does not want, in index order: over the offline slots, its coefficient
+        times the channel from the antenna that sends it to ``rx``, and 0
+        where no offline row of the slot names it.  The systems of the
+        receivers ``rxs`` (a sequence) come stacked after the columns,
+        ``(len(offline_slots), u, len(rxs), T)``, as
+        :func:`~alignsim.numerics.null_vector` takes a stack: one indexed
+        product builds them all.
+        """
+        antennas, slots, symbols, k = self._interference_index
+        antennas, symbols = antennas[..., rxs], symbols[:, rxs]
+        systems = h[rxs, np.maximum(antennas, 0), slots] * offline.table[symbols, k]
+        systems[antennas < 0] = 0.0
+        return systems
+
+    @cached_property
+    def _interference_index(self) -> tuple[np.ndarray, ...]:
+        """Index arrays of :meth:`offline_interference` for every receiver.
+
+        The sending antenna ``(K, u, num_rx)`` (-1 where no offline row of
+        the slot names the symbol), the slots ``(K, 1, 1)``, each receiver's
+        unwanted symbols ``(u, num_rx)`` and the slots' places ``(K, 1, 1)``.
+        """
+        senders = np.full((self.num_symbols, len(self.offline_slots)), -1)
+        for k, antenna, symbols in self._offline_rows:
+            senders[list(symbols), k] = antenna
+        unwanted = np.array([np.delete(range(self.num_symbols), w) for w in self._symbol_rows]).T
+        k = np.arange(len(self.offline_slots))[:, None, None]
+        return senders[unwanted, k], np.array(self.offline_slots)[k], unwanted, k
 
     def draw_messages(self, rngs) -> np.ndarray:
         """Unit-power information symbols ``(num_symbols, T)`` (``rngs`` as above)."""
         return sample_complex_gaussian(rngs, self.num_symbols)
 
-    def derive(self, views: Sequence[TxInformationView], offline: Any) -> list[np.ndarray]:
+    def derive(self, views: Sequence[TxInformationView], offline: Offline) -> list[np.ndarray]:
         """Each entity ``view.tx``'s derived rows (by ``RowPayload.row``), in the order of ``views``.
 
         The engine calls it once per block run for each slot of
@@ -217,7 +309,7 @@ class Scheme:
         first: dict[int, int] = {}
         for slot, payloads in enumerate(self.schedule):
             for antenna, payload in enumerate(payloads):
-                if isinstance(payload, RowPayload) and payload.derived:
+                if isinstance(payload, RowPayload) and payload.row is not None:
                     first.setdefault(self.entity_of(antenna), slot)
         return tuple(
             tuple(tx for tx, first_slot in first.items() if first_slot == slot)
@@ -248,7 +340,7 @@ class Scheme:
         slot: int,
         view: TxInformationView,
         msgs: np.ndarray,
-        offline: Any,
+        offline: Offline | None,
         state: dict,
     ) -> complex | np.ndarray:
         """Scalar sent from ``antenna`` at ``slot``: its payload in the schedule.
@@ -263,7 +355,9 @@ class Scheme:
         ``state`` is the cache of one block run (it starts empty each run):
         ``state[tx]`` holds entity ``tx``'s derived rows, which the block
         driver (:func:`~alignsim.evaluate.simulate_block`) stores from one
-        :meth:`derive` call before the entity's first derived slot is sent.
+        :meth:`derive` call before the entity's first derived slot is sent;
+        a row with a key is sent from there, and a row with none from the
+        offline table's coefficients of its symbols at this slot.
         The scalar is complex-linear in ``msgs``
         and in the outputs it replays, so a power ``P`` is the message scale
         ``sqrt(P)``.  A payload is one of three kinds.  The two built from
@@ -284,8 +378,10 @@ class Scheme:
         if isinstance(payload, OutputPayload):
             return view.output(payload.rx, payload.slot)
         if isinstance(payload, RowPayload):
-            rows = state[view.tx] if payload.derived else offline.rows
-            return dot(rows[payload.row], msgs[list(payload.symbols)])
+            symbols = list(payload.symbols)
+            row = (offline.table[symbols, self.offline_slots.index(slot)] if payload.row is None
+                   else state[view.tx][payload.row])
+            return dot(row, msgs[symbols])
         raise TypeError(f"unknown payload {payload!r}")
 
     def decode_context(self, tol: Tolerances, response: np.ndarray) -> DecodeContext:

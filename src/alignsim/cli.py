@@ -216,6 +216,9 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"seed must be non-negative, got {config.seed}")
     if config.threads < 0:
         raise UsageError(f"threads must be non-negative, got {config.threads}")
+    if config.out is not None and "\0" in config.out:
+        # open() refuses it, but only once every trial has run
+        raise UsageError(f"output file path must not hold a NUL byte, got {config.out!r}")
     if config.mode == "dof_sweep":
         if not config.snr_grid_db:
             raise UsageError("dof_sweep mode requires an SNR grid (--snr-grid)")

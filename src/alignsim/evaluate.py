@@ -252,8 +252,8 @@ def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
     Draw ``(trial, attempt)`` takes its channel, offline and message streams
     from the three children of ``SeedSequence((base_seed, trial, attempt))``;
     the seeds of the whole batch come from one pass of the seed hash.  A
-    scheme that keeps the base ``draw_offline`` draws nothing offline, so
-    its offline generators are never built.  Past building its generators,
+    scheme with no offline coefficients draws nothing offline, so its
+    offline generators are never built.  Past building its generators,
     a draw's only work of its own is one normal call per stream.
     """
     states = spawn_states([(base_seed, trial, attempt) for trial, attempt in draws], 3)
@@ -261,7 +261,7 @@ def _draw_batch(scheme: Scheme, base_seed: int, draws: list[tuple[int, int]]):
         scheme.num_rx, scheme.num_tx, scheme.num_slots, seeded_generators(states[:, 0])
     )
     offline = None
-    if type(scheme).draw_offline is not Scheme.draw_offline:
+    if scheme.offline_slots or scheme.offline_extra:
         offline = scheme.draw_offline(seeded_generators(states[:, 1]))
     msgs = scheme.draw_messages(seeded_generators(states[:, 2]))
     return h, offline, msgs

@@ -60,7 +60,7 @@ class BcMatScheme(Scheme):
     schedule = (
         (SymbolPayload(0), SymbolPayload(1)),
         (SymbolPayload(2), SymbolPayload(3)),
-        (RowPayload((0, 1, 2, 3), 0, derived=True), None),
+        (RowPayload((0, 1, 2, 3), 0), None),
     )
 
     @classmethod

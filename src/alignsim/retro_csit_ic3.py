@@ -4,17 +4,22 @@ Transmitter ``k`` carries three symbols ``u[k, 0..2]`` for receiver ``k``
 (flat index ``3k + i``).  The scheme is a schedule of coefficient rows over
 each transmitter's own three symbols (slots 0-based):
 
-* Slots 0-4: offline random rows.  No channel knowledge is used.
+* Slots 0-4: offline random rows, the base draw's table
+  (:meth:`~alignsim.base.Scheme.draw_offline`): symbol ``3k + i``'s
+  coefficient at slot ``n`` is ``table[3k + i, n]``.  No channel knowledge
+  is used.
 * Slots 5-7: one row per transmitter, the retrospectively chosen
   combination ``s[k] = c[k] . u[k]``, sent three times, using no channel
   knowledge of the current slots.  All three transmitters' rows come from
   one :meth:`IC3RetroCsitScheme.derive` call per block run, which factors
   each receiver's annihilator once for both transmitters that use it.
 
-At receiver ``k``, the phase-1 interference from its two interferers spans a
-five-dimensional subspace of the 8-slot receive space with a one-dimensional
-annihilator ``alpha[k]`` (the null vector of the 5x6 matrix of interfering
-receive directions, interferer of lower index first).  The coefficient
+So the scheme is its schedule and its ``derive``.  At receiver ``k``, the
+phase-1 interference from its two interferers spans a five-dimensional
+subspace of the 8-slot receive space with a one-dimensional annihilator
+``alpha[k]``: the null vector of the 5x6 matrix of interfering receive
+directions (:meth:`~alignsim.base.Scheme.offline_interference`), interferer
+of lower index first.  The coefficient
 triple ``c[k]`` is the null vector of the 2x3 matrix whose rows are the two
 sub-triples of ``alpha[.]`` that constrain transmitter ``k`` at the
 receivers it interferes with, which forces each phase-2 repetition to stay
@@ -31,50 +36,21 @@ three desired symbols; the zero-forcing decoder every scheme shares
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .base import RowPayload, Scheme
 from .channel import FeedbackKind, FeedbackModel
-from .numerics import null_vector, sample_complex_gaussian, vector_norm
+from .numerics import null_vector
 
-__all__ = [
-    "ICOffline",
-    "interferers",
-    "alpha_system",
-    "IC3RetroCsitScheme",
-]
+__all__ = ["interferers", "IC3RetroCsitScheme"]
 
 PHASE1_SLOTS = 5
-
-
-class ICOffline(NamedTuple):
-    """Phase-1 coefficients ``phase1[k, i, n]``, unit power per (k, n)."""
-
-    phase1: np.ndarray
-
-    @property
-    def rows(self) -> np.ndarray:
-        """``rows[k, n]``: transmitter k's slot-n row of ``phase1`` over its own symbols."""
-        return np.moveaxis(self.phase1, 2, 1)
 
 
 def interferers(rx: int) -> tuple[int, int]:
     """The two transmitters interfering at ``rx``, lower index first."""
     return tuple(j for j in range(3) if j != rx)
-
-
-def alpha_system(h5: np.ndarray, phase1: np.ndarray, rx: int) -> np.ndarray:
-    """5x6 matrix of phase-1 interfering receive directions at ``rx``.
-
-    ``h5`` is the slot-0..4 channel block ``(3, 3, 5, T)``.  Columns 0-2
-    belong to the lower-indexed interferer, columns 3-5 to the higher-indexed
-    one.
-    """
-    a, b = interferers(rx)
-    cols = [h5[rx, j, :] * phase1[j, i, :] for j in (a, b) for i in range(3)]
-    return np.stack(cols, axis=1)
 
 
 def _own(k: int) -> tuple[int, ...]:
@@ -100,16 +76,10 @@ class IC3RetroCsitScheme(Scheme):
     owners = (0, 0, 0, 1, 1, 1, 2, 2, 2)
     feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
     schedule = (
-        *[tuple(RowPayload(_own(k), (k, n)) for k in range(3)) for n in range(PHASE1_SLOTS)],
-        *[tuple(RowPayload(_own(k), 0, derived=True) for k in range(3))] * 3,
+        *[tuple(RowPayload(_own(k)) for k in range(3))] * PHASE1_SLOTS,
+        *[tuple(RowPayload(_own(k), 0) for k in range(3))] * 3,
     )
     csi_slot_budget = Fraction(PHASE1_SLOTS, len(schedule))
-
-    def draw_offline(self, rngs) -> ICOffline:
-        phase1 = sample_complex_gaussian(rngs, 3 * 3 * PHASE1_SLOTS)
-        phase1 = phase1.reshape(3, 3, PHASE1_SLOTS, len(rngs))
-        # unit power per (transmitter, slot): normalize over the symbol axis
-        return ICOffline(phase1=phase1 / vector_norm(phase1.swapaxes(0, 1))[:, None])
 
     def derive(self, views, offline):
         """Each transmitter ``view.tx``'s phase-2 triple, from the annihilators of its two victims.
@@ -120,7 +90,7 @@ class IC3RetroCsitScheme(Scheme):
         is factored once, all in one ``null_vector`` call, and every triple
         comes from one more, on the stacked pairs of sub-triples.
         """
-        h5 = np.zeros((3, 3, *offline.phase1.shape[2:]), dtype=np.complex128)
+        h5 = np.zeros((3, 3, PHASE1_SLOTS, *offline.table.shape[2:]), dtype=np.complex128)
         for view in views:
             for rx in interferers(view.tx):
                 for j in interferers(rx):
@@ -128,7 +98,7 @@ class IC3RetroCsitScheme(Scheme):
                         h5[rx, j, n] = view.channel_coeff(rx, j, n)
         victims = sorted({rx for view in views for rx in interferers(view.tx)})
         # every victim's system in one null_vector call, stacked after the columns
-        systems = np.stack([alpha_system(h5, offline.phase1, rx) for rx in victims], axis=2)
+        systems = self.offline_interference(h5, offline, victims)
         alphas = dict(zip(victims, np.moveaxis(null_vector(systems), 1, 0)))
         # each transmitter's sub-triples at its lower and its higher victim, as the
         # rows of a 2x3 system stacked after the columns: (2, 3, views, T)

@@ -97,6 +97,7 @@ CASES.update({
     "usage-non_utf8_config": ["--config", "{inputs}/non_utf8.json"],
     "usage-long_integer_config": ["--config", "{inputs}/long_integer.json"],
     "usage-deep_config": ["--config", "{inputs}/deep.json"],
+    "usage-nul_out": ["--config", "{inputs}/nul_out.json"],
 })
 
 

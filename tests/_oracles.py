@@ -9,9 +9,11 @@ matrices these tests use, which lets the comparisons run at 1e-10 and below.
 The 3-user IC helpers at the end re-derive the retrospective scheme's
 annihilators and phase-2 triples from the full channel ``h``, one
 system at a time, the way a receiver would.  They share the library's
-``null_vector`` so their triples match the encoder's bit for bit: what they
-check is the encoder's wiring (which systems, which sub-triples, in which
-order), not the factorization.
+``null_vector`` and its systems (``Scheme.offline_interference``, which
+``tests/test_retro_csit_ic3.py`` checks against directions written out by
+hand) so their triples match the encoder's bit for bit: what they check is
+the encoder's wiring (which systems, which sub-triples, in which order),
+not the factorization.
 
 The noise-weight oracle reruns a block with a unit impulse at every
 receiver and slot, whether or not a transmitter replays it, which is how
@@ -37,10 +39,12 @@ from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import null_vector, ordered_sum
 from alignsim.retro_csit_ic3 import (
     PHASE1_SLOTS,
+    IC3RetroCsitScheme,
     _alpha_sub,
-    alpha_system,
     interferers,
 )
+
+_IC3 = IC3RetroCsitScheme()
 
 
 def _norm(v: np.ndarray) -> float:
@@ -169,9 +173,15 @@ def random_rank_matrix(
 # -- 3-user IC retrospective scheme ------------------------------------------------
 
 
-def compute_alphas(h5: np.ndarray, phase1: np.ndarray) -> np.ndarray:
-    """Unit-norm annihilators ``alpha[k]`` of the three interference systems, one call each."""
-    return np.stack([null_vector(alpha_system(h5, phase1, rx)) for rx in range(3)])
+def compute_alphas(h: np.ndarray, offline) -> np.ndarray:
+    """Unit-norm annihilators ``alpha[k]`` of the three interference systems, one call each.
+
+    ``h`` holds at least the phase-1 slots; ``offline`` is the scheme's
+    draw, or any pair whose ``table`` is laid out as its table.
+    """
+    return np.stack([
+        null_vector(_IC3.offline_interference(h, offline, [rx])[:, :, 0]) for rx in range(3)
+    ])
 
 
 def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
@@ -189,19 +199,17 @@ def phase2_coefficients(alphas: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def effective_precoders(
-    h: np.ndarray, phase1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def effective_precoders(h: np.ndarray, offline) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(alphas, coeffs, precoders) where ``precoders[k, i, n]`` spans all 8 slots.
 
     Column ``i`` of transmitter ``k``'s effective 8x3 precoding matrix is
-    ``precoders[k, i, :]``: the phase-1 coefficients, then the repeated
-    phase-2 triple.
+    ``precoders[k, i, :]``: the phase-1 coefficients, ``table[3k + i, n]``,
+    then the repeated phase-2 triple.
     """
-    alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], phase1)
+    alphas = compute_alphas(h, offline)
     coeffs = phase2_coefficients(alphas)
     precoders = np.empty((3, 3, *h.shape[2:]), dtype=np.complex128)
-    precoders[:, :, :PHASE1_SLOTS] = phase1
+    precoders[:, :, :PHASE1_SLOTS] = offline.table.reshape(3, 3, *offline.table.shape[1:])
     for n in range(PHASE1_SLOTS, h.shape[2]):
         precoders[:, :, n] = coeffs
     return alphas, coeffs, precoders

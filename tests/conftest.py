@@ -9,7 +9,7 @@ from alignsim.registry import SCHEMES
 sys.path.insert(0, str(Path(__file__).parent))
 
 #: What a registry scheme instance may hold of its own: its cached properties.
-_INSTANCE_KEYS = {"derive_plan", "_symbol_rows"}
+_INSTANCE_KEYS = {"derive_plan", "_symbol_rows", "_interference_index"}
 
 
 @pytest.fixture

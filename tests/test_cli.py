@@ -156,6 +156,10 @@ def _entries(scheme_id):
     return scheme.num_rx * scheme.num_slots * scheme.num_symbols
 
 
+_NOT_JSON = "error: config file is not valid JSON: "
+_NUL_OUT = "error: output file path must not hold a NUL byte, got "
+
+
 def _run_main(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -782,22 +786,34 @@ class TestOneLineErrors:
         assert done.stderr == "error: cannot write the report: standard output was closed\n"
 
     @pytest.mark.parametrize(
-        "content, reason",
+        "content, prefix, reason",
         [
-            (b"\xff\xfe", "codec can't decode byte 0xff"),
-            (b'{"scheme": "bc_mat", "seed": ' + b"1" * 5000 + b"}", "5000 digits"),
+            (b"\xff\xfe", _NOT_JSON, "codec can't decode byte 0xff"),
+            (b'{"scheme": "bc_mat", "seed": ' + b"1" * 5000 + b"}", _NOT_JSON, "5000 digits"),
             # deeper than the decoder's recursion limit
-            (b"[" * 3000 + b"]" * 3000, "maximum recursion depth exceeded"),
+            (b"[" * 3000 + b"]" * 3000, _NOT_JSON, "maximum recursion depth exceeded"),
+            # a path open() refuses, which a run that passes or fails would write to
+            (b'{"scheme": "bc_mat", "out": "a\\u0000b.json"}', _NUL_OUT, "'a\\x00b.json'"),
+            (
+                b'{"scheme": "bc_mat", "trials": 1, "tol_rank": 0.999, "out": "a\\u0000b.json"}',
+                _NUL_OUT, "'a\\x00b.json'",
+            ),
         ],
-        ids=["not_utf8", "long_integer", "deep_nesting"],
+        ids=["not_utf8", "long_integer", "deep_nesting", "nul_out", "nul_out_failing_run"],
     )
-    def test_bad_config_file_is_one_line(self, capsys, tmp_path, content, reason):
+    def test_bad_config_file_is_one_line(
+        self, capsys, monkeypatch, tmp_path, content, prefix, reason
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
         path = tmp_path / "run.json"
         path.write_bytes(content)
         code, out, err = _run_main(capsys, ["--config", str(path)])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: config file is not valid JSON: ") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
         assert reason in err
 
     def test_a_worker_that_exits_early_is_one_line(self, capfd, monkeypatch):

@@ -6,7 +6,8 @@ still get exactly the numbers of the per-trial reference: numpy's own
 ``SeedSequence((base_seed, trial, attempt)).spawn(3)`` children, one
 channel per generator, complex Gaussians
 from separate real and imaginary draws, and offline coefficients laid out
-here from those draws, not by the schemes' own ``draw_offline``.
+here from those draws, as each scheme reads them, not by the base
+``draw_offline``'s table.
 """
 
 import numpy as np
@@ -196,10 +197,13 @@ def test_batch_draw_matches_per_trial_reference(scheme_id):
         assert _same_bits(msgs[:, t], ref_msgs)
         if ref_offline is None:
             assert offline is None
-        else:
-            assert sorted(ref_offline) == sorted(offline._fields)
-            for name, want in ref_offline.items():
-                assert _same_bits(getattr(offline, name)[..., t], want)
+            continue
+        # the base table, as IC3's (3, 3, 5) or X's (2, 2, 2, 3), and the extra
+        # coefficients, X's (2, 2, 4) phase-2 weights and none for IC3
+        phase1 = ref_offline["phase1"]
+        phase2 = ref_offline.get("phase2", np.empty(0, dtype=np.complex128))
+        assert _same_bits(offline.table[..., t].reshape(phase1.shape), phase1)
+        assert _same_bits(offline.extra[..., t].reshape(phase2.shape), phase2)
 
 
 class _CountingGenerator:
@@ -227,8 +231,11 @@ def test_each_generator_makes_one_normal_call_per_draw(scheme_id, monkeypatch):
     # 10009 hold a coefficient below 1e-3 in magnitude, which is kept as drawn
     draws = [(t, 0) for t in range(40)] + [(3534, 0), (10009, 0)]
     _, offline, _ = _draw_batch(scheme, 0, draws)
-    # the channel stream first, then the offline one where the scheme draws any
-    assert len(streams) == (2 if offline is None else 3)
+    # the channel stream first, then the offline one where the scheme has
+    # offline coefficients: the retrospective schemes' rows and weights
+    has_offline = scheme_id in ("ic3_retro_csit", "x_retro_csit")
+    assert (offline is not None) == has_offline
+    assert len(streams) == (3 if has_offline else 2)
     for stream in streams:
         assert [rng.calls for rng in stream] == [1] * len(draws)
 
@@ -256,11 +263,11 @@ def test_stacked_scheme_draws_equal_one_generator_draws(scheme_id):
 
 def test_phase1_coefficients_have_unit_norm_per_transmitter_and_slot():
     rngs = [np.random.default_rng(s) for s in range(200)]
-    # IC3 phase1[k, i, n, t]: transmitter k, symbol i, slot n
-    ic3 = get_scheme("ic3_retro_csit").draw_offline(rngs).phase1
+    # IC3's table as [k, i, n, t]: transmitter k, symbol i, slot n
+    ic3 = get_scheme("ic3_retro_csit").draw_offline(rngs).table.reshape(3, 3, 5, -1)
     norms = np.sqrt(np.sum(np.abs(ic3) ** 2, axis=1))
     assert np.max(np.abs(norms - 1.0)) <= 4e-16
-    # X phase1[k, j, i, n, t]: transmitter j, slot n, over (receiver k, symbol i)
-    x = get_scheme("x_retro_csit").draw_offline(rngs).phase1
+    # X's table as [k, j, i, n, t]: transmitter j, slot n, over (receiver k, symbol i)
+    x = get_scheme("x_retro_csit").draw_offline(rngs).table.reshape(2, 2, 2, 3, -1)
     norms = np.sqrt(np.sum(np.abs(x) ** 2, axis=(0, 2)))
     assert np.max(np.abs(norms - 1.0)) <= 4e-16

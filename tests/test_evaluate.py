@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 import alignsim.retro_csit_ic3 as retro_csit_ic3
 import alignsim.retro_csit_x as retro_csit_x
 from alignsim.base import (
-    DecodeContext, InterferenceRankUnexpected, OutputPayload, RowPayload, SymbolPayload,
+    DecodeContext, InterferenceRankUnexpected, OutputPayload, RowPayload, Scheme, SymbolPayload,
 )
-from alignsim.channel import AccessLog, AccessRecord, TxInformationView, generate_channel
+from alignsim.channel import (
+    AccessLog, AccessRecord, FeedbackKind, FeedbackModel, TxInformationView, generate_channel,
+)
 from alignsim.evaluate import (
     DECODE_REL_TOL,
     ENTRIES_PER_WORKER,
@@ -79,6 +81,20 @@ READS_ALONE = {
         for n in range(5)
     ]),
 }
+
+
+class _TimeSharing(Scheme):
+    """Two transmitters time-sharing four slots of offline rows, two symbols each.
+
+    It has no draw of its own: the base draw's table holds all its rows.
+    """
+
+    scheme_id = "time_sharing"
+    num_rx = 2
+    owners = (0, 0, 1, 1)
+    feedback = FeedbackModel(kind=FeedbackKind.DELAYED_CSIT)
+    csi_slot_budget = Fraction(0, 1)
+    schedule = (*[(RowPayload((0, 1)), None)] * 2, *[(None, RowPayload((2, 3)))] * 2)
 
 
 class TestSimulateBlock:
@@ -229,6 +245,55 @@ class TestSimulateBlock:
         assert str(raised.value) == (
             "scheme x_output_fb: slot 1, antenna 0 names a symbol that its entity 0 does not own"
         )
+
+    @pytest.mark.parametrize(
+        "slot", [(RowPayload((0, 1)), RowPayload((1, 3))), (RowPayload((0, 0)), None)],
+        ids=["two_rows", "one_row"],
+    )
+    def test_a_schedule_whose_offline_rows_name_a_symbol_twice_is_rejected_at_class_creation(
+        self, slot
+    ):
+        # the table holds one coefficient per symbol and offline slot: a slot's
+        # offline rows cannot weigh one symbol twice
+        with pytest.raises(ValueError) as raised:
+
+            class Twice(BcMatScheme):
+                schedule = (slot, BcMatScheme.schedule[1], BcMatScheme.schedule[2])
+
+        assert str(raised.value) == "scheme bc_mat: slot 0's offline rows name a symbol twice"
+
+    @pytest.mark.parametrize("collect_weights", [False, True], ids=["verify", "sweep"])
+    def test_a_schedule_of_offline_rows_decodes_on_the_base_draw(self, collect_weights):
+        scheme = _TimeSharing()
+        h, offline, msgs = _draw_batch(scheme, 0, [(t, 0) for t in range(64)])
+        assert scheme.offline_slots == (0, 1, 2, 3) and offline.table.shape == (4, 4, 64)
+        # each row the schedule sends is unit power over its symbols
+        for symbols, ks in (([0, 1], [0, 1]), ([2, 3], [2, 3])):
+            power = np.sum(np.abs(offline.table[symbols][:, ks]) ** 2, axis=0)
+            np.testing.assert_allclose(power, 1.0, rtol=1e-15)
+        outcomes = _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
+        assert np.all(outcomes.decode_ok)
+        assert np.max(outcomes.max_rel_symbol_error) <= 1e-12
+        # a slot whose rows do not name a symbol gives it no direction
+        systems = scheme.offline_interference(h, offline, range(2))
+        assert np.all(systems[:2, :, 0] == 0.0) and np.all(systems[2:, :, 1] == 0.0)
+        assert np.all(systems[2:, :, 0] != 0.0) and np.all(systems[:2, :, 1] != 0.0)
+
+    def test_offline_interference_holds_each_receivers_unwanted_directions(self):
+        # written out by hand: over the offline slots, each unwanted symbol's
+        # coefficient times the channel from the antenna whose row names it
+        for scheme in map(get_scheme, ("ic3_retro_csit", "x_retro_csit")):
+            h, offline, _ = _draw_batch(scheme, 4, [(t, 0) for t in range(5)])
+            systems = scheme.offline_interference(h, offline, range(scheme.num_rx))
+            for rx in range(scheme.num_rx):
+                unwanted = [s for s in range(scheme.num_symbols) if s not in scheme.symbols_for_rx(rx)]
+                for k, slot in enumerate(scheme.offline_slots):
+                    for c, symbol in enumerate(unwanted):
+                        (antenna,) = [
+                            j for j, p in enumerate(scheme.schedule[slot]) if symbol in p.symbols
+                        ]
+                        want = h[rx, antenna, slot] * offline.table[symbol, k]
+                        assert systems[k, c, rx].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
     def test_the_engine_reads_no_channel(self, monkeypatch, scheme_id):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, TxInformationView, generate_channel
-from alignsim.base import InterferenceRankUnexpected
+from alignsim.base import InterferenceRankUnexpected, Offline
 from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import sample_complex_gaussian
 from alignsim.registry import get_scheme
@@ -12,7 +12,6 @@ import alignsim.retro_csit_ic3 as ic3
 from alignsim.retro_csit_ic3 import (
     PHASE1_SLOTS,
     IC3RetroCsitScheme,
-    alpha_system,
     interferers,
 )
 
@@ -31,10 +30,10 @@ NUM_SLOTS = SCHEME.num_slots
 
 
 def _random_inputs(rng):
-    """Phase-1 channel block and coefficients of one trial, as lone ``(3, 3, 5)`` systems."""
+    """Phase-1 channel block ``(3, 3, 5)`` and offline table ``(9, 5)`` of one lone trial."""
     h5 = sample_complex_gaussian([rng], 3 * 3 * PHASE1_SLOTS).reshape(3, 3, PHASE1_SLOTS)
-    phase1 = sample_complex_gaussian([rng], 3 * 3 * PHASE1_SLOTS).reshape(3, 3, PHASE1_SLOTS)
-    return h5, phase1
+    table = sample_complex_gaussian([rng], 3 * 3 * PHASE1_SLOTS).reshape(9, PHASE1_SLOTS)
+    return h5, Offline(table, np.empty(0, dtype=np.complex128))
 
 
 def _sub(alphas, rx, tx):
@@ -52,15 +51,17 @@ class TestInterferers:
 class TestComputeAlphas:
     def test_null_property(self, rng):
         for _ in range(50):
-            h5, phase1 = _random_inputs(rng)
-            alphas = compute_alphas(h5, phase1)
+            h5, offline = _random_inputs(rng)
+            alphas = compute_alphas(h5, offline)
             assert alphas.shape == (3, 6)
             for rx in range(3):
                 a, b = interferers(rx)
                 # independent re-derivation of the interfering directions
                 mat = np.stack(
                     [
-                        np.array([h5[rx, j, n] * phase1[j, i, n] for n in range(PHASE1_SLOTS)])
+                        np.array([
+                            h5[rx, j, n] * offline.table[3 * j + i, n] for n in range(PHASE1_SLOTS)
+                        ])
                         for j in (a, b)
                         for i in range(3)
                     ],
@@ -70,19 +71,19 @@ class TestComputeAlphas:
                 assert np.linalg.norm(mat @ alphas[rx]) <= 1e-10 * np.linalg.norm(mat)
 
     def test_deterministic(self, rng):
-        h5, phase1 = _random_inputs(rng)
-        a1 = compute_alphas(h5, phase1)
-        a2 = compute_alphas(h5.copy(), phase1.copy())
+        h5, offline = _random_inputs(rng)
+        a1 = compute_alphas(h5, offline)
+        a2 = compute_alphas(h5.copy(), Offline(offline.table.copy(), offline.extra))
         assert np.array_equal(a1, a2)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_null_property_is_generic(self, seed):
         gen = np.random.default_rng(seed)
-        h5, phase1 = _random_inputs(gen)
-        alphas = compute_alphas(h5, phase1)
+        h5, offline = _random_inputs(gen)
+        alphas = compute_alphas(h5, offline)
         for rx in range(3):
-            mat = alpha_system(h5, phase1, rx)
+            mat = SCHEME.offline_interference(h5, offline, [rx])[:, :, 0]
             assert np.linalg.norm(mat @ alphas[rx]) <= 1e-9 * np.linalg.norm(mat)
 
 
@@ -151,7 +152,7 @@ class TestEncoding:
         u = msgs.reshape(3, 3, 1)
         for k in range(3):
             for n in range(PHASE1_SLOTS):
-                expected = sum(offline.phase1[k, i, n] * u[k, i] for i in range(3))
+                expected = sum(offline.table[3 * k + i, n] * u[k, i] for i in range(3))
                 np.testing.assert_allclose(record.x[k, n], expected, rtol=1e-12)
 
     def test_phase2_repeats_one_scalar(self):
@@ -166,7 +167,7 @@ class TestEncoding:
         # paths consume identical scalars, so the results match bit for bit.
         h, offline, msgs = _trial_data(13)
         record = simulate_block(SCHEME, h, offline, msgs)
-        _, coeffs, _ = effective_precoders(h, offline.phase1)
+        _, coeffs, _ = effective_precoders(h, offline)
         u = msgs.reshape(3, 3, 1)
         for k in range(3):
             # the repeated scalar is the triple's products, summed left to right
@@ -219,9 +220,9 @@ class TestTransmitCache:
     def test_cached_triples_match_the_oracle(self):
         h, offline, msgs = _trial_data(18)
         derived = _derived_rows(h, offline, msgs)
-        _, coeffs, _ = effective_precoders(h, offline.phase1)
+        _, coeffs, _ = effective_precoders(h, offline)
         # each victim's annihilator, recomputed from its system alone
-        alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], offline.phase1)
+        alphas = compute_alphas(h, offline)
         for k in range(3):
             np.testing.assert_allclose(derived[k][0], coeffs[k], rtol=0, atol=1e-12)
             # the triple's defining orthogonality: c[k] . alpha_sub(rx, k) = 0
@@ -233,7 +234,7 @@ class TestTransmitCache:
         # are bit for bit those of one call per system
         h, offline, msgs = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
         derived = _derived_rows(h, offline, msgs)
-        alphas = compute_alphas(h[:, :, :PHASE1_SLOTS], offline.phase1)
+        alphas = compute_alphas(h, offline)
         coeffs = phase2_coefficients(alphas)
         for k in range(3):
             assert derived[k][0].tobytes() == coeffs[k].tobytes()
@@ -290,7 +291,7 @@ class TestDecoding:
     def test_rank_five_confirmed_by_independent_oracle(self):
         h, offline, _ = _trial_data(16)
         h = h[..., 0]
-        _, _, precoders = effective_precoders(h, offline.phase1[..., 0])
+        _, _, precoders = effective_precoders(h, Offline(*(a[..., 0] for a in offline)))
         for rx in range(3):
             a, b = interferers(rx)
             cols = []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignsim.base import Offline
 from alignsim.channel import (
     AccessLog,
     AccessRecord,
@@ -20,12 +21,7 @@ from alignsim.numerics import (
     vector_norm,
 )
 from alignsim.registry import get_scheme
-from alignsim.retro_csit_x import (
-    PHASE1_SLOTS,
-    XOffline,
-    XRetroCsitScheme,
-    interference_system,
-)
+from alignsim.retro_csit_x import PHASE1_SLOTS, XRetroCsitScheme
 
 from _decode import decode_context
 from _oracles import future_perturbation_invariant, jacobi_rank
@@ -41,12 +37,19 @@ def _derive(h, offline):
     return SCHEME.derive(views, offline)
 
 
-def _null_vectors(h, phase1):
+def _null_vectors(h, offline):
     """Receiver 0's and receiver 1's null vectors, one ``null_vector`` call each."""
-    return [null_vector(interference_system(h[:, :, :PHASE1_SLOTS], phase1, rx)) for rx in range(2)]
+    return [
+        null_vector(SCHEME.offline_interference(h, offline, [rx])[:, :, 0]) for rx in range(2)
+    ]
 
 
-def _cross_second_directions(h, phase1, derived, rx):
+def _weights(offline):
+    """``c[j, k, p]``: the weight of layer ``s[j, k]`` in transmitter j's slot-(3+p) row."""
+    return offline.extra.reshape(2, 2, NUM_SLOTS - PHASE1_SLOTS, -1)
+
+
+def _cross_second_directions(h, offline, derived, rx):
     """Phase-1 receive directions at ``rx`` of the cross second symbols, as columns.
 
     Independent re-derivation from the derived rows alone.  Transmitter j's
@@ -54,7 +57,7 @@ def _cross_second_directions(h, phase1, derived, rx):
     rx``, by some multiple of its layer's entries ``(a, b)``.  Once ``u[k, j,
     0] = (s[j, k] - b u[k, j, 1]) / a`` is substituted, symbol ``u[k, j, 1]``
     arrives along the slotwise product of the channel from ``j`` and
-    ``phase1[k, j, 1] - (b / a) phase1[k, j, 0]``.  Each column here is that
+    ``table[4k + 2j + 1] - (b / a) table[4k + 2j]``.  Each column here is that
     direction times ``a``, which leaves the rank as it is.  The alignment
     makes the two columns colinear.
     """
@@ -62,7 +65,8 @@ def _cross_second_directions(h, phase1, derived, rx):
     cols = []
     for j in range(2):
         a, b = derived[j][0, 2 * k], derived[j][0, 2 * k + 1]
-        cols.append(h[rx, j, :PHASE1_SLOTS] * (a * phase1[k, j, 1] - b * phase1[k, j, 0]))
+        first, second = offline.table[4 * k + 2 * j : 4 * k + 2 * j + 2]
+        cols.append(h[rx, j, :PHASE1_SLOTS] * (a * second - b * first))
     return np.stack(cols, axis=1)
 
 
@@ -71,14 +75,14 @@ class TestAlignment:
         h, offline, _ = _draw_batch(SCHEME, 1, [(t, 0) for t in range(50)])
         derived = _derive(h, offline)
         for rx in range(2):
-            cross = _cross_second_directions(h, offline.phase1, derived, rx)
+            cross = _cross_second_directions(h, offline, derived, rx)
             for t in range(50):
                 assert jacobi_rank(cross[..., t], 1e-10) == 1
 
     def test_deterministic(self):
         h, offline, _ = _draw_batch(SCHEME, 2, [(t, 0) for t in range(4)])
         first = _derive(h, offline)
-        again = _derive(h.copy(), XOffline(offline.phase1.copy(), offline.phase2.copy()))
+        again = _derive(h.copy(), Offline(offline.table.copy(), offline.extra.copy()))
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_layers_invariant_under_channel_scale(self):
@@ -103,10 +107,11 @@ class TestAlignment:
         # singular, no longer receiver 0.
         h, offline, _ = _draw_batch(SCHEME, 3, [(0, 0)])
         h[0, :, :PHASE1_SLOTS] = 1.0
-        phase1 = offline.phase1.copy()
+        table = offline.table.copy()
         eye = np.eye(3, dtype=np.complex128)[:, :, None]
-        phase1[1] = np.stack([[eye[0], eye[1]], [-eye[0], eye[2]]])
-        offline = XOffline(phase1=phase1, phase2=offline.phase2)
+        # u[1, j, i], symbols 4 + 2j + i
+        table[4:] = np.stack([eye[0], eye[1], -eye[0], eye[2]])
+        offline = Offline(table, offline.extra)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             derived = _derive(h, offline)
@@ -121,7 +126,7 @@ class TestAlignment:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_alignment_is_generic(self, seed):
         h, offline, _ = _draw_batch(SCHEME, seed, [(0, 0)])
-        cross = _cross_second_directions(h, offline.phase1, _derive(h, offline), 0)
+        cross = _cross_second_directions(h, offline, _derive(h, offline), 0)
         s = np.linalg.svd(cross[..., 0], compute_uv=False)
         assert s[1] <= 1e-9 * s[0]
 
@@ -140,9 +145,9 @@ class TestStackedSystems:
     def test_rows_equal_one_null_vector_call_per_receiver(self):
         h, offline, _ = _draw_batch(SCHEME, 5, [(t, 0) for t in range(8)])
         derived = _derive(h, offline)
-        v, w = _null_vectors(h, offline.phase1)
+        v, w = _null_vectors(h, offline)
         for j in range(2):
-            rows = np.stack(_layer_rows(offline.phase2[j], v, w, j))
+            rows = np.stack(_layer_rows(_weights(offline)[j], v, w, j))
             expected = np.moveaxis(rows / vector_norm(rows), 1, 0)
             assert derived[j].tobytes() == expected.tobytes()
 
@@ -151,7 +156,7 @@ class TestStackedSystems:
         h, offline, _ = _draw_batch(SCHEME, 6, [(t, 0) for t in range(8)])
         derived = _derive(h, offline)
         for rx in range(2):
-            cross = _cross_second_directions(h, offline.phase1, derived, rx)
+            cross = _cross_second_directions(h, offline, derived, rx)
             sv = np.linalg.svd(np.moveaxis(cross, -1, 0), compute_uv=False)
             assert np.all(sv[:, 0] > 0.0)
             assert np.all(sv[:, 1] <= Tolerances().rank_rel * sv[:, 0])
@@ -176,12 +181,12 @@ class TestLayer2Vars:
         # a derived row sends c[0] s[j, 0] + c[1] s[j, 1], normalized, over j's symbols
         h, offline, _ = _trial_data(10)
         u = sample_complex_gaussian([rng], 8).reshape(2, 2, 2, 1)
-        v, w = _null_vectors(h, offline.phase1)
+        v, w = _null_vectors(h, offline)
         s = _layer2_vars(u, v, w)
         for j, derived in enumerate(_derive(h, offline)):
             own = np.stack([u[0, j, 0], u[0, j, 1], u[1, j, 0], u[1, j, 1]])
             for p in range(NUM_SLOTS - PHASE1_SLOTS):
-                c = offline.phase2[j, :, p]
+                c = _weights(offline)[j, :, p]
                 sent = np.sum(derived[p] * own, axis=0)
                 expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / _layer_norm(c, v, w, j)
                 np.testing.assert_allclose(sent, expected, rtol=1e-13)
@@ -210,7 +215,7 @@ class TestEncoding:
         msgs[0] = 1.0  # u[0, 0, 0]: first symbol from tx 0 to rx 0
         record = simulate_block(SCHEME, h, offline, msgs)
         for n in range(PHASE1_SLOTS):
-            assert np.array_equal(record.x[0, n], offline.phase1[0, 0, 0, n])
+            assert np.array_equal(record.x[0, n], offline.table[0, n])
         # tx 1 carries no part of this symbol in either phase
         assert np.all(record.x[1, :] == 0.0)
 
@@ -221,7 +226,7 @@ class TestEncoding:
         for j in range(2):
             for n in range(PHASE1_SLOTS):
                 expected = sum(
-                    offline.phase1[k, j, i, n] * u[k, j, i]
+                    offline.table[4 * k + 2 * j + i, n] * u[k, j, i]
                     for k in range(2)
                     for i in range(2)
                 )
@@ -234,12 +239,12 @@ class TestEncoding:
         # combination of the layer variables themselves.
         h, offline, msgs = _trial_data(5)
         record = simulate_block(SCHEME, h, offline, msgs)
-        v, w = _null_vectors(h, offline.phase1)
+        v, w = _null_vectors(h, offline)
         u = msgs.reshape(2, 2, 2, 1)
         s = _layer2_vars(u, v, w)
         for j in range(2):
             for p in range(4):
-                c = offline.phase2[j, :, p]
+                c = _weights(offline)[j, :, p]
                 expected = (c[0] * s[j, 0] + c[1] * s[j, 1]) / _layer_norm(c, v, w, j)
                 np.testing.assert_allclose(record.x[j, PHASE1_SLOTS + p], expected, rtol=1e-13)
                 row = _layer_rows(c, v, w, j)
