@@ -53,23 +53,11 @@ import numpy as np
 
 from .channel import FeedbackModel, TxInformationView
 from .numerics import (
-    NumericsError, Singular, Tolerances, complex_gaussian, dot, matvec, sample_complex_gaussian,
-    standard_normals, vector_norm, zero_forcing_rows,
+    Tolerances, complex_gaussian, dot, matvec, sample_complex_gaussian, standard_normals,
+    vector_norm, zero_forcing_rows,
 )
 
-__all__ = [
-    "InterferenceRankUnexpected", "SymbolPayload", "OutputPayload", "RowPayload", "Offline",
-    "DecodeContext", "Scheme",
-]
-
-
-class InterferenceRankUnexpected(NumericsError):
-    """Interference at a receiver spans more dimensions than the design leaves it.
-
-    A zero-forcing residual above ``Tolerances.residual_rel``, or NaN, means
-    some interference cannot be told apart from the desired symbols.  This is a
-    structural failure of the construction, never a resampling event.
-    """
+__all__ = ["SymbolPayload", "OutputPayload", "RowPayload", "Offline", "DecodeContext", "Scheme"]
 
 
 class SymbolPayload(NamedTuple):
@@ -123,7 +111,7 @@ class Offline(NamedTuple):
 
 
 class DecodeContext(NamedTuple):
-    """The zero-forcing decoders of one block and the certificates they were judged by.
+    """The zero-forcing decoders of one block, the certificates that judged them, and the verdict.
 
     ``decoders[rx]`` is the ``(len(symbols_for_rx(rx)), num_slots, T)``
     stack of matrices that map receiver ``rx``'s observations to its
@@ -133,11 +121,15 @@ class DecodeContext(NamedTuple):
     :meth:`Scheme.decode_context` judges them.  Every scheme reports the same
     two per receiver.  The design's interference rank
     (:meth:`Scheme.interference_rank`) is not among them: the two guards
-    certify it (ROADMAP item 2 would measure it).
+    certify it (ROADMAP item 2 would measure it).  ``verdict`` maps the
+    index on the trial axis of each draw that fails a guard to ``(singular,
+    reason)``: whether the draw is degenerate, and why it failed.  A failing
+    draw's decoders are zero.
     """
 
     decoders: tuple[np.ndarray, ...]
     certificates: dict[str, np.ndarray]
+    verdict: dict[int, tuple[bool, str]]
 
 
 class Scheme:
@@ -402,50 +394,52 @@ class Scheme:
         ``zf_residual_rx*`` at or below ``Tolerances.residual_rel``
         (``--tol-residual``).  A NaN passes neither, and a receive matrix
         that is not finite has a NaN ``cond``.  The draw's first failed check
-        decides.  Where it is a ``receive_cond_rx*``, the draw is degenerate;
-        :class:`~alignsim.numerics.Singular` carries every such draw, each
-        with a message that names its receiver, its condition number and the
-        cutoff.  Where it is a zero-forcing residual, for any draw,
-        :class:`InterferenceRankUnexpected` is raised instead, and its
-        ``draws`` carry every such draw, each with a message that names its
-        residual and receiver.  So each draw an exception names gets the
-        message a block of that draw alone raises, whichever draws share its
-        block.
+        decides, and the context's ``verdict`` holds it.  Where it is a
+        ``receive_cond_rx*``, the draw is singular, a degenerate draw, and
+        its reason, ``Singular: ...``, names its receiver, its condition
+        number and the cutoff.  Where it is a zero-forcing residual, the
+        draw is not singular: interference fills more receive dimensions
+        than the design leaves it, a failure of the construction, and its
+        reason, ``InterferenceRankUnexpected: ...``, names its residual and
+        receiver.  Nothing is raised, and each draw's verdict is the one a
+        block of that draw alone gives, whichever draws share its block.
+        A failing draw's decoders are set to zero, so a decode stays
+        finite where its received block is.
         """
         # every receiver's receive matrix has one shape: one SVD call for all
         g = np.moveaxis(response, 0, 2)
         d, cond, residual = zero_forcing_rows(g, self._symbol_rows)
+        verdict = {}
         if not ((cond > tol.rank_rel).all() and (residual <= tol.residual_rel).all()):
             # rows cond_rx0, residual_rx0, cond_rx1, ...: each draw's checks in key order
             failed = np.stack([~(cond > tol.rank_rel), ~(residual <= tol.residual_rel)], axis=1)
+            failing = failed.any(axis=(0, 1))
             failed = failed.reshape(2 * self.num_rx, -1)
-            draws = np.flatnonzero(failed.any(axis=0))
+            draws = np.flatnonzero(failing)
             rx, leak = np.divmod(failed[:, draws].argmax(axis=0), 2)
-            # a leak in the block is raised, naming each draw whose first failed check leaks
-            error = InterferenceRankUnexpected if leak.any() else Singular
-            named = leak == leak.any()
-            messages = {}
-            for t, r in zip(draws[named].tolist(), rx[named].tolist()):
-                if error is Singular:
+            for t, r, leaks in zip(draws.tolist(), rx.tolist(), leak.tolist()):
+                if leaks:
+                    verdict[t] = False, (
+                        "InterferenceRankUnexpected: zero-forcing residual "
+                        f"{residual[r].flat[t]:.3e} at receiver {r} exceeds "
+                        f"{tol.residual_rel:.1e} (interference may fill only "
+                        f"{self.interference_rank(r)} of {self.num_slots} receive dimensions)"
+                    )
+                else:
                     value = cond[r].flat[t]
-                    messages[t] = (
-                        f"receiver {r}: condition number "
+                    verdict[t] = True, (
+                        f"Singular: receiver {r}: condition number "
                         f"{1.0 / value if value > 0.0 else np.inf:.3e} exceeds "
                         f"{1.0 / tol.rank_rel:.1e}; receive_cond_rx{r} is at or below the "
                         f"--tol-rank cutoff {tol.rank_rel:.1e}"
                     )
-                else:
-                    messages[t] = (
-                        f"zero-forcing residual {residual[r].flat[t]:.3e} at receiver {r} "
-                        f"exceeds {tol.residual_rel:.1e} (interference may fill only "
-                        f"{self.interference_rank(r)} of {self.num_slots} receive dimensions)"
-                    )
-            raise error(messages)
+            d[..., failing] = 0.0
         certificates = {}
         for rx in range(self.num_rx):
             certificates[f"receive_cond_rx{rx}"] = cond[rx]
             certificates[f"zf_residual_rx{rx}"] = residual[rx]
-        return DecodeContext(tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0))), certificates)
+        decoders = tuple(np.ascontiguousarray(np.moveaxis(d, 2, 0)))
+        return DecodeContext(decoders, certificates, verdict)
 
     def decode(self, y: np.ndarray, ctx: DecodeContext) -> np.ndarray:
         """Estimates of every symbol from the received block ``y``.

@@ -216,9 +216,17 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"seed must be non-negative, got {config.seed}")
     if config.threads < 0:
         raise UsageError(f"threads must be non-negative, got {config.threads}")
-    if config.out is not None and "\0" in config.out:
-        # open() refuses it, but only once every trial has run
-        raise UsageError(f"output file path must not hold a NUL byte, got {config.out!r}")
+    if config.out is not None:
+        # open() refuses each of these, but only once every trial has run
+        folder = os.path.dirname(config.out) or "."
+        if not config.out:
+            raise UsageError("cannot write output file: the path is empty")
+        if "\0" in config.out:
+            raise UsageError(f"output file path must not hold a NUL byte, got {config.out!r}")
+        if os.path.isdir(config.out):
+            raise UsageError(f"cannot write output file: {config.out!r} is a directory")
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write output file: no directory {folder!r} exists")
     if config.mode == "dof_sweep":
         if not config.snr_grid_db:
             raise UsageError("dof_sweep mode requires an SNR grid (--snr-grid)")

@@ -56,12 +56,12 @@ certificates), one decode and, for rates, the noise weights, which need
 no run of their own: a batch is one block run in every mode.  Every
 reduction on that axis is a stacked LAPACK call or a left-to-right sum, so
 a trial's numbers are bit for bit the same whichever trials share its
-batch.  So a block the decoder fails splits by draw: the degenerate draws
-it names run again together at their trials' next attempt, a draw it fails
-otherwise fails its trial, and the draws it does not name run again as a
-block of their own, which gives them the bits they had.  Once every trial
-of the batch has passed or failed, the lowest failing trial raises, with
-the message a run of that trial alone gives.
+batch.  So the decoder's verdict splits a block by draw: the draws it
+passes keep the outcomes of that run, the degenerate draws it names run
+again together at their trials' next attempt, and a draw it fails
+otherwise fails its trial.  Once every trial of the batch has passed or
+failed, the lowest failing trial raises, with the message a run of that
+trial alone gives.
 Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
 batch to the run's report, joined in trial order.
 """
@@ -87,14 +87,7 @@ from .channel import (
     apply_channel,
     generate_channel,
 )
-from .numerics import (
-    NumericsError,
-    Singular,
-    Tolerances,
-    ordered_sum,
-    seeded_generators,
-    spawn_states,
-)
+from .numerics import Tolerances, ordered_sum, seeded_generators, spawn_states
 from .registry import get_scheme
 
 if TYPE_CHECKING:
@@ -187,14 +180,15 @@ class TrialOutcomes(NamedTuple):
 
 def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
     """The outcomes of ``parts``, joined in trial order; a lone part is returned as it is."""
-    first = parts[0]
     if len(parts) == 1:
-        return first
+        return parts[0]
     order = np.argsort(np.concatenate([p.trial for p in parts]))
+    return _join(parts, lambda arrays: np.concatenate(arrays)[order])
 
-    def join(arrays):
-        return np.concatenate(arrays)[order]
 
+def _join(parts: list[TrialOutcomes], join: Callable) -> TrialOutcomes:
+    """The outcomes whose every array is ``join`` of the list of that array in ``parts``."""
+    first = parts[0]
     return TrialOutcomes(
         trial=join([p.trial for p in parts]),
         attempt=join([p.attempt for p in parts]),
@@ -366,14 +360,16 @@ def sum_rate_bits(weights: np.ndarray, power, num_slots: int) -> float | np.ndar
 
 def _run_block(
     scheme: Scheme, h: np.ndarray, offline, msgs: np.ndarray, tol: Tolerances, collect_weights: bool
-) -> TrialOutcomes:
-    """Run the block of channels ``h``, offline coefficients and messages; its draws' outcomes.
+) -> tuple[TrialOutcomes, dict[int, tuple[bool, str]]]:
+    """Run the block of channels ``h``, offline coefficients and messages; (outcomes, verdict).
 
     The arrays are stacked on a trailing draw axis, as :func:`_draw_batch`
-    gives them or as a caller builds them.  The outcomes come in draw order
-    with no ``trial`` or ``attempt``, which :func:`_run_draws` sets.  Raises
-    what the decoder raises, a :class:`NumericsError` that names the failing
-    draws by their index on that axis.  It judges no CSI budget: the
+    gives them or as a caller builds them.  The outcomes of every draw come
+    in draw order with no ``trial`` or ``attempt``, which :func:`_run_draws`
+    sets.  The verdict is the decoder's
+    (:attr:`~alignsim.base.DecodeContext.verdict`): it names the failing
+    draws by their index on that axis, whose outcomes mean nothing, and
+    raises nothing.  It judges no CSI budget: the
     outcomes' ``csi_slots`` are the slots whose channel states the
     transmitters read, the same for every draw of the block.  The block is
     one run, whose columns are the message, for rates one zero message per
@@ -413,7 +409,7 @@ def _run_block(
         certificates=ctx.certificates,
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
         csi_slots=sorted(log.csi_slots()),
-    )
+    ), ctx.verdict
 
 
 def _run_draws(
@@ -432,19 +428,19 @@ def _run_draws(
     use it: a child worker whose caller is gone exits, and the caller raises
     once a child has exited without sending.  A batch runs from attempt 0 as
     one block, drawn by :func:`_draw_batch` and run by :func:`_run_block`,
-    whose outcomes take their draws' trial and attempt.  A block the decoder
-    fails splits by the draws its :class:`NumericsError` names.  A
-    :class:`~alignsim.numerics.Singular` draw is discarded, and those of one
-    block run together at their trials' next attempt; any other named draw,
-    or a trial out of its ``MAX_ATTEMPTS`` attempts, fails its trial.  The
-    draws it does not name run again as a block of their own.  A draw's
-    numbers do not depend on the draws that share its block, so they come
-    out as they would have, and so does each failure's message.  Every draw
-    makes the same reads, so reads over the CSI budget fail the lowest trial
-    that a block of the batch passed.  Once every trial of a batch has
-    passed or failed, its lowest failing trial raises :class:`SchemeFailure`
-    with the message a run of that trial alone gives.  Otherwise the
-    outcomes come in trial order, and the discards by (trial, attempt).
+    whose outcomes take their draws' trial and attempt.  The draws its
+    verdict does not name pass, with the outcomes of that run.  A singular
+    draw is discarded, and those of one block run together at their trials'
+    next attempt; any other named draw, or a trial out of its
+    ``MAX_ATTEMPTS`` attempts, fails its trial.  So each draw runs once.  A
+    draw's numbers do not depend on the draws that share its block, so they
+    come out as a block of that draw alone gives them, and so does each
+    failure's reason.  Every draw makes the same reads, so reads over the
+    CSI budget fail the lowest trial of the batch that passed.  Once every
+    trial of a batch has passed or failed, its lowest failing trial raises
+    :class:`SchemeFailure` with the message a run of that trial alone gives.
+    Otherwise the outcomes come in trial order, and the discards by (trial,
+    attempt).
     """
     n = len(trials)
     batches = -(-n // TRIAL_BATCH)
@@ -452,33 +448,31 @@ def _run_draws(
     discards: list[Discard] = []
     for b in range(batches):
         check()
-        blocks = [[(trial, 0) for trial in trials[b * n // batches : (b + 1) * n // batches]]]
+        draws = [(trial, 0) for trial in trials[b * n // batches : (b + 1) * n // batches]]
         passed: list[TrialOutcomes] = []
         failures: dict[int, str] = {}
-        while blocks:
-            draws = blocks.pop()
-            h, offline, msgs = _draw_batch(scheme, base_seed, draws)
-            try:
-                result = _run_block(scheme, h, offline, msgs, tol, collect_weights)
-            except NumericsError as error:
-                rest, resampled = [], []
-                for index, (trial, attempt) in enumerate(draws):
-                    if index not in error.draws:
-                        rest.append((trial, attempt))
-                        continue
-                    reason = f"{type(error).__name__}: {error.draws[index]}"
-                    if not isinstance(error, Singular):
-                        failures[trial] = reason
-                        continue
-                    discards.append(Discard(trial, attempt, reason))
-                    if attempt + 1 == MAX_ATTEMPTS:
-                        failures[trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {reason}"
-                    else:
-                        resampled.append((trial, attempt + 1))
-                blocks += [block for block in (rest, resampled) if block]
-            else:
-                trial, attempt = np.array(draws).T
-                passed.append(result._replace(trial=trial, attempt=attempt))
+        while draws:
+            block = _draw_batch(scheme, base_seed, draws)
+            result, verdict = _run_block(scheme, *block, tol, collect_weights)
+            trial, attempt = np.array(draws).T
+            result = result._replace(trial=trial, attempt=attempt)
+            if verdict:
+                keep = np.delete(np.arange(len(draws)), list(verdict))
+                result = _join([result], lambda arrays: arrays[0][keep])
+            if len(result.trial):
+                passed.append(result)
+            resampled = []
+            for index in sorted(verdict):
+                (trial, attempt), (singular, reason) = draws[index], verdict[index]
+                if not singular:
+                    failures[trial] = reason
+                    continue
+                discards.append(Discard(trial, attempt, reason))
+                if attempt + 1 == MAX_ATTEMPTS:
+                    failures[trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {reason}"
+                else:
+                    resampled.append((trial, attempt + 1))
+            draws = resampled
         if passed and Fraction(len(passed[0].csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
             failures[min(int(p.trial[0]) for p in passed)] = (
                 f"transmitters read channel states of slots {passed[0].csi_slots}, "

@@ -21,8 +21,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "NumericsError",
-    "Singular",
     "Tolerances",
     "null_vector",
     "zero_forcing_rows",
@@ -37,33 +35,6 @@ __all__ = [
     "spawn_states",
     "seeded_generators",
 ]
-
-
-class NumericsError(Exception):
-    """Numerical contract failures of some draws of a block.
-
-    ``draws`` maps the index on the trial axis of each failing draw of a
-    block to the message a block of that draw alone raises, and the
-    exception's own message is the first draw's.  The trial runner settles
-    each named draw by it, and reruns the draws it does not name.
-    """
-
-    def __init__(self, draws: dict[int, str]):
-        super().__init__(next(iter(draws.values())))
-        self.draws = draws
-
-
-class Singular(NumericsError):
-    """Receive matrices too ill-conditioned to invert reliably: degenerate draws.
-
-    :func:`zero_forcing_rows` reports every system's ``cond`` and raises
-    nothing; the decoder judges ``cond`` against ``Tolerances.rank_rel``,
-    draw by draw.  A draw whose receive matrix is not finite, as where a
-    derived row divided by an exact zero, fails too.  The trial runner
-    discards the draws it names and resamples their trials at their next
-    attempt; such a draw is never a bug.  Any other :class:`NumericsError`
-    fails the trials of the draws it names.
-    """
 
 
 class _Cutoffs(NamedTuple):

@@ -98,6 +98,9 @@ CASES.update({
     "usage-long_integer_config": ["--config", "{inputs}/long_integer.json"],
     "usage-deep_config": ["--config", "{inputs}/deep.json"],
     "usage-nul_out": ["--config", "{inputs}/nul_out.json"],
+    "usage-out_empty": ["--config", "{inputs}/out_empty.json"],
+    "usage-out_directory": ["--config", "{inputs}/out_directory.json"],
+    "usage-out_missing_directory": ["--config", "{inputs}/out_missing_directory.json"],
 })
 
 

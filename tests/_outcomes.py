@@ -24,8 +24,8 @@ def outcome_fields(outcomes, index=slice(None)):
 def run_with_batches(scheme_id, num_trials, base_seed, collect_weights=False):
     """A one-worker ``run_trials`` report and the outcomes of each block it ran, in order.
 
-    Each block's outcomes are as ``_run_block`` gave them, before the run
-    set their trials and attempts.
+    Each block's outcomes are as ``_run_block`` gave them, every draw's,
+    before the run set their trials and attempts; its verdict is dropped.
     """
     import alignsim.evaluate as evaluate
 
@@ -33,8 +33,9 @@ def run_with_batches(scheme_id, num_trials, base_seed, collect_weights=False):
     batches = []
 
     def recording(*args):
-        batches.append(run_block(*args))
-        return batches[-1]
+        outcomes, verdict = run_block(*args)
+        batches.append(outcomes)
+        return outcomes, verdict
 
     with mock.patch.object(evaluate, "_run_block", recording):
         report = evaluate.run_trials(

@@ -9,7 +9,7 @@ the replayed outputs' impulses off the batch's one block run and take the
 decoder rows for every other impulse, are checked against a per-impulse
 loop and, bit for bit, against one run with an impulse at every receiver
 and slot.  A trial's results must not depend, to the bit, on the trials
-that share its batch.
+that share its batch, nor on the decoder's verdict on them.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import alignsim.evaluate as evaluate
-from alignsim.base import OutputPayload, Scheme, SymbolPayload
+from alignsim.base import Offline, OutputPayload, Scheme, SymbolPayload
 from alignsim.channel import AccessLog, FeedbackKind, FeedbackModel, generate_channel
 from alignsim.evaluate import (
     MAX_ATTEMPTS,
@@ -32,7 +32,7 @@ from alignsim.evaluate import (
     run_trials,
     simulate_block,
 )
-from alignsim.numerics import Singular, Tolerances, ordered_sum, sample_complex_gaussian
+from alignsim.numerics import Tolerances, ordered_sum, sample_complex_gaussian
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, noise_weights
@@ -84,13 +84,13 @@ def test_batched_block_matches_unbatched_columns(scheme_id, batch, seed):
     noise = sample_complex_gaussian([rng], scheme.num_rx * scheme.num_slots * batch).reshape(
         scheme.num_rx, scheme.num_slots, batch, 1
     )
-    try:
-        ctx = decode_context(scheme, h, offline)
-        log = AccessLog()
-        record = simulate_block(scheme, h, offline, msgs, noise=noise, log=log)
-        decoded = scheme.decode(record.y, ctx)
-    except Singular:
-        assume(False)
+    ctx = decode_context(scheme, h, offline)
+    # a singular draw is discarded; a leak is a failure
+    assert all(singular for singular, _ in ctx.verdict.values()), ctx.verdict
+    assume(not ctx.verdict)
+    log = AccessLog()
+    record = simulate_block(scheme, h, offline, msgs, noise=noise, log=log)
+    decoded = scheme.decode(record.y, ctx)
     assert record.x.shape == (scheme.num_tx, scheme.num_slots, batch, 1)
     assert record.y.shape == (scheme.num_rx, scheme.num_slots, batch, 1)
     assert decoded.shape == (scheme.num_symbols, batch, 1)
@@ -176,8 +176,9 @@ def test_batch_weights_equal_the_all_impulse_run(scheme_id, trials):
     # replayed; a run with an impulse at every receiver and slot gives the same bits
     scheme = get_scheme(scheme_id)
     h, offline, msgs = _draw_batch(scheme, 3, [(t, 0) for t in range(trials)])
-    outcomes = _run_block(scheme, h, offline, msgs, Tolerances(), True)
+    outcomes, verdict = _run_block(scheme, h, offline, msgs, Tolerances(), True)
     reference = all_impulse_weights(scheme, decode_context(scheme, h, offline), h, offline)
+    assert verdict == {}
     assert outcomes.noise_weights.shape == (trials, scheme.num_symbols)
     assert np.array_equal(outcomes.noise_weights, reference.T)
 
@@ -192,7 +193,8 @@ def test_run_block_on_the_drawn_arrays_gives_the_runs_outcomes(scheme_id, collec
     report, [recorded] = run_with_batches(scheme_id, trials, 3, collect_weights)
     draws = [(t, 0) for t in range(trials)]
     h, offline, msgs = _draw_batch(scheme, 3, draws)
-    outcomes = _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
+    outcomes, verdict = _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
+    assert verdict == {}
     assert outcome_fields(outcomes) == outcome_fields(recorded)
     trial, attempt = np.array(draws).T
     labelled = outcomes._replace(trial=trial, attempt=attempt)
@@ -200,9 +202,65 @@ def test_run_block_on_the_drawn_arrays_gives_the_runs_outcomes(scheme_id, collec
     # a draw with no channel is singular, and the decoder names it alone
     zeroed = trials // 2
     h[..., zeroed] = 0.0
-    with pytest.raises(Singular) as raised:
-        _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
-    assert list(raised.value.draws) == [zeroed]
+    _, verdict = _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
+    assert list(verdict) == [zeroed] and verdict[zeroed][0]
+
+
+def _leaking(scheme_id):
+    """A new instance of the scheme whose draws' first derived coefficients are scaled.
+
+    The first entity's first derived coefficient of draw ``t`` is multiplied
+    by ``scheme.leak[t]``: a factor of 2 breaks the alignment of that draw
+    alone, which then leaks.
+    """
+    scheme = type(get_scheme(scheme_id))()
+    derive = scheme.derive
+
+    def leaking(views, offline):
+        rows = derive(views, offline)
+        rows[0][0, 0] *= scheme.leak
+        return rows
+
+    scheme.derive = leaking
+    return scheme
+
+
+def _run_picked(scheme, block, leak, index):
+    """``_run_block`` on the draws at ``index`` of ``block``, their factors ``leak[index]``."""
+    h, offline, msgs = block
+    if offline is not None:
+        offline = Offline(offline.table[..., index], offline.extra[..., index])
+    scheme.leak = leak[index]
+    return _run_block(scheme, h[..., index], offline, msgs[..., index], Tolerances(), True)
+
+
+@pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)
+@pytest.mark.parametrize("size", [17, 256])
+def test_a_failing_draw_leaves_its_blocks_other_draws_their_bits(scheme_id, size):
+    # a draw with no channel is singular; where the scheme derives rows, a
+    # draw whose first derived coefficient is doubled leaks, and one block
+    # holds both too.  The decoder judges each failing draw as a block of it
+    # alone does, and every other draw keeps the bits of the block without it
+    scheme = _leaking(scheme_id)
+    h, offline, msgs = _draw_batch(scheme, 3, [(t, 0) for t in range(size)])
+    singular, leaks = size // 2, size - 1
+    cases = [[singular], [leaks], [singular, leaks]] if any(scheme.derive_plan) else [[singular]]
+    for bad in cases:
+        block = (h.copy(), offline, msgs)
+        leak = np.ones(size)
+        if singular in bad:
+            block[0][..., singular] = 0.0
+        if leaks in bad:
+            leak[leaks] = 2.0
+        outcomes, verdict = _run_picked(scheme, block, leak, np.arange(size))
+        assert list(verdict) == bad
+        for t in bad:
+            assert verdict[t][0] == (t == singular)
+            assert verdict[t] == _run_picked(scheme, block, leak, [t])[1][0]
+        keep = np.delete(np.arange(size), bad)
+        clean, clean_verdict = _run_picked(scheme, block, leak, keep)
+        assert clean_verdict == {}
+        assert outcome_fields(outcomes, keep) == outcome_fields(clean)
 
 
 class _ChainedReplay(Scheme):
@@ -249,8 +307,9 @@ def test_a_sweep_batch_decodes_as_a_verify_batch(scheme_id):
         return record
 
     with mock.patch.object(evaluate, "simulate_block", recording):
-        sweep = _run_block(scheme, *block, Tolerances(), True)
-        verify = _run_block(scheme, *block, Tolerances(), False)
+        sweep, sweep_verdict = _run_block(scheme, *block, Tolerances(), True)
+        verify, verify_verdict = _run_block(scheme, *block, Tolerances(), False)
+    assert sweep_verdict == verify_verdict == {}
     assert verify.noise_weights is None and sweep.noise_weights is not None
     swept_y, verified_y = received
     impulses = len(scheme.replayed_outputs)
@@ -283,8 +342,12 @@ def _full_batch(scheme_id):
 
 
 def _run_drawn(scheme, base_seed, draws):
-    """The outcomes of the draws run as one block, with noise weights."""
-    return _run_block(scheme, *_draw_batch(scheme, base_seed, draws), Tolerances(), True)
+    """The outcomes of the draws run as one block, with noise weights; every draw must pass."""
+    outcomes, verdict = _run_block(
+        scheme, *_draw_batch(scheme, base_seed, draws), Tolerances(), True
+    )
+    assert verdict == {}
+    return outcomes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -301,10 +364,10 @@ def test_trial_result_independent_of_batch(scheme_id, trial, partner, partner_at
     alone = _run_drawn(scheme, 41, [(trial, 0)])
     other = (partner, partner_attempt)
     pair = [(trial, 0), other] if first else [other, (trial, 0)]
-    try:
-        paired = _run_drawn(scheme, 41, pair)
-    except Singular:
-        assume(False)
+    paired, verdict = _run_block(scheme, *_draw_batch(scheme, 41, pair), Tolerances(), True)
+    # a singular partner is discarded; a leak is a failure
+    assert all(singular for singular, _ in verdict.values()), verdict
+    assume(not verdict)
     # every field, noise weights included, must match to the bit
     assert outcome_fields(alone, 0) == reference
     assert outcome_fields(paired, 0 if first else 1) == reference

@@ -158,6 +158,7 @@ def _entries(scheme_id):
 
 _NOT_JSON = "error: config file is not valid JSON: "
 _NUL_OUT = "error: output file path must not hold a NUL byte, got "
+_CANNOT_WRITE = "error: cannot write output file: "
 
 
 def _run_main(capsys, argv):
@@ -470,7 +471,7 @@ class TestStructuralFailures:
     @pytest.mark.parametrize("scheme", ["x_retro_csit", "ic3_retro_csit"])
     def test_rank_deficient_null_systems_exit_3(self, capsys, scheme):
         # at --tol-rank 0.999 no receive matrix is conditioned well enough,
-        # so every attempt ends in the decoder's Singular.  The condition
+        # so the decoder judges every attempt singular.  The condition
         # number is the corpus run's, tests/golden/tol_rank_0.999-<scheme>.json
         condition = re.search(
             r"condition number (\S+) exceeds",
@@ -798,8 +799,18 @@ class TestOneLineErrors:
                 b'{"scheme": "bc_mat", "trials": 1, "tol_rank": 0.999, "out": "a\\u0000b.json"}',
                 _NUL_OUT, "'a\\x00b.json'",
             ),
+            # paths open() refuses too: none, a directory, and a file in no directory
+            (b'{"scheme": "bc_mat", "out": ""}', _CANNOT_WRITE, "the path is empty"),
+            (b'{"scheme": "bc_mat", "out": "/"}', _CANNOT_WRITE, "'/' is a directory"),
+            (
+                b'{"scheme": "bc_mat", "out": "/nonexistent/alignsim/report.json"}',
+                _CANNOT_WRITE, "no directory '/nonexistent/alignsim' exists",
+            ),
         ],
-        ids=["not_utf8", "long_integer", "deep_nesting", "nul_out", "nul_out_failing_run"],
+        ids=[
+            "not_utf8", "long_integer", "deep_nesting", "nul_out", "nul_out_failing_run",
+            "out_empty", "out_directory", "out_missing_directory",
+        ],
     )
     def test_bad_config_file_is_one_line(
         self, capsys, monkeypatch, tmp_path, content, prefix, reason

@@ -5,13 +5,15 @@ from the encoder's impulse response, one block run per symbol, with the
 Jacobi oracle's left null basis instead of LAPACK.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from alignsim.base import InterferenceRankUnexpected, Scheme
+from alignsim.base import Scheme
 from alignsim.channel import generate_channel
 from alignsim.evaluate import _draw_batch, simulate_block
-from alignsim.numerics import Singular, Tolerances, zero_forcing_rows
+from alignsim.numerics import Tolerances, zero_forcing_rows
 from alignsim.registry import SCHEMES, get_scheme
 
 from _decode import decode_context, impulse_response
@@ -73,9 +75,14 @@ def _bc_mat_receiver(rng, rx, leak=False):
 
 
 _SINGULAR = (
-    "receiver {rx}: condition number {cond} exceeds 1.0e+08; "
+    "Singular: receiver {rx}: condition number {cond} exceeds 1.0e+08; "
     "receive_cond_rx{rx} is at or below the --tol-rank cutoff 1.0e-08"
 )
+
+
+def _verdict(scheme, response):
+    """The decoder's verdict on the draws of ``response``."""
+    return scheme.decode_context(Tolerances(), response).verdict
 
 
 class TestReceiverOrder:
@@ -89,8 +96,11 @@ class TestReceiverOrder:
                 np.stack([np.zeros((3, 4)), _bc_mat_receiver(rng, 1)], -1),
             ]
         )
-        with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 0 exceeds 1\.0e-08"):
-            scheme.decode_context(Tolerances(), response)
+        verdict = _verdict(scheme, response)
+        assert verdict[0] == (True, _SINGULAR.format(rx=1, cond="inf"))
+        singular, reason = verdict[1]
+        assert not singular
+        assert re.match(r"InterferenceRankUnexpected: .* at receiver 0 exceeds 1\.0e-08", reason)
 
     def test_a_singular_receiver_0_comes_before_a_leak_at_receiver_1(self):
         scheme, rng = get_scheme("bc_mat"), np.random.default_rng(4)
@@ -102,10 +112,7 @@ class TestReceiverOrder:
                 np.stack([_bc_mat_receiver(rng, 1, leak=True), _bc_mat_receiver(rng, 1)], -1),
             ]
         )
-        with pytest.raises(Singular) as info:
-            scheme.decode_context(Tolerances(), response)
-        assert str(info.value) == _SINGULAR.format(rx=0, cond="1.000e+09")
-        assert list(info.value.draws) == [0]
+        assert _verdict(scheme, response) == {0: (True, _SINGULAR.format(rx=0, cond="1.000e+09"))}
 
     def test_each_draw_is_judged_by_its_own_first_failed_check(self):
         scheme, rng = get_scheme("bc_mat"), np.random.default_rng(5)
@@ -120,18 +127,12 @@ class TestReceiverOrder:
                 ),
             ]
         )
-        with pytest.raises(Singular) as info:
-            scheme.decode_context(Tolerances(), response)
-        assert info.value.draws == {
-            0: _SINGULAR.format(rx=1, cond="inf"), 2: _SINGULAR.format(rx=0, cond="inf")
+        assert _verdict(scheme, response) == {
+            0: (True, _SINGULAR.format(rx=1, cond="inf")),
+            2: (True, _SINGULAR.format(rx=0, cond="inf")),
         }
-        assert str(info.value) == info.value.draws[0]
-        # a leak that is a draw's first failed check wins over every singular draw
-        response[1, ..., 1] = _bc_mat_receiver(rng, 1, leak=True)
-        with pytest.raises(InterferenceRankUnexpected, match=r"at receiver 1 exceeds 1\.0e-08"):
-            scheme.decode_context(Tolerances(), response)
 
-    def test_a_leak_names_every_leaking_draw_with_its_message_alone(self):
+    def test_a_block_reports_every_failing_draw_with_its_verdict_alone(self):
         scheme, rng = get_scheme("bc_mat"), np.random.default_rng(6)
         zero = np.zeros((3, 4))
         # draw 0 passes, draw 1 leaks at receiver 0, draw 2 is singular at
@@ -152,25 +153,38 @@ class TestReceiverOrder:
                 ),
             ]
         )
-        with pytest.raises(InterferenceRankUnexpected) as info:
-            scheme.decode_context(Tolerances(), response)
-        alone = {}
-        for t in (1, 3):
-            with pytest.raises(InterferenceRankUnexpected) as one:
-                scheme.decode_context(Tolerances(), response[..., t : t + 1])
-            alone[t] = one.value.draws[0]
-        assert info.value.draws == alone
-        assert " at receiver 0 exceeds " in alone[1] and " at receiver 1 exceeds " in alone[3]
-        assert str(info.value) == alone[1]
-        with pytest.raises(Singular) as info:
-            scheme.decode_context(Tolerances(), response[..., 2:3])
-        assert info.value.draws == {0: _SINGULAR.format(rx=0, cond="inf")}
+        verdict = _verdict(scheme, response)
+        alone = {t: _verdict(scheme, response[..., t : t + 1])[0] for t in (1, 2, 3)}
+        assert verdict == alone
+        assert [singular for singular, _ in verdict.values()] == [False, True, False]
+        assert " at receiver 0 exceeds " in alone[1][1] and " at receiver 1 exceeds " in alone[3][1]
+        assert alone[2] == (True, _SINGULAR.format(rx=0, cond="inf"))
 
     def test_zero_response_is_singular_at_receiver_0(self):
         scheme = get_scheme("bc_mat")
-        with pytest.raises(Singular) as info:
-            scheme.decode_context(Tolerances(), np.zeros((2, 3, 4, 2)))
-        assert str(info.value) == _SINGULAR.format(rx=0, cond="inf")
+        verdict = _verdict(scheme, np.zeros((2, 3, 4, 2)))
+        assert verdict == {t: (True, _SINGULAR.format(rx=0, cond="inf")) for t in (0, 1)}
+
+    def test_a_failing_draws_decoders_are_zero_and_its_decode_finite(self):
+        scheme, rng = get_scheme("bc_mat"), np.random.default_rng(7)
+        # draw 0 leaks at receiver 0, draw 1 is singular there, draw 2 passes
+        response = np.stack(
+            [
+                np.stack(
+                    [_bc_mat_receiver(rng, 0, leak=True), np.zeros((3, 4)), _bc_mat_receiver(rng, 0)],
+                    -1,
+                ),
+                np.stack([_bc_mat_receiver(rng, 1)] * 3, -1),
+            ]
+        )
+        ctx = scheme.decode_context(Tolerances(), response)
+        assert list(ctx.verdict) == [0, 1]
+        for rx in range(scheme.num_rx):
+            assert not ctx.decoders[rx][..., :2].any()
+            assert ctx.decoders[rx][..., 2].any()
+        y = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        decoded = scheme.decode(y, ctx)
+        assert np.isfinite(decoded).all() and not decoded[:, :2].any()
 
 
 @pytest.mark.parametrize("scheme_id", ALL_SCHEME_IDS)

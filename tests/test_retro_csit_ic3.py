@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignsim.channel import AccessLog, TxInformationView, generate_channel
-from alignsim.base import InterferenceRankUnexpected, Offline
+from alignsim.base import Offline
 from alignsim.evaluate import _draw_batch, simulate_block
 from alignsim.numerics import sample_complex_gaussian
 from alignsim.registry import get_scheme
@@ -319,8 +319,9 @@ class TestDecoding:
 
         scheme = IC3RetroCsitScheme()
         scheme.derive = wrong_triples
-        with pytest.raises(InterferenceRankUnexpected, match="receiver 0"):
-            decode_context(scheme, h, offline)
+        [(singular, reason)] = decode_context(scheme, h, offline).verdict.values()
+        assert not singular
+        assert reason.startswith("InterferenceRankUnexpected: ") and "receiver 0" in reason
 
     def test_registry_exposes_scheme(self):
         scheme = get_scheme("ic3_retro_csit")
