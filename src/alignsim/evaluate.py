@@ -57,13 +57,14 @@ no run of their own: a batch is one block run in every mode.  Every
 reduction on that axis is a stacked LAPACK call or a left-to-right sum, so
 a trial's numbers are bit for bit the same whichever trials share its
 batch.  So the decoder's verdict splits a block by draw: the draws it
-passes keep the outcomes of that run, the degenerate draws it names run
-again together at their trials' next attempt, and a draw it fails
-otherwise fails its trial.  Once every trial of the batch has passed or
-failed, the lowest failing trial raises, with the message a run of that
-trial alone gives.
-Outcomes stay arrays on the trial axis (:class:`TrialOutcomes`) from the
-batch to the run's report, joined in trial order.
+passes keep the outcomes of that run, and a draw it fails otherwise fails
+its trial.  The degenerate draws it names run again together at their
+trials' next attempt, one round per attempt, and each round writes its
+outcomes into its trials' rows of the batch's.  Once every trial of the
+batch has passed or failed, the lowest failing trial raises, with the
+message a run of that trial alone gives.  Outcomes stay arrays on the
+trial axis (:class:`TrialOutcomes`), in trial order from the batch to the
+run's report: batches and shares are contiguous and joined in order.
 """
 
 from __future__ import annotations
@@ -161,12 +162,9 @@ class TrialOutcomes(NamedTuple):
 
     ``noise_weights`` is present when rates were asked for.  A batch audits its
     trials' reads at once: ``csi_slots`` holds for all.  A block's outcomes,
-    as :func:`_run_block` gives them, are in draw order, with ``trial`` and
-    ``attempt`` ``None``.
+    as :func:`_run_block` gives them, are in draw order.
     """
 
-    trial: np.ndarray | None
-    attempt: np.ndarray | None
     max_rel_symbol_error: np.ndarray
     certificates: dict[str, np.ndarray]
     noise_weights: np.ndarray | None
@@ -178,20 +176,10 @@ class TrialOutcomes(NamedTuple):
         return self.max_rel_symbol_error <= DECODE_REL_TOL
 
 
-def _concat(parts: list[TrialOutcomes]) -> TrialOutcomes:
-    """The outcomes of ``parts``, joined in trial order; a lone part is returned as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    order = np.argsort(np.concatenate([p.trial for p in parts]))
-    return _join(parts, lambda arrays: np.concatenate(arrays)[order])
-
-
 def _join(parts: list[TrialOutcomes], join: Callable) -> TrialOutcomes:
     """The outcomes whose every array is ``join`` of the list of that array in ``parts``."""
     first = parts[0]
     return TrialOutcomes(
-        trial=join([p.trial for p in parts]),
-        attempt=join([p.attempt for p in parts]),
         max_rel_symbol_error=join([p.max_rel_symbol_error for p in parts]),
         certificates={key: join([p.certificates[key] for p in parts]) for key in first.certificates},
         noise_weights=None if first.noise_weights is None else join(
@@ -199,6 +187,17 @@ def _join(parts: list[TrialOutcomes], join: Callable) -> TrialOutcomes:
         ),
         csi_slots=sorted(set().union(*(p.csi_slots for p in parts))),
     )
+
+
+def _write_rows(index: list[int]) -> Callable:
+    """A ``join`` for :func:`_join`: the first array, the second written over its rows ``index``."""
+
+    def join(arrays: list[np.ndarray]) -> np.ndarray:
+        joined = arrays[0].copy()
+        joined[index] = arrays[1]
+        return joined
+
+    return join
 
 
 class RunReport(NamedTuple):
@@ -365,13 +364,12 @@ def _run_block(
 
     The arrays are stacked on a trailing draw axis, as :func:`_draw_batch`
     gives them or as a caller builds them.  The outcomes of every draw come
-    in draw order with no ``trial`` or ``attempt``, which :func:`_run_draws`
-    sets.  The verdict is the decoder's
+    in draw order.  The verdict is the decoder's
     (:attr:`~alignsim.base.DecodeContext.verdict`): it names the failing
     draws by their index on that axis, whose outcomes mean nothing, and
-    raises nothing.  It judges no CSI budget: the
-    outcomes' ``csi_slots`` are the slots whose channel states the
-    transmitters read, the same for every draw of the block.  The block is
+    raises nothing.  It judges no CSI budget: the outcomes' ``csi_slots``
+    are the slots whose channel states the transmitters read, the same for
+    every draw of the block.  The block is
     one run, whose columns are the message, for rates one zero message per
     replayed output with that output's unit impulse as noise (see
     :func:`noise_transfer_weights`), then one identity message per symbol.
@@ -403,8 +401,6 @@ def _run_block(
     errors = np.max(np.abs(decoded[:, 0] - msgs), axis=0)
     scales = np.maximum(np.max(np.abs(msgs), axis=0), SCALE_FLOOR)
     return TrialOutcomes(
-        trial=None,
-        attempt=None,
         max_rel_symbol_error=errors / scales,
         certificates=ctx.certificates,
         noise_weights=None if weights is None else np.ascontiguousarray(weights.T),
@@ -426,21 +422,22 @@ def _run_draws(
     batches, whose sizes differ by at most one, each cut as it is reached.
     ``check`` runs before each batch and ends the run when its caller cannot
     use it: a child worker whose caller is gone exits, and the caller raises
-    once a child has exited without sending.  A batch runs from attempt 0 as
-    one block, drawn by :func:`_draw_batch` and run by :func:`_run_block`,
-    whose outcomes take their draws' trial and attempt.  The draws its
-    verdict does not name pass, with the outcomes of that run.  A singular
-    draw is discarded, and those of one block run together at their trials'
-    next attempt; any other named draw, or a trial out of its
-    ``MAX_ATTEMPTS`` attempts, fails its trial.  So each draw runs once.  A
+    once a child has exited without sending.  A batch runs in rounds, one
+    per attempt, each one block drawn by :func:`_draw_batch` and run by
+    :func:`_run_block`.  Round 0 runs every trial, and its outcomes are the
+    batch's; each later round runs the trials whose draw the round before
+    discarded, and writes its outcomes into their rows.  The draws a
+    block's verdict does not name pass.  A singular draw is discarded and
+    its trial pending; any other named draw, or a trial still pending after
+    ``MAX_ATTEMPTS`` rounds, fails its trial.  So each draw runs once.  A
     draw's numbers do not depend on the draws that share its block, so they
     come out as a block of that draw alone gives them, and so does each
     failure's reason.  Every draw makes the same reads, so reads over the
-    CSI budget fail the lowest trial of the batch that passed.  Once every
-    trial of a batch has passed or failed, its lowest failing trial raises
-    :class:`SchemeFailure` with the message a run of that trial alone gives.
-    Otherwise the outcomes come in trial order, and the discards by (trial,
-    attempt).
+    CSI budget fail the lowest trial of the batch that did not fail.  Once
+    every trial of a batch has passed or failed, its lowest failing trial
+    raises :class:`SchemeFailure` with the message a run of that trial alone
+    gives.  Otherwise the outcomes come in trial order, and the discards by
+    (trial, attempt).
     """
     n = len(trials)
     batches = -(-n // TRIAL_BATCH)
@@ -448,41 +445,38 @@ def _run_draws(
     discards: list[Discard] = []
     for b in range(batches):
         check()
-        draws = [(trial, 0) for trial in trials[b * n // batches : (b + 1) * n // batches]]
-        passed: list[TrialOutcomes] = []
+        batch = trials[b * n // batches : (b + 1) * n // batches]
+        pending = list(range(len(batch)))
         failures: dict[int, str] = {}
-        while draws:
-            block = _draw_batch(scheme, base_seed, draws)
+        for attempt in range(MAX_ATTEMPTS):
+            block = _draw_batch(scheme, base_seed, [(batch[row], attempt) for row in pending])
             result, verdict = _run_block(scheme, *block, tol, collect_weights)
-            trial, attempt = np.array(draws).T
-            result = result._replace(trial=trial, attempt=attempt)
-            if verdict:
-                keep = np.delete(np.arange(len(draws)), list(verdict))
-                result = _join([result], lambda arrays: arrays[0][keep])
-            if len(result.trial):
-                passed.append(result)
-            resampled = []
-            for index in sorted(verdict):
-                (trial, attempt), (singular, reason) = draws[index], verdict[index]
-                if not singular:
-                    failures[trial] = reason
-                    continue
-                discards.append(Discard(trial, attempt, reason))
-                if attempt + 1 == MAX_ATTEMPTS:
-                    failures[trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {reason}"
+            rows = result if attempt == 0 else _join([rows, result], _write_rows(pending))
+            rerun = []
+            for index, (singular, reason) in sorted(verdict.items()):
+                row = pending[index]
+                if singular:
+                    discards.append(Discard(batch[row], attempt, reason))
+                    rerun.append(row)
                 else:
-                    resampled.append((trial, attempt + 1))
-            draws = resampled
-        if passed and Fraction(len(passed[0].csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
-            failures[min(int(p.trial[0]) for p in passed)] = (
-                f"transmitters read channel states of slots {passed[0].csi_slots}, "
+                    failures[batch[row]] = reason
+            pending = rerun
+            if not pending:
+                break
+        # the trials still pending are those of the last round's discards
+        for d in discards[len(discards) - len(pending) :]:
+            failures[d.trial] = f"exceeded {MAX_ATTEMPTS} attempts; last discard: {d.reason}"
+        passing = [trial for trial in batch if trial not in failures]
+        if passing and Fraction(len(rows.csi_slots), scheme.num_slots) > scheme.csi_slot_budget:
+            failures[min(passing)] = (
+                f"transmitters read channel states of slots {rows.csi_slots}, "
                 f"above the budget {scheme.csi_slot_budget}"
             )
         if failures:
             trial = min(failures)
             raise SchemeFailure(f"{scheme.scheme_id} trial {trial}: {failures[trial]}")
-        outcomes += passed
-    return _concat(outcomes), sorted(discards)
+        outcomes.append(rows)
+    return _join(outcomes, np.concatenate), sorted(discards)
 
 
 def _usable_cpus() -> int:
@@ -631,7 +625,8 @@ def run_trials(
                 child.kill()
             child.join()
             receiver.close()
-    return RunReport(_concat([o for o, _ in ranges]), [d for _, ds in ranges for d in ds])
+    outcomes = _join([o for o, _ in ranges], np.concatenate)
+    return RunReport(outcomes, [d for _, ds in ranges for d in ds])
 
 
 def dof_by_counting(scheme: Scheme) -> Fraction:
@@ -643,8 +638,9 @@ def validate_snr_grid(grid: Sequence[float]) -> None:
     """Raise ``ValueError`` unless :func:`estimate_dof` can fit a slope over the grid in dB."""
     if len(grid) < 2:
         raise ValueError("the SNR grid needs at least two points")
-    # a bool is an int to Python, but no SNR in dB
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    # a bool is an int to Python, but no SNR in dB.  Comparing, unlike
+    # math.isfinite, converts no int: one past the float range is out of range below
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
                for v in grid):
         raise ValueError(f"SNR grid points must be finite numbers, got {grid}")
     if any(abs(v) > SNR_DB_MAX for v in grid):

@@ -101,6 +101,7 @@ CASES.update({
     "usage-out_empty": ["--config", "{inputs}/out_empty.json"],
     "usage-out_directory": ["--config", "{inputs}/out_directory.json"],
     "usage-out_missing_directory": ["--config", "{inputs}/out_missing_directory.json"],
+    "usage-grid_past_float_range": ["--config", "{inputs}/grid_past_float_range.json"],
 })
 
 

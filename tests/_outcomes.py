@@ -6,6 +6,9 @@ from unittest import mock
 
 import numpy as np
 
+from alignsim.evaluate import _draw_batch, _join, _run_block
+from alignsim.numerics import Tolerances
+
 
 def outcome_fields(outcomes, index=slice(None)):
     """Every field of ``outcomes`` at ``index`` of the trial axis, arrays as dtype, shape, bytes."""
@@ -24,8 +27,8 @@ def outcome_fields(outcomes, index=slice(None)):
 def run_with_batches(scheme_id, num_trials, base_seed, collect_weights=False):
     """A one-worker ``run_trials`` report and the outcomes of each block it ran, in order.
 
-    Each block's outcomes are as ``_run_block`` gave them, every draw's,
-    before the run set their trials and attempts; its verdict is dropped.
+    Each block's outcomes are as ``_run_block`` gave them, every draw's in
+    draw order; its verdict is dropped.
     """
     import alignsim.evaluate as evaluate
 
@@ -42,3 +45,18 @@ def run_with_batches(scheme_id, num_trials, base_seed, collect_weights=False):
             scheme_id, num_trials, base_seed, collect_weights=collect_weights, threads=1
         )
     return report, batches
+
+
+def replayed(scheme, base_seed, trials, discards=(), collect_weights=False):
+    """Outcomes of the trials in order, each one's passing draw run as a block of its own.
+
+    A trial passes at the attempt that counts its entries in ``discards``.
+    """
+    parts = []
+    for trial in trials:
+        draw = (trial, sum(d.trial == trial for d in discards))
+        block = _draw_batch(scheme, base_seed, [draw])
+        outcomes, verdict = _run_block(scheme, *block, Tolerances(), collect_weights)
+        assert verdict == {}, draw
+        parts.append(outcomes)
+    return _join(parts, np.concatenate)

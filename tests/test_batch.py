@@ -196,9 +196,7 @@ def test_run_block_on_the_drawn_arrays_gives_the_runs_outcomes(scheme_id, collec
     outcomes, verdict = _run_block(scheme, h, offline, msgs, Tolerances(), collect_weights)
     assert verdict == {}
     assert outcome_fields(outcomes) == outcome_fields(recorded)
-    trial, attempt = np.array(draws).T
-    labelled = outcomes._replace(trial=trial, attempt=attempt)
-    assert outcome_fields(labelled) == outcome_fields(report.outcomes)
+    assert outcome_fields(outcomes) == outcome_fields(report.outcomes)
     # a draw with no channel is singular, and the decoder names it alone
     zeroed = trials // 2
     h[..., zeroed] = 0.0
@@ -330,14 +328,11 @@ _FULL_RUNS: dict = {}
 
 
 def _full_batch(scheme_id):
-    """Outcomes of the first TRIAL_BATCH trials of seed 41, run as one full batch.
-
-    They come without trials and attempts, as a block's outcomes do.
-    """
+    """Outcomes of the first TRIAL_BATCH trials of seed 41, run as one full batch."""
     if scheme_id not in _FULL_RUNS:
         report = run_trials(scheme_id, TRIAL_BATCH, 41, collect_weights=True)
         assert not report.discards
-        _FULL_RUNS[scheme_id] = report.outcomes._replace(trial=None, attempt=None)
+        _FULL_RUNS[scheme_id] = report.outcomes
     return _FULL_RUNS[scheme_id]
 
 

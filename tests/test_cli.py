@@ -31,6 +31,7 @@ from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutp
 from alignsim.registry import SCHEMES
 
 from _golden import recorded
+from _outcomes import outcome_fields, replayed
 
 
 #: SNR grids the CLI refuses with exit 2, and a word of each message.
@@ -670,16 +671,18 @@ class TestThreads:
 
     def test_workers_clamped_to_core_count(self, monkeypatch, children_started):
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+        # in trial order, each trial as its draw gives it alone
+        expected = outcome_fields(replayed(SCHEMES["bc_mat"], 0, range(8)))
         # 8 trials are one worker's: the caller runs them and starts no child
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert children_started() == 0
-        assert report.outcomes.trial.tolist() == list(range(8))
+        assert outcome_fields(report.outcomes) == expected
         # at most one worker per 2 trials' work: four, capped at three cores,
         # so the caller and two children
         monkeypatch.setattr(evaluate, "ENTRIES_PER_WORKER", 2 * _entries("bc_mat"))
         report = evaluate.run_trials("bc_mat", 8, base_seed=0, threads=500)
         assert children_started() == 2
-        assert report.outcomes.trial.tolist() == list(range(8))
+        assert outcome_fields(report.outcomes) == expected
         # 4 trials: two workers, below the three cores
         evaluate.run_trials("bc_mat", 4, base_seed=0, threads=500)
         assert children_started() == 1
@@ -806,10 +809,16 @@ class TestOneLineErrors:
                 b'{"scheme": "bc_mat", "out": "/nonexistent/alignsim/report.json"}',
                 _CANNOT_WRITE, "no directory '/nonexistent/alignsim' exists",
             ),
+            # an int past the float range is a finite number, out of the grid's range
+            (
+                b'{"scheme": "bc_mat", "mode": "dof_sweep", "trials": 2, "snr_grid_db": [1'
+                + b"0" * 400 + b', 0]}',
+                "error: SNR grid points must lie within +-1000 dB, got ", "[1" + "0" * 400 + ", 0]",
+            ),
         ],
         ids=[
             "not_utf8", "long_integer", "deep_nesting", "nul_out", "nul_out_failing_run",
-            "out_empty", "out_directory", "out_missing_directory",
+            "out_empty", "out_directory", "out_missing_directory", "grid_past_float_range",
         ],
     )
     def test_bad_config_file_is_one_line(
@@ -844,6 +853,28 @@ class TestOneLineErrors:
         assert code == 2
         assert out == ""
         assert err == "error: a worker process exited with code 7 before sending its trials\n"
+
+    @pytest.mark.parametrize(
+        "key",
+        [key for key, types in cli._CONFIG_TYPES.items() if int in types or key == "snr_grid_db"],
+    )
+    def test_a_config_number_past_the_float_range_gives_no_traceback(self, tmp_path, key):
+        # a JSON integer of 400 digits parses to an int that no float holds
+        huge = 10**400
+        config = {"scheme": "bc_mat", "trials": 2, "threads": 1, key: huge}
+        if key == "snr_grid_db":
+            config.update(mode="dof_sweep", snr_grid_db=[huge, 0])
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "alignsim.cli", "--config", str(path)],
+            capture_output=True, env=env, timeout=120, text=True,
+        )
+        assert done.returncode in (0, 2), done.stderr
+        assert done.stderr.count("\n") <= 1
+        assert "Traceback" not in done.stderr
 
 
 #: The console script's run, on two workers whatever the CPUs: the caller and one child.

@@ -32,10 +32,11 @@ from alignsim.evaluate import (
     RunReport,
     SchemeFailure,
     TrialOutcomes,
-    _concat,
     _draw_batch,
+    _join,
     _run_block,
     _run_draws,
+    _write_rows,
     dof_by_counting,
     estimate_dof,
     run_trials,
@@ -56,7 +57,7 @@ from alignsim.registry import SCHEMES, get_scheme
 from _decode import decode_context, impulse_response, noise_weights
 from _golden import recorded
 from _oracles import future_perturbation_invariant
-from _outcomes import outcome_fields
+from _outcomes import outcome_fields, replayed
 
 ALL_SCHEME_IDS = sorted(SCHEMES)
 
@@ -430,7 +431,9 @@ class TestRunTrials:
         a = run_trials("bc_mat", 8, base_seed=5, threads=1)
         b = run_trials("bc_mat", 8, base_seed=5, threads=1)
         c = run_trials("bc_mat", 8, base_seed=5, threads=2)
-        assert a.outcomes.trial.tolist() == list(range(8))
+        # in trial order, each trial as its draw gives it alone
+        alone = replayed(get_scheme("bc_mat"), 5, range(8))
+        assert outcome_fields(a.outcomes) == outcome_fields(alone)
         for other in (b, c):
             assert outcome_fields(other.outcomes) == outcome_fields(a.outcomes)
 
@@ -518,8 +521,8 @@ class TestDiscardAndFailurePaths:
         for trial in range(12):
             result, discards = _run_draws(scheme, 17, [trial], Tolerances(), False)
             assert result.decode_ok.tolist() == [True]
-            assert result.trial.tolist() == [trial]
-            assert result.attempt.tolist() == [len(discards)]
+            # the trial's draw at attempt len(discards), as a block of it alone gives it
+            assert outcome_fields(result) == outcome_fields(replayed(scheme, 17, [trial], discards))
             for attempt, d in enumerate(discards):
                 assert d == Discard(trial, attempt, d.reason)
                 assert "Singular" in d.reason
@@ -562,7 +565,9 @@ class TestDiscardAndFailurePaths:
         assert np.abs(h).min() < 1e-3
         outcomes, discards = _run_draws(scheme, 0, [trial], Tolerances(), True)
         assert discards == []
-        assert outcomes.attempt.tolist() == [0]
+        assert outcome_fields(outcomes) == outcome_fields(
+            replayed(scheme, 0, [trial], collect_weights=True)
+        )
         assert outcomes.decode_ok.tolist() == [True]
 
 
@@ -601,6 +606,16 @@ class TestDofEstimation:
         with mock.patch("alignsim.evaluate.run_trials") as run:
             with pytest.raises(ValueError, match="1e-06 dB apart or more, got \\[0, 1e-100\\]"):
                 estimate_dof("bc_mat", [0, 1e-100], 5, 0)
+        run.assert_not_called()
+
+    def test_grid_point_past_the_float_range_rejected_before_any_trial(self):
+        # an int that no float holds is a finite number, far out of range;
+        # math.isfinite would raise OverflowError converting it
+        with pytest.raises(ValueError, match=r"within \+-1000 dB, got \[0, -1000"):
+            validate_snr_grid([0, -(10**400)])
+        with mock.patch("alignsim.evaluate.run_trials") as run:
+            with pytest.raises(ValueError, match=r"within \+-1000 dB, got \[1000"):
+                estimate_dof("bc_mat", [10**400, 0], 5, 0)
         run.assert_not_called()
 
     @pytest.mark.parametrize("grid", [[True, 10.0], [40.0, np.True_, 70.0]])
@@ -676,8 +691,8 @@ def _weights_report(scheme, rows):
     """A run report whose trials carry the given noise weights."""
     n = len(rows)
     outcomes = TrialOutcomes(
-        trial=np.arange(n), attempt=np.zeros(n, dtype=int), max_rel_symbol_error=np.zeros(n),
-        certificates={}, noise_weights=np.array(rows), csi_slots=[],
+        max_rel_symbol_error=np.zeros(n), certificates={}, noise_weights=np.array(rows),
+        csi_slots=[],
     )
     return RunReport(outcomes, [])
 
@@ -776,7 +791,7 @@ def _trial_by_trial(scheme, base_seed, num_trials):
         outcome, trial_discards = _run_draws(scheme, base_seed, [trial], Tolerances(), False)
         parts.append(outcome)
         discards += trial_discards
-    return _concat(parts), discards
+    return _join(parts, np.concatenate), discards
 
 
 def _record_batches(monkeypatch, scheme):
@@ -963,15 +978,16 @@ def _entries(scheme_id):
 def _passing_blocks(calls):
     """Stand-ins for ``_draw_batch`` and ``_run_block``, by name, that pass every draw.
 
-    Each block's trials go to ``calls``.
+    Each block's trials go to ``calls``, and each draw's outcomes carry its
+    trial as the certificate ``"trial"``.
     """
 
     def recording(scheme, base_seed, draws):
         calls.append([trial for trial, _ in draws])
-        return None, None, np.zeros((1, len(draws)))
+        return None, None, np.array([calls[-1]])
 
     def passing(scheme, h, offline, msgs, *args):
-        return TrialOutcomes(None, None, np.zeros(msgs.shape[-1]), {}, None, []), {}
+        return TrialOutcomes(np.zeros(msgs.shape[-1]), {"trial": msgs[0]}, None, []), {}
 
     return {"_draw_batch": recording, "_run_block": passing}
 
@@ -1006,7 +1022,7 @@ def test_batch_plan(scheme_id, num_trials, threads, cores):
             assert len(sizes) == math.ceil(len(share) / TRIAL_BATCH)
             assert max(sizes) <= TRIAL_BATCH
             assert max(sizes) - min(sizes) <= 1
-            assert outcomes.trial.tolist() == list(share)
+            assert outcomes.certificates["trial"].tolist() == list(share)
     # each batch is contiguous, and the batches run in trial order
     assert [trial for batch in calls for trial in batch] == list(range(num_trials))
 
@@ -1057,7 +1073,7 @@ def test_run_draws_checks_before_each_batch(monkeypatch):
             get_scheme("bc_mat"), 0, range(8), Tolerances(), False, lambda: events.append("check")
         )
     assert events == ["check", [0, 1], "check", [2, 3, 4], "check", [5, 6, 7]]
-    assert outcomes.trial.tolist() == list(range(8))
+    assert outcomes.certificates["trial"].tolist() == list(range(8))
     assert discards == []
 
 
@@ -1315,20 +1331,24 @@ def test_certificate_keys_are_unique_and_reported(scheme_id):
     assert list(run_trials(scheme_id, 3, base_seed=27).outcomes.certificates) == keys
 
 
-def test_concat_joins_the_arrays_and_merges_the_audits():
-    def outcomes(trials, csi_slots):
-        trials = np.array(trials)
-        return TrialOutcomes(
-            trial=trials, attempt=0 * trials, max_rel_symbol_error=trials / 10.0,
-            certificates={"c": 2.0 * trials}, noise_weights=np.outer(trials, [1.0, 1.0]),
-            csi_slots=csi_slots,
-        )
+def _tagged(values, csi_slots):
+    """Outcomes whose every array is made of ``values``, one per trial."""
+    values = np.array(values, dtype=float)
+    return TrialOutcomes(
+        max_rel_symbol_error=values / 10.0, certificates={"c": 2.0 * values},
+        noise_weights=np.outer(values, [1.0, 1.0]), csi_slots=csi_slots,
+    )
 
-    joined = _concat([outcomes([0, 1], [2]), outcomes([2], [0, 2])])
-    assert joined.trial.tolist() == [0, 1, 2]
-    assert joined.max_rel_symbol_error.tolist() == [0.0, 0.1, 0.2]
-    assert joined.certificates["c"].tolist() == [0.0, 2.0, 4.0]
-    assert joined.noise_weights.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-    assert joined.csi_slots == [0, 2]
-    lone = outcomes([0, 1], [2])
-    assert _concat([lone]) is lone
+
+def test_join_concatenates_the_arrays_and_merges_the_audits():
+    joined = _join([_tagged([0, 1], [2]), _tagged([2], [0, 2])], np.concatenate)
+    assert outcome_fields(joined) == outcome_fields(_tagged([0, 1, 2], [0, 2]))
+
+
+def test_join_writes_a_rounds_outcomes_into_their_rows():
+    # a batch's later round runs some of its trials again, out of order
+    batch = _tagged([0, 1, 2, 3], [2])
+    before = outcome_fields(batch)
+    joined = _join([batch, _tagged([13, 11], [2])], _write_rows([3, 1]))
+    assert outcome_fields(joined) == outcome_fields(_tagged([0, 11, 2, 13], [2]))
+    assert outcome_fields(batch) == before

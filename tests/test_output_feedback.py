@@ -9,7 +9,7 @@ from alignsim.output_feedback import BcMatScheme, IC3OutputFeedbackScheme, XOutp
 from alignsim.registry import SCHEMES
 
 from _oracles import future_perturbation_invariant
-from _outcomes import run_with_batches
+from _outcomes import outcome_fields, replayed, run_with_batches
 
 BC = BcMatScheme()
 XFB = XOutputFeedbackScheme()
@@ -72,8 +72,11 @@ def test_sizes_come_from_the_schedules():
 
 class TestAllSchemes:
     def test_exact_recovery_over_trials(self, fb_report):
-        _, report, _ = fb_report
-        assert report.outcomes.trial.tolist() == list(range(400))
+        scheme_id, report, _ = fb_report
+        # the 400 trials are two batches of 200: in trial order, each as its draw gives it alone
+        ends = [0, 1, 199, 200, 398, 399]
+        alone = replayed(SCHEMES[scheme_id], 77, ends)
+        assert outcome_fields(report.outcomes, ends) == outcome_fields(alone)
         assert report.all_decode_ok
         assert report.max_rel_symbol_error <= 1e-9
         assert report.discards == []

@@ -23,7 +23,7 @@ from _oracles import (
     jacobi_rank,
     phase2_coefficients,
 )
-from _outcomes import run_with_batches
+from _outcomes import outcome_fields, replayed, run_with_batches
 
 SCHEME = IC3RetroCsitScheme()
 NUM_SLOTS = SCHEME.num_slots
@@ -269,7 +269,10 @@ def ic3_report(ic3_run):
 
 class TestDecoding:
     def test_exact_recovery_over_trials(self, ic3_report):
-        assert ic3_report.outcomes.trial.tolist() == list(range(400))
+        # the 400 trials are two batches of 200: in trial order, each as its draw gives it alone
+        ends = [0, 1, 199, 200, 398, 399]
+        alone = replayed(get_scheme("ic3_retro_csit"), 4321, ends)
+        assert outcome_fields(ic3_report.outcomes, ends) == outcome_fields(alone)
         assert ic3_report.all_decode_ok
         assert ic3_report.max_rel_symbol_error <= 1e-9
 

@@ -24,7 +24,7 @@ from alignsim.retro_csit_x import PHASE1_SLOTS, XRetroCsitScheme
 
 from _decode import decode_context
 from _oracles import future_perturbation_invariant, jacobi_rank
-from _outcomes import run_with_batches
+from _outcomes import outcome_fields, replayed, run_with_batches
 
 SCHEME = XRetroCsitScheme()
 NUM_SLOTS = SCHEME.num_slots
@@ -305,7 +305,10 @@ def x_report(x_run):
 
 class TestDecoding:
     def test_exact_recovery_over_trials(self, x_report):
-        assert x_report.outcomes.trial.tolist() == list(range(400))
+        # the 400 trials are two batches of 200: in trial order, each as its draw gives it alone
+        ends = [0, 1, 199, 200, 398, 399]
+        alone = replayed(SCHEME, 1234, ends)
+        assert outcome_fields(x_report.outcomes, ends) == outcome_fields(alone)
         assert x_report.all_decode_ok
         assert x_report.max_rel_symbol_error <= 1e-9
 
