@@ -34,9 +34,9 @@ import os
 import signal
 import sys
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,35 +75,63 @@ class UsageError(Exception):
     """Bad flags or config file; maps to exit code 2."""
 
 
-class RunConfig(NamedTuple):
-    """Fully resolved run description (flags override config file values)."""
-
-    scheme: str
-    mode: str = "verify"
-    trials: int = 100
-    seed: int = 0
-    snr_grid_db: list[float] | None = None
-    tol_rank: float = Tolerances().rank_rel
-    tol_residual: float = Tolerances().residual_rel
-    out: str | None = None
-    format: str = "json"
-    threads: int = 0  # 0: no bound beyond the usable CPUs and the decoding work
-
-    def tolerances(self) -> Tolerances:
-        try:
-            return Tolerances(rank_rel=self.tol_rank, residual_rel=self.tol_residual)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+# -- modes -------------------------------------------------------------------
 
 
-_NUMBER = (int, float)
+def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
+    scheme = get_scheme(config.scheme)
+    report = run_trials(
+        config.scheme, config.trials, config.seed, tol=config.tolerances(), threads=config.threads
+    )
+    outcomes = report.outcomes
+    decode_ok = int(np.count_nonzero(outcomes.decode_ok))
+    results = {
+        "trials": config.trials,
+        "discards": len(report.discards),
+        "csi_slot_indices": outcomes.csi_slots,
+        "csi_slot_fraction": Fraction(len(outcomes.csi_slots), scheme.num_slots),
+        "decode_ok": decode_ok,
+        "max_rel_symbol_error": report.max_rel_symbol_error,
+        "certificate_extrema": {
+            key: [float(np.min(values)), float(np.max(values))]
+            for key, values in outcomes.certificates.items()
+        },
+    }
+    return results, decode_ok == config.trials
 
-#: Accepted JSON types of each config-file key (``bool`` is never a number).
-_CONFIG_TYPES = {
-    "scheme": (str,), "mode": (str,), "format": (str,), "out": (str, type(None)),
-    "trials": (int,), "seed": (int,), "threads": (int,), "snr_grid_db": (list, type(None)),
-    "tol_rank": _NUMBER, "tol_residual": _NUMBER,
-}
+
+def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
+    scheme = get_scheme(config.scheme)
+    estimate = estimate_dof(
+        config.scheme,
+        config.snr_grid_db,
+        config.trials,
+        config.seed,
+        tol=config.tolerances(),
+        threads=config.threads,
+    )
+    counting = dof_by_counting(scheme)
+    leakage_ratio = estimate.max_rel_symbol_error**2
+    results = estimate._asdict()
+    del results["scheme_id"]  # the config names the scheme
+    results.update(
+        dof_counting=counting, dof_counting_float=float(counting), leakage_power_ratio=leakage_ratio
+    )
+    passed = (
+        abs(estimate.slope - float(counting)) <= DOF_SLOPE_TOL
+        and estimate.r_squared >= DOF_R2_MIN
+        # leaked power relative to desired is the same at every message
+        # scale, so one noiseless figure bounds it across the whole grid
+        and leakage_ratio < LEAKAGE_RATIO_MAX
+    )
+    return results, passed
+
+
+#: Each mode's runner, in the order ``--help`` lists the modes.
+MODES = {"verify": _mode_verify, "dof_sweep": _mode_dof_sweep}
+
+
+# -- configuration -----------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,44 +139,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="alignsim",
-        description="Simulate and verify delayed-feedback interference alignment schemes.",
-    )
-    parser.add_argument("--scheme", choices=sorted(SCHEMES), help="scheme identifier")
-    parser.add_argument("--mode", choices=MODES, help="what to run (default verify)")
-    parser.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-    parser.add_argument("--seed", type=int, help="base seed for the trial tree")
-    parser.add_argument(
-        "--snr-grid",
-        dest="snr_grid_db",
-        metavar="SNR_GRID",
-        type=_parse_snr_grid,
-        help="comma-separated SNR grid in dB (dof_sweep mode only), e.g. 40,50,60,70",
-    )
-    parser.add_argument(
-        "--tol-rank", type=float,
-        help="receive_cond_rx* cutoff: a draw whose receive matrix has s_min/s_max at or below "
-        "it, or is not finite, is singular, and is discarded and resampled",
-    )
-    parser.add_argument(
-        "--tol-residual", type=float,
-        help="zf_residual_rx* cutoff: a zero-forcing residual above it fails the run (exit 3)",
-    )
-    parser.add_argument("--out", help="output file path (default: stdout)")
-    parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="parallel workers, capped at one per usable CPU and one per "
-        f"{ENTRIES_PER_WORKER} receive-matrix entries of decoding work, each trial "
-        "counting num_rx * num_slots * num_symbols (default: 0, as many as those caps allow)",
-    )
-    parser.add_argument("--config", help="JSON config file; explicit flags override it")
-    return parser
 
 
 def _parse_snr_grid(text: str) -> list[float]:
@@ -159,6 +149,73 @@ def _parse_snr_grid(text: str) -> list[float]:
     if not grid:
         raise UsageError("SNR grid is empty")
     return grid
+
+
+_NUMBER, _NULL = (int, float), type(None)
+
+#: Each config key, a field of :class:`RunConfig`, as ``(flag, default, JSON
+#: types, flag options)``: its flag, its default (unused for the scheme, which
+#: must be given), the JSON types a config file may give it (``bool`` is never a
+#: number) and the flag's ``add_argument`` options.  A flag left out parses to
+#: ``None``, so the config file's value or the default holds.
+_KEYS = {
+    "scheme": ("--scheme", None, (str,), dict(choices=sorted(SCHEMES), help="scheme identifier")),
+    "mode": ("--mode", "verify", (str,), dict(choices=MODES, help="what to run (default verify)")),
+    "trials": ("--trials", 100, (int,), dict(type=int, help="number of Monte Carlo trials")),
+    "seed": ("--seed", 0, (int,), dict(type=int, help="base seed for the trial tree")),
+    "snr_grid_db": ("--snr-grid", None, (list, _NULL), dict(
+        metavar="SNR_GRID", type=_parse_snr_grid,
+        help="comma-separated SNR grid in dB (dof_sweep mode only), e.g. 40,50,60,70",
+    )),
+    "tol_rank": ("--tol-rank", Tolerances().rank_rel, _NUMBER, dict(
+        type=float,
+        help="receive_cond_rx* cutoff: a draw whose receive matrix has s_min/s_max at or below "
+        "it, or is not finite, is singular, and is discarded and resampled",
+    )),
+    "tol_residual": ("--tol-residual", Tolerances().residual_rel, _NUMBER, dict(
+        type=float,
+        help="zf_residual_rx* cutoff: a zero-forcing residual above it fails the run (exit 3)",
+    )),
+    "out": ("--out", None, (str, _NULL), dict(help="output file path (default: stdout)")),
+    "format": ("--format", "json", (str,), dict(
+        choices=FORMATS, help="output format (default json)",
+    )),
+    # 0: no bound beyond the usable CPUs and the decoding work
+    "threads": ("--threads", 0, (int,), dict(
+        type=int,
+        help="parallel workers, capped at one per usable CPU and one per "
+        f"{ENTRIES_PER_WORKER} receive-matrix entries of decoding work, each trial "
+        "counting num_rx * num_slots * num_symbols (default: 0, as many as those caps allow)",
+    )),
+}
+
+
+class RunConfig(namedtuple("RunConfig", _KEYS, defaults=[key[1] for key in _KEYS.values()][1:])):
+    """Fully resolved run description (flags override config file values)."""
+
+    __slots__ = ()
+
+    def tolerances(self) -> Tolerances:
+        try:
+            return Tolerances(rank_rel=self.tol_rank, residual_rel=self.tol_residual)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="alignsim",
+        description="Simulate and verify delayed-feedback interference alignment schemes.",
+    )
+    for key, (flag, _, _, options) in _KEYS.items():
+        parser.add_argument(flag, dest=key, **options)
+    parser.add_argument("--config", help="JSON config file; explicit flags override it")
+    return parser
+
+
+#: Built once per process; a parse leaves it unchanged, so every ``main`` call
+#: shares it.
+_PARSER = _build_parser()
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -189,11 +246,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def _check_config_type(key: str, value) -> None:
-    if key not in _CONFIG_TYPES:
+    if key not in _KEYS:
         raise UsageError(f"unknown config key {key!r}")
-    allowed = _CONFIG_TYPES[key]
+    _, _, allowed, _ = _KEYS[key]
     if isinstance(value, bool) or not isinstance(value, allowed):
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        names = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
         raise UsageError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
     if key == "snr_grid_db" and value is not None:
         for point in value:
@@ -227,6 +284,12 @@ def _validate(config: RunConfig) -> None:
             raise UsageError(f"cannot write output file: {config.out!r} is a directory")
         if not os.path.isdir(folder):
             raise UsageError(f"cannot write output file: no directory {folder!r} exists")
+        try:
+            os.stat(config.out)
+        except FileNotFoundError:
+            pass  # a new file
+        except (OSError, UnicodeEncodeError) as exc:  # a name too long or not encodable, say
+            raise UsageError(f"cannot write output file: {exc}") from None
     if config.mode == "dof_sweep":
         if not config.snr_grid_db:
             raise UsageError("dof_sweep mode requires an SNR grid (--snr-grid)")
@@ -274,74 +337,6 @@ def _render_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render_json(item) for item in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-# -- modes -------------------------------------------------------------------
-
-
-def _mode_verify(config: RunConfig) -> tuple[dict, bool]:
-    scheme = get_scheme(config.scheme)
-    report = run_trials(
-        config.scheme, config.trials, config.seed, tol=config.tolerances(), threads=config.threads
-    )
-    outcomes = report.outcomes
-    decode_ok = int(np.count_nonzero(outcomes.decode_ok))
-    results = {
-        "trials": config.trials,
-        "discards": len(report.discards),
-        "csi_slot_indices": outcomes.csi_slots,
-        "csi_slot_fraction": Fraction(len(outcomes.csi_slots), scheme.num_slots),
-        "decode_ok": decode_ok,
-        "max_rel_symbol_error": report.max_rel_symbol_error,
-        "certificate_extrema": {
-            key: [float(np.min(values)), float(np.max(values))]
-            for key, values in outcomes.certificates.items()
-        },
-    }
-    return results, decode_ok == config.trials
-
-
-def _mode_dof_sweep(config: RunConfig) -> tuple[dict, bool]:
-    scheme = get_scheme(config.scheme)
-    estimate = estimate_dof(
-        config.scheme,
-        config.snr_grid_db,
-        config.trials,
-        config.seed,
-        tol=config.tolerances(),
-        threads=config.threads,
-    )
-    counting = dof_by_counting(scheme)
-    leakage_ratio = estimate.max_rel_symbol_error**2
-    results = {
-        "snr_grid_db": estimate.snr_grid_db,
-        "sum_rates": estimate.sum_rates,
-        "slope": estimate.slope,
-        "intercept": estimate.intercept,
-        "r_squared": estimate.r_squared,
-        "dof_counting": counting,
-        "dof_counting_float": float(counting),
-        "trials_per_point": estimate.trials_per_point,
-        "discards": estimate.discards,
-        "max_rel_symbol_error": estimate.max_rel_symbol_error,
-        "leakage_power_ratio": leakage_ratio,
-    }
-    passed = (
-        abs(estimate.slope - float(counting)) <= DOF_SLOPE_TOL
-        and estimate.r_squared >= DOF_R2_MIN
-        # leaked power relative to desired is the same at every message
-        # scale, so one noiseless figure bounds it across the whole grid
-        and leakage_ratio < LEAKAGE_RATIO_MAX
-    )
-    return results, passed
-
-
-#: Each mode's runner, in the order ``--help`` lists the modes.
-MODES = {"verify": _mode_verify, "dof_sweep": _mode_dof_sweep}
-
-#: Built once per process (it reads ``MODES``); a parse leaves it unchanged,
-#: so every ``main`` call shares it.
-_PARSER = _build_parser()
 
 
 def _render_csv(results: dict) -> str:

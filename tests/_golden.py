@@ -6,14 +6,15 @@ error, and the report on standard output, parsed (``null`` where nothing was
 written).  ``tests/test_golden.py`` reruns every case in-process and compares.
 
 Exit codes, keys, integers and strings always match exactly.  Floats match
-bit for bit, and standard output byte for byte, when numpy and its BLAS are
-the versions recorded in ``tests/golden/versions.json``.  Elsewhere a float
-matches within :data:`REL` of the larger magnitude, or within :data:`FLOOR`
-for the roundoff-sized keys of :data:`ROUNDOFF_KEY`, whose healthy values sit
-near 1e-15 and move with any LAPACK build; a number inside a message matches
-to its printed four digits.  Standard error matches exactly on the recorded
-Python; on another the CLI's own words, the text before the second ``": "``,
-must match, since the rest may quote Python's own messages.
+bit for bit, and standard output byte for byte, when numpy, its BLAS and
+the BLAS kernel are those recorded in ``tests/golden/versions.json``.
+Elsewhere a float matches within :data:`REL` of the larger magnitude, or
+within :data:`FLOOR` for the roundoff-sized keys of :data:`ROUNDOFF_KEY`,
+whose healthy values sit near 1e-15 and move with any LAPACK build; a number
+inside a message matches to its printed four digits.  Standard error matches
+exactly on the recorded Python; on another the CLI's own words, the text
+before the second ``": "``, must match, since the rest may quote Python's own
+messages.
 
 Regenerate every file after a stated report change with::
 
@@ -23,6 +24,7 @@ Regenerate every file after a stated report change with::
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import platform
@@ -102,18 +104,37 @@ CASES.update({
     "usage-out_directory": ["--config", "{inputs}/out_directory.json"],
     "usage-out_missing_directory": ["--config", "{inputs}/out_missing_directory.json"],
     "usage-grid_past_float_range": ["--config", "{inputs}/grid_past_float_range.json"],
+    "usage-out_surrogate": ["--config", "{inputs}/out_surrogate.json"],
+    "usage-out_name_too_long": ["--config", "{inputs}/out_name_too_long.json"],
 })
 
 
+def _blas_kernel() -> str | None:
+    """The kernel of numpy's bundled OpenBLAS (``None`` where that library or its query is missing).
+
+    scipy-openblas picks its kernel for the CPU at run time, or as
+    ``OPENBLAS_CORETYPE`` says, and the kernel moves the last bits of LAPACK's
+    results.  The library is the one numpy loaded, so this is the kernel its runs use.
+    """
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            return None
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def versions() -> dict[str, str | None]:
-    """The Python, numpy and BLAS versions a report depends on (BLAS ``None`` if unknown)."""
+    """The Python, numpy, BLAS and BLAS kernel a report depends on (``None`` if unknown)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
         blas = None
     return {"python": ".".join(platform.python_version_tuple()[:2]), "numpy": np.__version__,
-            "blas": blas}
+            "blas": blas, "blas_kernel": _blas_kernel()}
 
 
 def recorded(name: str) -> dict:

@@ -70,12 +70,6 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="trails"):
             parse_config(["--config", str(path)])
 
-    def test_config_keys_are_the_run_config_fields_and_the_flags(self):
-        # a file's keys are checked against _CONFIG_TYPES, so RunConfig takes them all
-        fields = set(RunConfig._fields)
-        dests = {action.dest for action in cli._PARSER._actions} - {"help", "config"}
-        assert set(cli._CONFIG_TYPES) == fields == dests
-
     def test_missing_config_file(self):
         with pytest.raises(UsageError, match="cannot read"):
             parse_config(["--scheme", "bc_mat", "--config", "/nonexistent/x.json"])
@@ -809,6 +803,15 @@ class TestOneLineErrors:
                 b'{"scheme": "bc_mat", "out": "/nonexistent/alignsim/report.json"}',
                 _CANNOT_WRITE, "no directory '/nonexistent/alignsim' exists",
             ),
+            # names open() refuses too: one it cannot encode, one past the file system's limit
+            (
+                b'{"scheme": "bc_mat", "out": "\\ud800.json"}',
+                _CANNOT_WRITE, "surrogates not allowed",
+            ),
+            (
+                b'{"scheme": "bc_mat", "out": "' + b"a" * 300 + b'.json"}',
+                _CANNOT_WRITE, "File name too long",
+            ),
             # an int past the float range is a finite number, out of the grid's range
             (
                 b'{"scheme": "bc_mat", "mode": "dof_sweep", "trials": 2, "snr_grid_db": [1'
@@ -818,7 +821,8 @@ class TestOneLineErrors:
         ],
         ids=[
             "not_utf8", "long_integer", "deep_nesting", "nul_out", "nul_out_failing_run",
-            "out_empty", "out_directory", "out_missing_directory", "grid_past_float_range",
+            "out_empty", "out_directory", "out_missing_directory", "out_surrogate",
+            "out_name_too_long", "grid_past_float_range",
         ],
     )
     def test_bad_config_file_is_one_line(
@@ -856,7 +860,10 @@ class TestOneLineErrors:
 
     @pytest.mark.parametrize(
         "key",
-        [key for key, types in cli._CONFIG_TYPES.items() if int in types or key == "snr_grid_db"],
+        [
+            key for key, (_, _, types, _) in cli._KEYS.items()
+            if int in types or key == "snr_grid_db"
+        ],
     )
     def test_a_config_number_past_the_float_range_gives_no_traceback(self, tmp_path, key):
         # a JSON integer of 400 digits parses to an int that no float holds
@@ -1116,37 +1123,53 @@ def test_reports_identical_across_thread_counts(
 
 _SCHEME_IDS = sorted(cli.SCHEMES)
 
+#: Output paths: empty, with a NUL byte, with a lone surrogate, a directory, in
+#: no directory, a name past the file system's 255 bytes, and one that can be
+#: written.  ``{tmp}`` stands for the example's own temporary directory.
+_OUT = ["", "a\0b.json", "\ud800.json", "{tmp}", "{tmp}/missing/report.json",
+        "{tmp}/" + "a" * 300, "{tmp}/report.json"]
+
+#: What each config key's flag is given, by key (``None``: no flag).
 _FLAG_VALUES = {
-    "--mode": st.sampled_from([*cli.MODES, "dof_sweep", "bogus"]),
-    "--trials": st.sampled_from(["1", "2", "3", "0", "-2", "x"]),
-    "--seed": st.sampled_from(["0", "7", "12345678901234567890", "-1", "seed"]),
-    "--snr-grid": st.sampled_from(
+    "scheme": st.sampled_from([*_SCHEME_IDS, *_SCHEME_IDS, "nope"]),
+    "mode": st.sampled_from([*cli.MODES, "dof_sweep", "bogus"]),
+    "trials": st.sampled_from(["1", "2", "3", "0", "-2", "x"]),
+    "seed": st.sampled_from(["0", "7", "12345678901234567890", "-1", "seed"]),
+    "snr_grid_db": st.sampled_from(
         ["40,55,70", "40,55,70", "30,50", "40", "40,40", "nan,50", "1e999,2", "0,20", "a,b"]
     ),
-    "--tol-rank": st.sampled_from(["1e-8", "0.05", "0.5", "1e-300", "0", "nan", "x"]),
-    "--tol-residual": st.sampled_from(["1e-8", "1e-17", "0.9", "-1", "inf"]),
-    "--format": st.sampled_from(["json", "json", "csv", "xml"]),
-    "--threads": st.sampled_from(["1", "1", "0x", "-1"]),
+    "tol_rank": st.sampled_from(["1e-8", "0.05", "0.5", "1e-300", "0", "nan", "x"]),
+    "tol_residual": st.sampled_from(["1e-8", "1e-17", "0.9", "-1", "inf"]),
+    "out": st.sampled_from([None, None, *_OUT]),
+    "format": st.sampled_from(["json", "json", "csv", "xml"]),
+    "threads": st.sampled_from(["1", "1", "0x", "-1"]),
 }
 
+#: What a config file gives each key, by key, and a key no config has.
 _CONFIG_VALUES = {
+    "scheme": st.sampled_from([*_SCHEME_IDS, 3]),
     "mode": st.sampled_from([*cli.MODES, 1.5]),
     "trials": st.sampled_from([1, 3, 0, "2", 2.0, True, None]),
     "seed": st.sampled_from([0, 5, -1, "x", 1.5, [1]]),
     "snr_grid_db": st.sampled_from([[40, 55, 70], [40], None, "40,50", [40, "x"], [1e308, 1]]),
     "tol_rank": st.sampled_from([1e-8, 0.05, 2.0, "1e-3", None]),
     "tol_residual": st.sampled_from([1e-8, 1e-17, 0, "x"]),
+    "out": st.sampled_from([*_OUT, None, 7]),
     "format": st.sampled_from(["json", "csv", 7]),
     "threads": st.sampled_from([1, -1, "2", 1.0]),
     "trails": st.just(1),
 }
 
+#: Flags each example draws.  A bad output path shows only where every other
+#: input is usable, so most examples give one to a run that can start.
+_DRAWN_FLAGS = ("scheme", "out")
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     flags=st.fixed_dictionaries(
-        {"--scheme": st.sampled_from([*_SCHEME_IDS, *_SCHEME_IDS, "nope"])},
-        optional=_FLAG_VALUES,
+        {key: _FLAG_VALUES[key] for key in _DRAWN_FLAGS},
+        optional={key: values for key, values in _FLAG_VALUES.items() if key not in _DRAWN_FLAGS},
     ),
     config=st.one_of(
         st.none(),
@@ -1156,17 +1179,43 @@ _CONFIG_VALUES = {
     ),
 )
 def test_fuzzed_inputs_exit_cleanly(flags, config, tmp_path_factory):
-    argv = [part for flag, value in flags.items() for part in (flag, value)]
+    # each config key, a RunConfig field and a flag, is drawn both ways
+    dests = {action.dest for action in cli._PARSER._actions} - {"help", "config"}
+    assert set(_FLAG_VALUES) == set(_CONFIG_VALUES) - {"trails"} == set(RunConfig._fields) == dests
+    tmp = tmp_path_factory.mktemp("fuzz")
+
+    def placed(value):
+        return value.replace("{tmp}", str(tmp)) if isinstance(value, str) else value
+
+    argv = [
+        part for key, value in flags.items() if value is not None
+        for part in (cli._KEYS[key][0], placed(value))
+    ]
     if config is not None:
-        path = tmp_path_factory.mktemp("fuzz") / "run.json"
-        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        if isinstance(config, dict):
+            config = json.dumps({key: placed(value) for key, value in config.items()})
+        path = tmp / "run.json"
+        path.write_text(config)
         argv += ["--config", str(path)]
     # keep every run small and in-process: at most 3 trials, one worker
     for flag, default in (("--trials", "3"), ("--threads", "1")):
-        if flag not in flags:
+        if flag not in argv:
             argv += [flag, default]
+    run_trials, started = evaluate.run_trials, []
+
+    def recorded_run_trials(*args, **kwargs):
+        started.append(args)
+        return run_trials(*args, **kwargs)
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        # verify calls run_trials through cli, a sweep through estimate_dof
+        for module in (cli, evaluate):
+            patch.setattr(module, "run_trials", recorded_run_trials)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
+    # a usage error comes before any trial runs: here no write can fail, since
+    # standard output is a buffer and the one writable path is written
+    assert code != 2 or not started, err.getvalue()

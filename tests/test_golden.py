@@ -1,6 +1,7 @@
 """Every run of the report corpus gives what ``tests/golden/`` recorded (see ``_golden``)."""
 
 import json
+import sys
 
 import pytest
 
@@ -8,10 +9,19 @@ from _golden import CASES, GOLDEN, differences, recorded, render, run, versions
 
 RECORDED = json.loads((GOLDEN / "versions.json").read_text())
 CURRENT = versions()
-#: Floats bit for bit, and stdout byte for byte, only on the recorded numpy and BLAS.
-SAME_NUMERICS = CURRENT["blas"] is not None and all(
-    CURRENT[key] == RECORDED[key] for key in ("numpy", "blas")
+#: Floats bit for bit, and stdout byte for byte, only on the recorded numpy, BLAS and kernel.
+SAME_NUMERICS = None not in (CURRENT["blas"], CURRENT["blas_kernel"]) and all(
+    CURRENT[key] == RECORDED[key] for key in ("numpy", "blas", "blas_kernel")
 )
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not (CURRENT["blas"] or "").startswith("scipy-openblas"),
+    reason="reads the kernel of the OpenBLAS that a Linux numpy wheel bundles",
+)
+def test_the_bundled_openblas_names_its_kernel():
+    # a kernel read as None would turn the byte-for-byte comparison off unseen
+    assert CURRENT["blas_kernel"]
 
 
 def test_every_case_has_one_file():
